@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import segment_bounds, sieve_range
+from .sieve import _smooth_mask, segment_bounds
 
 #: Upper limit for the recursive test oracle.
 ENUM_ORACLE_LIMIT = 10**7
@@ -40,8 +40,9 @@ class SmoothQuery:
 
 
 def _check_y(y: float) -> float:
+    """Validate a smoothness bound: a real y >= 1, where y = inf means no bound."""
     y = float(y)
-    if y < 1:
+    if not y >= 1:
         raise DomainError(f"smoothness bound must be >= 1, got {y}")
     return y
 
@@ -68,7 +69,7 @@ class SmoothRange:
         self.last = last
         self.y = _check_y(y)
         parts = [
-            sieve_range(s, e, capacity).smooth_mask(self.y)
+            _smooth_mask(s, e, self.y, capacity)
             for s, e in segment_bounds(first, last, capacity)
         ]
         flags = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -136,8 +137,7 @@ def enumerate_smooth(lo: int, hi: int, y: float, capacity: int | None = None):
     if hi <= lo:
         return
     for s, e in segment_bounds(max(lo + 1, 1), hi, capacity):
-        table = sieve_range(s, e, capacity)
-        for i in np.nonzero(table.smooth_mask(y))[0]:
+        for i in np.flatnonzero(_smooth_mask(s, e, y, capacity)):
             yield s + int(i)
 
 
@@ -149,8 +149,7 @@ def psi(x: float, y: float, capacity: int | None = None) -> int:
     top = math.floor(x)
     total = 0
     for s, e in segment_bounds(1, top, capacity):
-        table = sieve_range(s, e, capacity)
-        total += int(np.count_nonzero(table.smooth_mask(y)))
+        total += int(np.count_nonzero(_smooth_mask(s, e, y, capacity)))
     return total
 
 
@@ -208,9 +207,9 @@ def psi_coprime(
         return within.count_coprime(0, top, d)
     total = 0
     for s, e in segment_bounds(1, top, capacity):
-        table = sieve_range(s, e, capacity)
         n = np.arange(s, e + 1, dtype=np.int64)
-        total += int(np.count_nonzero(table.smooth_mask(y) & (np.gcd(n, d) == 1)))
+        mask = _smooth_mask(s, e, y, capacity)
+        total += int(np.count_nonzero(mask & (np.gcd(n, d) == 1)))
     return total
 
 
@@ -238,9 +237,9 @@ def psi_progression(
         return within.count_progression(lo, hi, a, d)
     total = 0
     for s, e in segment_bounds(lo + 1, hi, capacity):
-        table = sieve_range(s, e, capacity)
         n0 = s + (a - s) % d
         if n0 > e:
             continue
-        total += int(np.count_nonzero(table.smooth_mask(y)[n0 - s : e - s + 1 : d]))
+        mask = _smooth_mask(s, e, y, capacity)
+        total += int(np.count_nonzero(mask[n0 - s : e - s + 1 : d]))
     return total

@@ -5,6 +5,7 @@ on success, 1 on domain/resource errors, 2 on usage errors.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -116,18 +117,7 @@ def _run_vsum(args) -> int:
 def _run_scan(args) -> int:
     cfg = experiments.load_config(args.config)
     if args.out is not None:
-        cfg = experiments.ScanConfig(
-            x_grid=cfg.x_grid,
-            a_list=cfg.a_list,
-            y=cfg.y,
-            y_rule=cfg.y_rule,
-            C=cfg.C,
-            epsilon=cfg.epsilon,
-            delta_gamma=cfg.delta_gamma,
-            delta_delta=cfg.delta_delta,
-            A=cfg.A,
-            output_path=args.out,
-        )
+        cfg = dataclasses.replace(cfg, output_path=args.out)
     records = experiments.convergence_scan(cfg)
     failed = sum(1 for r in records if r.error is not None)
     pairs = [("rows", len(records)), ("failed", failed)]

@@ -11,17 +11,14 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .census import SmoothRange, psi, psi_coprime, psi_progression
+from .census import SmoothRange, psi_coprime, psi_progression
 from .dickman import RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
-from .shifted import ZETA2_INV, t_exact, v_exact
+from .shifted import _E, _E_E, ZETA2_INV, _shifted_totals, main_terms
 from .sieve import phi_int
-
-_E = math.e
-_E_E = math.exp(math.e)
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
 FT_CSV_HEADER = "d,ratio,dev,lemma_scale"
@@ -109,17 +106,10 @@ class ScanRecord:
 
 def _scan_point(x: float, y: float, a: int, table: RhoTable) -> ScanRecord:
     u = math.log(x) / math.log(y)
-    psi_value = psi(x, y)
+    psi_value, t, v = _shifted_totals(x, y, a)
     est = psi_estimate(x, y, "rho", table).value
-    t = t_exact(x, y, a)
-    v = v_exact(x, y, a)
+    terms = main_terms(x, y, psi_value)
     t_ratio = t / psi_value
-    t_err = abs(t_ratio - ZETA2_INV)
-    v_err = abs(v - 3.0 * x / (math.pi * math.pi)) / x
-    if x > _E and y > _E:
-        err_scale = math.log(math.log(x)) * math.log(math.log(y)) / math.log(y)
-    else:
-        err_scale = math.nan
     return ScanRecord(
         x=float(x),
         y=float(y),
@@ -130,9 +120,9 @@ def _scan_point(x: float, y: float, a: int, table: RhoTable) -> ScanRecord:
         t_exact=t,
         v_exact=v,
         t_ratio=t_ratio,
-        t_err=t_err,
-        v_err=v_err,
-        err_scale=err_scale,
+        t_err=abs(t_ratio - ZETA2_INV),
+        v_err=abs(v - terms.v_main) / x,
+        err_scale=terms.err_scale,
     )
 
 
@@ -515,10 +505,6 @@ def write_json_report(path, config: dict, rows, goldens: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def scan_records_json(records) -> list[dict]:
-    return [asdict(r) for r in records]
 
 
 _CONFIG_KEYS = {

@@ -15,15 +15,16 @@ log y) with its leading-term comparator x^2 rho(u) / 2.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 
-from .census import SmoothRange, psi, psi_progression
+from .census import SmoothRange, _check_y, psi, psi_progression
 from .dickman import RhoTable, rho
 from .errors import AccuracyError, DomainError
-from .sieve import segment_bounds, sieve_range, tau_omega_range
+from .sieve import _phi_segment, _smooth_mask, segment_bounds, sieve_range, tau_omega_range
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
 ZETA2_INV = 6.0 / (math.pi * math.pi)
@@ -63,36 +64,72 @@ def _check_shift(a) -> int:
     return a
 
 
-def _shifted_segments(x: float, a: int, capacity=None):
-    """Yield (seg_table, shift_table, seg_lo, seg_hi) covering (max(a,0), floor(x)].
+def _shifted_pass(x: float, y: float, a: int, capacity=None):
+    """Yield (s, e, idx, phi_at) for each segment [s, e] of (max(a,0), floor(x)].
 
-    shift_table covers the same segment displaced by -a, so phi(n - a) is a
-    straight aligned lookup.
+    The y-smooth n of the segment are s + idx, and phi_at holds phi(n - a)
+    at those n.  The totient window [s - a, e - a] is sieved only when the
+    segment has a smooth n.
     """
-    top = math.floor(x)
-    lo = max(a, 0)
-    for s, e in segment_bounds(lo + 1, top, capacity):
-        yield sieve_range(s, e, capacity), sieve_range(s - a, e - a, capacity), s, e
+    for s, e in segment_bounds(max(a, 0) + 1, math.floor(x), capacity):
+        idx = np.flatnonzero(_smooth_mask(s, e, y, capacity))
+        phi_at = _phi_segment(s - a, e - a, capacity)[idx] if idx.size else idx
+        yield s, e, idx, phi_at
+
+
+def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
+    """phi(n - a) / (n - a) at the smooth n = s + idx."""
+    return phi_at / (idx + (s - a)).astype(np.float64)
+
+
+def _psi_head(x: float, y: float, a: int, capacity=None) -> int:
+    """Smooth n <= x that the shifted pass skips: those n <= a for a > 0."""
+    if x < 1:
+        raise DomainError(f"psi needs x >= 1, got {x}")
+    return psi(min(x, a), y, capacity) if a > 0 else 0
+
+
+def _v_parts(x: float, y: float, a: int, capacity=None) -> tuple[int, int]:
+    """(sum of phi(n - a) over smooth n in (max(a,0), floor(x)], Psi(x, y))."""
+    psi_value = _psi_head(x, y, a, capacity)
+    numerator = 0
+    for _s, _e, idx, phi_at in _shifted_pass(x, y, a, capacity):
+        psi_value += idx.size
+        numerator += int(phi_at.sum())
+    return numerator, psi_value
+
+
+def _shifted_totals(x: float, y: float, a: int, capacity=None) -> tuple[int, float, float]:
+    """(Psi(x, y), T(x, y), V(x, y)) from a single pass over the segments."""
+    a, y = _check_shift(a), _check_y(y)
+    psi_value = _psi_head(x, y, a, capacity)
+    numerator = 0
+
+    def terms():
+        nonlocal psi_value, numerator
+        for s, _e, idx, phi_at in _shifted_pass(x, y, a, capacity):
+            psi_value += idx.size
+            numerator += int(phi_at.sum())
+            yield _t_terms(a, s, idx, phi_at)
+
+    t = math.fsum(chain.from_iterable(terms()))
+    return psi_value, t, numerator / psi_value
 
 
 def t_exact(x: float, y: float, a: int, capacity=None) -> float:
     """T(x, y): sum of phi(n - a)/(n - a) over smooth n in (max(a,0), floor(x)].
 
-    Terms are accumulated with exact compensated summation (math.fsum), so
-    the result is within 1e-12 relative of the exact rational value.
+    Terms stream segment by segment into exact compensated summation
+    (math.fsum), so the result is within 1e-12 relative of the exact
+    rational value and memory does not grow with x.
     """
-    a = _check_shift(a)
-    if math.floor(x) <= max(a, 0):
-        return 0.0
-    partials = []
-    for table, shifted, s, _e in _shifted_segments(x, a, capacity):
-        idx = np.nonzero(table.smooth_mask(y))[0]
-        if idx.size:
-            den = (idx + (s - a)).astype(np.float64)
-            partials.append(shifted.phi[idx] / den)
-    if not partials:
-        return 0.0
-    return math.fsum(np.concatenate(partials))
+    a, y = _check_shift(a), _check_y(y)
+    return math.fsum(
+        chain.from_iterable(
+            _t_terms(a, s, idx, phi_at)
+            for s, _e, idx, phi_at in _shifted_pass(x, y, a, capacity)
+        )
+    )
 
 
 def _tree_sum(fractions: list[Fraction]) -> Fraction:
@@ -107,16 +144,14 @@ def _tree_sum(fractions: list[Fraction]) -> Fraction:
 
 def t_exact_fraction(x: float, y: float, a: int) -> Fraction:
     """Exact rational T(x, y), for pinning the float path at small x."""
-    a = _check_shift(a)
-    top = math.floor(x)
-    if top > RATIONAL_MODE_LIMIT:
+    a, y = _check_shift(a), _check_y(y)
+    if math.floor(x) > RATIONAL_MODE_LIMIT:
         raise DomainError(f"rational mode limited to x <= {RATIONAL_MODE_LIMIT}")
-    if top <= max(a, 0):
-        return Fraction(0)
-    terms = []
-    for table, shifted, s, _e in _shifted_segments(x, a):
-        for i in np.nonzero(table.smooth_mask(y))[0]:
-            terms.append(Fraction(int(shifted.phi[i]), int(i) + s - a))
+    terms = [
+        Fraction(int(p), int(i) + s - a)
+        for s, _e, idx, phi_at in _shifted_pass(x, y, a)
+        for i, p in zip(idx, phi_at)
+    ]
     return _tree_sum(terms)
 
 
@@ -198,31 +233,17 @@ def v_exact(x: float, y: float, a: int, capacity=None) -> float:
     """V(x, y): the Psi-normalized average of phi(n - a) over smooth n.
 
     The numerator is an exact integer sum; only the final division rounds.
+    Psi comes from the same pass, plus psi(a, y) for a > 0.
     """
-    a = _check_shift(a)
-    psi_value = psi(x, y, capacity)
-    top = math.floor(x)
-    if top <= max(a, 0):
-        return 0.0
-    numerator = 0
-    for table, shifted, _s, _e in _shifted_segments(x, a, capacity):
-        mask = table.smooth_mask(y)
-        numerator += int(shifted.phi[mask].sum())
+    a, y = _check_shift(a), _check_y(y)
+    numerator, psi_value = _v_parts(x, y, a, capacity)
     return numerator / psi_value
 
 
 def v_exact_fraction(x: float, y: float, a: int, capacity=None) -> Fraction:
     """Exact rational V(x, y)."""
-    a = _check_shift(a)
-    psi_value = psi(x, y, capacity)
-    top = math.floor(x)
-    if top <= max(a, 0):
-        return Fraction(0)
-    numerator = 0
-    for table, shifted, _s, _e in _shifted_segments(x, a, capacity):
-        mask = table.smooth_mask(y)
-        numerator += int(shifted.phi[mask].sum())
-    return Fraction(numerator, psi_value)
+    a, y = _check_shift(a), _check_y(y)
+    return Fraction(*_v_parts(x, y, a, capacity))
 
 
 def v_via_abel(x: float, y: float, a: int, capacity=None) -> float:
@@ -232,18 +253,16 @@ def v_via_abel(x: float, y: float, a: int, capacity=None) -> float:
     is a step function in its first argument; the integral is the exact sum
     of T(k) over integer k < floor(x) plus the fractional top piece.
     """
-    a = _check_shift(a)
+    a, y = _check_shift(a), _check_y(y)
     psi_value = psi(x, y, capacity)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
     running_t = 0.0
     integral_parts = []
-    for table, shifted, s, e in _shifted_segments(x, a, capacity):
+    for s, e, idx, phi_at in _shifted_pass(x, y, a, capacity):
         terms = np.zeros(e - s + 1)
-        idx = np.nonzero(table.smooth_mask(y))[0]
-        if idx.size:
-            terms[idx] = shifted.phi[idx] / (idx + (s - a)).astype(np.float64)
+        terms[idx] = _t_terms(a, s, idx, phi_at)
         cumulative = running_t + np.cumsum(terms)
         upper = min(e, top - 1)
         if upper >= s:
@@ -335,9 +354,8 @@ def aux_averages(x: float, y: float, a: int, capacity=None) -> AuxAverages:
     omega_sum = 0
     lo = max(a, 0)
     for s, e in segment_bounds(lo + 1, top, capacity):
-        table = sieve_range(s, e, capacity)
         tau, omega = tau_omega_range(s - a, e - a, capacity)
-        mask = table.smooth_mask(y)
+        mask = _smooth_mask(s, e, y, capacity)
         tau_sum += int(tau[mask].sum())
         omega_sum += int(omega[mask].sum())
     return AuxAverages(tau_sum / psi_value, omega_sum / psi_value)

@@ -1,10 +1,21 @@
 """Segmented sieves for per-integer arithmetic data.
 
-A sieved segment records, for every n in [lo, hi]: the smallest and largest
-prime factor, the Euler totient phi(n), and the Moebius value mu(n).  The
-sieve marks multiples of every prime p <= sqrt(hi) with vectorized strides,
-divides prime powers out of a running remainder, and resolves the (at most
-one) prime factor > sqrt(hi) from what is left.  Results are independent of
+Two private kernels serve the counting and summation code, each sized to
+its question and each one pass over a window [lo, hi]:
+
+- ``_smooth_mask`` strides only the primes p <= min(y, sqrt(hi)) and their
+  powers, dividing them out of one int64 remainder.  What is left of n has
+  no prime factor <= that bound, so n is y-smooth exactly when the
+  remainder is <= y: one comparison per entry.
+- ``_phi_segment`` strides every prime p <= sqrt(hi), applying the factor
+  (1 - 1/p) to phi and dividing p out of the remainder, then fixes up the
+  (at most one) prime factor > sqrt(hi) at the indices where the remainder
+  is still > 1.
+
+:func:`sieve_range` is the full-table reference: smallest and largest prime
+factor, phi(n) and mu(n) for every n.  It backs the public API and the
+Moebius values, and tests compare the kernels against it.  Nothing is
+cached; every call sieves its window afresh.  Results are independent of
 how a range is split into segments.
 
 Conventions: spf(1) = lpf(1) = 1, phi(1) = 1, mu(1) = 1, so that 1 counts as
@@ -13,7 +24,6 @@ smooth for every bound.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,13 +106,8 @@ def segment_bounds(lo: int, hi: int, capacity: int | None = None):
         s = e + 1
 
 
-def sieve_range(lo: int, hi: int, capacity: int | None = None) -> ArithTable:
-    """Sieve every integer in [lo, hi] into an :class:`ArithTable`.
-
-    Deterministic and independent of any surrounding segmentation.  Raises
-    :class:`DomainError` for lo < 1 or out-of-range bounds and
-    :class:`CapacityError` when the span exceeds the segment capacity.
-    """
+def _check_window(lo: int, hi: int, capacity: int | None) -> tuple[int, int]:
+    """Validate a sieve window [lo, hi] against the bounds and the capacity."""
     lo, hi = int(lo), int(hi)
     cap = DEFAULT_SEGMENT_CAPACITY if capacity is None else int(capacity)
     if lo < 1:
@@ -115,10 +120,19 @@ def sieve_range(lo: int, hi: int, capacity: int | None = None) -> ArithTable:
         raise CapacityError(
             f"segment [{lo}, {hi}] has {hi - lo + 1} entries, capacity is {cap}"
         )
-    return _sieve_segment(lo, hi)
+    return lo, hi
 
 
-@lru_cache(maxsize=6)
+def sieve_range(lo: int, hi: int, capacity: int | None = None) -> ArithTable:
+    """Sieve every integer in [lo, hi] into an :class:`ArithTable`.
+
+    Deterministic and independent of any surrounding segmentation.  Raises
+    :class:`DomainError` for lo < 1 or out-of-range bounds and
+    :class:`CapacityError` when the span exceeds the segment capacity.
+    """
+    return _sieve_segment(*_check_window(lo, hi, capacity))
+
+
 def _sieve_segment(lo: int, hi: int) -> ArithTable:
     size = hi - lo + 1
     values = np.arange(lo, hi + 1, dtype=np.int64)
@@ -174,6 +188,65 @@ def _sieve_segment(lo: int, hi: int) -> ArithTable:
     for arr in (spf, lpf, phi, mu):
         arr.setflags(write=False)
     return ArithTable(lo=lo, hi=hi, spf=spf, lpf=lpf, phi=phi, mu=mu)
+
+
+def _strip_primes(lo: int, hi: int, bound: int, phi: np.ndarray | None = None):
+    """Divide every prime p <= bound, with its full power, out of each n in [lo, hi].
+
+    Returns the remainders.  When ``phi`` (aligned with the window) is
+    given, it also takes one factor (1 - 1/p) per prime p dividing n; that
+    is exact in integers because phi still holds every power of p.
+    """
+    size = hi - lo + 1
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    for p in primes_upto(bound).tolist():
+        start = (-lo) % p
+        if start >= size:
+            continue
+        if phi is not None:
+            phi_view = phi[start::p]
+            phi_view -= phi_view // p
+        # Once for every multiple, then once more per power level p^k.
+        rem[start::p] //= p
+        pk = p * p
+        while pk <= hi:
+            start_k = (-lo) % pk
+            if start_k >= size:
+                break
+            rem[start_k::pk] //= p
+            pk *= p
+    return rem
+
+
+def _smooth_mask(lo: int, hi: int, y: float, capacity: int | None = None) -> np.ndarray:
+    """Boolean array over [lo, hi] marking the y-smooth n; y must be >= 1, inf allowed.
+
+    Only primes p <= min(y, sqrt(hi)) are divided out.  If y >= sqrt(hi),
+    the remainder is 1 or one prime > sqrt(hi); otherwise every prime
+    factor of a remainder > 1 exceeds y.  Either way n is smooth iff the
+    remainder is <= y.
+    """
+    lo, hi = _check_window(lo, hi, capacity)
+    root = math.isqrt(hi)
+    bound = root if y >= root else math.floor(y)
+    return _strip_primes(lo, hi, bound) <= y
+
+
+def _phi_segment(lo: int, hi: int, capacity: int | None = None) -> np.ndarray:
+    """Euler totient of every n in [lo, hi] as an int64 array."""
+    lo, hi = _check_window(lo, hi, capacity)
+    phi = np.arange(lo, hi + 1, dtype=np.int64)
+    rem = _strip_primes(lo, hi, math.isqrt(hi), phi)
+    big = np.flatnonzero(rem > 1)  # one prime > sqrt(hi) left, exponent 1
+    last = rem[big]
+    del rem
+    # In place, so the fix-up holds two arrays of len(big) rather than five.
+    fixed = phi[big]
+    fixed //= last
+    last -= 1
+    fixed *= last
+    phi[big] = fixed
+    return phi
 
 
 def is_smooth(n: int, y: float) -> bool:
@@ -246,15 +319,7 @@ def tau_omega_range(lo: int, hi: int, capacity: int | None = None):
     stride marking as :func:`sieve_range` but tracks exponents so that
     tau(n) = prod (e_i + 1).
     """
-    lo, hi = int(lo), int(hi)
-    cap = DEFAULT_SEGMENT_CAPACITY if capacity is None else int(capacity)
-    if lo < 1:
-        raise DomainError(f"range must start at 1 or above, got lo={lo}")
-    if hi < lo:
-        raise DomainError(f"empty range [{lo}, {hi}]")
-    if hi - lo + 1 > cap:
-        raise CapacityError(f"range [{lo}, {hi}] exceeds capacity {cap}")
-
+    lo, hi = _check_window(lo, hi, capacity)
     size = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     tau = np.ones(size, dtype=np.int64)

@@ -57,6 +57,21 @@ def test_domain_error_exit_code():
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, inf_out",
+    [
+        (["psi", "--x", "1e5"], "psi=100000\n"),
+        (["tsum", "--x", "1e5", "--a", "1"], "t=60792.4626528 ratio=0.607924626528\n"),
+        (["vsum", "--x", "1e5", "--a", "-2"], "v=30397.7021200 v_main=30396.3550927\n"),
+    ],
+)
+def test_nan_y_is_rejected_and_inf_y_means_no_bound(argv, inf_out):
+    code, out, err = invoke(argv + ["--y", "nan"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert invoke(argv + ["--y", "inf"]) == (0, inf_out, "")
+
+
 def test_usage_error_exit_code():
     code, _, err = invoke(["psi", "--x", "10"])  # missing --y
     assert code == 2

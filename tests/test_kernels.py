@@ -1,0 +1,79 @@
+"""Differential property tests for the lean sieve kernels.
+
+The smoothness mask and the totient kernel are checked against the
+full-table reference ``sieve_range`` and against the trial-division oracles
+in conftest, over random windows.  psi, T and V are checked not to depend
+on how the range is split into segments.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smoothlab import psi, sieve_range, t_exact, v_exact
+from smoothlab.sieve import _phi_segment, _smooth_mask
+
+from conftest import oracle_is_smooth, oracle_phi
+
+PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
+
+#: Smoothness bounds at the edges the kernels' prime bound depends on.
+FIXED_Y = st.sampled_from(
+    [1, 1.5, 2, math.inf]
+    + [float(p) for p in PRIMES]
+    + [p + d for p in PRIMES for d in (-0.5, 0.5)]
+)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def windows(draw):
+    lo = draw(st.integers(1, 10**6))
+    return lo, lo + draw(st.integers(0, 200))
+
+
+@st.composite
+def window_and_y(draw):
+    lo, hi = draw(windows())
+    root = math.isqrt(hi)
+    near_root = st.sampled_from([root - 1, root - 0.5, root, root + 0.5, root + 1])
+    y = draw(st.one_of(FIXED_Y, near_root.filter(lambda v: v >= 1)))
+    return lo, hi, y
+
+
+@SETTINGS
+@given(window_and_y())
+def test_smooth_mask_matches_reference_and_oracle(case):
+    lo, hi, y = case
+    mask = _smooth_mask(lo, hi, y)
+    assert np.array_equal(mask, sieve_range(lo, hi).lpf <= y)
+    assert mask.tolist() == [oracle_is_smooth(n, y) for n in range(lo, hi + 1)]
+
+
+@SETTINGS
+@given(windows())
+def test_phi_segment_matches_reference_and_oracle(window):
+    lo, hi = window
+    phi = _phi_segment(lo, hi)
+    assert np.array_equal(phi, sieve_range(lo, hi).phi)
+    assert phi.tolist() == [oracle_phi(n) for n in range(lo, hi + 1)]
+
+
+@st.composite
+def sum_cases(draw):
+    x = draw(st.integers(1, 5000))
+    capacity = draw(st.integers(max(1, x // 64), x + 10))
+    a = draw(st.integers(-20, 20).filter(lambda v: v != 0))
+    return x, draw(FIXED_Y), a, capacity
+
+
+@SETTINGS
+@given(sum_cases())
+def test_psi_t_v_do_not_depend_on_capacity(case):
+    x, y, a, capacity = case
+    assert psi(x, y, capacity) == psi(x, y)
+    assert t_exact(x, y, a, capacity) == t_exact(x, y, a)
+    assert v_exact(x, y, a, capacity) == v_exact(x, y, a)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -62,11 +63,27 @@ def test_t_exact_streaming_matches():
     assert chunked == pytest.approx(full, rel=1e-13)
 
 
+def test_t_exact_memory_does_not_grow_with_x():
+    # Terms stream into fsum segment by segment, so the peak stays near one
+    # segment's arrays; holding every term at once would take several MB.
+    tracemalloc.start()
+    try:
+        t_exact(5e5, 1e5, 1, capacity=1 << 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_t_domain_errors():
     with pytest.raises(DomainError):
         t_exact(10, 3, 0)
     with pytest.raises(DomainError):
         t_via_mobius(10, 3, 1, 0.5)
+    for fn in (t_exact, t_exact_fraction, v_exact, v_exact_fraction, v_via_abel):
+        for y in (math.nan, 0.5):
+            with pytest.raises(DomainError):
+                fn(10, y, 1)
 
 
 def test_range_bounds_property():

@@ -141,6 +141,10 @@ def test_domain_and_capacity_errors():
         sieve_range(1, 100, capacity=50)
 
 
+def test_sieve_keeps_no_window_cache():
+    assert sieve_range(1, 50) is not sieve_range(1, 50)
+
+
 def test_table_is_immutable():
     t = sieve_range(1, 50)
     with pytest.raises(ValueError):
