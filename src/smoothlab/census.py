@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import _smooth_mask, segment_bounds
+from .sieve import MAX_SIEVE_BOUND, _smooth_mask, primes_upto, segment_bounds
 
 #: Upper limit for the recursive test oracle.
 ENUM_ORACLE_LIMIT = 10**7
@@ -50,9 +50,10 @@ def _check_y(y: float) -> float:
 class SmoothRange:
     """Materialized smoothness flags for a contiguous integer range.
 
-    Built once and shared by callers that probe many residue classes of the
-    same range (Moebius sums, discrepancy scans).  Immutable after
-    construction and safe to share between threads.
+    Built once and shared by callers that count many residue classes or
+    coprimality tests over the smooth values of one range (Moebius sums,
+    discrepancy scans, coprime ratios).  Immutable after construction and
+    safe to share between threads.
     """
 
     def __init__(self, first: int, last: int, y: float, capacity: int | None = None):
@@ -80,47 +81,57 @@ class SmoothRange:
         """Whether the half-open interval (lo, hi] lies inside the range."""
         return self.first <= lo + 1 and hi <= self.last
 
-    def _require(self, lo: int, hi: int):
-        if not self.covers(lo, hi):
-            raise DomainError(
-                f"({lo}, {hi}] not covered by flags for [{self.first}, {self.last}]"
-            )
-
     def count(self, lo: int, hi: int) -> int:
         """Smooth integers in (lo, hi]."""
-        if hi <= lo:
-            return 0
-        self._require(lo, hi)
-        return int(np.count_nonzero(self.flags[lo + 1 - self.first : hi - self.first + 1]))
+        return self.values(lo, hi).size
 
     def count_progression(self, lo: int, hi: int, a: int, d: int) -> int:
         """Smooth integers in (lo, hi] congruent to a mod d."""
-        if hi <= lo:
-            return 0
-        self._require(lo, hi)
-        n0 = lo + 1 + (a - (lo + 1)) % d
-        if n0 > hi:
-            return 0
-        return int(
-            np.count_nonzero(self.flags[n0 - self.first : hi - self.first + 1 : d])
-        )
+        return _count_residue(self.values(lo, hi), a, d)
 
     def count_coprime(self, lo: int, hi: int, d: int) -> int:
-        """Smooth integers in (lo, hi] coprime to d."""
-        if hi <= lo:
-            return 0
-        self._require(lo, hi)
-        sl = self.flags[lo + 1 - self.first : hi - self.first + 1]
-        n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        return int(np.count_nonzero(sl & (np.gcd(n, d) == 1)))
+        """Smooth integers in (lo, hi] coprime to d >= 1."""
+        return _count_coprime(self.values(lo, hi), _prime_divisors(d, min(self.y, hi)))
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """The smooth integers in (lo, hi], increasing."""
         if hi <= lo:
             return np.empty(0, dtype=np.int64)
-        self._require(lo, hi)
+        if not self.covers(lo, hi):
+            raise DomainError(f"({lo}, {hi}] not covered by flags for [{self.first}, {self.last}]")
         sl = self.flags[lo + 1 - self.first : hi - self.first + 1]
         return np.nonzero(sl)[0] + (lo + 1)
+
+
+def _prime_divisors(d: int, bound: float) -> list[int]:
+    """The primes p <= bound dividing d >= 1, by trial division up to min(bound, sqrt(d))."""
+    found = []
+    for p in primes_upto(math.floor(min(bound, math.isqrt(d)))).tolist():
+        if d % p == 0:
+            found.append(p)
+            while d % p == 0:
+                d //= p
+    if 1 < d <= bound:  # every prime factor left exceeds sqrt(d), so d is one prime
+        found.append(d)
+    return found
+
+
+def _count_residue(values: np.ndarray, a: int, d: int) -> int:
+    """How many of ``values`` (none above 2^52) are congruent to a mod d."""
+    residues = values % d if d <= MAX_SIEVE_BOUND else values
+    return int(np.count_nonzero(residues == a % d))
+
+
+def _count_coprime(values: np.ndarray, primes: list[int]) -> int:
+    """How many of ``values`` no prime in ``primes`` divides.
+
+    A y-smooth n can share with d only primes <= y, so the primes of d up
+    to y are all a coprimality test over smooth values needs.
+    """
+    keep = np.ones(values.size, dtype=bool)
+    for p in primes:
+        keep &= values % p != 0
+    return int(np.count_nonzero(keep))
 
 
 def smooth_flags(first: int, last: int, y: float, capacity: int | None = None) -> np.ndarray:
@@ -134,11 +145,14 @@ def enumerate_smooth(lo: int, hi: int, y: float, capacity: int | None = None):
     lo, hi = int(lo), int(hi)
     if lo < 0:
         raise DomainError(f"lower bound must be >= 0, got {lo}")
-    if hi <= lo:
-        return
-    for s, e in segment_bounds(max(lo + 1, 1), hi, capacity):
-        for i in np.flatnonzero(_smooth_mask(s, e, y, capacity)):
-            yield s + int(i)
+    for values in _segment_values(lo, hi, y, capacity):
+        yield from values.tolist()
+
+
+def _segment_values(lo: int, hi: int, y: float, capacity: int | None):
+    """The y-smooth n in (lo, hi], lo >= 0, as one increasing array per segment."""
+    for s, e in segment_bounds(lo + 1, hi, capacity):
+        yield np.flatnonzero(_smooth_mask(s, e, y, capacity)) + s
 
 
 def psi(x: float, y: float, capacity: int | None = None) -> int:
@@ -205,12 +219,8 @@ def psi_coprime(
     top = math.floor(x)
     if within is not None and within.covers(0, top) and within.y == y:
         return within.count_coprime(0, top, d)
-    total = 0
-    for s, e in segment_bounds(1, top, capacity):
-        n = np.arange(s, e + 1, dtype=np.int64)
-        mask = _smooth_mask(s, e, y, capacity)
-        total += int(np.count_nonzero(mask & (np.gcd(n, d) == 1)))
-    return total
+    primes = _prime_divisors(d, min(y, top))
+    return sum(_count_coprime(v, primes) for v in _segment_values(0, top, y, capacity))
 
 
 def psi_progression(
@@ -231,15 +241,6 @@ def psi_progression(
     lo, hi = int(lo), int(hi)
     if lo < 0:
         raise DomainError(f"lower bound must be >= 0, got {lo}")
-    if hi <= lo:
-        return 0
     if within is not None and within.covers(lo, hi) and within.y == y:
         return within.count_progression(lo, hi, a, d)
-    total = 0
-    for s, e in segment_bounds(lo + 1, hi, capacity):
-        n0 = s + (a - s) % d
-        if n0 > e:
-            continue
-        mask = _smooth_mask(s, e, y, capacity)
-        total += int(np.count_nonzero(mask[n0 - s : e - s + 1 : d]))
-    return total
+    return sum(_count_residue(v, a, d) for v in _segment_values(lo, hi, y, capacity))

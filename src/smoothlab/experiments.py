@@ -13,12 +13,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .census import SmoothRange, psi_coprime, psi_progression
+import numpy as np
+
+from .census import SmoothRange, psi_coprime
 from .dickman import RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _E, _E_E, ZETA2_INV, _shifted_totals, main_terms
-from .sieve import phi_int
+from .sieve import MAX_SIEVE_BOUND, _phi_segment
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
 FT_CSV_HEADER = "d,ratio,dev,lemma_scale"
@@ -220,10 +222,10 @@ def granville_discrepancy(
     the report notes).
     """
     x, y = float(x), float(y)
-    if x < 1:
-        raise DomainError(f"needs x >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise DomainError(f"needs a finite x >= 1, got {x}")
     delta = float(delta)
-    if delta < 1:
+    if not delta >= 1:
         raise DomainError(f"delta must be >= 1, got {delta}")
     notes = []
     if delta > x:
@@ -245,22 +247,23 @@ def granville_discrepancy(
         raise DomainError(f"unknown z_mode {z_mode!r}")
 
     top = math.floor(x)
-    rng = SmoothRange(1, top, y)
-    d_top = math.floor(delta)
+    values = SmoothRange(1, top, y).values(0, top)
+    # values[:cut] are the smooth n <= z, for each z of the (increasing) grid
+    cuts = np.searchsorted(values, [math.floor(z) for z in z_values], side="right")
     rows = []
-    for d in range(1, d_top + 1):
-        phi_d = phi_int(d)
-        residues = [a for a in range(1, d + 1) if math.gcd(a, d) == 1]
+    for d in range(1, math.floor(delta) + 1):
+        residues = values % d
+        coprime = np.gcd(np.arange(d), d) == 1
+        counts = np.zeros(d, dtype=np.int64)
         worst = 0.0
-        for z in z_values:
-            z_top = math.floor(z)
-            coprime_share = psi_coprime(z, y, d, within=rng) / phi_d
-            for a in residues:
-                count = psi_progression(0, z_top, y, a, d, within=rng)
-                worst = max(worst, abs(count - coprime_share))
+        for part in np.split(residues, cuts)[:-1]:
+            counts += np.bincount(part, minlength=d)
+            in_class = counts[coprime]
+            coprime_share = int(in_class.sum()) / in_class.size  # size is phi(d)
+            worst = max(worst, float(np.abs(in_class - coprime_share).max()))
         rows.append(DiscrepancyRow(d=d, deviation=worst))
     total = math.fsum(r.deviation for r in rows)
-    psi_value = rng.count(0, top)
+    psi_value = values.size
     return DiscrepancyReport(
         x=x,
         y=y,
@@ -291,21 +294,21 @@ class FtRatioRow:
 def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     """ratio = psi_coprime * d / (phi(d) * psi) for each modulus, sorted by d."""
     x, y = float(x), float(y)
-    if x < 1:
-        raise DomainError(f"needs x >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise DomainError(f"needs a finite x >= 1, got {x}")
     ds = sorted(int(d) for d in d_list)
     if not ds:
         return []
-    if ds[0] < 1:
-        raise DomainError(f"moduli must be >= 1, got {ds[0]}")
+    if not 1 <= ds[0] <= ds[-1] <= MAX_SIEVE_BOUND:
+        raise DomainError(f"moduli must lie in [1, 2^52], got {ds[0]}..{ds[-1]}")
     top = math.floor(x)
     rng = SmoothRange(1, top, y)
     psi_value = rng.count(0, top)
     rows = []
     for d in ds:
         coprime = psi_coprime(x, y, d, within=rng)
-        ratio = coprime * d / (phi_int(d) * psi_value)
-        if d * y > _E and x > _E:
+        ratio = coprime * d / (int(_phi_segment(d, d)[0]) * psi_value)
+        if d * y > _E and x > _E and y > 1:
             scale = math.log(math.log(d * y)) * math.log(math.log(x)) / math.log(y)
         else:
             scale = math.nan

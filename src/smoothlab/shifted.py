@@ -21,10 +21,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .census import SmoothRange, _check_y, psi, psi_progression
+from .census import SmoothRange, _check_y, psi
 from .dickman import RhoTable, rho
 from .errors import AccuracyError, DomainError
-from .sieve import _phi_segment, _smooth_mask, segment_bounds, sieve_range, tau_omega_range
+from .sieve import (
+    _mu_segment, _phi_segment, _smooth_mask, primes_upto, segment_bounds, tau_omega_range,
+)
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
 ZETA2_INV = 6.0 / (math.pi * math.pi)
@@ -172,61 +174,58 @@ class MobiusSplit:
         return self.sigma1 + self.sigma2
 
 
+def _multiple_counts(k: np.ndarray, n: int) -> np.ndarray:
+    """g[d] = #{entries of k divisible by d} for 0 <= d <= n, given 1 <= k <= n.
+
+    A bincount of k, then g[i] += g[i p] prime by prime.  For p <= sqrt(n)
+    the i run in descending blocks (n / p^(j+1), n / p^j] that read only
+    entries already updated for p.  Primes above sqrt(n) have pairwise
+    products above n, so each i < sqrt(n) takes all of them in one gather.
+    """
+    g = np.bincount(k, minlength=n + 1)
+    root = math.isqrt(n)
+    primes = primes_upto(n)
+    split = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:split].tolist():
+        hi = n // p
+        while hi:
+            lo = hi // p
+            g[lo + 1 : hi + 1] += g[(lo + 1) * p : hi * p + 1 : p]
+            hi = lo
+    big = primes[split:]
+    for i in range(1, n // (root + 1) + 1):
+        g[i] += g[i * big[: np.searchsorted(big, n // i, side="right")]].sum()
+    return g
+
+
 def t_via_mobius(x: float, y: float, a: int, delta: float, capacity=None) -> MobiusSplit:
     """Evaluate T through progression counts: sum over d of mu(d)/d * #{n = a mod d}.
 
     Moduli run to floor(x) for positive shifts (counts vanish above x - a
     anyway) and to floor(x) - a for negative shifts, where divisors of n - a
-    genuinely exceed x.
+    genuinely exceed x.  All counts come from one :func:`_multiple_counts`
+    pass; each term is one correctly rounded division, summed by fsum.
     """
-    a = _check_shift(a)
+    a, y = _check_shift(a), _check_y(y)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     delta = float(delta)
-    if delta < 1:
+    if not delta >= 1:
         raise DomainError(f"cutoff must be >= 1, got {delta}")
     top = math.floor(x)
     lo = max(a, 0)
     if top <= lo:
         return MobiusSplit(0.0, 0.0, delta)
     d_max = top - min(a, 0)
-    rng = SmoothRange(lo + 1, top, y, capacity)
-    mu_parts = [
-        sieve_range(s, e, capacity).mu for s, e in segment_bounds(1, d_max, capacity)
-    ]
-    mu = mu_parts[0] if len(mu_parts) == 1 else np.concatenate(mu_parts)
-    head, tail = [], []
-    for d in range(1, d_max + 1):
-        m = int(mu[d - 1])
-        if m == 0:
-            continue
-        c = psi_progression(lo, top, y, a, d, capacity, within=rng)
-        if c == 0:
-            continue
-        (head if d <= delta else tail).append(m * c / d)
-    return MobiusSplit(math.fsum(head), math.fsum(tail), delta)
-
-
-def mobius_split_fraction(x: float, y: float, a: int, delta: float):
-    """Exact rational (sigma1, sigma2) of the Moebius split, small x only."""
-    a = _check_shift(a)
-    top = math.floor(x)
-    if top > RATIONAL_MODE_LIMIT:
-        raise DomainError(f"rational mode limited to x <= {RATIONAL_MODE_LIMIT}")
-    lo = max(a, 0)
-    if top <= lo:
-        return Fraction(0), Fraction(0)
-    d_max = top - min(a, 0)
-    rng = SmoothRange(lo + 1, top, y)
-    mu = sieve_range(1, d_max).mu
-    head, tail = [], []
-    for d in range(1, d_max + 1):
-        m = int(mu[d - 1])
-        if m == 0:
-            continue
-        c = psi_progression(lo, top, y, a, d, within=rng)
-        if c == 0:
-            continue
-        (head if d <= delta else tail).append(Fraction(m * c, d))
-    return _tree_sum(head), _tree_sum(tail)
+    k = SmoothRange(lo + 1, top, y, capacity).values(lo, top) - a
+    mu = np.concatenate(
+        [_mu_segment(s, e, capacity) for s, e in segment_bounds(1, d_max, capacity)]
+    )
+    weighted = mu * _multiple_counts(k, d_max)[1:]
+    d = np.flatnonzero(weighted) + 1
+    terms = weighted[d - 1] / d
+    head = d <= delta
+    return MobiusSplit(math.fsum(terms[head]), math.fsum(terms[~head]), delta)
 
 
 def v_exact(x: float, y: float, a: int, capacity=None) -> float:
@@ -238,12 +237,6 @@ def v_exact(x: float, y: float, a: int, capacity=None) -> float:
     a, y = _check_shift(a), _check_y(y)
     numerator, psi_value = _v_parts(x, y, a, capacity)
     return numerator / psi_value
-
-
-def v_exact_fraction(x: float, y: float, a: int, capacity=None) -> Fraction:
-    """Exact rational V(x, y)."""
-    a, y = _check_shift(a), _check_y(y)
-    return Fraction(*_v_parts(x, y, a, capacity))
 
 
 def v_via_abel(x: float, y: float, a: int, capacity=None) -> float:

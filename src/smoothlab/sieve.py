@@ -11,12 +11,16 @@ its question and each one pass over a window [lo, hi]:
   (1 - 1/p) to phi and dividing p out of the remainder, then fixes up the
   (at most one) prime factor > sqrt(hi) at the indices where the remainder
   is still > 1.
+- ``_mu_segment`` strides every prime p <= sqrt(hi), flipping the sign of
+  mu at multiples of p, zeroing it at multiples of p^2 and multiplying p
+  into a product of small prime factors; a squarefree n whose product falls
+  short of n has one more prime factor, above sqrt(hi).
 
 :func:`sieve_range` is the full-table reference: smallest and largest prime
-factor, phi(n) and mu(n) for every n.  It backs the public API and the
-Moebius values, and tests compare the kernels against it.  Nothing is
-cached; every call sieves its window afresh.  Results are independent of
-how a range is split into segments.
+factor, phi(n) and mu(n) for every n.  It backs the public API, and tests
+compare the kernels against it.  Nothing is cached; every call sieves its
+window afresh.  Results are independent of how a range is split into
+segments.
 
 Conventions: spf(1) = lpf(1) = 1, phi(1) = 1, mu(1) = 1, so that 1 counts as
 smooth for every bound.
@@ -247,6 +251,26 @@ def _phi_segment(lo: int, hi: int, capacity: int | None = None) -> np.ndarray:
     fixed *= last
     phi[big] = fixed
     return phi
+
+
+def _mu_segment(lo: int, hi: int, capacity: int | None = None) -> np.ndarray:
+    """Moebius mu of every n in [lo, hi] as an int8 array."""
+    lo, hi = _check_window(lo, hi, capacity)
+    size = hi - lo + 1
+    mu = np.ones(size, dtype=np.int8)
+    small = np.ones(size, dtype=np.int64)
+    for p in primes_upto(math.isqrt(hi)).tolist():
+        start = (-lo) % p
+        if start >= size:
+            continue
+        mu[start::p] *= -1
+        small[start::p] *= p
+        start_sq = (-lo) % (p * p)
+        if start_sq < size:
+            mu[start_sq :: p * p] = 0
+    # Zero entries stay zero; a squarefree n with a prime > sqrt(hi) flips once more.
+    mu[small < np.arange(lo, hi + 1)] *= -1
+    return mu
 
 
 def is_smooth(n: int, y: float) -> bool:

@@ -5,6 +5,8 @@ with exact rationals; none of it touches the package's sieve or table
 machinery, so these are independent references, not shortcuts.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -89,6 +91,34 @@ def oracle_mobius_split(x: int, y: float, a: int, delta: float):
         else:
             s2 += term
     return s1, s2
+
+
+def oracle_discrepancy(x: float, y: float, delta: float, z_mode: str):
+    """(z values, [(d, exact worst deviation)]) of the progression discrepancy by loops.
+
+    For each d <= min(delta, x) and each probed z, the worst over residues
+    a coprime to d of |#{smooth n <= z : n = a mod d} - #{smooth n <= z
+    coprime to d} / phi(d)|.  The z grid is x alone, or x divided by 2^(1/4)
+    while the quotient stays >= 16, in increasing order.
+    """
+    z_values = [x]
+    if z_mode == "max_over_grid":
+        while z_values[-1] / 2.0**0.25 >= 16.0:
+            z_values.append(z_values[-1] / 2.0**0.25)
+        z_values.reverse()
+    smooth = oracle_smooth_list(0, math.floor(x), y)
+    rows = []
+    for d in range(1, math.floor(min(delta, x)) + 1):
+        residues = [a for a in range(1, d + 1) if math.gcd(a, d) == 1]
+        worst = Fraction(0)
+        for z in z_values:
+            below = [n for n in smooth if n <= z]
+            share = Fraction(sum(1 for n in below if math.gcd(n, d) == 1), oracle_phi(d))
+            counts = Counter(n % d for n in below)
+            for a in residues:
+                worst = max(worst, abs(counts[a % d] - share))
+        rows.append((d, worst))
+    return z_values, rows
 
 
 def oracle_tau(n: int) -> int:

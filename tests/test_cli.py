@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,50 @@ def test_nan_y_is_rejected_and_inf_y_means_no_bound(argv, inf_out):
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert invoke(argv + ["--y", "inf"]) == (0, inf_out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tsum", "--x", "1000", "--y", "30", "--a", "1", "--delta", "nan"],
+        ["discrepancy", "--x", "1000", "--y", "30", "--delta", "nan"],
+        ["discrepancy", "--x", "nan", "--y", "30", "--delta", "5"],
+        ["discrepancy", "--x", "inf", "--y", "30", "--delta", "5"],
+        ["ftratio", "--x", "nan", "--y", "30", "--d-list", "2,3"],
+        ["ftratio", "--x", "inf", "--y", "30", "--d-list", "2,3"],
+        ["ftratio", "--x", "1000", "--y", "30", "--d-list", "2,4503599627370497"],
+    ],
+)
+def test_non_finite_or_too_large_moduli_inputs_are_rejected(argv):
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_infinite_delta_puts_all_of_t_in_sigma1():
+    argv = ["tsum", "--x", "1000", "--y", "30", "--a", "1", "--delta", "inf"]
+    assert invoke(argv) == (
+        0,
+        "t=275.428468754 ratio=0.685145444661 sigma1=275.428468754 "
+        "sigma2=0.00000000000 total=275.428468754 delta_used=inf\n",
+        "",
+    )
+
+
+def test_huge_moduli_stay_cheap():
+    start = time.perf_counter()
+    code, out, err = invoke(
+        ["ftratio", "--x", "100000", "--y", "30", "--d-list", "2,1000000000000,999999999989"]
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out == (
+        "d=2 ratio=0.576967816983 dev=0.423032183017 lemma_scale=1.01268220278\n"
+        "d=999999999989 ratio=1.00000000000 dev=0.00000000000100008890058 "
+        "lemma_scale=2.46777331526\n"
+        "d=1000000000000 ratio=0.374660721210 dev=0.625339278790 lemma_scale=2.46777331526\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_usage_error_exit_code():

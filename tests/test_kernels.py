@@ -1,9 +1,9 @@
 """Differential property tests for the lean sieve kernels.
 
-The smoothness mask and the totient kernel are checked against the
-full-table reference ``sieve_range`` and against the trial-division oracles
-in conftest, over random windows.  psi, T and V are checked not to depend
-on how the range is split into segments.
+The smoothness mask, the totient kernel and the Moebius kernel are checked
+against the full-table reference ``sieve_range`` and against the
+trial-division oracles in conftest, over random windows.  psi, T and V
+are checked not to depend on how the range is split into segments.
 """
 
 import math
@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import psi, sieve_range, t_exact, v_exact
-from smoothlab.sieve import _phi_segment, _smooth_mask
+from smoothlab.sieve import _mu_segment, _phi_segment, _smooth_mask
 
-from conftest import oracle_is_smooth, oracle_phi
+from conftest import oracle_is_smooth, oracle_mu, oracle_phi
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
 
@@ -60,6 +60,15 @@ def test_phi_segment_matches_reference_and_oracle(window):
     phi = _phi_segment(lo, hi)
     assert np.array_equal(phi, sieve_range(lo, hi).phi)
     assert phi.tolist() == [oracle_phi(n) for n in range(lo, hi + 1)]
+
+
+@SETTINGS
+@given(windows())
+def test_mu_segment_matches_reference_and_oracle(window):
+    lo, hi = window
+    mu = _mu_segment(lo, hi)
+    assert np.array_equal(mu, sieve_range(lo, hi).mu)
+    assert mu.tolist() == [oracle_mu(n) for n in range(lo, hi + 1)]
 
 
 @st.composite

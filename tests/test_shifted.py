@@ -19,7 +19,6 @@ from smoothlab import (
     v_exact,
     v_via_abel,
 )
-from smoothlab.shifted import mobius_split_fraction, v_exact_fraction
 
 from conftest import oracle_mobius_split, oracle_t, oracle_v
 
@@ -80,7 +79,7 @@ def test_t_domain_errors():
         t_exact(10, 3, 0)
     with pytest.raises(DomainError):
         t_via_mobius(10, 3, 1, 0.5)
-    for fn in (t_exact, t_exact_fraction, v_exact, v_exact_fraction, v_via_abel):
+    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel):
         for y in (math.nan, 0.5):
             with pytest.raises(DomainError):
                 fn(10, y, 1)
@@ -104,8 +103,7 @@ def test_mobius_split_delta2_example():
     assert split.sigma1 == pytest.approx(5.0, abs=1e-12)
     assert split.sigma2 == pytest.approx(-71 / 105, abs=1e-12)
     assert split.total == pytest.approx(454 / 105, rel=1e-12)
-    f1, f2 = mobius_split_fraction(10, 3, 1, 2)
-    assert (f1, f2) == (s1, s2)
+    assert (split.sigma1, split.sigma2) == (float(s1), float(s2))
 
 
 def test_mobius_identity_full_cutoff():
@@ -137,14 +135,14 @@ def test_sigma2_truncation_bound():
 
 def test_v_exact_examples():
     assert v_exact(10, 3, 1) == pytest.approx(18 / 7, rel=1e-14)
-    assert v_exact_fraction(10, 3, 1) == Fraction(18, 7)
+    assert v_exact(10, 3, 1) == float(Fraction(18, 7))  # one exactly rounded division
     assert v_exact(10, 2, 1) == pytest.approx(9 / 4, rel=1e-14)
     assert v_exact(5, 3, 7) == 0.0
 
 
 def test_v_exact_matches_oracle_grid():
     for x, y, a in SMALL_GRID:
-        assert v_exact_fraction(x, y, a) == oracle_v(x, y, a), (x, y, a)
+        assert v_exact(x, y, a) == float(oracle_v(x, y, a)), (x, y, a)
 
 
 def test_abel_identity():
