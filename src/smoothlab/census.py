@@ -47,6 +47,12 @@ def _check_y(y: float) -> float:
     return y
 
 
+def _check_x(x: float) -> None:
+    """Reject a non-finite upper bound x before it reaches math.floor."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
+
+
 class SmoothRange:
     """Materialized smoothness flags for a contiguous integer range.
 
@@ -158,6 +164,7 @@ def _segment_values(lo: int, hi: int, y: float, capacity: int | None):
 def psi(x: float, y: float, capacity: int | None = None) -> int:
     """Exact count of y-smooth integers n with 1 <= n <= x."""
     y = _check_y(y)
+    _check_x(x)
     if x < 1:
         raise DomainError(f"psi needs x >= 1, got {x}")
     top = math.floor(x)
@@ -214,6 +221,7 @@ def psi_coprime(
     d = int(d)
     if d < 1:
         raise DomainError(f"modulus must be >= 1, got {d}")
+    _check_x(x)
     if x < 1:
         raise DomainError(f"psi_coprime needs x >= 1, got {x}")
     top = math.floor(x)

@@ -6,7 +6,6 @@ on success, 1 on domain/resource errors, 2 on usage errors.
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from . import experiments
@@ -86,7 +85,7 @@ def _run_psi(args) -> int:
 
 
 def _run_rho(args) -> int:
-    table = build_rho_table(u_max=max(2.0, math.ceil(args.u)), h=args.h)
+    table = build_rho_table(u_max=max(2.0, args.u), h=args.h)
     _emit([("rho", format_sig12(rho(table, args.u)))])
     return 0
 

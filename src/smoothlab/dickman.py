@@ -16,19 +16,20 @@ cancellation-free.  Per-unit log scaling keeps every stored number O(1), so
 the table is accurate to near machine precision in relative terms at any
 depth, with values below exp(-700) reported as 0 in the linear domain.
 
-Integers are kink points of rho (jumps in successively higher derivatives);
-series pieces live strictly inside the unit intervals, and the stored knot
-grid aligns integers with knots.
+A build is one eager pass over the series, on plain floats; the knot grid,
+which aligns integers (the kink points of rho) with knots, is computed from
+the series only when first read.  Nothing is cached between builds.
 """
 
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NonDifferentiableError
+from .errors import AccuracyError, CapacityError, DomainError, NonDifferentiableError
 from .formats import format_sig12
 
 #: Below this log-value, rho underflows to an exact 0.0.
@@ -39,130 +40,127 @@ MAX_STEP = 1.0 / 64.0
 #: Series degree per unit interval; terms decay at least like 3^-i.
 SERIES_DEGREE = 48
 
+#: Largest ceil(u_max) a table covers (about 16 MB of series), and knot grid.
+MAX_UNITS = 10_000
+MAX_KNOTS = 1 << 22
+
+#: W[i] is the integral of s^i over [0, 1/2]; over [-1/2, 0] it is (-1)^i W[i].
+_W = tuple(1.0 / (2.0 ** (i + 1) * (i + 1)) for i in range(SERIES_DEGREE + 1))
+_W_SIGNED_TAIL = tuple(-w if i % 2 else w for i, w in enumerate(_W))[1:]
+
 
 @dataclass(frozen=True)
 class RhoTable:
-    """rho on [0, units] as per-unit midpoint series plus a dense knot grid.
+    """rho on [0, units] as per-unit midpoint series, with a lazy knot grid.
 
     Attributes:
         u_max: Largest u the caller asked to cover.
         step: Knot spacing 1/m (snapped so integers are knots).
         steps_per_unit: m, knots per unit interval.
         units: Integer upper end of the covered range.
-        u: Knot locations k/m.
-        log_rho: log rho at the knots.
-        rho_values: rho at the knots (0.0 below the underflow cutoff).
         coeffs: coeffs[K] holds the series for rho(K + 1/2 + s) / scale_K,
             normalized so its constant term is 1; entries for K = 1 ..
             units - 1.
         scale_logs: log of scale_K per unit (nan for the unused index 0).
+        u: Knot locations k/m; the grid is computed from the series on
+            first access, raising CapacityError past MAX_KNOTS knots.
+        log_rho: log rho at the knots.
+        rho_values: rho at the knots (0.0 below the underflow cutoff).
     """
 
     u_max: float
     step: float
     steps_per_unit: int
     units: int
-    u: np.ndarray
-    log_rho: np.ndarray
-    rho_values: np.ndarray
     coeffs: tuple
-    scale_logs: np.ndarray
+    scale_logs: tuple
+
+    @cached_property
+    def _grid(self) -> tuple:
+        m, h = self.steps_per_unit, self.step
+        n_knots = self.units * m + 1
+        if n_knots > MAX_KNOTS:
+            raise CapacityError(f"knot grid of {n_knots} points exceeds {MAX_KNOTS}")
+        log_rho = np.zeros(n_knots)
+        # Exact closed form on (1, 2].
+        for k in range(m + 1, min(2 * m, n_knots - 1) + 1):
+            log_rho[k] = math.log1p(-math.log(k * h))
+        for K in range(2, self.units):
+            s = (np.arange(K * m + 1, K * m + m + 1) * h) - (K + 0.5)
+            vals = np.polynomial.polynomial.polyval(s, self.coeffs[K])
+            log_rho[K * m + 1 : K * m + m + 1] = self.scale_logs[K] + np.log(vals)
+        u = np.arange(n_knots) * h
+        with np.errstate(under="ignore"):
+            rho_values = np.where(log_rho < LOG_UNDERFLOW, 0.0, np.exp(log_rho))
+        for arr in (u, log_rho, rho_values):
+            arr.setflags(write=False)
+        return u, log_rho, rho_values
+
+    u = property(lambda self: self._grid[0])
+    log_rho = property(lambda self: self._grid[1])
+    rho_values = property(lambda self: self._grid[2])
 
 
 def build_rho_table(u_max: float = 64.0, h: float = 1.0 / 256.0) -> RhoTable:
     """Tabulate rho on [0, ceil(u_max)] with knot spacing at most h.
 
     h is snapped to 1/m with m = ceil(1/h) so that every integer is a knot;
-    h > 1/64 is refused as too coarse a grid to be worth storing.
+    h > 1/64 is refused as too coarse a grid to be worth storing.  Raises
+    :class:`DomainError` for a non-finite or out-of-range u_max or h and
+    :class:`CapacityError` for u_max above MAX_UNITS, before any work.
     """
-    if u_max < 1:
-        raise DomainError(f"u_max must be >= 1, got {u_max}")
-    if h <= 0:
-        raise DomainError(f"step must be positive, got {h}")
+    u_max, h = float(u_max), float(h)
+    if not 1 <= u_max < math.inf:
+        raise DomainError(f"u_max must be finite and >= 1, got {u_max}")
+    if not 0 < h < math.inf or math.isinf(1.0 / h):
+        raise DomainError(f"step must be positive with a finite reciprocal, got {h}")
     if h > MAX_STEP:
         raise AccuracyError(f"step {h} too coarse; need h <= 1/64")
-    m = math.ceil(1.0 / h)
     units = math.ceil(u_max)
-    return _build(units, m, float(u_max))
+    if units > MAX_UNITS:
+        raise CapacityError(f"u_max={u_max} exceeds the table limit of {MAX_UNITS} units")
+    m = math.ceil(1.0 / h)
+    coeffs: list = [None] * max(units, 2)
+    scale_logs = [math.nan] * max(units, 2)
+    if units >= 2:
+        # Seed unit [1, 2]: rho(1.5 + s) = 1 - log 1.5 - log(1 + s/1.5).
+        i = np.arange(1, SERIES_DEGREE + 1, dtype=np.float64)
+        seed = np.concatenate(([1.0 - math.log(1.5)], (-1.0 / 1.5) ** i / i))
+        scale_logs[1] = math.log(seed[0])
+        coeffs[1] = tuple((seed / seed[0]).tolist())
+        for K in range(2, units):
+            c = _advance_unit(coeffs[K - 1], K)
+            scale_logs[K] = scale_logs[K - 1] + math.log(c[0])
+            coeffs[K] = tuple([v / c[0] for v in c])
+    return RhoTable(u_max=u_max, step=1.0 / m, steps_per_unit=m, units=units,
+                    coeffs=tuple(coeffs), scale_logs=tuple(scale_logs))
 
 
-def _advance_unit(b: np.ndarray, K: int) -> np.ndarray:
+def _advance_unit(b: tuple, K: int) -> list:
     """Series for unit [K, K+1] from the previous unit's series b.
 
     Both series are about their unit midpoints; b is normalized (b[0] = 1)
     and the result is in the same scale as b.
     """
     a = K + 0.5
-    degree = len(b) - 1
-    c = np.zeros_like(b)
+    c = [0.0] * len(b)
     # rho'(a + s) = -rho_prev(s) / (a + s) fixes every coefficient but the
     # constant one; the m = 1 case drops the c term entirely.
     c[1] = -b[0] / a
-    for mth in range(2, degree + 1):
+    for mth in range(2, len(b)):
         c[mth] = ((1 - mth) * c[mth - 1] - b[mth - 1]) / (a * mth)
     # Constant term from the integral identity u rho(u) = integral of rho
-    # over [u-1, u], evaluated at the unit start; its terms never cancel
-    # catastrophically, unlike stepping rho(K) - increment.
-    i = np.arange(degree + 1)
-    w = 1.0 / (2.0 ** (i + 1) * (i + 1))
-    signed = w * (-1.0) ** i
-    c[0] = math.fsum((b * w).tolist() + (c[1:] * signed[1:]).tolist()) / K
+    # over [u-1, u] at the midpoint u = K + 1/2, where c[0] W[0] = c[0] / 2
+    # cancels from both sides; its terms never cancel catastrophically,
+    # unlike stepping rho(K) - increment.
+    c[0] = math.fsum([*map(mul, b, _W), *map(mul, c[1:], _W_SIGNED_TAIL)]) / K
     return c
-
-
-@lru_cache(maxsize=8)
-def _build(units: int, m: int, u_max: float) -> RhoTable:
-    h = 1.0 / m
-    n_knots = units * m + 1
-    log_rho = np.zeros(n_knots)
-
-    # Exact closed form on (1, 2].
-    for k in range(m + 1, min(2 * m, n_knots - 1) + 1):
-        log_rho[k] = math.log1p(-math.log(k * h))
-
-    coeffs: list = [None] * max(units, 2)
-    scale_logs = np.full(max(units, 2), math.nan)
-
-    if units >= 2:
-        # Seed unit [1, 2]: rho(1.5 + s) = 1 - log 1.5 - log(1 + s/1.5).
-        i = np.arange(1, SERIES_DEGREE + 1, dtype=np.float64)
-        seed = np.concatenate(([1.0 - math.log(1.5)], (-1.0 / 1.5) ** i / i))
-        scale_logs[1] = math.log(seed[0])
-        coeffs[1] = seed / seed[0]
-        for K in range(2, units):
-            c = _advance_unit(coeffs[K - 1], K)
-            scale_logs[K] = scale_logs[K - 1] + math.log(c[0])
-            coeffs[K] = c / c[0]
-            # Fill this unit's knots from the series.
-            s = (np.arange(K * m + 1, K * m + m + 1) * h) - (K + 0.5)
-            vals = np.polynomial.polynomial.polyval(s, coeffs[K])
-            log_rho[K * m + 1 : K * m + m + 1] = scale_logs[K] + np.log(vals)
-
-    for arr in coeffs[1:units]:
-        if arr is not None:
-            arr.setflags(write=False)
-    u = np.arange(n_knots) * h
-    with np.errstate(under="ignore"):
-        rho_values = np.where(log_rho < LOG_UNDERFLOW, 0.0, np.exp(log_rho))
-    for arr in (u, log_rho, rho_values, scale_logs):
-        arr.setflags(write=False)
-    return RhoTable(
-        u_max=u_max,
-        step=h,
-        steps_per_unit=m,
-        units=units,
-        u=u,
-        log_rho=log_rho,
-        rho_values=rho_values,
-        coeffs=tuple(coeffs),
-        scale_logs=scale_logs,
-    )
 
 
 def rho_log(table: RhoTable, u: float) -> float:
     """log rho(u), stable for arbitrarily small rho."""
     u = float(u)
-    if u < 0 or u > table.u_max:
+    if not 0 <= u <= table.u_max:
         raise DomainError(f"u={u} outside table range [0, {table.u_max}]")
     if u <= 1.0:
         return 0.0
@@ -230,19 +228,17 @@ def psi_estimate(
     o(u) exponent correction is dropped; error scale reported as 0).
     """
     x, y = float(x), float(y)
-    if y < 2 or x < y:
-        raise DomainError(f"estimate needs x >= y >= 2, got x={x}, y={y}")
+    if not 2 <= y <= x < math.inf:
+        raise DomainError(f"estimate needs finite x >= y >= 2, got x={x}, y={y}")
     u = math.log(x) / math.log(y)
     if method == "rho":
         if table is None:
-            table = build_rho_table(u_max=max(2.0, math.ceil(u)))
+            table = build_rho_table(u_max=max(2.0, u))
         value = x * rho(table, u)
         scale = math.log(u + 1.0) / math.log(y)
         return PsiEstimate(value=value, method="rho", error_scale=scale)
     if method == "cep":
-        return PsiEstimate(
-            value=x * math.exp(-u * math.log(u)), method="cep", error_scale=0.0
-        )
+        return PsiEstimate(value=x * rho_asymptotic(u), method="cep", error_scale=0.0)
     raise DomainError(f"unknown estimate method {method!r}")
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import SmoothRange, psi_coprime
-from .dickman import RhoTable, build_rho_table, psi_estimate
+from .census import SmoothRange, _count_coprime, _prime_divisors
+from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _E, _E_E, ZETA2_INV, _shifted_totals, main_terms
@@ -143,7 +143,8 @@ def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[Sca
                 u_hi = max(u_hi, math.log(x) / math.log(cfg.y_for(x)))
             except SmoothlabError:
                 continue
-        table = build_rho_table(u_max=math.ceil(u_hi) + 1)
+        # a point past the table limit (or at x = inf) fails on its own row
+        table = build_rho_table(u_max=math.ceil(min(u_hi, MAX_UNITS - 1)) + 1)
 
     def run_one(point):
         x, a = point
@@ -302,11 +303,14 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     if not 1 <= ds[0] <= ds[-1] <= MAX_SIEVE_BOUND:
         raise DomainError(f"moduli must lie in [1, 2^52], got {ds[0]}..{ds[-1]}")
     top = math.floor(x)
+    # rng holds the flags until the scan ends: freed before the per-modulus
+    # temporaries, they raised process peak RSS by about 8 MB (glibc heap).
     rng = SmoothRange(1, top, y)
-    psi_value = rng.count(0, top)
+    values = rng.values(0, top)
+    psi_value = values.size
     rows = []
     for d in ds:
-        coprime = psi_coprime(x, y, d, within=rng)
+        coprime = _count_coprime(values, _prime_divisors(d, min(y, top)))
         ratio = coprime * d / (int(_phi_segment(d, d)[0]) * psi_value)
         if d * y > _E and x > _E and y > 1:
             scale = math.log(math.log(d * y)) * math.log(math.log(x)) / math.log(y)

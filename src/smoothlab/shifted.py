@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .census import SmoothRange, _check_y, psi
+from .census import SmoothRange, _check_x, _check_y, psi
 from .dickman import RhoTable, rho
 from .errors import AccuracyError, DomainError
 from .sieve import (
@@ -104,6 +104,7 @@ def _v_parts(x: float, y: float, a: int, capacity=None) -> tuple[int, int]:
 def _shifted_totals(x: float, y: float, a: int, capacity=None) -> tuple[int, float, float]:
     """(Psi(x, y), T(x, y), V(x, y)) from a single pass over the segments."""
     a, y = _check_shift(a), _check_y(y)
+    _check_x(x)
     psi_value = _psi_head(x, y, a, capacity)
     numerator = 0
 
@@ -126,6 +127,7 @@ def t_exact(x: float, y: float, a: int, capacity=None) -> float:
     rational value and memory does not grow with x.
     """
     a, y = _check_shift(a), _check_y(y)
+    _check_x(x)
     return math.fsum(
         chain.from_iterable(
             _t_terms(a, s, idx, phi_at)
@@ -147,6 +149,7 @@ def _tree_sum(fractions: list[Fraction]) -> Fraction:
 def t_exact_fraction(x: float, y: float, a: int) -> Fraction:
     """Exact rational T(x, y), for pinning the float path at small x."""
     a, y = _check_shift(a), _check_y(y)
+    _check_x(x)
     if math.floor(x) > RATIONAL_MODE_LIMIT:
         raise DomainError(f"rational mode limited to x <= {RATIONAL_MODE_LIMIT}")
     terms = [
@@ -207,8 +210,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float, capacity=None) -> Mob
     pass; each term is one correctly rounded division, summed by fsum.
     """
     a, y = _check_shift(a), _check_y(y)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    _check_x(x)
     delta = float(delta)
     if not delta >= 1:
         raise DomainError(f"cutoff must be >= 1, got {delta}")
@@ -235,6 +237,7 @@ def v_exact(x: float, y: float, a: int, capacity=None) -> float:
     Psi comes from the same pass, plus psi(a, y) for a > 0.
     """
     a, y = _check_shift(a), _check_y(y)
+    _check_x(x)
     numerator, psi_value = _v_parts(x, y, a, capacity)
     return numerator / psi_value
 

@@ -80,10 +80,6 @@ class ArithTable:
     def mu_of(self, n: int) -> int:
         return int(self.mu[self.index(n)])
 
-    def smooth_mask(self, y: float) -> np.ndarray:
-        """Boolean array marking entries whose largest prime factor is <= y."""
-        return self.lpf <= y
-
 
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array (Eratosthenes)."""

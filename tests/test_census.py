@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -173,5 +174,10 @@ def test_domain_errors():
         psi(0.5, 3)
     with pytest.raises(DomainError):
         psi(10, 0.5)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            psi(x, 3)
+        with pytest.raises(DomainError):
+            psi_coprime(x, 3, 2)
     with pytest.raises(DomainError):
         list(enumerate_smooth(-1, 10, 3))

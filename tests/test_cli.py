@@ -91,6 +91,31 @@ def test_non_finite_or_too_large_moduli_inputs_are_rejected(argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho", "--u", "nan"],
+        ["rho", "--u", "inf"],
+        ["rho", "--u", "1e6"],
+        ["rho", "--u", "3", "--h", "nan"],
+        ["rho", "--u", "3", "--h", "1e-320"],
+        ["psi", "--x", "nan", "--y", "30"],
+        ["psi", "--x", "inf", "--y", "30"],
+        ["tsum", "--x", "nan", "--y", "30", "--a", "1"],
+        ["tsum", "--x", "inf", "--y", "30", "--a", "1"],
+        ["tsum", "--x", "inf", "--y", "30", "--a", "1", "--delta", "5"],
+        ["vsum", "--x", "nan", "--y", "30", "--a", "1"],
+        ["vsum", "--x", "inf", "--y", "30", "--a", "1"],
+    ],
+)
+def test_non_finite_or_too_large_x_u_h_are_rejected_fast(argv):
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_infinite_delta_puts_all_of_t_in_sigma1():
     argv = ["tsum", "--x", "1000", "--y", "30", "--a", "1", "--delta", "inf"]
     assert invoke(argv) == (
@@ -159,6 +184,18 @@ def test_scan_csv_round_trip(tmp_path):
     rewritten = tmp_path / "rewrite.csv"
     write_scan_csv(rewritten, records)
     assert rewritten.read_text() == out_csv.read_text()
+
+
+def test_scan_records_an_infinite_x_as_a_failed_row(tmp_path):
+    rows = {}
+    for name, grid in (("finite", "10, 100"), ("with_inf", "10, 100, inf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"x_grid = {grid}\ny = 3\na_list = 1\nout = {tmp_path / name}.csv\n")
+        code, out, err = invoke(["scan", "--config", str(cfg)])
+        assert (code, err) == (0, "")
+        rows[name] = (tmp_path / f"{name}.csv").read_text().splitlines()
+    assert "rows=3 failed=1" in out
+    assert [r for r in rows["with_inf"] if not r.startswith("inf,")] == rows["finite"]
 
 
 def test_scan_uses_config_out(tmp_path):

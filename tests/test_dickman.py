@@ -1,5 +1,8 @@
 import csv
+import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from scipy.integrate import simpson
 
 from smoothlab import (
     AccuracyError,
+    CapacityError,
     DomainError,
     NonDifferentiableError,
     build_rho_table,
@@ -17,6 +21,7 @@ from smoothlab import (
     rho_prime,
     write_rho_csv,
 )
+from smoothlab.dickman import MAX_KNOTS, MAX_UNITS
 
 
 def quadrature_rho3_oracle() -> float:
@@ -126,11 +131,99 @@ def test_build_guards():
         build_rho_table(u_max=4, h=1.0 / 32.0)
 
 
+def test_build_rejects_non_finite_and_oversized_inputs():
+    bad = ((math.nan, 1 / 256), (math.inf, 1 / 256), (4.0, math.nan), (4.0, math.inf), (4.0, 1e-320))
+    for u_max, h in bad:
+        with pytest.raises(DomainError):
+            build_rho_table(u_max=u_max, h=h)
+    start = time.perf_counter()
+    for u_max in (MAX_UNITS + 0.5, 1e6, 1e300):
+        with pytest.raises(CapacityError):
+            build_rho_table(u_max=u_max)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_series_only_table_leaves_the_grid_unbuilt():
+    tracemalloc.start()
+    try:
+        table = build_rho_table(1000, 1.0 / 512.0)
+        rho(table, 999.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # nothing but the dataclass fields is stored until the grid is read
+    assert vars(table).keys() == {f.name for f in dataclasses.fields(table)}
+    assert peak < 4 * 2**20
+
+
+def test_oversized_grid_raises_on_access_only():
+    table = build_rho_table(1000, 1.0 / 8192.0)
+    assert table.units * table.steps_per_unit + 1 > MAX_KNOTS
+    assert rho_log(table, 999.5).hex() == "-0x1.f22127c7d201ep+12"
+    for name in ("u", "log_rho", "rho_values"):
+        with pytest.raises(CapacityError):
+            getattr(table, name)
+
+
+def numpy_advance_unit(b, K):
+    """The numpy-scalar series step the plain-float builder replaced, as a reference."""
+    b = np.asarray(b, dtype=np.float64)
+    a = K + 0.5
+    c = np.zeros_like(b)
+    c[1] = -b[0] / a
+    for mth in range(2, len(b)):
+        c[mth] = ((1 - mth) * c[mth - 1] - b[mth - 1]) / (a * mth)
+    i = np.arange(len(b))
+    w = 1.0 / (2.0 ** (i + 1) * (i + 1))
+    signed = w * (-1.0) ** i
+    c[0] = math.fsum((b * w).tolist() + (c[1:] * signed[1:]).tolist()) / K
+    return c
+
+
+def test_series_equal_the_numpy_reference_step_bit_for_bit():
+    table = build_rho_table(1000)
+    for K in range(2, table.units):
+        c = numpy_advance_unit(table.coeffs[K - 1], K)
+        assert table.coeffs[K] == tuple((c / c[0]).tolist()), K
+        assert table.scale_logs[K] == table.scale_logs[K - 1] + math.log(c[0]), K
+
+
+@pytest.mark.parametrize(
+    "u, expected",
+    [
+        (2.5, "-0x1.04d58175ae8cep+1"),
+        (3.0, "-0x1.83111809bd302p+1"),
+        (10.0, "-0x1.84f3d23ca3940p+4"),
+        (57.9, "-0x1.0ad8f67be1a4cp+8"),
+        (130.0, "-0x1.6b3ffe2c4567bp+9"),
+        (512.25, "-0x1.cd4cc2f259885p+11"),
+        (999.5, "-0x1.f22127c7d201ep+12"),
+        (1000.0, "-0x1.f26a1a2ca9d51p+12"),
+    ],
+)
+def test_rho_log_pinned_bits(u, expected):
+    # Values recorded from the numpy-stepped series builder this one replaced.
+    assert rho_log(build_rho_table(1000, 1.0 / 512.0), u).hex() == expected
+
+
+@pytest.mark.parametrize("u_max, h", [(12.0, 1.0 / 256.0), (200.0, 1.0 / 64.0)])
+def test_lazy_grid_matches_evaluation_at_every_knot(u_max, h):
+    table = build_rho_table(u_max, h)
+    log_eval = np.array([rho_log(table, float(u)) for u in table.u])
+    rho_eval = np.array([rho(table, float(u)) for u in table.u])
+    assert np.all(np.abs(table.log_rho - log_eval) <= 1e-15 * np.maximum(1.0, np.abs(log_eval)))
+    assert np.array_equal(table.rho_values == 0.0, rho_eval == 0.0)
+    live = rho_eval > 0.0
+    assert np.all(np.abs(table.rho_values[live] - rho_eval[live]) <= 1e-12 * rho_eval[live])
+
+
 def test_out_of_range_errors(rho_table):
     with pytest.raises(DomainError):
         rho(rho_table, -0.1)
     with pytest.raises(DomainError):
         rho(rho_table, rho_table.u_max + 1.0)
+    with pytest.raises(DomainError):
+        rho(rho_table, math.nan)
 
 
 def test_rho_prime_examples(rho_table):

@@ -83,6 +83,9 @@ def test_t_domain_errors():
         for y in (math.nan, 0.5):
             with pytest.raises(DomainError):
                 fn(10, y, 1)
+        for x in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fn(x, 3, 1)
 
 
 def test_range_bounds_property():
