@@ -6,7 +6,6 @@ and never rounded; for y < 2 only n = 1 qualifies.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,27 +15,8 @@ from .sieve import MAX_SIEVE_BOUND, _smooth_mask, primes_upto, segment_bounds
 #: Upper limit for the recursive test oracle.
 ENUM_ORACLE_LIMIT = 10**7
 
-#: Largest span smooth_flags / SmoothRange will materialize (1 byte per n).
+#: Largest span a SmoothRange will materialize.
 MAX_MATERIALIZED_SPAN = 1 << 27
-
-
-@dataclass(frozen=True)
-class SmoothQuery:
-    """An (x, y) pair selecting the universe of y-smooth integers up to x."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.x < 2:
-            raise DomainError(f"query needs x >= 2, got {self.x}")
-        if self.y < 2:
-            raise DomainError(f"query needs y >= 2, got {self.y}")
-
-    @property
-    def u(self) -> float:
-        """log x / log y, the standard smoothness parameter."""
-        return math.log(self.x) / math.log(self.y)
 
 
 def _check_y(y: float) -> float:
@@ -48,18 +28,19 @@ def _check_y(y: float) -> float:
 
 
 def _check_x(x: float) -> None:
-    """Reject a non-finite upper bound x before it reaches math.floor."""
+    """Reject a non-finite x, or one past the sieve bound, before any loop."""
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
+    if x > MAX_SIEVE_BOUND:
+        raise DomainError(f"x={x:g} exceeds supported bound 2^52")
 
 
 class SmoothRange:
-    """Materialized smoothness flags for a contiguous integer range.
+    """The y-smooth integers of [first, last] as one increasing int64 array.
 
-    Built once and shared by callers that count many residue classes or
-    coprimality tests over the smooth values of one range (Moebius sums,
-    discrepancy scans, coprime ratios).  Immutable after construction and
-    safe to share between threads.
+    ``values`` is built once and shared by callers that count many residue
+    classes or coprimality tests over one range (Moebius sums, discrepancy
+    scans, coprime ratios).  Read-only and safe to share between threads.
     """
 
     def __init__(self, first: int, last: int, y: float, capacity: int | None = None):
@@ -72,41 +53,10 @@ class SmoothRange:
             raise CapacityError(
                 f"range [{first}, {last}] too large to materialize"
             )
-        self.first = first
-        self.last = last
-        self.y = _check_y(y)
-        parts = [
-            _smooth_mask(s, e, self.y, capacity)
-            for s, e in segment_bounds(first, last, capacity)
-        ]
-        flags = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        flags.setflags(write=False)
-        self.flags = flags
-
-    def covers(self, lo: int, hi: int) -> bool:
-        """Whether the half-open interval (lo, hi] lies inside the range."""
-        return self.first <= lo + 1 and hi <= self.last
-
-    def count(self, lo: int, hi: int) -> int:
-        """Smooth integers in (lo, hi]."""
-        return self.values(lo, hi).size
-
-    def count_progression(self, lo: int, hi: int, a: int, d: int) -> int:
-        """Smooth integers in (lo, hi] congruent to a mod d."""
-        return _count_residue(self.values(lo, hi), a, d)
-
-    def count_coprime(self, lo: int, hi: int, d: int) -> int:
-        """Smooth integers in (lo, hi] coprime to d >= 1."""
-        return _count_coprime(self.values(lo, hi), _prime_divisors(d, min(self.y, hi)))
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """The smooth integers in (lo, hi], increasing."""
-        if hi <= lo:
-            return np.empty(0, dtype=np.int64)
-        if not self.covers(lo, hi):
-            raise DomainError(f"({lo}, {hi}] not covered by flags for [{self.first}, {self.last}]")
-        sl = self.flags[lo + 1 - self.first : hi - self.first + 1]
-        return np.nonzero(sl)[0] + (lo + 1)
+        parts = list(_segment_values(first - 1, last, _check_y(y), capacity))
+        values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        values.setflags(write=False)
+        self.values = values
 
 
 def _prime_divisors(d: int, bound: float) -> list[int]:
@@ -140,17 +90,13 @@ def _count_coprime(values: np.ndarray, primes: list[int]) -> int:
     return int(np.count_nonzero(keep))
 
 
-def smooth_flags(first: int, last: int, y: float, capacity: int | None = None) -> np.ndarray:
-    """Boolean flags for [first, last]: flags[i] marks first + i as y-smooth."""
-    return SmoothRange(first, last, y, capacity).flags
-
-
 def enumerate_smooth(lo: int, hi: int, y: float, capacity: int | None = None):
     """Yield the y-smooth integers in (lo, hi] in increasing order."""
     y = _check_y(y)
     lo, hi = int(lo), int(hi)
     if lo < 0:
         raise DomainError(f"lower bound must be >= 0, got {lo}")
+    _check_x(hi)
     for values in _segment_values(lo, hi, y, capacity):
         yield from values.tolist()
 
@@ -214,7 +160,6 @@ def psi_coprime(
     y: float,
     d: int,
     capacity: int | None = None,
-    within: SmoothRange | None = None,
 ) -> int:
     """Exact count of y-smooth n <= x with gcd(n, d) = 1."""
     y = _check_y(y)
@@ -225,8 +170,6 @@ def psi_coprime(
     if x < 1:
         raise DomainError(f"psi_coprime needs x >= 1, got {x}")
     top = math.floor(x)
-    if within is not None and within.covers(0, top) and within.y == y:
-        return within.count_coprime(0, top, d)
     primes = _prime_divisors(d, min(y, top))
     return sum(_count_coprime(v, primes) for v in _segment_values(0, top, y, capacity))
 
@@ -238,7 +181,6 @@ def psi_progression(
     a: int,
     d: int,
     capacity: int | None = None,
-    within: SmoothRange | None = None,
 ) -> int:
     """Exact count of y-smooth n in (lo, hi] with n congruent to a mod d."""
     y = _check_y(y)
@@ -249,6 +191,5 @@ def psi_progression(
     lo, hi = int(lo), int(hi)
     if lo < 0:
         raise DomainError(f"lower bound must be >= 0, got {lo}")
-    if within is not None and within.covers(lo, hi) and within.y == y:
-        return within.count_progression(lo, hi, a, d)
+    _check_x(hi)
     return sum(_count_residue(v, a, d) for v in _segment_values(lo, hi, y, capacity))

@@ -13,7 +13,7 @@ from .census import psi
 from .dickman import build_rho_table, rho
 from .errors import SmoothlabError
 from .formats import format_sig12
-from .shifted import t_exact, t_via_mobius, v_exact, main_terms
+from .shifted import _shifted_totals, _v_parts, main_terms, t_via_mobius
 
 _EPILOG = "Numeric output carries 12 significant digits."
 
@@ -91,8 +91,8 @@ def _run_rho(args) -> int:
 
 
 def _run_tsum(args) -> int:
-    t = t_exact(args.x, args.y, args.a)
-    ratio = t / psi(args.x, args.y)
+    psi_value, t, _v = _shifted_totals(args.x, args.y, args.a)
+    ratio = t / psi_value
     pairs = [("t", format_sig12(t)), ("ratio", format_sig12(ratio))]
     if args.delta is not None:
         split = t_via_mobius(args.x, args.y, args.a, args.delta)
@@ -107,8 +107,9 @@ def _run_tsum(args) -> int:
 
 
 def _run_vsum(args) -> int:
-    v = v_exact(args.x, args.y, args.a)
-    terms = main_terms(args.x, args.y, psi(args.x, args.y))
+    numerator, psi_value = _v_parts(args.x, args.y, args.a)
+    v = numerator / psi_value
+    terms = main_terms(args.x, args.y, psi_value)
     _emit([("v", format_sig12(v)), ("v_main", format_sig12(terms.v_main))])
     return 0
 

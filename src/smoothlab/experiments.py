@@ -19,7 +19,7 @@ from .census import SmoothRange, _count_coprime, _prime_divisors
 from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
-from .shifted import _E, _E_E, ZETA2_INV, _shifted_totals, main_terms
+from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
 from .sieve import MAX_SIEVE_BOUND, _phi_segment
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
@@ -29,11 +29,16 @@ FT_CSV_HEADER = "d,ratio,dev,lemma_scale"
 Z_GRID_RATIO = 2.0 ** 0.25
 Z_GRID_FLOOR = 16.0
 
+_E_E = math.exp(math.e)
+
 
 def thread_count() -> int:
     """Worker count from SMOOTHLAB_THREADS (0 = auto, unset = serial)."""
     raw = os.environ.get("SMOOTHLAB_THREADS", "1").strip() or "1"
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        raise DomainError(f"SMOOTHLAB_THREADS must be an integer, got {raw!r}") from None
     if n == 0:
         return os.cpu_count() or 1
     if n < 0:
@@ -55,10 +60,6 @@ class ScanConfig:
     y: float | None = None
     y_rule: str = "fixed"
     C: float = 2.0
-    epsilon: float = 0.5
-    delta_gamma: float = 1.0
-    delta_delta: float = 1.0
-    A: float = 1.0
     output_path: str | None = None
 
     def __post_init__(self):
@@ -135,6 +136,7 @@ def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[Sca
     attached.  Rows come back sorted by (a, x) and, when the config names an
     output path, are also written as CSV.
     """
+    workers = thread_count()
     points = [(float(x), int(a)) for a in cfg.a_list for x in cfg.x_grid]
     if table is None:
         u_hi = 2.0
@@ -158,7 +160,6 @@ def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[Sca
                 err_scale=math.nan, error=str(exc),
             )
 
-    workers = thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_one, points))
@@ -248,7 +249,7 @@ def granville_discrepancy(
         raise DomainError(f"unknown z_mode {z_mode!r}")
 
     top = math.floor(x)
-    values = SmoothRange(1, top, y).values(0, top)
+    values = SmoothRange(1, top, y).values
     # values[:cut] are the smooth n <= z, for each z of the (increasing) grid
     cuts = np.searchsorted(values, [math.floor(z) for z in z_values], side="right")
     rows = []
@@ -303,10 +304,7 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     if not 1 <= ds[0] <= ds[-1] <= MAX_SIEVE_BOUND:
         raise DomainError(f"moduli must lie in [1, 2^52], got {ds[0]}..{ds[-1]}")
     top = math.floor(x)
-    # rng holds the flags until the scan ends: freed before the per-modulus
-    # temporaries, they raised process peak RSS by about 8 MB (glibc heap).
-    rng = SmoothRange(1, top, y)
-    values = rng.values(0, top)
+    values = SmoothRange(1, top, y).values
     psi_value = values.size
     rows = []
     for d in ds:
@@ -519,10 +517,6 @@ _CONFIG_KEYS = {
     "y",
     "a_list",
     "C",
-    "epsilon",
-    "delta_gamma",
-    "delta_delta",
-    "A",
     "out",
 }
 
@@ -530,9 +524,8 @@ _CONFIG_KEYS = {
 def parse_config(text: str) -> ScanConfig:
     """Parse the flat key = value scan-config format.
 
-    Recognized keys: x_grid, y, a_list, C, epsilon, delta_gamma,
-    delta_delta, A, out.  Lists are comma separated; blank lines and
-    #-comments are ignored.
+    Recognized keys: x_grid, y, a_list, C, out.  Lists are comma
+    separated; blank lines and #-comments are ignored.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -559,15 +552,8 @@ def parse_config(text: str) -> ScanConfig:
         kwargs["y_rule"] = "fixed"
     else:
         kwargs["y_rule"] = "theorem_range"
-    for key, attr in (
-        ("C", "C"),
-        ("epsilon", "epsilon"),
-        ("delta_gamma", "delta_gamma"),
-        ("delta_delta", "delta_delta"),
-        ("A", "A"),
-    ):
-        if key in values:
-            kwargs[attr] = float(values[key])
+    if "C" in values:
+        kwargs["C"] = float(values["C"])
     if "out" in values:
         kwargs["output_path"] = values["out"]
     return ScanConfig(**kwargs)

@@ -35,28 +35,6 @@ ZETA2_INV = 6.0 / (math.pi * math.pi)
 RATIONAL_MODE_LIMIT = 10**4
 
 _E = math.e
-_E_E = math.exp(math.e)
-
-
-@dataclass(frozen=True)
-class ShiftedSumQuery:
-    """(x, y, a) naming a shifted sum; the summation range is (a, x]."""
-
-    x: float
-    y: float
-    a: int
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise DomainError("shift a must be nonzero")
-        if self.y < 2:
-            raise DomainError(f"query needs y >= 2, got {self.y}")
-        if self.x < self.y:
-            raise DomainError(f"query needs x >= y, got x={self.x}, y={self.y}")
-
-    @property
-    def u(self) -> float:
-        return math.log(self.x) / math.log(self.y)
 
 
 def _check_shift(a) -> int:
@@ -92,7 +70,12 @@ def _psi_head(x: float, y: float, a: int, capacity=None) -> int:
 
 
 def _v_parts(x: float, y: float, a: int, capacity=None) -> tuple[int, int]:
-    """(sum of phi(n - a) over smooth n in (max(a,0), floor(x)], Psi(x, y))."""
+    """(sum of phi(n - a) over smooth n in (max(a,0), floor(x)], Psi(x, y)).
+
+    V needs no T, so this pass leaves out T's fsum.
+    """
+    a, y = _check_shift(a), _check_y(y)
+    _check_x(x)
     psi_value = _psi_head(x, y, a, capacity)
     numerator = 0
     for _s, _e, idx, phi_at in _shifted_pass(x, y, a, capacity):
@@ -126,14 +109,7 @@ def t_exact(x: float, y: float, a: int, capacity=None) -> float:
     (math.fsum), so the result is within 1e-12 relative of the exact
     rational value and memory does not grow with x.
     """
-    a, y = _check_shift(a), _check_y(y)
-    _check_x(x)
-    return math.fsum(
-        chain.from_iterable(
-            _t_terms(a, s, idx, phi_at)
-            for s, _e, idx, phi_at in _shifted_pass(x, y, a, capacity)
-        )
-    )
+    return _shifted_totals(x, y, a, capacity)[1]
 
 
 def _tree_sum(fractions: list[Fraction]) -> Fraction:
@@ -219,7 +195,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float, capacity=None) -> Mob
     if top <= lo:
         return MobiusSplit(0.0, 0.0, delta)
     d_max = top - min(a, 0)
-    k = SmoothRange(lo + 1, top, y, capacity).values(lo, top) - a
+    k = SmoothRange(lo + 1, top, y, capacity).values - a
     mu = np.concatenate(
         [_mu_segment(s, e, capacity) for s, e in segment_bounds(1, d_max, capacity)]
     )
@@ -236,8 +212,6 @@ def v_exact(x: float, y: float, a: int, capacity=None) -> float:
     The numerator is an exact integer sum; only the final division rounds.
     Psi comes from the same pass, plus psi(a, y) for a > 0.
     """
-    a, y = _check_shift(a), _check_y(y)
-    _check_x(x)
     numerator, psi_value = _v_parts(x, y, a, capacity)
     return numerator / psi_value
 
@@ -297,41 +271,6 @@ def main_terms(x: float, y: float, psi_value: float) -> MainTerms:
         v_main=3.0 * x / (math.pi * math.pi),
         err_scale=err_scale,
     )
-
-
-@dataclass(frozen=True)
-class DeltaPolicy:
-    """Cutoff rule for the Moebius-split truncation.
-
-    delta(x, y, a) = min{ exp(gamma * log y * loglog y / logloglog y),
-                          sqrt(x/|a|) / (log(x/|a|))^delta_exp },
-    clamped to >= 1.  The first branch needs logloglog y > 0, i.e. y above
-    e^e (about 15.2); below that only the second branch applies.  gamma,
-    delta_exp and strength A are configuration values.
-    """
-
-    gamma: float = 1.0
-    delta_exp: float = 1.0
-    A: float = 1.0
-
-    def cutoff(self, x: float, y: float, a: int) -> float:
-        a = _check_shift(a)
-        r = float(x) / abs(a)
-        if r <= 1.0:
-            raise DomainError(f"cutoff needs x > |a|, got x={x}, a={a}")
-        log_r = math.log(r)
-        second = math.sqrt(r) / log_r**self.delta_exp
-        if y > _E_E:
-            exponent = (
-                self.gamma
-                * math.log(y)
-                * math.log(math.log(y))
-                / math.log(math.log(math.log(y)))
-            )
-            first = math.exp(exponent) if exponent < 700 else math.inf
-        else:
-            first = math.inf
-        return max(1.0, min(first, second))
 
 
 class AuxAverages(NamedTuple):

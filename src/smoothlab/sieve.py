@@ -4,9 +4,10 @@ Two private kernels serve the counting and summation code, each sized to
 its question and each one pass over a window [lo, hi]:
 
 - ``_smooth_mask`` strides only the primes p <= min(y, sqrt(hi)) and their
-  powers, dividing them out of one int64 remainder.  What is left of n has
-  no prime factor <= that bound, so n is y-smooth exactly when the
-  remainder is <= y: one comparison per entry.
+  powers, dividing them out of one integer remainder (int32 when
+  hi < 2^31, else int64).  What is left of n has no prime factor <= that
+  bound, so n is y-smooth exactly when the remainder is <= y: one
+  comparison per entry.
 - ``_phi_segment`` strides every prime p <= sqrt(hi), applying the factor
   (1 - 1/p) to phi and dividing p out of the remainder, then fixes up the
   (at most one) prime factor > sqrt(hi) at the indices where the remainder
@@ -193,12 +194,14 @@ def _sieve_segment(lo: int, hi: int) -> ArithTable:
 def _strip_primes(lo: int, hi: int, bound: int, phi: np.ndarray | None = None):
     """Divide every prime p <= bound, with its full power, out of each n in [lo, hi].
 
-    Returns the remainders.  When ``phi`` (aligned with the window) is
-    given, it also takes one factor (1 - 1/p) per prime p dividing n; that
-    is exact in integers because phi still holds every power of p.
+    Returns the remainders, as int32 when hi < 2^31, which halves the
+    largest temporary of a mask pass.  When ``phi`` (aligned with the
+    window) is given, it also takes one factor (1 - 1/p) per prime p
+    dividing n; that is exact in integers because phi still holds every
+    power of p.
     """
     size = hi - lo + 1
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    rem = np.arange(lo, hi + 1, dtype=np.int32 if hi < 2**31 else np.int64)
     for p in primes_upto(bound).tolist():
         start = (-lo) % p
         if start >= size:
@@ -294,42 +297,6 @@ def largest_prime_factor(n: int) -> int:
     if n > 1:
         largest = n
     return largest
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n in increasing prime order."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            e += 1
-            n //= d
-        if e:
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def phi_int(n: int) -> int:
-    """Euler totient of a single integer via factorization."""
-    result = int(n)
-    for p, _ in factorize(n):
-        result -= result // p
-    return result
-
-
-def mu_int(n: int) -> int:
-    """Moebius value of a single integer via factorization."""
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
 
 
 def tau_omega_range(lo: int, hi: int, capacity: int | None = None):

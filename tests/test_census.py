@@ -1,23 +1,23 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab import (
     CapacityError,
     DomainError,
-    SmoothQuery,
     SmoothRange,
     enumerate_smooth,
     psi,
     psi_coprime,
     psi_enum_oracle,
     psi_progression,
-    smooth_flags,
 )
-from smoothlab.sieve import mu_int
 
-from conftest import oracle_smooth_list
+from conftest import oracle_mu, oracle_smooth_list
 
 
 def test_enumerate_examples():
@@ -106,7 +106,7 @@ def test_psi_coprime_inclusion_exclusion():
                 p += 1
             direct = psi_coprime(x, y, d)
             via = sum(
-                mu_int(e) * psi_progression(0, x, y, 0, e)
+                oracle_mu(e) * psi_progression(0, x, y, 0, e)
                 for e in range(1, rad + 1)
                 if rad % e == 0
             )
@@ -142,31 +142,27 @@ def test_psi_progression_streaming_matches():
         )
 
 
-def test_smooth_range_fast_path_matches():
-    rng = SmoothRange(1, 2000, 7)
-    for d in (1, 2, 5, 9):
-        for a in range(d):
-            assert psi_progression(0, 2000, 7, a, d, within=rng) == psi_progression(
-                0, 2000, 7, a, d
-            )
-        assert psi_coprime(2000, 7, d, within=rng) == psi_coprime(2000, 7, d)
-    assert rng.count(0, 2000) == psi(2000, 7)
-    assert list(rng.values(0, 50)) == oracle_smooth_list(0, 50, 7)
+@settings(max_examples=60, deadline=None)
+@given(
+    first=st.integers(1, 3000),
+    span=st.integers(0, 3000),
+    y=st.sampled_from([1, 1.5, 2, 3, 7, 10.5, 97, 1e4, math.inf]),
+    capacity=st.one_of(st.none(), st.integers(1, 4000)),
+)
+def test_smooth_range_values_match_oracle(first, span, y, capacity):
+    last = first + span
+    values = SmoothRange(first, last, y, capacity).values
+    assert values.dtype == np.int64 and not values.flags.writeable
+    assert values.tolist() == oracle_smooth_list(first - 1, last, y)
 
 
-def test_smooth_flags_values():
-    flags = smooth_flags(1, 10, 3)
-    assert list(flags) == [n in {1, 2, 3, 4, 6, 8, 9} for n in range(1, 11)]
-
-
-def test_smooth_query():
-    q = SmoothQuery(100, 10)
-    assert q.u == pytest.approx(2.0)
-    assert SmoothQuery(7, 7).u == 1.0
+def test_smooth_range_rejects_bad_ranges():
     with pytest.raises(DomainError):
-        SmoothQuery(1, 10)
+        SmoothRange(0, 10, 3)
     with pytest.raises(DomainError):
-        SmoothQuery(100, 1.5)
+        SmoothRange(10, 9, 3)
+    with pytest.raises(CapacityError):
+        SmoothRange(1, 1 << 28, 3)
 
 
 def test_domain_errors():
@@ -181,3 +177,8 @@ def test_domain_errors():
             psi_coprime(x, 3, 2)
     with pytest.raises(DomainError):
         list(enumerate_smooth(-1, 10, 3))
+    # past the sieve bound, rejected before the first segment
+    with pytest.raises(DomainError):
+        psi_progression(0, 2**53, 3, 1, 2)
+    with pytest.raises(DomainError):
+        next(enumerate_smooth(0, 2**53, 3))

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from smoothlab import census, shifted
 from smoothlab.cli import build_parser, run
 from smoothlab.experiments import read_ft_csv, read_scan_csv, write_scan_csv
 
@@ -106,6 +107,10 @@ def test_non_finite_or_too_large_moduli_inputs_are_rejected(argv):
         ["tsum", "--x", "inf", "--y", "30", "--a", "1", "--delta", "5"],
         ["vsum", "--x", "nan", "--y", "30", "--a", "1"],
         ["vsum", "--x", "inf", "--y", "30", "--a", "1"],
+        ["psi", "--x", "1e17", "--y", "30"],
+        ["tsum", "--x", "1e17", "--y", "30", "--a", "1"],
+        ["tsum", "--x", "1e17", "--y", "30", "--a", "-1", "--delta", "5"],
+        ["vsum", "--x", "1e17", "--y", "30", "--a", "1"],
     ],
 )
 def test_non_finite_or_too_large_x_u_h_are_rejected_fast(argv):
@@ -114,6 +119,39 @@ def test_non_finite_or_too_large_x_u_h_are_rejected_fast(argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_integer_thread_count_is_rejected(tmp_path, monkeypatch):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("x_grid = 100, 1000\ny = 30\na_list = 1\n")
+    monkeypatch.setenv("SMOOTHLAB_THREADS", "abc")
+    code, out, err = invoke(["scan", "--config", str(cfg)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tsum", "--x", "20000.5", "--y", "30", "--a", "7"],
+        ["tsum", "--x", "20000.5", "--y", "30", "--a", "-3"],
+        ["vsum", "--x", "20000.5", "--y", "30", "--a", "7"],
+        ["vsum", "--x", "20000.5", "--y", "30", "--a", "-3"],
+    ],
+)
+def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, monkeypatch):
+    entries = []
+    kernel = census._smooth_mask
+
+    def counted(lo, hi, y, capacity=None):
+        entries.append(hi - lo + 1)
+        return kernel(lo, hi, y, capacity)
+
+    for module in (census, shifted):
+        monkeypatch.setattr(module, "_smooth_mask", counted)
+    code, _out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert sum(entries) <= 20000
 
 
 def test_infinite_delta_puts_all_of_t_in_sigma1():

@@ -244,23 +244,22 @@ def test_parse_config_round_trip(tmp_path):
 x_grid = 1e4, 1e5
 y = 1000
 a_list = 1, -3
-C = 2.0
-epsilon = 0.25
-delta_gamma = 1.0
-delta_delta = 1.5
-A = 1.0
+C = 2.5
 out = scan.csv
 """
     cfg = parse_config(text)
     assert cfg.x_grid == (1e4, 1e5)
     assert cfg.y == 1000.0
     assert cfg.a_list == (1, -3)
-    assert cfg.epsilon == 0.25
-    assert cfg.delta_delta == 1.5
+    assert cfg.C == 2.5
     assert cfg.output_path == "scan.csv"
     path = tmp_path / "cfg.txt"
     path.write_text(text)
     assert load_config(path) == cfg
+    # keys that no output ever read are rejected, not silently ignored
+    for key in ("epsilon", "delta_gamma", "delta_delta", "A"):
+        with pytest.raises(DomainError, match=f"unknown config key '{key}'"):
+            parse_config(text + f"{key} = 1.0\n")
 
 
 def test_parse_config_theorem_rule_and_errors():

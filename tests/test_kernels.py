@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from smoothlab import psi, sieve_range, t_exact, v_exact
 from smoothlab.sieve import _mu_segment, _phi_segment, _smooth_mask
 
-from conftest import oracle_is_smooth, oracle_mu, oracle_phi
+from conftest import oracle_is_smooth, oracle_lpf, oracle_mu, oracle_phi
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
 
@@ -86,3 +86,13 @@ def test_psi_t_v_do_not_depend_on_capacity(case):
     assert psi(x, y, capacity) == psi(x, y)
     assert t_exact(x, y, a, capacity) == t_exact(x, y, a)
     assert v_exact(x, y, a, capacity) == v_exact(x, y, a)
+
+
+def test_kernels_on_both_sides_of_the_int32_remainder():
+    # hi < 2^31 strips primes from an int32 remainder, hi >= 2^31 from an int64 one
+    for lo, hi in ((2**31 - 40, 2**31 - 1), (2**31 - 20, 2**31 + 20)):
+        ns = range(lo, hi + 1)
+        lpf = [oracle_lpf(n) for n in ns]
+        for y in (7, 1000, 46340.5, math.inf):
+            assert _smooth_mask(lo, hi, y).tolist() == [p <= y for p in lpf]
+        assert _phi_segment(lo, hi).tolist() == [oracle_phi(n) for n in ns]

@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 
 from smoothlab import (
-    DeltaPolicy,
     DomainError,
-    ShiftedSumQuery,
     ZETA2_INV,
     aux_averages,
     i_integral,
@@ -83,9 +81,12 @@ def test_t_domain_errors():
         for y in (math.nan, 0.5):
             with pytest.raises(DomainError):
                 fn(10, y, 1)
-        for x in (math.nan, math.inf):
+        for x in (math.nan, math.inf, 2.0**52 + 2):
             with pytest.raises(DomainError):
                 fn(x, 3, 1)
+    for fn in (t_exact, v_exact):
+        with pytest.raises(DomainError):
+            fn(0.5, 3, 1)
 
 
 def test_range_bounds_property():
@@ -193,33 +194,6 @@ def test_zeta2_inv_matches_series():
     partial = sum(1.0 / k**2 for k in range(n, 0, -1))
     zeta2 = partial + 1.0 / n  # tail of sum 1/k^2 is ~1/n
     assert ZETA2_INV == pytest.approx(1.0 / zeta2, rel=1e-9)
-
-
-def test_delta_policy():
-    dp = DeltaPolicy()
-    # y below e^e: only the sqrt branch
-    assert dp.cutoff(10**4, 16, 1) == pytest.approx(
-        math.sqrt(10**4) / math.log(10**4), rel=1e-12
-    )
-    # large y: the sqrt branch still wins at desk scale
-    assert dp.cutoff(10**6, 10**3, 1) == pytest.approx(
-        math.sqrt(10**6) / math.log(10**6), rel=1e-12
-    )
-    assert dp.cutoff(10**6, 10**3, -4) == dp.cutoff(10**6, 10**3, 4)
-    assert dp.cutoff(3, 10**3, 1) >= 1.0
-    with pytest.raises(DomainError):
-        dp.cutoff(3, 10**3, 5)
-    steep = DeltaPolicy(delta_exp=6.0)
-    assert steep.cutoff(10**4, 16, 1) >= 1.0  # clamped
-
-
-def test_shifted_sum_query():
-    q = ShiftedSumQuery(100, 10, -2)
-    assert q.u == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        ShiftedSumQuery(100, 10, 0)
-    with pytest.raises(DomainError):
-        ShiftedSumQuery(5, 10, 1)
 
 
 def test_i_integral_examples(rho_table):

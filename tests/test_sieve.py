@@ -6,10 +6,7 @@ import pytest
 
 from smoothlab import CapacityError, DomainError, is_smooth, sieve_range
 from smoothlab.sieve import (
-    factorize,
     largest_prime_factor,
-    mu_int,
-    phi_int,
     primes_upto,
     segment_bounds,
     tau_omega_range,
@@ -170,10 +167,8 @@ def test_is_smooth_matches_oracle():
 def test_scalar_helpers():
     assert largest_prime_factor(1) == 1
     assert largest_prime_factor(96) == 3
-    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert phi_int(360) == oracle_phi(360)
-    assert mu_int(105) == -1
-    assert mu_int(12) == 0
+    assert largest_prime_factor(360) == 5
+    assert largest_prime_factor(991 * 997) == 997
 
 
 def test_tau_omega_against_oracle():
