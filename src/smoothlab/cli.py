@@ -157,8 +157,11 @@ def _run_discrepancy(args) -> int:
 
 
 def _run_ftratio(args) -> int:
-    d_list = [int(v) for v in args.d_list.split(",") if v.strip()]
+    entries = [v for v in args.d_list.split(",") if v.strip()]
+    d_list = [experiments.parse_number(v, int, "--d-list") for v in entries]
     rows = experiments.ft_ratio_scan(args.x, args.y, d_list)
+    if args.out:
+        experiments.write_ft_csv(args.out, rows)
     for r in rows:
         _emit(
             [
@@ -169,7 +172,6 @@ def _run_ftratio(args) -> int:
             ]
         )
     if args.out:
-        experiments.write_ft_csv(args.out, rows)
         _emit([("out", args.out)])
     return 0
 
@@ -195,7 +197,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except SmoothlabError as exc:
+    except (SmoothlabError, OSError) as exc:  # OSError: reading --config, writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

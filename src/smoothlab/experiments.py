@@ -35,10 +35,7 @@ _E_E = math.exp(math.e)
 def thread_count() -> int:
     """Worker count from SMOOTHLAB_THREADS (0 = auto, unset = serial)."""
     raw = os.environ.get("SMOOTHLAB_THREADS", "1").strip() or "1"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"SMOOTHLAB_THREADS must be an integer, got {raw!r}") from None
+    n = parse_number(raw, int, "SMOOTHLAB_THREADS")
     if n == 0:
         return os.cpu_count() or 1
     if n < 0:
@@ -521,13 +518,21 @@ _CONFIG_KEYS = {
 }
 
 
+def parse_number(text: str, kind, where: str):
+    """``kind(text)`` for kind int or float; a malformed number is a DomainError naming where."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"malformed number {text.strip()!r} in {where}") from None
+
+
 def parse_config(text: str) -> ScanConfig:
     """Parse the flat key = value scan-config format.
 
     Recognized keys: x_grid, y, a_list, C, out.  Lists are comma
     separated; blank lines and #-comments are ignored.
     """
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -538,22 +543,26 @@ def parse_config(text: str) -> ScanConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise DomainError(f"unknown config key {key!r} on line {lineno}")
-        values[key] = val
+        values[key], lines[key] = val, lineno
     if "x_grid" not in values:
         raise DomainError("config needs an x_grid")
     if "a_list" not in values:
         raise DomainError("config needs an a_list")
+
+    def number(key, text, kind=float):
+        return parse_number(text, kind, f"config key {key!r} on line {lines[key]}")
+
     kwargs = {
-        "x_grid": tuple(float(v) for v in values["x_grid"].split(",")),
-        "a_list": tuple(int(v) for v in values["a_list"].split(",")),
+        "x_grid": tuple(number("x_grid", v) for v in values["x_grid"].split(",")),
+        "a_list": tuple(number("a_list", v, int) for v in values["a_list"].split(",")),
     }
     if "y" in values:
-        kwargs["y"] = float(values["y"])
+        kwargs["y"] = number("y", values["y"])
         kwargs["y_rule"] = "fixed"
     else:
         kwargs["y_rule"] = "theorem_range"
     if "C" in values:
-        kwargs["C"] = float(values["C"])
+        kwargs["C"] = number("C", values["C"])
     if "out" in values:
         kwargs["output_path"] = values["out"]
     return ScanConfig(**kwargs)
@@ -561,4 +570,8 @@ def parse_config(text: str) -> ScanConfig:
 
 def load_config(path) -> ScanConfig:
     with open(path) as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"config {path} is not text: {exc}") from None
+    return parse_config(text)

@@ -44,17 +44,29 @@ def _check_shift(a) -> int:
     return a
 
 
-def _shifted_pass(x: float, y: float, a: int, capacity=None):
-    """Yield (s, e, idx, phi_at) for each segment [s, e] of (max(a,0), floor(x)].
+def _shifted_pass(x: float, y: float, a: int, capacity=None, kernel=_phi_segment):
+    """Check the arguments of a shifted sum, then return (a, head, segments).
 
-    The y-smooth n of the segment are s + idx, and phi_at holds phi(n - a)
-    at those n.  The totient window [s - a, e - a] is sieved only when the
-    segment has a smooth n.
+    head = Psi(min(x, a), y) counts the smooth n <= x the pass skips (0 for
+    a < 0), so head plus the smooth n of the pass is Psi(x, y).  segments
+    yields (s, e, idx, at) for each segment [s, e] of (max(a,0), floor(x)]:
+    the y-smooth n there are s + idx, and ``at`` holds kernel(s - a, e - a)
+    at them (a kernel returns one array or a tuple of aligned arrays).  The
+    shifted window is sieved only when its segment has a smooth n.
     """
-    for s, e in segment_bounds(max(a, 0) + 1, math.floor(x), capacity):
-        idx = np.flatnonzero(_smooth_mask(s, e, y, capacity))
-        phi_at = _phi_segment(s - a, e - a, capacity)[idx] if idx.size else idx
-        yield s, e, idx, phi_at
+    a, y = _check_shift(a), _check_y(y)
+    _check_x(x)
+    if x < 1:
+        raise DomainError(f"psi needs x >= 1, got {x}")
+    head = psi(min(x, a), y, capacity) if a > 0 else 0
+
+    def segments():
+        for s, e in segment_bounds(max(a, 0) + 1, math.floor(x), capacity):
+            idx = np.flatnonzero(_smooth_mask(s, e, y, capacity))
+            at = np.asarray(kernel(s - a, e - a, capacity))[..., idx] if idx.size else idx
+            yield s, e, idx, at
+
+    return a, head, segments()
 
 
 def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
@@ -62,23 +74,14 @@ def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
     return phi_at / (idx + (s - a)).astype(np.float64)
 
 
-def _psi_head(x: float, y: float, a: int, capacity=None) -> int:
-    """Smooth n <= x that the shifted pass skips: those n <= a for a > 0."""
-    if x < 1:
-        raise DomainError(f"psi needs x >= 1, got {x}")
-    return psi(min(x, a), y, capacity) if a > 0 else 0
-
-
 def _v_parts(x: float, y: float, a: int, capacity=None) -> tuple[int, int]:
     """(sum of phi(n - a) over smooth n in (max(a,0), floor(x)], Psi(x, y)).
 
     V needs no T, so this pass leaves out T's fsum.
     """
-    a, y = _check_shift(a), _check_y(y)
-    _check_x(x)
-    psi_value = _psi_head(x, y, a, capacity)
+    _a, psi_value, segments = _shifted_pass(x, y, a, capacity)
     numerator = 0
-    for _s, _e, idx, phi_at in _shifted_pass(x, y, a, capacity):
+    for _s, _e, idx, phi_at in segments:
         psi_value += idx.size
         numerator += int(phi_at.sum())
     return numerator, psi_value
@@ -86,14 +89,12 @@ def _v_parts(x: float, y: float, a: int, capacity=None) -> tuple[int, int]:
 
 def _shifted_totals(x: float, y: float, a: int, capacity=None) -> tuple[int, float, float]:
     """(Psi(x, y), T(x, y), V(x, y)) from a single pass over the segments."""
-    a, y = _check_shift(a), _check_y(y)
-    _check_x(x)
-    psi_value = _psi_head(x, y, a, capacity)
+    a, psi_value, segments = _shifted_pass(x, y, a, capacity)
     numerator = 0
 
     def terms():
         nonlocal psi_value, numerator
-        for s, _e, idx, phi_at in _shifted_pass(x, y, a, capacity):
+        for s, _e, idx, phi_at in segments:
             psi_value += idx.size
             numerator += int(phi_at.sum())
             yield _t_terms(a, s, idx, phi_at)
@@ -124,13 +125,12 @@ def _tree_sum(fractions: list[Fraction]) -> Fraction:
 
 def t_exact_fraction(x: float, y: float, a: int) -> Fraction:
     """Exact rational T(x, y), for pinning the float path at small x."""
-    a, y = _check_shift(a), _check_y(y)
-    _check_x(x)
-    if math.floor(x) > RATIONAL_MODE_LIMIT:
+    if not x < RATIONAL_MODE_LIMIT + 1:  # also rejects nan, before any sieving
         raise DomainError(f"rational mode limited to x <= {RATIONAL_MODE_LIMIT}")
+    a, _head, segments = _shifted_pass(x, y, a)
     terms = [
         Fraction(int(p), int(i) + s - a)
-        for s, _e, idx, phi_at in _shifted_pass(x, y, a)
+        for s, _e, idx, phi_at in segments
         for i, p in zip(idx, phi_at)
     ]
     return _tree_sum(terms)
@@ -223,14 +223,14 @@ def v_via_abel(x: float, y: float, a: int, capacity=None) -> float:
     is a step function in its first argument; the integral is the exact sum
     of T(k) over integer k < floor(x) plus the fractional top piece.
     """
-    a, y = _check_shift(a), _check_y(y)
-    psi_value = psi(x, y, capacity)
+    a, psi_value, segments = _shifted_pass(x, y, a, capacity)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
     running_t = 0.0
     integral_parts = []
-    for s, e, idx, phi_at in _shifted_pass(x, y, a, capacity):
+    for s, e, idx, phi_at in segments:
+        psi_value += idx.size
         terms = np.zeros(e - s + 1)
         terms[idx] = _t_terms(a, s, idx, phi_at)
         cumulative = running_t + np.cumsum(terms)
@@ -280,19 +280,13 @@ class AuxAverages(NamedTuple):
 
 def aux_averages(x: float, y: float, a: int, capacity=None) -> AuxAverages:
     """Psi-normalized averages of tau(n - a) and omega(n - a) over smooth n."""
-    a = _check_shift(a)
-    psi_value = psi(x, y, capacity)
-    top = math.floor(x)
-    if top <= max(a, 0):
-        return AuxAverages(0.0, 0.0)
-    tau_sum = 0
-    omega_sum = 0
-    lo = max(a, 0)
-    for s, e in segment_bounds(lo + 1, top, capacity):
-        tau, omega = tau_omega_range(s - a, e - a, capacity)
-        mask = _smooth_mask(s, e, y, capacity)
-        tau_sum += int(tau[mask].sum())
-        omega_sum += int(omega[mask].sum())
+    _a, psi_value, segments = _shifted_pass(x, y, a, capacity, tau_omega_range)
+    tau_sum = omega_sum = 0
+    for _s, _e, idx, at in segments:
+        psi_value += idx.size
+        if idx.size:
+            tau_sum += int(at[0].sum())
+            omega_sum += int(at[1].sum())
     return AuxAverages(tau_sum / psi_value, omega_sum / psi_value)
 
 

@@ -1,27 +1,32 @@
 """Segmented sieves for per-integer arithmetic data.
 
-Two private kernels serve the counting and summation code, each sized to
-its question and each one pass over a window [lo, hi]:
+One stride core, ``_strides``, yields every prime power p^k (p up to a
+bound) that has a multiple in a window [lo, hi], with the offset of its
+first multiple; it is the only place that does stride arithmetic.  Each
+kernel is one loop over it, sized to its question:
 
-- ``_smooth_mask`` strides only the primes p <= min(y, sqrt(hi)) and their
-  powers, dividing them out of one integer remainder (int32 when
-  hi < 2^31, else int64).  What is left of n has no prime factor <= that
-  bound, so n is y-smooth exactly when the remainder is <= y: one
-  comparison per entry.
-- ``_phi_segment`` strides every prime p <= sqrt(hi), applying the factor
-  (1 - 1/p) to phi and dividing p out of the remainder, then fixes up the
-  (at most one) prime factor > sqrt(hi) at the indices where the remainder
-  is still > 1.
-- ``_mu_segment`` strides every prime p <= sqrt(hi), flipping the sign of
-  mu at multiples of p, zeroing it at multiples of p^2 and multiplying p
-  into a product of small prime factors; a squarefree n whose product falls
-  short of n has one more prime factor, above sqrt(hi).
+- ``_strip_primes`` divides each p, with its full power, out of an integer
+  remainder (int32 when hi < 2^31, else int64), optionally taking the
+  totient factor (1 - 1/p) at the multiples of p.
+- ``_smooth_mask`` strips only the primes p <= min(y, sqrt(hi)).  What is
+  left of n has no prime factor <= that bound, so n is y-smooth exactly
+  when the remainder is <= y: one comparison per entry.
+- ``_phi_segment`` strips every prime p <= sqrt(hi) while taking the
+  totient factors, then fixes up the (at most one) prime factor > sqrt(hi)
+  where the remainder is still > 1.
+- ``_mu_segment`` flips the sign of mu at multiples of p, zeroes it at
+  multiples of p^2 and multiplies p into a product of small prime factors;
+  a squarefree n whose product falls short of n has one more prime factor,
+  above sqrt(hi).
+- ``tau_omega_range`` turns the factor k of tau(n) into k + 1 on the p^k
+  stride and counts omega(n) on the p stride.
 
-:func:`sieve_range` is the full-table reference: smallest and largest prime
-factor, phi(n) and mu(n) for every n.  It backs the public API, and tests
-compare the kernels against it.  Nothing is cached; every call sieves its
-window afresh.  Results are independent of how a range is split into
-segments.
+:func:`sieve_range` builds the full table (smallest and largest prime
+factor, phi(n) and mu(n)) from the same kernels, so it is no independent
+check of them: the tests compare every kernel with the trial-division
+oracles in ``tests/conftest.py``, which share no code with this module.
+Nothing is cached; every call sieves its window afresh.  Results are
+independent of how a range is split into segments.
 
 Conventions: spf(1) = lpf(1) = 1, phi(1) = 1, mu(1) = 1, so that 1 counts as
 smooth for every bound.
@@ -124,6 +129,24 @@ def _check_window(lo: int, hi: int, capacity: int | None) -> tuple[int, int]:
     return lo, hi
 
 
+def _strides(lo: int, hi: int, bound: int):
+    """Yield (p, k, start) for each prime p <= bound and each p^k with a multiple in [lo, hi].
+
+    ``start`` is the offset of the first multiple of p^k in the window, so
+    the multiples are ``start::p**k``.  Powers come in increasing k for
+    each p, and the primes in increasing order.  A p^k > hi, or one with
+    no multiple in the window, gives start >= size; then so does every
+    higher power.
+    """
+    size = hi - lo + 1
+    for p in primes_upto(bound).tolist():
+        pk, k = p, 1
+        while (start := (-lo) % pk) < size:
+            yield p, k, start
+            pk *= p
+            k += 1
+
+
 def sieve_range(lo: int, hi: int, capacity: int | None = None) -> ArithTable:
     """Sieve every integer in [lo, hi] into an :class:`ArithTable`.
 
@@ -131,61 +154,23 @@ def sieve_range(lo: int, hi: int, capacity: int | None = None) -> ArithTable:
     :class:`DomainError` for lo < 1 or out-of-range bounds and
     :class:`CapacityError` when the span exceeds the segment capacity.
     """
-    return _sieve_segment(*_check_window(lo, hi, capacity))
-
-
-def _sieve_segment(lo: int, hi: int) -> ArithTable:
+    lo, hi = _check_window(lo, hi, capacity)
     size = hi - lo + 1
-    values = np.arange(lo, hi + 1, dtype=np.int64)
-    rem = values.copy()
-    phi = values.copy()
-    mu = np.ones(size, dtype=np.int8)
+    root = math.isqrt(hi)
     spf = np.zeros(size, dtype=np.int64)
     lpf = np.zeros(size, dtype=np.int64)
-
-    for p in primes_upto(math.isqrt(hi)):
-        p = int(p)
-        start = (-lo) % p
-        if start >= size:
-            continue
-        sl = slice(start, size, p)
-
-        # One totient factor (1 - 1/p) per distinct prime; exact in integers
-        # because the running product still contains every power of p.
-        phi_view = phi[sl]
-        phi_view -= phi_view // p
-
-        mu[sl] *= -1
-        start_sq = (-lo) % (p * p)
-        if start_sq < size:
-            mu[start_sq :: p * p] = 0
-
-        spf_view = spf[sl]
-        spf_view[spf_view == 0] = p
-        lpf[sl] = p  # ascending p, so the last write is the largest
-
-        # Strip p from the remainder: once for every multiple, then once more
-        # per higher power level p^k.
-        rem_view = rem[sl]
-        rem_view //= p
-        pk = p * p
-        while pk <= hi:
-            start_k = (-lo) % pk
-            if start_k >= size:
-                break
-            rem[start_k::pk] //= p
-            pk *= p
-
-    big = rem > 1  # exactly one prime > sqrt(hi) left, exponent 1
-    phi[big] = phi[big] // rem[big] * (rem[big] - 1)
-    mu[big] = -mu[big]
-    lpf[big] = rem[big]
-    unset = (spf == 0) & big
+    for p, k, start in _strides(lo, hi, root):
+        if k == 1:
+            spf_view = spf[start::p]
+            spf_view[spf_view == 0] = p
+            lpf[start::p] = p  # ascending p, so the last write is the largest
+    # What is left of n is 1 or its one prime > sqrt(hi); that is its spf
+    # when no smaller prime divides n (1 for n = 1), and always its lpf.
+    rem = _strip_primes(lo, hi, root)
+    unset = spf == 0
     spf[unset] = rem[unset]
-    if lo == 1:
-        spf[0] = 1
-        lpf[0] = 1
-
+    lpf = np.maximum(lpf, rem)
+    phi, mu = _phi_segment(lo, hi, capacity), _mu_segment(lo, hi, capacity)
     for arr in (spf, lpf, phi, mu):
         arr.setflags(write=False)
     return ArithTable(lo=lo, hi=hi, spf=spf, lpf=lpf, phi=phi, mu=mu)
@@ -200,24 +185,13 @@ def _strip_primes(lo: int, hi: int, bound: int, phi: np.ndarray | None = None):
     dividing n; that is exact in integers because phi still holds every
     power of p.
     """
-    size = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int32 if hi < 2**31 else np.int64)
-    for p in primes_upto(bound).tolist():
-        start = (-lo) % p
-        if start >= size:
-            continue
-        if phi is not None:
+    for p, k, start in _strides(lo, hi, bound):
+        if k == 1 and phi is not None:
             phi_view = phi[start::p]
             phi_view -= phi_view // p
-        # Once for every multiple, then once more per power level p^k.
-        rem[start::p] //= p
-        pk = p * p
-        while pk <= hi:
-            start_k = (-lo) % pk
-            if start_k >= size:
-                break
-            rem[start_k::pk] //= p
-            pk *= p
+        # Once for every multiple of p, then once more per power level p^k.
+        rem[start :: p**k] //= p
     return rem
 
 
@@ -258,15 +232,12 @@ def _mu_segment(lo: int, hi: int, capacity: int | None = None) -> np.ndarray:
     size = hi - lo + 1
     mu = np.ones(size, dtype=np.int8)
     small = np.ones(size, dtype=np.int64)
-    for p in primes_upto(math.isqrt(hi)).tolist():
-        start = (-lo) % p
-        if start >= size:
-            continue
-        mu[start::p] *= -1
-        small[start::p] *= p
-        start_sq = (-lo) % (p * p)
-        if start_sq < size:
-            mu[start_sq :: p * p] = 0
+    for p, k, start in _strides(lo, hi, math.isqrt(hi)):
+        if k == 1:
+            mu[start::p] *= -1
+            small[start::p] *= p
+        elif k == 2:
+            mu[start :: p * p] = 0
     # Zero entries stay zero; a squarefree n with a prime > sqrt(hi) flips once more.
     mu[small < np.arange(lo, hi + 1)] *= -1
     return mu
@@ -302,37 +273,23 @@ def largest_prime_factor(n: int) -> int:
 def tau_omega_range(lo: int, hi: int, capacity: int | None = None):
     """Divisor counts tau(n) and distinct-prime counts omega(n) on [lo, hi].
 
-    Returns a pair of int64 arrays aligned with the range.  Uses the same
-    stride marking as :func:`sieve_range` but tracks exponents so that
-    tau(n) = prod (e_i + 1).
+    Returns a pair of int64 arrays aligned with the range.  The p^k stride
+    turns the factor k that the p^(k-1) stride left in tau(n) into k + 1,
+    so tau(n) ends as the product of (e + 1) over the exponents e of n.
     """
     lo, hi = _check_window(lo, hi, capacity)
     size = hi - lo + 1
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
     tau = np.ones(size, dtype=np.int64)
     omega = np.zeros(size, dtype=np.int64)
-
-    for p in primes_upto(math.isqrt(hi)):
-        p = int(p)
-        start = (-lo) % p
-        if start >= size:
-            continue
-        idx = np.arange(start, size, p)
-        exp = np.ones(idx.size, dtype=np.int64)
-        pk = p * p
-        while pk <= hi:
-            start_k = (-lo) % pk
-            if start_k >= size:
-                break
-            # Positions inside idx hit by the p^k stride.
-            first = (start_k - start) // p % (pk // p)
-            exp[first :: pk // p] += 1
-            pk *= p
-        tau[idx] *= exp + 1
-        omega[idx] += 1
-        rem[idx] //= p ** exp
-
-    big = rem > 1
+    root = math.isqrt(hi)
+    for p, k, start in _strides(lo, hi, root):
+        tau_view = tau[start :: p**k]
+        if k == 1:
+            omega[start::p] += 1
+        else:
+            tau_view //= k
+        tau_view *= k + 1
+    big = _strip_primes(lo, hi, root) > 1  # one prime > sqrt(hi) left, exponent 1
     tau[big] *= 2
     omega[big] += 1
     return tau, omega

@@ -132,6 +132,23 @@ def oracle_omega(n: int) -> int:
     return len(oracle_factorize(n))
 
 
+@pytest.fixture
+def smooth_mask_entries(monkeypatch):
+    """The window size of every smoothness-mask call made while the test runs."""
+    from smoothlab import census, shifted
+
+    entries = []
+    kernel = census._smooth_mask
+
+    def counted(lo, hi, y, capacity=None):
+        entries.append(hi - lo + 1)
+        return kernel(lo, hi, y, capacity)
+
+    for module in (census, shifted):
+        monkeypatch.setattr(module, "_smooth_mask", counted)
+    return entries
+
+
 @pytest.fixture(scope="session")
 def rho_table():
     from smoothlab import build_rho_table

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from smoothlab import census, shifted
 from smoothlab.cli import build_parser, run
 from smoothlab.experiments import read_ft_csv, read_scan_csv, write_scan_csv
 
@@ -131,6 +130,44 @@ def test_non_integer_thread_count_is_rejected(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["ftratio", "--x", "100", "--y", "30", "--d-list", "1.5"], None),
+        (["ftratio", "--x", "100", "--y", "30", "--d-list", "2,,abc"], None),
+        (["scan", "--config", "{tmp}/scan.cfg"], "x_grid = abc\ny = 30\na_list = 1\n"),
+        (["scan", "--config", "{tmp}/scan.cfg"], "x_grid = 100\ny = 30\na_list = 1.5\n"),
+        (["scan", "--config", "{tmp}/scan.cfg"], "x_grid = 100\ny = zz\na_list = 1\n"),
+        (["scan", "--config", "{tmp}/scan.cfg"], "x_grid = 1e4\na_list = 1\nC = q\n"),
+        (["scan", "--config", "{tmp}/missing.cfg"], None),
+        (["scan", "--config", "{tmp}/scan.cfg"], "x_grid = 10\xff\na_list = 1\n"),
+        (
+            ["scan", "--config", "{tmp}/scan.cfg", "--out", "{tmp}/no/dir.csv"],
+            "x_grid = 100\ny = 30\na_list = 1\n",
+        ),
+        (["discrepancy", "--x", "100", "--y", "30", "--delta", "5", "--out", "{tmp}/no/x.json"],
+         None),
+        (["ftratio", "--x", "100", "--y", "30", "--d-list", "2,3", "--out", "{tmp}/no/x.csv"],
+         None),
+        (["ftratio", "--x", "100", "--y", "30", "--d-list", "2,3", "--out", "{tmp}"], None),
+    ],
+    ids=[
+        "d-list-float", "d-list-word", "config-x_grid", "config-a_list", "config-y", "config-C",
+        "config-missing", "config-not-text", "scan-out-dir", "discrepancy-out-dir",
+        "ftratio-out-dir", "ftratio-out-is-dir",
+    ],
+)
+def test_malformed_numbers_and_file_errors_are_rejected(argv, config, tmp_path):
+    if config is not None:
+        (tmp_path / "scan.cfg").write_bytes(config.encode("latin-1"))
+    start = time.perf_counter()
+    code, out, err = invoke([arg.format(tmp=tmp_path) for arg in argv])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["tsum", "--x", "20000.5", "--y", "30", "--a", "7"],
@@ -139,19 +176,15 @@ def test_non_integer_thread_count_is_rejected(tmp_path, monkeypatch):
         ["vsum", "--x", "20000.5", "--y", "30", "--a", "-3"],
     ],
 )
-def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, monkeypatch):
-    entries = []
-    kernel = census._smooth_mask
-
-    def counted(lo, hi, y, capacity=None):
-        entries.append(hi - lo + 1)
-        return kernel(lo, hi, y, capacity)
-
-    for module in (census, shifted):
-        monkeypatch.setattr(module, "_smooth_mask", counted)
+def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, smooth_mask_entries):
     code, _out, err = invoke(argv)
     assert (code, err) == (0, "")
-    assert sum(entries) <= 20000
+    assert sum(smooth_mask_entries) <= 20000
+
+
+def test_blank_d_list_entries_are_skipped():
+    argv = ["ftratio", "--x", "100", "--y", "30", "--d-list"]
+    assert invoke(argv + [",2,, 3, "]) == invoke(argv + ["2,3"])
 
 
 def test_infinite_delta_puts_all_of_t_in_sigma1():

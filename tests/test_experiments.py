@@ -271,6 +271,15 @@ def test_parse_config_theorem_rule_and_errors():
         parse_config("a_list = 1")
     with pytest.raises(DomainError):
         parse_config("x_grid 10")
+    for text, where in [
+        ("x_grid = abc\na_list = 1", "'x_grid' on line 1"),
+        ("x_grid = 10, \na_list = 1", "'x_grid' on line 1"),
+        ("x_grid = 10\na_list = 1.5", "'a_list' on line 2"),
+        ("x_grid = 10\n\ny = zz\na_list = 1", "'y' on line 3"),
+        ("x_grid = 10\na_list = 1\nC = q", "'C' on line 3"),
+    ]:
+        with pytest.raises(DomainError, match=where):
+            parse_config(text)
 
 
 def test_format_sig12_goldens():

@@ -1,9 +1,11 @@
-"""Differential property tests for the lean sieve kernels.
+"""Differential property tests for the sieve kernels.
 
-The smoothness mask, the totient kernel and the Moebius kernel are checked
-against the full-table reference ``sieve_range`` and against the
-trial-division oracles in conftest, over random windows.  psi, T and V
-are checked not to depend on how the range is split into segments.
+Every kernel (the smoothness mask, the totient, Moebius and tau/omega
+kernels, and the spf/lpf columns of ``sieve_range``) is checked over random
+windows against the trial-division oracles in conftest, which share no code
+with the sieve.  ``sieve_range`` is built from the same stride core as the
+kernels, so the comparisons with it only check that the two agree.  psi, T
+and V are checked not to depend on how the range is split into segments.
 """
 
 import math
@@ -13,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import psi, sieve_range, t_exact, v_exact
-from smoothlab.sieve import _mu_segment, _phi_segment, _smooth_mask
+from smoothlab.sieve import _mu_segment, _phi_segment, _smooth_mask, tau_omega_range
 
-from conftest import oracle_is_smooth, oracle_lpf, oracle_mu, oracle_phi
+from conftest import (
+    oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi, oracle_spf, oracle_tau,
+)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
 
@@ -71,6 +75,24 @@ def test_mu_segment_matches_reference_and_oracle(window):
     assert mu.tolist() == [oracle_mu(n) for n in range(lo, hi + 1)]
 
 
+@SETTINGS
+@given(windows())
+def test_tau_omega_range_matches_oracle(window):
+    lo, hi = window
+    tau, omega = tau_omega_range(lo, hi)
+    assert tau.tolist() == [oracle_tau(n) for n in range(lo, hi + 1)]
+    assert omega.tolist() == [oracle_omega(n) for n in range(lo, hi + 1)]
+
+
+@SETTINGS
+@given(windows())
+def test_sieve_range_prime_factors_match_oracle(window):
+    lo, hi = window
+    table = sieve_range(lo, hi)
+    assert table.spf.tolist() == [oracle_spf(n) for n in range(lo, hi + 1)]
+    assert table.lpf.tolist() == [oracle_lpf(n) for n in range(lo, hi + 1)]
+
+
 @st.composite
 def sum_cases(draw):
     x = draw(st.integers(1, 5000))
@@ -96,3 +118,6 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
         for y in (7, 1000, 46340.5, math.inf):
             assert _smooth_mask(lo, hi, y).tolist() == [p <= y for p in lpf]
         assert _phi_segment(lo, hi).tolist() == [oracle_phi(n) for n in ns]
+        tau, omega = tau_omega_range(lo, hi)
+        assert tau.tolist() == [oracle_tau(n) for n in ns]
+        assert omega.tolist() == [oracle_omega(n) for n in ns]

@@ -77,14 +77,13 @@ def test_t_domain_errors():
         t_exact(10, 3, 0)
     with pytest.raises(DomainError):
         t_via_mobius(10, 3, 1, 0.5)
-    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel):
+    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel, aux_averages):
         for y in (math.nan, 0.5):
             with pytest.raises(DomainError):
                 fn(10, y, 1)
         for x in (math.nan, math.inf, 2.0**52 + 2):
             with pytest.raises(DomainError):
                 fn(x, 3, 1)
-    for fn in (t_exact, v_exact):
         with pytest.raises(DomainError):
             fn(0.5, 3, 1)
 
@@ -216,6 +215,13 @@ def test_aux_averages():
     assert got.tau_avg == pytest.approx(13 / 7, rel=1e-14)
     assert got.omega_avg == pytest.approx(5 / 7, rel=1e-14)
     assert aux_averages(5, 3, 7) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("fn", [t_exact, v_exact, v_via_abel, aux_averages])
+@pytest.mark.parametrize("a", [7, -3])
+def test_shifted_sums_test_each_n_for_smoothness_once(fn, a, smooth_mask_entries):
+    fn(20000.5, 30, a)
+    assert sum(smooth_mask_entries) <= 20000
 
 
 def test_aux_averages_matches_oracle():
