@@ -25,6 +25,9 @@ from .sieve import MAX_SIEVE_BOUND, _phi_segment
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
 FT_CSV_HEADER = "d,ratio,dev,lemma_scale"
 
+#: Columns of the scan and ratio CSVs that hold integers; the rest are floats.
+_INT_COLUMNS = ("a", "psi", "d")
+
 #: Geometric spacing of the z grid approximating max over z <= x.
 Z_GRID_RATIO = 2.0 ** 0.25
 Z_GRID_FLOOR = 16.0
@@ -131,9 +134,12 @@ def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[Sca
 
     Failed points become records with nan numerics and the error message
     attached.  Rows come back sorted by (a, x) and, when the config names an
-    output path, are also written as CSV.
+    output path, are also written as CSV; a path that cannot be opened for
+    writing fails before the first point is computed.
     """
     workers = thread_count()
+    if cfg.output_path:
+        open(cfg.output_path, "a").close()
     points = [(float(x), int(a)) for a in cfg.a_list for x in cfg.x_grid]
     if table is None:
         u_hi = 2.0
@@ -433,36 +439,42 @@ def scan_record_line(r: ScanRecord) -> str:
     return ",".join(cells)
 
 
-def read_scan_csv(path) -> list[ScanRecord]:
-    records = []
+def _read_csv(path, header: str, what: str) -> list[list]:
+    """The non-blank data rows of a CSV file with the given header, as numbers.
+
+    Each cell goes through ``parse_number``, as int in the integer columns
+    and float elsewhere.  A wrong header, a row with the wrong number of
+    cells or a malformed cell is a DomainError naming the file line (and the
+    column).
+    """
+    columns = header.split(",")
+    rows = []
     with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != SCAN_CSV_HEADER:
-            raise DomainError(f"unexpected scan CSV header: {header!r}")
-        for line in fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise DomainError(f"unexpected {what} CSV header: {found!r}")
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            if len(cells) != 12:
-                raise DomainError(f"malformed scan CSV row: {line!r}")
-            records.append(
-                ScanRecord(
-                    x=float(cells[0]),
-                    y=float(cells[1]),
-                    u=float(cells[2]),
-                    a=int(cells[3]),
-                    psi_exact=int(cells[4]),
-                    psi_rho_est=float(cells[5]),
-                    t_exact=float(cells[6]),
-                    v_exact=float(cells[7]),
-                    t_ratio=float(cells[8]),
-                    t_err=float(cells[9]),
-                    v_err=float(cells[10]),
-                    err_scale=float(cells[11]),
+            if len(cells) != len(columns):
+                raise DomainError(
+                    f"malformed {what} CSV line {lineno}: {len(cells)} cells, "
+                    f"expected {len(columns)}"
                 )
-            )
-    return records
+            rows.append([
+                parse_number(
+                    cell, int if col in _INT_COLUMNS else float,
+                    f"column {col!r} of {what} CSV line {lineno}",
+                )
+                for col, cell in zip(columns, cells)
+            ])
+    return rows
+
+
+def read_scan_csv(path) -> list[ScanRecord]:
+    return [ScanRecord(*row) for row in _read_csv(path, SCAN_CSV_HEADER, "scan")]
 
 
 def write_ft_csv(path, rows) -> None:
@@ -483,22 +495,7 @@ def write_ft_csv(path, rows) -> None:
 
 
 def read_ft_csv(path) -> list[FtRatioRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != FT_CSV_HEADER:
-            raise DomainError(f"unexpected ratio CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d, ratio, dev, scale = line.split(",")
-            rows.append(
-                FtRatioRow(
-                    d=int(d), ratio=float(ratio), dev=float(dev), lemma_scale=float(scale)
-                )
-            )
-    return rows
+    return [FtRatioRow(*row) for row in _read_csv(path, FT_CSV_HEADER, "ratio")]
 
 
 def write_json_report(path, config: dict, rows, goldens: dict) -> None:

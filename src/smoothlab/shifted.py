@@ -10,12 +10,19 @@ a truncated Moebius expansion of T (phi(k)/k = sum over d | k of mu(d)/d),
 a partial-summation identity for V built from cumulative T at integer cut
 points, and the quadrature integral I(x, y) = integral of t * rho(log t /
 log y) with its leading-term comparator x^2 rho(u) / 2.
+
+T and V come from one pass over the segments of (max(a,0), floor(x)]: a
+smoothness mask per segment, then phi(n - a) at the smooth n only.  Each
+segment picks its totient route: ``_phi_at`` on the values n - a when the
+smooth n are sparse (``SPARSE_PHI_FACTOR``), else the ``_phi_segment``
+window.  Both give the same integers, so the route never changes a result.
+Float terms are summed exactly and rounded once (``_exact_sum``), so T and
+the Moebius split do not depend on the segment size or the term order.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +32,8 @@ from .census import SmoothRange, _check_x, _check_y, psi
 from .dickman import RhoTable, rho
 from .errors import AccuracyError, DomainError
 from .sieve import (
-    _mu_segment, _phi_segment, _smooth_mask, primes_upto, segment_bounds, tau_omega_range,
+    _mu_segment, _phi_at, _phi_segment, _smooth_mask, primes_upto, segment_bounds,
+    tau_omega_range,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -33,6 +41,17 @@ ZETA2_INV = 6.0 / (math.pi * math.pi)
 
 #: Ceiling for the exact-rational summation mode.
 RATIONAL_MODE_LIMIT = 10**4
+
+#: A segment takes phi(n - a) from ``_phi_at`` at its smooth n when their
+#: count times pi(sqrt(e - a)) is below this multiple of the segment size,
+#: and from the ``_phi_segment`` window otherwise.  On 2^18-entry windows
+#: the two cost the same at about 15 to 30 times the size (5 % density at
+#: e - a near 4e6, 0.7 % near 2e9); the factor sits at the low end.
+SPARSE_PHI_FACTOR = 12
+
+#: Terms per bincount in ``_exact_sum``.  Mantissa halves are below 2^27 in
+#: size, so a slice's per-exponent sums stay exact integers in float64.
+_EXACT_SLICE = 1 << 20
 
 _E = math.e
 
@@ -44,15 +63,27 @@ def _check_shift(a) -> int:
     return a
 
 
-def _shifted_pass(x: float, y: float, a: int, capacity=None, kernel=_phi_segment):
+def _phi_gather(lo: int, hi: int, idx: np.ndarray, capacity=None) -> np.ndarray:
+    """phi(lo + idx), from ``_phi_at`` when the idx are sparse, else from the window."""
+    if idx.size * primes_upto(math.isqrt(hi)).size < SPARSE_PHI_FACTOR * (hi - lo + 1):
+        return _phi_at(idx + lo)
+    return _phi_segment(lo, hi, capacity)[idx]
+
+
+def _tau_omega_gather(lo: int, hi: int, idx: np.ndarray, capacity=None) -> np.ndarray:
+    """tau and omega of lo + idx, as the two rows of one array."""
+    return np.asarray(tau_omega_range(lo, hi, capacity))[:, idx]
+
+
+def _shifted_pass(x: float, y: float, a: int, capacity=None, gather=_phi_gather):
     """Check the arguments of a shifted sum, then return (a, head, segments).
 
     head = Psi(min(x, a), y) counts the smooth n <= x the pass skips (0 for
     a < 0), so head plus the smooth n of the pass is Psi(x, y).  segments
     yields (s, e, idx, at) for each segment [s, e] of (max(a,0), floor(x)]:
-    the y-smooth n there are s + idx, and ``at`` holds kernel(s - a, e - a)
-    at them (a kernel returns one array or a tuple of aligned arrays).  The
-    shifted window is sieved only when its segment has a smooth n.
+    the y-smooth n there are s + idx, and ``at`` holds gather(s - a, e - a,
+    idx) -- phi(n - a) by default -- at them.  The shifted values are
+    computed only when their segment has a smooth n.
     """
     a, y = _check_shift(a), _check_y(y)
     _check_x(x)
@@ -63,7 +94,7 @@ def _shifted_pass(x: float, y: float, a: int, capacity=None, kernel=_phi_segment
     def segments():
         for s, e in segment_bounds(max(a, 0) + 1, math.floor(x), capacity):
             idx = np.flatnonzero(_smooth_mask(s, e, y, capacity))
-            at = np.asarray(kernel(s - a, e - a, capacity))[..., idx] if idx.size else idx
+            at = gather(s - a, e - a, idx, capacity) if idx.size else idx
             yield s, e, idx, at
 
     return a, head, segments()
@@ -77,7 +108,7 @@ def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
 def _v_parts(x: float, y: float, a: int, capacity=None) -> tuple[int, int]:
     """(sum of phi(n - a) over smooth n in (max(a,0), floor(x)], Psi(x, y)).
 
-    V needs no T, so this pass leaves out T's fsum.
+    V needs no T, so this pass leaves out T's terms and their sum.
     """
     _a, psi_value, segments = _shifted_pass(x, y, a, capacity)
     numerator = 0
@@ -99,16 +130,44 @@ def _shifted_totals(x: float, y: float, a: int, capacity=None) -> tuple[int, flo
             numerator += int(phi_at.sum())
             yield _t_terms(a, s, idx, phi_at)
 
-    t = math.fsum(chain.from_iterable(terms()))
+    t = _exact_sum(terms())
     return psi_value, t, numerator / psi_value
+
+
+def _exact_sum(chunks) -> float:
+    """The correctly rounded sum of the finite float64 values of every array in chunks.
+
+    The same float as ``math.fsum`` over them, without boxing a term.  Each
+    term is mant * 2^(exp - 53) with an integer |mant| < 2^53 (np.frexp).
+    The mantissa splits into a high and a low half, each summed per
+    exponent by one bincount, exact while the sums stay below 2^53.  The
+    sums go into one Python integer in units of 2^-1126 (a mantissa unit at
+    the smallest exponent frexp gives), and one int/int true division
+    rounds it.
+    """
+    total = 0
+    for chunk in chunks:
+        for start in range(0, chunk.size, _EXACT_SLICE):
+            mant, exp = np.frexp(chunk[start : start + _EXACT_SLICE])
+            mant *= 2.0**53
+            high = np.floor(mant * 2.0**-27)
+            mant -= high * 2.0**27  # the low half, in [0, 2^27)
+            base = int(exp.min())
+            bins = exp - base
+            for part, shift in ((high, base + 1073 + 27), (mant, base + 1073)):
+                sums = np.bincount(bins, weights=part)
+                for k in np.flatnonzero(sums).tolist():
+                    total += int(sums[k]) << (k + shift)
+    return total / (1 << 1126)
 
 
 def t_exact(x: float, y: float, a: int, capacity=None) -> float:
     """T(x, y): sum of phi(n - a)/(n - a) over smooth n in (max(a,0), floor(x)].
 
-    Terms stream segment by segment into exact compensated summation
-    (math.fsum), so the result is within 1e-12 relative of the exact
-    rational value and memory does not grow with x.
+    Terms stream segment by segment into an exact sum that is rounded once
+    (``_exact_sum``, the float math.fsum gives), so the result is within
+    1e-12 relative of the exact rational value and memory does not grow
+    with x.
     """
     return _shifted_totals(x, y, a, capacity)[1]
 
@@ -183,7 +242,8 @@ def t_via_mobius(x: float, y: float, a: int, delta: float, capacity=None) -> Mob
     Moduli run to floor(x) for positive shifts (counts vanish above x - a
     anyway) and to floor(x) - a for negative shifts, where divisors of n - a
     genuinely exceed x.  All counts come from one :func:`_multiple_counts`
-    pass; each term is one correctly rounded division, summed by fsum.
+    pass; each term is one correctly rounded division, and each of sigma1
+    and sigma2 is their correctly rounded sum (``_exact_sum``).
     """
     a, y = _check_shift(a), _check_y(y)
     _check_x(x)
@@ -203,7 +263,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float, capacity=None) -> Mob
     d = np.flatnonzero(weighted) + 1
     terms = weighted[d - 1] / d
     head = d <= delta
-    return MobiusSplit(math.fsum(terms[head]), math.fsum(terms[~head]), delta)
+    return MobiusSplit(_exact_sum([terms[head]]), _exact_sum([terms[~head]]), delta)
 
 
 def v_exact(x: float, y: float, a: int, capacity=None) -> float:
@@ -280,7 +340,7 @@ class AuxAverages(NamedTuple):
 
 def aux_averages(x: float, y: float, a: int, capacity=None) -> AuxAverages:
     """Psi-normalized averages of tau(n - a) and omega(n - a) over smooth n."""
-    _a, psi_value, segments = _shifted_pass(x, y, a, capacity, tau_omega_range)
+    _a, psi_value, segments = _shifted_pass(x, y, a, capacity, _tau_omega_gather)
     tau_sum = omega_sum = 0
     for _s, _e, idx, at in segments:
         psi_value += idx.size

@@ -21,6 +21,15 @@ kernel is one loop over it, sized to its question:
 - ``tau_omega_range`` turns the factor k of tau(n) into k + 1 on the p^k
   stride and counts omega(n) on the p stride.
 
+``_phi_at`` is the one kernel that takes no window: it gives phi at an
+arbitrary array of values, testing each against the primes up to
+sqrt(max) and dropping it once p^2 exceeds what is left of it.  It beats
+``_phi_segment`` when the values are a sparse subset of a window.
+
+Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment
+unless a capacity is given; ``DEFAULT_SEGMENT_CAPACITY`` (2^22) is the
+largest window one kernel call accepts by default.
+
 :func:`sieve_range` builds the full table (smallest and largest prime
 factor, phi(n) and mu(n)) from the same kernels, so it is no independent
 check of them: the tests compare every kernel with the trial-division
@@ -41,6 +50,14 @@ from .errors import CapacityError, DomainError
 
 #: Largest number of entries a single segment may hold.
 DEFAULT_SEGMENT_CAPACITY = 1 << 22
+
+#: Entries per segment of a stream split with ``capacity=None``.  A 2^18
+#: window keeps an int32 remainder (1 MiB) and the int64 totient (2 MiB)
+#: near the L2 cache; larger windows were slower on the 2-core reference box.
+STREAM_SEGMENT = 1 << 18
+
+#: Entries of the residue matrix that ``_phi_at`` tests per block of primes.
+_PHI_AT_BLOCK = 1 << 16
 
 #: Values above this are rejected; counts and totients stay comfortably in int64.
 MAX_SIEVE_BOUND = 1 << 52
@@ -100,8 +117,11 @@ def primes_upto(n: int) -> np.ndarray:
 
 
 def segment_bounds(lo: int, hi: int, capacity: int | None = None):
-    """Split [lo, hi] into inclusive chunks of at most ``capacity`` entries."""
-    cap = DEFAULT_SEGMENT_CAPACITY if capacity is None else int(capacity)
+    """Split [lo, hi] into inclusive chunks of at most ``capacity`` entries.
+
+    ``capacity=None`` streams in chunks of ``STREAM_SEGMENT`` entries.
+    """
+    cap = STREAM_SEGMENT if capacity is None else int(capacity)
     if cap < 1:
         raise DomainError("segment capacity must be >= 1")
     s = int(lo)
@@ -223,6 +243,51 @@ def _phi_segment(lo: int, hi: int, capacity: int | None = None) -> np.ndarray:
     last -= 1
     fixed *= last
     phi[big] = fixed
+    return phi
+
+
+def _phi_at(values: np.ndarray) -> np.ndarray:
+    """Euler totient at each entry of an integer array of values in [1, 2^52], as int64.
+
+    The values may come in any order.  They are tested against blocks of the
+    primes p <= sqrt(max), each block sized so that the residue matrix holds
+    about ``_PHI_AT_BLOCK`` entries.  A hit takes the factor (1 - 1/p) and
+    divides the full power of p out of the value's remainder.  After a block,
+    a value whose remainder is below the square of the next prime is dropped:
+    that remainder is 1 or one prime, fixed up at the end as in
+    ``_phi_segment``.  The cost is about len(values) * pi(sqrt(max)) residue
+    tests, against about the window size times log log for ``_phi_segment``.
+    """
+    phi = np.array(values, dtype=np.int64)
+    if not phi.size:
+        return phi
+    top = int(phi.max())
+    if phi.min() < 1:
+        raise DomainError(f"totient needs values >= 1, got {int(phi.min())}")
+    if top > MAX_SIEVE_BOUND:
+        raise DomainError(f"hi={top} exceeds supported bound 2^52")
+    primes = primes_upto(math.isqrt(top))
+    rem = phi.astype(np.int32 if top < 2**31 else np.int64)
+    live = np.arange(phi.size)
+    j = 0
+    while j < primes.size and live.size:
+        block = primes[j : j + max(1, _PHI_AT_BLOCK // live.size)].astype(rem.dtype)
+        j += block.size
+        rows, cols = np.nonzero(rem[live][:, None] % block == 0)
+        at, p = live[rows], block[cols]
+        # ufunc.at applies repeated indices one by one, and a value may have
+        # several primes in one block.
+        np.floor_divide.at(phi, at, p)
+        np.multiply.at(phi, at, p - 1)
+        while at.size:
+            np.floor_divide.at(rem, at, p)
+            again = rem[at] % p == 0
+            at, p = at[again], p[again]
+        if j < primes.size:
+            live = live[rem[live] >= primes[j] ** 2]
+    big = np.flatnonzero(rem > 1)  # one prime > sqrt(max) left, exponent 1
+    last = rem[big].astype(np.int64)
+    phi[big] = phi[big] // last * (last - 1)
     return phi
 
 

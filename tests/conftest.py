@@ -149,6 +149,23 @@ def smooth_mask_entries(monkeypatch):
     return entries
 
 
+@pytest.fixture
+def phi_window_entries(monkeypatch):
+    """The window size of every totient-window sieve made while the test runs."""
+    from smoothlab import sieve
+
+    entries = []
+    strip = sieve._strip_primes
+
+    def counted(lo, hi, bound, phi=None):
+        if phi is not None:
+            entries.append(hi - lo + 1)
+        return strip(lo, hi, bound, phi)
+
+    monkeypatch.setattr(sieve, "_strip_primes", counted)
+    return entries
+
+
 @pytest.fixture(scope="session")
 def rho_table():
     from smoothlab import build_rho_table

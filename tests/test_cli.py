@@ -144,6 +144,10 @@ def test_non_integer_thread_count_is_rejected(tmp_path, monkeypatch):
             ["scan", "--config", "{tmp}/scan.cfg", "--out", "{tmp}/no/dir.csv"],
             "x_grid = 100\ny = 30\na_list = 1\n",
         ),
+        (
+            ["scan", "--config", "{tmp}/scan.cfg", "--out", "{tmp}/no/dir.csv"],
+            "x_grid = 2e6, 4e6\ny = 1e5\na_list = 1, -1, 2, 6\n",
+        ),
         (["discrepancy", "--x", "100", "--y", "30", "--delta", "5", "--out", "{tmp}/no/x.json"],
          None),
         (["ftratio", "--x", "100", "--y", "30", "--d-list", "2,3", "--out", "{tmp}/no/x.csv"],
@@ -152,7 +156,8 @@ def test_non_integer_thread_count_is_rejected(tmp_path, monkeypatch):
     ],
     ids=[
         "d-list-float", "d-list-word", "config-x_grid", "config-a_list", "config-y", "config-C",
-        "config-missing", "config-not-text", "scan-out-dir", "discrepancy-out-dir",
+        "config-missing", "config-not-text", "scan-out-dir", "scan-out-dir-costly",
+        "discrepancy-out-dir",
         "ftratio-out-dir", "ftratio-out-is-dir",
     ],
 )
@@ -180,6 +185,20 @@ def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, smooth_mask_entries
     code, _out, err = invoke(argv)
     assert (code, err) == (0, "")
     assert sum(smooth_mask_entries) <= 20000
+
+
+@pytest.mark.parametrize(
+    "argv, windows",
+    [
+        (["tsum", "--x", "2e5", "--y", "30", "--a", "1"], False),
+        (["tsum", "--x", "2e5", "--y", "1e5", "--a", "1"], True),
+    ],
+    ids=["sparse", "dense"],
+)
+def test_sparse_smooth_n_take_phi_without_a_window(argv, windows, phi_window_entries):
+    code, _out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert bool(phi_window_entries) == windows
 
 
 def test_blank_d_list_entries_are_skipped():

@@ -185,6 +185,35 @@ def test_ft_csv_round_trip(tmp_path):
     assert (tmp_path / "ft2.csv").read_text() == path.read_text()
 
 
+SCAN_ROW = "100,3,4.19180654858,1,10,11.6,5.5,20.2,0.55,0.05,0.1,0.3"
+
+
+@pytest.mark.parametrize(
+    "reader, header, rows, match",
+    [
+        (read_scan_csv, SCAN_CSV_HEADER, [SCAN_ROW, SCAN_ROW.replace(",1,", ",abc,", 1)],
+         "malformed number 'abc' in column 'a' of scan CSV line 3"),
+        (read_scan_csv, SCAN_CSV_HEADER, [SCAN_ROW.replace(",0.3", ",0.3x")],
+         "'0.3x' in column 'err_scale' of scan CSV line 2"),
+        (read_scan_csv, SCAN_CSV_HEADER, ["", SCAN_ROW.rsplit(",", 1)[0]],
+         "scan CSV line 3: 11 cells, expected 12"),
+        (read_ft_csv, FT_CSV_HEADER, ["2,0.5,0.5,1.2", "3,zz,0.1,1.3"],
+         "malformed number 'zz' in column 'ratio' of ratio CSV line 3"),
+        (read_ft_csv, FT_CSV_HEADER, ["2.5,0.5,0.5,1.2"],
+         "'2.5' in column 'd' of ratio CSV line 2"),
+        (read_ft_csv, FT_CSV_HEADER, ["2,0.5,0.5"], "ratio CSV line 2: 3 cells, expected 4"),
+        (read_ft_csv, FT_CSV_HEADER, ["2,0.5,0.5,1.2,7"], "ratio CSV line 2: 5 cells, expected 4"),
+    ],
+    ids=["scan-bad-int", "scan-bad-float", "scan-short-row", "ft-bad-float", "ft-bad-int",
+         "ft-short-row", "ft-long-row"],
+)
+def test_csv_readers_reject_malformed_rows(reader, header, rows, match, tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(DomainError, match=match):
+        reader(path)
+
+
 def test_range_check_flags():
     flags = range_check(100, 100, C=2.0)
     assert flags.in_theorem_range is True

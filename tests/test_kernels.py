@@ -4,8 +4,11 @@ Every kernel (the smoothness mask, the totient, Moebius and tau/omega
 kernels, and the spf/lpf columns of ``sieve_range``) is checked over random
 windows against the trial-division oracles in conftest, which share no code
 with the sieve.  ``sieve_range`` is built from the same stride core as the
-kernels, so the comparisons with it only check that the two agree.  psi, T
-and V are checked not to depend on how the range is split into segments.
+kernels, so the comparisons with it only check that the two agree.  The
+sparse totient ``_phi_at`` is checked against the oracle and the window
+totient.  psi, T and V are checked not to depend on how the range is split
+into segments, with small y, where a segment takes phi(n - a) from
+``_phi_at``, next to large y, where it takes the window.
 """
 
 import math
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import psi, sieve_range, t_exact, v_exact
-from smoothlab.sieve import _mu_segment, _phi_segment, _smooth_mask, tau_omega_range
+from smoothlab.sieve import _mu_segment, _phi_at, _phi_segment, _smooth_mask, tau_omega_range
 
 from conftest import (
     oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi, oracle_spf, oracle_tau,
@@ -94,11 +97,40 @@ def test_sieve_range_prime_factors_match_oracle(window):
 
 
 @st.composite
+def value_sets(draw):
+    """Values of one window, in any order and with repeats, some around 2^31."""
+    lo = draw(st.one_of(st.integers(1, 10**6), st.integers(2**31 - 300, 2**31 + 100)))
+    hi = lo + draw(st.integers(0, 200))
+    return lo, hi, draw(st.lists(st.integers(lo, hi), min_size=1, max_size=10))
+
+
+@SETTINGS
+@given(value_sets())
+def test_phi_at_matches_window_and_oracle(case):
+    lo, hi, values = case
+    phi = _phi_at(np.array(values))
+    assert phi.dtype == np.int64
+    assert np.array_equal(phi, _phi_segment(lo, hi)[np.array(values) - lo])
+    assert phi.tolist() == [oracle_phi(n) for n in values]
+
+
+def test_phi_at_at_the_top_of_the_range():
+    # Trial division is too slow here, so the window totient is the reference.
+    lo, hi = 2**52 - 60, 2**52
+    window = _phi_segment(lo, hi)
+    for picks in (np.arange(61), np.arange(60, -1, -7), np.array([60, 0, 60])):
+        assert np.array_equal(_phi_at(picks + lo), window[picks])
+    assert _phi_at(np.empty(0, dtype=np.int64)).size == 0
+
+
+@st.composite
 def sum_cases(draw):
     x = draw(st.integers(1, 5000))
     capacity = draw(st.integers(max(1, x // 64), x + 10))
     a = draw(st.integers(-20, 20).filter(lambda v: v != 0))
-    return x, draw(FIXED_Y), a, capacity
+    # Small y leaves the smooth n sparse enough for the sparse totient.
+    y = draw(st.one_of(st.sampled_from([2, 3, 7]), FIXED_Y))
+    return x, y, a, capacity
 
 
 @SETTINGS
@@ -106,8 +138,8 @@ def sum_cases(draw):
 def test_psi_t_v_do_not_depend_on_capacity(case):
     x, y, a, capacity = case
     assert psi(x, y, capacity) == psi(x, y)
-    assert t_exact(x, y, a, capacity) == t_exact(x, y, a)
-    assert v_exact(x, y, a, capacity) == v_exact(x, y, a)
+    assert t_exact(x, y, a, capacity).hex() == t_exact(x, y, a).hex()
+    assert v_exact(x, y, a, capacity).hex() == v_exact(x, y, a).hex()
 
 
 def test_kernels_on_both_sides_of_the_int32_remainder():

@@ -2,7 +2,10 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab import (
     DomainError,
@@ -17,6 +20,8 @@ from smoothlab import (
     v_exact,
     v_via_abel,
 )
+
+from smoothlab.shifted import _exact_sum
 
 from conftest import oracle_mobius_split, oracle_t, oracle_v
 
@@ -235,3 +240,46 @@ def test_aux_averages_matches_oracle():
         got = aux_averages(x, y, a)
         assert got.tau_avg == pytest.approx(tau_avg, rel=1e-12)
         assert got.omega_avg == pytest.approx(omega_avg, rel=1e-12)
+
+
+def _fsum_hex(chunks):
+    return math.fsum(v for chunk in chunks for v in chunk.tolist()).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)
+        | st.sampled_from([1.0, -1.0, 2.0**-53, 5e-324, 0.1, -0.0]),
+        max_size=300,
+    ),
+    st.lists(st.integers(0, 300), max_size=3),
+)
+def test_exact_sum_matches_fsum_on_random_arrays(values, cuts):
+    chunks = np.split(np.array(values, dtype=np.float64), sorted(c % (len(values) + 1) for c in cuts))
+    assert _exact_sum(chunks).hex() == _fsum_hex(chunks)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [1.0, 2.0**-53],  # a half-ulp tie rounds to even: down
+        [1.0 + 2.0**-52, 2.0**-53],  # ... and up
+        [1.0, 2.0**-53, 2.0**-160],  # just past the tie
+        [1.0, -(2.0**-54), -(2.0**-107)],
+        [1.0] * 5000,
+        [0.1] * (1 << 22),  # more equal terms than one bincount slice
+        [1e300, 1.0, -1e300, 5e-324, -2.5e-310, 3.0, 2.0**-1074 * 3],
+        [2.0**k * (-1) ** k for k in range(-1074, 1000, 7)],
+        [-0.0, 0.0, -0.0],
+    ],
+    ids=[
+        "empty", "tie-even-down", "tie-even-up", "past-tie", "below-one", "ones",
+        "2^22-equal", "cancel", "mixed-exponents", "zeros",
+    ],
+)
+def test_exact_sum_matches_fsum_on_adversarial_arrays(values):
+    chunks = [np.array(values, dtype=np.float64)]
+    assert _exact_sum(chunks).hex() == _fsum_hex(chunks)
+    assert _exact_sum(chunks[:0]) == 0.0
