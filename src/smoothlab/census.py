@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import MAX_SIEVE_BOUND, _smooth_mask, primes_upto, segment_bounds
+from .sieve import MAX_SIEVE_BOUND, _check_int, _smooth_mask, primes_upto, segment_bounds
 
 #: Upper limit for the recursive test oracle.
 ENUM_ORACLE_LIMIT = 10**7
@@ -43,8 +43,8 @@ class SmoothRange:
     scans, coprime ratios).  Read-only and safe to share between threads.
     """
 
-    def __init__(self, first: int, last: int, y: float, capacity: int | None = None):
-        first, last = int(first), int(last)
+    def __init__(self, first: int, last: int, y: float):
+        first, last = _check_int(first, "first"), _check_int(last, "last")
         if first < 1:
             raise DomainError(f"range must start at 1 or above, got {first}")
         if last < first:
@@ -53,7 +53,7 @@ class SmoothRange:
             raise CapacityError(
                 f"range [{first}, {last}] too large to materialize"
             )
-        parts = list(_segment_values(first - 1, last, _check_y(y), capacity))
+        parts = list(_segment_values(first - 1, last, _check_y(y)))
         values = parts[0] if len(parts) == 1 else np.concatenate(parts)
         values.setflags(write=False)
         self.values = values
@@ -90,24 +90,24 @@ def _count_coprime(values: np.ndarray, primes: list[int]) -> int:
     return int(np.count_nonzero(keep))
 
 
-def enumerate_smooth(lo: int, hi: int, y: float, capacity: int | None = None):
+def enumerate_smooth(lo: int, hi: int, y: float):
     """Yield the y-smooth integers in (lo, hi] in increasing order."""
     y = _check_y(y)
-    lo, hi = int(lo), int(hi)
+    lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
     if lo < 0:
         raise DomainError(f"lower bound must be >= 0, got {lo}")
     _check_x(hi)
-    for values in _segment_values(lo, hi, y, capacity):
+    for values in _segment_values(lo, hi, y):
         yield from values.tolist()
 
 
-def _segment_values(lo: int, hi: int, y: float, capacity: int | None):
+def _segment_values(lo: int, hi: int, y: float):
     """The y-smooth n in (lo, hi], lo >= 0, as one increasing array per segment."""
-    for s, e in segment_bounds(lo + 1, hi, capacity):
-        yield np.flatnonzero(_smooth_mask(s, e, y, capacity)) + s
+    for s, e in segment_bounds(lo + 1, hi):
+        yield np.flatnonzero(_smooth_mask(s, e, y)) + s
 
 
-def psi(x: float, y: float, capacity: int | None = None) -> int:
+def psi(x: float, y: float) -> int:
     """Exact count of y-smooth integers n with 1 <= n <= x."""
     y = _check_y(y)
     _check_x(x)
@@ -115,8 +115,8 @@ def psi(x: float, y: float, capacity: int | None = None) -> int:
         raise DomainError(f"psi needs x >= 1, got {x}")
     top = math.floor(x)
     total = 0
-    for s, e in segment_bounds(1, top, capacity):
-        total += int(np.count_nonzero(_smooth_mask(s, e, y, capacity)))
+    for s, e in segment_bounds(1, top):
+        total += int(np.count_nonzero(_smooth_mask(s, e, y)))
     return total
 
 
@@ -127,7 +127,7 @@ def psi_enum_oracle(x: float, y: float) -> int:
     scale (x <= 10^7).
     """
     y = _check_y(y)
-    if x < 1:
+    if not x >= 1:  # also rejects nan
         raise DomainError(f"oracle needs x >= 1, got {x}")
     if x > ENUM_ORACLE_LIMIT:
         raise CapacityError(f"oracle limited to x <= {ENUM_ORACLE_LIMIT}")
@@ -155,15 +155,10 @@ def psi_enum_oracle(x: float, y: float) -> int:
     return count(top, 0)
 
 
-def psi_coprime(
-    x: float,
-    y: float,
-    d: int,
-    capacity: int | None = None,
-) -> int:
+def psi_coprime(x: float, y: float, d: int) -> int:
     """Exact count of y-smooth n <= x with gcd(n, d) = 1."""
     y = _check_y(y)
-    d = int(d)
+    d = _check_int(d, "modulus")
     if d < 1:
         raise DomainError(f"modulus must be >= 1, got {d}")
     _check_x(x)
@@ -171,25 +166,17 @@ def psi_coprime(
         raise DomainError(f"psi_coprime needs x >= 1, got {x}")
     top = math.floor(x)
     primes = _prime_divisors(d, min(y, top))
-    return sum(_count_coprime(v, primes) for v in _segment_values(0, top, y, capacity))
+    return sum(_count_coprime(v, primes) for v in _segment_values(0, top, y))
 
 
-def psi_progression(
-    lo: int,
-    hi: int,
-    y: float,
-    a: int,
-    d: int,
-    capacity: int | None = None,
-) -> int:
+def psi_progression(lo: int, hi: int, y: float, a: int, d: int) -> int:
     """Exact count of y-smooth n in (lo, hi] with n congruent to a mod d."""
     y = _check_y(y)
-    d = int(d)
-    a = int(a)
+    d, a = _check_int(d, "modulus"), _check_int(a, "residue")
     if d < 1:
         raise DomainError(f"modulus must be >= 1, got {d}")
-    lo, hi = int(lo), int(hi)
+    lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
     if lo < 0:
         raise DomainError(f"lower bound must be >= 0, got {lo}")
     _check_x(hi)
-    return sum(_count_residue(v, a, d) for v in _segment_values(lo, hi, y, capacity))
+    return sum(_count_residue(v, a, d) for v in _segment_values(lo, hi, y))

@@ -20,7 +20,7 @@ from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
-from .sieve import MAX_SIEVE_BOUND, _phi_segment
+from .sieve import MAX_SIEVE_BOUND, _check_int, _phi_at
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
 FT_CSV_HEADER = "d,ratio,dev,lemma_scale"
@@ -71,9 +71,9 @@ class ScanConfig:
             raise DomainError("x_grid must be strictly increasing")
         if not self.a_list:
             raise DomainError("a_list must be non-empty")
-        if any(a == 0 for a in self.a_list):
+        if any(_check_int(a, "shift") == 0 for a in self.a_list):
             raise DomainError("shifts in a_list must be nonzero")
-        if self.C <= 0:
+        if not self.C > 0:
             raise DomainError(f"C must be positive, got {self.C}")
         if self.y_rule == "fixed" and self.y is None:
             raise DomainError("fixed y_rule needs a y value")
@@ -301,7 +301,7 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     x, y = float(x), float(y)
     if not 1 <= x < math.inf:
         raise DomainError(f"needs a finite x >= 1, got {x}")
-    ds = sorted(int(d) for d in d_list)
+    ds = sorted(_check_int(d, "modulus") for d in d_list)
     if not ds:
         return []
     if not 1 <= ds[0] <= ds[-1] <= MAX_SIEVE_BOUND:
@@ -310,9 +310,9 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     values = SmoothRange(1, top, y).values
     psi_value = values.size
     rows = []
-    for d in ds:
+    for d, phi_d in zip(ds, _phi_at(np.array(ds)).tolist()):
         coprime = _count_coprime(values, _prime_divisors(d, min(y, top)))
-        ratio = coprime * d / (int(_phi_segment(d, d)[0]) * psi_value)
+        ratio = coprime * d / (phi_d * psi_value)
         if d * y > _E and x > _E and y > 1:
             scale = math.log(math.log(d * y)) * math.log(math.log(x)) / math.log(y)
         else:
@@ -356,8 +356,10 @@ def range_check(x: float, y: float, C: float = 2.0, epsilon: float = 0.5) -> Ran
     x, y = float(x), float(y)
     if not x >= y >= 2:
         raise DomainError(f"needs x >= y >= 2, got x={x}, y={y}")
-    if C <= 0:
+    if not C > 0:
         raise DomainError(f"C must be positive, got {C}")
+    if not math.isfinite(epsilon):
+        raise DomainError(f"epsilon must be finite, got {epsilon}")
     u = math.log(x) / math.log(y)
     if x > _E_E:
         thr = math.exp(C * math.sqrt(math.log(x) * math.log(math.log(math.log(x)))))

@@ -32,8 +32,8 @@ from .census import SmoothRange, _check_x, _check_y, psi
 from .dickman import RhoTable, rho
 from .errors import AccuracyError, DomainError
 from .sieve import (
-    _mu_segment, _phi_at, _phi_segment, _smooth_mask, primes_upto, segment_bounds,
-    tau_omega_range,
+    _check_int, _mu_segment, _phi_at, _phi_segment, _smooth_mask, primes_upto,
+    segment_bounds, tau_omega_range,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -57,25 +57,25 @@ _E = math.e
 
 
 def _check_shift(a) -> int:
-    a = int(a)
+    a = _check_int(a, "shift a")
     if a == 0:
         raise DomainError("shift a must be nonzero")
     return a
 
 
-def _phi_gather(lo: int, hi: int, idx: np.ndarray, capacity=None) -> np.ndarray:
+def _phi_gather(lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
     """phi(lo + idx), from ``_phi_at`` when the idx are sparse, else from the window."""
     if idx.size * primes_upto(math.isqrt(hi)).size < SPARSE_PHI_FACTOR * (hi - lo + 1):
         return _phi_at(idx + lo)
-    return _phi_segment(lo, hi, capacity)[idx]
+    return _phi_segment(lo, hi)[idx]
 
 
-def _tau_omega_gather(lo: int, hi: int, idx: np.ndarray, capacity=None) -> np.ndarray:
+def _tau_omega_gather(lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
     """tau and omega of lo + idx, as the two rows of one array."""
-    return np.asarray(tau_omega_range(lo, hi, capacity))[:, idx]
+    return np.asarray(tau_omega_range(lo, hi))[:, idx]
 
 
-def _shifted_pass(x: float, y: float, a: int, capacity=None, gather=_phi_gather):
+def _shifted_pass(x: float, y: float, a: int, gather=_phi_gather):
     """Check the arguments of a shifted sum, then return (a, head, segments).
 
     head = Psi(min(x, a), y) counts the smooth n <= x the pass skips (0 for
@@ -89,12 +89,12 @@ def _shifted_pass(x: float, y: float, a: int, capacity=None, gather=_phi_gather)
     _check_x(x)
     if x < 1:
         raise DomainError(f"psi needs x >= 1, got {x}")
-    head = psi(min(x, a), y, capacity) if a > 0 else 0
+    head = psi(min(x, a), y) if a > 0 else 0
 
     def segments():
-        for s, e in segment_bounds(max(a, 0) + 1, math.floor(x), capacity):
-            idx = np.flatnonzero(_smooth_mask(s, e, y, capacity))
-            at = gather(s - a, e - a, idx, capacity) if idx.size else idx
+        for s, e in segment_bounds(max(a, 0) + 1, math.floor(x)):
+            idx = np.flatnonzero(_smooth_mask(s, e, y))
+            at = gather(s - a, e - a, idx) if idx.size else idx
             yield s, e, idx, at
 
     return a, head, segments()
@@ -105,12 +105,12 @@ def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
     return phi_at / (idx + (s - a)).astype(np.float64)
 
 
-def _v_parts(x: float, y: float, a: int, capacity=None) -> tuple[int, int]:
+def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
     """(sum of phi(n - a) over smooth n in (max(a,0), floor(x)], Psi(x, y)).
 
     V needs no T, so this pass leaves out T's terms and their sum.
     """
-    _a, psi_value, segments = _shifted_pass(x, y, a, capacity)
+    _a, psi_value, segments = _shifted_pass(x, y, a)
     numerator = 0
     for _s, _e, idx, phi_at in segments:
         psi_value += idx.size
@@ -118,9 +118,9 @@ def _v_parts(x: float, y: float, a: int, capacity=None) -> tuple[int, int]:
     return numerator, psi_value
 
 
-def _shifted_totals(x: float, y: float, a: int, capacity=None) -> tuple[int, float, float]:
+def _shifted_totals(x: float, y: float, a: int) -> tuple[int, float, float]:
     """(Psi(x, y), T(x, y), V(x, y)) from a single pass over the segments."""
-    a, psi_value, segments = _shifted_pass(x, y, a, capacity)
+    a, psi_value, segments = _shifted_pass(x, y, a)
     numerator = 0
 
     def terms():
@@ -161,7 +161,7 @@ def _exact_sum(chunks) -> float:
     return total / (1 << 1126)
 
 
-def t_exact(x: float, y: float, a: int, capacity=None) -> float:
+def t_exact(x: float, y: float, a: int) -> float:
     """T(x, y): sum of phi(n - a)/(n - a) over smooth n in (max(a,0), floor(x)].
 
     Terms stream segment by segment into an exact sum that is rounded once
@@ -169,7 +169,7 @@ def t_exact(x: float, y: float, a: int, capacity=None) -> float:
     1e-12 relative of the exact rational value and memory does not grow
     with x.
     """
-    return _shifted_totals(x, y, a, capacity)[1]
+    return _shifted_totals(x, y, a)[1]
 
 
 def _tree_sum(fractions: list[Fraction]) -> Fraction:
@@ -236,7 +236,7 @@ def _multiple_counts(k: np.ndarray, n: int) -> np.ndarray:
     return g
 
 
-def t_via_mobius(x: float, y: float, a: int, delta: float, capacity=None) -> MobiusSplit:
+def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     """Evaluate T through progression counts: sum over d of mu(d)/d * #{n = a mod d}.
 
     Moduli run to floor(x) for positive shifts (counts vanish above x - a
@@ -255,10 +255,8 @@ def t_via_mobius(x: float, y: float, a: int, delta: float, capacity=None) -> Mob
     if top <= lo:
         return MobiusSplit(0.0, 0.0, delta)
     d_max = top - min(a, 0)
-    k = SmoothRange(lo + 1, top, y, capacity).values - a
-    mu = np.concatenate(
-        [_mu_segment(s, e, capacity) for s, e in segment_bounds(1, d_max, capacity)]
-    )
+    k = SmoothRange(lo + 1, top, y).values - a
+    mu = np.concatenate([_mu_segment(s, e) for s, e in segment_bounds(1, d_max)])
     weighted = mu * _multiple_counts(k, d_max)[1:]
     d = np.flatnonzero(weighted) + 1
     terms = weighted[d - 1] / d
@@ -266,24 +264,24 @@ def t_via_mobius(x: float, y: float, a: int, delta: float, capacity=None) -> Mob
     return MobiusSplit(_exact_sum([terms[head]]), _exact_sum([terms[~head]]), delta)
 
 
-def v_exact(x: float, y: float, a: int, capacity=None) -> float:
+def v_exact(x: float, y: float, a: int) -> float:
     """V(x, y): the Psi-normalized average of phi(n - a) over smooth n.
 
     The numerator is an exact integer sum; only the final division rounds.
     Psi comes from the same pass, plus psi(a, y) for a > 0.
     """
-    numerator, psi_value = _v_parts(x, y, a, capacity)
+    numerator, psi_value = _v_parts(x, y, a)
     return numerator / psi_value
 
 
-def v_via_abel(x: float, y: float, a: int, capacity=None) -> float:
+def v_via_abel(x: float, y: float, a: int) -> float:
     """V(x, y) through partial summation.
 
     Uses V * Psi = T(x, y) * (x - a) - integral_1^x T(t, y) dt, where T(., y)
     is a step function in its first argument; the integral is the exact sum
     of T(k) over integer k < floor(x) plus the fractional top piece.
     """
-    a, psi_value, segments = _shifted_pass(x, y, a, capacity)
+    a, psi_value, segments = _shifted_pass(x, y, a)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
@@ -338,9 +336,9 @@ class AuxAverages(NamedTuple):
     omega_avg: float
 
 
-def aux_averages(x: float, y: float, a: int, capacity=None) -> AuxAverages:
+def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     """Psi-normalized averages of tau(n - a) and omega(n - a) over smooth n."""
-    _a, psi_value, segments = _shifted_pass(x, y, a, capacity, _tau_omega_gather)
+    _a, psi_value, segments = _shifted_pass(x, y, a, _tau_omega_gather)
     tau_sum = omega_sum = 0
     for _s, _e, idx, at in segments:
         psi_value += idx.size

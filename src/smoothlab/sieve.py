@@ -26,9 +26,10 @@ arbitrary array of values, testing each against the primes up to
 sqrt(max) and dropping it once p^2 exceeds what is left of it.  It beats
 ``_phi_segment`` when the values are a sparse subset of a window.
 
-Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment
-unless a capacity is given; ``DEFAULT_SEGMENT_CAPACITY`` (2^22) is the
-largest window one kernel call accepts by default.
+Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
+and ``segment_bounds`` is the only code that does so.  Every windowed
+kernel and :func:`sieve_range` reject a window of more than
+``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before they allocate.
 
 :func:`sieve_range` builds the full table (smallest and largest prime
 factor, phi(n) and mu(n)) from the same kernels, so it is no independent
@@ -42,16 +43,17 @@ smooth for every bound.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
 
-#: Largest number of entries a single segment may hold.
+#: Largest window one kernel call or ``sieve_range`` accepts.
 DEFAULT_SEGMENT_CAPACITY = 1 << 22
 
-#: Entries per segment of a stream split with ``capacity=None``.  A 2^18
+#: Entries per segment of every stream (``segment_bounds``).  A 2^18
 #: window keeps an int32 remainder (1 MiB) and the int64 totient (2 MiB)
 #: near the L2 cache; larger windows were slower on the 2-core reference box.
 STREAM_SEGMENT = 1 << 18
@@ -89,7 +91,7 @@ class ArithTable:
     def index(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
             raise DomainError(f"{n} outside sieved range [{self.lo}, {self.hi}]")
-        return int(n) - self.lo
+        return _check_int(n, "n") - self.lo
 
     def spf_of(self, n: int) -> int:
         return int(self.spf[self.index(n)])
@@ -116,35 +118,38 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def segment_bounds(lo: int, hi: int, capacity: int | None = None):
-    """Split [lo, hi] into inclusive chunks of at most ``capacity`` entries.
+def _check_int(value, what: str) -> int:
+    """``value`` as an int; DomainError for nan, an infinity or a non-integral value."""
+    if not isinstance(value, numbers.Integral) and not (
+        math.isfinite(value) and value == math.floor(value)
+    ):
+        raise DomainError(f"{what} must be an integer, got {value}")
+    return int(value)
 
-    ``capacity=None`` streams in chunks of ``STREAM_SEGMENT`` entries.
-    """
-    cap = STREAM_SEGMENT if capacity is None else int(capacity)
-    if cap < 1:
-        raise DomainError("segment capacity must be >= 1")
+
+def segment_bounds(lo: int, hi: int):
+    """Split [lo, hi] into inclusive chunks of at most ``STREAM_SEGMENT`` entries."""
     s = int(lo)
     hi = int(hi)
     while s <= hi:
-        e = min(s + cap - 1, hi)
+        e = min(s + STREAM_SEGMENT - 1, hi)
         yield s, e
         s = e + 1
 
 
-def _check_window(lo: int, hi: int, capacity: int | None) -> tuple[int, int]:
-    """Validate a sieve window [lo, hi] against the bounds and the capacity."""
-    lo, hi = int(lo), int(hi)
-    cap = DEFAULT_SEGMENT_CAPACITY if capacity is None else int(capacity)
+def _check_window(lo: int, hi: int) -> tuple[int, int]:
+    """Validate a sieve window [lo, hi] against the bounds and the window cap."""
+    lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
     if lo < 1:
         raise DomainError(f"sieve range must start at 1 or above, got lo={lo}")
     if hi < lo:
         raise DomainError(f"empty sieve range [{lo}, {hi}]")
     if hi > MAX_SIEVE_BOUND:
         raise DomainError(f"hi={hi} exceeds supported bound 2^52")
-    if hi - lo + 1 > cap:
+    if hi - lo + 1 > DEFAULT_SEGMENT_CAPACITY:
         raise CapacityError(
-            f"segment [{lo}, {hi}] has {hi - lo + 1} entries, capacity is {cap}"
+            f"segment [{lo}, {hi}] has {hi - lo + 1} entries, "
+            f"capacity is {DEFAULT_SEGMENT_CAPACITY}"
         )
     return lo, hi
 
@@ -167,14 +172,14 @@ def _strides(lo: int, hi: int, bound: int):
             k += 1
 
 
-def sieve_range(lo: int, hi: int, capacity: int | None = None) -> ArithTable:
+def sieve_range(lo: int, hi: int) -> ArithTable:
     """Sieve every integer in [lo, hi] into an :class:`ArithTable`.
 
     Deterministic and independent of any surrounding segmentation.  Raises
     :class:`DomainError` for lo < 1 or out-of-range bounds and
-    :class:`CapacityError` when the span exceeds the segment capacity.
+    :class:`CapacityError` past ``DEFAULT_SEGMENT_CAPACITY`` entries.
     """
-    lo, hi = _check_window(lo, hi, capacity)
+    lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
     root = math.isqrt(hi)
     spf = np.zeros(size, dtype=np.int64)
@@ -190,7 +195,7 @@ def sieve_range(lo: int, hi: int, capacity: int | None = None) -> ArithTable:
     unset = spf == 0
     spf[unset] = rem[unset]
     lpf = np.maximum(lpf, rem)
-    phi, mu = _phi_segment(lo, hi, capacity), _mu_segment(lo, hi, capacity)
+    phi, mu = _phi_segment(lo, hi), _mu_segment(lo, hi)
     for arr in (spf, lpf, phi, mu):
         arr.setflags(write=False)
     return ArithTable(lo=lo, hi=hi, spf=spf, lpf=lpf, phi=phi, mu=mu)
@@ -215,7 +220,7 @@ def _strip_primes(lo: int, hi: int, bound: int, phi: np.ndarray | None = None):
     return rem
 
 
-def _smooth_mask(lo: int, hi: int, y: float, capacity: int | None = None) -> np.ndarray:
+def _smooth_mask(lo: int, hi: int, y: float) -> np.ndarray:
     """Boolean array over [lo, hi] marking the y-smooth n; y must be >= 1, inf allowed.
 
     Only primes p <= min(y, sqrt(hi)) are divided out.  If y >= sqrt(hi),
@@ -223,15 +228,15 @@ def _smooth_mask(lo: int, hi: int, y: float, capacity: int | None = None) -> np.
     factor of a remainder > 1 exceeds y.  Either way n is smooth iff the
     remainder is <= y.
     """
-    lo, hi = _check_window(lo, hi, capacity)
+    lo, hi = _check_window(lo, hi)
     root = math.isqrt(hi)
     bound = root if y >= root else math.floor(y)
     return _strip_primes(lo, hi, bound) <= y
 
 
-def _phi_segment(lo: int, hi: int, capacity: int | None = None) -> np.ndarray:
+def _phi_segment(lo: int, hi: int) -> np.ndarray:
     """Euler totient of every n in [lo, hi] as an int64 array."""
-    lo, hi = _check_window(lo, hi, capacity)
+    lo, hi = _check_window(lo, hi)
     phi = np.arange(lo, hi + 1, dtype=np.int64)
     rem = _strip_primes(lo, hi, math.isqrt(hi), phi)
     big = np.flatnonzero(rem > 1)  # one prime > sqrt(hi) left, exponent 1
@@ -291,9 +296,9 @@ def _phi_at(values: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _mu_segment(lo: int, hi: int, capacity: int | None = None) -> np.ndarray:
+def _mu_segment(lo: int, hi: int) -> np.ndarray:
     """Moebius mu of every n in [lo, hi] as an int8 array."""
-    lo, hi = _check_window(lo, hi, capacity)
+    lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
     mu = np.ones(size, dtype=np.int8)
     small = np.ones(size, dtype=np.int64)
@@ -310,7 +315,7 @@ def _mu_segment(lo: int, hi: int, capacity: int | None = None) -> np.ndarray:
 
 def is_smooth(n: int, y: float) -> bool:
     """True iff every prime factor of n is <= y; n = 1 is vacuously smooth."""
-    n = int(n)
+    n = _check_int(n, "n")
     if n < 1:
         raise DomainError(f"smoothness is defined for n >= 1, got {n}")
     if n == 1:
@@ -320,7 +325,7 @@ def is_smooth(n: int, y: float) -> bool:
 
 def largest_prime_factor(n: int) -> int:
     """Largest prime factor by trial division; returns 1 for n = 1."""
-    n = int(n)
+    n = _check_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     largest = 1
@@ -335,14 +340,14 @@ def largest_prime_factor(n: int) -> int:
     return largest
 
 
-def tau_omega_range(lo: int, hi: int, capacity: int | None = None):
+def tau_omega_range(lo: int, hi: int):
     """Divisor counts tau(n) and distinct-prime counts omega(n) on [lo, hi].
 
     Returns a pair of int64 arrays aligned with the range.  The p^k stride
     turns the factor k that the p^(k-1) stride left in tau(n) into k + 1,
     so tau(n) ends as the product of (e + 1) over the exponents e of n.
     """
-    lo, hi = _check_window(lo, hi, capacity)
+    lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
     tau = np.ones(size, dtype=np.int64)
     omega = np.zeros(size, dtype=np.int64)

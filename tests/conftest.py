@@ -2,12 +2,15 @@
 
 Everything here factors integers one at a time by trial division and sums
 with exact rationals; none of it touches the package's sieve or table
-machinery, so these are independent references, not shortcuts.
+machinery, so these are independent references, not shortcuts.  The
+fixtures and ``stream_segment`` below only count or resize the sieve's
+windows.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -132,6 +135,17 @@ def oracle_omega(n: int) -> int:
     return len(oracle_factorize(n))
 
 
+def stream_segment(size: int):
+    """Context manager: every stream splits its range into ``size``-entry segments.
+
+    A ``patch.object``, not the monkeypatch fixture, so that it also works
+    inside hypothesis tests.
+    """
+    from smoothlab import sieve
+
+    return patch.object(sieve, "STREAM_SEGMENT", size)
+
+
 @pytest.fixture
 def smooth_mask_entries(monkeypatch):
     """The window size of every smoothness-mask call made while the test runs."""
@@ -140,9 +154,9 @@ def smooth_mask_entries(monkeypatch):
     entries = []
     kernel = census._smooth_mask
 
-    def counted(lo, hi, y, capacity=None):
+    def counted(lo, hi, y):
         entries.append(hi - lo + 1)
-        return kernel(lo, hi, y, capacity)
+        return kernel(lo, hi, y)
 
     for module in (census, shifted):
         monkeypatch.setattr(module, "_smooth_mask", counted)

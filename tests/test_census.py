@@ -17,7 +17,7 @@ from smoothlab import (
     psi_progression,
 )
 
-from conftest import oracle_mu, oracle_smooth_list
+from conftest import oracle_mu, oracle_smooth_list, stream_segment
 
 
 def test_enumerate_examples():
@@ -37,7 +37,8 @@ def test_enumerate_matches_oracle():
 
 def test_enumerate_streams_across_segments():
     big = list(enumerate_smooth(0, 3000, 7))
-    small_cap = list(enumerate_smooth(0, 3000, 7, capacity=100))
+    with stream_segment(100):
+        small_cap = list(enumerate_smooth(0, 3000, 7))
     assert big == small_cap
 
 
@@ -62,7 +63,9 @@ def test_psi_equals_enum_oracle_grid():
 
 
 def test_psi_streaming_matches_single_segment():
-    assert psi(10**4, 19) == psi(10**4, 19, capacity=999)
+    whole = psi(10**4, 19)
+    with stream_segment(999):
+        assert psi(10**4, 19) == whole
 
 
 def test_psi_monotonicity():
@@ -137,9 +140,9 @@ def test_psi_progression_negative_residue():
 
 def test_psi_progression_streaming_matches():
     for a, d in ((1, 7), (3, 11), (0, 2)):
-        assert psi_progression(0, 5000, 5, a, d) == psi_progression(
-            0, 5000, 5, a, d, capacity=333
-        )
+        whole = psi_progression(0, 5000, 5, a, d)
+        with stream_segment(333):
+            assert psi_progression(0, 5000, 5, a, d) == whole
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,11 +150,12 @@ def test_psi_progression_streaming_matches():
     first=st.integers(1, 3000),
     span=st.integers(0, 3000),
     y=st.sampled_from([1, 1.5, 2, 3, 7, 10.5, 97, 1e4, math.inf]),
-    capacity=st.one_of(st.none(), st.integers(1, 4000)),
+    segment=st.one_of(st.just(1 << 18), st.integers(1, 4000)),
 )
-def test_smooth_range_values_match_oracle(first, span, y, capacity):
+def test_smooth_range_values_match_oracle(first, span, y, segment):
     last = first + span
-    values = SmoothRange(first, last, y, capacity).values
+    with stream_segment(segment):
+        values = SmoothRange(first, last, y).values
     assert values.dtype == np.int64 and not values.flags.writeable
     assert values.tolist() == oracle_smooth_list(first - 1, last, y)
 
@@ -175,6 +179,8 @@ def test_domain_errors():
             psi(x, 3)
         with pytest.raises(DomainError):
             psi_coprime(x, 3, 2)
+    with pytest.raises(DomainError):
+        psi_enum_oracle(math.nan, 3)
     with pytest.raises(DomainError):
         list(enumerate_smooth(-1, 10, 3))
     # past the sieve bound, rejected before the first segment

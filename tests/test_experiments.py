@@ -111,8 +111,9 @@ def test_scan_config_validation():
         ScanConfig(x_grid=(10.0,), a_list=(0,), y=3.0)
     with pytest.raises(DomainError):
         ScanConfig(x_grid=(10.0,), a_list=(1,), y=None, y_rule="fixed")
-    with pytest.raises(DomainError):
-        ScanConfig(x_grid=(10.0,), a_list=(1,), y=3.0, C=0.0)
+    for C in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            ScanConfig(x_grid=(10.0,), a_list=(1,), y=3.0, C=C)
 
 
 def test_theorem_range_rule():
@@ -237,6 +238,10 @@ def test_range_check_flags():
     assert not frozen.in_lemma5_d_bound(big_d)
     with pytest.raises(DomainError):
         range_check(10, 30)
+    # nan once gave False flags instead of an error
+    for kwargs in ({"C": math.nan}, {"epsilon": math.nan}, {"epsilon": math.inf}):
+        with pytest.raises(DomainError):
+            range_check(1e6, 1e3, **kwargs)
 
 
 def test_error_fit_forms():
@@ -300,6 +305,8 @@ def test_parse_config_theorem_rule_and_errors():
         parse_config("a_list = 1")
     with pytest.raises(DomainError):
         parse_config("x_grid 10")
+    with pytest.raises(DomainError, match="C must be positive"):
+        parse_config("x_grid = 1e4\na_list = 1\nC = nan")
     for text, where in [
         ("x_grid = abc\na_list = 1", "'x_grid' on line 1"),
         ("x_grid = 10, \na_list = 1", "'x_grid' on line 1"),

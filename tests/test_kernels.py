@@ -22,6 +22,7 @@ from smoothlab.sieve import _mu_segment, _phi_at, _phi_segment, _smooth_mask, ta
 
 from conftest import (
     oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi, oracle_spf, oracle_tau,
+    stream_segment,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
@@ -126,20 +127,21 @@ def test_phi_at_at_the_top_of_the_range():
 @st.composite
 def sum_cases(draw):
     x = draw(st.integers(1, 5000))
-    capacity = draw(st.integers(max(1, x // 64), x + 10))
+    segment = draw(st.integers(max(1, x // 64), x + 10))
     a = draw(st.integers(-20, 20).filter(lambda v: v != 0))
     # Small y leaves the smooth n sparse enough for the sparse totient.
     y = draw(st.one_of(st.sampled_from([2, 3, 7]), FIXED_Y))
-    return x, y, a, capacity
+    return x, y, a, segment
 
 
 @SETTINGS
 @given(sum_cases())
 def test_psi_t_v_do_not_depend_on_capacity(case):
-    x, y, a, capacity = case
-    assert psi(x, y, capacity) == psi(x, y)
-    assert t_exact(x, y, a, capacity).hex() == t_exact(x, y, a).hex()
-    assert v_exact(x, y, a, capacity).hex() == v_exact(x, y, a).hex()
+    x, y, a, segment = case
+    whole = psi(x, y), t_exact(x, y, a).hex(), v_exact(x, y, a).hex()
+    with stream_segment(segment):
+        split = psi(x, y), t_exact(x, y, a).hex(), v_exact(x, y, a).hex()
+    assert split == whole
 
 
 def test_kernels_on_both_sides_of_the_int32_remainder():

@@ -23,7 +23,7 @@ from smoothlab import (
 
 from smoothlab.shifted import _exact_sum
 
-from conftest import oracle_mobius_split, oracle_t, oracle_v
+from conftest import oracle_mobius_split, oracle_t, oracle_v, stream_segment
 
 SMALL_GRID = [
     (x, y, a)
@@ -61,7 +61,8 @@ def test_t_float_within_1e12_of_rational():
 
 def test_t_exact_streaming_matches():
     full = t_exact(20000, 19, 5)
-    chunked = t_exact(20000, 19, 5, capacity=777)
+    with stream_segment(777):
+        chunked = t_exact(20000, 19, 5)
     assert chunked == pytest.approx(full, rel=1e-13)
 
 
@@ -70,7 +71,8 @@ def test_t_exact_memory_does_not_grow_with_x():
     # segment's arrays; holding every term at once would take several MB.
     tracemalloc.start()
     try:
-        t_exact(5e5, 1e5, 1, capacity=1 << 12)
+        with stream_segment(1 << 12):
+            t_exact(5e5, 1e5, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,9 +168,9 @@ def test_abel_negative_shift_and_fractional_x():
 
 
 def test_abel_streaming_matches():
-    assert v_via_abel(20000, 19, 3, capacity=777) == pytest.approx(
-        v_via_abel(20000, 19, 3), rel=1e-12
-    )
+    whole = v_via_abel(20000, 19, 3)
+    with stream_segment(777):
+        assert v_via_abel(20000, 19, 3) == pytest.approx(whole, rel=1e-12)
 
 
 def test_main_terms():

@@ -1,10 +1,32 @@
+import importlib
+import inspect
 import math
+import pkgutil
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from smoothlab import CapacityError, DomainError, is_smooth, sieve_range
+import smoothlab
+from smoothlab import (
+    DEFAULT_SEGMENT_CAPACITY,
+    CapacityError,
+    DomainError,
+    SmoothRange,
+    ScanConfig,
+    aux_averages,
+    enumerate_smooth,
+    ft_ratio_scan,
+    is_smooth,
+    psi_coprime,
+    psi_progression,
+    sieve_range,
+    t_exact,
+    t_via_mobius,
+    v_exact,
+    v_via_abel,
+)
 from smoothlab.sieve import (
     largest_prime_factor,
     primes_upto,
@@ -20,6 +42,7 @@ from conftest import (
     oracle_phi,
     oracle_spf,
     oracle_tau,
+    stream_segment,
 )
 
 
@@ -97,8 +120,8 @@ def test_segment_independence():
     n = 10**4
     whole = sieve_range(1, n)
     for k in (2, 3, 7):
-        cap = -(-n // k)
-        parts = [sieve_range(s, e) for s, e in segment_bounds(1, n, cap)]
+        with stream_segment(-(-n // k)):
+            parts = [sieve_range(s, e) for s, e in segment_bounds(1, n)]
         assert len(parts) == k
         for name in ("spf", "lpf", "phi", "mu"):
             merged = np.concatenate([getattr(p, name) for p in parts])
@@ -134,8 +157,68 @@ def test_domain_and_capacity_errors():
         sieve_range(5, 4)
     with pytest.raises(DomainError):
         sieve_range(1, (1 << 52) + 1)
-    with pytest.raises(CapacityError):
-        sieve_range(1, 100, capacity=50)
+    # One entry past the window cap is refused before anything is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            sieve_range(1, DEFAULT_SEGMENT_CAPACITY + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_no_function_takes_a_segment_size():
+    # segment_bounds alone decides the stream segment size.
+    objects = [getattr(smoothlab, name) for name in smoothlab.__all__]
+    for info in pkgutil.iter_modules(smoothlab.__path__):
+        module = importlib.import_module(f"smoothlab.{info.name}")
+        objects += [v for v in vars(module).values() if inspect.getmodule(v) is module]
+    functions = []
+    for obj in objects:
+        if inspect.isclass(obj):
+            functions += [f for f in vars(obj).values() if inspect.isfunction(f)]
+        elif inspect.isfunction(obj):
+            functions.append(obj)
+    assert sieve_range in functions and SmoothRange.__init__ in functions
+    for fn in functions:
+        assert "capacity" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(enumerate_smooth(0, NAN, 7)),
+        lambda: psi_progression(0, NAN, 7, 1, 3),
+        lambda: psi_progression(0, 100, 7, 1, NAN),
+        lambda: psi_progression(0, 100, 7, NAN, 3),
+        lambda: psi_coprime(100, 7, NAN),
+        lambda: psi_coprime(100, 7, 6.5),
+        lambda: SmoothRange(1, NAN, 7),
+        lambda: sieve_range(1, INF),
+        lambda: tau_omega_range(1, NAN),
+        lambda: is_smooth(NAN, 7),
+        lambda: sieve_range(1, 50).phi_of(2.5),
+        lambda: t_exact(100, 7, 1.5),
+        lambda: ft_ratio_scan(100, 7, [NAN]),
+        lambda: ft_ratio_scan(100, 7, [2, 6.5]),
+        lambda: ScanConfig(x_grid=(10.0,), a_list=(NAN,), y=3.0),
+    ]
+    + [
+        (lambda f=f, a=a: f(100, 7, a))
+        for f in (t_exact, v_exact, v_via_abel, aux_averages)
+        for a in (NAN, INF, -INF)
+    ]
+    + [(lambda a=a: t_via_mobius(100, 7, a, 10)) for a in (NAN, INF, -INF)],
+)
+def test_integer_arguments_must_be_integral(call):
+    # nan and the infinities once raised ValueError or OverflowError from int(),
+    # and a fraction was silently truncated.
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_sieve_keeps_no_window_cache():
