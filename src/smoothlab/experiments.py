@@ -65,6 +65,9 @@ class ScanConfig:
     def __post_init__(self):
         if not self.x_grid:
             raise DomainError("x_grid must be non-empty")
+        # inf is kept: it fails on its own row of the scan.
+        if any(math.isnan(x) for x in self.x_grid):
+            raise DomainError("x_grid must not hold nan")
         if list(self.x_grid) != sorted(self.x_grid) or len(set(self.x_grid)) != len(
             self.x_grid
         ):

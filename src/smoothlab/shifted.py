@@ -45,8 +45,9 @@ RATIONAL_MODE_LIMIT = 10**4
 #: A segment takes phi(n - a) from ``_phi_at`` at its smooth n when their
 #: count times pi(sqrt(e - a)) is below this multiple of the segment size,
 #: and from the ``_phi_segment`` window otherwise.  On 2^18-entry windows
-#: the two cost the same at about 15 to 30 times the size (5 % density at
-#: e - a near 4e6, 0.7 % near 2e9); the factor sits at the low end.
+#: the two cost the same at about 8 times the size near e - a = 4e6 (2.6 %
+#: density) and 40 to 70 times near 2e9 (1 % or more); the factor sits at
+#: the low end.
 SPARSE_PHI_FACTOR = 12
 
 #: Terms per bincount in ``_exact_sum``.  Mantissa halves are below 2^27 in
@@ -317,9 +318,11 @@ def main_terms(x: float, y: float, psi_value: float) -> MainTerms:
     The error scale needs x > e and y > e; outside that it is reported as
     nan rather than a negative or undefined number.
     """
-    if psi_value <= 0:
-        raise DomainError(f"psi_value must be positive, got {psi_value}")
     x, y = float(x), float(y)
+    if not math.isfinite(x) or math.isnan(y):
+        raise DomainError(f"needs a finite x and a y that is not nan, got x={x}, y={y}")
+    if not 0 < psi_value < math.inf:
+        raise DomainError(f"psi_value must be positive and finite, got {psi_value}")
     if x > _E and y > _E:
         err_scale = math.log(math.log(x)) * math.log(math.log(y)) / math.log(y)
     else:

@@ -1,12 +1,14 @@
 """Shared brute-force oracles for the test suite.
 
-Everything here factors integers one at a time by trial division and sums
-with exact rationals; none of it touches the package's sieve or table
-machinery, so these are independent references, not shortcuts.  The
-fixtures and ``stream_segment`` below only count or resize the sieve's
-windows.
+Everything here factors integers one at a time (trial division by d < 1024,
+then Miller-Rabin and Pollard's rho for what is left, so that values near
+2^52 stay cheap) and sums with exact rationals; none of it touches the
+package's sieve or table machinery, so these are independent references,
+not shortcuts.  The fixtures and ``stream_segment`` below only count or
+resize the sieve's windows.
 """
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -15,21 +17,64 @@ from unittest.mock import patch
 import pytest
 
 
+#: Miller-Rabin with these bases is exact for every n < 3.3 * 10^24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _oracle_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _oracle_split(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below 1024 (Pollard's rho)."""
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+
+
 def oracle_factorize(n: int) -> list[tuple[int, int]]:
     assert n >= 1
-    out = []
+    out = Counter()
     d = 2
-    while d * d <= n:
-        e = 0
+    while d * d <= n and d < 1024:
         while n % d == 0:
-            e += 1
+            out[d] += 1
             n //= d
-        if e:
-            out.append((d, e))
         d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _oracle_is_prime(m):
+            out[m] += 1
+        else:
+            f = _oracle_split(m)
+            rest += [f, m // f]
+    return sorted(out.items())
 
 
 def oracle_phi(n: int) -> int:
@@ -171,8 +216,8 @@ def phi_window_entries(monkeypatch):
     entries = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, bound, phi=None):
-        if phi is not None:
+    def counted(lo, hi, bound, phi=False):
+        if phi:
             entries.append(hi - lo + 1)
         return strip(lo, hi, bound, phi)
 

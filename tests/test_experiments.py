@@ -114,6 +114,11 @@ def test_scan_config_validation():
     for C in (0.0, math.nan):
         with pytest.raises(DomainError):
             ScanConfig(x_grid=(10.0,), a_list=(1,), y=3.0, C=C)
+    for grid in ((math.nan,), (10.0, math.nan), (math.nan, 10.0)):
+        with pytest.raises(DomainError, match="nan"):
+            ScanConfig(x_grid=grid, a_list=(1,), y=3.0)
+    # inf stays a grid point; it fails on its own row of the scan.
+    assert ScanConfig(x_grid=(10.0, math.inf), a_list=(1,), y=3.0).x_grid[-1] == math.inf
 
 
 def test_theorem_range_rule():
@@ -307,6 +312,8 @@ def test_parse_config_theorem_rule_and_errors():
         parse_config("x_grid 10")
     with pytest.raises(DomainError, match="C must be positive"):
         parse_config("x_grid = 1e4\na_list = 1\nC = nan")
+    with pytest.raises(DomainError, match="x_grid must not hold nan"):
+        parse_config("x_grid = 10, nan\ny = 3\na_list = 1")
     for text, where in [
         ("x_grid = abc\na_list = 1", "'x_grid' on line 1"),
         ("x_grid = 10, \na_list = 1", "'x_grid' on line 1"),

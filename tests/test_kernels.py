@@ -2,7 +2,7 @@
 
 Every kernel (the smoothness mask, the totient, Moebius and tau/omega
 kernels, and the spf/lpf columns of ``sieve_range``) is checked over random
-windows against the trial-division oracles in conftest, which share no code
+windows against the factoring oracles in conftest, which share no code
 with the sieve.  ``sieve_range`` is built from the same stride core as the
 kernels, so the comparisons with it only check that the two agree.  The
 sparse totient ``_phi_at`` is checked against the oracle and the window
@@ -27,20 +27,37 @@ from conftest import (
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
 
-#: Smoothness bounds at the edges the kernels' prime bound depends on.
+#: Smoothness bounds at the edges the kernels' prime bound depends on,
+#: below, at and above each prime of the wheel (2, 3, 5, 7).
 FIXED_Y = st.sampled_from(
-    [1, 1.5, 2, math.inf]
+    [1, 1.5, 2, 3, 4, 5, 6.5, 7, 7.5, 11, math.inf]
     + [float(p) for p in PRIMES]
     + [p + d for p in PRIMES for d in (-0.5, 0.5)]
 )
+
+#: Period of the pattern that gives the multiples of 2^4, 3^2, 5 and 7.
+WHEEL_PERIOD = 5040
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
 def windows(draw):
-    lo = draw(st.integers(1, 10**6))
-    return lo, lo + draw(st.integers(0, 200))
+    """Up to 201 entries anywhere below 10^6, from the first integers or across
+    a multiple of the wheel period; or more than a period, so the wheel
+    pattern is tiled."""
+    layout = draw(st.sampled_from(["anywhere", "first", "straddle", "tiled"]))
+    if layout == "tiled":
+        lo = draw(st.integers(1, 3 * WHEEL_PERIOD))
+        return lo, lo + draw(st.integers(WHEEL_PERIOD, 2 * WHEEL_PERIOD + 200))
+    size = draw(st.integers(0, 200))
+    if layout == "anywhere":
+        lo = draw(st.integers(1, 10**6))
+    elif layout == "first":
+        lo = draw(st.integers(1, 20))
+    else:
+        lo = draw(st.integers(1, 200)) * WHEEL_PERIOD - draw(st.integers(0, size))
+    return lo, lo + size
 
 
 @st.composite
@@ -48,7 +65,8 @@ def window_and_y(draw):
     lo, hi = draw(windows())
     root = math.isqrt(hi)
     near_root = st.sampled_from([root - 1, root - 0.5, root, root + 0.5, root + 1])
-    y = draw(st.one_of(FIXED_Y, near_root.filter(lambda v: v >= 1)))
+    at_or_above_hi = st.sampled_from([hi, hi + 0.5, 2 * hi])
+    y = draw(st.one_of(FIXED_Y, near_root.filter(lambda v: v >= 1), at_or_above_hi))
     return lo, hi, y
 
 
@@ -116,9 +134,9 @@ def test_phi_at_matches_window_and_oracle(case):
 
 
 def test_phi_at_at_the_top_of_the_range():
-    # Trial division is too slow here, so the window totient is the reference.
     lo, hi = 2**52 - 60, 2**52
     window = _phi_segment(lo, hi)
+    assert window.tolist() == [oracle_phi(n) for n in range(lo, hi + 1)]
     for picks in (np.arange(61), np.arange(60, -1, -7), np.array([60, 0, 60])):
         assert np.array_equal(_phi_at(picks + lo), window[picks])
     assert _phi_at(np.empty(0, dtype=np.int64)).size == 0
@@ -145,8 +163,10 @@ def test_psi_t_v_do_not_depend_on_capacity(case):
 
 
 def test_kernels_on_both_sides_of_the_int32_remainder():
-    # hi < 2^31 strips primes from an int32 remainder, hi >= 2^31 from an int64 one
-    for lo, hi in ((2**31 - 40, 2**31 - 1), (2**31 - 20, 2**31 + 20)):
+    # hi < 2^31 builds the smooth part in int32, hi >= 2^31 in int64, up to
+    # the largest window the sieve accepts.
+    windows = ((2**31 - 40, 2**31 - 1), (2**31 - 20, 2**31 + 20), (2**52 - 40, 2**52))
+    for lo, hi in windows:
         ns = range(lo, hi + 1)
         lpf = [oracle_lpf(n) for n in ns]
         for y in (7, 1000, 46340.5, math.inf):

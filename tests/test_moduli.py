@@ -2,11 +2,12 @@
 
 The Moebius split of T, the progression discrepancy and the coprime-count
 ratios come from residue counts over the smooth values.  They are checked
-here against the trial-division oracles in conftest, which share no code
+here against the factoring oracles in conftest, which share no code
 with the package.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from smoothlab import (
     DomainError,
     ft_ratio_scan,
     granville_discrepancy,
+    psi,
     psi_coprime,
     psi_progression,
     t_via_mobius,
@@ -81,6 +83,22 @@ def test_ft_ratios_match_oracle_counts(x, y, ds):
     for r in rows:
         coprime = sum(1 for n in smooth if math.gcd(n, r.d) == 1)
         assert r.ratio == coprime * r.d / (oracle_phi(r.d) * len(smooth))
+
+
+def test_ft_ratio_memory_does_not_grow_with_the_modulus():
+    # phi(d) takes the primes up to sqrt(d) one stream segment at a time; a
+    # prime table up to 2^26 built in one piece peaked at 124 MiB here.
+    # 2^52 - 47 is prime, so it runs the whole stream.
+    prime = 2**52 - 47
+    tracemalloc.start()
+    try:
+        rows = ft_ratio_scan(1e5, 30, [2**52 - 1, prime])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    count = psi(1e5, 30)
+    assert rows[0].ratio == count * prime / ((prime - 1) * count)
 
 
 def test_lemma_scale_is_nan_where_log_y_vanishes():

@@ -188,6 +188,23 @@ def test_main_terms():
         main_terms(10, 3, 0)
 
 
+@pytest.mark.parametrize(
+    "x, y, psi_value",
+    [
+        (math.nan, 7, 5),
+        (math.inf, 7, 5),
+        (-math.inf, 7, 5),
+        (100, math.nan, 5),
+        (100, 7, math.nan),
+        (100, 7, math.inf),
+    ],
+)
+def test_main_terms_rejects_non_finite_inputs(x, y, psi_value):
+    # nan used to pass through to a nan v_main, err_scale or t_main.
+    with pytest.raises(DomainError):
+        main_terms(x, y, psi_value)
+
+
 def test_main_terms_err_scale_undefined_marker():
     assert math.isnan(main_terms(10, 2, 4).err_scale)
     assert math.isnan(main_terms(2, 2, 2).err_scale)
