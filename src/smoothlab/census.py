@@ -72,22 +72,50 @@ def _prime_divisors(d: int, bound: float) -> list[int]:
     return found
 
 
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Increasing nonnegative ``values`` as int32 when the last is below 2^31, else unchanged."""
+    if values.dtype != np.int32 and values.size and values[-1] < 2**31:
+        return values.astype(np.int32)
+    return values
+
+
+def _residues(values: np.ndarray, d: int) -> np.ndarray:
+    """Each of the nonnegative ``values`` mod d >= 1, as v - (v // d) * d.
+
+    NumPy divides an integer array by a scalar on a fast path that % does
+    not take: per 1e5 values this costs about 0.07 ms on int32 and 0.2 ms
+    on int64, against 0.35-0.4 ms for % (2-core box), so callers
+    ``_narrow`` the values once first.  A d past the dtype's range, which
+    NumPy refuses as a scalar, exceeds every value, and a d above every
+    value leaves each value as its own residue.
+    """
+    if d > np.iinfo(values.dtype).max:
+        return values
+    quotients = values // d
+    quotients *= d
+    return np.subtract(values, quotients, out=quotients)
+
+
 def _count_residue(values: np.ndarray, a: int, d: int) -> int:
-    """How many of ``values`` (none above 2^52) are congruent to a mod d."""
-    residues = values % d if d <= MAX_SIEVE_BOUND else values
-    return int(np.count_nonzero(residues == a % d))
+    """How many of the increasing ``values`` are congruent to a mod d."""
+    return int(np.count_nonzero(_residues(_narrow(values), d) == a % d))
 
 
-def _count_coprime(values: np.ndarray, primes: list[int]) -> int:
-    """How many of ``values`` no prime in ``primes`` divides.
+def _count_coprime(values: np.ndarray, primes: list[int], divisible=None) -> int:
+    """How many of the increasing ``values`` no prime in ``primes`` divides.
 
     A y-smooth n can share with d only primes <= y, so the primes of d up
     to y are all a coprimality test over smooth values needs.
+    ``divisible`` may map some of the primes to their mask
+    ``_residues(values, p) == 0``, built once for several moduli; the
+    other primes are tested here.
     """
-    keep = np.ones(values.size, dtype=bool)
+    values = _narrow(values)
+    divisible = divisible or {}
+    hit = np.zeros(values.size, dtype=bool)
     for p in primes:
-        keep &= values % p != 0
-    return int(np.count_nonzero(keep))
+        hit |= divisible[p] if p in divisible else _residues(values, p) == 0
+    return values.size - int(np.count_nonzero(hit))
 
 
 def enumerate_smooth(lo: int, hi: int, y: float):

@@ -10,12 +10,13 @@ quality is measured and written out.
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .census import SmoothRange, _count_coprime, _prime_divisors
+from .census import SmoothRange, _count_coprime, _narrow, _prime_divisors, _residues
 from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
@@ -31,6 +32,15 @@ _INT_COLUMNS = ("a", "psi", "d")
 #: Geometric spacing of the z grid approximating max over z <= x.
 Z_GRID_RATIO = 2.0 ** 0.25
 Z_GRID_FLOOR = 16.0
+
+#: Most entries of the (z slice, residue) count matrix that
+#: ``granville_discrepancy`` holds at once; a modulus d takes
+#: max(1, _COUNT_BLOCK // d) slices per block.
+_COUNT_BLOCK = 1 << 14
+
+#: Most divisibility masks ``ft_ratio_scan`` keeps, one per prime shared by
+#: several of its moduli; a mask is one byte per smooth value.
+_MASK_MEMO = 8
 
 _E_E = math.exp(math.e)
 
@@ -228,6 +238,15 @@ def granville_discrepancy(
     supremum over z <= x with a geometric grid of ratio 2^(1/4) (the exact
     supremum over real z is unattainable; the grid decision is recorded in
     the report notes).
+
+    Each smooth value is labelled once with its z slice, the grid interval
+    it falls in.  For each d, one ``bincount`` of slice * d + residue over a
+    block of slices gives a (slice, residue) count matrix, and a running sum
+    down the grid turns its rows into the counts of the n <= z.  The worst
+    |count - share| of the block then comes from one vectorized abs/max,
+    with each share the int sum of the coprime classes divided by phi(d).
+    A block holds at most ``_COUNT_BLOCK`` counts, so memory stays
+    O(d + psi) for any delta.
     """
     x, y = float(x), float(y)
     if not 1 <= x < math.inf:
@@ -255,20 +274,31 @@ def granville_discrepancy(
         raise DomainError(f"unknown z_mode {z_mode!r}")
 
     top = math.floor(x)
-    values = SmoothRange(1, top, y).values
-    # values[:cut] are the smooth n <= z, for each z of the (increasing) grid
-    cuts = np.searchsorted(values, [math.floor(z) for z in z_values], side="right")
+    values = _narrow(SmoothRange(1, top, y).values)
+    # values[ends[i - 1]:ends[i]] are the smooth n in (z_{i-1}, z_i] for the
+    # increasing grid; slices labels each value with that i.
+    ends = np.searchsorted(values, [math.floor(z) for z in z_values], side="right")
+    slices = np.repeat(np.arange(ends.size, dtype=values.dtype), np.diff(ends, prepend=0))
     rows = []
     for d in range(1, math.floor(delta) + 1):
-        residues = values % d
-        coprime = np.gcd(np.arange(d), d) == 1
-        counts = np.zeros(d, dtype=np.int64)
+        residues = _residues(values, d)
+        coprime = np.flatnonzero(np.gcd(np.arange(d), d) == 1)
+        step = max(1, _COUNT_BLOCK // d)
+        below = np.zeros(d, dtype=np.int64)  # the counts up to the block's first slice
         worst = 0.0
-        for part in np.split(residues, cuts)[:-1]:
-            counts += np.bincount(part, minlength=d)
-            in_class = counts[coprime]
-            coprime_share = int(in_class.sum()) / in_class.size  # size is phi(d)
-            worst = max(worst, float(np.abs(in_class - coprime_share).max()))
+        for first in range(0, ends.size, step):
+            last = min(first + step, ends.size)
+            start, stop = ends[first - 1] if first else 0, ends[last - 1]
+            keys = slices[start:stop] - first
+            keys *= d
+            keys += residues[start:stop]
+            counts = np.bincount(keys, minlength=(last - first) * d).reshape(-1, d)
+            for row in counts:  # a running sum down the grid: row i counts n <= z_{first+i}
+                row += below
+                below = row
+            in_class = np.take(counts, coprime, axis=1)
+            shares = in_class.sum(axis=1) / coprime.size  # int / int, coprime.size = phi(d)
+            worst = max(worst, float(np.abs(in_class - shares[:, None]).max()))
         rows.append(DiscrepancyRow(d=d, deviation=worst))
     total = math.fsum(r.deviation for r in rows)
     psi_value = values.size
@@ -300,7 +330,14 @@ class FtRatioRow:
 
 
 def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
-    """ratio = psi_coprime * d / (phi(d) * psi) for each modulus, sorted by d."""
+    """ratio = psi_coprime * d / (phi(d) * psi) for each modulus, sorted by d.
+
+    Only the primes of d up to min(y, x) matter for coprimality with a
+    smooth n.  A prime shared by several moduli is tested against the
+    smooth values once, into a divisibility mask that each of its moduli
+    reads; at most ``_MASK_MEMO`` masks are kept, for the most shared
+    primes, and any other prime is tested per modulus.
+    """
     x, y = float(x), float(y)
     if not 1 <= x < math.inf:
         raise DomainError(f"needs a finite x >= 1, got {x}")
@@ -310,11 +347,14 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     if not 1 <= ds[0] <= ds[-1] <= MAX_SIEVE_BOUND:
         raise DomainError(f"moduli must lie in [1, 2^52], got {ds[0]}..{ds[-1]}")
     top = math.floor(x)
-    values = SmoothRange(1, top, y).values
+    values = _narrow(SmoothRange(1, top, y).values)
     psi_value = values.size
+    divisors = [_prime_divisors(d, min(y, top)) for d in ds]
+    shared = Counter(p for primes in divisors for p in primes).most_common(_MASK_MEMO)
+    divisible = {p: _residues(values, p) == 0 for p, uses in shared if uses > 1}
     rows = []
-    for d, phi_d in zip(ds, _phi_at(np.array(ds)).tolist()):
-        coprime = _count_coprime(values, _prime_divisors(d, min(y, top)))
+    for d, phi_d, primes in zip(ds, _phi_at(np.array(ds)).tolist(), divisors):
+        coprime = _count_coprime(values, primes, divisible)
         ratio = coprime * d / (phi_d * psi_value)
         if d * y > _E and x > _E and y > 1:
             scale = math.log(math.log(d * y)) * math.log(math.log(x)) / math.log(y)

@@ -25,13 +25,15 @@ kernel is one loop over it, sized to its question:
   above sqrt(hi).
 - ``tau_omega_range`` counts omega(n) on the p stride and adds, on each p^k
   stride, the tau(n) found ahead of p's strides, which turns the factor k
-  of tau(n) into k + 1.
+  of tau(n) into k + 1; the same strides build the smooth part that finds
+  the n with a prime above sqrt(hi).
 
 ``_phi_at`` is the one kernel that takes no window: it gives phi at an
 arbitrary array of values, testing each against the primes up to
-sqrt(max) and dropping it once p^2 exceeds what is left of it.  Those
-primes come one stream segment at a time from the strip core, so its
-memory does not grow with sqrt(max).  It beats ``_phi_segment`` when the
+sqrt(max) and dropping it once p^2 exceeds what is left of it, or once
+what is left after the primes up to 2^18 passes a Miller-Rabin test.
+Those primes come one stream segment at a time from the strip core, so
+its memory does not grow with sqrt(max).  It beats ``_phi_segment`` when the
 values are a sparse subset of a window.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
@@ -74,6 +76,9 @@ _WHEEL_PERIOD = math.prod(p**e for p, e in _WHEEL.items())
 
 #: Entries of the residue matrix that ``_phi_at`` tests per block of primes.
 _PHI_AT_BLOCK = 1 << 16
+
+#: Miller-Rabin with these bases is exact for every n below 3.8e18 > 2^52.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 #: Values above this are rejected; counts and totients stay comfortably in int64.
 MAX_SIEVE_BOUND = 1 << 52
@@ -311,9 +316,12 @@ def _phi_at(values: np.ndarray) -> np.ndarray:
     divides the full power of p out of the value's remainder.  After a block
     ending at prime q, a value whose remainder is below (q + 1)^2 is dropped:
     that remainder is 1 or one prime, fixed up at the end as in
-    ``_phi_segment``.  No more primes are made once no value is left.  The
-    cost is about len(values) * pi(sqrt(max)) residue tests, against about
-    the window size times log log for ``_phi_segment``.
+    ``_phi_segment``.  Past the first window (primes up to 2^18), a live
+    remainder is one prime or a product of two; a deterministic
+    Miller-Rabin test drops the primes then, so only a product of two
+    primes above 2^18 walks on.  No more primes are made once no value is
+    left.  The cost is about len(values) * pi(sqrt(max)) residue tests,
+    against about the window size times log log for ``_phi_segment``.
     """
     phi = np.array(values, dtype=np.int64)
     if not phi.size:
@@ -325,7 +333,8 @@ def _phi_at(values: np.ndarray) -> np.ndarray:
         raise DomainError(f"hi={top} exceeds supported bound 2^52")
     rem = phi.astype(np.int32 if top < 2**31 else np.int64)
     live = np.arange(phi.size)
-    for primes in _prime_windows(math.isqrt(top)):
+    root = math.isqrt(top)
+    for w, primes in enumerate(_prime_windows(root)):
         j = 0
         while j < primes.size and live.size:
             block = primes[j : j + max(1, _PHI_AT_BLOCK // live.size)].astype(rem.dtype)
@@ -341,12 +350,39 @@ def _phi_at(values: np.ndarray) -> np.ndarray:
                 again = rem[at] % p == 0
                 at, p = at[again], p[again]
             live = live[rem[live] >= (int(block[-1]) + 1) ** 2]
+        if w == 0 and root > STREAM_SEGMENT:
+            # A remainder still live has no prime factor <= 2^18 and is below
+            # 2^52, so it is one prime or the product of two: settle the primes.
+            live = live[np.array([not _is_prime(r) for r in rem[live].tolist()], dtype=bool)]
         if not live.size:
             break
     big = np.flatnonzero(rem > 1)  # one prime > sqrt(max) left, exponent 1
     last = rem[big].astype(np.int64)
     phi[big] = phi[big] // last * (last - 1)
     return phi
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n >= 1 is prime, by Miller-Rabin with ``_MILLER_RABIN_BASES``; exact below 3.8e18."""
+    for base in _MILLER_RABIN_BASES:
+        if n % base == 0:
+            return n == base
+    if n < 2:
+        return False
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _MILLER_RABIN_BASES:
+        t = pow(base, odd, n)
+        if t in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            t = t * t % n
+            if t == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _mu_segment(lo: int, hi: int) -> np.ndarray:
@@ -399,7 +435,9 @@ def tau_omega_range(lo: int, hi: int):
     Returns a pair of int64 arrays aligned with the range, counted in int32.
     Ahead of p's strides, ``before`` keeps tau(n); after the p^(k-1) stride
     tau(n) is before * k, and the p^k stride adds before, so tau(n) ends as
-    the product of (e + 1) over the exponents e of n.
+    the product of (e + 1) over the exponents e of n.  The same strides
+    multiply p into the smooth part of n over the primes <= sqrt(hi), as
+    ``_strip_primes`` does, from the tiled ``_wheel_part`` for the wheel.
     """
     lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
@@ -407,13 +445,16 @@ def tau_omega_range(lo: int, hi: int):
     omega = np.zeros(size, dtype=np.int32)
     before = np.empty(size, dtype=np.int32)
     root = math.isqrt(hi)
+    part, _ = _wheel_part(lo, hi, root, phi=False)
     for p, k, start in _strides(lo, hi, root):
         if k == 1:
             omega[start::p] += 1
             before[start::p] = tau[start::p]
         tau[start :: p**k] += before[start :: p**k]
+        if k > _WHEEL.get(p, 0):
+            part[start :: p**k] *= p
     # A part short of n leaves one prime > sqrt(hi), exponent 1.
-    big = _strip_primes(lo, hi, root) < np.arange(lo, hi + 1)
+    big = part < np.arange(lo, hi + 1, dtype=part.dtype)
     tau[big] *= 2
     omega[big] += 1
     return tau.astype(np.int64), omega.astype(np.int64)

@@ -6,18 +6,21 @@ windows against the factoring oracles in conftest, which share no code
 with the sieve.  ``sieve_range`` is built from the same stride core as the
 kernels, so the comparisons with it only check that the two agree.  The
 sparse totient ``_phi_at`` is checked against the oracle and the window
-totient.  psi, T and V are checked not to depend on how the range is split
+totient, and through a counted prime stream, for how far its Miller-Rabin
+step lets it walk.  psi, T and V are checked not to depend on how the range is split
 into segments, with small y, where a segment takes phi(n - a) from
 ``_phi_at``, next to large y, where it takes the window.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothlab import psi, sieve_range, t_exact, v_exact
+from smoothlab import psi, sieve, sieve_range, t_exact, v_exact
 from smoothlab.sieve import _mu_segment, _phi_at, _phi_segment, _smooth_mask, tau_omega_range
 
 from conftest import (
@@ -140,6 +143,45 @@ def test_phi_at_at_the_top_of_the_range():
     for picks in (np.arange(61), np.arange(60, -1, -7), np.array([60, 0, 60])):
         assert np.array_equal(_phi_at(picks + lo), window[picks])
     assert _phi_at(np.empty(0, dtype=np.int64)).size == 0
+
+
+@pytest.fixture
+def prime_windows(monkeypatch):
+    """The last prime of every window ``_phi_at`` draws from the prime stream."""
+    stream = sieve._prime_windows
+    drawn = []
+
+    def counted(top):
+        for primes in stream(top):
+            drawn.append(int(primes[-1]))
+            yield primes
+
+    monkeypatch.setattr(sieve, "_prime_windows", counted)
+    return drawn
+
+
+def test_phi_at_settles_a_prime_after_the_first_window(prime_windows):
+    prime = 2**52 - 47
+    assert _phi_at(np.array([prime, 2 * 3 * (2**31 - 1)])).tolist() == [
+        prime - 1, 2 * (2**31 - 2),
+    ]
+    assert len(prime_windows) == 1
+
+
+def test_phi_at_walks_on_past_a_product_of_two_large_primes(prime_windows):
+    # Miller-Rabin must leave the composite live: it walks the stream up to
+    # its smaller factor, one stream segment of primes at a time.
+    small, large = 2**26 - 27, 2**26 - 5
+    values = np.array([small * large, 2**52 - 47])
+    tracemalloc.start()
+    try:
+        phi = _phi_at(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.tolist() == [oracle_phi(int(n)) for n in values]
+    assert prime_windows[-2] < small <= prime_windows[-1]
+    assert peak < 16 * 2**20
 
 
 @st.composite

@@ -3,18 +3,24 @@
 The Moebius split of T, the progression discrepancy and the coprime-count
 ratios come from residue counts over the smooth values.  They are checked
 here against the factoring oracles in conftest, which share no code
-with the package.
+with the package, and the discrepancy and ratio floats are pinned bit for
+bit against a plain-Python reference that does the same integer counts and
+the same divisions without numpy.
 """
 
 import math
 import tracemalloc
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import (
     DomainError,
+    SmoothRange,
+    experiments,
     ft_ratio_scan,
     granville_discrepancy,
     psi,
@@ -71,6 +77,129 @@ def test_discrepancy_matches_oracle(case):
     )
 
 
+def float_discrepancy(x: float, y: float, delta: float, z_mode: str):
+    """(rows, total, total / psi) of the discrepancy in plain Python floats.
+
+    The same integer counts, the same int / int share per z, the same
+    |count - share| and the same fsum as the package, over lists.
+    """
+    z_values = [x]
+    if z_mode == "max_over_grid":
+        while z_values[-1] / 2.0**0.25 >= 16.0:
+            z_values.append(z_values[-1] / 2.0**0.25)
+        z_values.reverse()
+    smooth = oracle_smooth_list(0, math.floor(x), y)
+    rows = []
+    for d in range(1, math.floor(min(delta, x)) + 1):
+        coprime = [a for a in range(d) if math.gcd(a, d) == 1]
+        counts = [0] * d
+        seen = 0
+        worst = 0.0
+        for z in z_values:
+            while seen < len(smooth) and smooth[seen] <= z:
+                counts[smooth[seen] % d] += 1
+                seen += 1
+            share = sum(counts[a] for a in coprime) / len(coprime)
+            worst = max([worst] + [abs(counts[a] - share) for a in coprime])
+        rows.append(worst)
+    total = math.fsum(rows)
+    return rows, total, total / len(smooth)
+
+
+def assert_discrepancy_bits(x, y, delta, z_mode):
+    report = granville_discrepancy(x, y, delta, z_mode)
+    rows, total, total_over_psi = float_discrepancy(x, y, delta, z_mode)
+    assert [r.deviation.hex() for r in report.rows] == [v.hex() for v in rows]
+    assert report.total.hex() == total.hex()
+    assert report.total_over_psi.hex() == total_over_psi.hex()
+
+
+#: The block size of the package, one slice per block, and several blocks of several slices.
+BLOCKS = [experiments._COUNT_BLOCK, 1, 40]
+
+
+@SETTINGS
+@given(discrepancy_cases(), st.sampled_from(BLOCKS))
+def test_discrepancy_bits_match_float_reference(case, block):
+    with patch.object(experiments, "_COUNT_BLOCK", block):
+        assert_discrepancy_bits(*case)
+
+
+@pytest.mark.parametrize("z_mode", ["fixed_x", "max_over_grid"])
+@pytest.mark.parametrize(
+    "x, y, delta",
+    [
+        (150.5, 3, 150.5),  # delta = x: the 3-smooth values stop at 144 < d
+        (150, 7, 150),  # 150 itself is 7-smooth
+        (97, 1, 97),  # only n = 1
+        (1000.5, 30, 40),
+        (2000, math.inf, 17),
+    ],
+)
+@pytest.mark.parametrize("block", BLOCKS)
+def test_discrepancy_bits_on_fixed_cases(x, y, delta, z_mode, block):
+    # With blocks of 40 counts, every d > 3 on the grid (12 or more z
+    # slices) spans several blocks, and every d > 20 one slice per block.
+    with patch.object(experiments, "_COUNT_BLOCK", block):
+        assert_discrepancy_bits(x, y, delta, z_mode)
+
+
+def test_discrepancy_memory_does_not_grow_with_delta():
+    # The (z slice, residue) counts are built in blocks of _COUNT_BLOCK; at
+    # x = 3e4 the 44 slices of every d > 372 span several blocks.  Whole
+    # matrices peak at 2.5 MiB for delta = 1500 (4.8 MiB at 3000, linear in
+    # delta); blocks keep the peak at 1.0 MiB (1.2 MiB at 3000).  delta = x
+    # = 3e4 is left out: the work grows as delta^2, to minutes there.
+    tracemalloc.start()
+    try:
+        report = granville_discrepancy(3e4, 1e3, 1500, "max_over_grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.z_values) == 44
+    assert peak < 1.5 * 2**20
+
+
+def float_ft_rows(x: float, y: float, ds):
+    """(d, ratio.hex(), dev.hex()) per modulus in plain Python: the same ints, the same division."""
+    smooth = oracle_smooth_list(0, math.floor(x), y)
+    rows = []
+    for d in sorted(ds):
+        coprime = sum(1 for n in smooth if math.gcd(n, d) == 1)
+        ratio = coprime * d / (oracle_phi(d) * len(smooth))
+        rows.append((d, ratio.hex(), abs(ratio - 1.0).hex()))
+    return rows
+
+
+@pytest.mark.parametrize("x", [1, 97.5, 1000, 12345.5])
+@pytest.mark.parametrize("y", [1, 2, 30, math.inf])
+def test_ft_ratio_bits_match_float_reference(x, y):
+    # 2^31 - 1, 10^12 and 2^52 - 1 exceed every value.
+    ds = [1, 2, 6, 30, 2310, 30030, 97 * 89, 2**31 - 1, 10**12, 2**52 - 1]
+    rows = ft_ratio_scan(x, y, ds)
+    assert [(r.d, r.ratio.hex(), r.dev.hex()) for r in rows] == float_ft_rows(x, y, ds)
+
+
+def test_ft_ratio_masks_stay_bounded():
+    # 45 moduli p * q over consecutive primes up to 199 share 44 primes
+    # two ways, more than the _MASK_MEMO masks kept.  Masks for every
+    # shared prime peak at 6.8 times values.nbytes, the bounded memo at
+    # 2.25 times (building the SmoothRange alone takes 2).
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    ds = [p * q for p, q in zip(primes, primes[1:])]
+    values = SmoothRange(1, 10**6, 1e3).values
+    tracemalloc.start()
+    try:
+        rows = ft_ratio_scan(1e6, 1e3, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * values.nbytes
+    for r, p, q in zip(rows, primes, primes[1:]):
+        coprime = int(np.count_nonzero(np.gcd(values, r.d) == 1))
+        assert r.ratio == coprime * r.d / ((p - 1) * (q - 1) * values.size)
+
+
 MODULI = st.one_of(st.integers(1, 10**7), st.sampled_from([2310, 30030, 10**12]))
 
 
@@ -88,7 +217,8 @@ def test_ft_ratios_match_oracle_counts(x, y, ds):
 def test_ft_ratio_memory_does_not_grow_with_the_modulus():
     # phi(d) takes the primes up to sqrt(d) one stream segment at a time; a
     # prime table up to 2^26 built in one piece peaked at 124 MiB here.
-    # 2^52 - 47 is prime, so it runs the whole stream.
+    # 2^52 - 47 is prime, which Miller-Rabin settles after the first
+    # segment; test_kernels walks the whole stream with two large primes.
     prime = 2**52 - 47
     tracemalloc.start()
     try:
