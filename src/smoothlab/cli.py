@@ -91,11 +91,13 @@ def _run_rho(args) -> int:
 
 
 def _run_tsum(args) -> int:
+    # The split goes first: it refuses a range too large to materialize
+    # before the T pass sieves it.
+    split = None if args.delta is None else t_via_mobius(args.x, args.y, args.a, args.delta)
     psi_value, t, _v = _shifted_totals(args.x, args.y, args.a)
     ratio = t / psi_value
     pairs = [("t", format_sig12(t)), ("ratio", format_sig12(ratio))]
-    if args.delta is not None:
-        split = t_via_mobius(args.x, args.y, args.a, args.delta)
+    if split is not None:
         pairs += [
             ("sigma1", format_sig12(split.sigma1)),
             ("sigma2", format_sig12(split.sigma2)),
@@ -176,6 +178,9 @@ def _run_ftratio(args) -> int:
     return 0
 
 
+#: Built once: argparse returns a fresh Namespace from every parse.
+_PARSER = build_parser()
+
 _HANDLERS = {
     "psi": _run_psi,
     "rho": _run_rho,
@@ -189,9 +194,8 @@ _HANDLERS = {
 
 def run(argv) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)

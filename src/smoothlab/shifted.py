@@ -9,7 +9,11 @@ together with three independent evaluation routes used to cross-check them:
 a truncated Moebius expansion of T (phi(k)/k = sum over d | k of mu(d)/d),
 a partial-summation identity for V built from cumulative T at integer cut
 points, and the quadrature integral I(x, y) = integral of t * rho(log t /
-log y) with its leading-term comparator x^2 rho(u) / 2.
+log y) with its leading-term comparator x^2 rho(u) / 2.  I is taken in
+v = log t / log y on fixed Gauss-Legendre panels (32 points, with the
+16-point rule for the error estimate), cut at every integer where rho has
+its kinks and split further where y^(2v) grows fast; the nodes come from
+numpy, so the module needs no scipy.
 
 T and V come from one pass over the segments of (max(a,0), floor(x)]: a
 smoothness mask per segment, then phi(n - a) at the smooth n only.  Each
@@ -26,10 +30,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .census import SmoothRange, _check_x, _check_y, psi
-from .dickman import RhoTable, rho
+from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, DomainError
 from .sieve import (
     _check_int, _mu_segment, _phi_at, _phi_segment, _smooth_mask, primes_upto,
@@ -356,7 +359,7 @@ class IntegralResult:
     """Quadrature value of integral_1^x t rho(log t / log y) dt.
 
     comparator holds the integration-by-parts leading term x^2 rho(u) / 2;
-    error_estimate is the accumulated quadrature error bound.
+    error_estimate is the sum over the panels of |G32 - G16|.
     """
 
     value: float
@@ -365,39 +368,54 @@ class IntegralResult:
 
 
 def i_integral(x: float, y: float, table: RhoTable, rel_tol: float = 1e-8) -> IntegralResult:
-    """Adaptive quadrature of t * rho(log t / log y) over [1, x].
+    """Gauss-Legendre quadrature of t * rho(log t / log y) over [1, x].
 
-    The integrand is split at powers of y, where rho's argument crosses the
-    integer kinks of the delay relation.  Raises AccuracyError (carrying the
-    achieved estimate) if the accumulated error bound exceeds rel_tol.
+    With t = y^v this is the integral of y^(2v) rho(v) log y over [0, u],
+    u = log x / log y.  rho is analytic inside each unit interval, so [0, u]
+    is cut into panels at every integer, and each of those into equal parts
+    with 2 log y * width <= 16, so that y^(2v) stays resolved at large y.
+    The value is the 32-point rule on every part; error_estimate is the sum
+    of |G32 - G16|.  For u <= 1 (y >= x, y = inf included) rho is 1 and the
+    value is (x^2 - 1) / 2 with error 0.  Raises DomainError before any work
+    when x^2 overflows, and AccuracyError (carrying the value) if the error
+    estimate exceeds rel_tol relative.
     """
     x, y = float(x), float(y)
     if x < 1:
         raise DomainError(f"integral needs x >= 1, got {x}")
     if y < 2:
         raise DomainError(f"integral needs y >= 2, got {y}")
-    u = math.log(x) / math.log(y)
+    if not x * x < math.inf:
+        raise DomainError(f"integral needs a finite x^2, got x={x}")
+    log_y = math.log(y)
+    u = math.log(x) / log_y
     if u > table.u_max:
         raise DomainError(f"u={u:.6g} beyond table range {table.u_max}")
     comparator = 0.5 * x * x * rho(table, u)
-    if x == 1.0:
-        return IntegralResult(0.0, comparator, 0.0)
+    if u <= 1.0:
+        return IntegralResult((x * x - 1.0) / 2.0, comparator, 0.0)
 
-    def integrand(t: float) -> float:
-        return t * rho(table, math.log(t) / math.log(y))
-
-    cuts = [1.0]
-    k = 1
-    while y**k < x:
-        cuts.append(float(y**k))
-        k += 1
-    cuts.append(x)
-    value = 0.0
-    err = 0.0
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        piece, piece_err = quad(integrand, t0, t1, epsrel=1e-10, limit=200)
-        value += piece
-        err += piece_err
+    cuts = [*range(math.ceil(u)), u]
+    edges = [
+        np.linspace(a, b, math.ceil(2.0 * log_y * (b - a) / 16.0) + 1)
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
+    logs, weights = [], []
+    for n in (32, 16):
+        nodes, w = np.polynomial.legendre.leggauss(n)
+        v = mid + half * nodes
+        rho_logs = [rho_log(table, t) for t in v.ravel().tolist()]
+        logs.append(2.0 * log_y * v + np.reshape(rho_logs, v.shape))  # log of y^(2v) rho(v)
+        weights.append(w)
+    # Factor out the largest integrand, so that no term overflows or underflows.
+    top = float(logs[0].max())
+    g32, g16 = (half[:, 0] * (np.exp(lg - top) @ w) for lg, w in zip(logs, weights))
+    scale = math.exp(top)
+    value = scale * (log_y * float(g32.sum()))
+    err = scale * (log_y * float(np.abs(g32 - g16).sum()))
     if err > rel_tol * max(abs(value), 1e-300):
         raise AccuracyError(
             f"quadrature error {err:.3g} above {rel_tol:.1g} relative", estimate=value

@@ -1,11 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from smoothlab import cli
 from smoothlab.cli import build_parser, run
+from smoothlab.dickman import build_rho_table
 from smoothlab.experiments import read_ft_csv, read_scan_csv, write_scan_csv
 
 
@@ -230,6 +236,44 @@ def test_huge_moduli_stay_cheap():
         "d=1000000000000 ratio=0.374660721210 dev=0.625339278790 lemma_scale=2.46777331526\n"
     )
     assert elapsed < 1.0
+
+
+def test_tsum_delta_refuses_a_too_large_range_before_the_t_pass(smooth_mask_entries):
+    code, out, err = invoke(["tsum", "--x", "2e9", "--y", "30", "--a", "1", "--delta", "10"])
+    assert (code, out) == (1, "")
+    assert err == "error: range [2, 2000000000] too large to materialize\n"
+    assert smooth_mask_entries == []
+
+
+def test_one_parser_keeps_no_state_between_commands(monkeypatch):
+    tsum = ["tsum", "--x", "1000", "--y", "30", "--a", "1"]
+    assert "sigma1=" in invoke(tsum + ["--delta", "5"])[1]
+    assert invoke(tsum) == (0, "t=275.428468754 ratio=0.685145444661\n", "")
+    steps = []
+
+    def recording(u_max, h):
+        steps.append(h)
+        return build_rho_table(u_max=u_max, h=h)
+
+    monkeypatch.setattr(cli, "build_rho_table", recording)
+    assert invoke(["rho", "--u", "3", "--h", "0.015625"])[0] == 0
+    assert invoke(["rho", "--u", "3"])[0] == 0
+    assert steps == [1 / 64, 1 / 256]
+    assert invoke(["psi", "--x", "10"])[0] == 2
+    assert invoke(["psi", "--x", "10", "--y", "3"]) == (0, "psi=7\n", "")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, smoothlab, smoothlab.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_usage_error_exit_code():

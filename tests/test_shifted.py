@@ -11,9 +11,11 @@ from smoothlab import (
     DomainError,
     ZETA2_INV,
     aux_averages,
+    build_rho_table,
     i_integral,
     main_terms,
     psi,
+    rho,
     t_exact,
     t_exact_fraction,
     t_via_mobius,
@@ -226,12 +228,50 @@ def test_i_integral_examples(rho_table):
     assert i_integral(1, 50, rho_table).value == 0.0
     with pytest.raises(DomainError):
         i_integral(2.0 ** (33 * 10), 2, rho_table)  # u beyond the table
+    # x^2 overflows: refused, where these once gave value=nan, comparator=inf
+    for x, y in ((1e200, 1e150), (1e170, 1e100), (math.inf, math.inf), (math.nan, 30)):
+        with pytest.raises(DomainError):
+            i_integral(x, y, rho_table)
+    res = i_integral(1e6, math.inf, rho_table)  # y >= x: rho = 1 on the whole range
+    assert res.value == (1e12 - 1) / 2
+    assert res.error_estimate == 0
 
 
 def test_i_integral_comparator_band(rho_table):
     res = i_integral(1e6, 1e3, rho_table)
     assert 0.9 <= res.value / res.comparator <= 1.3
     assert res.error_estimate <= 1e-8 * abs(res.value)
+
+
+def _quad_reference(x, y, table):
+    """The integral in t by scipy's adaptive quad, split at the powers of y."""
+    from scipy.integrate import quad
+
+    cuts = [1.0]
+    while y ** len(cuts) < x:
+        cuts.append(float(y ** len(cuts)))
+    cuts.append(x)
+    return math.fsum(
+        quad(lambda t: t * rho(table, math.log(t) / math.log(y)), t0, t1,
+             epsrel=1e-12, limit=200)[0]
+        for t0, t1 in zip(cuts[:-1], cuts[1:])
+    )
+
+
+def test_i_integral_matches_quad_on_a_grid():
+    # u from below 1 (the closed form) to 60.  At y = 1e5 every unit
+    # interval is split into two parts, at y = 1e20 into six; one part per
+    # unit would miss rel_tol there.
+    table = build_rho_table(u_max=64.0)
+    points = [
+        (x, y)
+        for y in (2, 30, 1e3, 1e5)
+        for x in (1e2, 1e4, 1e6, 1e9, 1e12, 1e15, 2.0**60)
+    ] + [(1e60, 1e20)]
+    assert any(math.log(x) <= math.log(y) for x, y in points)
+    for x, y in points:
+        res = i_integral(x, y, table)
+        assert res.value == pytest.approx(_quad_reference(x, y, table), rel=1e-10), (x, y)
 
 
 def test_aux_averages():
