@@ -32,7 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="Dickman rho at a point")
     p.add_argument("--u", type=float, required=True, help="evaluation point u")
-    p.add_argument("--h", type=float, default=1.0 / 256.0, help="table step (default 1/256)")
+    p.add_argument(
+        "--h",
+        type=float,
+        default=1.0 / 256.0,
+        help="knot step of the table's lazy grid (default 1/256); the printed rho does not "
+        "depend on it",
+    )
 
     p = sub.add_parser("tsum", help="shifted-totient sum T(x, y) and T/psi")
     p.add_argument("--x", type=float, required=True, help="upper bound x")
@@ -94,7 +100,7 @@ def _run_tsum(args) -> int:
     # The split goes first: it refuses a range too large to materialize
     # before the T pass sieves it.
     split = None if args.delta is None else t_via_mobius(args.x, args.y, args.a, args.delta)
-    psi_value, t, _v = _shifted_totals(args.x, args.y, args.a)
+    [(psi_value, t, _v)] = _shifted_totals([args.x], args.y, args.a)
     ratio = t / psi_value
     pairs = [("t", format_sig12(t)), ("ratio", format_sig12(ratio))]
     if split is not None:

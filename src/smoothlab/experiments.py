@@ -9,9 +9,7 @@ quality is measured and written out.
 
 import json
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +18,7 @@ from .census import SmoothRange, _count_coprime, _narrow, _prime_divisors, _resi
 from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
-from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
+from .shifted import _E, ZETA2_INV, _check_pass, _shifted_totals, main_terms
 from .sieve import MAX_SIEVE_BOUND, _check_int, _phi_at
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
@@ -43,17 +41,6 @@ _COUNT_BLOCK = 1 << 14
 _MASK_MEMO = 8
 
 _E_E = math.exp(math.e)
-
-
-def thread_count() -> int:
-    """Worker count from SMOOTHLAB_THREADS (0 = auto, unset = serial)."""
-    raw = os.environ.get("SMOOTHLAB_THREADS", "1").strip() or "1"
-    n = parse_number(raw, int, "SMOOTHLAB_THREADS")
-    if n == 0:
-        return os.cpu_count() or 1
-    if n < 0:
-        raise DomainError(f"SMOOTHLAB_THREADS must be >= 0, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -120,17 +107,16 @@ class ScanRecord:
     error: str | None = None
 
 
-def _scan_point(x: float, y: float, a: int, table: RhoTable) -> ScanRecord:
-    u = math.log(x) / math.log(y)
-    psi_value, t, v = _shifted_totals(x, y, a)
-    est = psi_estimate(x, y, "rho", table).value
+def _scan_record(x: float, y: float, a: int, totals, table: RhoTable) -> ScanRecord:
+    psi_value, t, v = totals
+    est = psi_estimate(x, y, "rho", table).value  # needs finite x >= y >= 2, so u is defined
     terms = main_terms(x, y, psi_value)
     t_ratio = t / psi_value
     return ScanRecord(
-        x=float(x),
-        y=float(y),
-        u=u,
-        a=int(a),
+        x=x,
+        y=y,
+        u=math.log(x) / math.log(y),
+        a=a,
         psi_exact=psi_value,
         psi_rho_est=est,
         t_exact=t,
@@ -142,45 +128,49 @@ def _scan_point(x: float, y: float, a: int, table: RhoTable) -> ScanRecord:
     )
 
 
+def _failed_record(x: float, a: int, exc: SmoothlabError) -> ScanRecord:
+    return ScanRecord(
+        x=x, y=math.nan, u=math.nan, a=a, psi_exact=0,
+        psi_rho_est=math.nan, t_exact=math.nan, v_exact=math.nan,
+        t_ratio=math.nan, t_err=math.nan, v_err=math.nan,
+        err_scale=math.nan, error=str(exc),
+    )
+
+
 def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[ScanRecord]:
     """Run every (x, y(x), a) point of the config; never aborts mid-scan.
 
+    The points that share (y, a) come from one pass up to the largest of
+    their x (``_shifted_totals``), which gives each the floats of a pass up
+    to that x alone; under the theorem-range rule every x has its own y.
     Failed points become records with nan numerics and the error message
     attached.  Rows come back sorted by (a, x) and, when the config names an
     output path, are also written as CSV; a path that cannot be opened for
     writing fails before the first point is computed.
     """
-    workers = thread_count()
     if cfg.output_path:
         open(cfg.output_path, "a").close()
-    points = [(float(x), int(a)) for a in cfg.a_list for x in cfg.x_grid]
-    if table is None:
-        u_hi = 2.0
-        for x, _a in points:
+    records, groups = [], {}
+    for a in map(int, cfg.a_list):
+        for x in map(float, cfg.x_grid):
             try:
-                u_hi = max(u_hi, math.log(x) / math.log(cfg.y_for(x)))
-            except SmoothlabError:
-                continue
-        # a point past the table limit (or at x = inf) fails on its own row
-        table = build_rho_table(u_max=math.ceil(min(u_hi, MAX_UNITS - 1)) + 1)
-
-    def run_one(point):
-        x, a = point
-        try:
-            return _scan_point(x, cfg.y_for(x), a, table)
-        except SmoothlabError as exc:
-            return ScanRecord(
-                x=x, y=math.nan, u=math.nan, a=a, psi_exact=0,
-                psi_rho_est=math.nan, t_exact=math.nan, v_exact=math.nan,
-                t_ratio=math.nan, t_err=math.nan, v_err=math.nan,
-                err_scale=math.nan, error=str(exc),
-            )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one, points))
-    else:
-        records = [run_one(p) for p in points]
+                y = cfg.y_for(x)
+                _check_pass(x, y, a)
+            except SmoothlabError as exc:
+                records.append(_failed_record(x, a, exc))
+            else:
+                groups.setdefault((y, a), []).append(x)
+    if table is None:
+        # Only points with finite x >= y >= 2 read the table; one past the
+        # table limit fails on its own row.
+        u = [math.log(x) / math.log(y) for (y, _a), xs in groups.items() for x in xs if 2 <= y <= x]
+        table = build_rho_table(u_max=math.ceil(min(max([2.0, *u]), MAX_UNITS - 1)) + 1)
+    for (y, a), xs in groups.items():
+        for x, totals in zip(xs, _shifted_totals(xs, y, a)):
+            try:
+                records.append(_scan_record(x, y, a, totals, table))
+            except SmoothlabError as exc:
+                records.append(_failed_record(x, a, exc))
     records.sort(key=lambda r: (r.a, r.x))
     if cfg.output_path:
         write_scan_csv(cfg.output_path, records)

@@ -20,8 +20,10 @@ smoothness mask per segment, then phi(n - a) at the smooth n only.  Each
 segment picks its totient route: ``_phi_at`` on the values n - a when the
 smooth n are sparse (``SPARSE_PHI_FACTOR``), else the ``_phi_segment``
 window.  Both give the same integers, so the route never changes a result.
-Float terms are summed exactly and rounded once (``_exact_sum``), so T and
-the Moebius split do not depend on the segment size or the term order.
+Float terms are summed exactly and rounded once (``_exact_int``), so T and
+the Moebius split do not depend on the segment size or the term order.  The
+same exactness lets one pass serve a whole grid of x: T at each x is the
+running exact integer of the terms so far, rounded at that cut.
 """
 
 import math
@@ -35,8 +37,8 @@ from .census import SmoothRange, _check_x, _check_y, psi
 from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, DomainError
 from .sieve import (
-    _check_int, _mu_segment, _phi_at, _phi_segment, _smooth_mask, primes_upto,
-    segment_bounds, tau_omega_range,
+    MAX_SIEVE_BOUND, _check_int, _mu_segment, _phi_at, _phi_segment, _smooth_mask,
+    primes_upto, segment_bounds, tau_omega_range,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -53,9 +55,12 @@ RATIONAL_MODE_LIMIT = 10**4
 #: the low end.
 SPARSE_PHI_FACTOR = 12
 
-#: Terms per bincount in ``_exact_sum``.  Mantissa halves are below 2^27 in
+#: Terms per bincount in ``_exact_int``.  Mantissa halves are below 2^27 in
 #: size, so a slice's per-exponent sums stay exact integers in float64.
 _EXACT_SLICE = 1 << 20
+
+#: ``_exact_int`` counts in units of 2^-1126; one division by this rounds.
+_EXACT_UNIT = 1 << 1126
 
 _E = math.e
 
@@ -79,6 +84,21 @@ def _tau_omega_gather(lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
     return np.asarray(tau_omega_range(lo, hi))[:, idx]
 
 
+def _check_pass(x: float, y: float, a: int) -> tuple[int, float]:
+    """Check the arguments of a shifted sum up to x; return the shift and y.
+
+    Every check runs before any sieving: a later pass over (max(a,0),
+    floor(x)] raises nothing, and a scan can fail one grid point on its own.
+    """
+    a, y = _check_shift(a), _check_y(y)
+    _check_x(x)
+    if x < 1:
+        raise DomainError(f"psi needs x >= 1, got {x}")
+    if math.floor(x) - a > MAX_SIEVE_BOUND:
+        raise DomainError(f"hi={math.floor(x) - a} exceeds supported bound 2^52")
+    return a, y
+
+
 def _shifted_pass(x: float, y: float, a: int, gather=_phi_gather):
     """Check the arguments of a shifted sum, then return (a, head, segments).
 
@@ -89,10 +109,7 @@ def _shifted_pass(x: float, y: float, a: int, gather=_phi_gather):
     idx) -- phi(n - a) by default -- at them.  The shifted values are
     computed only when their segment has a smooth n.
     """
-    a, y = _check_shift(a), _check_y(y)
-    _check_x(x)
-    if x < 1:
-        raise DomainError(f"psi needs x >= 1, got {x}")
+    a, y = _check_pass(x, y, a)
     head = psi(min(x, a), y) if a > 0 else 0
 
     def segments():
@@ -122,58 +139,77 @@ def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
     return numerator, psi_value
 
 
-def _shifted_totals(x: float, y: float, a: int) -> tuple[int, float, float]:
-    """(Psi(x, y), T(x, y), V(x, y)) from a single pass over the segments."""
-    a, psi_value, segments = _shifted_pass(x, y, a)
-    numerator = 0
+def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
+    """(Psi(x, y), T(x, y), V(x, y)) at each x of an increasing list, from one pass.
 
-    def terms():
-        nonlocal psi_value, numerator
-        for s, _e, idx, phi_at in segments:
-            psi_value += idx.size
-            numerator += int(phi_at.sum())
-            yield _t_terms(a, s, idx, phi_at)
+    The pass runs up to the last x, and every x is checked before it.  At
+    each cut floor(x) the running counts are read, and T's running exact
+    integer is rounded there: the correctly rounded sum of the same terms,
+    so the same float that a pass up to that x alone gives.
+    """
+    for x in xs:
+        _check_pass(x, y, a)
+    a, head, segments = _shifted_pass(xs[-1], y, a)
+    cuts = [math.floor(x) for x in xs]
+    rows = []
+    count = numerator = total = 0
 
-    t = _exact_sum(terms())
-    return psi_value, t, numerator / psi_value
+    def read(cut):
+        # A cut below a > 0 has no terms; every other cut shares the pass's head.
+        psi_value = (psi(cut, y) if cut < a else head) + count
+        rows.append((psi_value, total / _EXACT_UNIT, numerator / psi_value))
+
+    for s, e, idx, phi_at in segments:
+        terms = _t_terms(a, s, idx, phi_at)
+        done = 0
+        for cut in [c for c in cuts[len(rows) :] if c <= e] + [None]:
+            stop = idx.size if cut is None else int(np.searchsorted(idx, cut - s, "right"))
+            count += stop - done
+            numerator += int(phi_at[done:stop].sum())
+            total += _exact_int(terms[done:stop])
+            done = stop
+            if cut is not None:
+                read(cut)
+    for cut in cuts[len(rows) :]:
+        read(cut)
+    return rows
 
 
-def _exact_sum(chunks) -> float:
-    """The correctly rounded sum of the finite float64 values of every array in chunks.
+def _exact_int(chunk: np.ndarray) -> int:
+    """The exact sum of the finite float64 values of chunk, in units of 2^-1126.
 
-    The same float as ``math.fsum`` over them, without boxing a term.  Each
-    term is mant * 2^(exp - 53) with an integer |mant| < 2^53 (np.frexp).
-    The mantissa splits into a high and a low half, each summed per
-    exponent by one bincount, exact while the sums stay below 2^53.  The
-    sums go into one Python integer in units of 2^-1126 (a mantissa unit at
-    the smallest exponent frexp gives), and one int/int true division
-    rounds it.
+    Each term is mant * 2^(exp - 53) with an integer |mant| < 2^53
+    (np.frexp).  The mantissa splits into a high and a low half, each
+    summed per exponent by one bincount, exact while the sums stay below
+    2^53.  The sums go into one Python integer in units of 2^-1126, a
+    mantissa unit at the smallest exponent frexp gives.  Such integers add
+    exactly, and one int/int true division by ``_EXACT_UNIT`` rounds their
+    sum to the float ``math.fsum`` gives, without boxing a term.
     """
     total = 0
-    for chunk in chunks:
-        for start in range(0, chunk.size, _EXACT_SLICE):
-            mant, exp = np.frexp(chunk[start : start + _EXACT_SLICE])
-            mant *= 2.0**53
-            high = np.floor(mant * 2.0**-27)
-            mant -= high * 2.0**27  # the low half, in [0, 2^27)
-            base = int(exp.min())
-            bins = exp - base
-            for part, shift in ((high, base + 1073 + 27), (mant, base + 1073)):
-                sums = np.bincount(bins, weights=part)
-                for k in np.flatnonzero(sums).tolist():
-                    total += int(sums[k]) << (k + shift)
-    return total / (1 << 1126)
+    for start in range(0, chunk.size, _EXACT_SLICE):
+        mant, exp = np.frexp(chunk[start : start + _EXACT_SLICE])
+        mant *= 2.0**53
+        high = np.floor(mant * 2.0**-27)
+        mant -= high * 2.0**27  # the low half, in [0, 2^27)
+        base = int(exp.min())
+        bins = exp - base
+        for part, shift in ((high, base + 1073 + 27), (mant, base + 1073)):
+            sums = np.bincount(bins, weights=part)
+            for k in np.flatnonzero(sums).tolist():
+                total += int(sums[k]) << (k + shift)
+    return total
 
 
 def t_exact(x: float, y: float, a: int) -> float:
     """T(x, y): sum of phi(n - a)/(n - a) over smooth n in (max(a,0), floor(x)].
 
     Terms stream segment by segment into an exact sum that is rounded once
-    (``_exact_sum``, the float math.fsum gives), so the result is within
+    (``_exact_int``, the float math.fsum gives), so the result is within
     1e-12 relative of the exact rational value and memory does not grow
     with x.
     """
-    return _shifted_totals(x, y, a)[1]
+    return _shifted_totals([x], y, a)[0][1]
 
 
 def _tree_sum(fractions: list[Fraction]) -> Fraction:
@@ -217,16 +253,19 @@ class MobiusSplit:
 
 
 def _multiple_counts(k: np.ndarray, n: int) -> np.ndarray:
-    """g[d] = #{entries of k divisible by d} for 0 <= d <= n, given 1 <= k <= n.
+    """g[d] = #{entries of k divisible by d} for 0 <= d <= n, given distinct 1 <= k <= n.
 
-    A bincount of k, then g[i] += g[i p] prime by prime.  For p <= sqrt(n)
-    the i run in descending blocks (n / p^(j+1), n / p^j] that read only
-    entries already updated for p.  Primes above sqrt(n) have pairwise
-    products above n, so each i < sqrt(n) takes all of them in one gather.
+    g starts as the int32 indicator of k, which is exact because the k are
+    distinct, and then g[i] += g[i p] prime by prime, in place.  For
+    p <= sqrt(n) the i run in descending blocks (n / p^(j+1), n / p^j] that
+    read only entries already updated for p.  Primes above sqrt(n) have
+    pairwise products above n, so each i < sqrt(n) takes all of them in one
+    gather.
     """
-    g = np.bincount(k, minlength=n + 1)
-    root = math.isqrt(n)
     primes = primes_upto(n)
+    g = np.zeros(n + 1, dtype=np.int32)
+    g[k] = 1
+    root = math.isqrt(n)
     split = int(np.searchsorted(primes, root, side="right"))
     for p in primes[:split].tolist():
         hi = n // p
@@ -246,8 +285,10 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     Moduli run to floor(x) for positive shifts (counts vanish above x - a
     anyway) and to floor(x) - a for negative shifts, where divisors of n - a
     genuinely exceed x.  All counts come from one :func:`_multiple_counts`
-    pass; each term is one correctly rounded division, and each of sigma1
-    and sigma2 is their correctly rounded sum (``_exact_sum``).
+    pass, held as 4 bytes per modulus; mu and the terms are taken one
+    segment of moduli at a time.  Each term is one correctly rounded
+    division, and each of sigma1 and sigma2 is their correctly rounded sum
+    (``_exact_int``, rounded once at the end).
     """
     a, y = _check_shift(a), _check_y(y)
     _check_x(x)
@@ -259,13 +300,16 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     if top <= lo:
         return MobiusSplit(0.0, 0.0, delta)
     d_max = top - min(a, 0)
-    k = SmoothRange(lo + 1, top, y).values - a
-    mu = np.concatenate([_mu_segment(s, e) for s, e in segment_bounds(1, d_max)])
-    weighted = mu * _multiple_counts(k, d_max)[1:]
-    d = np.flatnonzero(weighted) + 1
-    terms = weighted[d - 1] / d
-    head = d <= delta
-    return MobiusSplit(_exact_sum([terms[head]]), _exact_sum([terms[~head]]), delta)
+    g = _multiple_counts(SmoothRange(lo + 1, top, y).values - a, d_max)
+    sigma1 = sigma2 = 0
+    for s, e in segment_bounds(1, d_max):
+        weighted = _mu_segment(s, e) * g[s : e + 1]
+        d = np.flatnonzero(weighted) + s
+        terms = weighted[d - s] / d
+        head = d <= delta
+        sigma1 += _exact_int(terms[head])
+        sigma2 += _exact_int(terms[~head])
+    return MobiusSplit(sigma1 / _EXACT_UNIT, sigma2 / _EXACT_UNIT, delta)
 
 
 def v_exact(x: float, y: float, a: int) -> float:

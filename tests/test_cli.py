@@ -126,15 +126,6 @@ def test_non_finite_or_too_large_x_u_h_are_rejected_fast(argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_non_integer_thread_count_is_rejected(tmp_path, monkeypatch):
-    cfg = tmp_path / "scan.cfg"
-    cfg.write_text("x_grid = 100, 1000\ny = 30\na_list = 1\n")
-    monkeypatch.setenv("SMOOTHLAB_THREADS", "abc")
-    code, out, err = invoke(["scan", "--config", str(cfg)])
-    assert (code, out) == (1, "")
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -185,12 +176,28 @@ def test_malformed_numbers_and_file_errors_are_rejected(argv, config, tmp_path):
         ["tsum", "--x", "20000.5", "--y", "30", "--a", "-3"],
         ["vsum", "--x", "20000.5", "--y", "30", "--a", "7"],
         ["vsum", "--x", "20000.5", "--y", "30", "--a", "-3"],
+        ["scan", "--config", "{tmp}/scan.cfg"],
     ],
 )
-def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, smooth_mask_entries):
-    code, _out, err = invoke(argv)
+def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, smooth_mask_entries, tmp_path):
+    # The scan reads its three x from one pass per shift.
+    (tmp_path / "scan.cfg").write_text("x_grid = 5000, 12500.5, 20000.5\ny = 30\na_list = 7, -3\n")
+    code, _out, err = invoke([arg.format(tmp=tmp_path) for arg in argv])
     assert (code, err) == (0, "")
-    assert sum(smooth_mask_entries) <= 20000
+    shifts = 2 if argv[0] == "scan" else 1
+    assert sum(smooth_mask_entries) <= shifts * 20000
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["x_grid = 10, 100\ny = 1\na_list = 1\n", "x_grid = -5, 0\ny = 30\na_list = 1\n"],
+    ids=["y-one", "x-not-positive"],
+)
+def test_scan_points_without_a_logarithm_are_error_rows(config, tmp_path):
+    (tmp_path / "scan.cfg").write_text(config)
+    code, out, err = invoke(["scan", "--config", str(tmp_path / "scan.cfg")])
+    assert (code, out) == (0, "rows=2 failed=2\n")
+    assert "Traceback" not in err and err == ""
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,22 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smoothlab import (
     DomainError,
     ScanConfig,
+    SmoothlabError,
     ZETA2_INV,
     error_fit,
     ft_ratio_scan,
     granville_discrepancy,
     psi,
+    psi_estimate,
     range_check,
+    t_exact,
+    v_exact,
 )
 from smoothlab.experiments import (
     FT_CSV_HEADER,
@@ -23,12 +29,13 @@ from smoothlab.experiments import (
     read_ft_csv,
     read_scan_csv,
     scan_record_line,
-    thread_count,
     write_ft_csv,
     write_json_report,
     write_scan_csv,
 )
 from smoothlab.formats import format_sig12
+
+from conftest import stream_segment
 
 
 def small_scan(tmp_path=None, out=None):
@@ -90,14 +97,55 @@ def test_scan_csv_round_trip(tmp_path):
     assert (tmp_path / "again.csv").read_text() == text
 
 
-def test_scan_threads_deterministic(monkeypatch):
-    serial = convergence_scan(small_scan())
-    monkeypatch.setenv("SMOOTHLAB_THREADS", "4")
-    assert thread_count() == 4
-    threaded = convergence_scan(small_scan())
-    assert [scan_record_line(r) for r in threaded] == [scan_record_line(r) for r in serial]
-    monkeypatch.setenv("SMOOTHLAB_THREADS", "0")
-    assert thread_count() >= 1
+def _point_error(cfg, x, a):
+    """The error of one scan point computed on its own, or None."""
+    try:
+        y = cfg.y_for(x)
+        t_exact(x, y, a)
+        psi_estimate(x, y)
+    except SmoothlabError as exc:
+        return str(exc)
+    return None
+
+
+_GRID_X = st.one_of(
+    st.integers(1, 2000).map(float),
+    st.integers(1, 4000).map(lambda k: k / 2),
+    st.sampled_from([-3.0, 0.0, 0.5, math.inf, 2.0**53, 1e17]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_GRID_X, min_size=1, max_size=6, unique=True).map(sorted),
+    st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=3, unique=True),
+    st.sampled_from([None, 0.5, 1.0, 2.0, 2.5, 3.0, 7.0, 30.0]),
+    st.sampled_from([97, 1024, 1 << 18]),
+)
+@example([10.0, 300.0, 2500.5, 8000.0, math.inf], [3, -2], None, 1024)
+@example([2.0, 3.5, 7.0, 7.5, 300.0, 2.0**53], [7, -5], 2.0, 97)
+def test_scan_rows_match_their_points(x_grid, a_list, y, segment):
+    # y None is the theorem-range rule, with y growing along the grid.
+    if y is None:
+        cfg = ScanConfig(x_grid=tuple(x_grid), a_list=tuple(a_list), y_rule="theorem_range", C=1.0)
+    else:
+        cfg = ScanConfig(x_grid=tuple(x_grid), a_list=tuple(a_list), y=y)
+    with stream_segment(segment):
+        records = convergence_scan(cfg)
+    assert [(r.a, r.x) for r in records] == sorted((a, x) for a in a_list for x in x_grid)
+    for r in records:
+        assert r.error == _point_error(cfg, r.x, r.a), (r.x, r.a)
+        if y is not None and y < 1:
+            assert r.error == f"smoothness bound must be >= 1, got {y}"
+        elif r.x == math.inf:
+            assert r.error == "x must be finite, got inf"
+        elif r.x > 2.0**52:
+            assert r.error == f"x={r.x:g} exceeds supported bound 2^52"
+        if r.error is None:
+            y = cfg.y_for(r.x)
+            assert (r.psi_exact, r.t_exact.hex(), r.v_exact.hex()) == (
+                psi(r.x, y), t_exact(r.x, y, r.a).hex(), v_exact(r.x, y, r.a).hex()
+            )
 
 
 def test_scan_config_validation():

@@ -23,7 +23,7 @@ from smoothlab import (
     v_via_abel,
 )
 
-from smoothlab.shifted import _exact_sum
+from smoothlab.shifted import _EXACT_UNIT, _exact_int
 
 from conftest import oracle_mobius_split, oracle_t, oracle_v, stream_segment
 
@@ -81,7 +81,23 @@ def test_t_exact_memory_does_not_grow_with_x():
     assert peak < 1 << 20
 
 
-def test_t_domain_errors():
+def test_mobius_split_holds_four_bytes_per_modulus():
+    # The int32 counts of 1e7 moduli take 38 MiB; the bound leaves room for
+    # the primes up to 1e7 and one segment of mu and terms, not for a
+    # full-length mu or an int64 count or product.
+    tracemalloc.start()
+    try:
+        split = t_via_mobius(1e7, 30, 1, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (split.sigma1.hex(), split.sigma2.hex()) == (
+        "0x1.c9dae97e3740fp+14", "-0x1.706fc1a37e44fp+4"
+    )
+    assert peak < 64 << 20
+
+
+def test_t_domain_errors(smooth_mask_entries):
     with pytest.raises(DomainError):
         t_exact(10, 3, 0)
     with pytest.raises(DomainError):
@@ -95,6 +111,10 @@ def test_t_domain_errors():
                 fn(x, 3, 1)
         with pytest.raises(DomainError):
             fn(0.5, 3, 1)
+        # n - a past 2^52 is refused before the smoothness mask, not in the totient kernel
+        with pytest.raises(DomainError, match=r"hi=4503599627370596 exceeds supported bound 2\^52"):
+            fn(100, 30, -(2**52))
+    assert smooth_mask_entries == []
 
 
 def test_range_bounds_property():
@@ -303,6 +323,11 @@ def test_aux_averages_matches_oracle():
 
 def _fsum_hex(chunks):
     return math.fsum(v for chunk in chunks for v in chunk.tolist()).hex()
+
+
+def _exact_sum(chunks):
+    """The exact integers of the chunks, added and rounded once, as the passes do."""
+    return sum(map(_exact_int, chunks)) / _EXACT_UNIT
 
 
 @settings(max_examples=200, deadline=None)
