@@ -13,7 +13,7 @@ from .census import psi
 from .dickman import build_rho_table, rho
 from .errors import SmoothlabError
 from .formats import format_sig12
-from .shifted import _shifted_totals, _v_parts, main_terms, t_via_mobius
+from .shifted import _check_pass, _shifted_totals, _v_parts, main_terms, t_via_mobius
 
 _EPILOG = "Numeric output carries 12 significant digits."
 
@@ -100,7 +100,8 @@ def _run_tsum(args) -> int:
     # The split goes first: it refuses a range too large to materialize
     # before the T pass sieves it.
     split = None if args.delta is None else t_via_mobius(args.x, args.y, args.a, args.delta)
-    [(psi_value, t, _v)] = _shifted_totals([args.x], args.y, args.a)
+    a, y = _check_pass(args.x, args.y, args.a)
+    [(psi_value, t, _v)] = _shifted_totals([args.x], y, a)
     ratio = t / psi_value
     pairs = [("t", format_sig12(t)), ("ratio", format_sig12(ratio))]
     if split is not None:

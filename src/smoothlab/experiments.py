@@ -150,14 +150,17 @@ def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[Sca
     """
     if cfg.output_path:
         open(cfg.output_path, "a").close()
-    records, groups = [], {}
-    for a in map(int, cfg.a_list):
+    # A shift listed twice is computed once and its rows repeated, so every
+    # group's x stay strictly increasing.
+    by_shift, groups = {}, {}
+    for a in dict.fromkeys(map(int, cfg.a_list)):
+        by_shift[a] = []
         for x in map(float, cfg.x_grid):
             try:
                 y = cfg.y_for(x)
                 _check_pass(x, y, a)
             except SmoothlabError as exc:
-                records.append(_failed_record(x, a, exc))
+                by_shift[a].append(_failed_record(x, a, exc))
             else:
                 groups.setdefault((y, a), []).append(x)
     if table is None:
@@ -168,9 +171,10 @@ def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[Sca
     for (y, a), xs in groups.items():
         for x, totals in zip(xs, _shifted_totals(xs, y, a)):
             try:
-                records.append(_scan_record(x, y, a, totals, table))
+                by_shift[a].append(_scan_record(x, y, a, totals, table))
             except SmoothlabError as exc:
-                records.append(_failed_record(x, a, exc))
+                by_shift[a].append(_failed_record(x, a, exc))
+    records = [r for a in map(int, cfg.a_list) for r in by_shift[a]]
     records.sort(key=lambda r: (r.a, r.x))
     if cfg.output_path:
         write_scan_csv(cfg.output_path, records)

@@ -20,10 +20,11 @@ smoothness mask per segment, then phi(n - a) at the smooth n only.  Each
 segment picks its totient route: ``_phi_at`` on the values n - a when the
 smooth n are sparse (``SPARSE_PHI_FACTOR``), else the ``_phi_segment``
 window.  Both give the same integers, so the route never changes a result.
-Float terms are summed exactly and rounded once (``_exact_int``), so T and
-the Moebius split do not depend on the segment size or the term order.  The
-same exactness lets one pass serve a whole grid of x: T at each x is the
-running exact integer of the terms so far, rounded at that cut.
+Float terms are summed exactly (``_exact_int``) and rounded once
+(``_round_exact``), so T and the Moebius split do not depend on the segment
+size or the term order.  The same exactness lets one pass serve a whole
+grid of x: T at each x is the running exact integer of the terms so far,
+rounded at that cut.
 """
 
 import math
@@ -59,7 +60,7 @@ SPARSE_PHI_FACTOR = 12
 #: size, so a slice's per-exponent sums stay exact integers in float64.
 _EXACT_SLICE = 1 << 20
 
-#: ``_exact_int`` counts in units of 2^-1126; one division by this rounds.
+#: ``_exact_int`` counts in units of 2^-1126; ``_round_exact`` divides by this.
 _EXACT_UNIT = 1 << 1126
 
 _E = math.e
@@ -89,6 +90,7 @@ def _check_pass(x: float, y: float, a: int) -> tuple[int, float]:
 
     Every check runs before any sieving: a later pass over (max(a,0),
     floor(x)] raises nothing, and a scan can fail one grid point on its own.
+    Each caller of ``_shifted_pass`` or ``_shifted_totals`` runs it once per x.
     """
     a, y = _check_shift(a), _check_y(y)
     _check_x(x)
@@ -100,7 +102,7 @@ def _check_pass(x: float, y: float, a: int) -> tuple[int, float]:
 
 
 def _shifted_pass(x: float, y: float, a: int, gather=_phi_gather):
-    """Check the arguments of a shifted sum, then return (a, head, segments).
+    """(head, segments) of a shifted sum up to x, for arguments from ``_check_pass``.
 
     head = Psi(min(x, a), y) counts the smooth n <= x the pass skips (0 for
     a < 0), so head plus the smooth n of the pass is Psi(x, y).  segments
@@ -109,7 +111,6 @@ def _shifted_pass(x: float, y: float, a: int, gather=_phi_gather):
     idx) -- phi(n - a) by default -- at them.  The shifted values are
     computed only when their segment has a smooth n.
     """
-    a, y = _check_pass(x, y, a)
     head = psi(min(x, a), y) if a > 0 else 0
 
     def segments():
@@ -118,7 +119,7 @@ def _shifted_pass(x: float, y: float, a: int, gather=_phi_gather):
             at = gather(s - a, e - a, idx) if idx.size else idx
             yield s, e, idx, at
 
-    return a, head, segments()
+    return head, segments()
 
 
 def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
@@ -131,7 +132,8 @@ def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
 
     V needs no T, so this pass leaves out T's terms and their sum.
     """
-    _a, psi_value, segments = _shifted_pass(x, y, a)
+    a, y = _check_pass(x, y, a)
+    psi_value, segments = _shifted_pass(x, y, a)
     numerator = 0
     for _s, _e, idx, phi_at in segments:
         psi_value += idx.size
@@ -140,16 +142,17 @@ def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
 
 
 def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
-    """(Psi(x, y), T(x, y), V(x, y)) at each x of an increasing list, from one pass.
+    """(Psi(x, y), T(x, y), V(x, y)) at each x of a strictly increasing list, from one pass.
 
-    The pass runs up to the last x, and every x is checked before it.  At
-    each cut floor(x) the running counts are read, and T's running exact
-    integer is rounded there: the correctly rounded sum of the same terms,
-    so the same float that a pass up to that x alone gives.
+    Every x must have passed ``_check_pass`` with this y and a; xs out of
+    order raise.  The pass runs up to the last x.  At each cut floor(x) the
+    running counts are read, and T's running exact integer is rounded there:
+    the correctly rounded sum of the same terms, so the same float that a
+    pass up to that x alone gives.
     """
-    for x in xs:
-        _check_pass(x, y, a)
-    a, head, segments = _shifted_pass(xs[-1], y, a)
+    if not all(u < v for u, v in zip(xs, xs[1:])):
+        raise DomainError("xs must be strictly increasing")
+    head, segments = _shifted_pass(xs[-1], y, a)
     cuts = [math.floor(x) for x in xs]
     rows = []
     count = numerator = total = 0
@@ -157,7 +160,7 @@ def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
     def read(cut):
         # A cut below a > 0 has no terms; every other cut shares the pass's head.
         psi_value = (psi(cut, y) if cut < a else head) + count
-        rows.append((psi_value, total / _EXACT_UNIT, numerator / psi_value))
+        rows.append((psi_value, _round_exact(total), numerator / psi_value))
 
     for s, e, idx, phi_at in segments:
         terms = _t_terms(a, s, idx, phi_at)
@@ -183,8 +186,8 @@ def _exact_int(chunk: np.ndarray) -> int:
     summed per exponent by one bincount, exact while the sums stay below
     2^53.  The sums go into one Python integer in units of 2^-1126, a
     mantissa unit at the smallest exponent frexp gives.  Such integers add
-    exactly, and one int/int true division by ``_EXACT_UNIT`` rounds their
-    sum to the float ``math.fsum`` gives, without boxing a term.
+    exactly, and ``_round_exact`` rounds their sum to the float
+    ``math.fsum`` gives, without boxing a term.
     """
     total = 0
     for start in range(0, chunk.size, _EXACT_SLICE):
@@ -201,6 +204,11 @@ def _exact_int(chunk: np.ndarray) -> int:
     return total
 
 
+def _round_exact(total: int) -> float:
+    """The float nearest a sum of ``_exact_int`` values: one int/int true division."""
+    return total / _EXACT_UNIT
+
+
 def t_exact(x: float, y: float, a: int) -> float:
     """T(x, y): sum of phi(n - a)/(n - a) over smooth n in (max(a,0), floor(x)].
 
@@ -209,6 +217,7 @@ def t_exact(x: float, y: float, a: int) -> float:
     1e-12 relative of the exact rational value and memory does not grow
     with x.
     """
+    a, y = _check_pass(x, y, a)
     return _shifted_totals([x], y, a)[0][1]
 
 
@@ -226,7 +235,8 @@ def t_exact_fraction(x: float, y: float, a: int) -> Fraction:
     """Exact rational T(x, y), for pinning the float path at small x."""
     if not x < RATIONAL_MODE_LIMIT + 1:  # also rejects nan, before any sieving
         raise DomainError(f"rational mode limited to x <= {RATIONAL_MODE_LIMIT}")
-    a, _head, segments = _shifted_pass(x, y, a)
+    a, y = _check_pass(x, y, a)
+    _head, segments = _shifted_pass(x, y, a)
     terms = [
         Fraction(int(p), int(i) + s - a)
         for s, _e, idx, phi_at in segments
@@ -309,7 +319,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
         head = d <= delta
         sigma1 += _exact_int(terms[head])
         sigma2 += _exact_int(terms[~head])
-    return MobiusSplit(sigma1 / _EXACT_UNIT, sigma2 / _EXACT_UNIT, delta)
+    return MobiusSplit(_round_exact(sigma1), _round_exact(sigma2), delta)
 
 
 def v_exact(x: float, y: float, a: int) -> float:
@@ -329,7 +339,8 @@ def v_via_abel(x: float, y: float, a: int) -> float:
     is a step function in its first argument; the integral is the exact sum
     of T(k) over integer k < floor(x) plus the fractional top piece.
     """
-    a, psi_value, segments = _shifted_pass(x, y, a)
+    a, y = _check_pass(x, y, a)
+    psi_value, segments = _shifted_pass(x, y, a)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
@@ -388,7 +399,8 @@ class AuxAverages(NamedTuple):
 
 def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     """Psi-normalized averages of tau(n - a) and omega(n - a) over smooth n."""
-    _a, psi_value, segments = _shifted_pass(x, y, a, _tau_omega_gather)
+    a, y = _check_pass(x, y, a)
+    psi_value, segments = _shifted_pass(x, y, a, _tau_omega_gather)
     tau_sum = omega_sum = 0
     for _s, _e, idx, at in segments:
         psi_value += idx.size

@@ -23,7 +23,7 @@ from smoothlab import (
     v_via_abel,
 )
 
-from smoothlab.shifted import _EXACT_UNIT, _exact_int
+from smoothlab.shifted import _exact_int, _round_exact, _shifted_totals
 
 from conftest import oracle_mobius_split, oracle_t, oracle_v, stream_segment
 
@@ -321,13 +321,19 @@ def test_aux_averages_matches_oracle():
         assert got.omega_avg == pytest.approx(omega_avg, rel=1e-12)
 
 
+@pytest.mark.parametrize("xs", [[300.0, 10.0], [10.0, 300.0, 10.0, 300.0], [50.0, 50.0]])
+def test_shifted_totals_refuses_xs_out_of_order(xs):
+    with pytest.raises(DomainError, match="strictly increasing"):
+        _shifted_totals(xs, 7.0, 1)
+
+
 def _fsum_hex(chunks):
     return math.fsum(v for chunk in chunks for v in chunk.tolist()).hex()
 
 
 def _exact_sum(chunks):
     """The exact integers of the chunks, added and rounded once, as the passes do."""
-    return sum(map(_exact_int, chunks)) / _EXACT_UNIT
+    return _round_exact(sum(map(_exact_int, chunks)))
 
 
 @settings(max_examples=200, deadline=None)
