@@ -53,8 +53,9 @@ class SmoothRange:
             raise CapacityError(
                 f"range [{first}, {last}] too large to materialize"
             )
-        parts = list(_segment_values(first - 1, last, _check_y(y)))
-        values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # int32 segments below 2^31 make the peak 1.5 times the int64 values, not 2.
+        parts = [_narrow(v) for v in _segment_values(first - 1, last, _check_y(y))]
+        values = np.concatenate(parts, dtype=np.int64)
         values.setflags(write=False)
         self.values = values
 

@@ -18,7 +18,17 @@ kernel is one loop over it, sized to its question:
   is tested as part >= (n - 1) // cap + 1: one division by a scalar.
 - ``_phi_segment`` takes every prime p <= sqrt(hi) with phi of the part,
   then multiplies in q - 1 for the (at most one) prime q = n / part >
-  sqrt(hi).
+  sqrt(hi) (``_phi_from_part``, shared with ``sieve_range`` and the union
+  kernel).
+- ``_smooth_phi_shifted`` answers both questions of a shifted sum from one
+  strip: for a segment [s, e] and a shift a it strips the union window
+  [min(s, s - a), max(e, e - a)] with phi, tests the n in [s, e] for
+  smoothness as ``_smooth_mask`` does and finishes phi(n - a) at the
+  smooth n alone.  The test is exact only when y >= isqrt of the union's
+  top, so that the strip holds every prime the mask would take; the caller
+  checks that, and keeps |a| below the segment length so that the window
+  stays within twice the segment.  The window itself passes
+  ``_check_window``.
 - ``_mu_segment`` flips the sign of mu at multiples of p, zeroes it at
   multiples of p^2 and multiplies p into a product of small prime factors;
   a squarefree n whose product falls short of n has one more prime factor,
@@ -210,11 +220,13 @@ def sieve_range(lo: int, hi: int) -> ArithTable:
             lpf[start::p] = p  # ascending p, so the last write is the largest
     # What is left of n is 1 or its one prime > sqrt(hi); that is its spf
     # when no smaller prime divides n (1 for n = 1), and always its lpf.
-    rem = np.arange(lo, hi + 1, dtype=np.int64) // _strip_primes(lo, hi, root)
+    part, tot = _strip_primes(lo, hi, root, phi=True)
+    rem = np.arange(lo, hi + 1, dtype=part.dtype)
+    rem //= part
     unset = spf == 0
     spf[unset] = rem[unset]
     lpf = np.maximum(lpf, rem)
-    phi, mu = _phi_segment(lo, hi), _mu_segment(lo, hi)
+    phi, mu = _phi_from_part(rem, tot), _mu_segment(lo, hi)
     for arr in (spf, lpf, phi, mu):
         arr.setflags(write=False)
     return ArithTable(lo=lo, hi=hi, spf=spf, lpf=lpf, phi=phi, mu=mu)
@@ -272,8 +284,11 @@ def _smooth_mask(lo: int, hi: int, y: float) -> np.ndarray:
     lo, hi = _check_window(lo, hi)
     root = math.isqrt(hi)
     bound = root if y >= root else math.floor(y)
-    cap = math.floor(min(y, hi))
-    part = _strip_primes(lo, hi, bound)
+    return _part_is_smooth(_strip_primes(lo, hi, bound), lo, hi, math.floor(min(y, hi)))
+
+
+def _part_is_smooth(part: np.ndarray, lo: int, hi: int, cap: int) -> np.ndarray:
+    """Whether n / part <= cap for each n in [lo, hi], as part >= (n - 1) // cap + 1."""
     need = np.arange(lo - 1, hi, dtype=part.dtype)
     need //= cap
     need += 1
@@ -284,13 +299,45 @@ def _phi_segment(lo: int, hi: int) -> np.ndarray:
     """Euler totient of every n in [lo, hi] as an int64 array."""
     lo, hi = _check_window(lo, hi)
     part, phi = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
-    # n // part is 1 or the one prime q > sqrt(hi) of n, exponent 1, whose
-    # factor q - 1 phi(part) still lacks; phi(n) <= n keeps the dtype.
     rem = np.arange(lo, hi + 1, dtype=part.dtype)
     rem //= part
+    return _phi_from_part(rem, phi)
+
+
+def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:
+    """phi(n) as int64, from rem = n // part and tot = phi(part); overwrites both.
+
+    The part takes every prime p <= sqrt(n), so rem is 1 or the one prime
+    q > sqrt(n) of n, exponent 1, whose factor q - 1 tot still lacks;
+    phi(n) <= n keeps the dtype.
+    """
     rem -= rem > 1
-    phi *= rem
-    return phi.astype(np.int64, copy=False)
+    tot *= rem
+    return tot.astype(np.int64, copy=False)
+
+
+def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
+    """(idx, phi): the y-smooth n in [s, e] are s + idx, and phi holds phi(n - a) at them.
+
+    One strip of the union window [min(s, s - a), max(e, e - a)], over the
+    primes p <= sqrt(hi), serves both questions, so the caller must have
+    y >= isqrt(hi): then the strip holds every prime the smoothness test of
+    ``_smooth_mask`` takes, and the test is the same,
+    part >= (n - 1) // cap + 1 with cap = floor(min(y, e)).  The totient
+    is finished as in ``_phi_segment``, at the smooth n alone.  The window
+    is the segment plus |a| entries and passes ``_check_window``.
+    """
+    lo, hi = _check_window(min(s, s - a), max(e, e - a))
+    part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
+    cap = math.floor(min(y, e))
+    idx = np.flatnonzero(_part_is_smooth(part[s - lo : e - lo + 1], s, e, cap))
+    # The entries of the values n - a at the smooth n; the windows are freed here.
+    shifted = slice(s - a - lo, e - a - lo + 1)
+    part, tot = part[shifted][idx], tot[shifted][idx]
+    rem = idx.astype(part.dtype)
+    rem += s - a
+    rem //= part
+    return idx, _phi_from_part(rem, tot)
 
 
 def _prime_windows(top: int):

@@ -193,18 +193,27 @@ def stream_segment(size: int):
 
 @pytest.fixture
 def smooth_mask_entries(monkeypatch):
-    """The window size of every smoothness-mask call made while the test runs."""
+    """The number of n tested for smoothness by each kernel call made while the test runs.
+
+    Counts the window of every smoothness mask and the segment [s, e] of
+    every ``_smooth_phi_shifted`` call, which tests only those n.
+    """
     from smoothlab import census, shifted
 
     entries = []
-    kernel = census._smooth_mask
+    kernel, union = census._smooth_mask, shifted._smooth_phi_shifted
 
     def counted(lo, hi, y):
         entries.append(hi - lo + 1)
         return kernel(lo, hi, y)
 
+    def counted_union(s, e, y, a):
+        entries.append(e - s + 1)
+        return union(s, e, y, a)
+
     for module in (census, shifted):
         monkeypatch.setattr(module, "_smooth_mask", counted)
+    monkeypatch.setattr(shifted, "_smooth_phi_shifted", counted_union)
     return entries
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,25 @@ def test_smooth_range_values_match_oracle(first, span, y, segment):
         values = SmoothRange(first, last, y).values
     assert values.dtype == np.int64 and not values.flags.writeable
     assert values.tolist() == oracle_smooth_list(first - 1, last, y)
+
+
+def test_smooth_range_peaks_at_one_and_a_half_times_its_values():
+    # int32 segments and the int64 values they are copied into are all alive
+    # at the peak; int64 segments would double it.
+    tracemalloc.start()
+    try:
+        values = SmoothRange(1, 1 << 23, 1e3).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.dtype == np.int64 and values[-1] == 8388608
+    assert peak < 1.6 * values.nbytes
+    # Segments on either side of 2^31 are narrowed or kept apart.
+    first, last = 2**31 - 500, 2**31 + 500
+    with stream_segment(300):
+        values = SmoothRange(first, last, 1e3).values
+    assert values.dtype == np.int64
+    assert values.tolist() == oracle_smooth_list(first - 1, last, 1e3)
 
 
 def test_smooth_range_rejects_bad_ranges():

@@ -177,6 +177,10 @@ def test_malformed_numbers_and_file_errors_are_rejected(argv, config, tmp_path):
         ["vsum", "--x", "20000.5", "--y", "30", "--a", "7"],
         ["vsum", "--x", "20000.5", "--y", "30", "--a", "-3"],
         ["scan", "--config", "{tmp}/scan.cfg"],
+        ["tsum", "--x", "20000.5", "--y", "1e5", "--a", "7"],
+        ["tsum", "--x", "20000.5", "--y", "1e5", "--a", "-3"],
+        ["vsum", "--x", "20000.5", "--y", "1e5", "--a", "7"],
+        ["vsum", "--x", "20000.5", "--y", "1e5", "--a", "-3"],
     ],
 )
 def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, smooth_mask_entries, tmp_path):
@@ -212,6 +216,23 @@ def test_sparse_smooth_n_take_phi_without_a_window(argv, windows, phi_window_ent
     code, _out, err = invoke(argv)
     assert (code, err) == (0, "")
     assert bool(phi_window_entries) == windows
+
+
+@pytest.mark.parametrize(
+    "a, line, union",
+    [
+        ("7", "t=172831.804853 ratio=0.618717060108\n", True),
+        ("-5000000", "t=167783.741623 ratio=0.600645601304\n", False),
+    ],
+)
+def test_a_shift_past_the_segment_keeps_the_windows_small(a, line, union, phi_window_entries):
+    # A shift below the segment length strips the segment plus |a| entries at
+    # once; a larger one takes the mask and the shifted window apart.
+    from smoothlab import sieve
+
+    assert invoke(["tsum", "--x", "3e5", "--y", "1e5", "--a", a]) == (0, line, "")
+    extra = abs(int(a)) if union else 0
+    assert max(phi_window_entries) == sieve.STREAM_SEGMENT + extra
 
 
 def test_blank_d_list_entries_are_skipped():

@@ -7,21 +7,26 @@ with the sieve.  ``sieve_range`` is built from the same stride core as the
 kernels, so the comparisons with it only check that the two agree.  The
 sparse totient ``_phi_at`` is checked against the oracle and the window
 totient, and through a counted prime stream, for how far its Miller-Rabin
-step lets it walk.  psi, T and V are checked not to depend on how the range is split
-into segments, with small y, where a segment takes phi(n - a) from
-``_phi_at``, next to large y, where it takes the window.
+step lets it walk.  The union kernel ``_smooth_phi_shifted`` is checked
+against the mask, the window totient and the oracle, and T and V through
+it against the mask route.  psi, T and V are checked not to depend on how
+the range is split into segments, with small y, where a segment takes
+phi(n - a) from ``_phi_at``, next to large y, where it takes the window.
 """
 
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab import psi, sieve, sieve_range, t_exact, v_exact
-from smoothlab.sieve import _mu_segment, _phi_at, _phi_segment, _smooth_mask, tau_omega_range
+from smoothlab import CapacityError, psi, shifted, sieve, sieve_range, t_exact, v_exact, v_via_abel
+from smoothlab.sieve import (
+    _mu_segment, _phi_at, _phi_segment, _smooth_mask, _smooth_phi_shifted, tau_omega_range,
+)
 
 from conftest import (
     oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi, oracle_spf, oracle_tau,
@@ -217,3 +222,67 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
         tau, omega = tau_omega_range(lo, hi)
         assert tau.tolist() == [oracle_tau(n) for n in ns]
         assert omega.tolist() == [oracle_omega(n) for n in ns]
+
+
+@st.composite
+def union_cases(draw):
+    """A window [s, e] below 10^6 or across 2^31, a shift, and a y at or above
+    isqrt of the top of the union window [min(s, s - a), max(e, e - a)]."""
+    size = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        s = draw(st.integers(21, 10**6))
+    else:
+        s = 2**31 - draw(st.integers(0, size + 20))
+    e = s + size - 1
+    a = draw(st.integers(-20, 20).filter(bool) | st.sampled_from([size, -size, size + 7]))
+    a = min(a, s - 1)  # n - a >= 1
+    root = math.isqrt(max(e, e - a))
+    y = draw(st.sampled_from([root, root + 0.5, 1e5, math.inf]).filter(lambda v: v >= root))
+    return s, e, y, a
+
+
+@SETTINGS
+@given(union_cases())
+@example((2**52 - 60, 2**52, math.inf, 7))
+@example((2**31 - 30, 2**31 + 30, math.inf, -15))
+def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
+    s, e, y, a = case
+    idx, phi = _smooth_phi_shifted(s, e, y, a)
+    assert np.array_equal(idx, np.flatnonzero(_smooth_mask(s, e, y)))
+    assert phi.dtype == np.int64
+    assert np.array_equal(phi, _phi_segment(s - a, e - a)[idx])
+    assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
+
+
+def test_smooth_phi_shifted_checks_its_window_before_it_allocates():
+    with pytest.raises(CapacityError):
+        _smooth_phi_shifted(1, 100, math.inf, -(2**40))
+
+
+def _mask_route(s, e, y, a):
+    """The route of a segment without the union kernel: the mask, then the shifted window."""
+    idx = np.flatnonzero(_smooth_mask(s, e, y))
+    return idx, _phi_segment(s - a, e - a)[idx]
+
+
+@st.composite
+def union_sum_cases(draw):
+    x = draw(st.integers(1, 5000) | st.floats(1, 5000))
+    segment = draw(st.integers(max(1, math.floor(x) // 64), math.floor(x) + 10))
+    a = draw(st.integers(-20, 20).filter(bool) | st.sampled_from([segment, -segment - 3]))
+    root = math.isqrt(math.floor(x) - min(a, 0))
+    y = draw(st.sampled_from([root - 1, root, root + 0.5, 1e5, math.inf]).filter(lambda v: v >= 1))
+    return x, y, a, segment
+
+
+@SETTINGS
+@given(union_sum_cases())
+@example((120, 10, -1, 1000))  # isqrt(120) <= y < isqrt(121): 11 must not count as 10-smooth
+def test_t_and_v_match_the_mask_route(case):
+    x, y, a, segment = case
+    sums = (t_exact, v_exact, v_via_abel)
+    with stream_segment(segment):
+        got = [fn(x, y, a).hex() for fn in sums]
+        with patch.object(shifted, "_smooth_phi_shifted", _mask_route):
+            want = [fn(x, y, a).hex() for fn in sums]
+    assert got == want

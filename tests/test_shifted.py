@@ -302,9 +302,17 @@ def test_aux_averages():
 
 
 @pytest.mark.parametrize("fn", [t_exact, v_exact, v_via_abel, aux_averages])
-@pytest.mark.parametrize("a", [7, -3])
-def test_shifted_sums_test_each_n_for_smoothness_once(fn, a, smooth_mask_entries):
-    fn(20000.5, 30, a)
+@pytest.mark.parametrize(
+    "a, y",
+    [
+        pytest.param(7, 30, id="7"),
+        pytest.param(-3, 30, id="-3"),
+        pytest.param(7, 1e5, id="7-y1e5"),
+        pytest.param(-3, 1e5, id="-3-y1e5"),
+    ],
+)
+def test_shifted_sums_test_each_n_for_smoothness_once(fn, a, y, smooth_mask_entries):
+    fn(20000.5, y, a)
     assert sum(smooth_mask_entries) <= 20000
 
 
