@@ -10,29 +10,16 @@ import math
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import MAX_SIEVE_BOUND, _check_int, _smooth_mask, primes_upto, segment_bounds
+from .sieve import (
+    _check_int, _check_modulus, _check_range, _check_x, _check_y, _smooth_mask, primes_upto,
+    segment_bounds,
+)
 
 #: Upper limit for the recursive test oracle.
 ENUM_ORACLE_LIMIT = 10**7
 
 #: Largest span a SmoothRange will materialize.
 MAX_MATERIALIZED_SPAN = 1 << 27
-
-
-def _check_y(y: float) -> float:
-    """Validate a smoothness bound: a real y >= 1, where y = inf means no bound."""
-    y = float(y)
-    if not y >= 1:
-        raise DomainError(f"smoothness bound must be >= 1, got {y}")
-    return y
-
-
-def _check_x(x: float) -> None:
-    """Reject a non-finite x, or one past the sieve bound, before any loop."""
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
-    if x > MAX_SIEVE_BOUND:
-        raise DomainError(f"x={x:g} exceeds supported bound 2^52")
 
 
 class SmoothRange:
@@ -44,17 +31,14 @@ class SmoothRange:
     """
 
     def __init__(self, first: int, last: int, y: float):
-        first, last = _check_int(first, "first"), _check_int(last, "last")
-        if first < 1:
-            raise DomainError(f"range must start at 1 or above, got {first}")
+        y, first = _check_y(y), _check_int(first, "first")
+        _, last = _check_range(first - 1, last)
         if last < first:
             raise DomainError(f"empty range [{first}, {last}]")
         if last - first + 1 > MAX_MATERIALIZED_SPAN:
-            raise CapacityError(
-                f"range [{first}, {last}] too large to materialize"
-            )
+            raise CapacityError(f"range [{first}, {last}] too large to materialize")
         # int32 segments below 2^31 make the peak 1.5 times the int64 values, not 2.
-        parts = [_narrow(v) for v in _segment_values(first - 1, last, _check_y(y))]
+        parts = [_narrow(v) for v in _segment_values(first - 1, last, y)]
         values = np.concatenate(parts, dtype=np.int64)
         values.setflags(write=False)
         self.values = values
@@ -122,10 +106,7 @@ def _count_coprime(values: np.ndarray, primes: list[int], divisible=None) -> int
 def enumerate_smooth(lo: int, hi: int, y: float):
     """Yield the y-smooth integers in (lo, hi] in increasing order."""
     y = _check_y(y)
-    lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
-    if lo < 0:
-        raise DomainError(f"lower bound must be >= 0, got {lo}")
-    _check_x(hi)
+    lo, hi = _check_range(lo, hi)
     for values in _segment_values(lo, hi, y):
         yield from values.tolist()
 
@@ -139,10 +120,7 @@ def _segment_values(lo: int, hi: int, y: float):
 def psi(x: float, y: float) -> int:
     """Exact count of y-smooth integers n with 1 <= n <= x."""
     y = _check_y(y)
-    _check_x(x)
-    if x < 1:
-        raise DomainError(f"psi needs x >= 1, got {x}")
-    top = math.floor(x)
+    top = _check_x(x)
     total = 0
     for s, e in segment_bounds(1, top):
         total += int(np.count_nonzero(_smooth_mask(s, e, y)))
@@ -156,11 +134,9 @@ def psi_enum_oracle(x: float, y: float) -> int:
     scale (x <= 10^7).
     """
     y = _check_y(y)
-    if not x >= 1:  # also rejects nan
-        raise DomainError(f"oracle needs x >= 1, got {x}")
+    top = _check_x(x)
     if x > ENUM_ORACLE_LIMIT:
         raise CapacityError(f"oracle limited to x <= {ENUM_ORACLE_LIMIT}")
-    top = math.floor(x)
 
     primes = []
     m = 2
@@ -187,13 +163,8 @@ def psi_enum_oracle(x: float, y: float) -> int:
 def psi_coprime(x: float, y: float, d: int) -> int:
     """Exact count of y-smooth n <= x with gcd(n, d) = 1."""
     y = _check_y(y)
-    d = _check_int(d, "modulus")
-    if d < 1:
-        raise DomainError(f"modulus must be >= 1, got {d}")
-    _check_x(x)
-    if x < 1:
-        raise DomainError(f"psi_coprime needs x >= 1, got {x}")
-    top = math.floor(x)
+    d = _check_modulus(d)
+    top = _check_x(x)
     primes = _prime_divisors(d, min(y, top))
     return sum(_count_coprime(v, primes) for v in _segment_values(0, top, y))
 
@@ -201,11 +172,6 @@ def psi_coprime(x: float, y: float, d: int) -> int:
 def psi_progression(lo: int, hi: int, y: float, a: int, d: int) -> int:
     """Exact count of y-smooth n in (lo, hi] with n congruent to a mod d."""
     y = _check_y(y)
-    d, a = _check_int(d, "modulus"), _check_int(a, "residue")
-    if d < 1:
-        raise DomainError(f"modulus must be >= 1, got {d}")
-    lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
-    if lo < 0:
-        raise DomainError(f"lower bound must be >= 0, got {lo}")
-    _check_x(hi)
+    d, a = _check_modulus(d), _check_int(a, "residue")
+    lo, hi = _check_range(lo, hi)
     return sum(_count_residue(v, a, d) for v in _segment_values(lo, hi, y))

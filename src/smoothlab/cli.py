@@ -13,7 +13,8 @@ from .census import psi
 from .dickman import build_rho_table, rho
 from .errors import SmoothlabError
 from .formats import format_sig12
-from .shifted import _check_pass, _shifted_totals, _v_parts, main_terms, t_via_mobius
+from .shifted import _shifted_totals, _v_parts, main_terms, t_via_mobius
+from .sieve import _check_pass
 
 _EPILOG = "Numeric output carries 12 significant digits."
 

@@ -18,8 +18,10 @@ from .census import SmoothRange, _count_coprime, _narrow, _prime_divisors, _resi
 from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
-from .shifted import _E, ZETA2_INV, _check_pass, _shifted_totals, main_terms
-from .sieve import MAX_SIEVE_BOUND, _check_int, _phi_at
+from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
+from .sieve import (
+    _check_cutoff, _check_modulus, _check_pass, _check_shift, _check_x, _check_y, _phi_at,
+)
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
 FT_CSV_HEADER = "d,ratio,dev,lemma_scale"
@@ -47,16 +49,16 @@ _E_E = math.exp(math.e)
 class ScanConfig:
     """What a convergence scan should sweep.
 
-    y_rule "fixed" uses the configured y everywhere; "theorem_range" sets
-    y = exp(C * sqrt(log x * logloglog x)) per grid point, the lower edge of
-    the proven regime for the configured constant C.
+    A given y is used at every grid point.  Without one, the theorem-range
+    rule sets y = exp(C * sqrt(log x * logloglog x)) per grid point, the
+    lower edge of the proven regime for the constant C (2 when not given).
+    C is read only under that rule, so giving both y and C is an error.
     """
 
     x_grid: tuple
     a_list: tuple
     y: float | None = None
-    y_rule: str = "fixed"
-    C: float = 2.0
+    C: float | None = None
     output_path: str | None = None
 
     def __post_init__(self):
@@ -71,21 +73,21 @@ class ScanConfig:
             raise DomainError("x_grid must be strictly increasing")
         if not self.a_list:
             raise DomainError("a_list must be non-empty")
-        if any(_check_int(a, "shift") == 0 for a in self.a_list):
-            raise DomainError("shifts in a_list must be nonzero")
-        if not self.C > 0:
-            raise DomainError(f"C must be positive, got {self.C}")
-        if self.y_rule == "fixed" and self.y is None:
-            raise DomainError("fixed y_rule needs a y value")
-        if self.y_rule not in ("fixed", "theorem_range"):
-            raise DomainError(f"unknown y_rule {self.y_rule!r}")
+        for a in self.a_list:
+            _check_shift(a)
+        if self.C is not None:
+            if self.y is not None:
+                raise DomainError("give y or C, not both: C sets y only when y is absent")
+            if not self.C > 0:
+                raise DomainError(f"C must be positive, got {self.C}")
 
     def y_for(self, x: float) -> float:
-        if self.y_rule == "fixed":
+        if self.y is not None:
             return float(self.y)
         if x <= _E_E:
             raise DomainError(f"theorem_range rule needs x > e^e, got {x}")
-        return math.exp(self.C * math.sqrt(math.log(x) * math.log(math.log(math.log(x)))))
+        C = 2.0 if self.C is None else self.C
+        return math.exp(C * math.sqrt(math.log(x) * math.log(math.log(math.log(x)))))
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def _failed_record(x: float, a: int, exc: SmoothlabError) -> ScanRecord:
     )
 
 
-def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[ScanRecord]:
+def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
     """Run every (x, y(x), a) point of the config; never aborts mid-scan.
 
     The points that share (y, a) come from one pass up to the largest of
@@ -163,11 +165,10 @@ def convergence_scan(cfg: ScanConfig, table: RhoTable | None = None) -> list[Sca
                 by_shift[a].append(_failed_record(x, a, exc))
             else:
                 groups.setdefault((y, a), []).append(x)
-    if table is None:
-        # Only points with finite x >= y >= 2 read the table; one past the
-        # table limit fails on its own row.
-        u = [math.log(x) / math.log(y) for (y, _a), xs in groups.items() for x in xs if 2 <= y <= x]
-        table = build_rho_table(u_max=math.ceil(min(max([2.0, *u]), MAX_UNITS - 1)) + 1)
+    # Only points with finite x >= y >= 2 read the table; one past the table
+    # limit fails on its own row.
+    u = [math.log(x) / math.log(y) for (y, _a), xs in groups.items() for x in xs if 2 <= y <= x]
+    table = build_rho_table(u_max=math.ceil(min(max([2.0, *u]), MAX_UNITS - 1)) + 1)
     for (y, a), xs in groups.items():
         for x, totals in zip(xs, _shifted_totals(xs, y, a)):
             try:
@@ -209,19 +210,6 @@ class DiscrepancyReport:
     total_over_psi: float
     notes: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "delta": self.delta,
-            "z_mode": self.z_mode,
-            "z_values": list(self.z_values),
-            "rows": [[r.d, r.deviation] for r in self.rows],
-            "total": self.total,
-            "total_over_psi": self.total_over_psi,
-            "notes": list(self.notes),
-        }
-
 
 def granville_discrepancy(
     x: float, y: float, delta: float, z_mode: str = "fixed_x"
@@ -242,12 +230,8 @@ def granville_discrepancy(
     A block holds at most ``_COUNT_BLOCK`` counts, so memory stays
     O(d + psi) for any delta.
     """
-    x, y = float(x), float(y)
-    if not 1 <= x < math.inf:
-        raise DomainError(f"needs a finite x >= 1, got {x}")
-    delta = float(delta)
-    if not delta >= 1:
-        raise DomainError(f"delta must be >= 1, got {delta}")
+    top, y, delta = _check_x(x), _check_y(y), _check_cutoff(delta)
+    x = float(x)
     notes = []
     if delta > x:
         notes.append(f"delta {delta:g} clamped to x {x:g}")
@@ -267,7 +251,6 @@ def granville_discrepancy(
     else:
         raise DomainError(f"unknown z_mode {z_mode!r}")
 
-    top = math.floor(x)
     values = _narrow(SmoothRange(1, top, y).values)
     # values[ends[i - 1]:ends[i]] are the smooth n in (z_{i-1}, z_i] for the
     # increasing grid; slices labels each value with that i.
@@ -332,15 +315,11 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     reads; at most ``_MASK_MEMO`` masks are kept, for the most shared
     primes, and any other prime is tested per modulus.
     """
-    x, y = float(x), float(y)
-    if not 1 <= x < math.inf:
-        raise DomainError(f"needs a finite x >= 1, got {x}")
-    ds = sorted(_check_int(d, "modulus") for d in d_list)
+    top, y = _check_x(x), _check_y(y)
+    x = float(x)
+    ds = sorted(_check_modulus(d, totient=True) for d in d_list)
     if not ds:
         return []
-    if not 1 <= ds[0] <= ds[-1] <= MAX_SIEVE_BOUND:
-        raise DomainError(f"moduli must lie in [1, 2^52], got {ds[0]}..{ds[-1]}")
-    top = math.floor(x)
     values = _narrow(SmoothRange(1, top, y).values)
     psi_value = values.size
     divisors = [_prime_divisors(d, min(y, top)) for d in ds]
@@ -594,10 +573,12 @@ def parse_config(text: str) -> ScanConfig:
     }
     if "y" in values:
         kwargs["y"] = number("y", values["y"])
-        kwargs["y_rule"] = "fixed"
-    else:
-        kwargs["y_rule"] = "theorem_range"
     if "C" in values:
+        if "y" in values:
+            raise DomainError(
+                f"config key 'C' on line {lines['C']} is read only when y is absent, "
+                f"but y is given on line {lines['y']}"
+            )
         kwargs["C"] = number("C", values["C"])
     if "out" in values:
         kwargs["output_path"] = values["out"]

@@ -39,11 +39,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import SmoothRange, _check_x, _check_y, psi
+from .census import MAX_MATERIALIZED_SPAN, SmoothRange, psi
 from .dickman import RhoTable, rho, rho_log
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
-    MAX_SIEVE_BOUND, _check_int, _mu_segment, _phi_at, _phi_segment, _smooth_mask,
+    _check_cutoff, _check_pass, _mu_segment, _phi_at, _phi_segment, _smooth_mask,
     _smooth_phi_shifted, primes_upto, segment_bounds, tau_omega_range,
 )
 
@@ -74,13 +74,6 @@ _EXACT_UNIT = 1 << 1126
 _E = math.e
 
 
-def _check_shift(a) -> int:
-    a = _check_int(a, "shift a")
-    if a == 0:
-        raise DomainError("shift a must be nonzero")
-    return a
-
-
 def _phi_gather(lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
     """phi(lo + idx), from ``_phi_at`` when the idx are sparse, else from the window."""
     if idx.size * primes_upto(math.isqrt(hi)).size < SPARSE_PHI_FACTOR * (hi - lo + 1):
@@ -91,22 +84,6 @@ def _phi_gather(lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
 def _tau_omega_gather(lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
     """tau and omega of lo + idx, as the two rows of one array."""
     return np.asarray(tau_omega_range(lo, hi))[:, idx]
-
-
-def _check_pass(x: float, y: float, a: int) -> tuple[int, float]:
-    """Check the arguments of a shifted sum up to x; return the shift and y.
-
-    Every check runs before any sieving: a later pass over (max(a,0),
-    floor(x)] raises nothing, and a scan can fail one grid point on its own.
-    Each caller of ``_shifted_pass`` or ``_shifted_totals`` runs it once per x.
-    """
-    a, y = _check_shift(a), _check_y(y)
-    _check_x(x)
-    if x < 1:
-        raise DomainError(f"psi needs x >= 1, got {x}")
-    if math.floor(x) - a > MAX_SIEVE_BOUND:
-        raise DomainError(f"hi={math.floor(x) - a} exceeds supported bound 2^52")
-    return a, y
 
 
 def _shifted_pass(x: float, y: float, a: int, gather=_phi_gather):
@@ -307,25 +284,24 @@ def _multiple_counts(k: np.ndarray, n: int) -> np.ndarray:
 def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     """Evaluate T through progression counts: sum over d of mu(d)/d * #{n = a mod d}.
 
-    Moduli run to floor(x) for positive shifts (counts vanish above x - a
-    anyway) and to floor(x) - a for negative shifts, where divisors of n - a
-    genuinely exceed x.  All counts come from one :func:`_multiple_counts`
-    pass, held as 4 bytes per modulus; mu and the terms are taken one
-    segment of moduli at a time.  Each term is one correctly rounded
-    division, and each of sigma1 and sigma2 is their correctly rounded sum
-    (``_exact_int``, rounded once at the end).
+    The moduli run to floor(x) - a for either sign of a: every n - a lies
+    in [1, floor(x) - a], so no count above that is nonzero.  All counts
+    come from one :func:`_multiple_counts` pass, held as 4 bytes per
+    modulus, so more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a
+    CapacityError, raised before anything is allocated; mu and the terms
+    are taken one segment of moduli at a time.  Each term is one correctly
+    rounded division, and each of sigma1 and sigma2 is their correctly
+    rounded sum (``_exact_int``, rounded once at the end).
     """
-    a, y = _check_shift(a), _check_y(y)
-    _check_x(x)
-    delta = float(delta)
-    if not delta >= 1:
-        raise DomainError(f"cutoff must be >= 1, got {delta}")
+    a, y = _check_pass(x, y, a)
+    delta = _check_cutoff(delta)
     top = math.floor(x)
-    lo = max(a, 0)
-    if top <= lo:
+    d_max = top - a
+    if d_max > MAX_MATERIALIZED_SPAN:
+        raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
+    if d_max <= 0:
         return MobiusSplit(0.0, 0.0, delta)
-    d_max = top - min(a, 0)
-    g = _multiple_counts(SmoothRange(lo + 1, top, y).values - a, d_max)
+    g = _multiple_counts(SmoothRange(max(a, 0) + 1, top, y).values - a, d_max)
     sigma1 = sigma2 = 0
     for s, e in segment_bounds(1, d_max):
         weighted = _mu_segment(s, e) * g[s : e + 1]

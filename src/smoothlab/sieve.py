@@ -147,6 +147,13 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
+# ---------------------------------------------------------------------------
+# Argument checks: the one validation layer.  Every public entry point of the
+# package checks its x, y, shift a, modulus d, cutoff delta and range ends
+# here, in O(1) and before it allocates or loops, and raises DomainError (or
+# CapacityError for a window past the cap) instead of answering.
+
+
 def _check_int(value, what: str) -> int:
     """``value`` as an int; DomainError for nan, an infinity or a non-integral value."""
     if not isinstance(value, numbers.Integral) and not (
@@ -154,6 +161,88 @@ def _check_int(value, what: str) -> int:
     ):
         raise DomainError(f"{what} must be an integer, got {value}")
     return int(value)
+
+
+def _check_y(y: float) -> float:
+    """A smoothness bound as a float: a real y >= 1, where y = inf means no bound."""
+    y = float(y)
+    if not y >= 1:
+        raise DomainError(f"smoothness bound must be >= 1, got {y}")
+    return y
+
+
+def _check_x(x: float) -> int:
+    """floor(x) for a finite upper bound 1 <= x <= 2^52."""
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"x must be finite, got {x}")
+    if x > MAX_SIEVE_BOUND:
+        raise DomainError(f"x={x:g} exceeds supported bound 2^52")
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
+    return math.floor(x)
+
+
+def _check_range(lo: int, hi: int) -> tuple[int, int]:
+    """The integer ends of a range (lo, hi] with lo >= 0 and hi <= 2^52; hi <= lo is empty."""
+    lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
+    if lo < 0:
+        raise DomainError(f"range must start at n = 1 or above, got n = {lo + 1}")
+    if hi > MAX_SIEVE_BOUND:
+        raise DomainError(f"hi={hi} exceeds supported bound 2^52")
+    return lo, hi
+
+
+def _check_shift(a: int) -> int:
+    """A shift a as a nonzero int."""
+    a = _check_int(a, "shift a")
+    if a == 0:
+        raise DomainError("shift a must be nonzero")
+    return a
+
+
+def _check_modulus(d: int, totient: bool = False) -> int:
+    """A modulus as an int d >= 1, and d <= 2^52 when the caller takes phi(d)."""
+    d = _check_int(d, "modulus")
+    if d < 1:
+        raise DomainError(f"modulus must be >= 1, got {d}")
+    if totient and d > MAX_SIEVE_BOUND:
+        raise DomainError(f"modulus {d} exceeds supported bound 2^52")
+    return d
+
+
+def _check_cutoff(delta: float) -> float:
+    """A modulus cutoff as a float: a real delta >= 1, where delta = inf keeps every modulus."""
+    delta = float(delta)
+    if not delta >= 1:
+        raise DomainError(f"cutoff delta must be >= 1, got {delta}")
+    return delta
+
+
+def _check_pass(x: float, y: float, a: int) -> tuple[int, float]:
+    """Check the arguments of a shifted sum up to x; return the shift and y.
+
+    Every check runs before any sieving: a later pass over (max(a,0),
+    floor(x)] raises nothing, and a scan can fail one grid point on its own.
+    Each caller of ``_shifted_pass`` or ``_shifted_totals`` runs it once per x.
+    """
+    a, y = _check_shift(a), _check_y(y)
+    top = _check_x(x)
+    _check_range(0, top - a)  # the largest n - a the totient kernels take
+    return a, y
+
+
+def _check_window(lo: int, hi: int) -> tuple[int, int]:
+    """Validate a sieve window [lo, hi], lo >= 1, against the bounds and the window cap."""
+    lo = _check_int(lo, "lo")
+    _, hi = _check_range(lo - 1, hi)
+    if hi < lo:
+        raise DomainError(f"empty sieve range [{lo}, {hi}]")
+    if hi - lo + 1 > DEFAULT_SEGMENT_CAPACITY:
+        raise CapacityError(
+            f"segment [{lo}, {hi}] has {hi - lo + 1} entries, "
+            f"capacity is {DEFAULT_SEGMENT_CAPACITY}"
+        )
+    return lo, hi
 
 
 def segment_bounds(lo: int, hi: int):
@@ -164,23 +253,6 @@ def segment_bounds(lo: int, hi: int):
         e = min(s + STREAM_SEGMENT - 1, hi)
         yield s, e
         s = e + 1
-
-
-def _check_window(lo: int, hi: int) -> tuple[int, int]:
-    """Validate a sieve window [lo, hi] against the bounds and the window cap."""
-    lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
-    if lo < 1:
-        raise DomainError(f"sieve range must start at 1 or above, got lo={lo}")
-    if hi < lo:
-        raise DomainError(f"empty sieve range [{lo}, {hi}]")
-    if hi > MAX_SIEVE_BOUND:
-        raise DomainError(f"hi={hi} exceeds supported bound 2^52")
-    if hi - lo + 1 > DEFAULT_SEGMENT_CAPACITY:
-        raise CapacityError(
-            f"segment [{lo}, {hi}] has {hi - lo + 1} entries, "
-            f"capacity is {DEFAULT_SEGMENT_CAPACITY}"
-        )
-    return lo, hi
 
 
 def _strides(lo: int, hi: int, bound: int):
@@ -451,19 +523,15 @@ def _mu_segment(lo: int, hi: int) -> np.ndarray:
 
 def is_smooth(n: int, y: float) -> bool:
     """True iff every prime factor of n is <= y; n = 1 is vacuously smooth."""
-    n = _check_int(n, "n")
-    if n < 1:
-        raise DomainError(f"smoothness is defined for n >= 1, got {n}")
-    if n == 1:
-        return True
+    y = _check_y(y)
     return largest_prime_factor(n) <= y
 
 
 def largest_prime_factor(n: int) -> int:
-    """Largest prime factor by trial division; returns 1 for n = 1."""
+    """Largest prime factor of 1 <= n <= 2^52 by trial division; returns 1 for n = 1."""
     n = _check_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_SIEVE_BOUND:
+        raise DomainError(f"n must lie in [1, 2^52], got {n}")
     largest = 1
     d = 2
     while d * d <= n:

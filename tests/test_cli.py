@@ -269,7 +269,16 @@ def test_huge_moduli_stay_cheap():
 def test_tsum_delta_refuses_a_too_large_range_before_the_t_pass(smooth_mask_entries):
     code, out, err = invoke(["tsum", "--x", "2e9", "--y", "30", "--a", "1", "--delta", "10"])
     assert (code, out) == (1, "")
-    assert err == "error: range [2, 2000000000] too large to materialize\n"
+    assert err == "error: moduli [1, 1999999999] too large to materialize\n"
+    assert smooth_mask_entries == []
+
+
+def test_tsum_delta_refuses_a_shift_with_too_many_moduli(smooth_mask_entries):
+    # This once ended in a MemoryError traceback: the moduli ran to x - a = 2^40 + 10.
+    argv = ["tsum", "--x", "10", "--y", "30", "--a", "-1099511627776", "--delta", "5"]
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err == "error: moduli [1, 1099511627786] too large to materialize\n"
     assert smooth_mask_entries == []
 
 

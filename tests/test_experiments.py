@@ -130,7 +130,7 @@ def test_scan_rows_match_their_points(x_grid, a_list, y, segment):
     # y None is the theorem-range rule, with y growing along the grid.  A
     # shift may repeat; each of its rows is then listed once per occurrence.
     if y is None:
-        cfg = ScanConfig(x_grid=tuple(x_grid), a_list=tuple(a_list), y_rule="theorem_range", C=1.0)
+        cfg = ScanConfig(x_grid=tuple(x_grid), a_list=tuple(a_list), C=1.0)
     else:
         cfg = ScanConfig(x_grid=tuple(x_grid), a_list=tuple(a_list), y=y)
     with stream_segment(segment):
@@ -160,11 +160,9 @@ def test_scan_config_validation():
         ScanConfig(x_grid=(100.0, 10.0), a_list=(1,), y=3.0)
     with pytest.raises(DomainError):
         ScanConfig(x_grid=(10.0,), a_list=(0,), y=3.0)
-    with pytest.raises(DomainError):
-        ScanConfig(x_grid=(10.0,), a_list=(1,), y=None, y_rule="fixed")
     for C in (0.0, math.nan):
-        with pytest.raises(DomainError):
-            ScanConfig(x_grid=(10.0,), a_list=(1,), y=3.0, C=C)
+        with pytest.raises(DomainError, match="C must be positive"):
+            ScanConfig(x_grid=(10.0,), a_list=(1,), C=C)
     for grid in ((math.nan,), (10.0, math.nan), (math.nan, 10.0)):
         with pytest.raises(DomainError, match="nan"):
             ScanConfig(x_grid=grid, a_list=(1,), y=3.0)
@@ -173,7 +171,7 @@ def test_scan_config_validation():
 
 
 def test_theorem_range_rule():
-    cfg = ScanConfig(x_grid=(1e4,), a_list=(1,), y_rule="theorem_range", C=2.0)
+    cfg = ScanConfig(x_grid=(1e4,), a_list=(1,), C=2.0)
     y = cfg.y_for(1e4)
     assert y == pytest.approx(
         math.exp(2.0 * math.sqrt(math.log(1e4) * math.log(math.log(math.log(1e4))))),
@@ -334,14 +332,13 @@ def test_parse_config_round_trip(tmp_path):
 x_grid = 1e4, 1e5
 y = 1000
 a_list = 1, -3
-C = 2.5
 out = scan.csv
 """
     cfg = parse_config(text)
     assert cfg.x_grid == (1e4, 1e5)
     assert cfg.y == 1000.0
     assert cfg.a_list == (1, -3)
-    assert cfg.C == 2.5
+    assert cfg.C is None
     assert cfg.output_path == "scan.csv"
     path = tmp_path / "cfg.txt"
     path.write_text(text)
@@ -354,7 +351,8 @@ out = scan.csv
 
 def test_parse_config_theorem_rule_and_errors():
     cfg = parse_config("x_grid = 1e4\na_list = 1")
-    assert cfg.y_rule == "theorem_range"
+    assert cfg.y is None and cfg.C is None
+    assert cfg.y_for(1e4) == ScanConfig(x_grid=(1e4,), a_list=(1,), C=2.0).y_for(1e4)
     with pytest.raises(DomainError):
         parse_config("x_grid = 10\na_list = 1\nbogus = 3")
     with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import (
+    CapacityError,
     DomainError,
     ZETA2_INV,
     aux_averages,
@@ -95,6 +96,43 @@ def test_mobius_split_holds_four_bytes_per_modulus():
         "0x1.c9dae97e3740fp+14", "-0x1.706fc1a37e44fp+4"
     )
     assert peak < 64 << 20
+
+
+def test_mobius_split_refuses_too_many_moduli_before_it_allocates(smooth_mask_entries):
+    # The moduli run to floor(x) - a: a shift of -2^40 once asked primes_upto for 1 TiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"moduli \[1, 1099511627786\] too large"):
+            t_via_mobius(10, 30, -(2**40), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert smooth_mask_entries == []
+
+
+def test_mobius_moduli_stop_at_x_minus_a():
+    # A positive shift near 2^40 leaves 200 moduli; they once ran to x.
+    x, a, y = 2**40 + 100, 2**40 - 100, 1e5
+    tracemalloc.start()
+    try:
+        split = t_via_mobius(x, y, a, math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    t = float(oracle_t(x, y, a))
+    assert t > 1 and split.sigma2 == 0.0
+    assert split.sigma1 == pytest.approx(t, rel=1e-12)
+    assert t_via_mobius(x, y, a, 10).total == pytest.approx(t, rel=1e-12)
+    assert t_via_mobius(2**40 + 100, 30, 2**40, 5).total == float(oracle_t(2**40 + 100, 30, 2**40))
+    # Small twins, against the oracle whose moduli run to x.
+    for k in (10, 12):
+        for delta in (5, 60, math.inf):
+            s1, s2 = oracle_mobius_split(2**k + 100, 30, 2**k, delta)
+            split = t_via_mobius(2**k + 100, 30, 2**k, delta)
+            assert split.sigma1 == pytest.approx(float(s1), abs=1e-12)
+            assert split.sigma2 == pytest.approx(float(s2), abs=1e-12)
 
 
 def test_t_domain_errors(smooth_mask_entries):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import smoothlab
+import smoothlab.sieve as sieve_module
 from smoothlab import (
     DEFAULT_SEGMENT_CAPACITY,
     CapacityError,
@@ -237,6 +238,23 @@ def test_is_smooth_examples():
     assert is_smooth(1, 2) is True
     with pytest.raises(DomainError):
         is_smooth(0, 2)
+
+
+def test_is_smooth_checks_y_and_checks_n_once(monkeypatch):
+    # A nan bound once answered False for n = 10 and True for n = 1.
+    for n in (1, 10):
+        with pytest.raises(DomainError, match="smoothness bound must be >= 1, got nan"):
+            is_smooth(n, math.nan)
+    checked = []
+
+    def counted(value, what):
+        checked.append(what)
+        return check_int(value, what)
+
+    check_int = sieve_module._check_int
+    monkeypatch.setattr(sieve_module, "_check_int", counted)
+    assert is_smooth(10, 5) and not is_smooth(14, 5.5)
+    assert checked == ["n", "n"]
 
 
 def test_is_smooth_matches_oracle():

@@ -1,0 +1,184 @@
+"""The argument checks of every public entry point, in one table.
+
+Each check lives in ``smoothlab.sieve`` and runs before anything is
+allocated: a refused argument costs O(1) memory, whatever its size.
+"""
+
+import ast
+import math
+import re
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import smoothlab
+from smoothlab import (
+    CapacityError,
+    DomainError,
+    ScanConfig,
+    SmoothlabError,
+    SmoothRange,
+    aux_averages,
+    enumerate_smooth,
+    ft_ratio_scan,
+    granville_discrepancy,
+    is_smooth,
+    psi,
+    psi_coprime,
+    psi_enum_oracle,
+    psi_progression,
+    sieve_range,
+    t_exact,
+    t_exact_fraction,
+    t_via_mobius,
+    v_exact,
+    v_via_abel,
+)
+from smoothlab.experiments import parse_config
+from smoothlab.sieve import largest_prime_factor, tau_omega_range
+
+NAN, INF = math.nan, math.inf
+BIG = 1e300
+
+#: Values that no real argument accepts, and those that no integer argument accepts.
+REAL_BAD = (NAN, -INF)
+INT_BAD = (NAN, INF, -INF, 1.5)
+X_BAD = (NAN, INF, -INF, BIG)
+
+# (name, call taking one argument, refused values)
+ENTRY_POINTS = [
+    ("psi.x", lambda v: psi(v, 7), X_BAD),
+    ("psi.y", lambda v: psi(100, v), REAL_BAD),
+    ("psi_enum_oracle.x", lambda v: psi_enum_oracle(v, 7), X_BAD),
+    ("psi_coprime.x", lambda v: psi_coprime(v, 7, 6), X_BAD),
+    ("psi_coprime.y", lambda v: psi_coprime(100, v, 6), REAL_BAD),
+    ("psi_coprime.d", lambda v: psi_coprime(100, 7, v), INT_BAD),
+    ("psi_progression.lo", lambda v: psi_progression(v, 100, 7, 1, 3), INT_BAD),
+    ("psi_progression.hi", lambda v: psi_progression(0, v, 7, 1, 3), INT_BAD + (BIG,)),
+    ("psi_progression.y", lambda v: psi_progression(0, 100, v, 1, 3), REAL_BAD),
+    ("psi_progression.a", lambda v: psi_progression(0, 100, 7, v, 3), INT_BAD),
+    ("psi_progression.d", lambda v: psi_progression(0, 100, 7, 1, v), INT_BAD),
+    ("enumerate_smooth.lo", lambda v: list(enumerate_smooth(v, 100, 7)), INT_BAD),
+    ("enumerate_smooth.hi", lambda v: list(enumerate_smooth(0, v, 7)), INT_BAD + (BIG,)),
+    ("enumerate_smooth.y", lambda v: list(enumerate_smooth(0, 100, v)), REAL_BAD),
+    ("SmoothRange.first", lambda v: SmoothRange(v, 100, 7), INT_BAD),
+    ("SmoothRange.last", lambda v: SmoothRange(1, v, 7), INT_BAD + (BIG,)),
+    ("SmoothRange.y", lambda v: SmoothRange(1, 100, v), REAL_BAD),
+    ("sieve_range.lo", lambda v: sieve_range(v, 100), INT_BAD),
+    ("sieve_range.hi", lambda v: sieve_range(1, v), INT_BAD + (BIG,)),
+    ("tau_omega_range.hi", lambda v: tau_omega_range(1, v), INT_BAD + (BIG,)),
+    ("is_smooth.n", lambda v: is_smooth(v, 7), INT_BAD + (BIG,)),
+    ("is_smooth.y", lambda v: is_smooth(10, v), REAL_BAD),
+    ("largest_prime_factor.n", largest_prime_factor, INT_BAD + (BIG,)),
+    ("t_via_mobius.x", lambda v: t_via_mobius(v, 7, 1, 10), X_BAD),
+    ("t_via_mobius.y", lambda v: t_via_mobius(100, v, 1, 10), REAL_BAD),
+    ("t_via_mobius.a", lambda v: t_via_mobius(100, 7, v, 10), INT_BAD + (-BIG,)),
+    ("t_via_mobius.delta", lambda v: t_via_mobius(100, 7, 1, v), REAL_BAD),
+    ("granville_discrepancy.x", lambda v: granville_discrepancy(v, 7, 5), X_BAD),
+    ("granville_discrepancy.y", lambda v: granville_discrepancy(100, v, 5), REAL_BAD),
+    ("granville_discrepancy.delta", lambda v: granville_discrepancy(100, 7, v), REAL_BAD),
+    ("ft_ratio_scan.x", lambda v: ft_ratio_scan(v, 7, [2]), X_BAD),
+    ("ft_ratio_scan.y", lambda v: ft_ratio_scan(100, v, [2]), REAL_BAD),
+    ("ft_ratio_scan.d", lambda v: ft_ratio_scan(100, 7, [2, v]), INT_BAD + (BIG,)),
+    ("ScanConfig.a", lambda v: ScanConfig(x_grid=(10.0,), a_list=(v,), y=3.0), INT_BAD),
+    ("ScanConfig.C", lambda v: ScanConfig(x_grid=(10.0,), a_list=(1,), C=v), REAL_BAD),
+] + [
+    (f"{fn.__name__}.{arg}", call, bad)
+    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel, aux_averages)
+    for arg, call, bad in (
+        ("x", lambda v, fn=fn: fn(v, 7, 1), X_BAD),
+        ("y", lambda v, fn=fn: fn(100, v, 1), REAL_BAD),
+        ("a", lambda v, fn=fn: fn(100, 7, v), INT_BAD + (-BIG,)),
+    )
+]
+
+REFUSALS = [
+    pytest.param(call, value, id=f"{name}={value!r}")
+    for name, call, bad in ENTRY_POINTS
+    for value in bad
+]
+
+
+@pytest.mark.parametrize("call, value", REFUSALS)
+def test_every_entry_point_refuses_a_bad_argument_before_it_allocates(call, value):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SmoothlabError):
+            call(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: psi(100, INF), 100),
+        (lambda: is_smooth(97, INF), True),
+        (lambda: psi_coprime(100, 7, 2**60 * 3), psi_coprime(100, 7, 6)),
+        (lambda: psi_progression(0, 100, 7, 8, 2**60), 1),
+        (lambda: t_via_mobius(100, 7, 1, INF).sigma2, 0.0),
+        (lambda: t_via_mobius(100, 7, 1, BIG).sigma2, 0.0),
+        (lambda: granville_discrepancy(100, 7, INF).delta, 100.0),
+        (lambda: t_exact(100, 7, BIG), 0.0),
+    ],
+    ids=["psi-y-inf", "is_smooth-y-inf", "psi_coprime-d-past-2^52",
+         "psi_progression-d-past-2^52", "mobius-delta-inf", "mobius-delta-1e300",
+         "discrepancy-delta-inf", "t-shift-past-x"],
+)
+def test_documented_values_stay_accepted(call, expected):
+    assert call() == expected
+
+
+def test_one_x_refusal_for_every_entry_point():
+    # x = 2^53 was a CapacityError from the discrepancy and the ratio scan, a
+    # DomainError from psi_coprime; x < 1 gave the Moebius split a zero split.
+    text = re.escape("x=9.0072e+15 exceeds supported bound 2^52")
+    for call in (
+        lambda: psi_coprime(2**53, 30, 2),
+        lambda: granville_discrepancy(2**53, 30, 5),
+        lambda: ft_ratio_scan(2**53, 30, [2]),
+        lambda: t_via_mobius(2**53, 30, 1, 5),
+    ):
+        with pytest.raises(DomainError, match=text):
+            call()
+    for call in (lambda: t_exact(0.5, 30, 1), lambda: t_via_mobius(0.5, 30, 1, 5)):
+        with pytest.raises(DomainError, match="x must be >= 1, got 0.5"):
+            call()
+
+
+def test_a_capacity_refusal_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            SmoothRange(1, 2**40, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_scan_config_refuses_y_together_with_c():
+    # C was silently ignored next to a y.
+    with pytest.raises(DomainError, match="give y or C, not both"):
+        ScanConfig(x_grid=(1e4,), a_list=(1,), y=3.0, C=2.0)
+    cfg = ScanConfig(x_grid=(1e4,), a_list=(1,))
+    assert cfg.y_for(1e4) == ScanConfig(x_grid=(1e4,), a_list=(1,), C=2.0).y_for(1e4)
+    assert ScanConfig(x_grid=(1e4,), a_list=(1,), y=3.0).y_for(1e4) == 3.0
+    with pytest.raises(DomainError, match="'C' on line 4 is read only when y is absent"):
+        parse_config("x_grid = 1e4\ny = 3\na_list = 1\nC = 2.5\n")
+
+
+def test_every_argument_check_lives_in_the_sieve_module():
+    # One validation layer: no module keeps a copy of a check of its own.
+    package = Path(smoothlab.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_check_"):
+                    found.setdefault(node.name, []).append(path.name)
+    assert "_check_x" in found and "_check_pass" in found
+    assert {name: files for name, files in found.items() if files != ["sieve.py"]} == {}
