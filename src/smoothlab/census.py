@@ -26,8 +26,8 @@ class SmoothRange:
     """The y-smooth integers of [first, last] as one increasing int64 array.
 
     ``values`` is built once and shared by callers that count many residue
-    classes or coprimality tests over one range (Moebius sums, discrepancy
-    scans, coprime ratios).  Read-only and safe to share between threads.
+    classes or coprimality tests over one range (discrepancy scans, coprime
+    ratios).  Read-only and safe to share between threads.
     """
 
     def __init__(self, first: int, last: int, y: float):

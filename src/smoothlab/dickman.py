@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import AccuracyError, CapacityError, DomainError, NonDifferentiableError
 from .formats import format_sig12
+from .sieve import _to_float
 
 #: Below this log-value, rho underflows to an exact 0.0.
 LOG_UNDERFLOW = -700.0
@@ -109,7 +110,7 @@ def build_rho_table(u_max: float = 64.0, h: float = 1.0 / 256.0) -> RhoTable:
     :class:`DomainError` for a non-finite or out-of-range u_max or h and
     :class:`CapacityError` for u_max above MAX_UNITS, before any work.
     """
-    u_max, h = float(u_max), float(h)
+    u_max, h = _to_float(u_max), _to_float(h)
     if not 1 <= u_max < math.inf:
         raise DomainError(f"u_max must be finite and >= 1, got {u_max}")
     if not 0 < h < math.inf or math.isinf(1.0 / h):
@@ -159,7 +160,7 @@ def _advance_unit(b: tuple, K: int) -> list:
 
 def rho_log(table: RhoTable, u: float) -> float:
     """log rho(u), stable for arbitrarily small rho."""
-    u = float(u)
+    u = _to_float(u)
     if not 0 <= u <= table.u_max:
         raise DomainError(f"u={u} outside table range [0, {table.u_max}]")
     if u <= 1.0:
@@ -185,7 +186,7 @@ def rho(table: RhoTable, u: float) -> float:
 
 def rho_prime(table: RhoTable, u: float) -> float:
     """rho'(u) from the delay relation: -rho(u-1)/u for u > 1, 0 on (0, 1)."""
-    u = float(u)
+    u = _to_float(u)
     if u <= 0:
         raise DomainError(f"derivative needs u > 0, got {u}")
     if u == 1.0:
@@ -203,7 +204,7 @@ def rho_asymptotic(u: float) -> float:
     Drops the lower-order corrections entirely, so this tracks the order of
     magnitude of rho(u), not its value.
     """
-    u = float(u)
+    u = _to_float(u)
     if u <= 0:
         raise DomainError(f"comparator needs u > 0, got {u}")
     return math.exp(-u * math.log(u))
@@ -227,7 +228,7 @@ def psi_estimate(
     "cep" returns the cruder x * u^(-u) order-of-magnitude comparator (its
     o(u) exponent correction is dropped; error scale reported as 0).
     """
-    x, y = float(x), float(y)
+    x, y = _to_float(x), _to_float(y)
     if not 2 <= y <= x < math.inf:
         raise DomainError(f"estimate needs finite x >= y >= 2, got x={x}, y={y}")
     u = math.log(x) / math.log(y)

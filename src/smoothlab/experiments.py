@@ -21,6 +21,7 @@ from .formats import format_sig12
 from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
 from .sieve import (
     _check_cutoff, _check_modulus, _check_pass, _check_shift, _check_x, _check_y, _phi_at,
+    _to_float,
 )
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
@@ -65,11 +66,9 @@ class ScanConfig:
         if not self.x_grid:
             raise DomainError("x_grid must be non-empty")
         # inf is kept: it fails on its own row of the scan.
-        if any(math.isnan(x) for x in self.x_grid):
+        if any(math.isnan(_to_float(x)) for x in self.x_grid):
             raise DomainError("x_grid must not hold nan")
-        if list(self.x_grid) != sorted(self.x_grid) or len(set(self.x_grid)) != len(
-            self.x_grid
-        ):
+        if any(u >= v for u, v in zip(self.x_grid, self.x_grid[1:])):
             raise DomainError("x_grid must be strictly increasing")
         if not self.a_list:
             raise DomainError("a_list must be non-empty")
@@ -83,10 +82,10 @@ class ScanConfig:
 
     def y_for(self, x: float) -> float:
         if self.y is not None:
-            return float(self.y)
+            return _to_float(self.y)
         if x <= _E_E:
             raise DomainError(f"theorem_range rule needs x > e^e, got {x}")
-        C = 2.0 if self.C is None else self.C
+        C = 2.0 if self.C is None else _to_float(self.C)
         return math.exp(C * math.sqrt(math.log(x) * math.log(math.log(math.log(x)))))
 
 
@@ -157,7 +156,7 @@ def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
     by_shift, groups = {}, {}
     for a in dict.fromkeys(map(int, cfg.a_list)):
         by_shift[a] = []
-        for x in map(float, cfg.x_grid):
+        for x in map(_to_float, cfg.x_grid):
             try:
                 y = cfg.y_for(x)
                 _check_pass(x, y, a)
@@ -231,7 +230,7 @@ def granville_discrepancy(
     O(d + psi) for any delta.
     """
     top, y, delta = _check_x(x), _check_y(y), _check_cutoff(delta)
-    x = float(x)
+    x = _to_float(x)
     notes = []
     if delta > x:
         notes.append(f"delta {delta:g} clamped to x {x:g}")
@@ -316,7 +315,7 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     primes, and any other prime is tested per modulus.
     """
     top, y = _check_x(x), _check_y(y)
-    x = float(x)
+    x = _to_float(x)
     ds = sorted(_check_modulus(d, totient=True) for d in d_list)
     if not ds:
         return []
@@ -369,7 +368,7 @@ class RangeFlags:
 
 def range_check(x: float, y: float, C: float = 2.0, epsilon: float = 0.5) -> RangeFlags:
     """Compute the admissible-range flags for a scan point."""
-    x, y = float(x), float(y)
+    x, y, C, epsilon = (_to_float(v) for v in (x, y, C, epsilon))
     if not x >= y >= 2:
         raise DomainError(f"needs x >= y >= 2, got x={x}, y={y}")
     if not C > 0:

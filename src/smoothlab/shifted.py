@@ -15,16 +15,14 @@ v = log t / log y on fixed Gauss-Legendre panels (32 points, with the
 its kinks and split further where y^(2v) grows fast; the nodes come from
 numpy, so the module needs no scipy.
 
-T and V come from one pass over the segments of (max(a,0), floor(x)]: a
-smoothness test per segment, then phi(n - a) at the smooth n only.  When
-y >= isqrt(max(e, e - a)) and |a| is below the segment length, one
-``_smooth_phi_shifted`` strip of the segment plus |a| entries gives both,
-since the smoothness test and the totient then take the same primes.  Any
-other segment takes a smoothness mask and then picks its totient route:
-``_phi_at`` on the values n - a when the smooth n are sparse
-(``SPARSE_PHI_FACTOR``), else the ``_phi_segment`` window.  The |a| bound
-keeps a large shift from stripping a window the size of the shift.  All
-routes give the same integers, so the route never changes a result.
+T and V come from one pass over the segments of (max(a,0), floor(x)]:
+``_shifted_pass`` calls one kernel per segment.  For phi that kernel is
+``sieve._smooth_phi_shifted``: it tests the segment for smoothness, gives
+phi(n - a) at the smooth n only and picks its route itself; every route
+gives the same integers, so the route never changes a result.
+``aux_averages`` passes ``_smooth_tau_omega`` instead.  The Moebius split
+marks n - a for the smooth n of each segment in an int32 indicator, 4 bytes
+per modulus for every y, and turns it into progression counts in place.
 Float terms are summed exactly (``_exact_int``) and rounded once
 (``_round_exact``), so T and the Moebius split do not depend on the segment
 size or the term order.  The same exactness lets one pass serve a whole
@@ -39,12 +37,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import MAX_MATERIALIZED_SPAN, SmoothRange, psi
+from .census import MAX_MATERIALIZED_SPAN, _segment_values, psi
 from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
-    _check_cutoff, _check_pass, _mu_segment, _phi_at, _phi_segment, _smooth_mask,
-    _smooth_phi_shifted, primes_upto, segment_bounds, tau_omega_range,
+    _check_cutoff, _check_pass, _mu_segment, _smooth_mask, _smooth_phi_shifted, _to_float,
+    primes_upto, segment_bounds, tau_omega_range,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -52,14 +50,6 @@ ZETA2_INV = 6.0 / (math.pi * math.pi)
 
 #: Ceiling for the exact-rational summation mode.
 RATIONAL_MODE_LIMIT = 10**4
-
-#: A segment takes phi(n - a) from ``_phi_at`` at its smooth n when their
-#: count times pi(sqrt(e - a)) is below this multiple of the segment size,
-#: and from the ``_phi_segment`` window otherwise.  On 2^18-entry windows
-#: the two cost the same at about 8 times the size near e - a = 4e6 (2.6 %
-#: density) and 40 to 70 times near 2e9 (1 % or more); the factor sits at
-#: the low end.
-SPARSE_PHI_FACTOR = 12
 
 #: Terms per bincount in ``_exact_int``.  Mantissa halves are below 2^27 in
 #: size, so a slice's per-exponent sums stay exact integers in float64.
@@ -74,44 +64,27 @@ _EXACT_UNIT = 1 << 1126
 _E = math.e
 
 
-def _phi_gather(lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
-    """phi(lo + idx), from ``_phi_at`` when the idx are sparse, else from the window."""
-    if idx.size * primes_upto(math.isqrt(hi)).size < SPARSE_PHI_FACTOR * (hi - lo + 1):
-        return _phi_at(idx + lo)
-    return _phi_segment(lo, hi)[idx]
-
-
-def _tau_omega_gather(lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
-    """tau and omega of lo + idx, as the two rows of one array."""
-    return np.asarray(tau_omega_range(lo, hi))[:, idx]
-
-
-def _shifted_pass(x: float, y: float, a: int, gather=_phi_gather):
+def _shifted_pass(x: float, y: float, a: int, kernel):
     """(head, segments) of a shifted sum up to x, for arguments from ``_check_pass``.
 
     head = Psi(min(x, a), y) counts the smooth n <= x the pass skips (0 for
     a < 0), so head plus the smooth n of the pass is Psi(x, y).  segments
-    yields (s, e, idx, at) for each segment [s, e] of (max(a,0), floor(x)]:
-    the y-smooth n there are s + idx, and ``at`` holds gather(s - a, e - a,
-    idx) -- phi(n - a) by default -- at them.  The shifted values are
-    computed only when their segment has a smooth n.  With the default
-    gather, a segment with y >= isqrt(max(e, e - a)) and |a| below its
-    length takes idx and phi from one ``_smooth_phi_shifted`` strip; the
-    kernel keeps its windows in its own frame, so they are freed before the
-    caller sums the terms.
+    yields (s, e, idx, at) for each segment [s, e] of (max(a,0), floor(x)],
+    where (idx, at) = kernel(s, e, y, a): the y-smooth n are s + idx, and
+    ``at`` holds the kernel's values of n - a at them.  The kernel's windows
+    are freed before the caller sums the terms.
     """
-    head = psi(min(x, a), y) if a > 0 else 0
+    top = math.floor(x)
+    head = sum(v.size for v in _segment_values(0, min(top, max(a, 0)), y))
+    segments = ((s, e, *kernel(s, e, y, a)) for s, e in segment_bounds(max(a, 0) + 1, top))
+    return head, segments
 
-    def segments():
-        for s, e in segment_bounds(max(a, 0) + 1, math.floor(x)):
-            if gather is _phi_gather and abs(a) <= e - s and y >= math.isqrt(max(e, e - a)):
-                idx, at = _smooth_phi_shifted(s, e, y, a)
-            else:
-                idx = np.flatnonzero(_smooth_mask(s, e, y))
-                at = gather(s - a, e - a, idx) if idx.size else idx
-            yield s, e, idx, at
 
-    return head, segments()
+def _smooth_tau_omega(s: int, e: int, y: float, a: int):
+    """(idx, at): the y-smooth n in [s, e] are s + idx, and at holds tau and omega of n - a."""
+    idx = np.flatnonzero(_smooth_mask(s, e, y))
+    at = np.asarray(tau_omega_range(s - a, e - a))[:, idx] if idx.size else np.zeros((2, 0))
+    return idx, at
 
 
 def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
@@ -125,7 +98,7 @@ def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
     V needs no T, so this pass leaves out T's terms and their sum.
     """
     a, y = _check_pass(x, y, a)
-    psi_value, segments = _shifted_pass(x, y, a)
+    psi_value, segments = _shifted_pass(x, y, a, _smooth_phi_shifted)
     numerator = 0
     for _s, _e, idx, phi_at in segments:
         psi_value += idx.size
@@ -144,7 +117,7 @@ def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
     """
     if not all(u < v for u, v in zip(xs, xs[1:])):
         raise DomainError("xs must be strictly increasing")
-    head, segments = _shifted_pass(xs[-1], y, a)
+    head, segments = _shifted_pass(xs[-1], y, a, _smooth_phi_shifted)
     cuts = [math.floor(x) for x in xs]
     rows = []
     count = numerator = total = 0
@@ -228,7 +201,7 @@ def t_exact_fraction(x: float, y: float, a: int) -> Fraction:
     if not x < RATIONAL_MODE_LIMIT + 1:  # also rejects nan, before any sieving
         raise DomainError(f"rational mode limited to x <= {RATIONAL_MODE_LIMIT}")
     a, y = _check_pass(x, y, a)
-    _head, segments = _shifted_pass(x, y, a)
+    _head, segments = _shifted_pass(x, y, a, _smooth_phi_shifted)
     terms = [
         Fraction(int(p), int(i) + s - a)
         for s, _e, idx, phi_at in segments
@@ -254,19 +227,16 @@ class MobiusSplit:
         return self.sigma1 + self.sigma2
 
 
-def _multiple_counts(k: np.ndarray, n: int) -> np.ndarray:
-    """g[d] = #{entries of k divisible by d} for 0 <= d <= n, given distinct 1 <= k <= n.
+def _multiple_counts(g: np.ndarray, primes: np.ndarray) -> None:
+    """Turn an int32 indicator g of a set K in [1, n] into g[d] = #{k in K : d | k}, in place.
 
-    g starts as the int32 indicator of k, which is exact because the k are
-    distinct, and then g[i] += g[i p] prime by prime, in place.  For
-    p <= sqrt(n) the i run in descending blocks (n / p^(j+1), n / p^j] that
-    read only entries already updated for p.  Primes above sqrt(n) have
-    pairwise products above n, so each i < sqrt(n) takes all of them in one
-    gather.
+    n = g.size - 1 and ``primes`` holds the primes <= n.  g[i] += g[i p]
+    prime by prime: for p <= sqrt(n) the i run in descending blocks
+    (n / p^(j+1), n / p^j] that read only entries already updated for p.
+    Primes above sqrt(n) have pairwise products above n, so each
+    i < sqrt(n) takes all of them in one gather.
     """
-    primes = primes_upto(n)
-    g = np.zeros(n + 1, dtype=np.int32)
-    g[k] = 1
+    n = g.size - 1
     root = math.isqrt(n)
     split = int(np.searchsorted(primes, root, side="right"))
     for p in primes[:split].tolist():
@@ -278,20 +248,20 @@ def _multiple_counts(k: np.ndarray, n: int) -> np.ndarray:
     big = primes[split:]
     for i in range(1, n // (root + 1) + 1):
         g[i] += g[i * big[: np.searchsorted(big, n // i, side="right")]].sum()
-    return g
 
 
 def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     """Evaluate T through progression counts: sum over d of mu(d)/d * #{n = a mod d}.
 
     The moduli run to floor(x) - a for either sign of a: every n - a lies
-    in [1, floor(x) - a], so no count above that is nonzero.  All counts
-    come from one :func:`_multiple_counts` pass, held as 4 bytes per
-    modulus, so more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a
-    CapacityError, raised before anything is allocated; mu and the terms
-    are taken one segment of moduli at a time.  Each term is one correctly
-    rounded division, and each of sigma1 and sigma2 is their correctly
-    rounded sum (``_exact_int``, rounded once at the end).
+    in [1, floor(x) - a], so no count above that is nonzero.  The smooth n
+    stream by segment into an int32 indicator of n - a, which
+    :func:`_multiple_counts` turns into the counts in place: 4 bytes per
+    modulus for every y, so more than ``MAX_MATERIALIZED_SPAN`` (2^27)
+    moduli are a CapacityError, raised before anything is allocated.  mu and
+    the terms come one segment of moduli at a time; each term is one
+    correctly rounded division, and sigma1 and sigma2 are their correctly
+    rounded sums (``_exact_int``, rounded once at the end).
     """
     a, y = _check_pass(x, y, a)
     delta = _check_cutoff(delta)
@@ -301,7 +271,11 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
         raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
     if d_max <= 0:
         return MobiusSplit(0.0, 0.0, delta)
-    g = _multiple_counts(SmoothRange(max(a, 0) + 1, top, y).values - a, d_max)
+    primes = primes_upto(d_max)  # first, so that its sieve is freed before g is made
+    g = np.zeros(d_max + 1, dtype=np.int32)
+    for values in _segment_values(max(a, 0), top, y):
+        g[values - a] = 1
+    _multiple_counts(g, primes)
     sigma1 = sigma2 = 0
     for s, e in segment_bounds(1, d_max):
         weighted = _mu_segment(s, e) * g[s : e + 1]
@@ -331,7 +305,7 @@ def v_via_abel(x: float, y: float, a: int) -> float:
     of T(k) over integer k < floor(x) plus the fractional top piece.
     """
     a, y = _check_pass(x, y, a)
-    psi_value, segments = _shifted_pass(x, y, a)
+    psi_value, segments = _shifted_pass(x, y, a, _smooth_phi_shifted)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
@@ -367,7 +341,7 @@ def main_terms(x: float, y: float, psi_value: float) -> MainTerms:
     The error scale needs x > e and y > e; outside that it is reported as
     nan rather than a negative or undefined number.
     """
-    x, y = float(x), float(y)
+    x, y = _to_float(x), _to_float(y)
     if not math.isfinite(x) or math.isnan(y):
         raise DomainError(f"needs a finite x and a y that is not nan, got x={x}, y={y}")
     if not 0 < psi_value < math.inf:
@@ -391,13 +365,12 @@ class AuxAverages(NamedTuple):
 def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     """Psi-normalized averages of tau(n - a) and omega(n - a) over smooth n."""
     a, y = _check_pass(x, y, a)
-    psi_value, segments = _shifted_pass(x, y, a, _tau_omega_gather)
+    psi_value, segments = _shifted_pass(x, y, a, _smooth_tau_omega)
     tau_sum = omega_sum = 0
     for _s, _e, idx, at in segments:
         psi_value += idx.size
-        if idx.size:
-            tau_sum += int(at[0].sum())
-            omega_sum += int(at[1].sum())
+        tau_sum += int(at[0].sum())
+        omega_sum += int(at[1].sum())
     return AuxAverages(tau_sum / psi_value, omega_sum / psi_value)
 
 
@@ -427,7 +400,7 @@ def i_integral(x: float, y: float, table: RhoTable, rel_tol: float = 1e-8) -> In
     when x^2 overflows, and AccuracyError (carrying the value) if the error
     estimate exceeds rel_tol relative.
     """
-    x, y = float(x), float(y)
+    x, y = _to_float(x), _to_float(y)
     if x < 1:
         raise DomainError(f"integral needs x >= 1, got {x}")
     if y < 2:

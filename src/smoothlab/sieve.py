@@ -18,17 +18,13 @@ kernel is one loop over it, sized to its question:
   is tested as part >= (n - 1) // cap + 1: one division by a scalar.
 - ``_phi_segment`` takes every prime p <= sqrt(hi) with phi of the part,
   then multiplies in q - 1 for the (at most one) prime q = n / part >
-  sqrt(hi) (``_phi_from_part``, shared with ``sieve_range`` and the union
-  kernel).
-- ``_smooth_phi_shifted`` answers both questions of a shifted sum from one
-  strip: for a segment [s, e] and a shift a it strips the union window
-  [min(s, s - a), max(e, e - a)] with phi, tests the n in [s, e] for
-  smoothness as ``_smooth_mask`` does and finishes phi(n - a) at the
-  smooth n alone.  The test is exact only when y >= isqrt of the union's
-  top, so that the strip holds every prime the mask would take; the caller
-  checks that, and keeps |a| below the segment length so that the window
-  stays within twice the segment.  The window itself passes
-  ``_check_window``.
+  sqrt(hi) (``_phi_from_part``, shared with ``sieve_range`` and the
+  shifted kernel); it is the window the kernel tests compare with.
+- ``_smooth_phi_shifted`` is the one kernel of a shifted segment [s, e]
+  and the one place that picks how it gets its smooth n and phi(n - a):
+  one phi strip of the union window [min(s, s - a), max(e, e - a)], read
+  for smoothness as ``_smooth_mask`` reads its own, or the mask and then
+  ``_phi_at`` (``SPARSE_PHI_FACTOR``) or a strip of the shifted window.
 - ``_mu_segment`` flips the sign of mu at multiples of p, zeroes it at
   multiples of p^2 and multiplies p into a product of small prime factors;
   a squarefree n whose product falls short of n has one more prime factor,
@@ -43,18 +39,19 @@ arbitrary array of values, testing each against the primes up to
 sqrt(max) and dropping it once p^2 exceeds what is left of it, or once
 what is left after the primes up to 2^18 passes a Miller-Rabin test.
 Those primes come one stream segment at a time from the strip core, so
-its memory does not grow with sqrt(max).  It beats ``_phi_segment`` when the
-values are a sparse subset of a window.
+its memory does not grow with sqrt(max).  It beats a window strip when the
+values are a sparse subset of the window.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
 and ``segment_bounds`` is the only code that does so.  Every windowed
 kernel and :func:`sieve_range` reject a window of more than
 ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before they allocate.
 
-:func:`sieve_range` builds the full table (smallest and largest prime
-factor, phi(n) and mu(n)) from the same kernels, so it is no independent
-check of them: the tests compare every kernel with the factoring
-oracles in ``tests/conftest.py``, which share no code with this module.
+:func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
+same kernels in three stride walks (its spf/lpf loop, one phi strip and
+``_mu_segment``), so it is no independent check of them: the tests compare
+every kernel with the factoring oracles in ``tests/conftest.py``, which
+share no code with this module.
 Nothing is cached; every call sieves its window afresh.  Results are
 independent of how a range is split into segments.
 
@@ -65,6 +62,7 @@ smooth for every bound.
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import Context, Decimal
 
 import numpy as np
 
@@ -77,6 +75,13 @@ DEFAULT_SEGMENT_CAPACITY = 1 << 22
 #: window keeps an int32 smooth part and totient (1 MiB each) near the L2
 #: cache; larger windows were slower on the 2-core reference box.
 STREAM_SEGMENT = 1 << 18
+
+#: A shifted segment takes phi(n - a) from ``_phi_at`` at its smooth n when
+#: their count times pi(sqrt(e - a)) is below this multiple of the segment
+#: size, and from a window strip otherwise.  On 2^18-entry windows the two
+#: cost the same at about 8 times the size near e - a = 4e6 (2.6 % density)
+#: and 40 to 70 times near 2e9 (1 % or more); the factor sits at the low end.
+SPARSE_PHI_FACTOR = 12
 
 #: The prime powers p^e (p -> e) whose multiples ``_strip_primes`` takes from
 #: one tiled pattern instead of strides.  The pattern of any subset of them
@@ -151,7 +156,8 @@ def primes_upto(n: int) -> np.ndarray:
 # Argument checks: the one validation layer.  Every public entry point of the
 # package checks its x, y, shift a, modulus d, cutoff delta and range ends
 # here, in O(1) and before it allocates or loops, and raises DomainError (or
-# CapacityError for a window past the cap) instead of answering.
+# CapacityError for a window past the cap) instead of answering.  A real
+# argument goes through ``_to_float``: an int past the float range is inf.
 
 
 def _check_int(value, what: str) -> int:
@@ -163,20 +169,29 @@ def _check_int(value, what: str) -> int:
     return int(value)
 
 
+def _to_float(value) -> float:
+    """A real value as a float; an int past the float range becomes +inf or -inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_y(y: float) -> float:
     """A smoothness bound as a float: a real y >= 1, where y = inf means no bound."""
-    y = float(y)
+    y = _to_float(y)
     if not y >= 1:
         raise DomainError(f"smoothness bound must be >= 1, got {y}")
     return y
 
 
 def _check_x(x: float) -> int:
-    """floor(x) for a finite upper bound 1 <= x <= 2^52."""
+    """floor(x) for a finite 1 <= x <= 2^52; a refusal shows x as ``g`` would, unconverted."""
     if not -math.inf < x < math.inf:
         raise DomainError(f"x must be finite, got {x}")
     if x > MAX_SIEVE_BOUND:
-        raise DomainError(f"x={x:g} exceeds supported bound 2^52")
+        exact = Decimal(int(x) if isinstance(x, numbers.Integral) else float(x))
+        raise DomainError(f"x={exact.normalize(Context(prec=6)):g} exceeds supported bound 2^52")
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     return math.floor(x)
@@ -212,7 +227,7 @@ def _check_modulus(d: int, totient: bool = False) -> int:
 
 def _check_cutoff(delta: float) -> float:
     """A modulus cutoff as a float: a real delta >= 1, where delta = inf keeps every modulus."""
-    delta = float(delta)
+    delta = _to_float(delta)
     if not delta >= 1:
         raise DomainError(f"cutoff delta must be >= 1, got {delta}")
     return delta
@@ -391,18 +406,25 @@ def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:
 def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
     """(idx, phi): the y-smooth n in [s, e] are s + idx, and phi holds phi(n - a) at them.
 
-    One strip of the union window [min(s, s - a), max(e, e - a)], over the
-    primes p <= sqrt(hi), serves both questions, so the caller must have
-    y >= isqrt(hi): then the strip holds every prime the smoothness test of
-    ``_smooth_mask`` takes, and the test is the same,
-    part >= (n - 1) // cap + 1 with cap = floor(min(y, e)).  The totient
-    is finished as in ``_phi_segment``, at the smooth n alone.  The window
-    is the segment plus |a| entries and passes ``_check_window``.
+    It picks the route, and every route gives the same integers: one strip
+    of the union window [min(s, s - a), max(e, e - a)] when
+    y >= isqrt(max(e, e - a)) and |a| <= e - s, else the mask and then
+    ``_phi_at`` for sparse smooth n (``SPARSE_PHI_FACTOR``) or one strip of
+    the shifted window.  Each strip passes ``_check_window``.
     """
-    lo, hi = _check_window(min(s, s - a), max(e, e - a))
-    part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
-    cap = math.floor(min(y, e))
-    idx = np.flatnonzero(_part_is_smooth(part[s - lo : e - lo + 1], s, e, cap))
+    if abs(a) <= e - s and y >= math.isqrt(max(e, e - a)):
+        lo, hi = _check_window(min(s, s - a), max(e, e - a))
+        part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
+        cap = math.floor(min(y, e))
+        idx = np.flatnonzero(_part_is_smooth(part[s - lo : e - lo + 1], s, e, cap))
+    else:
+        idx = np.flatnonzero(_smooth_mask(s, e, y))
+        # A segment without smooth n makes no primes and takes ``_phi_at``'s empty answer.
+        count = idx.size and idx.size * primes_upto(math.isqrt(e - a)).size
+        if count < SPARSE_PHI_FACTOR * (e - s + 1):
+            return idx, _phi_at(idx + (s - a))
+        lo, hi = _check_window(s - a, e - a)
+        part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
     # The entries of the values n - a at the smooth n; the windows are freed here.
     shifted = slice(s - a - lo, e - a - lo + 1)
     part, tot = part[shifted][idx], tot[shifted][idx]
@@ -524,24 +546,29 @@ def _mu_segment(lo: int, hi: int) -> np.ndarray:
 def is_smooth(n: int, y: float) -> bool:
     """True iff every prime factor of n is <= y; n = 1 is vacuously smooth."""
     y = _check_y(y)
-    return largest_prime_factor(n) <= y
+    return _trial_divide(n, y)[1] <= y
 
 
 def largest_prime_factor(n: int) -> int:
     """Largest prime factor of 1 <= n <= 2^52 by trial division; returns 1 for n = 1."""
+    return max(_trial_divide(n, math.inf))
+
+
+def _trial_divide(n: int, bound: float) -> tuple[int, int]:
+    """(largest prime divided out, rest) of 1 <= n <= 2^52, dividing by d <= min(bound, sqrt(rest)).
+
+    rest is 1, a prime, or has no prime factor <= bound: n is bound-smooth
+    iff rest <= bound, and for bound = inf rest is 1 or n's largest prime.
+    """
     n = _check_int(n, "n")
     if not 1 <= n <= MAX_SIEVE_BOUND:
         raise DomainError(f"n must lie in [1, 2^52], got {n}")
-    largest = 1
-    d = 2
-    while d * d <= n:
+    largest, d = 1, 2
+    while d <= bound and d * d <= n:
         while n % d == 0:
-            largest = d
-            n //= d
+            largest, n = d, n // d
         d += 1 if d == 2 else 2
-    if n > 1:
-        largest = n
-    return largest
+    return largest, n
 
 
 def tau_omega_range(lo: int, hi: int):

@@ -196,7 +196,8 @@ def smooth_mask_entries(monkeypatch):
     """The number of n tested for smoothness by each kernel call made while the test runs.
 
     Counts the window of every smoothness mask and the segment [s, e] of
-    every ``_smooth_phi_shifted`` call, which tests only those n.
+    every ``_smooth_phi_shifted`` call, which tests only those n (with its
+    own mask or its union strip).
     """
     from smoothlab import census, shifted
 

@@ -7,15 +7,19 @@ with the sieve.  ``sieve_range`` is built from the same stride core as the
 kernels, so the comparisons with it only check that the two agree.  The
 sparse totient ``_phi_at`` is checked against the oracle and the window
 totient, and through a counted prime stream, for how far its Miller-Rabin
-step lets it walk.  The union kernel ``_smooth_phi_shifted`` is checked
-against the mask, the window totient and the oracle, and T and V through
-it against the mask route.  psi, T and V are checked not to depend on how
-the range is split into segments, with small y, where a segment takes
-phi(n - a) from ``_phi_at``, next to large y, where it takes the window.
+step lets it walk.  The shifted-segment kernel ``_smooth_phi_shifted`` is
+checked on each of its routes against the mask, the window totient and
+the oracle, and T and V through it against the mask route.  psi, T and V
+are checked not to depend on how the range is split into segments, with
+small y, where a segment takes phi(n - a) from ``_phi_at``, next to large
+y, where it takes the window.
 """
 
+import ast
 import math
+import re
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -23,7 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab import CapacityError, psi, shifted, sieve, sieve_range, t_exact, v_exact, v_via_abel
+import smoothlab
+from smoothlab import psi, shifted, sieve, sieve_range, t_exact, v_exact, v_via_abel
 from smoothlab.sieve import (
     _mu_segment, _phi_at, _phi_segment, _smooth_mask, _smooth_phi_shifted, tau_omega_range,
 )
@@ -225,26 +230,35 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
 
 
 @st.composite
-def union_cases(draw):
-    """A window [s, e] below 10^6 or across 2^31, a shift, and a y at or above
-    isqrt of the top of the union window [min(s, s - a), max(e, e - a)]."""
+def shifted_cases(draw):
+    """A segment [s, e] below 10^6 or across 2^31, a shift a with n - a >= 1,
+    and a y for every route of the kernel: at or above isqrt of the top of
+    the union window [min(s, s - a), max(e, e - a)] with |a| at most e - s
+    (one union strip), or a lower y or a shift at or past the segment length
+    (the mask, then ``_phi_at`` for sparse smooth n or the shifted window
+    for dense ones)."""
     size = draw(st.integers(1, 200))
     if draw(st.booleans()):
         s = draw(st.integers(21, 10**6))
     else:
         s = 2**31 - draw(st.integers(0, size + 20))
     e = s + size - 1
-    a = draw(st.integers(-20, 20).filter(bool) | st.sampled_from([size, -size, size + 7]))
+    longer = st.sampled_from([size - 1, 1 - size, size, -size, size + 7, -(10**5)])
+    a = draw((st.integers(-20, 20) | longer).filter(bool))
     a = min(a, s - 1)  # n - a >= 1
     root = math.isqrt(max(e, e - a))
-    y = draw(st.sampled_from([root, root + 0.5, 1e5, math.inf]).filter(lambda v: v >= root))
+    y = draw(st.sampled_from([2, 30, root - 1, root, root + 0.5, 1e5, math.inf]))
     return s, e, y, a
 
 
 @SETTINGS
-@given(union_cases())
+@given(shifted_cases())
 @example((2**52 - 60, 2**52, math.inf, 7))
 @example((2**31 - 30, 2**31 + 30, math.inf, -15))
+@example((10**5, 10**5 + 199, 316, -199))  # isqrt of the union top: the union strip
+@example((10**5, 10**5 + 199, 315, -199))  # just below it: the mask and the window
+@example((10**5, 10**5 + 199, 30, -200))  # sparse smooth n: the mask and _phi_at
+@example((2**31 + 1, 2**31 + 200, 2, 200))  # no smooth n at all
 def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
     s, e, y, a = case
     idx, phi = _smooth_phi_shifted(s, e, y, a)
@@ -254,9 +268,29 @@ def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
     assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
 
 
-def test_smooth_phi_shifted_checks_its_window_before_it_allocates():
-    with pytest.raises(CapacityError):
-        _smooth_phi_shifted(1, 100, math.inf, -(2**40))
+@pytest.mark.parametrize(
+    "y, a, strips",
+    [
+        (400, -199, [399]),  # |a| <= e - s and y >= isqrt(e - a): the union window
+        (400, 199, [399]),
+        (400, -200, [200]),  # a shift past the segment: the mask, then the shifted window
+        (315, -199, [200]),  # y below isqrt(e - a): likewise
+        (30, -200, []),  # sparse smooth n: the mask, then _phi_at
+    ],
+)
+def test_smooth_phi_shifted_picks_its_route(y, a, strips, phi_window_entries):
+    s, e = 10**5, 10**5 + 199
+    idx, phi = _smooth_phi_shifted(s, e, y, a)
+    assert phi_window_entries == strips
+    assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
+
+
+def test_smooth_phi_shifted_strips_no_window_past_its_segment(phi_window_entries):
+    # A shift of -2^40 once asked for a union window of 2^40 entries.
+    idx, phi = _smooth_phi_shifted(1, 100, math.inf, -(2**40))
+    assert idx.tolist() == list(range(100))
+    assert phi.tolist() == [oracle_phi(n + 2**40) for n in range(1, 101)]
+    assert phi_window_entries and max(phi_window_entries) <= 100
 
 
 def _mask_route(s, e, y, a):
@@ -286,3 +320,24 @@ def test_t_and_v_match_the_mask_route(case):
         with patch.object(shifted, "_smooth_phi_shifted", _mask_route):
             want = [fn(x, y, a).hex() for fn in sums]
     assert got == want
+
+
+def test_the_totient_routes_live_in_the_sieve_module():
+    # One owner of the route: no other module names the route's threshold or
+    # its windows, and the shifted sums take no materialized smooth set.
+    package = Path(smoothlab.__file__).parent
+    owned = {"SPARSE_PHI_FACTOR", "_phi_segment", "_strip_primes"}
+    named = {
+        path.name: sorted(owned & set(re.findall(r"\w+", path.read_text())))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert named["sieve.py"] == sorted(owned)
+    assert {name: found for name, found in named.items() if found and name != "sieve.py"} == {}
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((package / "shifted.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_smooth_phi_shifted" in imported
+    assert imported.isdisjoint({"SmoothRange", "_phi_at"})

@@ -82,19 +82,26 @@ def test_t_exact_memory_does_not_grow_with_x():
     assert peak < 1 << 20
 
 
-def test_mobius_split_holds_four_bytes_per_modulus():
+@pytest.mark.parametrize(
+    "y, sigma1, sigma2",
+    [
+        (30, "0x1.c9dae97e3740fp+14", "-0x1.706fc1a37e44fp+4"),
+        (1e3, "0x1.47c571e88b64ap+20", "-0x1.650bfc2f0e5e4p+9"),
+        (1e5, "0x1.08c576e499feap+22", "-0x1.19f53e6a4f57fp+11"),
+    ],
+)
+def test_mobius_split_holds_four_bytes_per_modulus(y, sigma1, sigma2):
     # The int32 counts of 1e7 moduli take 38 MiB; the bound leaves room for
     # the primes up to 1e7 and one segment of mu and terms, not for a
-    # full-length mu or an int64 count or product.
+    # full-length mu, an int64 count or product, or the smooth n as one
+    # int64 array, which took the peak to 106 MiB at y = 1e5.
     tracemalloc.start()
     try:
-        split = t_via_mobius(1e7, 30, 1, 100)
+        split = t_via_mobius(1e7, y, 1, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (split.sigma1.hex(), split.sigma2.hex()) == (
-        "0x1.c9dae97e3740fp+14", "-0x1.706fc1a37e44fp+4"
-    )
+    assert (split.sigma1.hex(), split.sigma2.hex()) == (sigma1, sigma2)
     assert peak < 64 << 20
 
 
@@ -351,7 +358,7 @@ def test_aux_averages():
 )
 def test_shifted_sums_test_each_n_for_smoothness_once(fn, a, y, smooth_mask_entries):
     fn(20000.5, y, a)
-    assert sum(smooth_mask_entries) <= 20000
+    assert sum(smooth_mask_entries) == 20000
 
 
 def test_aux_averages_matches_oracle():

@@ -3,6 +3,7 @@ import inspect
 import math
 import pkgutil
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,7 @@ from smoothlab.sieve import (
 
 from conftest import (
     oracle_factorize,
+    oracle_is_smooth,
     oracle_lpf,
     oracle_mu,
     oracle_omega,
@@ -263,6 +265,21 @@ def test_is_smooth_matches_oracle():
         n = rng.randrange(1, 10**6)
         y = rng.choice([2, 3, 5, 7.5, 19, 97, 1000.0])
         assert is_smooth(n, y) == (oracle_lpf(n) <= y)
+    # y just below, at and above a prime, and no bound; n whose largest prime
+    # is just below, at or above y, and squares of primes, where trial
+    # division stops at the square root of what is left.
+    ns = [96, 97, 194, 97**2, 98, 991 * 997, 991**2, 2 * 997, 2**20, 2**26 * 3**15]
+    ns += list(range(1, 200))
+    for y in (1, 1.5, 2, 96.5, 97, 97.5, 990.5, 991, 997.5, math.inf):
+        assert [is_smooth(n, y) for n in ns] == [oracle_is_smooth(n, y) for n in ns]
+
+
+def test_is_smooth_stops_dividing_at_y():
+    # The whole largest prime factor of 2^52 - 47 (a prime) took 7 s to find.
+    start = time.perf_counter()
+    assert not is_smooth(2**52 - 47, 1e3)
+    assert is_smooth(2**20 * 3**10, 3) and not is_smooth(2**20 * 3**10 * 1009, 1e3)
+    assert time.perf_counter() - start < 1
 
 
 def test_scalar_helpers():

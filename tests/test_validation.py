@@ -20,14 +20,23 @@ from smoothlab import (
     SmoothlabError,
     SmoothRange,
     aux_averages,
+    build_rho_table,
+    convergence_scan,
     enumerate_smooth,
     ft_ratio_scan,
     granville_discrepancy,
+    i_integral,
     is_smooth,
+    main_terms,
     psi,
     psi_coprime,
     psi_enum_oracle,
+    psi_estimate,
     psi_progression,
+    range_check,
+    rho,
+    rho_asymptotic,
+    rho_prime,
     sieve_range,
     t_exact,
     t_exact_fraction,
@@ -40,6 +49,7 @@ from smoothlab.sieve import largest_prime_factor, tau_omega_range
 
 NAN, INF = math.nan, math.inf
 BIG = 1e300
+HUGE = 10**400  # an int past the float range
 
 #: Values that no real argument accepts, and those that no integer argument accepts.
 REAL_BAD = (NAN, -INF)
@@ -182,3 +192,68 @@ def test_every_argument_check_lives_in_the_sieve_module():
                     found.setdefault(node.name, []).append(path.name)
     assert "_check_x" in found and "_check_pass" in found
     assert {name: files for name, files in found.items() if files != ["sieve.py"]} == {}
+
+
+# (name, call taking one argument): each answers for HUGE as it does for inf.
+HUGE_AS_INF = [
+    ("psi.y", lambda v: psi(100, v)),
+    ("psi_coprime.y", lambda v: psi_coprime(100, v, 6)),
+    ("psi_progression.y", lambda v: psi_progression(0, 100, v, 1, 3)),
+    ("enumerate_smooth.y", lambda v: list(enumerate_smooth(0, 100, v))),
+    ("SmoothRange.y", lambda v: SmoothRange(1, 100, v).values.tolist()),
+    ("is_smooth.y", lambda v: is_smooth(97, v)),
+    ("t_via_mobius.y", lambda v: t_via_mobius(100, v, 1, 5)),
+    ("t_via_mobius.delta", lambda v: t_via_mobius(100, 7, 1, v)),
+    ("granville_discrepancy.y", lambda v: granville_discrepancy(100, v, 5)),
+    ("granville_discrepancy.delta", lambda v: granville_discrepancy(100, 7, v)),
+    ("ft_ratio_scan.y", lambda v: ft_ratio_scan(100, v, [2, 6])),
+    ("main_terms.y", lambda v: main_terms(100, v, 5)),
+    ("i_integral.y", lambda v: i_integral(100, v, build_rho_table(4))),
+    ("range_check.x", lambda v: range_check(v, 7)),
+    ("range_check.C", lambda v: range_check(1e6, 7, C=v)),
+    ("rho_asymptotic.u", rho_asymptotic),
+    ("ScanConfig.y", lambda v: ScanConfig(x_grid=(1e4,), a_list=(1,), y=v).y_for(1e4)),
+    ("ScanConfig.C", lambda v: ScanConfig(x_grid=(1e4,), a_list=(1,), C=v).y_for(1e4)),
+] + [
+    (f"{fn.__name__}.y", lambda v, fn=fn: fn(100, v, 1))
+    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel, aux_averages)
+]
+
+# Calls that refuse an x (or u) of HUGE, as each refuses a too-large float.
+HUGE_REFUSED = [
+    ("psi.x", lambda v: psi(v, 7)),
+    ("psi_enum_oracle.x", lambda v: psi_enum_oracle(v, 7)),
+    ("psi_coprime.x", lambda v: psi_coprime(v, 7, 6)),
+    ("t_via_mobius.x", lambda v: t_via_mobius(v, 7, 1, 10)),
+    ("granville_discrepancy.x", lambda v: granville_discrepancy(v, 7, 5)),
+    ("ft_ratio_scan.x", lambda v: ft_ratio_scan(v, 7, [2])),
+    ("main_terms.x", lambda v: main_terms(v, 7, 5)),
+    ("i_integral.x", lambda v: i_integral(v, 7, build_rho_table(4))),
+    ("psi_estimate.x", lambda v: psi_estimate(v, 7)),
+    ("build_rho_table.u_max", build_rho_table),
+    ("rho.u", lambda v: rho(build_rho_table(4), v)),
+    ("rho_prime.u", lambda v: rho_prime(build_rho_table(4), v)),
+] + [
+    (f"{fn.__name__}.x", lambda v, fn=fn: fn(v, 7, 1))
+    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel, aux_averages)
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=name) for name, c in HUGE_AS_INF])
+def test_an_int_past_the_float_range_answers_as_inf(call):
+    # Each ended in an OverflowError from float().
+    assert repr(call(HUGE)) == repr(call(INF))
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=name) for name, c in HUGE_REFUSED])
+def test_an_int_past_the_float_range_meets_the_refusal(call):
+    with pytest.raises(SmoothlabError):
+        call(HUGE)
+
+
+def test_an_x_past_the_float_range_is_shown_without_converting():
+    with pytest.raises(DomainError, match=re.escape("x=1e+400 exceeds supported bound 2^52")):
+        psi(HUGE, 7)
+    # A scan keeps such an x, like inf, and fails it on its own row.
+    rows = convergence_scan(ScanConfig(x_grid=(1e4, HUGE), a_list=(1,), y=30.0))
+    assert [(row.x, row.error) for row in rows] == [(1e4, None), (INF, "x must be finite, got inf")]
