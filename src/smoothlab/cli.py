@@ -13,7 +13,7 @@ from .census import psi
 from .dickman import build_rho_table, rho
 from .errors import SmoothlabError
 from .formats import format_sig12
-from .shifted import _shifted_totals, _v_parts, main_terms, t_via_mobius
+from .shifted import _head_psi, _shifted_totals, _v_parts, main_terms, t_via_mobius
 from .sieve import _check_pass
 
 _EPILOG = "Numeric output carries 12 significant digits."
@@ -98,11 +98,15 @@ def _run_rho(args) -> int:
 
 
 def _run_tsum(args) -> int:
-    # The split goes first: it refuses a range too large to materialize
-    # before the T pass sieves it.
-    split = None if args.delta is None else t_via_mobius(args.x, args.y, args.a, args.delta)
     a, y = _check_pass(args.x, args.y, args.a)
-    [(psi_value, t, _v)] = _shifted_totals([args.x], y, a)
+    if args.delta is None:
+        split = None
+        [(psi_value, t, _v)] = _shifted_totals([args.x], y, a)
+    else:
+        # The split's pass is the T pass; it refuses a range too large to
+        # materialize before it sieves.
+        split = t_via_mobius(args.x, args.y, args.a, args.delta)
+        psi_value, t = _head_psi(args.x, y, a) + split.count, split.t
     ratio = t / psi_value
     pairs = [("t", format_sig12(t)), ("ratio", format_sig12(ratio))]
     if split is not None:

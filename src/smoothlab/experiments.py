@@ -369,6 +369,8 @@ class RangeFlags:
 def range_check(x: float, y: float, C: float = 2.0, epsilon: float = 0.5) -> RangeFlags:
     """Compute the admissible-range flags for a scan point."""
     x, y, C, epsilon = (_to_float(v) for v in (x, y, C, epsilon))
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     if not x >= y >= 2:
         raise DomainError(f"needs x >= y >= 2, got x={x}, y={y}")
     if not C > 0:

@@ -21,13 +21,15 @@ T and V come from one pass over the segments of (max(a,0), floor(x)]:
 phi(n - a) at the smooth n only and picks its route itself; every route
 gives the same integers, so the route never changes a result.
 ``aux_averages`` passes ``_smooth_tau_omega`` instead.  The Moebius split
-marks n - a for the smooth n of each segment in an int32 indicator, 4 bytes
-per modulus for every y, and turns it into progression counts in place.
-Float terms are summed exactly (``_exact_int``) and rounded once
-(``_round_exact``), so T and the Moebius split do not depend on the segment
-size or the term order.  The same exactness lets one pass serve a whole
-grid of x: T at each x is the running exact integer of the terms so far,
-rounded at that cut.
+rides on the same pass: it sums T and marks n - a for the smooth n of each
+segment in an int32 indicator, 4 bytes per modulus for every y, so each n
+is tested for smoothness once.  It then turns the indicator into
+progression counts in place, the primes p above the square root of its
+length n in blocks of the pairs (i, p), i p <= n.  Float terms are summed
+exactly (``_exact_int``) and rounded once (``_round_exact``), so T and the
+Moebius split do not depend on the segment size or the term order.  The
+same exactness lets one pass serve a whole grid of x: T at each x is the
+running exact integer of the terms so far, rounded at that cut.
 """
 
 import math
@@ -51,12 +53,17 @@ ZETA2_INV = 6.0 / (math.pi * math.pi)
 #: Ceiling for the exact-rational summation mode.
 RATIONAL_MODE_LIMIT = 10**4
 
-#: Terms per bincount in ``_exact_int``.  Mantissa halves are below 2^27 in
-#: size, so a slice's per-exponent sums stay exact integers in float64.
+#: Terms per slice of ``_exact_int``.  Mantissa halves are below 2^27 in
+#: size, so a slice's per-exponent sums stay exact integers in float64, and
+#: so do the two sums of a split slice (below 2^50 and 2^46 units).
 #: 2^14 terms keep each slice's float64 temporaries (128 KiB apiece) in the
 #: L2 cache: on 2^18 terms that took ``_exact_int`` from 7.3 to 2.5 ms on
 #: the 2-core reference box, against 2^20-term slices.
 _EXACT_SLICE = 1 << 14
+
+#: Binades that the nonzero |terms| of a slice may span for ``_exact_int``
+#: to split them at one point instead of by exponent.
+_SPLIT_BINADES = 16
 
 #: ``_exact_int`` counts in units of 2^-1126; ``_round_exact`` divides by this.
 _EXACT_UNIT = 1 << 1126
@@ -64,20 +71,23 @@ _EXACT_UNIT = 1 << 1126
 _E = math.e
 
 
-def _shifted_pass(x: float, y: float, a: int, kernel):
-    """(head, segments) of a shifted sum up to x, for arguments from ``_check_pass``.
+def _head_psi(x: float, y: float, a: int) -> int:
+    """Psi(min(x, a), y), 0 for a < 0: the smooth n <= x that a shifted pass skips.
 
-    head = Psi(min(x, a), y) counts the smooth n <= x the pass skips (0 for
-    a < 0), so head plus the smooth n of the pass is Psi(x, y).  segments
-    yields (s, e, idx, at) for each segment [s, e] of (max(a,0), floor(x)],
+    With the smooth n of the pass, it makes Psi(x, y).
+    """
+    return sum(v.size for v in _segment_values(0, min(math.floor(x), max(a, 0)), y))
+
+
+def _shifted_pass(x: float, y: float, a: int, kernel):
+    """The segments of a shifted sum up to x, for arguments from ``_check_pass``.
+
+    Yields (s, e, idx, at) for each segment [s, e] of (max(a,0), floor(x)],
     where (idx, at) = kernel(s, e, y, a): the y-smooth n are s + idx, and
     ``at`` holds the kernel's values of n - a at them.  The kernel's windows
     are freed before the caller sums the terms.
     """
-    top = math.floor(x)
-    head = sum(v.size for v in _segment_values(0, min(top, max(a, 0)), y))
-    segments = ((s, e, *kernel(s, e, y, a)) for s, e in segment_bounds(max(a, 0) + 1, top))
-    return head, segments
+    return ((s, e, *kernel(s, e, y, a)) for s, e in segment_bounds(max(a, 0) + 1, math.floor(x)))
 
 
 def _smooth_tau_omega(s: int, e: int, y: float, a: int):
@@ -98,9 +108,9 @@ def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
     V needs no T, so this pass leaves out T's terms and their sum.
     """
     a, y = _check_pass(x, y, a)
-    psi_value, segments = _shifted_pass(x, y, a, _smooth_phi_shifted)
+    psi_value = _head_psi(x, y, a)
     numerator = 0
-    for _s, _e, idx, phi_at in segments:
+    for _s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
         psi_value += idx.size
         numerator += int(phi_at.sum())
     return numerator, psi_value
@@ -117,7 +127,7 @@ def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
     """
     if not all(u < v for u, v in zip(xs, xs[1:])):
         raise DomainError("xs must be strictly increasing")
-    head, segments = _shifted_pass(xs[-1], y, a, _smooth_phi_shifted)
+    head = _head_psi(xs[-1], y, a)
     cuts = [math.floor(x) for x in xs]
     rows = []
     count = numerator = total = 0
@@ -127,7 +137,7 @@ def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
         psi_value = (psi(cut, y) if cut < a else head) + count
         rows.append((psi_value, _round_exact(total), numerator / psi_value))
 
-    for s, e, idx, phi_at in segments:
+    for s, e, idx, phi_at in _shifted_pass(xs[-1], y, a, _smooth_phi_shifted):
         terms = _t_terms(a, s, idx, phi_at)
         done = 0
         for cut in [c for c in cuts[len(rows) :] if c <= e] + [None]:
@@ -146,24 +156,45 @@ def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
 def _exact_int(chunk: np.ndarray) -> int:
     """The exact sum of the finite float64 values of chunk, in units of 2^-1126.
 
-    Each term is mant * 2^(exp - 53) with an integer |mant| < 2^53
-    (np.frexp).  The mantissa splits into a high and a low half, each
-    summed per exponent by one bincount, exact while the sums stay below
-    2^53.  The sums go into one Python integer in units of 2^-1126, a
-    mantissa unit at the smallest exponent frexp gives.  Such integers add
-    exactly, and ``_round_exact`` rounds their sum to the float
-    ``math.fsum`` gives, without boxing a term.
+    The sum goes slice by slice (``_EXACT_SLICE`` terms) into one Python
+    integer in units of 2^-1126, a mantissa unit at the smallest exponent
+    frexp gives.  Such integers add exactly, and ``_round_exact`` rounds
+    their sum to the float ``math.fsum`` gives, without boxing a term.
+
+    A slice whose nonzero |terms| lie in [2^(e - 16), 2^e), e the binade of
+    its largest, splits each term t exactly at sigma = 1.5 * 2^(e + 16):
+    high = (t + sigma) - sigma is t rounded to a multiple of 2^(e - 36), and
+    low = t - high is at most 2^(e - 37) on the grid of the smallest term.  So
+    both float sums are exact in any order.  Any other slice takes each term
+    as mant * 2^(exp - 53) with an integer |mant| < 2^53 (np.frexp); the
+    mantissa splits into a high and a low half, each summed per exponent by
+    one bincount, exact while the sums stay below 2^53.
     """
     total = 0
     for start in range(0, chunk.size, _EXACT_SLICE):
-        mant, exp = np.frexp(chunk[start : start + _EXACT_SLICE])
+        part = chunk[start : start + _EXACT_SLICE]
+        magnitude = np.abs(part)
+        top = float(magnitude.max(initial=0.0))
+        if top == 0.0:
+            continue
+        e = math.frexp(top)[1]
+        low = magnitude.min(where=magnitude > 0, initial=top)
+        if low >= math.ldexp(1.0, e - _SPLIT_BINADES) and e <= 1007:  # t + sigma stays finite
+            sigma = math.ldexp(1.5, e + _SPLIT_BINADES)
+            high = part + sigma
+            high -= sigma
+            for value in (float(high.sum()), float((part - high).sum())):
+                num, den = value.as_integer_ratio()
+                total += num * (_EXACT_UNIT // den)
+            continue
+        mant, exp = np.frexp(part)
         mant *= 2.0**53
         high = np.floor(mant * 2.0**-27)
         mant -= high * 2.0**27  # the low half, in [0, 2^27)
         base = int(exp.min())
         bins = exp - base
-        for part, shift in ((high, base + 1073 + 27), (mant, base + 1073)):
-            sums = np.bincount(bins, weights=part)
+        for half, shift in ((high, base + 1073 + 27), (mant, base + 1073)):
+            sums = np.bincount(bins, weights=half)
             for k in np.flatnonzero(sums).tolist():
                 total += int(sums[k]) << (k + shift)
     return total
@@ -201,10 +232,9 @@ def t_exact_fraction(x: float, y: float, a: int) -> Fraction:
     if not x < RATIONAL_MODE_LIMIT + 1:  # also rejects nan, before any sieving
         raise DomainError(f"rational mode limited to x <= {RATIONAL_MODE_LIMIT}")
     a, y = _check_pass(x, y, a)
-    _head, segments = _shifted_pass(x, y, a, _smooth_phi_shifted)
     terms = [
         Fraction(int(p), int(i) + s - a)
-        for s, _e, idx, phi_at in segments
+        for s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted)
         for i, p in zip(idx, phi_at)
     ]
     return _tree_sum(terms)
@@ -216,11 +246,15 @@ class MobiusSplit:
 
     sigma1 collects moduli d <= delta, sigma2 the tail above; their sum
     equals T(x, y) whenever the tail range covers every divisor of n - a.
+    t is T(x, y) from the same pass, and count the number of smooth n in
+    (max(a,0), floor(x)], whose n - a the split counts.
     """
 
     sigma1: float
     sigma2: float
     delta_used: float
+    t: float
+    count: int
 
     @property
     def total(self) -> float:
@@ -233,8 +267,11 @@ def _multiple_counts(g: np.ndarray, primes: np.ndarray) -> None:
     n = g.size - 1 and ``primes`` holds the primes <= n.  g[i] += g[i p]
     prime by prime: for p <= sqrt(n) the i run in descending blocks
     (n / p^(j+1), n / p^j] that read only entries already updated for p.
-    Primes above sqrt(n) have pairwise products above n, so each
-    i < sqrt(n) takes all of them in one gather.
+    The primes above sqrt(n) come last, as the pairs (i, p) with i p <= n,
+    numbered i by i and taken one stream segment of pairs
+    (``segment_bounds``) and one ``reduceat`` at a time.  Every pair reads
+    g[i p] with i p > sqrt(n) and adds into an i <= n / (sqrt(n) + 1),
+    below that range, so the pairs go in any order.
     """
     n = g.size - 1
     root = math.isqrt(n)
@@ -246,35 +283,47 @@ def _multiple_counts(g: np.ndarray, primes: np.ndarray) -> None:
             g[lo + 1 : hi + 1] += g[(lo + 1) * p : hi * p + 1 : p]
             hi = lo
     big = primes[split:]
-    for i in range(1, n // (root + 1) + 1):
-        g[i] += g[i * big[: np.searchsorted(big, n // i, side="right")]].sum()
+    # Row r holds the pairs of i = r + 1, the big primes up to n // i.  A row
+    # without a pair ends where the one before it does, so no block takes it.
+    counts = np.searchsorted(big, n // np.arange(1, n // (root + 1) + 1), side="right")
+    ends = np.cumsum(counts)
+    for lo, hi in segment_bounds(0, int(ends[-1]) - 1 if ends.size else -1):
+        first, last = np.searchsorted(ends, [lo, hi], side="right")
+        rows = slice(first, last + 1)
+        taken = counts[rows].copy()
+        taken[0] -= lo - (ends[first] - counts[first])  # the first row's pairs before lo
+        taken[-1] -= ends[last] - 1 - hi  # the last row's pairs after hi
+        multiples = big[np.arange(lo, hi + 1) - np.repeat(ends[rows] - counts[rows], taken)]
+        multiples *= np.repeat(np.arange(first + 1, last + 2), taken)
+        g[first + 1 : last + 2] += np.add.reduceat(g[multiples], np.cumsum(taken) - taken)
 
 
 def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     """Evaluate T through progression counts: sum over d of mu(d)/d * #{n = a mod d}.
 
     The moduli run to floor(x) - a for either sign of a: every n - a lies
-    in [1, floor(x) - a], so no count above that is nonzero.  The smooth n
-    stream by segment into an int32 indicator of n - a, which
-    :func:`_multiple_counts` turns into the counts in place: 4 bytes per
-    modulus for every y, so more than ``MAX_MATERIALIZED_SPAN`` (2^27)
-    moduli are a CapacityError, raised before anything is allocated.  mu and
-    the terms come one segment of moduli at a time; each term is one
-    correctly rounded division, and sigma1 and sigma2 are their correctly
-    rounded sums (``_exact_int``, rounded once at the end).
+    in [1, floor(x) - a], so no count above that is nonzero.  One pass over
+    the segments, the one that T takes, sums T and marks the values n - a
+    of the smooth n in an int32 indicator, which :func:`_multiple_counts`
+    turns into the counts in place: 4 bytes per modulus for every y, so
+    more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a CapacityError,
+    raised before anything is allocated.  mu and the terms come one segment
+    of moduli at a time; each term is one correctly rounded division, and
+    sigma1, sigma2 and T are correctly rounded sums (``_exact_int``,
+    rounded once at the end).
     """
     a, y = _check_pass(x, y, a)
     delta = _check_cutoff(delta)
-    top = math.floor(x)
-    d_max = top - a
+    d_max = math.floor(x) - a
     if d_max > MAX_MATERIALIZED_SPAN:
         raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
-    if d_max <= 0:
-        return MobiusSplit(0.0, 0.0, delta)
     primes = primes_upto(d_max)  # first, so that its sieve is freed before g is made
-    g = np.zeros(d_max + 1, dtype=np.int32)
-    for values in _segment_values(max(a, 0), top, y):
-        g[values - a] = 1
+    g = np.zeros(max(d_max, 0) + 1, dtype=np.int32)
+    count = t = 0
+    for s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
+        count += idx.size
+        t += _exact_int(_t_terms(a, s, idx, phi_at))
+        g[idx + (s - a)] = 1
     _multiple_counts(g, primes)
     sigma1 = sigma2 = 0
     for s, e in segment_bounds(1, d_max):
@@ -284,7 +333,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
         head = d <= delta
         sigma1 += _exact_int(terms[head])
         sigma2 += _exact_int(terms[~head])
-    return MobiusSplit(_round_exact(sigma1), _round_exact(sigma2), delta)
+    return MobiusSplit(_round_exact(sigma1), _round_exact(sigma2), delta, _round_exact(t), count)
 
 
 def v_exact(x: float, y: float, a: int) -> float:
@@ -305,13 +354,13 @@ def v_via_abel(x: float, y: float, a: int) -> float:
     of T(k) over integer k < floor(x) plus the fractional top piece.
     """
     a, y = _check_pass(x, y, a)
-    psi_value, segments = _shifted_pass(x, y, a, _smooth_phi_shifted)
+    psi_value = _head_psi(x, y, a)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
     running_t = 0.0
     integral_parts = []
-    for s, e, idx, phi_at in segments:
+    for s, e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
         psi_value += idx.size
         terms = np.zeros(e - s + 1)
         terms[idx] = _t_terms(a, s, idx, phi_at)
@@ -365,9 +414,9 @@ class AuxAverages(NamedTuple):
 def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     """Psi-normalized averages of tau(n - a) and omega(n - a) over smooth n."""
     a, y = _check_pass(x, y, a)
-    psi_value, segments = _shifted_pass(x, y, a, _smooth_tau_omega)
+    psi_value = _head_psi(x, y, a)
     tau_sum = omega_sum = 0
-    for _s, _e, idx, at in segments:
+    for _s, _e, idx, at in _shifted_pass(x, y, a, _smooth_tau_omega):
         psi_value += idx.size
         tau_sum += int(at[0].sum())
         omega_sum += int(at[1].sum())

@@ -83,6 +83,12 @@ STREAM_SEGMENT = 1 << 18
 #: and 40 to 70 times near 2e9 (1 % or more); the factor sits at the low end.
 SPARSE_PHI_FACTOR = 12
 
+#: The route choice counts the primes up to sqrt(e - a) exactly while
+#: sqrt(e - a) is at most this (every window below 2^36).  Above it, sieving
+#: them only to count them took 1.3 s and 96 MiB per segment near 2^52, so
+#: the count is Rosser and Schoenfeld's bound pi(t) < 1.25506 t / ln t.
+_EXACT_PRIME_COUNT = 1 << 18
+
 #: The prime powers p^e (p -> e) whose multiples ``_strip_primes`` takes from
 #: one tiled pattern instead of strides.  The pattern of any subset of them
 #: repeats with a period dividing their product, 5040.
@@ -409,8 +415,9 @@ def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
     It picks the route, and every route gives the same integers: one strip
     of the union window [min(s, s - a), max(e, e - a)] when
     y >= isqrt(max(e, e - a)) and |a| <= e - s, else the mask and then
-    ``_phi_at`` for sparse smooth n (``SPARSE_PHI_FACTOR``) or one strip of
-    the shifted window.  Each strip passes ``_check_window``.
+    ``_phi_at`` for sparse smooth n (``SPARSE_PHI_FACTOR``, with
+    ``_prime_count``) or one strip of the shifted window.  Each strip passes
+    ``_check_window``.
     """
     if abs(a) <= e - s and y >= math.isqrt(max(e, e - a)):
         lo, hi = _check_window(min(s, s - a), max(e, e - a))
@@ -419,8 +426,8 @@ def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
         idx = np.flatnonzero(_part_is_smooth(part[s - lo : e - lo + 1], s, e, cap))
     else:
         idx = np.flatnonzero(_smooth_mask(s, e, y))
-        # A segment without smooth n makes no primes and takes ``_phi_at``'s empty answer.
-        count = idx.size and idx.size * primes_upto(math.isqrt(e - a)).size
+        # A segment without smooth n counts no primes and takes ``_phi_at``'s empty answer.
+        count = idx.size and idx.size * _prime_count(math.isqrt(e - a))
         if count < SPARSE_PHI_FACTOR * (e - s + 1):
             return idx, _phi_at(idx + (s - a))
         lo, hi = _check_window(s - a, e - a)
@@ -432,6 +439,13 @@ def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
     rem += s - a
     rem //= part
     return idx, _phi_from_part(rem, tot)
+
+
+def _prime_count(t: int) -> float:
+    """pi(t) for the route choice: exact up to ``_EXACT_PRIME_COUNT``, an upper bound above."""
+    if t <= _EXACT_PRIME_COUNT:
+        return primes_upto(t).size
+    return 1.25506 * t / math.log(t)
 
 
 def _prime_windows(top: int):
@@ -527,11 +541,16 @@ def _is_prime(n: int) -> bool:
 
 
 def _mu_segment(lo: int, hi: int) -> np.ndarray:
-    """Moebius mu of every n in [lo, hi] as an int8 array."""
+    """Moebius mu of every n in [lo, hi] as an int8 array.
+
+    The product of the small primes of n divides n, so it is kept in the
+    window's dtype (int32 when hi < 2^31), as ``_strip_primes`` keeps its part.
+    """
     lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
+    dtype = np.int32 if hi < 2**31 else np.int64
     mu = np.ones(size, dtype=np.int8)
-    small = np.ones(size, dtype=np.int64)
+    small = np.ones(size, dtype=dtype)
     for p, k, start in _strides(lo, hi, math.isqrt(hi)):
         if k == 1:
             mu[start::p] *= -1
@@ -539,7 +558,7 @@ def _mu_segment(lo: int, hi: int) -> np.ndarray:
         elif k == 2:
             mu[start :: p * p] = 0
     # Zero entries stay zero; a squarefree n with a prime > sqrt(hi) flips once more.
-    mu[small < np.arange(lo, hi + 1)] *= -1
+    np.negative(mu, out=mu, where=small < np.arange(lo, hi + 1, dtype=dtype))
     return mu
 
 

@@ -181,6 +181,11 @@ def test_malformed_numbers_and_file_errors_are_rejected(argv, config, tmp_path):
         ["tsum", "--x", "20000.5", "--y", "1e5", "--a", "-3"],
         ["vsum", "--x", "20000.5", "--y", "1e5", "--a", "7"],
         ["vsum", "--x", "20000.5", "--y", "1e5", "--a", "-3"],
+        # The Moebius split marks n - a from the T pass's own segments.
+        ["tsum", "--x", "20000.5", "--y", "30", "--a", "7", "--delta", "50"],
+        ["tsum", "--x", "20000.5", "--y", "30", "--a", "-3", "--delta", "50"],
+        ["tsum", "--x", "20000.5", "--y", "1e5", "--a", "7", "--delta", "50"],
+        ["tsum", "--x", "20000.5", "--y", "1e5", "--a", "-3", "--delta", "50"],
     ],
 )
 def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, smooth_mask_entries, tmp_path):

@@ -224,6 +224,7 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
         for y in (7, 1000, 46340.5, math.inf):
             assert _smooth_mask(lo, hi, y).tolist() == [p <= y for p in lpf]
         assert _phi_segment(lo, hi).tolist() == [oracle_phi(n) for n in ns]
+        assert _mu_segment(lo, hi).tolist() == [oracle_mu(n) for n in ns]
         tau, omega = tau_omega_range(lo, hi)
         assert tau.tolist() == [oracle_tau(n) for n in ns]
         assert omega.tolist() == [oracle_omega(n) for n in ns]
@@ -291,6 +292,25 @@ def test_smooth_phi_shifted_strips_no_window_past_its_segment(phi_window_entries
     assert idx.tolist() == list(range(100))
     assert phi.tolist() == [oracle_phi(n + 2**40) for n in range(1, 101)]
     assert phi_window_entries and max(phi_window_entries) <= 100
+
+
+def test_smooth_phi_shifted_counts_no_primes_near_2_52(monkeypatch):
+    # The route choice once sieved the primes up to 2^26 here only to count
+    # them: 1.3 s and 96 MiB for one segment.  With y = 1 only n = 1 is
+    # smooth, and 1 - a = 2^22 (2^30 - 1) has small primes alone.
+    a = 1 - 2**22 * (2**30 - 1)
+    asked = []
+    primes_upto = sieve.primes_upto
+
+    def recording(n):
+        asked.append(n)
+        return primes_upto(n)
+
+    monkeypatch.setattr(sieve, "primes_upto", recording)
+    idx, phi = _smooth_phi_shifted(1, 2**22, 1, a)
+    assert 2**22 - a == 2**52 - 1
+    assert (idx.tolist(), phi.tolist()) == ([0], [oracle_phi(1 - a)])
+    assert max(asked) <= 2**18
 
 
 def _mask_route(s, e, y, a):

@@ -17,6 +17,7 @@ from smoothlab import (
     main_terms,
     psi,
     rho,
+    sieve,
     t_exact,
     t_exact_fraction,
     t_via_mobius,
@@ -24,7 +25,10 @@ from smoothlab import (
     v_via_abel,
 )
 
-from smoothlab.shifted import _exact_int, _round_exact, _shifted_totals
+from smoothlab.shifted import (
+    _EXACT_UNIT, _exact_int, _multiple_counts, _round_exact, _shifted_totals,
+)
+from smoothlab.sieve import primes_upto
 
 from conftest import oracle_mobius_split, oracle_t, oracle_v, stream_segment
 
@@ -170,6 +174,22 @@ def test_range_bounds_property():
             assert 0.0 < t <= psi(x, y)
         v = v_exact(x, y, a)
         assert 0.0 <= v <= x
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+@pytest.mark.parametrize("n", [2, 3, 97, 4, 97**2, 1000, 4096, 4999])
+def test_multiple_counts_match_brute_force(n, block):
+    # n prime, n = p^2 and n up to a few thousand; blocks of 7 pairs (i, p)
+    # cut the lists of primes p above sqrt(n) that each i takes.
+    rng = np.random.default_rng(n)
+    primes = primes_upto(n)
+    for density in (0.05, 0.5, 1.0):
+        member = rng.random(n + 1) < density
+        member[0] = False
+        g = member.astype(np.int32)
+        with stream_segment(block or sieve.STREAM_SEGMENT):
+            _multiple_counts(g, primes)
+        assert g[1:].tolist() == [int(member[d::d].sum()) for d in range(1, n + 1)]
 
 
 def test_mobius_split_delta2_example():
@@ -389,6 +409,18 @@ def _exact_sum(chunks):
     return _round_exact(sum(map(_exact_int, chunks)))
 
 
+def _binade_terms(size: int, binades: int) -> np.ndarray:
+    """size terms of random sign and full mantissa whose |values| span exactly ``binades`` binades.
+
+    They lie in [2^(1 - binades), 2): ``_exact_int`` splits a slice of them
+    at one point for 16 binades and takes them by exponent for 17.
+    """
+    rng = np.random.default_rng(size * 100 + binades)
+    exps = rng.integers(1 - binades, 1, size)
+    exps[:2] = (1 - binades, 0)
+    return rng.choice([-1.0, 1.0], size) * np.ldexp(1.0 + rng.random(size), exps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -426,3 +458,27 @@ def test_exact_sum_matches_fsum_on_adversarial_arrays(values):
     chunks = [np.array(values, dtype=np.float64)]
     assert _exact_sum(chunks).hex() == _fsum_hex(chunks)
     assert _exact_sum(chunks[:0]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _binade_terms(1 << 14, 16),
+        _binade_terms((1 << 14) + 1, 16),
+        _binade_terms(1 << 14, 17),
+        _binade_terms((1 << 14) + 1, 17),
+        [2.0 - 2.0**-52] * ((1 << 14) + 1),  # the largest sum of highs a split slice can make
+        [5e-324 * k * (-1) ** k for k in range(1, 3000)],  # subnormals alone, split at one point
+        [2.0**-1022, -5e-324, 2.0**-1030, 5e-324 * 3],
+        [-0.0, 1.0, 0.0, -(2.0**-15), 0.75, -0.0],
+    ],
+    ids=[
+        "16-binades-2^14", "16-binades-2^14+1", "17-binades-2^14", "17-binades-2^14+1",
+        "near-two", "subnormals", "subnormals-and-normal", "signed-zeros",
+    ],
+)
+def test_exact_int_is_exact_on_both_sides_of_the_split_bound(values):
+    # The rounded float hides a small error, so the integer itself is checked.
+    chunk = np.array(values, dtype=np.float64)
+    assert Fraction(_exact_int(chunk), _EXACT_UNIT) == sum(map(Fraction, chunk.tolist()))
+    assert _exact_sum([chunk]).hex() == _fsum_hex([chunk])

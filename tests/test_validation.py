@@ -209,7 +209,6 @@ HUGE_AS_INF = [
     ("ft_ratio_scan.y", lambda v: ft_ratio_scan(100, v, [2, 6])),
     ("main_terms.y", lambda v: main_terms(100, v, 5)),
     ("i_integral.y", lambda v: i_integral(100, v, build_rho_table(4))),
-    ("range_check.x", lambda v: range_check(v, 7)),
     ("range_check.C", lambda v: range_check(1e6, 7, C=v)),
     ("rho_asymptotic.u", rho_asymptotic),
     ("ScanConfig.y", lambda v: ScanConfig(x_grid=(1e4,), a_list=(1,), y=v).y_for(1e4)),
@@ -230,6 +229,7 @@ HUGE_REFUSED = [
     ("main_terms.x", lambda v: main_terms(v, 7, 5)),
     ("i_integral.x", lambda v: i_integral(v, 7, build_rho_table(4))),
     ("psi_estimate.x", lambda v: psi_estimate(v, 7)),
+    ("range_check.x", lambda v: range_check(v, 7)),
     ("build_rho_table.u_max", build_rho_table),
     ("rho.u", lambda v: rho(build_rho_table(4), v)),
     ("rho_prime.u", lambda v: rho_prime(build_rho_table(4), v)),
