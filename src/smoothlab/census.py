@@ -3,9 +3,14 @@
 All counting ranges are half-open on the left: a function taking (lo, hi)
 counts integers n with lo < n <= hi.  Smoothness bounds y are real valued
 and never rounded; for y < 2 only n = 1 qualifies.
+
+Every count over smooth values reads the smooth n of one sieve segment at a
+time, in int32 below 2^31 (``_segment_values``), so its memory does not grow
+with x.  ``_smooth_values`` alone holds a whole set, of a span up to 2^27.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -18,16 +23,20 @@ from .sieve import (
 #: Upper limit for the recursive test oracle.
 ENUM_ORACLE_LIMIT = 10**7
 
-#: Largest span a SmoothRange will materialize.
+#: Largest span ``_smooth_values`` will materialize.
 MAX_MATERIALIZED_SPAN = 1 << 27
+
+#: Most divisibility masks ``_coprime_counts`` keeps, one per prime shared
+#: by several of its moduli; a mask is one byte per smooth value of a segment.
+_MASK_MEMO = 8
 
 
 class SmoothRange:
     """The y-smooth integers of [first, last] as one increasing int64 array.
 
-    ``values`` is built once and shared by callers that count many residue
-    classes or coprimality tests over one range (discrepancy scans, coprime
-    ratios).  Read-only and safe to share between threads.
+    ``values`` is built once, from the int32 array of ``_smooth_values``
+    below 2^31, so the build peaks at 1.5 times the int64 values, not 2.
+    Read-only and safe to share between threads.  No command builds one.
     """
 
     def __init__(self, first: int, last: int, y: float):
@@ -35,11 +44,7 @@ class SmoothRange:
         _, last = _check_range(first - 1, last)
         if last < first:
             raise DomainError(f"empty range [{first}, {last}]")
-        if last - first + 1 > MAX_MATERIALIZED_SPAN:
-            raise CapacityError(f"range [{first}, {last}] too large to materialize")
-        # int32 segments below 2^31 make the peak 1.5 times the int64 values, not 2.
-        parts = [_narrow(v) for v in _segment_values(first - 1, last, y)]
-        values = np.concatenate(parts, dtype=np.int64)
+        values = _smooth_values(first - 1, last, y).astype(np.int64, copy=False)
         values.setflags(write=False)
         self.values = values
 
@@ -57,20 +62,13 @@ def _prime_divisors(d: int, bound: float) -> list[int]:
     return found
 
 
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """Increasing nonnegative ``values`` as int32 when the last is below 2^31, else unchanged."""
-    if values.dtype != np.int32 and values.size and values[-1] < 2**31:
-        return values.astype(np.int32)
-    return values
-
-
 def _residues(values: np.ndarray, d: int) -> np.ndarray:
     """Each of the nonnegative ``values`` mod d >= 1, as v - (v // d) * d.
 
     NumPy divides an integer array by a scalar on a fast path that % does
     not take: per 1e5 values this costs about 0.07 ms on int32 and 0.2 ms
-    on int64, against 0.35-0.4 ms for % (2-core box), so callers
-    ``_narrow`` the values once first.  A d past the dtype's range, which
+    on int64, against 0.35-0.4 ms for % (2-core box), so the segment
+    stream comes in int32 below 2^31.  A d past the dtype's range, which
     NumPy refuses as a scalar, exceeds every value, and a d above every
     value leaves each value as its own residue.
     """
@@ -79,28 +77,6 @@ def _residues(values: np.ndarray, d: int) -> np.ndarray:
     quotients = values // d
     quotients *= d
     return np.subtract(values, quotients, out=quotients)
-
-
-def _count_residue(values: np.ndarray, a: int, d: int) -> int:
-    """How many of the increasing ``values`` are congruent to a mod d."""
-    return int(np.count_nonzero(_residues(_narrow(values), d) == a % d))
-
-
-def _count_coprime(values: np.ndarray, primes: list[int], divisible=None) -> int:
-    """How many of the increasing ``values`` no prime in ``primes`` divides.
-
-    A y-smooth n can share with d only primes <= y, so the primes of d up
-    to y are all a coprimality test over smooth values needs.
-    ``divisible`` may map some of the primes to their mask
-    ``_residues(values, p) == 0``, built once for several moduli; the
-    other primes are tested here.
-    """
-    values = _narrow(values)
-    divisible = divisible or {}
-    hit = np.zeros(values.size, dtype=bool)
-    for p in primes:
-        hit |= divisible[p] if p in divisible else _residues(values, p) == 0
-    return values.size - int(np.count_nonzero(hit))
 
 
 def enumerate_smooth(lo: int, hi: int, y: float):
@@ -112,9 +88,24 @@ def enumerate_smooth(lo: int, hi: int, y: float):
 
 
 def _segment_values(lo: int, hi: int, y: float):
-    """The y-smooth n in (lo, hi], lo >= 0, as one increasing array per segment."""
+    """The y-smooth n in (lo, hi], lo >= 0, one increasing array per segment, int32 below 2^31."""
     for s, e in segment_bounds(lo + 1, hi):
-        yield np.flatnonzero(_smooth_mask(s, e, y)) + s
+        # Every n of an int32 window fits, so the cast is exact, and no int64
+        # copy stays alive while the next segment is sieved.
+        dtype = np.int32 if e < 2**31 else np.int64
+        yield np.add(np.flatnonzero(_smooth_mask(s, e, y)), s, dtype=dtype, casting="unsafe")
+
+
+def _smooth_values(lo: int, hi: int, y: float) -> np.ndarray:
+    """The y-smooth n in (lo, hi], lo >= 0, as one increasing array, int32 when hi < 2^31.
+
+    A span past ``MAX_MATERIALIZED_SPAN`` is a CapacityError, raised before
+    anything is allocated.
+    """
+    if hi - lo > MAX_MATERIALIZED_SPAN:
+        raise CapacityError(f"range [{lo + 1}, {hi}] too large to materialize")
+    dtype = np.int32 if hi < 2**31 else np.int64
+    return np.concatenate([np.empty(0, dtype), *_segment_values(lo, hi, y)], dtype=dtype)
 
 
 def psi(x: float, y: float) -> int:
@@ -165,13 +156,37 @@ def psi_coprime(x: float, y: float, d: int) -> int:
     y = _check_y(y)
     d = _check_modulus(d)
     top = _check_x(x)
-    primes = _prime_divisors(d, min(y, top))
-    return sum(_count_coprime(v, primes) for v in _segment_values(0, top, y))
+    return _coprime_counts(top, y, [_prime_divisors(d, min(y, top))])[1][0]
+
+
+def _coprime_counts(top: int, y: float, divisors: list[list[int]]) -> tuple[int, list[int]]:
+    """Psi(top, y), and per list of primes the y-smooth n <= top that none of them divides.
+
+    A y-smooth n can share with d only primes <= y, so the primes of d up
+    to y are all a coprimality test over smooth values needs.  One segment
+    stream serves every list.  A prime in several lists is tested once per
+    segment, into a divisibility mask that each of them reads; at most
+    ``_MASK_MEMO`` masks are kept, for the most shared primes, and any
+    other prime is tested per list.
+    """
+    shared = Counter(p for primes in divisors for p in primes).most_common(_MASK_MEMO)
+    memo = [p for p, uses in shared if uses > 1]
+    total, counts = 0, [0] * len(divisors)
+    for values in _segment_values(0, top, y):
+        total += values.size
+        divisible = {p: _residues(values, p) == 0 for p in memo}
+        for i, primes in enumerate(divisors):
+            hit = np.zeros(values.size, dtype=bool)
+            for p in primes:
+                hit |= divisible[p] if p in divisible else _residues(values, p) == 0
+            counts[i] += values.size - int(np.count_nonzero(hit))
+    return total, counts
 
 
 def psi_progression(lo: int, hi: int, y: float, a: int, d: int) -> int:
     """Exact count of y-smooth n in (lo, hi] with n congruent to a mod d."""
     y = _check_y(y)
-    d, a = _check_modulus(d), _check_int(a, "residue")
+    d = _check_modulus(d)
+    a = _check_int(a, "residue") % d
     lo, hi = _check_range(lo, hi)
-    return sum(_count_residue(v, a, d) for v in _segment_values(lo, hi, y))
+    return sum(int(np.count_nonzero(_residues(v, d) == a)) for v in _segment_values(lo, hi, y))

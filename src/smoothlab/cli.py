@@ -177,14 +177,7 @@ def _run_ftratio(args) -> int:
     if args.out:
         experiments.write_ft_csv(args.out, rows)
     for r in rows:
-        _emit(
-            [
-                ("d", r.d),
-                ("ratio", format_sig12(r.ratio)),
-                ("dev", format_sig12(r.dev)),
-                ("lemma_scale", format_sig12(r.lemma_scale)),
-            ]
-        )
+        _emit(zip(experiments.FT_CSV_HEADER.split(","), experiments.record_cells(r)))
     if args.out:
         _emit([("out", args.out)])
     return 0

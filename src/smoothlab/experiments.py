@@ -5,16 +5,19 @@ The asymptotic statements under test only bite for astronomically large x,
 so the harness records how far desk-scale data already agrees with the
 leading terms; structural identities are asserted exactly, convergence
 quality is measured and written out.
+
+Every count over smooth values comes from ``census``.  The coprime ratios
+stream its segments, one pass for all their moduli; the discrepancy sums
+read the whole smooth set at once, in int32, for x up to 2^27.
 """
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .census import SmoothRange, _count_coprime, _narrow, _prime_divisors, _residues
+from .census import _coprime_counts, _prime_divisors, _residues, _smooth_values
 from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
@@ -38,10 +41,6 @@ Z_GRID_FLOOR = 16.0
 #: ``granville_discrepancy`` holds at once; a modulus d takes
 #: max(1, _COUNT_BLOCK // d) slices per block.
 _COUNT_BLOCK = 1 << 14
-
-#: Most divisibility masks ``ft_ratio_scan`` keeps, one per prime shared by
-#: several of its moduli; a mask is one byte per smooth value.
-_MASK_MEMO = 8
 
 _E_E = math.exp(math.e)
 
@@ -227,7 +226,8 @@ def granville_discrepancy(
     |count - share| of the block then comes from one vectorized abs/max,
     with each share the int sum of the coprime classes divided by phi(d).
     A block holds at most ``_COUNT_BLOCK`` counts, so memory stays
-    O(d + psi) for any delta.
+    O(d + psi) for any delta.  The smooth values are one int32 array
+    (``census._smooth_values``), so an x past 2^27 is a CapacityError.
     """
     top, y, delta = _check_x(x), _check_y(y), _check_cutoff(delta)
     x = _to_float(x)
@@ -250,7 +250,7 @@ def granville_discrepancy(
     else:
         raise DomainError(f"unknown z_mode {z_mode!r}")
 
-    values = _narrow(SmoothRange(1, top, y).values)
+    values = _smooth_values(0, top, y)
     # values[ends[i - 1]:ends[i]] are the smooth n in (z_{i-1}, z_i] for the
     # increasing grid; slices labels each value with that i.
     ends = np.searchsorted(values, [math.floor(z) for z in z_values], side="right")
@@ -269,9 +269,10 @@ def granville_discrepancy(
             keys *= d
             keys += residues[start:stop]
             counts = np.bincount(keys, minlength=(last - first) * d).reshape(-1, d)
-            for row in counts:  # a running sum down the grid: row i counts n <= z_{first+i}
-                row += below
-                below = row
+            # A running sum down the grid: row i counts the n <= z_{first+i}.
+            np.cumsum(counts, axis=0, out=counts)
+            counts += below
+            below = counts[-1]
             in_class = np.take(counts, coprime, axis=1)
             shares = in_class.sum(axis=1) / coprime.size  # int / int, coprime.size = phi(d)
             worst = max(worst, float(np.abs(in_class - shares[:, None]).max()))
@@ -309,24 +310,18 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     """ratio = psi_coprime * d / (phi(d) * psi) for each modulus, sorted by d.
 
     Only the primes of d up to min(y, x) matter for coprimality with a
-    smooth n.  A prime shared by several moduli is tested against the
-    smooth values once, into a divisibility mask that each of its moduli
-    reads; at most ``_MASK_MEMO`` masks are kept, for the most shared
-    primes, and any other prime is tested per modulus.
+    smooth n.  One stream of smooth values serves every modulus
+    (``census._coprime_counts``), so memory does not grow with x.
     """
     top, y = _check_x(x), _check_y(y)
     x = _to_float(x)
     ds = sorted(_check_modulus(d, totient=True) for d in d_list)
     if not ds:
         return []
-    values = _narrow(SmoothRange(1, top, y).values)
-    psi_value = values.size
     divisors = [_prime_divisors(d, min(y, top)) for d in ds]
-    shared = Counter(p for primes in divisors for p in primes).most_common(_MASK_MEMO)
-    divisible = {p: _residues(values, p) == 0 for p, uses in shared if uses > 1}
+    psi_value, counts = _coprime_counts(top, y, divisors)
     rows = []
-    for d, phi_d, primes in zip(ds, _phi_at(np.array(ds)).tolist(), divisors):
-        coprime = _count_coprime(values, primes, divisible)
+    for d, phi_d, coprime in zip(ds, _phi_at(np.array(ds)).tolist(), counts):
         ratio = coprime * d / (phi_d * psi_value)
         if d * y > _E and x > _E and y > 1:
             scale = math.log(math.log(d * y)) * math.log(math.log(x)) / math.log(y)
@@ -433,29 +428,28 @@ def error_fit(records) -> ErrorFit:
 # CSV / JSON / config plumbing
 
 
-def write_scan_csv(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SCAN_CSV_HEADER + "\n")
-        for r in records:
-            fh.write(scan_record_line(r) + "\n")
+def record_cells(r) -> list[str]:
+    """``format_sig12`` of each field of a scan or ratio record, in CSV column order.
+
+    The fields run in the order of the header's columns; a scan record's
+    ``error`` is not a column.
+    """
+    return [format_sig12(getattr(r, f.name)) for f in fields(r) if f.name != "error"]
 
 
 def scan_record_line(r: ScanRecord) -> str:
-    cells = [
-        format_sig12(r.x),
-        format_sig12(r.y),
-        format_sig12(r.u),
-        str(r.a),
-        str(r.psi_exact),
-        format_sig12(r.psi_rho_est),
-        format_sig12(r.t_exact),
-        format_sig12(r.v_exact),
-        format_sig12(r.t_ratio),
-        format_sig12(r.t_err),
-        format_sig12(r.v_err),
-        format_sig12(r.err_scale),
-    ]
-    return ",".join(cells)
+    return ",".join(record_cells(r))
+
+
+def _write_csv(path, header: str, records) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for r in records:
+            fh.write(",".join(record_cells(r)) + "\n")
+
+
+def write_scan_csv(path, records) -> None:
+    _write_csv(path, SCAN_CSV_HEADER, records)
 
 
 def _read_csv(path, header: str, what: str) -> list[list]:
@@ -497,20 +491,7 @@ def read_scan_csv(path) -> list[ScanRecord]:
 
 
 def write_ft_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(FT_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        str(r.d),
-                        format_sig12(r.ratio),
-                        format_sig12(r.dev),
-                        format_sig12(r.lemma_scale),
-                    ]
-                )
-                + "\n"
-            )
+    _write_csv(path, FT_CSV_HEADER, rows)
 
 
 def read_ft_csv(path) -> list[FtRatioRow]:

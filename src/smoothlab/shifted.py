@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import MAX_MATERIALIZED_SPAN, _segment_values, psi
+from .census import MAX_MATERIALIZED_SPAN, psi
 from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
@@ -76,7 +76,7 @@ def _head_psi(x: float, y: float, a: int) -> int:
 
     With the smooth n of the pass, it makes Psi(x, y).
     """
-    return sum(v.size for v in _segment_values(0, min(math.floor(x), max(a, 0)), y))
+    return psi(min(x, a), y) if a > 0 else 0
 
 
 def _shifted_pass(x: float, y: float, a: int, kernel):
@@ -423,6 +423,11 @@ def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     return AuxAverages(tau_sum / psi_value, omega_sum / psi_value)
 
 
+#: Largest relative error estimate |G32 - G16| that ``i_integral`` accepts
+#: from its panels of 32-point Gauss-Legendre rules.
+_QUAD_REL_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class IntegralResult:
     """Quadrature value of integral_1^x t rho(log t / log y) dt.
@@ -436,7 +441,7 @@ class IntegralResult:
     error_estimate: float
 
 
-def i_integral(x: float, y: float, table: RhoTable, rel_tol: float = 1e-8) -> IntegralResult:
+def i_integral(x: float, y: float, table: RhoTable) -> IntegralResult:
     """Gauss-Legendre quadrature of t * rho(log t / log y) over [1, x].
 
     With t = y^v this is the integral of y^(2v) rho(v) log y over [0, u],
@@ -447,7 +452,7 @@ def i_integral(x: float, y: float, table: RhoTable, rel_tol: float = 1e-8) -> In
     of |G32 - G16|.  For u <= 1 (y >= x, y = inf included) rho is 1 and the
     value is (x^2 - 1) / 2 with error 0.  Raises DomainError before any work
     when x^2 overflows, and AccuracyError (carrying the value) if the error
-    estimate exceeds rel_tol relative.
+    estimate exceeds ``_QUAD_REL_TOL`` relative.
     """
     x, y = _to_float(x), _to_float(y)
     if x < 1:
@@ -485,8 +490,8 @@ def i_integral(x: float, y: float, table: RhoTable, rel_tol: float = 1e-8) -> In
     scale = math.exp(top)
     value = scale * (log_y * float(g32.sum()))
     err = scale * (log_y * float(np.abs(g32 - g16).sum()))
-    if err > rel_tol * max(abs(value), 1e-300):
+    if err > _QUAD_REL_TOL * max(abs(value), 1e-300):
         raise AccuracyError(
-            f"quadrature error {err:.3g} above {rel_tol:.1g} relative", estimate=value
+            f"quadrature error {err:.3g} above {_QUAD_REL_TOL:.1g} relative", estimate=value
         )
     return IntegralResult(value, comparator, err)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothlab import cli
+from smoothlab import census, cli
 from smoothlab.cli import build_parser, run
 from smoothlab.dickman import build_rho_table
 from smoothlab.experiments import read_ft_csv, read_scan_csv, write_scan_csv
@@ -269,6 +269,47 @@ def test_huge_moduli_stay_cheap():
         "d=1000000000000 ratio=0.374660721210 dev=0.625339278790 lemma_scale=2.46777331526\n"
     )
     assert elapsed < 1.0
+
+
+def test_ftratio_streams_past_the_materialized_span():
+    # 1.5e8 > 2^27: the ratios read the segment stream, not one smooth set.
+    code, out, err = invoke(["ftratio", "--x", "1.5e8", "--y", "2", "--d-list", "2,3"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "d=2 ratio=0.0714285714286 dev=0.928571428571 lemma_scale=1.38318692069\n"
+        "d=3 ratio=1.50000000000 dev=0.500000000000 lemma_scale=2.46964895098\n"
+    )
+
+
+SMALL_REQUESTS = [
+    ["psi", "--x", "1000", "--y", "30"],
+    ["rho", "--u", "3"],
+    ["tsum", "--x", "1000", "--y", "30", "--a", "1"],
+    ["tsum", "--x", "1000", "--y", "30", "--a", "-2", "--delta", "5"],
+    ["vsum", "--x", "1000", "--y", "30", "--a", "1"],
+    ["scan", "--config"],
+    ["discrepancy", "--x", "1000", "--y", "30", "--delta", "5"],
+    ["discrepancy", "--x", "1000", "--y", "30", "--delta", "5", "--z-mode", "max_over_grid"],
+    ["ftratio", "--x", "1000", "--y", "30", "--d-list", "2,6,30"],
+]
+
+
+def test_small_requests_cover_every_subcommand():
+    assert {argv[0] for argv in SMALL_REQUESTS} == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv", SMALL_REQUESTS, ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+def test_no_command_builds_a_smooth_range(argv, monkeypatch, tmp_path):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("SmoothRange built")
+
+    monkeypatch.setattr(census.SmoothRange, "__init__", refuse)
+    if argv[0] == "scan":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("x_grid = 100, 1000\ny = 30\na_list = 1, -1\n")
+        argv = argv + [str(cfg)]
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_tsum_delta_refuses_a_too_large_range_before_the_t_pass(smooth_mask_entries):

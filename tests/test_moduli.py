@@ -182,9 +182,10 @@ def test_ft_ratio_bits_match_float_reference(x, y):
 
 def test_ft_ratio_masks_stay_bounded():
     # 45 moduli p * q over consecutive primes up to 199 share 44 primes
-    # two ways, more than the _MASK_MEMO masks kept.  Masks for every
-    # shared prime peak at 6.8 times values.nbytes, the bounded memo at
-    # 2.25 times (building the SmoothRange alone takes 2).
+    # two ways, more than the _MASK_MEMO masks kept per segment.  Masks for
+    # every shared prime over the whole smooth set peaked at 6.8 times
+    # values.nbytes, the bounded memo over it at 2.25 times; the segment
+    # stream peaks at 1.4 times.
     primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
     ds = [p * q for p, q in zip(primes, primes[1:])]
     values = SmoothRange(1, 10**6, 1e3).values
@@ -212,6 +213,20 @@ def test_ft_ratios_match_oracle_counts(x, y, ds):
     for r in rows:
         coprime = sum(1 for n in smooth if math.gcd(n, r.d) == 1)
         assert r.ratio == coprime * r.d / (oracle_phi(r.d) * len(smooth))
+
+
+def test_ft_ratio_memory_does_not_grow_with_x():
+    # The ratios stream the smooth n a segment at a time: 3.3 MiB at both
+    # x, where one materialized smooth set peaked at 4.6 and 13.5 MiB.
+    ds = [2, 3, 5, 6, 7, 10, 30, 210, 2310]
+    for x in (1e6, 4e6):
+        tracemalloc.start()
+        try:
+            ft_ratio_scan(x, 1e3, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, x
 
 
 def test_ft_ratio_memory_does_not_grow_with_the_modulus():

@@ -346,7 +346,7 @@ def _quad_reference(x, y, table):
 def test_i_integral_matches_quad_on_a_grid():
     # u from below 1 (the closed form) to 60.  At y = 1e5 every unit
     # interval is split into two parts, at y = 1e20 into six; one part per
-    # unit would miss rel_tol there.
+    # unit would miss _QUAD_REL_TOL there.
     table = build_rho_table(u_max=64.0)
     points = [
         (x, y)
