@@ -16,14 +16,15 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .sieve import (
-    _check_int, _check_modulus, _check_range, _check_x, _check_y, _smooth_mask, primes_upto,
-    segment_bounds,
+    _check_int, _check_modulus, _check_range, _check_x, _check_y, _smooth_mask, _window_dtype,
+    primes_upto, segment_bounds,
 )
 
 #: Upper limit for the recursive test oracle.
 ENUM_ORACLE_LIMIT = 10**7
 
-#: Largest span ``_smooth_values`` will materialize.
+#: Largest span ``_smooth_values`` will materialize, and most moduli
+#: ``shifted.t_via_mobius`` takes: it holds a 1-byte indicator of each.
 MAX_MATERIALIZED_SPAN = 1 << 27
 
 #: Most divisibility masks ``_coprime_counts`` keeps, one per prime shared
@@ -90,10 +91,10 @@ def enumerate_smooth(lo: int, hi: int, y: float):
 def _segment_values(lo: int, hi: int, y: float):
     """The y-smooth n in (lo, hi], lo >= 0, one increasing array per segment, int32 below 2^31."""
     for s, e in segment_bounds(lo + 1, hi):
-        # Every n of an int32 window fits, so the cast is exact, and no int64
-        # copy stays alive while the next segment is sieved.
-        dtype = np.int32 if e < 2**31 else np.int64
-        yield np.add(np.flatnonzero(_smooth_mask(s, e, y)), s, dtype=dtype, casting="unsafe")
+        # Every n of the window fits its dtype, so the cast is exact, and no
+        # int64 copy stays alive while the next segment is sieved.
+        idx = np.flatnonzero(_smooth_mask(s, e, y))
+        yield np.add(idx, s, dtype=_window_dtype(e), casting="unsafe")
 
 
 def _smooth_values(lo: int, hi: int, y: float) -> np.ndarray:
@@ -104,7 +105,7 @@ def _smooth_values(lo: int, hi: int, y: float) -> np.ndarray:
     """
     if hi - lo > MAX_MATERIALIZED_SPAN:
         raise CapacityError(f"range [{lo + 1}, {hi}] too large to materialize")
-    dtype = np.int32 if hi < 2**31 else np.int64
+    dtype = _window_dtype(hi)
     return np.concatenate([np.empty(0, dtype), *_segment_values(lo, hi, y)], dtype=dtype)
 
 

@@ -22,10 +22,11 @@ phi(n - a) at the smooth n only and picks its route itself; every route
 gives the same integers, so the route never changes a result.
 ``aux_averages`` passes ``_smooth_tau_omega`` instead.  The Moebius split
 rides on the same pass: it sums T and marks n - a for the smooth n of each
-segment in an int32 indicator, 4 bytes per modulus for every y, so each n
-is tested for smoothness once.  It then turns the indicator into
-progression counts in place, the primes p above the square root of its
-length n in blocks of the pairs (i, p), i p <= n.  Float terms are summed
+segment in a bool indicator, 1 byte per modulus for every y, so each n is
+tested for smoothness once.  It then counts the multiples of each modulus
+in the indicator, one segment of moduli at a time: a strided count per
+squarefree d up to the square root of its length n, and for the d above
+it one strided add per multiplier j.  Float terms are summed
 exactly (``_exact_int``) and rounded once (``_round_exact``), so T and the
 Moebius split do not depend on the segment size or the term order.  The
 same exactness lets one pass serve a whole grid of x: T at each x is the
@@ -44,7 +45,7 @@ from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
     _check_cutoff, _check_pass, _mu_segment, _smooth_mask, _smooth_phi_shifted, _to_float,
-    primes_upto, segment_bounds, tau_omega_range,
+    segment_bounds, tau_omega_range,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -211,10 +212,13 @@ def t_exact(x: float, y: float, a: int) -> float:
     Terms stream segment by segment into an exact sum that is rounded once
     (``_exact_int``, the float math.fsum gives), so the result is within
     1e-12 relative of the exact rational value and memory does not grow
-    with x.
+    with x.  No psi is counted, so a shift a near x costs only its terms.
     """
     a, y = _check_pass(x, y, a)
-    return _shifted_totals([x], y, a)[0][1]
+    total = 0
+    for s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
+        total += _exact_int(_t_terms(a, s, idx, phi_at))
+    return _round_exact(total)
 
 
 def _tree_sum(fractions: list[Fraction]) -> Fraction:
@@ -261,41 +265,31 @@ class MobiusSplit:
         return self.sigma1 + self.sigma2
 
 
-def _multiple_counts(g: np.ndarray, primes: np.ndarray) -> None:
-    """Turn an int32 indicator g of a set K in [1, n] into g[d] = #{k in K : d | k}, in place.
+def _multiple_counts(g: np.ndarray, s: int, e: int, mu: np.ndarray) -> np.ndarray:
+    """c_d = #{j >= 1 : g[j d]} for each d in [s, e], from a bool indicator g of a set in [1, n].
 
-    n = g.size - 1 and ``primes`` holds the primes <= n.  g[i] += g[i p]
-    prime by prime: for p <= sqrt(n) the i run in descending blocks
-    (n / p^(j+1), n / p^j] that read only entries already updated for p.
-    The primes above sqrt(n) come last, as the pairs (i, p) with i p <= n,
-    numbered i by i and taken one stream segment of pairs
-    (``segment_bounds``) and one ``reduceat`` at a time.  Every pair reads
-    g[i p] with i p > sqrt(n) and adds into an i <= n / (sqrt(n) + 1),
-    below that range, so the pairs go in any order.
+    n = g.size - 1 and mu holds mu(d) on [s, e]; the counts are int32 and
+    not defined at the d with mu(d) = 0.  A d <= sqrt(n) with mu(d) != 0
+    counts its multiples with one strided ``count_nonzero``.  The d above
+    sqrt(n) have fewer than sqrt(n) multiples each, so they go the other
+    way: for each j, one strided add of g[j d] over every d of the segment
+    with j d <= n.  That is about n ln n reads in all, where sieving g into
+    the counts prime by prime takes about n ln ln n, but it needs no primes
+    and no copy of g.
     """
     n = g.size - 1
     root = math.isqrt(n)
-    split = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:split].tolist():
-        hi = n // p
-        while hi:
-            lo = hi // p
-            g[lo + 1 : hi + 1] += g[(lo + 1) * p : hi * p + 1 : p]
-            hi = lo
-    big = primes[split:]
-    # Row r holds the pairs of i = r + 1, the big primes up to n // i.  A row
-    # without a pair ends where the one before it does, so no block takes it.
-    counts = np.searchsorted(big, n // np.arange(1, n // (root + 1) + 1), side="right")
-    ends = np.cumsum(counts)
-    for lo, hi in segment_bounds(0, int(ends[-1]) - 1 if ends.size else -1):
-        first, last = np.searchsorted(ends, [lo, hi], side="right")
-        rows = slice(first, last + 1)
-        taken = counts[rows].copy()
-        taken[0] -= lo - (ends[first] - counts[first])  # the first row's pairs before lo
-        taken[-1] -= ends[last] - 1 - hi  # the last row's pairs after hi
-        multiples = big[np.arange(lo, hi + 1) - np.repeat(ends[rows] - counts[rows], taken)]
-        multiples *= np.repeat(np.arange(first + 1, last + 2), taken)
-        g[first + 1 : last + 2] += np.add.reduceat(g[multiples], np.cumsum(taken) - taken)
+    counts = np.zeros(e - s + 1, dtype=np.int32)
+    for d in (np.flatnonzero(mu[: max(root - s + 1, 0)]) + s).tolist():
+        counts[d - s] = np.count_nonzero(g[d::d])
+    lo = max(s, root + 1)
+    if lo > e:
+        return counts
+    flags = g.view(np.int8)
+    for j in range(1, n // lo + 1):
+        hi = min(e, n // j)
+        counts[lo - s : hi - s + 1] += flags[j * lo : j * hi + 1 : j]
+    return counts
 
 
 def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
@@ -304,30 +298,29 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     The moduli run to floor(x) - a for either sign of a: every n - a lies
     in [1, floor(x) - a], so no count above that is nonzero.  One pass over
     the segments, the one that T takes, sums T and marks the values n - a
-    of the smooth n in an int32 indicator, which :func:`_multiple_counts`
-    turns into the counts in place: 4 bytes per modulus for every y, so
+    of the smooth n in a bool indicator: 1 byte per modulus for every y, so
     more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a CapacityError,
-    raised before anything is allocated.  mu and the terms come one segment
-    of moduli at a time; each term is one correctly rounded division, and
-    sigma1, sigma2 and T are correctly rounded sums (``_exact_int``,
-    rounded once at the end).
+    raised before anything is allocated.  mu, the counts of multiples
+    (:func:`_multiple_counts`) and the terms come one segment of moduli at
+    a time; each term is one correctly rounded division, and sigma1, sigma2
+    and T are correctly rounded sums (``_exact_int``, rounded once at the
+    end).
     """
     a, y = _check_pass(x, y, a)
     delta = _check_cutoff(delta)
     d_max = math.floor(x) - a
     if d_max > MAX_MATERIALIZED_SPAN:
         raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
-    primes = primes_upto(d_max)  # first, so that its sieve is freed before g is made
-    g = np.zeros(max(d_max, 0) + 1, dtype=np.int32)
+    g = np.zeros(max(d_max, 0) + 1, dtype=bool)
     count = t = 0
     for s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
         count += idx.size
         t += _exact_int(_t_terms(a, s, idx, phi_at))
-        g[idx + (s - a)] = 1
-    _multiple_counts(g, primes)
+        g[idx + (s - a)] = True
     sigma1 = sigma2 = 0
     for s, e in segment_bounds(1, d_max):
-        weighted = _mu_segment(s, e) * g[s : e + 1]
+        mu = _mu_segment(s, e)
+        weighted = mu * _multiple_counts(g, s, e, mu)
         d = np.flatnonzero(weighted) + s
         terms = weighted[d - s] / d
         head = d <= delta

@@ -6,9 +6,10 @@ first multiple; it is the only place that does stride arithmetic.  Each
 kernel is one loop over it, sized to its question:
 
 - ``_strip_primes`` builds the bound-smooth part of each n, the product of
-  p^v_p(n) over the primes p <= bound, by multiplication alone (int32 when
-  hi < 2^31, else int64), and optionally phi of that part.  Nothing is
-  divided inside the stride loop.  The multiples of 2^4, 3^2, 5 and 7
+  p^v_p(n) over the primes p <= bound, by multiplication alone (in the
+  dtype ``_window_dtype`` picks for every window: int32 when hi < 2^31,
+  else int64), and optionally phi of that part.  Nothing is divided inside
+  the stride loop.  The multiples of 2^4, 3^2, 5 and 7
   (``_WHEEL``) repeat with period 5040, so they are struck once on the
   window's first period, which is then tiled over the rest; strides run
   only for the other prime powers.
@@ -276,6 +277,11 @@ def segment_bounds(lo: int, hi: int):
         s = e + 1
 
 
+def _window_dtype(hi: int):
+    """The integer dtype of a window or array whose values are at most hi: int32 below 2^31."""
+    return np.int32 if hi < 2**31 else np.int64
+
+
 def _strides(lo: int, hi: int, bound: int):
     """Yield (p, k, start) for each prime p <= bound and each p^k with a multiple in [lo, hi].
 
@@ -353,9 +359,8 @@ def _wheel_part(lo: int, hi: int, bound: int, phi: bool):
     over the rest.
     """
     span = min(hi - lo + 1, _WHEEL_PERIOD)
-    dtype = np.int32 if hi < 2**31 else np.int64
-    part = np.ones(span, dtype=dtype)
-    tot = np.ones(span, dtype=dtype) if phi else None
+    part = np.ones(span, dtype=_window_dtype(hi))
+    tot = np.ones(span, dtype=part.dtype) if phi else None
     for p, k, start in _strides(lo, lo + span - 1, min(bound, max(_WHEEL))):
         if k <= _WHEEL[p]:
             part[start :: p**k] *= p
@@ -486,7 +491,7 @@ def _phi_at(values: np.ndarray) -> np.ndarray:
         raise DomainError(f"totient needs values >= 1, got {int(phi.min())}")
     if top > MAX_SIEVE_BOUND:
         raise DomainError(f"hi={top} exceeds supported bound 2^52")
-    rem = phi.astype(np.int32 if top < 2**31 else np.int64)
+    rem = phi.astype(_window_dtype(top))
     live = np.arange(phi.size)
     root = math.isqrt(top)
     for w, primes in enumerate(_prime_windows(root)):
@@ -548,7 +553,7 @@ def _mu_segment(lo: int, hi: int) -> np.ndarray:
     """
     lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
-    dtype = np.int32 if hi < 2**31 else np.int64
+    dtype = _window_dtype(hi)
     mu = np.ones(size, dtype=np.int8)
     small = np.ones(size, dtype=dtype)
     for p, k, start in _strides(lo, hi, math.isqrt(hi)):

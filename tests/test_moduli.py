@@ -26,10 +26,13 @@ from smoothlab import (
     psi,
     psi_coprime,
     psi_progression,
+    sieve,
     t_via_mobius,
 )
 
-from conftest import oracle_discrepancy, oracle_mobius_split, oracle_phi, oracle_smooth_list
+from conftest import (
+    oracle_discrepancy, oracle_mobius_split, oracle_phi, oracle_smooth_list, stream_segment,
+)
 
 YS = st.sampled_from([2, 3, 7, 30, 1e3])
 SHIFTS = st.sampled_from([1, -1, 2, -2, 6, -6])
@@ -39,17 +42,22 @@ SETTINGS = settings(max_examples=30, deadline=None)
 @st.composite
 def split_cases(draw):
     x = draw(st.integers(1, 2000))
-    return x, draw(YS), draw(SHIFTS), draw(st.sampled_from([1, 2.5, 17, x]))
+    delta = draw(st.sampled_from([1, 2.5, 17, x]))
+    return x, draw(YS), draw(SHIFTS), delta, draw(st.sampled_from([7, 64, None]))
 
 
 @SETTINGS
 @given(split_cases())
 def test_mobius_split_matches_oracle_property(case):
-    x, y, a, delta = case
+    x, y, a, delta, segment = case
     s1, s2 = oracle_mobius_split(x, y, a, delta)
     split = t_via_mobius(x, y, a, delta)
     assert split.sigma1 == pytest.approx(float(s1), abs=1e-12)
     assert split.sigma2 == pytest.approx(float(s2), abs=1e-12)
+    # Segments of moduli below, across and above sqrt(floor(x) - a) give the same sums.
+    with stream_segment(segment or sieve.STREAM_SEGMENT):
+        cut = t_via_mobius(x, y, a, delta)
+    assert (cut.sigma1.hex(), cut.sigma2.hex()) == (split.sigma1.hex(), split.sigma2.hex())
 
 
 @st.composite

@@ -17,6 +17,7 @@ from smoothlab import (
     main_terms,
     psi,
     rho,
+    shifted,
     sieve,
     t_exact,
     t_exact_fraction,
@@ -28,9 +29,8 @@ from smoothlab import (
 from smoothlab.shifted import (
     _EXACT_UNIT, _exact_int, _multiple_counts, _round_exact, _shifted_totals,
 )
-from smoothlab.sieve import primes_upto
 
-from conftest import oracle_mobius_split, oracle_t, oracle_v, stream_segment
+from conftest import oracle_mobius_split, oracle_mu, oracle_t, oracle_v, stream_segment
 
 SMALL_GRID = [
     (x, y, a)
@@ -73,6 +73,18 @@ def test_t_exact_streaming_matches():
     assert chunked == pytest.approx(full, rel=1e-13)
 
 
+def test_t_exact_counts_no_psi(monkeypatch):
+    # t_exact once counted the head psi(min(x, a), y) of the shifted pass
+    # and never read it: 0.39 s for the 100 terms of t_exact(2e7, 1e5, 19999900).
+    calls = []
+    monkeypatch.setattr(shifted, "psi", lambda *args: calls.append(args) or psi(*args))
+    for x, y, a in ((2e6, 1e5, 1999900), (1000, 30.0, 6), (1000, 7.0, -3)):
+        calls.clear()
+        t = t_exact(x, y, a)
+        assert calls == []
+        assert t.hex() == _shifted_totals([x], y, a)[0][1].hex()
+
+
 def test_t_exact_memory_does_not_grow_with_x():
     # Terms stream into fsum segment by segment, so the peak stays near one
     # segment's arrays; holding every term at once would take several MB.
@@ -94,11 +106,11 @@ def test_t_exact_memory_does_not_grow_with_x():
         (1e5, "0x1.08c576e499feap+22", "-0x1.19f53e6a4f57fp+11"),
     ],
 )
-def test_mobius_split_holds_four_bytes_per_modulus(y, sigma1, sigma2):
-    # The int32 counts of 1e7 moduli take 38 MiB; the bound leaves room for
-    # the primes up to 1e7 and one segment of mu and terms, not for a
-    # full-length mu, an int64 count or product, or the smooth n as one
-    # int64 array, which took the peak to 106 MiB at y = 1e5.
+def test_mobius_split_holds_one_byte_per_modulus(y, sigma1, sigma2):
+    # The bool indicator of 1e7 moduli takes 9.5 MiB; the bound leaves room
+    # for one segment of the T pass's windows, mu, counts and terms (the
+    # peak is 14 to 19 MiB), not for an int32 indicator (38 MiB) or the
+    # primes up to 1e7, which took the peak to 49-53 MiB.
     tracemalloc.start()
     try:
         split = t_via_mobius(1e7, y, 1, 100)
@@ -106,7 +118,7 @@ def test_mobius_split_holds_four_bytes_per_modulus(y, sigma1, sigma2):
     finally:
         tracemalloc.stop()
     assert (split.sigma1.hex(), split.sigma2.hex()) == (sigma1, sigma2)
-    assert peak < 64 << 20
+    assert peak < 32 << 20
 
 
 def test_mobius_split_refuses_too_many_moduli_before_it_allocates(smooth_mask_entries):
@@ -179,17 +191,38 @@ def test_range_bounds_property():
 @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
 @pytest.mark.parametrize("n", [2, 3, 97, 4, 97**2, 1000, 4096, 4999])
 def test_multiple_counts_match_brute_force(n, block):
-    # n prime, n = p^2 and n up to a few thousand; blocks of 7 pairs (i, p)
-    # cut the lists of primes p above sqrt(n) that each i takes.
+    # n prime, n = p^2 and n up to a few thousand; blocks of 7 moduli fall
+    # below sqrt(n), across it and above it.  Counts at a d with mu(d) = 0
+    # are not defined, so only the squarefree d are compared.
     rng = np.random.default_rng(n)
-    primes = primes_upto(n)
     for density in (0.05, 0.5, 1.0):
-        member = rng.random(n + 1) < density
-        member[0] = False
-        g = member.astype(np.int32)
+        g = rng.random(n + 1) < density
+        g[0] = False
+        got = []
         with stream_segment(block or sieve.STREAM_SEGMENT):
-            _multiple_counts(g, primes)
-        assert g[1:].tolist() == [int(member[d::d].sum()) for d in range(1, n + 1)]
+            for s, e in sieve.segment_bounds(1, n):
+                counts = _multiple_counts(g, s, e, sieve._mu_segment(s, e))
+                got += [int(counts[d - s]) for d in range(s, e + 1) if oracle_mu(d)]
+        assert got == [int(g[d::d].sum()) for d in range(1, n + 1) if oracle_mu(d)]
+
+
+def test_mobius_split_asks_for_no_primes_above_the_root_of_its_moduli(monkeypatch):
+    # The split once sieved every prime up to its last modulus d_max for an
+    # in-place sum over multiples; counting the multiples needs only mu.
+    asked = []
+    primes_upto = sieve.primes_upto
+
+    def recording(n):
+        asked.append(n)
+        return primes_upto(n)
+
+    monkeypatch.setattr(sieve, "primes_upto", recording)
+    assert not hasattr(shifted, "primes_upto")
+    for x, a in ((20001, 1), (20000, -3)):
+        asked.clear()
+        split = t_via_mobius(x, 1e3, a, 100)
+        assert split.total == pytest.approx(split.t, rel=1e-12)
+        assert asked and max(asked) <= math.isqrt(x - a)
 
 
 def test_mobius_split_delta2_example():
@@ -378,7 +411,8 @@ def test_aux_averages():
 )
 def test_shifted_sums_test_each_n_for_smoothness_once(fn, a, y, smooth_mask_entries):
     fn(20000.5, y, a)
-    assert sum(smooth_mask_entries) == 20000
+    # T reads no psi, so t_exact tests only the n of its terms, in (max(a, 0), x].
+    assert sum(smooth_mask_entries) == 20000 - (max(a, 0) if fn is t_exact else 0)
 
 
 def test_aux_averages_matches_oracle():
