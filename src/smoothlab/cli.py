@@ -10,11 +10,11 @@ import sys
 
 from . import experiments
 from .census import psi
-from .dickman import build_rho_table, rho
+from .dickman import UNDERFLOW_FROM, build_rho_table, rho
 from .errors import SmoothlabError
 from .formats import format_sig12
 from .shifted import _head_psi, _shifted_totals, _v_parts, main_terms, t_via_mobius
-from .sieve import _check_pass
+from .sieve import _check_pass, _check_table
 
 _EPILOG = "Numeric output carries 12 significant digits."
 
@@ -92,8 +92,15 @@ def _run_psi(args) -> int:
 
 
 def _run_rho(args) -> int:
-    table = build_rho_table(u_max=max(2.0, args.u), h=args.h)
-    _emit([("rho", format_sig12(rho(table, args.u)))])
+    u_max = max(2.0, args.u)
+    # The table's refusals come first, so a table that could not be built
+    # is refused here too; from UNDERFLOW_FROM on rho is 0.0 without one.
+    _check_table(u_max, args.h)
+    if args.u >= UNDERFLOW_FROM:
+        value = 0.0
+    else:
+        value = rho(build_rho_table(u_max=u_max, h=args.h), args.u)
+    _emit([("rho", format_sig12(value))])
     return 0
 
 

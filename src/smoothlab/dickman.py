@@ -16,6 +16,11 @@ cancellation-free.  Per-unit log scaling keeps every stored number O(1), so
 the table is accurate to near machine precision in relative terms at any
 depth, with values below exp(-700) reported as 0 in the linear domain.
 
+rho never increases (rho'(u) = -rho(u-1)/u <= 0), and log rho falls below
+that cutoff before u = ``UNDERFLOW_FROM`` (127).  So ``rho`` answers 0.0
+from there on without evaluating a series, once its range checks pass, and
+the CLI's ``rho --u`` and ``psi_estimate`` without a table build none there.
+
 A build is one eager pass over the series, on plain floats; the knot grid,
 which aligns integers (the kink points of rho) with knots, is computed from
 the series only when first read.  Nothing is cached between builds.
@@ -29,20 +34,25 @@ from operator import mul
 
 import numpy as np
 
-from .errors import AccuracyError, CapacityError, DomainError, NonDifferentiableError
+from .errors import CapacityError, DomainError, NonDifferentiableError
 from .formats import format_sig12
-from .sieve import _to_float
+from .sieve import MAX_UNITS, _check_point, _check_table, _to_float
 
 #: Below this log-value, rho underflows to an exact 0.0.
 LOG_UNDERFLOW = -700.0
 
-MAX_STEP = 1.0 / 64.0
+#: The smallest integer K with log rho(K) < LOG_UNDERFLOW (log rho(127) is
+#: about -706.18, log rho(126) about -699.42).  rho never increases, so
+#: rho(u) is 0.0 for every u >= K.  Derived from the table and pinned by
+#: the tests.
+UNDERFLOW_FROM = 127
 
 #: Series degree per unit interval; terms decay at least like 3^-i.
 SERIES_DEGREE = 48
 
-#: Largest ceil(u_max) a table covers (about 16 MB of series), and knot grid.
-MAX_UNITS = 10_000
+#: Largest knot grid a table computes.  ``MAX_UNITS`` and ``MAX_STEP``, the
+#: bounds on u_max and h, live with the table's argument check
+#: (``sieve._check_table``).
 MAX_KNOTS = 1 << 22
 
 #: W[i] is the integral of s^i over [0, 1/2]; over [-1/2, 0] it is (-1)^i W[i].
@@ -110,16 +120,7 @@ def build_rho_table(u_max: float = 64.0, h: float = 1.0 / 256.0) -> RhoTable:
     :class:`DomainError` for a non-finite or out-of-range u_max or h and
     :class:`CapacityError` for u_max above MAX_UNITS, before any work.
     """
-    u_max, h = _to_float(u_max), _to_float(h)
-    if not 1 <= u_max < math.inf:
-        raise DomainError(f"u_max must be finite and >= 1, got {u_max}")
-    if not 0 < h < math.inf or math.isinf(1.0 / h):
-        raise DomainError(f"step must be positive with a finite reciprocal, got {h}")
-    if h > MAX_STEP:
-        raise AccuracyError(f"step {h} too coarse; need h <= 1/64")
-    units = math.ceil(u_max)
-    if units > MAX_UNITS:
-        raise CapacityError(f"u_max={u_max} exceeds the table limit of {MAX_UNITS} units")
+    u_max, h, units = _check_table(u_max, h)
     m = math.ceil(1.0 / h)
     coeffs: list = [None] * max(units, 2)
     scale_logs = [math.nan] * max(units, 2)
@@ -160,9 +161,7 @@ def _advance_unit(b: tuple, K: int) -> list:
 
 def rho_log(table: RhoTable, u: float) -> float:
     """log rho(u), stable for arbitrarily small rho."""
-    u = _to_float(u)
-    if not 0 <= u <= table.u_max:
-        raise DomainError(f"u={u} outside table range [0, {table.u_max}]")
+    u = _check_point(u, table.u_max)
     if u <= 1.0:
         return 0.0
     if u <= 2.0:
@@ -177,7 +176,13 @@ def rho_log(table: RhoTable, u: float) -> float:
 
 
 def rho(table: RhoTable, u: float) -> float:
-    """rho(u); exact closed forms on [0, 2], series elsewhere."""
+    """rho(u); exact closed forms on [0, 2], series below ``UNDERFLOW_FROM``.
+
+    u must lie in the table's range.  From ``UNDERFLOW_FROM`` on, rho is
+    0.0 and no series is evaluated.
+    """
+    if _check_point(u, table.u_max) >= UNDERFLOW_FROM:
+        return 0.0
     lv = rho_log(table, u)
     if lv < LOG_UNDERFLOW:
         return 0.0
@@ -193,8 +198,7 @@ def rho_prime(table: RhoTable, u: float) -> float:
         raise NonDifferentiableError("rho is not differentiable at u = 1")
     if u < 1.0:
         return 0.0
-    if u > table.u_max:
-        raise DomainError(f"u={u} outside table range [0, {table.u_max}]")
+    _check_point(u, table.u_max)
     return -rho(table, u - 1.0) / u
 
 
@@ -224,18 +228,23 @@ def psi_estimate(
 ) -> PsiEstimate:
     """Estimate the number of y-smooth integers up to x.
 
-    method "rho" returns x * rho(u) with error scale log(u+1)/log y; method
-    "cep" returns the cruder x * u^(-u) order-of-magnitude comparator (its
-    o(u) exponent correction is dropped; error scale reported as 0).
+    method "rho" returns x * rho(u) with error scale log(u+1)/log y; without
+    a table it builds one up to u, or none from ``UNDERFLOW_FROM`` on, where
+    rho(u) is 0.0.  Method "cep" returns the cruder x * u^(-u)
+    order-of-magnitude comparator (its o(u) exponent correction is dropped;
+    error scale reported as 0).
     """
     x, y = _to_float(x), _to_float(y)
     if not 2 <= y <= x < math.inf:
         raise DomainError(f"estimate needs finite x >= y >= 2, got x={x}, y={y}")
     u = math.log(x) / math.log(y)
     if method == "rho":
-        if table is None:
-            table = build_rho_table(u_max=max(2.0, u))
-        value = x * rho(table, u)
+        if table is not None:
+            value = x * rho(table, u)
+        elif u < UNDERFLOW_FROM:
+            value = x * rho(build_rho_table(u_max=max(2.0, u)), u)
+        else:
+            value = 0.0
         scale = math.log(u + 1.0) / math.log(y)
         return PsiEstimate(value=value, method="rho", error_scale=scale)
     if method == "cep":

@@ -103,6 +103,18 @@ def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
     return phi_at / (idx + (s - a)).astype(np.float64)
 
 
+def _int_sum(values: np.ndarray, top: int) -> int:
+    """The exact sum of an int64 array whose entries are at most top.
+
+    It sums in int64 when len(values) * top cannot reach 2^63, which holds
+    for every window below 2^31, and in Python integers otherwise: 2^11
+    totients near 2^52 would wrap.
+    """
+    if values.size * top < 2**63:
+        return int(values.sum())
+    return sum(values.tolist())
+
+
 def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
     """(sum of phi(n - a) over smooth n in (max(a,0), floor(x)], Psi(x, y)).
 
@@ -111,9 +123,9 @@ def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
     a, y = _check_pass(x, y, a)
     psi_value = _head_psi(x, y, a)
     numerator = 0
-    for _s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
+    for _s, e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
         psi_value += idx.size
-        numerator += int(phi_at.sum())
+        numerator += _int_sum(phi_at, e - a)
     return numerator, psi_value
 
 
@@ -144,7 +156,7 @@ def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
         for cut in [c for c in cuts[len(rows) :] if c <= e] + [None]:
             stop = idx.size if cut is None else int(np.searchsorted(idx, cut - s, "right"))
             count += stop - done
-            numerator += int(phi_at[done:stop].sum())
+            numerator += _int_sum(phi_at[done:stop], e - a)
             total += _exact_int(terms[done:stop])
             done = stop
             if cut is not None:

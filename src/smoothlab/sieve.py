@@ -37,9 +37,9 @@ kernel is one loop over it, sized to its question:
 
 ``_phi_at`` is the one kernel that takes no window: it gives phi at an
 arbitrary array of values, testing each against the primes up to
-sqrt(max) and dropping it once p^2 exceeds what is left of it, or once
-what is left after the primes up to 2^18 passes a Miller-Rabin test.
-Those primes come one stream segment at a time from the strip core, so
+min(sqrt(max), 2^18) and dropping it once p^2 exceeds what is left of it.
+What is left after the primes up to 2^18 is a prime, which a Miller-Rabin
+test settles, or a product of two primes, which Pollard-Brent splits; so
 its memory does not grow with sqrt(max).  It beats a window strip when the
 values are a sparse subset of the window.
 
@@ -60,6 +60,7 @@ Conventions: spf(1) = lpf(1) = 1, phi(1) = 1, mu(1) = 1, so that 1 counts as
 smooth for every bound.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ from decimal import Context, Decimal
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import AccuracyError, CapacityError, DomainError
 
 #: Largest window one kernel call or ``sieve_range`` accepts.
 DEFAULT_SEGMENT_CAPACITY = 1 << 22
@@ -99,11 +100,21 @@ _WHEEL_PERIOD = math.prod(p**e for p, e in _WHEEL.items())
 #: Entries of the residue matrix that ``_phi_at`` tests per block of primes.
 _PHI_AT_BLOCK = 1 << 16
 
+#: ``_phi_at`` divides by the primes up to this.  Three primes above it
+#: multiply to more than 2^52, so what is left of a value is 1, a prime,
+#: or a product p q or p^2 of two primes, which ``_split_semiprime`` splits.
+_PHI_AT_PRIMES = 1 << 18
+
 #: Miller-Rabin with these bases is exact for every n below 3.8e18 > 2^52.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 #: Values above this are rejected; counts and totients stay comfortably in int64.
 MAX_SIEVE_BOUND = 1 << 52
+
+#: Largest ceil(u_max) a Dickman rho table covers (about 16 MB of series),
+#: and its coarsest knot step.
+MAX_UNITS = 10_000
+MAX_STEP = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -161,10 +172,11 @@ def primes_upto(n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Argument checks: the one validation layer.  Every public entry point of the
-# package checks its x, y, shift a, modulus d, cutoff delta and range ends
-# here, in O(1) and before it allocates or loops, and raises DomainError (or
-# CapacityError for a window past the cap) instead of answering.  A real
-# argument goes through ``_to_float``: an int past the float range is inf.
+# package checks its x, y, shift a, modulus d, cutoff delta, range ends and
+# rho table arguments here, in O(1) and before it allocates or loops, and
+# raises DomainError (or CapacityError for a window or table past its cap)
+# instead of answering.  A real argument goes through ``_to_float``: an int
+# past the float range is inf.
 
 
 def _check_int(value, what: str) -> int:
@@ -265,6 +277,33 @@ def _check_window(lo: int, hi: int) -> tuple[int, int]:
             f"capacity is {DEFAULT_SEGMENT_CAPACITY}"
         )
     return lo, hi
+
+
+def _check_table(u_max: float, h: float) -> tuple[float, float, int]:
+    """(u_max, h, ceil(u_max)) for a rho table: a finite u_max >= 1 and 0 < h <= 1/64.
+
+    An h coarser than ``MAX_STEP`` is an AccuracyError, and more than
+    ``MAX_UNITS`` units a CapacityError.
+    """
+    u_max, h = _to_float(u_max), _to_float(h)
+    if not 1 <= u_max < math.inf:
+        raise DomainError(f"u_max must be finite and >= 1, got {u_max}")
+    if not 0 < h < math.inf or math.isinf(1.0 / h):
+        raise DomainError(f"step must be positive with a finite reciprocal, got {h}")
+    if h > MAX_STEP:
+        raise AccuracyError(f"step {h} too coarse; need h <= 1/64")
+    units = math.ceil(u_max)
+    if units > MAX_UNITS:
+        raise CapacityError(f"u_max={u_max} exceeds the table limit of {MAX_UNITS} units")
+    return u_max, h, units
+
+
+def _check_point(u: float, u_max: float) -> float:
+    """u as a float in a rho table's range [0, u_max]."""
+    u = _to_float(u)
+    if not 0 <= u <= u_max:
+        raise DomainError(f"u={u} outside table range [0, {u_max}]")
+    return u
 
 
 def segment_bounds(lo: int, hi: int):
@@ -453,35 +492,22 @@ def _prime_count(t: int) -> float:
     return 1.25506 * t / math.log(t)
 
 
-def _prime_windows(top: int):
-    """The primes <= top in increasing arrays, one per stream segment.
-
-    The first array comes from ``primes_upto``; after it every window
-    [lo, hi] has lo > sqrt(hi), so its primes are the n whose smooth part
-    over the primes <= sqrt(hi) is 1.
-    """
-    first = min(top, STREAM_SEGMENT)
-    yield primes_upto(first)
-    for lo, hi in segment_bounds(first + 1, top):
-        yield np.flatnonzero(_strip_primes(lo, hi, math.isqrt(hi)) == 1) + lo
-
-
 def _phi_at(values: np.ndarray) -> np.ndarray:
     """Euler totient at each entry of an integer array of values in [1, 2^52], as int64.
 
     The values may come in any order.  They are tested against blocks of the
-    primes p <= sqrt(max), taken one stream segment at a time from
-    ``_prime_windows``, each block sized so that the residue matrix holds
-    about ``_PHI_AT_BLOCK`` entries.  A hit takes the factor (1 - 1/p) and
-    divides the full power of p out of the value's remainder.  After a block
-    ending at prime q, a value whose remainder is below (q + 1)^2 is dropped:
-    that remainder is 1 or one prime, fixed up at the end as in
-    ``_phi_segment``.  Past the first window (primes up to 2^18), a live
-    remainder is one prime or a product of two; a deterministic
-    Miller-Rabin test drops the primes then, so only a product of two
-    primes above 2^18 walks on.  No more primes are made once no value is
-    left.  The cost is about len(values) * pi(sqrt(max)) residue tests,
-    against about the window size times log log for ``_phi_segment``.
+    primes p <= min(sqrt(max), ``_PHI_AT_PRIMES``), each block sized so that
+    the residue matrix holds about ``_PHI_AT_BLOCK`` entries.  A hit takes
+    the factor (1 - 1/p) and divides the full power of p out of the value's
+    remainder.  After a block ending at prime q, a value whose remainder is
+    below (q + 1)^2 is dropped: that remainder is 1 or one prime, fixed up
+    at the end as in ``_phi_segment``.  A remainder still live after the
+    last prime has no prime factor <= 2^18 and is below 2^52, so it is one
+    prime, p q or p^2: a deterministic Miller-Rabin test leaves the primes
+    to that fix-up, and the others are split (``_split_semiprime``) and
+    take phi = (p - 1)(q - 1) or p (p - 1).  The cost is about
+    len(values) * pi(min(sqrt(max), 2^18)) residue tests, against about the
+    window size times log log for ``_phi_segment``.
     """
     phi = np.array(values, dtype=np.int64)
     if not phi.size:
@@ -494,32 +520,67 @@ def _phi_at(values: np.ndarray) -> np.ndarray:
     rem = phi.astype(_window_dtype(top))
     live = np.arange(phi.size)
     root = math.isqrt(top)
-    for w, primes in enumerate(_prime_windows(root)):
-        j = 0
-        while j < primes.size and live.size:
-            block = primes[j : j + max(1, _PHI_AT_BLOCK // live.size)].astype(rem.dtype)
-            j += block.size
-            rows, cols = np.nonzero(rem[live][:, None] % block == 0)
-            at, p = live[rows], block[cols]
-            # ufunc.at applies repeated indices one by one, and a value may have
-            # several primes in one block.
-            np.floor_divide.at(phi, at, p)
-            np.multiply.at(phi, at, p - 1)
-            while at.size:
-                np.floor_divide.at(rem, at, p)
-                again = rem[at] % p == 0
-                at, p = at[again], p[again]
-            live = live[rem[live] >= (int(block[-1]) + 1) ** 2]
-        if w == 0 and root > STREAM_SEGMENT:
-            # A remainder still live has no prime factor <= 2^18 and is below
-            # 2^52, so it is one prime or the product of two: settle the primes.
-            live = live[np.array([not _is_prime(r) for r in rem[live].tolist()], dtype=bool)]
-        if not live.size:
-            break
+    primes = primes_upto(min(root, _PHI_AT_PRIMES))
+    j = 0
+    while j < primes.size and live.size:
+        block = primes[j : j + max(1, _PHI_AT_BLOCK // live.size)].astype(rem.dtype)
+        j += block.size
+        rows, cols = np.nonzero(rem[live][:, None] % block == 0)
+        at, p = live[rows], block[cols]
+        # ufunc.at applies repeated indices one by one, and a value may have
+        # several primes in one block.
+        np.floor_divide.at(phi, at, p)
+        np.multiply.at(phi, at, p - 1)
+        while at.size:
+            np.floor_divide.at(rem, at, p)
+            again = rem[at] % p == 0
+            at, p = at[again], p[again]
+        live = live[rem[live] >= (int(block[-1]) + 1) ** 2]
+    if root > _PHI_AT_PRIMES:
+        # A live remainder is a prime, left to the fix-up below, or p q or p^2.
+        for i, r in zip(live.tolist(), rem[live].tolist()):
+            if not _is_prime(r):
+                p = _split_semiprime(r)
+                phi[i] = phi[i] // r * (p - 1) * (p if r == p * p else r // p - 1)
+                rem[i] = 1
     big = np.flatnonzero(rem > 1)  # one prime > sqrt(max) left, exponent 1
     last = rem[big].astype(np.int64)
     phi[big] = phi[big] // last * (last - 1)
     return phi
+
+
+def _split_semiprime(n: int) -> int:
+    """A prime factor of n = p q or p^2 with primes p, q: isqrt, then Pollard-Brent.
+
+    Pollard-Brent runs from fixed seeds c = 1, 2, ... and takes the next one
+    when a cycle closes on n itself; its found factor of a product of two
+    primes is one of them.
+    """
+    root = math.isqrt(n)
+    if root * root == n:
+        return root
+    for c in itertools.count(1):
+        factor = _pollard_brent(n, c)
+        if factor != n:
+            return factor
+
+
+def _pollard_brent(n: int, c: int) -> int:
+    """A factor of the composite odd n from the walk x -> x^2 + c (mod n): n on failure.
+
+    Brent's cycle search: the walk saves its point at every power of two
+    and compares each later step with it, so the gcd turns up a prime
+    factor p of n after about sqrt(p) steps.
+    """
+    x, r = 2, 1
+    while True:
+        saved = x
+        for _ in range(r):
+            x = (x * x + c) % n
+            g = math.gcd(x - saved, n)
+            if g != 1:
+                return g
+        r *= 2
 
 
 def _is_prime(n: int) -> bool:

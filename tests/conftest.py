@@ -219,6 +219,22 @@ def smooth_mask_entries(monkeypatch):
 
 
 @pytest.fixture
+def advance_calls(monkeypatch):
+    """The unit K of every rho series step built while the test runs."""
+    from smoothlab import dickman
+
+    calls = []
+    step = dickman._advance_unit
+
+    def counted(b, K):
+        calls.append(K)
+        return step(b, K)
+
+    monkeypatch.setattr(dickman, "_advance_unit", counted)
+    return calls
+
+
+@pytest.fixture
 def phi_window_entries(monkeypatch):
     """The window size of every totient-window sieve made while the test runs."""
     from smoothlab import sieve

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 from smoothlab import census, cli
 from smoothlab.cli import build_parser, run
-from smoothlab.dickman import build_rho_table
+from smoothlab.dickman import LOG_UNDERFLOW, build_rho_table, rho_log
+from smoothlab.formats import format_sig12
 from smoothlab.experiments import read_ft_csv, read_scan_csv, write_scan_csv
 
 
@@ -32,6 +34,38 @@ def test_rho_golden():
     code, out, _ = invoke(["rho", "--u", "2"])
     assert code == 0
     assert out == "rho=0.306852819440\n"
+
+
+@pytest.mark.parametrize(
+    "u", [126, 126.085, 126.09, 126.99, 127, 127.0001, 500, 9999.5, 10000]
+)
+def test_rho_on_both_sides_of_the_underflow_cutoff(u):
+    # The series value, rounded to 0.0 below the underflow: what rho gave
+    # before it stopped at UNDERFLOW_FROM.
+    log_rho = rho_log(build_rho_table(max(2, u)), u)
+    want = format_sig12(0.0 if log_rho < LOG_UNDERFLOW else math.exp(log_rho))
+    assert invoke(["rho", "--u", str(u)]) == (0, f"rho={want}\n", "")
+
+
+def test_rho_builds_a_table_only_below_the_cutoff(advance_calls):
+    assert invoke(["rho", "--u", "500"]) == (0, "rho=0.00000000000\n", "")
+    assert advance_calls == []
+    assert invoke(["rho", "--u", "126.5"]) == (0, "rho=0.00000000000\n", "")
+    assert advance_calls == list(range(2, 127))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--h", "nan"], "step must be positive with a finite reciprocal, got nan"),
+        (["--h", "1e-320"], "step must be positive with a finite reciprocal, got 1e-320"),
+        (["--h", "0.5"], "step 0.5 too coarse; need h <= 1/64"),
+        (["--u", "10001"], "u_max=10001.0 exceeds the table limit of 10000 units"),
+    ],
+)
+def test_rho_past_the_cutoff_refuses_what_a_table_refuses(argv, message, advance_calls):
+    assert invoke(["rho", "--u", "500", *argv]) == (1, "", f"error: {message}\n")
+    assert advance_calls == []
 
 
 def test_tsum_golden():
@@ -55,6 +89,12 @@ def test_vsum():
     fields = dict(kv.split("=") for kv in out.split())
     assert float(fields["v"]) == pytest.approx(18 / 7, rel=1e-11)
     assert float(fields["v_main"]) == pytest.approx(3.0396355093, abs=1e-9)
+
+
+def test_vsum_near_the_shift_bound_sums_its_numerator_exactly():
+    # 4000 totients near 2^52: their sum, 10951215200043162544, is past 2^63.
+    argv = ["vsum", "--x", "4000", "--y", "inf", "--a", "-4503599627366496"]
+    assert invoke(argv) == (0, "v=2737803800010000 v_main=1215.85420371\n", "")
 
 
 def test_domain_error_exit_code():

@@ -21,7 +21,7 @@ from smoothlab import (
     rho_prime,
     write_rho_csv,
 )
-from smoothlab.dickman import MAX_KNOTS, MAX_UNITS
+from smoothlab.dickman import LOG_UNDERFLOW, MAX_KNOTS, MAX_UNITS, UNDERFLOW_FROM
 
 
 def quadrature_rho3_oracle() -> float:
@@ -268,6 +268,44 @@ def test_psi_estimate(rho_table):
         psi_estimate(10, 3, "nope")
     with pytest.raises(DomainError):
         psi_estimate(3, 10, "rho")
+
+
+@pytest.fixture(scope="module")
+def full_table():
+    return build_rho_table(MAX_UNITS)
+
+
+def test_underflow_cutoff_is_the_first_integer_past_the_underflow(full_table):
+    first = next(K for K in range(2, MAX_UNITS + 1) if rho_log(full_table, K) < LOG_UNDERFLOW)
+    assert UNDERFLOW_FROM == first
+    assert rho(full_table, UNDERFLOW_FROM - 1) > 0.0
+
+
+def test_series_underflows_everywhere_past_the_cutoff(full_table):
+    # The series itself, which rho no longer evaluates there, gives 0.0 too.
+    grid = np.arange(UNDERFLOW_FROM, MAX_UNITS, 0.37).tolist()
+    assert all(rho_log(full_table, u) < LOG_UNDERFLOW for u in grid)
+    assert all(rho(full_table, u) == 0.0 for u in grid)
+
+
+def test_rho_past_the_cutoff_still_checks_the_table_range(advance_calls):
+    table = build_rho_table(200.0)
+    built = len(advance_calls)
+    assert rho(table, 200.0) == 0.0 and rho_prime(table, 200.0) == 0.0
+    for u in (200.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            rho(table, u)
+    assert len(advance_calls) == built
+
+
+def test_psi_estimate_builds_no_table_past_the_cutoff(advance_calls):
+    est = psi_estimate(1e300, 2)
+    u = math.log(1e300) / math.log(2)
+    assert u > UNDERFLOW_FROM and advance_calls == []
+    assert (est.value, est.method) == (0.0, "rho")
+    assert est.error_scale == math.log(u + 1.0) / math.log(2)
+    below = psi_estimate(2.0**126, 2)
+    assert below.value > 0.0 and len(advance_calls) == 124
 
 
 def test_csv_dump(tmp_path, rho_table):

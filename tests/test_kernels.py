@@ -6,8 +6,9 @@ windows against the factoring oracles in conftest, which share no code
 with the sieve.  ``sieve_range`` is built from the same stride core as the
 kernels, so the comparisons with it only check that the two agree.  The
 sparse totient ``_phi_at`` is checked against the oracle and the window
-totient, and through a counted prime stream, for how far its Miller-Rabin
-step lets it walk.  The shifted-segment kernel ``_smooth_phi_shifted`` is
+totient, and by a count of the prime lists it makes, that its
+Miller-Rabin test and Pollard-Brent split settle every value after the
+primes up to 2^18.  The shifted-segment kernel ``_smooth_phi_shifted`` is
 checked on each of its routes against the mask, the window totient and
 the oracle, and T and V through it against the mask route.  psi, T and V
 are checked not to depend on how the range is split into segments, with
@@ -157,16 +158,16 @@ def test_phi_at_at_the_top_of_the_range():
 
 @pytest.fixture
 def prime_windows(monkeypatch):
-    """The last prime of every window ``_phi_at`` draws from the prime stream."""
-    stream = sieve._prime_windows
+    """The last prime of every prime list ``_phi_at`` makes."""
+    make = sieve.primes_upto
     drawn = []
 
-    def counted(top):
-        for primes in stream(top):
-            drawn.append(int(primes[-1]))
-            yield primes
+    def counted(n):
+        primes = make(n)
+        drawn.append(int(primes[-1]))
+        return primes
 
-    monkeypatch.setattr(sieve, "_prime_windows", counted)
+    monkeypatch.setattr(sieve, "primes_upto", counted)
     return drawn
 
 
@@ -178,9 +179,9 @@ def test_phi_at_settles_a_prime_after_the_first_window(prime_windows):
     assert len(prime_windows) == 1
 
 
-def test_phi_at_walks_on_past_a_product_of_two_large_primes(prime_windows):
-    # Miller-Rabin must leave the composite live: it walks the stream up to
-    # its smaller factor, one stream segment of primes at a time.
+def test_phi_at_splits_a_product_of_two_large_primes(prime_windows):
+    # Miller-Rabin finds the remainder composite after the primes up to 2^18,
+    # and Pollard-Brent splits it: no primes beyond the first list are made.
     small, large = 2**26 - 27, 2**26 - 5
     values = np.array([small * large, 2**52 - 47])
     tracemalloc.start()
@@ -190,8 +191,26 @@ def test_phi_at_walks_on_past_a_product_of_two_large_primes(prime_windows):
     finally:
         tracemalloc.stop()
     assert phi.tolist() == [oracle_phi(int(n)) for n in values]
-    assert prime_windows[-2] < small <= prime_windows[-1]
+    assert len(prime_windows) == 1
     assert peak < 16 * 2**20
+
+
+def test_phi_at_splits_a_square_and_a_product_just_above_the_prime_bound(prime_windows):
+    # p^2 takes the isqrt test; p q with p just above 2^18 takes Pollard-Brent.
+    square = 2**26 - 5
+    low = next(p for p in range(2**18 + 1, 2**19, 2) if sieve._is_prime(p))
+    high = next(q for q in range(2**52 // low, 0, -1) if sieve._is_prime(q))
+    assert sieve._is_prime(square) and low < 2**18 + 10 and low * high <= 2**52
+    assert _phi_at(np.array([square**2, low * high, 6 * square])).tolist() == [
+        square * (square - 1), (low - 1) * (high - 1), 2 * (square - 1),
+    ]
+    assert len(prime_windows) == 1
+
+
+def test_split_semiprime_takes_the_next_seed_when_a_walk_fails():
+    # The walk from c = 1 meets both factors of 5 * 97 at the same step.
+    assert sieve._pollard_brent(5 * 97, 1) == 5 * 97
+    assert sieve._split_semiprime(5 * 97) in (5, 97)
 
 
 @st.composite

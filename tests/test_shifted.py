@@ -27,7 +27,7 @@ from smoothlab import (
 )
 
 from smoothlab.shifted import (
-    _EXACT_UNIT, _exact_int, _multiple_counts, _round_exact, _shifted_totals,
+    _EXACT_UNIT, _exact_int, _int_sum, _multiple_counts, _round_exact, _shifted_totals,
 )
 
 from conftest import oracle_mobius_split, oracle_mu, oracle_t, oracle_v, stream_segment
@@ -268,6 +268,16 @@ def test_v_exact_examples():
     assert v_exact(10, 3, 1) == float(Fraction(18, 7))  # one exactly rounded division
     assert v_exact(10, 2, 1) == pytest.approx(9 / 4, rel=1e-14)
     assert v_exact(5, 3, 7) == 0.0
+
+
+def test_int_sum_is_exact_past_int64():
+    # 4096 totients of 2^52 - 1 sum to 2^64 - 2^12, which wraps in int64.
+    top = 2**52 - 1
+    values = np.full(4096, top, dtype=np.int64)
+    assert _int_sum(values, top) == 4096 * top
+    assert int(values.sum()) != 4096 * top
+    small = np.arange(1, 2**18 + 1, dtype=np.int64)
+    assert _int_sum(small, 2**18) == 2**17 * (2**18 + 1)
 
 
 def test_v_exact_matches_oracle_grid():
