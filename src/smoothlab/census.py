@@ -4,20 +4,30 @@ All counting ranges are half-open on the left: a function taking (lo, hi)
 counts integers n with lo < n <= hi.  Smoothness bounds y are real valued
 and never rounded; for y < 2 only n = 1 qualifies.
 
-Every count over smooth values reads the smooth n of one sieve segment at a
-time, in int32 below 2^31 (``_segment_values``), so its memory does not grow
-with x.  ``_smooth_values`` alone holds a whole set, of a span up to 2^27.
+``psi`` and ``psi_coprime`` sieve nothing: they read one exact count over
+the quotient set V(x) = {floor(x / n) : n >= 1}, about 2 sqrt(x) values
+(``_psi_quotients``).  For y >= sqrt(x) it takes Lucy's prime counts pi(v)
+on V and psi(v, y) = v - sum over primes y < q <= v of floor(v / q); for
+smaller y it runs one Buchstab update per prime p <= y.  Either way each
+prime p touches only the v >= p^2 of V, so Psi(1e12, 100) takes well under
+a second.  Psi_d(x, y), the y-smooth n <= x coprime to d, is the inclusion-
+exclusion sum over the squarefree e dividing the product of d's primes up to
+y of mu(e) Psi(x / e, y), read from the same count.  The count is admitted
+up front (``sieve._check_quotient``).
+
+The other counts read the smooth n of one sieve segment at a time, in int32
+below 2^31 (``_segment_values``), so their memory does not grow with x.
+``_smooth_values`` alone holds a whole set, of a span up to 2^27.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
 from .sieve import (
-    _check_int, _check_modulus, _check_range, _check_x, _check_y, _smooth_mask, _window_dtype,
-    primes_upto, segment_bounds,
+    _check_int, _check_modulus, _check_quotient, _check_range, _check_terms, _check_x, _check_y,
+    _smooth_mask, _window_dtype, primes_upto, segment_bounds,
 )
 
 #: Upper limit for the recursive test oracle.
@@ -26,10 +36,6 @@ ENUM_ORACLE_LIMIT = 10**7
 #: Largest span ``_smooth_values`` will materialize, and most moduli
 #: ``shifted.t_via_mobius`` takes: it holds a 1-byte indicator of each.
 MAX_MATERIALIZED_SPAN = 1 << 27
-
-#: Most divisibility masks ``_coprime_counts`` keeps, one per prime shared
-#: by several of its moduli; a mask is one byte per smooth value of a segment.
-_MASK_MEMO = 8
 
 
 class SmoothRange:
@@ -113,10 +119,122 @@ def psi(x: float, y: float) -> int:
     """Exact count of y-smooth integers n with 1 <= n <= x."""
     y = _check_y(y)
     top = _check_x(x)
-    total = 0
-    for s, e in segment_bounds(1, top):
-        total += int(np.count_nonzero(_smooth_mask(s, e, y)))
-    return total
+    return int(_psi_quotients(top, y, [1])[0])
+
+
+def _psi_quotients(top: int, y: float, es) -> np.ndarray:
+    """Psi(top // e, y) for each e in 1..top of es, in int64, from one count over V(top).
+
+    V(top) = {top // n} is held as two int64 tables of r + 1 entries,
+    r = isqrt(top): ``small[v]`` for the values v <= r and ``large[k]`` for
+    the value top // k, k <= r.  Every top // e is in V, and so is
+    floor(v / m) for every v in V.  With cap = floor(min(y, top)), cap < 2
+    counts only n = 1 and cap >= top every n, and neither builds V; any
+    other count is admitted first (``_check_quotient``).
+    """
+    es = np.asarray(es, dtype=np.int64)
+    values = top // es
+    cap = math.floor(min(y, top))
+    if cap < 2 or cap >= top:
+        return np.minimum(values, 1) if cap < 2 else values
+    _check_quotient(top, y)
+    r = math.isqrt(top)
+    if cap < r:
+        small, large = _buchstab_counts(top, cap)
+        in_large = es <= r
+        values[in_large] = large[es[in_large]]
+        values[~in_large] = small[values[~in_large]]
+        return values + 1
+    small, large = _prime_counts(top)
+    # pi(cap) for the primes q > cap: cap is in V(top) or has its own table.
+    if cap == r:
+        pi_cap = int(small[r])
+    elif top // (top // cap) == cap:
+        pi_cap = int(large[top // cap])
+    else:
+        pi_cap = int(_prime_counts(cap)[1][1])
+    # A v <= cap counts every n <= v.
+    for i in np.flatnonzero(values > cap).tolist():
+        e, v = int(es[i]), int(values[i])
+        # Every prime q > cap >= r exceeds sqrt(v), so each n <= v that is
+        # not cap-smooth has one such q, and the sum over q of floor(v / q)
+        # is the sum of pi(v // j) - pi(cap) over the j with v // j > cap,
+        # j <= jmax; v // j = top // (e j) is large[e j] while e j <= r.
+        jmax = v // (cap + 1)
+        jlarge = min(jmax, r // e)
+        above = int(large[e : e * jlarge + 1 : e].sum())
+        above += int(small[v // np.arange(jlarge + 1, jmax + 1)].sum())
+        values[i] = v - above + jmax * pi_cap
+    return values
+
+
+def _quotients(top: int) -> np.ndarray:
+    """top // k at index k = 1..isqrt(top), and top at index 0, in int64."""
+    return top // np.maximum(np.arange(math.isqrt(top) + 1, dtype=np.int64), 1)
+
+
+def _prime_counts(top: int):
+    """(small, large): pi(v) at v = small's index <= r, and pi(top // k) at large[k], k >= 1.
+
+    Lucy's sieve: S(v) starts as v - 1 and, for each prime p <= r in turn,
+    S(v) -= S(v // p) - pi(p - 1) at every v >= p^2, with S read as it stood
+    before p; it ends as pi(v).  Both updates of a prime read the old small
+    table, so the large one runs first.
+    """
+    quotients = _quotients(top)
+    r = quotients.size - 1
+    small = np.arange(-1, r, dtype=np.int64)
+    small[0] = 0
+    large = quotients - 1
+    for i, p in enumerate(primes_upto(r).tolist()):
+        kmax = min(r, top // (p * p))
+        kb = min(kmax, r // p)  # k <= kb read large[k p]; above, k p > r reads small
+        large[1 : kb + 1] -= large[p : kb * p + 1 : p] - i
+        large[kb + 1 : kmax + 1] -= small[quotients[kb + 1 : kmax + 1] // p] - i
+        if p * p <= r:
+            # v // p over v = p^2..r is p, p, ..., p + 1, ...: each small entry p times.
+            small[p * p :] -= np.repeat(small[p : r // p + 1] - i, p)[: r + 1 - p * p]
+    return small, large
+
+
+def _buchstab_counts(top: int, cap: int):
+    """(small, large): psi(v, cap) - 1 at each v of V(top), laid out as in ``_prime_counts``.
+
+    cap < r = isqrt(top).
+
+    F(v) counts the cap-smooth n in [2, v] whose least prime is at least
+    p_k, plus the k - 1 primes below p_k.  It starts, past the last prime,
+    as pi(min(v, cap)), which it stays wherever v < p_k^2: such an n is a
+    prime.  Going down the primes p = p_k <= cap, Buchstab's identity
+    gives F(v) += F(v // p) - (k - 1) at every v >= p^2, ascending, with
+    F(v // p) already updated for p: the v in [p^j, p^(j+1)) read those in
+    [p^(j-1), p^j).  At p_1 = 2, F(v) = psi(v, cap) - 1.
+    """
+    quotients = _quotients(top)
+    r = quotients.size - 1
+    primes = primes_upto(cap)
+    small = np.zeros(r + 1, dtype=np.int64)
+    small[primes] = 1
+    np.cumsum(small, out=small)
+    large = np.full(r + 1, primes.size, dtype=np.int64)
+    for c in range(primes.size - 1, -1, -1):
+        p = int(primes[c])
+        lo = p * p
+        while lo <= r:
+            hi = min(lo * p, r + 1)
+            small[lo:hi] += np.repeat(small[lo // p : (hi - 1) // p + 1] - c, p)[: hi - lo]
+            lo = hi
+        kmax = min(r, top // (p * p))
+        kb = min(kmax, r // p)
+        large[kb + 1 : kmax + 1] += small[quotients[kb + 1 : kmax + 1] // p] - c
+        # large[k] reads large[k p], a smaller value: k descends in blocks
+        # whose sources lie above the block.
+        hi = kb
+        while hi >= 1:
+            lo = hi // p + 1
+            large[lo : hi + 1] += large[lo * p : hi * p + 1 : p] - c
+            hi = lo - 1
+    return small, large
 
 
 def psi_enum_oracle(x: float, y: float) -> int:
@@ -157,31 +275,29 @@ def psi_coprime(x: float, y: float, d: int) -> int:
     y = _check_y(y)
     d = _check_modulus(d)
     top = _check_x(x)
-    return _coprime_counts(top, y, [_prime_divisors(d, min(y, top))])[1][0]
+    es, mus = _moebius_terms(_prime_divisors(d, min(y, top)), top)
+    return int(mus @ _psi_quotients(top, y, es))
 
 
-def _coprime_counts(top: int, y: float, divisors: list[list[int]]) -> tuple[int, list[int]]:
-    """Psi(top, y), and per list of primes the y-smooth n <= top that none of them divides.
+def _moebius_terms(primes: list[int], top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(es, mus): each squarefree e <= top whose primes are among ``primes``, and mu(e).
 
-    A y-smooth n can share with d only primes <= y, so the primes of d up
-    to y are all a coprimality test over smooth values needs.  One segment
-    stream serves every list.  A prime in several lists is tested once per
-    segment, into a divisibility mask that each of them reads; at most
-    ``_MASK_MEMO`` masks are kept, for the most shared primes, and any
-    other prime is tested per list.
+    A y-smooth n can share with d only primes <= y, so Psi_d(x, y) is the sum
+    of mu(e) Psi(x / e, y) over these e, with the primes of d up to y; an
+    e > x adds nothing.  Below 2^52 a d has at most 13 primes, so 8,192
+    terms; a larger d may have more, and ``_check_terms`` admits each
+    doubling before it is made.  The sum of |mu(e)| Psi(x / e, y) is at
+    most x times the product of 1 + 1/p over the primes, below 2^58, so
+    it stays exact in int64.
     """
-    shared = Counter(p for primes in divisors for p in primes).most_common(_MASK_MEMO)
-    memo = [p for p, uses in shared if uses > 1]
-    total, counts = 0, [0] * len(divisors)
-    for values in _segment_values(0, top, y):
-        total += values.size
-        divisible = {p: _residues(values, p) == 0 for p in memo}
-        for i, primes in enumerate(divisors):
-            hit = np.zeros(values.size, dtype=bool)
-            for p in primes:
-                hit |= divisible[p] if p in divisible else _residues(values, p) == 0
-            counts[i] += values.size - int(np.count_nonzero(hit))
-    return total, counts
+    es = np.ones(1, dtype=np.int64)
+    mus = np.ones(1, dtype=np.int8)
+    for p in primes:
+        keep = es <= top // p
+        _check_terms(es.size + int(np.count_nonzero(keep)))
+        es = np.concatenate([es, es[keep] * p])
+        mus = np.concatenate([mus, -mus[keep]])
+    return es, mus
 
 
 def psi_progression(lo: int, hi: int, y: float, a: int, d: int) -> int:

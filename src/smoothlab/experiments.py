@@ -7,8 +7,9 @@ leading terms; structural identities are asserted exactly, convergence
 quality is measured and written out.
 
 Every count over smooth values comes from ``census``.  The coprime ratios
-stream its segments, one pass for all their moduli; the discrepancy sums
-read the whole smooth set at once, in int32, for x up to 2^27.
+read one quotient count for all their moduli, and sieve nothing; the
+discrepancy sums read the whole smooth set at once, in int32, for x up to
+2^27.
 """
 
 import json
@@ -17,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .census import _coprime_counts, _prime_divisors, _residues, _smooth_values
+from .census import _moebius_terms, _prime_divisors, _psi_quotients, _residues, _smooth_values
 from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
@@ -310,16 +311,20 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     """ratio = psi_coprime * d / (phi(d) * psi) for each modulus, sorted by d.
 
     Only the primes of d up to min(y, x) matter for coprimality with a
-    smooth n.  One stream of smooth values serves every modulus
-    (``census._coprime_counts``), so memory does not grow with x.
+    smooth n.  Each count is the sum of mu(e) Psi(x / e, y) over the
+    squarefree e made of those primes (``census._moebius_terms``), and one
+    quotient count serves every e of every modulus, so nothing is sieved.
     """
     top, y = _check_x(x), _check_y(y)
     x = _to_float(x)
     ds = sorted(_check_modulus(d, totient=True) for d in d_list)
     if not ds:
         return []
-    divisors = [_prime_divisors(d, min(y, top)) for d in ds]
-    psi_value, counts = _coprime_counts(top, y, divisors)
+    terms = [_moebius_terms(_prime_divisors(d, min(y, top)), top) for d in ds]
+    es = np.unique(np.concatenate([d_es for d_es, _mus in terms]))  # sorted, es[0] = 1
+    at = _psi_quotients(top, y, es)
+    psi_value = int(at[0])
+    counts = [int(mus @ at[np.searchsorted(es, d_es)]) for d_es, mus in terms]
     rows = []
     for d, phi_d, coprime in zip(ds, _phi_at(np.array(ds)).tolist(), counts):
         ratio = coprime * d / (phi_d * psi_value)

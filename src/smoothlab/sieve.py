@@ -111,6 +111,22 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 #: Values above this are rejected; counts and totients stay comfortably in int64.
 MAX_SIEVE_BOUND = 1 << 52
 
+#: Most work one quotient count of psi (``census._psi_quotients``) may do,
+#: in updates of one entry of its int64 tables, as ``_quotient_cost``
+#: estimates it from x and y.  Psi(1e12, 100) is about 1.8e8 of them and
+#: Psi(1e12, 1e3) about 4.9e8; on the 2-core reference box they took 0.45
+#: and 2.3 s, the slowest of the admitted counts timed there, each under
+#: 70 MB of peak RSS.
+QUOTIENT_BUDGET = 1 << 29
+
+#: Each entry of V(x) is charged this many updates for being held, in its
+#: table and the temporaries, through the whole count; so the budget also
+#: caps V at QUOTIENT_BUDGET / 64 = 2^23 entries, 32 MiB per table.
+_QUOTIENT_HOLD = 64
+
+#: Updates charged per prime for the handful of numpy calls it takes.
+_QUOTIENT_PER_PRIME = 4000
+
 #: Largest ceil(u_max) a Dickman rho table covers (about 16 MB of series),
 #: and its coarsest knot step.
 MAX_UNITS = 10_000
@@ -174,9 +190,9 @@ def primes_upto(n: int) -> np.ndarray:
 # Argument checks: the one validation layer.  Every public entry point of the
 # package checks its x, y, shift a, modulus d, cutoff delta, range ends and
 # rho table arguments here, in O(1) and before it allocates or loops, and
-# raises DomainError (or CapacityError for a window or table past its cap)
-# instead of answering.  A real argument goes through ``_to_float``: an int
-# past the float range is inf.
+# raises DomainError (or CapacityError for a window, table or quotient count
+# past its cap) instead of answering.  A real argument goes through
+# ``_to_float``: an int past the float range is inf.
 
 
 def _check_int(value, what: str) -> int:
@@ -296,6 +312,64 @@ def _check_table(u_max: float, h: float) -> tuple[float, float, int]:
     if units > MAX_UNITS:
         raise CapacityError(f"u_max={u_max} exceeds the table limit of {MAX_UNITS} units")
     return u_max, h, units
+
+
+def _check_quotient(top: int, y: float) -> None:
+    """Refuse a quotient count of Psi(top, y) past ``QUOTIENT_BUDGET`` (CapacityError)."""
+    cost = _quotient_cost(top, y)
+    if cost > QUOTIENT_BUDGET:
+        raise CapacityError(
+            f"psi(x={top}, y={y:g}) needs about {cost:.2g} quotient-table updates, "
+            f"budget is {QUOTIENT_BUDGET}"
+        )
+
+
+def _check_terms(count: int) -> None:
+    """Refuse more inclusion-exclusion terms of psi_d than the budget holds (CapacityError).
+
+    A term is charged as an entry of V is, ``_QUOTIENT_HOLD`` updates, so at
+    most 2^23 terms are made.
+    """
+    if count * _QUOTIENT_HOLD > QUOTIENT_BUDGET:
+        raise CapacityError(
+            f"the modulus gives more than {QUOTIENT_BUDGET // _QUOTIENT_HOLD} inclusion-exclusion "
+            f"terms up to x"
+        )
+
+
+def _quotient_cost(top: int, y: float) -> float:
+    """The updates of counting Psi(top, y) over V(top), estimated from top and y alone.
+
+    With cap = floor(min(y, top)), a count sieves the primes up to
+    min(cap, sqrt(top)) over V(top), and for sqrt(top) < cap < top also up
+    to sqrt(cap) over V(cap) for pi(cap).  A prime p touches the values
+    v >= p^2: all 2 sqrt(t) of V(t) while p <= t^(1/4), and about t / p^2
+    above, which sum to about t^(3/4) / ln t^(1/4).  Prime counts take
+    Rosser and Schoenfeld's bound pi(t) < 1.25506 t / ln t.
+    """
+    cap = math.floor(min(y, top))
+    if cap < 2 or cap >= top:
+        return 0.0
+    r = math.isqrt(top)
+    cost = _sieve_cost(top, min(cap, r))
+    if cap > r:
+        cost += _sieve_cost(cap, math.isqrt(cap))
+    return cost
+
+
+def _sieve_cost(t: int, bound: int) -> float:
+    """Estimated updates of sieving the primes up to ``bound`` over V(t)."""
+    r = math.isqrt(t)
+    quarter = math.isqrt(r)
+    cost = 2 * r * (_QUOTIENT_HOLD + _prime_count_bound(min(bound, quarter)))
+    if bound > quarter:
+        cost += t / (quarter * math.log(max(quarter, 2)))
+    return cost + _QUOTIENT_PER_PRIME * _prime_count_bound(bound)
+
+
+def _prime_count_bound(t: float) -> float:
+    """Rosser and Schoenfeld's bound pi(t) < 1.25506 t / ln t, and 0 below 2."""
+    return 1.25506 * t / math.log(t) if t >= 2 else 0.0
 
 
 def _check_point(u: float, u_max: float) -> float:
@@ -489,7 +563,7 @@ def _prime_count(t: int) -> float:
     """pi(t) for the route choice: exact up to ``_EXACT_PRIME_COUNT``, an upper bound above."""
     if t <= _EXACT_PRIME_COUNT:
         return primes_upto(t).size
-    return 1.25506 * t / math.log(t)
+    return _prime_count_bound(t)
 
 
 def _phi_at(values: np.ndarray) -> np.ndarray:

@@ -251,6 +251,45 @@ def phi_window_entries(monkeypatch):
     return entries
 
 
+@pytest.fixture
+def strip_windows(monkeypatch):
+    """The window (lo, hi) of every prime strip made while the test runs.
+
+    Every sieve kernel that reads a window, the smoothness masks included,
+    strips it through ``sieve._strip_primes``; so no window is sieved
+    without being seen here.
+    """
+    from smoothlab import sieve
+
+    windows = []
+    strip = sieve._strip_primes
+
+    def counted(lo, hi, bound, phi=False):
+        windows.append((lo, hi))
+        return strip(lo, hi, bound, phi)
+
+    monkeypatch.setattr(sieve, "_strip_primes", counted)
+    return windows
+
+
+@pytest.fixture
+def quotient_counts(monkeypatch):
+    """(x, y, number of reads) of every quotient count of psi made while the test runs."""
+    from smoothlab import census, experiments
+
+    calls = []
+    count = census._psi_quotients
+
+    def counted(top, y, es):
+        es = list(es)
+        calls.append((top, y, len(es)))
+        return count(top, y, es)
+
+    for module in (census, experiments):
+        monkeypatch.setattr(module, "_psi_quotients", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def rho_table():
     from smoothlab import build_rho_table

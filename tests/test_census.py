@@ -11,14 +11,16 @@ from smoothlab import (
     CapacityError,
     DomainError,
     SmoothRange,
+    census,
     enumerate_smooth,
     psi,
     psi_coprime,
     psi_enum_oracle,
     psi_progression,
+    sieve,
 )
 
-from conftest import oracle_mu, oracle_smooth_list, stream_segment
+from conftest import oracle_factorize, oracle_mu, oracle_smooth_list, stream_segment
 
 
 def test_enumerate_examples():
@@ -63,10 +65,115 @@ def test_psi_equals_enum_oracle_grid():
             assert psi(x, y) == psi_enum_oracle(x, y), (x, y)
 
 
-def test_psi_streaming_matches_single_segment():
+def sieved_psi(x: float, y: float) -> int:
+    """Psi(x, y) from the sieve: the smooth n of each stream segment up to x, counted."""
+    return sum(
+        int(np.count_nonzero(sieve._smooth_mask(s, e, y)))
+        for s, e in sieve.segment_bounds(1, math.floor(x))
+    )
+
+
+def test_psi_matches_the_sieve_streamed_in_any_segment():
     whole = psi(10**4, 19)
+    assert sieved_psi(10**4, 19) == whole
     with stream_segment(999):
-        assert psi(10**4, 19) == whole
+        assert sieved_psi(10**4, 19) == whole
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 29, 31, 97, 101, 997]
+
+
+@st.composite
+def quotient_points(draw):
+    """x <= 1e6 (half-integers too), y in {1, 1.5, inf} or a prime p, p - 0.5 or p + 0.5."""
+    x = draw(st.one_of(st.integers(1, 3000), st.integers(1, 10**6)))
+    x += draw(st.sampled_from([0, 0.5]))
+    p = draw(st.sampled_from(PRIMES))
+    return x, draw(st.sampled_from([1, 1.5, math.inf] + 2 * [p, p - 0.5, p + 0.5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotient_points())
+def test_quotient_count_matches_the_sieve_and_the_oracle(point):
+    # y below sqrt(x) takes the Buchstab updates, y above Lucy's prime counts;
+    # the oracle lists the primes up to y, so y = inf takes floor(x) instead.
+    x, y = point
+    oracle = psi_enum_oracle(x, y) if y < math.inf else math.floor(x)
+    assert psi(x, y) == sieved_psi(x, y) == oracle, point
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (10**6, 31),  # Buchstab updates, y far below sqrt(x) = 1000
+        (10**6, 999.5),  # Buchstab updates, floor(y) just below sqrt(x)
+        (10**6, 1000),  # prime counts, floor(y) = sqrt(x)
+        (999_999, 500),  # prime counts, pi(y) read from V(x)
+        (5 * 10**5, 997),  # prime counts, pi(y) from a table of its own
+    ],
+)
+def test_each_branch_of_the_quotient_count(x, y):
+    assert psi(x, y) == sieved_psi(x, y) == psi_enum_oracle(x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [(1e9, 30, 193_571), (1e9, 100, 2_944_730), (1e10, 30, 399_341), (4e9, 30, 301_316)],
+)
+def test_psi_past_the_sieve_reach(x, y, expected):
+    # Multiplying out the prime powers, and a memoized Buchstab recursion on
+    # (m, k), gave these counts; the sieve took 4.9 s for the first.
+    assert psi(x, y) == expected
+
+
+#: The product of the first 13 primes, the most primes a modulus below 2^52 has.
+PRIMORIAL_13 = 304_250_263_527_210
+
+
+@pytest.mark.parametrize("x", [20000, 20000.5, 1000])
+def test_psi_coprime_matches_gcd_counts(x):
+    top = math.floor(x)
+    largest = {n: max([p for p, _ in oracle_factorize(n)], default=1) for n in range(1, top + 1)}
+    # y = 2..30 lie below sqrt(20000) (the Buchstab updates), 997 and 1e3 above it.
+    for y in (1, 2, 13, 13.5, 17, 30, 997, 1e3, math.inf):
+        smooth = [n for n, p in largest.items() if p <= y]
+        for d in (30030, 510510, PRIMORIAL_13):
+            coprime = sum(1 for n in smooth if math.gcd(n, d) == 1)
+            assert psi_coprime(x, y, d) == coprime, (x, y, d)
+
+
+def test_moebius_terms_stop_at_x():
+    # An e > x has floor(x / e) = 0 and adds nothing, so it is never read.
+    es, mus = census._moebius_terms([2, 3, 5], 10)
+    assert es.tolist() == [1, 2, 3, 6, 5, 10] and mus.tolist() == [1, -1, -1, 1, -1, 1]
+    assert census._moebius_terms(sieve.primes_upto(41).tolist(), 2**52)[0].size == 8192
+
+
+def test_a_modulus_with_many_primes_is_admitted_term_by_term(monkeypatch):
+    # 46 primes up to 199, a d past 2^52: 45,713 squarefree e <= 1e6.
+    d = math.prod(sieve.primes_upto(199).tolist())
+    smooth = list(enumerate_smooth(0, 10**6, 1e3))
+    assert psi_coprime(1e6, 1e3, d) == sum(1 for n in smooth if math.gcd(n, d) == 1)
+    monkeypatch.setattr(sieve, "QUOTIENT_BUDGET", 40_000 * sieve._QUOTIENT_HOLD)
+    with pytest.raises(CapacityError, match="inclusion-exclusion terms"):
+        psi_coprime(1e6, 1e3, d)
+
+
+def test_the_quotient_count_is_admitted_before_it_allocates():
+    # 2 sqrt(4e15) = 1.3e8 entries of V times 168 primes; it ran unbounded.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="quotient-table updates"):
+            psi(4e15, 1e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    cost = sieve._quotient_cost
+    assert cost(10**12, 100) < cost(10**12, 1e3) < sieve.QUOTIENT_BUDGET < cost(4 * 10**15, 1e3)
+    # The trivial counts build no V, whatever x.
+    assert psi(2**52, 1.9) == 1 and psi(2**52, 2**52) == 2**52
+    assert cost(2**52, 1.9) == cost(2**52, 2**52) == 0
 
 
 def test_psi_monotonicity():

@@ -156,6 +156,11 @@ def test_non_finite_or_too_large_moduli_inputs_are_rejected(argv):
         ["tsum", "--x", "1e17", "--y", "30", "--a", "1"],
         ["tsum", "--x", "1e17", "--y", "30", "--a", "-1", "--delta", "5"],
         ["vsum", "--x", "1e17", "--y", "30", "--a", "1"],
+        # Past the quotient count's budget; each ran unbounded, sieving up to x or a.
+        ["psi", "--x", "4e15", "--y", "1e3"],
+        ["ftratio", "--x", "4e15", "--y", "1e3", "--d-list", "2,3"],
+        ["tsum", "--x", "4e15", "--y", "1e3", "--a", "3999999999999000"],
+        ["vsum", "--x", "4e15", "--y", "1e3", "--a", "3999999999999000"],
     ],
 )
 def test_non_finite_or_too_large_x_u_h_are_rejected_fast(argv):
@@ -229,12 +234,13 @@ def test_malformed_numbers_and_file_errors_are_rejected(argv, config, tmp_path):
     ],
 )
 def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, smooth_mask_entries, tmp_path):
-    # The scan reads its three x from one pass per shift.
+    # The scan reads its three x from one pass per shift.  Each pass tests
+    # the n above max(a, 0); the quotient count takes Psi(a, y) unsieved.
     (tmp_path / "scan.cfg").write_text("x_grid = 5000, 12500.5, 20000.5\ny = 30\na_list = 7, -3\n")
     code, _out, err = invoke([arg.format(tmp=tmp_path) for arg in argv])
     assert (code, err) == (0, "")
-    shifts = 2 if argv[0] == "scan" else 1
-    assert sum(smooth_mask_entries) == shifts * 20000
+    shifts = [7, -3] if argv[0] == "scan" else [int(argv[argv.index("--a") + 1])]
+    assert sum(smooth_mask_entries) == sum(20000 - max(a, 0) for a in shifts)
 
 
 @pytest.mark.parametrize(
@@ -309,6 +315,35 @@ def test_huge_moduli_stay_cheap():
         "d=1000000000000 ratio=0.374660721210 dev=0.625339278790 lemma_scale=2.46777331526\n"
     )
     assert elapsed < 1.0
+
+
+def test_psi_at_1e12_answers_in_under_two_seconds():
+    # A memoized Buchstab recursion on (m, k) gives the same count.
+    start = time.perf_counter()
+    assert invoke(["psi", "--x", "1e12", "--y", "100"]) == (0, "psi=66932543\n", "")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_ftratio_past_the_sieve_reach_sieves_nothing(strip_windows, quotient_counts):
+    # The sieve took 65 s over its 4e9 entries for these lines; one quotient
+    # count of V(4e9) reads Psi(4e9 / e, 30) at e = 1, 2 and 3.
+    assert invoke(["ftratio", "--x", "4e9", "--y", "30", "--d-list", "2,3"]) == (
+        0,
+        "d=2 ratio=0.392869943846 dev=0.607130056154 lemma_scale=1.28312353829\n"
+        "d=3 ratio=0.441871656334 dev=0.558128343666 lemma_scale=1.36907898713\n",
+        "",
+    )
+    assert strip_windows == []
+    assert quotient_counts == [(4_000_000_000, 30.0, 3)]
+
+
+def test_a_shift_near_x_sieves_no_window_below_it(strip_windows, quotient_counts):
+    # Psi(a, y) of the n <= a comes from the quotient count, so the one
+    # window sieved holds the 100 n of the terms; it sieved all of [1, a].
+    argv = ["vsum", "--x", "2e7", "--y", "1e5", "--a", "19999900"]
+    assert invoke(argv) == (0, "v=0.000120792972331 v_main=6079271.01854\n", "")
+    assert strip_windows == [(19_999_901, 20_000_000)]
+    assert quotient_counts == [(19_999_900, 1e5, 1)]
 
 
 def test_ftratio_streams_past_the_materialized_span():

@@ -1,9 +1,10 @@
 """Differential property tests for the per-modulus counts.
 
-The Moebius split of T, the progression discrepancy and the coprime-count
-ratios come from residue counts over the smooth values.  They are checked
-here against the factoring oracles in conftest, which share no code
-with the package, and the discrepancy and ratio floats are pinned bit for
+The Moebius split of T and the progression discrepancy come from residue
+counts over the smooth values, and the coprime-count ratios from the
+quotient count of psi at x / e for the squarefree e of each modulus.  They
+are checked here against the factoring oracles in conftest, which share no
+code with the package, and the discrepancy and ratio floats are pinned bit for
 bit against a plain-Python reference that does the same integer counts and
 the same divisions without numpy.
 """
@@ -188,12 +189,12 @@ def test_ft_ratio_bits_match_float_reference(x, y):
     assert [(r.d, r.ratio.hex(), r.dev.hex()) for r in rows] == float_ft_rows(x, y, ds)
 
 
-def test_ft_ratio_masks_stay_bounded():
-    # 45 moduli p * q over consecutive primes up to 199 share 44 primes
-    # two ways, more than the _MASK_MEMO masks kept per segment.  Masks for
-    # every shared prime over the whole smooth set peaked at 6.8 times
-    # values.nbytes, the bounded memo over it at 2.25 times; the segment
-    # stream peaks at 1.4 times.
+def test_ft_ratio_memory_stays_below_one_smooth_set():
+    # 45 moduli p * q over consecutive primes up to 199 read the quotient
+    # count at 92 values of e.  Divisibility masks over the whole smooth set
+    # peaked at 6.8 times values.nbytes, a bounded memo of them at 2.25
+    # times and the segment stream at 1.4 times; the quotient count holds
+    # tables of 2 sqrt(x) entries and no smooth value.
     primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
     ds = [p * q for p, q in zip(primes, primes[1:])]
     values = SmoothRange(1, 10**6, 1e3).values
@@ -224,8 +225,8 @@ def test_ft_ratios_match_oracle_counts(x, y, ds):
 
 
 def test_ft_ratio_memory_does_not_grow_with_x():
-    # The ratios stream the smooth n a segment at a time: 3.3 MiB at both
-    # x, where one materialized smooth set peaked at 4.6 and 13.5 MiB.
+    # The ratios hold no smooth n, only the quotient tables of 2 sqrt(x)
+    # entries; one materialized smooth set peaked at 4.6 and 13.5 MiB.
     ds = [2, 3, 5, 6, 7, 10, 30, 210, 2310]
     for x in (1e6, 4e6):
         tracemalloc.start()

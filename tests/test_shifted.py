@@ -421,8 +421,9 @@ def test_aux_averages():
 )
 def test_shifted_sums_test_each_n_for_smoothness_once(fn, a, y, smooth_mask_entries):
     fn(20000.5, y, a)
-    # T reads no psi, so t_exact tests only the n of its terms, in (max(a, 0), x].
-    assert sum(smooth_mask_entries) == 20000 - (max(a, 0) if fn is t_exact else 0)
+    # Each tests only the n of its terms, in (max(a, 0), x]: the head psi of
+    # the others, Psi(a, y), comes from the quotient count, which sieves nothing.
+    assert sum(smooth_mask_entries) == 20000 - max(a, 0)
 
 
 def test_aux_averages_matches_oracle():
