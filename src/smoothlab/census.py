@@ -10,9 +10,9 @@ the quotient set V(x) = {floor(x / n) : n >= 1}, about 2 sqrt(x) values
 on V and psi(v, y) = v - sum over primes y < q <= v of floor(v / q); for
 smaller y it runs one Buchstab update per prime p <= y.  Either way each
 prime p touches only the v >= p^2 of V, so Psi(1e12, 100) takes well under
-a second.  Psi_d(x, y), the y-smooth n <= x coprime to d, is the inclusion-
-exclusion sum over the squarefree e dividing the product of d's primes up to
-y of mu(e) Psi(x / e, y), read from the same count.  The count is admitted
+a second.  Psi_d(x, y), the y-smooth n <= x coprime to d, is the sum of
+mu(e) Psi(x / e, y) over the squarefree e made of d's primes up to min(y,
+x) (``sieve._modulus_primes``), read from the same count, which is admitted
 up front (``sieve._check_quotient``).
 
 The other counts read the smooth n of one sieve segment at a time, in int32
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .sieve import (
     _check_int, _check_modulus, _check_quotient, _check_range, _check_terms, _check_x, _check_y,
-    _smooth_mask, _window_dtype, primes_upto, segment_bounds,
+    _modulus_primes, _smooth_mask, _window_dtype, primes_upto, segment_bounds,
 )
 
 #: Upper limit for the recursive test oracle.
@@ -54,19 +54,6 @@ class SmoothRange:
         values = _smooth_values(first - 1, last, y).astype(np.int64, copy=False)
         values.setflags(write=False)
         self.values = values
-
-
-def _prime_divisors(d: int, bound: float) -> list[int]:
-    """The primes p <= bound dividing d >= 1, by trial division up to min(bound, sqrt(d))."""
-    found = []
-    for p in primes_upto(math.floor(min(bound, math.isqrt(d)))).tolist():
-        if d % p == 0:
-            found.append(p)
-            while d % p == 0:
-                d //= p
-    if 1 < d <= bound:  # every prime factor left exceeds sqrt(d), so d is one prime
-        found.append(d)
-    return found
 
 
 def _residues(values: np.ndarray, d: int) -> np.ndarray:
@@ -271,21 +258,22 @@ def psi_enum_oracle(x: float, y: float) -> int:
 
 
 def psi_coprime(x: float, y: float, d: int) -> int:
-    """Exact count of y-smooth n <= x with gcd(n, d) = 1."""
+    """Exact count of y-smooth n <= x with gcd(n, d) = 1.
+
+    A d past 2^52 may be refused when min(y, x) > 2^18 (``sieve._modulus_primes``).
+    """
     y = _check_y(y)
     d = _check_modulus(d)
     top = _check_x(x)
-    es, mus = _moebius_terms(_prime_divisors(d, min(y, top)), top)
+    es, mus = _moebius_terms(_modulus_primes(d, min(y, top)), top)
     return int(mus @ _psi_quotients(top, y, es))
 
 
 def _moebius_terms(primes: list[int], top: int) -> tuple[np.ndarray, np.ndarray]:
     """(es, mus): each squarefree e <= top whose primes are among ``primes``, and mu(e).
 
-    A y-smooth n can share with d only primes <= y, so Psi_d(x, y) is the sum
-    of mu(e) Psi(x / e, y) over these e, with the primes of d up to y; an
-    e > x adds nothing.  Below 2^52 a d has at most 13 primes, so 8,192
-    terms; a larger d may have more, and ``_check_terms`` admits each
+    An e > top adds nothing.  Below 2^52 a d has at most 13 primes, so
+    8,192 terms; a larger d may have more, and ``_check_terms`` admits each
     doubling before it is made.  The sum of |mu(e)| Psi(x / e, y) is at
     most x times the product of 1 + 1/p over the primes, below 2^58, so
     it stays exact in int64.

@@ -18,14 +18,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .census import _moebius_terms, _prime_divisors, _psi_quotients, _residues, _smooth_values
+from .census import _moebius_terms, _psi_quotients, _residues, _smooth_values
 from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
 from .sieve import (
-    _check_cutoff, _check_modulus, _check_pass, _check_shift, _check_x, _check_y, _phi_at,
-    _to_float,
+    _check_cutoff, _check_modulus, _check_pass, _check_shift, _check_x, _check_y, _factor_at,
+    _phi_of_pairs, _prime_lists, _to_float,
 )
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
@@ -310,23 +310,27 @@ class FtRatioRow:
 def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     """ratio = psi_coprime * d / (phi(d) * psi) for each modulus, sorted by d.
 
-    Only the primes of d up to min(y, x) matter for coprimality with a
-    smooth n.  Each count is the sum of mu(e) Psi(x / e, y) over the
-    squarefree e made of those primes (``census._moebius_terms``), and one
-    quotient count serves every e of every modulus, so nothing is sieved.
+    One ``sieve._factor_at`` call gives phi(d) and the primes of every d, of
+    which only those up to min(y, x) matter for coprimality with a smooth n.
+    Each count is the sum of mu(e) Psi(x / e, y) over the squarefree e made
+    of them (``census._moebius_terms``), and one quotient count serves every
+    e of every modulus, so nothing is sieved.
     """
     top, y = _check_x(x), _check_y(y)
     x = _to_float(x)
     ds = sorted(_check_modulus(d, totient=True) for d in d_list)
     if not ds:
         return []
-    terms = [_moebius_terms(_prime_divisors(d, min(y, top)), top) for d in ds]
+    values = np.array(ds, dtype=np.int64)
+    idx, primes = _factor_at(values)
+    terms = [_moebius_terms(p, top) for p in _prime_lists(idx, primes, len(ds), min(y, top))]
+    phis = _phi_of_pairs(values, idx, primes).tolist()
     es = np.unique(np.concatenate([d_es for d_es, _mus in terms]))  # sorted, es[0] = 1
     at = _psi_quotients(top, y, es)
     psi_value = int(at[0])
     counts = [int(mus @ at[np.searchsorted(es, d_es)]) for d_es, mus in terms]
     rows = []
-    for d, phi_d, coprime in zip(ds, _phi_at(np.array(ds)).tolist(), counts):
+    for d, phi_d, coprime in zip(ds, phis, counts):
         ratio = coprime * d / (phi_d * psi_value)
         if d * y > _E and x > _E and y > 1:
             scale = math.log(math.log(d * y)) * math.log(math.log(x)) / math.log(y)

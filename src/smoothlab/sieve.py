@@ -6,17 +6,11 @@ first multiple; it is the only place that does stride arithmetic.  Each
 kernel is one loop over it, sized to its question:
 
 - ``_strip_primes`` builds the bound-smooth part of each n, the product of
-  p^v_p(n) over the primes p <= bound, by multiplication alone (in the
-  dtype ``_window_dtype`` picks for every window: int32 when hi < 2^31,
-  else int64), and optionally phi of that part.  Nothing is divided inside
-  the stride loop.  The multiples of 2^4, 3^2, 5 and 7
-  (``_WHEEL``) repeat with period 5040, so they are struck once on the
-  window's first period, which is then tiled over the rest; strides run
-  only for the other prime powers.
-- ``_smooth_mask`` takes only the primes p <= min(y, sqrt(hi)) into the
-  part.  What is left of n, n / part, has no prime factor <= that bound,
-  so n is y-smooth exactly when n / part <= cap = floor(min(y, hi)), which
-  is tested as part >= (n - 1) // cap + 1: one division by a scalar.
+  p^v_p(n) over the primes p <= bound, by multiplication alone in the
+  window's dtype (int32 when hi < 2^31), and optionally phi of that part;
+  the multiples of 2^4, 3^2, 5 and 7 come from one tiled period of 5040.
+- ``_smooth_mask`` takes the primes p <= min(y, sqrt(hi)) into the part,
+  and n is y-smooth exactly when part >= (n - 1) // floor(min(y, hi)) + 1.
 - ``_phi_segment`` takes every prime p <= sqrt(hi) with phi of the part,
   then multiplies in q - 1 for the (at most one) prime q = n / part >
   sqrt(hi) (``_phi_from_part``, shared with ``sieve_range`` and the
@@ -26,22 +20,15 @@ kernel is one loop over it, sized to its question:
   one phi strip of the union window [min(s, s - a), max(e, e - a)], read
   for smoothness as ``_smooth_mask`` reads its own, or the mask and then
   ``_phi_at`` (``SPARSE_PHI_FACTOR``) or a strip of the shifted window.
-- ``_mu_segment`` flips the sign of mu at multiples of p, zeroes it at
-  multiples of p^2 and multiplies p into a product of small prime factors;
-  a squarefree n whose product falls short of n has one more prime factor,
-  above sqrt(hi).
-- ``tau_omega_range`` counts omega(n) on the p stride and adds, on each p^k
-  stride, the tau(n) found ahead of p's strides, which turns the factor k
-  of tau(n) into k + 1; the same strides build the smooth part that finds
-  the n with a prime above sqrt(hi).
+- ``_mu_segment`` gives mu, and ``tau_omega_range`` tau and omega, from
+  the same strides and a smooth part that finds the n with a prime above
+  sqrt(hi).
 
-``_phi_at`` is the one kernel that takes no window: it gives phi at an
-arbitrary array of values, testing each against the primes up to
-min(sqrt(max), 2^18) and dropping it once p^2 exceeds what is left of it.
-What is left after the primes up to 2^18 is a prime, which a Miller-Rabin
-test settles, or a product of two primes, which Pollard-Brent splits; so
-its memory does not grow with sqrt(max).  It beats a window strip when the
-values are a sparse subset of the window.
+``_factor_at`` is the one factorization of single integers and takes no
+window: trial division by the primes up to min(sqrt(max), 2^18), then
+Miller-Rabin and Pollard-Brent, so its memory does not grow with sqrt(max).
+``_phi_at`` (sparse values), ``is_smooth``, ``largest_prime_factor`` and the
+moduli of ``psi_coprime`` and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
 and ``segment_bounds`` is the only code that does so.  Every windowed
@@ -97,13 +84,13 @@ _EXACT_PRIME_COUNT = 1 << 18
 _WHEEL = {2: 4, 3: 2, 5: 1, 7: 1}
 _WHEEL_PERIOD = math.prod(p**e for p, e in _WHEEL.items())
 
-#: Entries of the residue matrix that ``_phi_at`` tests per block of primes.
-_PHI_AT_BLOCK = 1 << 16
+#: Entries of the residue matrix that ``_factor_at`` tests per block of primes.
+_TRIAL_BLOCK = 1 << 16
 
-#: ``_phi_at`` divides by the primes up to this.  Three primes above it
+#: ``_factor_at`` divides by the primes up to this.  Three primes above it
 #: multiply to more than 2^52, so what is left of a value is 1, a prime,
 #: or a product p q or p^2 of two primes, which ``_split_semiprime`` splits.
-_PHI_AT_PRIMES = 1 << 18
+_TRIAL_PRIMES = 1 << 18
 
 #: Miller-Rabin with these bases is exact for every n below 3.8e18 > 2^52.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -566,61 +553,95 @@ def _prime_count(t: int) -> float:
     return _prime_count_bound(t)
 
 
-def _phi_at(values: np.ndarray) -> np.ndarray:
-    """Euler totient at each entry of an integer array of values in [1, 2^52], as int64.
+def _factor_at(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, primes), int64: one pair per distinct prime p of values[at], for values in [1, 2^52].
 
-    The values may come in any order.  They are tested against blocks of the
-    primes p <= min(sqrt(max), ``_PHI_AT_PRIMES``), each block sized so that
-    the residue matrix holds about ``_PHI_AT_BLOCK`` entries.  A hit takes
-    the factor (1 - 1/p) and divides the full power of p out of the value's
-    remainder.  After a block ending at prime q, a value whose remainder is
-    below (q + 1)^2 is dropped: that remainder is 1 or one prime, fixed up
-    at the end as in ``_phi_segment``.  A remainder still live after the
-    last prime has no prime factor <= 2^18 and is below 2^52, so it is one
-    prime, p q or p^2: a deterministic Miller-Rabin test leaves the primes
-    to that fix-up, and the others are split (``_split_semiprime``) and
-    take phi = (p - 1)(q - 1) or p (p - 1).  The cost is about
-    len(values) * pi(min(sqrt(max), 2^18)) residue tests, against about the
-    window size times log log for ``_phi_segment``.
+    The pairs come in no set order.  The values are tested against blocks
+    of the primes up to min(sqrt(max), ``_TRIAL_PRIMES``), of about
+    ``_TRIAL_BLOCK`` residues each, and a remainder is dropped once below
+    (q + 1)^2 after a block ending at q.  One still live after 2^18 is a
+    prime (Miller-Rabin), p^2 or p q (``_split_semiprime``).
     """
-    phi = np.array(values, dtype=np.int64)
-    if not phi.size:
-        return phi
-    top = int(phi.max())
-    if phi.min() < 1:
-        raise DomainError(f"totient needs values >= 1, got {int(phi.min())}")
+    values = np.asarray(values)
+    top = int(values.max(initial=1))
+    if values.min(initial=1) < 1:
+        raise DomainError(f"values to factor must be >= 1, got {int(values.min())}")
     if top > MAX_SIEVE_BOUND:
         raise DomainError(f"hi={top} exceeds supported bound 2^52")
-    rem = phi.astype(_window_dtype(top))
-    live = np.arange(phi.size)
+    rem = values.astype(_window_dtype(top))
+    live = np.arange(values.size)
     root = math.isqrt(top)
-    primes = primes_upto(min(root, _PHI_AT_PRIMES))
+    primes = primes_upto(min(root, _TRIAL_PRIMES))
+    pairs = []
     j = 0
     while j < primes.size and live.size:
-        block = primes[j : j + max(1, _PHI_AT_BLOCK // live.size)].astype(rem.dtype)
+        block = primes[j : j + max(1, _TRIAL_BLOCK // live.size)].astype(rem.dtype)
         j += block.size
         rows, cols = np.nonzero(rem[live][:, None] % block == 0)
         at, p = live[rows], block[cols]
+        pairs.append((at, p))
         # ufunc.at applies repeated indices one by one, and a value may have
         # several primes in one block.
-        np.floor_divide.at(phi, at, p)
-        np.multiply.at(phi, at, p - 1)
         while at.size:
             np.floor_divide.at(rem, at, p)
             again = rem[at] % p == 0
             at, p = at[again], p[again]
         live = live[rem[live] >= (int(block[-1]) + 1) ** 2]
-    if root > _PHI_AT_PRIMES:
-        # A live remainder is a prime, left to the fix-up below, or p q or p^2.
+    if root > _TRIAL_PRIMES:
+        split = []
         for i, r in zip(live.tolist(), rem[live].tolist()):
             if not _is_prime(r):
                 p = _split_semiprime(r)
-                phi[i] = phi[i] // r * (p - 1) * (p if r == p * p else r // p - 1)
-                rem[i] = 1
-    big = np.flatnonzero(rem > 1)  # one prime > sqrt(max) left, exponent 1
-    last = rem[big].astype(np.int64)
-    phi[big] = phi[big] // last * (last - 1)
+                split += [(i, p)] if r == p * p else [(i, p), (i, r // p)]
+        at, p = np.array(split, dtype=np.int64).reshape(-1, 2).T
+        rem[at] = 1
+        pairs.append((at, p))
+    big = np.flatnonzero(rem > 1)  # one prime left, exponent 1
+    pairs.append((big, rem[big]))
+    ats, found = zip(*pairs)
+    return np.concatenate(ats), np.concatenate(found).astype(np.int64, copy=False)
+
+
+def _phi_at(values: np.ndarray) -> np.ndarray:
+    """Euler totient at each entry of an integer array of values in [1, 2^52], as int64."""
+    phi = np.array(values, dtype=np.int64)
+    return _phi_of_pairs(phi, *_factor_at(phi))
+
+
+def _phi_of_pairs(phi: np.ndarray, at: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Overwrite int64 values n with phi(n) = n / prod p * prod(p - 1) over their pairs."""
+    np.floor_divide.at(phi, at, primes)
+    np.multiply.at(phi, at, primes - 1)
     return phi
+
+
+def _prime_lists(at: np.ndarray, primes: np.ndarray, size: int, bound: float) -> list[list[int]]:
+    """The distinct primes p <= bound of each of ``size`` values, increasing, from their pairs."""
+    lists = [[] for _ in range(size)]
+    keep = primes <= bound
+    for i, p in sorted(zip(at[keep].tolist(), primes[keep].tolist())):
+        lists[i].append(p)
+    return lists
+
+
+def _modulus_primes(d: int, bound: float) -> list[int]:
+    """The distinct primes p <= bound of a modulus d >= 1 of any size, increasing.
+
+    A d past 2^52 first loses its primes up to min(bound, 2^18); for a
+    larger bound, what is left must be at most 2^52, or it is a
+    CapacityError, raised before any other table is made.
+    """
+    small, rest = [], d
+    if d > MAX_SIEVE_BOUND:
+        small = [p for p in map(int, primes_upto(int(min(bound, _TRIAL_PRIMES)))) if d % p == 0]
+        for p in small:
+            while rest % p == 0:
+                rest //= p
+        if bound <= _TRIAL_PRIMES:
+            return small
+        if rest > MAX_SIEVE_BOUND:
+            raise CapacityError(f"modulus {d} leaves {rest} past 2^52 after its primes up to 2^18")
+    return small + _prime_lists(*_factor_at(np.array([rest], dtype=np.int64)), 1, bound)[0]
 
 
 def _split_semiprime(n: int) -> int:
@@ -705,29 +726,15 @@ def _mu_segment(lo: int, hi: int) -> np.ndarray:
 def is_smooth(n: int, y: float) -> bool:
     """True iff every prime factor of n is <= y; n = 1 is vacuously smooth."""
     y = _check_y(y)
-    return _trial_divide(n, y)[1] <= y
+    return largest_prime_factor(n) <= y
 
 
 def largest_prime_factor(n: int) -> int:
-    """Largest prime factor of 1 <= n <= 2^52 by trial division; returns 1 for n = 1."""
-    return max(_trial_divide(n, math.inf))
-
-
-def _trial_divide(n: int, bound: float) -> tuple[int, int]:
-    """(largest prime divided out, rest) of 1 <= n <= 2^52, dividing by d <= min(bound, sqrt(rest)).
-
-    rest is 1, a prime, or has no prime factor <= bound: n is bound-smooth
-    iff rest <= bound, and for bound = inf rest is 1 or n's largest prime.
-    """
+    """Largest prime factor of 1 <= n <= 2^52 (``_factor_at``); returns 1 for n = 1."""
     n = _check_int(n, "n")
     if not 1 <= n <= MAX_SIEVE_BOUND:
         raise DomainError(f"n must lie in [1, 2^52], got {n}")
-    largest, d = 1, 2
-    while d <= bound and d * d <= n:
-        while n % d == 0:
-            largest, n = d, n // d
-        d += 1 if d == 2 else 2
-    return largest, n
+    return int(_factor_at(np.array([n], dtype=np.int64))[1].max(initial=1))
 
 
 def tau_omega_range(lo: int, hi: int):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -157,6 +158,54 @@ def test_a_modulus_with_many_primes_is_admitted_term_by_term(monkeypatch):
     monkeypatch.setattr(sieve, "QUOTIENT_BUDGET", 40_000 * sieve._QUOTIENT_HOLD)
     with pytest.raises(CapacityError, match="inclusion-exclusion terms"):
         psi_coprime(1e6, 1e3, d)
+
+
+def _coprime_up_to(x, primes):
+    """sum of mu(e) floor(x / e) over the squarefree e made of ``primes``: Psi_d(x, inf)."""
+    return sum(
+        (-1) ** k * (x // math.prod(es))
+        for k in range(len(primes) + 1)
+        for es in itertools.combinations(primes, k)
+    )
+
+
+def test_a_modulus_near_2_52_builds_no_prime_table_to_its_root():
+    # A prime table up to sqrt(d) = 2^26 took 2.0 s and a 181 MiB peak.
+    primes = [3, 5, 53, 157, 1613, 2731, 8191]
+    assert math.prod(primes) == 2**52 - 1
+    tracemalloc.start()
+    try:
+        got = psi_coprime(2**40, math.inf, 2**52 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _coprime_up_to(2**40, primes)
+    assert peak < 16 * 2**20
+
+
+def test_a_modulus_past_2_52_keeps_its_primes_above_2_18():
+    # 384773 > 2^18 is found in what is left of d after the primes to 2^18.
+    primes = [5, 5581, 8681, 49477, 384773]
+    assert math.prod(primes) == 2**62 + 1
+    assert psi_coprime(2**40, math.inf, 2**62 + 1) == _coprime_up_to(2**40, primes)
+    assert psi_coprime(1e8, 5e4, 2**62 + 1) == psi_coprime(1e8, 5e4, math.prod(primes[:4]))
+
+
+def test_a_modulus_past_2_52_without_primes_to_2_18_is_refused_at_once():
+    # Its primes 1422061 and 12667809967 are past 2^18, and what is left is d
+    # itself, past 2^52: the prime table to sqrt(d) took 3.9 s and 379 MB.
+    d = 2**54 + 3
+    assert d == 1422061 * 12667809967
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="past 2\\^52 after its primes up to 2\\^18"):
+            psi_coprime(2**40, math.inf, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # With y <= 2^18 none of its primes counts.
+    assert psi_coprime(1e6, 1e3, d) == psi(1e6, 1e3)
 
 
 def test_the_quotient_count_is_admitted_before_it_allocates():

@@ -317,6 +317,18 @@ def test_huge_moduli_stay_cheap():
     assert elapsed < 1.0
 
 
+def test_ftratio_factors_a_prime_modulus_near_2_52_in_bounded_time():
+    # A prime table up to sqrt(d) = 2^26 took 1.78 s and 211 MB for this line.
+    start = time.perf_counter()
+    assert invoke(["ftratio", "--x", "1e12", "--y", "1e12", "--d-list", "4503599627370449"]) == (
+        0,
+        "d=4503599627370449 ratio=1.00000000000 dev=0.000000000000000222044604925 "
+        "lemma_scale=0.498937976523\n",
+        "",
+    )
+    assert time.perf_counter() - start < 0.5
+
+
 def test_psi_at_1e12_answers_in_under_two_seconds():
     # A memoized Buchstab recursion on (m, k) gives the same count.
     start = time.perf_counter()

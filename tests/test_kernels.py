@@ -5,10 +5,11 @@ kernels, and the spf/lpf columns of ``sieve_range``) is checked over random
 windows against the factoring oracles in conftest, which share no code
 with the sieve.  ``sieve_range`` is built from the same stride core as the
 kernels, so the comparisons with it only check that the two agree.  The
-sparse totient ``_phi_at`` is checked against the oracle and the window
-totient, and by a count of the prime lists it makes, that its
-Miller-Rabin test and Pollard-Brent split settle every value after the
-primes up to 2^18.  The shifted-segment kernel ``_smooth_phi_shifted`` is
+factorization ``_factor_at`` is checked by its distinct primes against the
+oracle, and the sparse totient ``_phi_at`` on top of it against the oracle
+and the window totient; a count of the prime lists they make shows that
+the Miller-Rabin test and Pollard-Brent split settle every value after
+the primes up to 2^18.  The shifted-segment kernel ``_smooth_phi_shifted`` is
 checked on each of its routes against the mask, the window totient and
 the oracle, and T and V through it against the mask route.  psi, T and V
 are checked not to depend on how the range is split into segments, with
@@ -31,12 +32,13 @@ from hypothesis import strategies as st
 import smoothlab
 from smoothlab import psi, shifted, sieve, sieve_range, t_exact, v_exact, v_via_abel
 from smoothlab.sieve import (
-    _mu_segment, _phi_at, _phi_segment, _smooth_mask, _smooth_phi_shifted, tau_omega_range,
+    _factor_at, _mu_segment, _phi_at, _phi_segment, _smooth_mask, _smooth_phi_shifted,
+    tau_omega_range,
 )
 
 from conftest import (
-    oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi, oracle_spf, oracle_tau,
-    stream_segment,
+    oracle_factorize, oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi,
+    oracle_spf, oracle_tau, stream_segment,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
@@ -205,6 +207,44 @@ def test_phi_at_splits_a_square_and_a_product_just_above_the_prime_bound(prime_w
         square * (square - 1), (low - 1) * (high - 1), 2 * (square - 1),
     ]
     assert len(prime_windows) == 1
+
+
+def _distinct_primes(values):
+    """Each value's distinct primes from one ``_factor_at`` call, in increasing order."""
+    at, primes = _factor_at(np.array(values, dtype=np.int64))
+    assert at.dtype == primes.dtype == np.int64
+    found = [[] for _ in values]
+    for i, p in zip(at.tolist(), primes.tolist()):
+        found[i].append(p)
+    return [sorted(f) for f in found]
+
+
+def _oracle_primes(n):
+    return [p for p, _ in oracle_factorize(n)]
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 10**6) | st.integers(2**31 - 300, 2**31 + 100), max_size=40))
+@example([])
+@example([2**31 - 1, 2**31, 2**31 + 1])  # the int32 / int64 switch
+@example([1, 1, 2, 4, 2 * 3 * 5 * 7 * 11 * 13 * 17])
+def test_factor_at_matches_the_oracle(values):
+    assert _distinct_primes(values) == [_oracle_primes(n) for n in values]
+
+
+def test_factor_at_settles_constructed_values_with_one_prime_list(prime_windows):
+    # p^2 and p q just above the trial primes, primes near 2^52 and 2^52
+    # itself, in one call: every remainder past 2^18 is settled without a
+    # second prime list.
+    def is_prime(n):
+        return oracle_factorize(n) == [(n, 1)]
+
+    low, nxt = [p for p in range(2**18 + 1, 2**18 + 100, 2) if is_prime(p)][:2]
+    top_primes = [q for q in range(2**52 - 1, 2**52 - 200, -2) if is_prime(q)][:2]
+    high = next(q for q in range(2**52 // low, 0, -1) if is_prime(q))
+    values = [1, low**2, low * nxt, low * high, (2**26 - 5) ** 2, *top_primes, 2**52, 2**52 - 1]
+    assert _distinct_primes(values) == [_oracle_primes(n) for n in values]
+    assert prime_windows == [2**18 - 5]  # the largest prime below 2^18
 
 
 def test_split_semiprime_takes_the_next_seed_when_a_walk_fails():
@@ -380,3 +420,36 @@ def test_the_totient_routes_live_in_the_sieve_module():
     }
     assert "_smooth_phi_shifted" in imported
     assert imported.isdisjoint({"SmoothRange", "_phi_at"})
+
+
+def _calls_to(name, tree):
+    """The names of the functions of ``tree`` that call ``name``, one entry per call."""
+    return [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    ]
+
+
+def test_one_factorization_serves_every_single_integer():
+    # Single integers were factored in three loops: trial division to sqrt(n)
+    # behind is_smooth, a prime table to sqrt(d) for the moduli, and
+    # ``_phi_at``.  Now ``sieve._factor_at`` alone does it.
+    package = Path(smoothlab.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    words = {name: set(re.findall(r"\w+", text)) for name, text in sources.items()}
+    gone = {"_trial_divide", "_prime_divisors"}
+    assert {name for name, found in words.items() if found & gone} == set()
+    assert "primes_upto" not in words["experiments.py"]
+    census_tree = ast.parse(sources["census.py"])
+    assert sorted(_calls_to("primes_upto", census_tree)) == ["_buchstab_counts", "_prime_counts"]
+    assert len([
+        node for node in ast.walk(census_tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "primes_upto"
+    ]) == 2
+    sieve_tree = ast.parse(sources["sieve.py"])
+    assert sorted(_calls_to("_factor_at", sieve_tree)) == [
+        "_modulus_primes", "_phi_at", "largest_prime_factor",
+    ]
