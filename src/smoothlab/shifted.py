@@ -54,16 +54,15 @@ ZETA2_INV = 6.0 / (math.pi * math.pi)
 #: Ceiling for the exact-rational summation mode.
 RATIONAL_MODE_LIMIT = 10**4
 
-#: Terms per slice of ``_exact_int``.  Mantissa halves are below 2^27 in
-#: size, so a slice's per-exponent sums stay exact integers in float64, and
-#: so do the two sums of a split slice (below 2^50 and 2^46 units).
-#: 2^14 terms keep each slice's float64 temporaries (128 KiB apiece) in the
-#: L2 cache: on 2^18 terms that took ``_exact_int`` from 7.3 to 2.5 ms on
-#: the 2-core reference box, against 2^20-term slices.
+#: Terms per slice of ``_exact_int``.  The highs of a band sum to at most
+#: 2^50 units of 2^-36 and its lows to at most 2^45 units of 2^-68, so
+#: both float sums stay exact.  2^14 terms keep each slice's float64
+#: temporaries (128 KiB apiece) in the L2 cache: on 2^18 terms that took
+#: ``_exact_int`` from 7.3 to 2.5 ms on the 2-core reference box, against
+#: 2^20-term slices.
 _EXACT_SLICE = 1 << 14
 
-#: Binades that the nonzero |terms| of a slice may span for ``_exact_int``
-#: to split them at one point instead of by exponent.
+#: Binades of |terms| that one band of ``_exact_int`` takes.
 _SPLIT_BINADES = 16
 
 #: ``_exact_int`` counts in units of 2^-1126; ``_round_exact`` divides by this.
@@ -170,46 +169,39 @@ def _exact_int(chunk: np.ndarray) -> int:
     """The exact sum of the finite float64 values of chunk, in units of 2^-1126.
 
     The sum goes slice by slice (``_EXACT_SLICE`` terms) into one Python
-    integer in units of 2^-1126, a mantissa unit at the smallest exponent
-    frexp gives.  Such integers add exactly, and ``_round_exact`` rounds
-    their sum to the float ``math.fsum`` gives, without boxing a term.
+    integer in units of 2^-1126, below the smallest subnormal 2^-1074.
+    Such integers add exactly, and ``_round_exact`` rounds their sum to the
+    float ``math.fsum`` gives, without boxing a term.
 
-    A slice whose nonzero |terms| lie in [2^(e - 16), 2^e), e the binade of
-    its largest, splits each term t exactly at sigma = 1.5 * 2^(e + 16):
-    high = (t + sigma) - sigma is t rounded to a multiple of 2^(e - 36), and
-    low = t - high is at most 2^(e - 37) on the grid of the smallest term.  So
-    both float sums are exact in any order.  Any other slice takes each term
-    as mant * 2^(exp - 53) with an integer |mant| < 2^53 (np.frexp); the
-    mantissa splits into a high and a low half, each summed per exponent by
-    one bincount, exact while the sums stay below 2^53.
+    A slice goes band by band: a band holds the terms still left with |t|
+    in [2^(e - 16), 2^e), e the binade of the largest, and the other terms
+    are zeroed (a mask product, not a gather).  Scaled by 2^-e (exact) the
+    band lies in [2^-16, 1), and each term splits exactly at sigma =
+    1.5 * 2^16 (Rump, Ogita and Oishi's extraction): high = (t + sigma) -
+    sigma is t rounded to a multiple of 2^-36, at most 1, and low = t - high
+    is at most 2^-37 on the grid of the smallest term, 2^-68 or coarser.
+    So both float sums are exact in any order, and each is a multiple of
+    2^-(1126 + e): shifted by 1126 + e bits it is an integer.
     """
+    sigma = 1.5 * 2.0**_SPLIT_BINADES
     total = 0
     for start in range(0, chunk.size, _EXACT_SLICE):
         part = chunk[start : start + _EXACT_SLICE]
         magnitude = np.abs(part)
-        top = float(magnitude.max(initial=0.0))
-        if top == 0.0:
-            continue
-        e = math.frexp(top)[1]
-        low = magnitude.min(where=magnitude > 0, initial=top)
-        if low >= math.ldexp(1.0, e - _SPLIT_BINADES) and e <= 1007:  # t + sigma stays finite
-            sigma = math.ldexp(1.5, e + _SPLIT_BINADES)
-            high = part + sigma
+        while (top := float(magnitude.max(initial=0.0))) > 0.0:
+            e = math.frexp(top)[1]
+            # A taken term's magnitude is zeroed, so the floor keeps it out.
+            band = magnitude >= max(math.ldexp(1.0, e - _SPLIT_BINADES), 5e-324)
+            whole = band.all()
+            scaled = np.ldexp(part if whole else part * band, -e)
+            high = scaled + sigma
             high -= sigma
-            for value in (float(high.sum()), float((part - high).sum())):
+            for value in (float(high.sum()), float((scaled - high).sum())):
                 num, den = value.as_integer_ratio()
-                total += num * (_EXACT_UNIT // den)
-            continue
-        mant, exp = np.frexp(part)
-        mant *= 2.0**53
-        high = np.floor(mant * 2.0**-27)
-        mant -= high * 2.0**27  # the low half, in [0, 2^27)
-        base = int(exp.min())
-        bins = exp - base
-        for half, shift in ((high, base + 1073 + 27), (mant, base + 1073)):
-            sums = np.bincount(bins, weights=half)
-            for k in np.flatnonzero(sums).tolist():
-                total += int(sums[k]) << (k + shift)
+                total += (num << (1126 + e)) // den
+            if whole:
+                break
+            magnitude *= ~band
     return total
 
 

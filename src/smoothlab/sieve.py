@@ -11,10 +11,9 @@ kernel is one loop over it, sized to its question:
   the multiples of 2^4, 3^2, 5 and 7 come from one tiled period of 5040.
 - ``_smooth_mask`` takes the primes p <= min(y, sqrt(hi)) into the part,
   and n is y-smooth exactly when part >= (n - 1) // floor(min(y, hi)) + 1.
-- ``_phi_segment`` takes every prime p <= sqrt(hi) with phi of the part,
-  then multiplies in q - 1 for the (at most one) prime q = n / part >
-  sqrt(hi) (``_phi_from_part``, shared with ``sieve_range`` and the
-  shifted kernel); it is the window the kernel tests compare with.
+- a phi strip takes every prime p <= sqrt(hi) with phi of the part, and
+  ``_phi_from_part`` multiplies in q - 1 for the (at most one) prime
+  q = n / part > sqrt(hi); ``sieve_range`` and the shifted kernel share it.
 - ``_smooth_phi_shifted`` is the one kernel of a shifted segment [s, e]
   and the one place that picks how it gets its smooth n and phi(n - a):
   one phi strip of the union window [min(s, s - a), max(e, e - a)], read
@@ -66,17 +65,12 @@ DEFAULT_SEGMENT_CAPACITY = 1 << 22
 STREAM_SEGMENT = 1 << 18
 
 #: A shifted segment takes phi(n - a) from ``_phi_at`` at its smooth n when
-#: their count times pi(sqrt(e - a)) is below this multiple of the segment
-#: size, and from a window strip otherwise.  On 2^18-entry windows the two
-#: cost the same at about 8 times the size near e - a = 4e6 (2.6 % density)
-#: and 40 to 70 times near 2e9 (1 % or more); the factor sits at the low end.
+#: their count times pi(sqrt(e - a)), taken as Rosser and Schoenfeld's bound
+#: (``_prime_count_bound``), is below this multiple of the segment size, and
+#: from a window strip otherwise.  On 2^18-entry windows the two cost the
+#: same at about 8 times the size near e - a = 4e6 (2.6 % density) and 40
+#: to 70 times near 2e9 (1 % or more); the factor sits at the low end.
 SPARSE_PHI_FACTOR = 12
-
-#: The route choice counts the primes up to sqrt(e - a) exactly while
-#: sqrt(e - a) is at most this (every window below 2^36).  Above it, sieving
-#: them only to count them took 1.3 s and 96 MiB per segment near 2^52, so
-#: the count is Rosser and Schoenfeld's bound pi(t) < 1.25506 t / ln t.
-_EXACT_PRIME_COUNT = 1 << 18
 
 #: The prime powers p^e (p -> e) whose multiples ``_strip_primes`` takes from
 #: one tiled pattern instead of strides.  The pattern of any subset of them
@@ -493,15 +487,6 @@ def _part_is_smooth(part: np.ndarray, lo: int, hi: int, cap: int) -> np.ndarray:
     return part >= need
 
 
-def _phi_segment(lo: int, hi: int) -> np.ndarray:
-    """Euler totient of every n in [lo, hi] as an int64 array."""
-    lo, hi = _check_window(lo, hi)
-    part, phi = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
-    rem = np.arange(lo, hi + 1, dtype=part.dtype)
-    rem //= part
-    return _phi_from_part(rem, phi)
-
-
 def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:
     """phi(n) as int64, from rem = n // part and tot = phi(part); overwrites both.
 
@@ -520,9 +505,9 @@ def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
     It picks the route, and every route gives the same integers: one strip
     of the union window [min(s, s - a), max(e, e - a)] when
     y >= isqrt(max(e, e - a)) and |a| <= e - s, else the mask and then
-    ``_phi_at`` for sparse smooth n (``SPARSE_PHI_FACTOR``, with
-    ``_prime_count``) or one strip of the shifted window.  Each strip passes
-    ``_check_window``.
+    ``_phi_at`` for sparse smooth n (``SPARSE_PHI_FACTOR``; the choice
+    sieves no primes) or one strip of the shifted window.  Each strip
+    passes ``_check_window``.
     """
     if abs(a) <= e - s and y >= math.isqrt(max(e, e - a)):
         lo, hi = _check_window(min(s, s - a), max(e, e - a))
@@ -531,9 +516,7 @@ def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
         idx = np.flatnonzero(_part_is_smooth(part[s - lo : e - lo + 1], s, e, cap))
     else:
         idx = np.flatnonzero(_smooth_mask(s, e, y))
-        # A segment without smooth n counts no primes and takes ``_phi_at``'s empty answer.
-        count = idx.size and idx.size * _prime_count(math.isqrt(e - a))
-        if count < SPARSE_PHI_FACTOR * (e - s + 1):
+        if idx.size * _prime_count_bound(math.isqrt(e - a)) < SPARSE_PHI_FACTOR * (e - s + 1):
             return idx, _phi_at(idx + (s - a))
         lo, hi = _check_window(s - a, e - a)
         part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
@@ -544,13 +527,6 @@ def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
     rem += s - a
     rem //= part
     return idx, _phi_from_part(rem, tot)
-
-
-def _prime_count(t: int) -> float:
-    """pi(t) for the route choice: exact up to ``_EXACT_PRIME_COUNT``, an upper bound above."""
-    if t <= _EXACT_PRIME_COUNT:
-        return primes_upto(t).size
-    return _prime_count_bound(t)
 
 
 def _factor_at(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

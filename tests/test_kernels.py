@@ -7,14 +7,15 @@ with the sieve.  ``sieve_range`` is built from the same stride core as the
 kernels, so the comparisons with it only check that the two agree.  The
 factorization ``_factor_at`` is checked by its distinct primes against the
 oracle, and the sparse totient ``_phi_at`` on top of it against the oracle
-and the window totient; a count of the prime lists they make shows that
-the Miller-Rabin test and Pollard-Brent split settle every value after
-the primes up to 2^18.  The shifted-segment kernel ``_smooth_phi_shifted`` is
-checked on each of its routes against the mask, the window totient and
-the oracle, and T and V through it against the mask route.  psi, T and V
-are checked not to depend on how the range is split into segments, with
-small y, where a segment takes phi(n - a) from ``_phi_at``, next to large
-y, where it takes the window.
+and ``sieve_range``'s totient; a count of the prime lists they make shows
+that the Miller-Rabin test and Pollard-Brent split settle every value
+after the primes up to 2^18, and that a sparse shifted segment makes its
+trial primes once.  The shifted-segment kernel ``_smooth_phi_shifted`` is
+checked on each of its routes against the mask and the oracle, and T and
+V through it against the mask route.  psi, T and V are checked not to
+depend on how the range is split into segments, with small y, where a
+segment takes phi(n - a) from ``_phi_at``, next to large y, where it
+takes the window.
 """
 
 import ast
@@ -32,8 +33,7 @@ from hypothesis import strategies as st
 import smoothlab
 from smoothlab import psi, shifted, sieve, sieve_range, t_exact, v_exact, v_via_abel
 from smoothlab.sieve import (
-    _factor_at, _mu_segment, _phi_at, _phi_segment, _smooth_mask, _smooth_phi_shifted,
-    tau_omega_range,
+    _factor_at, _mu_segment, _phi_at, _smooth_mask, _smooth_phi_shifted, tau_omega_range,
 )
 
 from conftest import (
@@ -99,9 +99,7 @@ def test_smooth_mask_matches_reference_and_oracle(case):
 @given(windows())
 def test_phi_segment_matches_reference_and_oracle(window):
     lo, hi = window
-    phi = _phi_segment(lo, hi)
-    assert np.array_equal(phi, sieve_range(lo, hi).phi)
-    assert phi.tolist() == [oracle_phi(n) for n in range(lo, hi + 1)]
+    assert sieve_range(lo, hi).phi.tolist() == [oracle_phi(n) for n in range(lo, hi + 1)]
 
 
 @SETTINGS
@@ -145,14 +143,13 @@ def test_phi_at_matches_window_and_oracle(case):
     lo, hi, values = case
     phi = _phi_at(np.array(values))
     assert phi.dtype == np.int64
-    assert np.array_equal(phi, _phi_segment(lo, hi)[np.array(values) - lo])
+    assert np.array_equal(phi, sieve_range(lo, hi).phi[np.array(values) - lo])
     assert phi.tolist() == [oracle_phi(n) for n in values]
 
 
 def test_phi_at_at_the_top_of_the_range():
     lo, hi = 2**52 - 60, 2**52
-    window = _phi_segment(lo, hi)
-    assert window.tolist() == [oracle_phi(n) for n in range(lo, hi + 1)]
+    window = np.array([oracle_phi(n) for n in range(lo, hi + 1)])
     for picks in (np.arange(61), np.arange(60, -1, -7), np.array([60, 0, 60])):
         assert np.array_equal(_phi_at(picks + lo), window[picks])
     assert _phi_at(np.empty(0, dtype=np.int64)).size == 0
@@ -282,7 +279,10 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
         lpf = [oracle_lpf(n) for n in ns]
         for y in (7, 1000, 46340.5, math.inf):
             assert _smooth_mask(lo, hi, y).tolist() == [p <= y for p in lpf]
-        assert _phi_segment(lo, hi).tolist() == [oracle_phi(n) for n in ns]
+        # The union strip of a shift by -1 over [lo - 1, hi - 1] is phi on [lo, hi].
+        assert _smooth_phi_shifted(lo - 1, hi - 1, math.inf, -1)[1].tolist() == [
+            oracle_phi(n) for n in ns
+        ]
         assert _mu_segment(lo, hi).tolist() == [oracle_mu(n) for n in ns]
         tau, omega = tau_omega_range(lo, hi)
         assert tau.tolist() == [oracle_tau(n) for n in ns]
@@ -324,7 +324,6 @@ def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
     idx, phi = _smooth_phi_shifted(s, e, y, a)
     assert np.array_equal(idx, np.flatnonzero(_smooth_mask(s, e, y)))
     assert phi.dtype == np.int64
-    assert np.array_equal(phi, _phi_segment(s - a, e - a)[idx])
     assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
 
 
@@ -372,10 +371,31 @@ def test_smooth_phi_shifted_counts_no_primes_near_2_52(monkeypatch):
     assert max(asked) <= 2**18
 
 
+def test_a_sparse_segment_sieves_its_trial_primes_once(monkeypatch):
+    # The route choice once sieved the primes up to isqrt(e - a) to count
+    # them, and ``_phi_at`` then sieved the same primes for its trial
+    # division.  Now it sieves the mask's primes up to y and the trial
+    # primes, and no others.
+    s, e, y, a = 10**5, 10**5 + 199, 30, -200
+    asked = []
+    primes_upto = sieve.primes_upto
+
+    def recording(n):
+        asked.append(n)
+        return primes_upto(n)
+
+    monkeypatch.setattr(sieve, "primes_upto", recording)
+    idx, phi = _smooth_phi_shifted(s, e, y, a)
+    assert 0 < idx.size < 200
+    assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
+    # The wheel's primes to 7 come with every mask.
+    assert [n for n in asked if n > 7] == [y, math.isqrt(int(idx[-1]) + s - a)]
+
+
 def _mask_route(s, e, y, a):
     """The route of a segment without the union kernel: the mask, then the shifted window."""
     idx = np.flatnonzero(_smooth_mask(s, e, y))
-    return idx, _phi_segment(s - a, e - a)[idx]
+    return idx, sieve_range(s - a, e - a).phi[idx]
 
 
 @st.composite
@@ -405,7 +425,7 @@ def test_the_totient_routes_live_in_the_sieve_module():
     # One owner of the route: no other module names the route's threshold or
     # its windows, and the shifted sums take no materialized smooth set.
     package = Path(smoothlab.__file__).parent
-    owned = {"SPARSE_PHI_FACTOR", "_phi_segment", "_strip_primes"}
+    owned = {"SPARSE_PHI_FACTOR", "_phi_from_part", "_strip_primes"}
     named = {
         path.name: sorted(owned & set(re.findall(r"\w+", path.read_text())))
         for path in sorted(package.glob("*.py"))
@@ -453,3 +473,27 @@ def test_one_factorization_serves_every_single_integer():
     assert sorted(_calls_to("_factor_at", sieve_tree)) == [
         "_modulus_primes", "_phi_at", "largest_prime_factor",
     ]
+
+
+def test_one_exact_sum_and_one_prime_count_bound():
+    # ``_exact_int`` took some slices by exponent (np.frexp, one bincount per
+    # exponent); the route choice of a shifted segment sieved primes to count
+    # them; and a totient window of the tests' own repeated the phi strip.
+    package = Path(smoothlab.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    numpy_calls = {
+        node.func.attr
+        for node in ast.walk(trees["shifted.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "np"
+    }
+    assert numpy_calls.isdisjoint({"frexp", "bincount"})
+    assert set(re.findall(r"\w+", sources["sieve.py"])).isdisjoint(
+        {"_prime_count", "_EXACT_PRIME_COUNT"}
+    )
+    assert [
+        name for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_phi_segment"
+    ] == []

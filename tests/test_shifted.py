@@ -457,8 +457,8 @@ def _exact_sum(chunks):
 def _binade_terms(size: int, binades: int) -> np.ndarray:
     """size terms of random sign and full mantissa whose |values| span exactly ``binades`` binades.
 
-    They lie in [2^(1 - binades), 2): ``_exact_int`` splits a slice of them
-    at one point for 16 binades and takes them by exponent for 17.
+    They lie in [2^(1 - binades), 2): ``_exact_int`` takes a slice of them
+    in one band for 16 binades and in two bands for 17.
     """
     rng = np.random.default_rng(size * 100 + binades)
     exps = rng.integers(1 - binades, 1, size)
@@ -489,14 +489,17 @@ def test_exact_sum_matches_fsum_on_random_arrays(values, cuts):
         [1.0, 2.0**-53, 2.0**-160],  # just past the tie
         [1.0, -(2.0**-54), -(2.0**-107)],
         [1.0] * 5000,
-        [0.1] * (1 << 22),  # more equal terms than one bincount slice
+        [0.1] * (1 << 22),  # many more equal terms than one slice
         [1e300, 1.0, -1e300, 5e-324, -2.5e-310, 3.0, 2.0**-1074 * 3],
         [2.0**k * (-1) ** k for k in range(-1074, 1000, 7)],
         [-0.0, 0.0, -0.0],
+        [1.7e308, -1.7e308, 1.7e308, 1.0],  # binades above 1007
+        [2.0**1023, -(2.0**1023), 1.5 * 2.0**1023, -1.0],
     ],
     ids=[
         "empty", "tie-even-down", "tie-even-up", "past-tie", "below-one", "ones",
-        "2^22-equal", "cancel", "mixed-exponents", "zeros",
+        "2^22-equal", "cancel", "mixed-exponents", "zeros", "top-binade-cancel",
+        "top-binade-power",
     ],
 )
 def test_exact_sum_matches_fsum_on_adversarial_arrays(values):
@@ -516,10 +519,13 @@ def test_exact_sum_matches_fsum_on_adversarial_arrays(values):
         [5e-324 * k * (-1) ** k for k in range(1, 3000)],  # subnormals alone, split at one point
         [2.0**-1022, -5e-324, 2.0**-1030, 5e-324 * 3],
         [-0.0, 1.0, 0.0, -(2.0**-15), 0.75, -0.0],
+        [1.7e308, -1.7e308, 1.7e308, 1.0],  # scaled down from the top binade
+        [1.7e308, 5e-324, -1.7e308, 1e308, -(2.0**-1074) * 3],
     ],
     ids=[
         "16-binades-2^14", "16-binades-2^14+1", "17-binades-2^14", "17-binades-2^14+1",
-        "near-two", "subnormals", "subnormals-and-normal", "signed-zeros",
+        "near-two", "subnormals", "subnormals-and-normal", "signed-zeros", "top-binade",
+        "top-and-bottom",
     ],
 )
 def test_exact_int_is_exact_on_both_sides_of_the_split_bound(values):
