@@ -10,11 +10,10 @@ import sys
 
 from . import experiments
 from .census import psi
-from .dickman import UNDERFLOW_FROM, build_rho_table, rho
-from .errors import SmoothlabError
+from .dickman import rho_at
+from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _head_psi, _shifted_totals, _v_parts, main_terms, t_via_mobius
-from .sieve import _check_pass, _check_table
 
 _EPILOG = "Numeric output carries 12 significant digits."
 
@@ -26,10 +25,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    xy = argparse.ArgumentParser(add_help=False)
+    xy.add_argument("--x", type=float, required=True, help="upper bound x")
+    xy.add_argument("--y", type=float, required=True, help="smoothness bound y")
+    shift = argparse.ArgumentParser(add_help=False)
+    shift.add_argument("--a", type=int, required=True, help="nonzero shift a")
 
-    p = sub.add_parser("psi", help="exact count of y-smooth integers up to x")
-    p.add_argument("--x", type=float, required=True, help="upper bound x")
-    p.add_argument("--y", type=float, required=True, help="smoothness bound y")
+    sub.add_parser("psi", parents=[xy], help="exact count of y-smooth integers up to x")
 
     p = sub.add_parser("rho", help="Dickman rho at a point")
     p.add_argument("--u", type=float, required=True, help="evaluation point u")
@@ -41,10 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         "depend on it",
     )
 
-    p = sub.add_parser("tsum", help="shifted-totient sum T(x, y) and T/psi")
-    p.add_argument("--x", type=float, required=True, help="upper bound x")
-    p.add_argument("--y", type=float, required=True, help="smoothness bound y")
-    p.add_argument("--a", type=int, required=True, help="nonzero shift a")
+    p = sub.add_parser("tsum", parents=[xy, shift], help="shifted-totient sum T(x, y) and T/psi")
     p.add_argument(
         "--delta",
         type=float,
@@ -52,18 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report the Moebius split at this cutoff",
     )
 
-    p = sub.add_parser("vsum", help="normalized shifted-totient average V(x, y)")
-    p.add_argument("--x", type=float, required=True, help="upper bound x")
-    p.add_argument("--y", type=float, required=True, help="smoothness bound y")
-    p.add_argument("--a", type=int, required=True, help="nonzero shift a")
+    sub.add_parser("vsum", parents=[xy, shift], help="normalized shifted-totient average V(x, y)")
 
     p = sub.add_parser("scan", help="convergence scan driven by a config file")
     p.add_argument("--config", required=True, help="flat key = value config file")
     p.add_argument("--out", default=None, help="override the config output path")
 
-    p = sub.add_parser("discrepancy", help="progression discrepancy report")
-    p.add_argument("--x", type=float, required=True, help="upper bound x")
-    p.add_argument("--y", type=float, required=True, help="smoothness bound y")
+    p = sub.add_parser("discrepancy", parents=[xy], help="progression discrepancy report")
     p.add_argument("--delta", type=float, required=True, help="modulus cutoff")
     p.add_argument(
         "--z-mode",
@@ -73,9 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
 
-    p = sub.add_parser("ftratio", help="coprime-count ratios for chosen moduli")
-    p.add_argument("--x", type=float, required=True, help="upper bound x")
-    p.add_argument("--y", type=float, required=True, help="smoothness bound y")
+    p = sub.add_parser("ftratio", parents=[xy], help="coprime-count ratios for chosen moduli")
     p.add_argument("--d-list", required=True, help="comma-separated moduli")
     p.add_argument("--out", default=None, help="write rows as CSV here")
 
@@ -92,28 +84,19 @@ def _run_psi(args) -> int:
 
 
 def _run_rho(args) -> int:
-    u_max = max(2.0, args.u)
-    # The table's refusals come first, so a table that could not be built
-    # is refused here too; from UNDERFLOW_FROM on rho is 0.0 without one.
-    _check_table(u_max, args.h)
-    if args.u >= UNDERFLOW_FROM:
-        value = 0.0
-    else:
-        value = rho(build_rho_table(u_max=u_max, h=args.h), args.u)
-    _emit([("rho", format_sig12(value))])
+    _emit([("rho", format_sig12(rho_at(args.u, args.h)))])
     return 0
 
 
 def _run_tsum(args) -> int:
-    a, y = _check_pass(args.x, args.y, args.a)
     if args.delta is None:
         split = None
-        [(psi_value, t, _v)] = _shifted_totals([args.x], y, a)
+        [(psi_value, t, _v)] = _shifted_totals([args.x], args.y, args.a)
     else:
         # The split's pass is the T pass; it refuses a range too large to
         # materialize before it sieves.
         split = t_via_mobius(args.x, args.y, args.a, args.delta)
-        psi_value, t = _head_psi(args.x, y, a) + split.count, split.t
+        psi_value, t = _head_psi(args.x, args.y, args.a) + split.count, split.t
     ratio = t / psi_value
     pairs = [("t", format_sig12(t)), ("ratio", format_sig12(ratio))]
     if split is not None:
@@ -128,8 +111,7 @@ def _run_tsum(args) -> int:
 
 
 def _run_vsum(args) -> int:
-    numerator, psi_value = _v_parts(args.x, args.y, args.a)
-    v = numerator / psi_value
+    v, psi_value = _v_parts(args.x, args.y, args.a)
     terms = main_terms(args.x, args.y, psi_value)
     _emit([("v", format_sig12(v)), ("v_main", format_sig12(terms.v_main))])
     return 0
@@ -179,6 +161,8 @@ def _run_discrepancy(args) -> int:
 
 def _run_ftratio(args) -> int:
     entries = [v for v in args.d_list.split(",") if v.strip()]
+    if not entries:
+        raise DomainError("--d-list names no modulus")
     d_list = [experiments.parse_number(v, int, "--d-list") for v in entries]
     rows = experiments.ft_ratio_scan(args.x, args.y, d_list)
     if args.out:

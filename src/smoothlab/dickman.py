@@ -19,7 +19,7 @@ depth, with values below exp(-700) reported as 0 in the linear domain.
 rho never increases (rho'(u) = -rho(u-1)/u <= 0), and log rho falls below
 that cutoff before u = ``UNDERFLOW_FROM`` (127).  So ``rho`` answers 0.0
 from there on without evaluating a series, once its range checks pass, and
-the CLI's ``rho --u`` and ``psi_estimate`` without a table build none there.
+``rho_at`` (``rho --u``, and ``psi_estimate`` without a table) builds none.
 
 A build is one eager pass over the series, on plain floats; the knot grid,
 which aligns integers (the kink points of rho) with knots, is computed from
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, NonDifferentiableError
 from .formats import format_sig12
-from .sieve import MAX_UNITS, _check_point, _check_table, _to_float
+from .sieve import MAX_UNITS, _check_log_ratio, _check_point, _check_table, _to_float
 
 #: Below this log-value, rho underflows to an exact 0.0.
 LOG_UNDERFLOW = -700.0
@@ -189,6 +189,17 @@ def rho(table: RhoTable, u: float) -> float:
     return math.exp(lv)
 
 
+def rho_at(u: float, h: float = 1.0 / 256.0) -> float:
+    """rho(u) from a fresh table on [0, max(2, u)] with knot step h.
+
+    The table's refusals come first, so a u or h that no table could take
+    is refused even where rho underflows; from ``UNDERFLOW_FROM`` on the
+    answer is 0.0 and no series is built.
+    """
+    u_max, h, _units = _check_table(max(2.0, u), h)
+    return 0.0 if u >= UNDERFLOW_FROM else rho(build_rho_table(u_max, h), u)
+
+
 def rho_prime(table: RhoTable, u: float) -> float:
     """rho'(u) from the delay relation: -rho(u-1)/u for u > 1, 0 on (0, 1)."""
     u = _to_float(u)
@@ -229,22 +240,15 @@ def psi_estimate(
     """Estimate the number of y-smooth integers up to x.
 
     method "rho" returns x * rho(u) with error scale log(u+1)/log y; without
-    a table it builds one up to u, or none from ``UNDERFLOW_FROM`` on, where
-    rho(u) is 0.0.  Method "cep" returns the cruder x * u^(-u)
+    a table rho(u) comes from ``rho_at``, which builds one up to u, or none
+    from ``UNDERFLOW_FROM`` on.  Method "cep" returns the cruder x * u^(-u)
     order-of-magnitude comparator (its o(u) exponent correction is dropped;
     error scale reported as 0).
     """
-    x, y = _to_float(x), _to_float(y)
-    if not 2 <= y <= x < math.inf:
-        raise DomainError(f"estimate needs finite x >= y >= 2, got x={x}, y={y}")
+    x, y = _check_log_ratio(x, y)
     u = math.log(x) / math.log(y)
     if method == "rho":
-        if table is not None:
-            value = x * rho(table, u)
-        elif u < UNDERFLOW_FROM:
-            value = x * rho(build_rho_table(u_max=max(2.0, u)), u)
-        else:
-            value = 0.0
+        value = x * (rho_at(u) if table is None else rho(table, u))
         scale = math.log(u + 1.0) / math.log(y)
         return PsiEstimate(value=value, method="rho", error_scale=scale)
     if method == "cep":

@@ -19,13 +19,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .census import _moebius_terms, _psi_quotients, _residues, _smooth_values
-from .dickman import MAX_UNITS, RhoTable, build_rho_table, psi_estimate
+from .dickman import RhoTable, build_rho_table, psi_estimate
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
 from .sieve import (
-    _check_cutoff, _check_modulus, _check_pass, _check_shift, _check_x, _check_y, _factor_at,
-    _phi_of_pairs, _prime_lists, _to_float,
+    _check_cutoff, _check_log_ratio, _check_modulus, _check_pass, _check_shift, _check_x,
+    _check_y, _factor_at, _phi_of_pairs, _prime_lists, _to_float,
 )
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
@@ -85,8 +85,14 @@ class ScanConfig:
             return _to_float(self.y)
         if x <= _E_E:
             raise DomainError(f"theorem_range rule needs x > e^e, got {x}")
-        C = 2.0 if self.C is None else _to_float(self.C)
-        return math.exp(C * math.sqrt(math.log(x) * math.log(math.log(math.log(x)))))
+        return _theorem_bound(x, 2.0 if self.C is None else _to_float(self.C))
+
+
+def _theorem_bound(x: float, C: float) -> float:
+    """exp(C * sqrt(log x * logloglog x)), the theorem's lowest y; nan for x <= e^e."""
+    if x <= _E_E:
+        return math.nan
+    return math.exp(C * math.sqrt(math.log(x) * math.log(math.log(math.log(x)))))
 
 
 @dataclass(frozen=True)
@@ -164,10 +170,9 @@ def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
                 by_shift[a].append(_failed_record(x, a, exc))
             else:
                 groups.setdefault((y, a), []).append(x)
-    # Only points with finite x >= y >= 2 read the table; one past the table
-    # limit fails on its own row.
+    # Only points with x >= y >= 2 read the table, and x <= 2^52 keeps their u <= 52.
     u = [math.log(x) / math.log(y) for (y, _a), xs in groups.items() for x in xs if 2 <= y <= x]
-    table = build_rho_table(u_max=math.ceil(min(max([2.0, *u]), MAX_UNITS - 1)) + 1)
+    table = build_rho_table(u_max=math.ceil(max([2.0, *u])) + 1)
     for (y, a), xs in groups.items():
         for x, totals in zip(xs, _shifted_totals(xs, y, a)):
             try:
@@ -372,21 +377,15 @@ class RangeFlags:
 
 def range_check(x: float, y: float, C: float = 2.0, epsilon: float = 0.5) -> RangeFlags:
     """Compute the admissible-range flags for a scan point."""
-    x, y, C, epsilon = (_to_float(v) for v in (x, y, C, epsilon))
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
-    if not x >= y >= 2:
-        raise DomainError(f"needs x >= y >= 2, got x={x}, y={y}")
+    x, y = _check_log_ratio(x, y)
+    C, epsilon = _to_float(C), _to_float(epsilon)
     if not C > 0:
         raise DomainError(f"C must be positive, got {C}")
     if not math.isfinite(epsilon):
         raise DomainError(f"epsilon must be finite, got {epsilon}")
     u = math.log(x) / math.log(y)
-    if x > _E_E:
-        thr = math.exp(C * math.sqrt(math.log(x) * math.log(math.log(math.log(x)))))
-        in_thm = y >= thr
-    else:
-        thr, in_thm = math.nan, None
+    thr = _theorem_bound(x, C)
+    in_thm = None if math.isnan(thr) else y >= thr
     if x > _E:
         lemma1_lower = math.exp(math.log(math.log(x)) ** (5.0 / 3.0 + epsilon))
         in_l1 = lemma1_lower <= y <= x

@@ -114,10 +114,10 @@ def _int_sum(values: np.ndarray, top: int) -> int:
     return sum(values.tolist())
 
 
-def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
-    """(sum of phi(n - a) over smooth n in (max(a,0), floor(x)], Psi(x, y)).
+def _v_parts(x: float, y: float, a: int) -> tuple[float, int]:
+    """(V(x, y), Psi(x, y)) from one pass, which leaves out T's terms and their sum.
 
-    V needs no T, so this pass leaves out T's terms and their sum.
+    The sum of phi(n - a) is an exact integer; only its division by Psi rounds.
     """
     a, y = _check_pass(x, y, a)
     psi_value = _head_psi(x, y, a)
@@ -125,20 +125,22 @@ def _v_parts(x: float, y: float, a: int) -> tuple[int, int]:
     for _s, e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
         psi_value += idx.size
         numerator += _int_sum(phi_at, e - a)
-    return numerator, psi_value
+    return numerator / psi_value, psi_value
 
 
 def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
     """(Psi(x, y), T(x, y), V(x, y)) at each x of a strictly increasing list, from one pass.
 
-    Every x must have passed ``_check_pass`` with this y and a; xs out of
-    order raise.  The pass runs up to the last x.  At each cut floor(x) the
+    xs out of order raise, and every x goes through ``_check_pass`` before
+    the pass, which runs up to the last x.  At each cut floor(x) the
     running counts are read, and T's running exact integer is rounded there:
     the correctly rounded sum of the same terms, so the same float that a
     pass up to that x alone gives.
     """
     if not all(u < v for u, v in zip(xs, xs[1:])):
         raise DomainError("xs must be strictly increasing")
+    for x in xs:
+        a, y = _check_pass(x, y, a)
     head = _head_psi(xs[-1], y, a)
     cuts = [math.floor(x) for x in xs]
     rows = []
@@ -339,8 +341,7 @@ def v_exact(x: float, y: float, a: int) -> float:
     The numerator is an exact integer sum; only the final division rounds.
     Psi comes from the same pass, plus psi(a, y) for a > 0.
     """
-    numerator, psi_value = _v_parts(x, y, a)
-    return numerator / psi_value
+    return _v_parts(x, y, a)[0]
 
 
 def v_via_abel(x: float, y: float, a: int) -> float:

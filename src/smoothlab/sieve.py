@@ -20,8 +20,8 @@ kernel is one loop over it, sized to its question:
   for smoothness as ``_smooth_mask`` reads its own, or the mask and then
   ``_phi_at`` (``SPARSE_PHI_FACTOR``) or a strip of the shifted window.
 - ``_mu_segment`` gives mu, and ``tau_omega_range`` tau and omega, from
-  the same strides and a smooth part that finds the n with a prime above
-  sqrt(hi).
+  the same strides; ``tau_omega_range`` finds the n with a prime above
+  sqrt(hi) from the ``_strip_primes`` part.
 
 ``_factor_at`` is the one factorization of single integers and takes no
 window: trial division by the primes up to min(sqrt(max), 2^18), then
@@ -254,12 +254,20 @@ def _check_pass(x: float, y: float, a: int) -> tuple[int, float]:
 
     Every check runs before any sieving: a later pass over (max(a,0),
     floor(x)] raises nothing, and a scan can fail one grid point on its own.
-    Each caller of ``_shifted_pass`` or ``_shifted_totals`` runs it once per x.
+    Each caller of ``_shifted_pass`` runs it once per x.
     """
     a, y = _check_shift(a), _check_y(y)
     top = _check_x(x)
     _check_range(0, top - a)  # the largest n - a the totient kernels take
     return a, y
+
+
+def _check_log_ratio(x: float, y: float) -> tuple[float, float]:
+    """x and y as floats with finite x >= y >= 2, so that u = log x / log y >= 1 is defined."""
+    x, y = _to_float(x), _to_float(y)
+    if not 2 <= y <= x < math.inf:
+        raise DomainError(f"needs finite x >= y >= 2, got x={x}, y={y}")
+    return x, y
 
 
 def _check_window(lo: int, hi: int) -> tuple[int, int]:
@@ -383,10 +391,11 @@ def _strides(lo: int, hi: int, bound: int):
     the multiples are ``start::p**k``.  Powers come in increasing k for
     each p, and the primes in increasing order.  A p^k > hi, or one with
     no multiple in the window, gives start >= size; then so does every
-    higher power.
+    higher power, so the primes with none are dropped in one array step.
     """
     size = hi - lo + 1
-    for p in primes_upto(bound).tolist():
+    primes = primes_upto(bound)
+    for p in primes[(-lo) % primes < size].tolist():
         pk, k = p, 1
         while (start := (-lo) % pk) < size:
             yield p, k, start
@@ -719,9 +728,9 @@ def tau_omega_range(lo: int, hi: int):
     Returns a pair of int64 arrays aligned with the range, counted in int32.
     Ahead of p's strides, ``before`` keeps tau(n); after the p^(k-1) stride
     tau(n) is before * k, and the p^k stride adds before, so tau(n) ends as
-    the product of (e + 1) over the exponents e of n.  The same strides
-    multiply p into the smooth part of n over the primes <= sqrt(hi), as
-    ``_strip_primes`` does, from the tiled ``_wheel_part`` for the wheel.
+    the product of (e + 1) over the exponents e of n.  The n with a prime
+    above sqrt(hi) are those whose ``_strip_primes`` part over the primes
+    <= sqrt(hi) falls short of n.
     """
     lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
@@ -729,15 +738,13 @@ def tau_omega_range(lo: int, hi: int):
     omega = np.zeros(size, dtype=np.int32)
     before = np.empty(size, dtype=np.int32)
     root = math.isqrt(hi)
-    part, _ = _wheel_part(lo, hi, root, phi=False)
     for p, k, start in _strides(lo, hi, root):
         if k == 1:
             omega[start::p] += 1
             before[start::p] = tau[start::p]
         tau[start :: p**k] += before[start :: p**k]
-        if k > _WHEEL.get(p, 0):
-            part[start :: p**k] *= p
     # A part short of n leaves one prime > sqrt(hi), exponent 1.
+    part = _strip_primes(lo, hi, root)
     big = part < np.arange(lo, hi + 1, dtype=part.dtype)
     tau[big] *= 2
     omega[big] += 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothlab import census, cli
+from smoothlab import census, cli, dickman
 from smoothlab.cli import build_parser, run
 from smoothlab.dickman import LOG_UNDERFLOW, build_rho_table, rho_log
 from smoothlab.formats import format_sig12
@@ -129,6 +129,9 @@ def test_nan_y_is_rejected_and_inf_y_means_no_bound(argv, inf_out):
         ["ftratio", "--x", "nan", "--y", "30", "--d-list", "2,3"],
         ["ftratio", "--x", "inf", "--y", "30", "--d-list", "2,3"],
         ["ftratio", "--x", "1000", "--y", "30", "--d-list", "2,4503599627370497"],
+        # No modulus at all printed nothing and exited 0.
+        ["ftratio", "--x", "1000", "--y", "30", "--d-list", ","],
+        ["ftratio", "--x", "1000", "--y", "30", "--d-list", " "],
     ],
 )
 def test_non_finite_or_too_large_moduli_inputs_are_rejected(argv):
@@ -425,7 +428,7 @@ def test_one_parser_keeps_no_state_between_commands(monkeypatch):
         steps.append(h)
         return build_rho_table(u_max=u_max, h=h)
 
-    monkeypatch.setattr(cli, "build_rho_table", recording)
+    monkeypatch.setattr(dickman, "build_rho_table", recording)
     assert invoke(["rho", "--u", "3", "--h", "0.015625"])[0] == 0
     assert invoke(["rho", "--u", "3"])[0] == 0
     assert steps == [1 / 64, 1 / 256]

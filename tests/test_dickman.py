@@ -17,6 +17,7 @@ from smoothlab import (
     psi_estimate,
     rho,
     rho_asymptotic,
+    rho_at,
     rho_log,
     rho_prime,
     write_rho_csv,
@@ -306,6 +307,29 @@ def test_psi_estimate_builds_no_table_past_the_cutoff(advance_calls):
     assert est.error_scale == math.log(u + 1.0) / math.log(2)
     below = psi_estimate(2.0**126, 2)
     assert below.value > 0.0 and len(advance_calls) == 124
+
+
+def _outcome(call):
+    """float.hex of what call returns, or the type and message of what it raises."""
+    try:
+        return call().hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("h", [1 / 64, 1 / 256, 1 / 512, 0.5, math.nan])
+def test_rho_at_is_rho_of_a_fresh_table(advance_calls, h):
+    # The rule the CLI's rho --u and a table-less psi_estimate both carried:
+    # refuse what the table would refuse, then 0.0 from UNDERFLOW_FROM on.
+    for u in (0, 1, 2, 3.7, 126.99, 127, 500, math.nan, math.inf, 10001):
+        want = _outcome(lambda: rho(build_rho_table(max(2, u), h), u))
+        advance_calls.clear()
+        got = _outcome(lambda: rho_at(u, h))
+        if u >= UNDERFLOW_FROM and not isinstance(want, tuple):
+            assert (got, advance_calls) == ((0.0).hex(), [])
+        assert got == want, (u, h)
+    advance_calls.clear()
+    assert psi_estimate(1e300, 2).value == 0.0 and advance_calls == []
 
 
 def test_csv_dump(tmp_path, rho_table):

@@ -497,3 +497,24 @@ def test_one_exact_sum_and_one_prime_count_bound():
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "_phi_segment"
     ] == []
+
+
+def test_each_rule_has_one_definition():
+    # The CLI carried the rho rule of psi_estimate, the pass check of the
+    # shifted sums and one copy of --x, --y and --a per subcommand;
+    # tau_omega_range rebuilt the smooth part, and the scan and range_check
+    # each wrote the theorem-range bound.
+    package = Path(smoothlab.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    cli_words = set(re.findall(r"\w+", sources["cli.py"]))
+    assert cli_words.isdisjoint({"UNDERFLOW_FROM", "_check_table", "_check_pass"})
+    for option in ("--x", "--y", "--a"):
+        assert sources["cli.py"].count(f'add_argument("{option}"') == 1, option
+    [tau_omega] = [
+        node for node in ast.walk(ast.parse(sources["sieve.py"]))
+        if isinstance(node, ast.FunctionDef) and node.name == "tau_omega_range"
+    ]
+    assert _calls_to("_strip_primes", tau_omega) == ["tau_omega_range"]
+    assert _calls_to("_wheel_part", tau_omega) == []
+    bound = r"math\.log\(math\.log\(math\.log\("
+    assert len(re.findall(bound, sources["experiments.py"])) == 1
