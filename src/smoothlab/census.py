@@ -12,8 +12,8 @@ smaller y it runs one Buchstab update per prime p <= y.  Either way each
 prime p touches only the v >= p^2 of V, so Psi(1e12, 100) takes well under
 a second.  Psi_d(x, y), the y-smooth n <= x coprime to d, is the sum of
 mu(e) Psi(x / e, y) over the squarefree e made of d's primes up to min(y,
-x) (``sieve._modulus_primes``), read from the same count, which is admitted
-up front (``sieve._check_quotient``).
+x) (``sieve._modulus_primes``), read from the same count (``_coprime_counts``,
+for ``psi_coprime`` and ``ftratio``), admitted up front (``_check_quotient``).
 
 The other counts read the smooth n of one sieve segment at a time, in int32
 below 2^31 (``_segment_values``), so their memory does not grow with x.
@@ -265,8 +265,20 @@ def psi_coprime(x: float, y: float, d: int) -> int:
     y = _check_y(y)
     d = _check_modulus(d)
     top = _check_x(x)
-    es, mus = _moebius_terms(_modulus_primes(d, min(y, top)), top)
-    return int(mus @ _psi_quotients(top, y, es))
+    return _coprime_counts(top, y, [_modulus_primes(d, min(y, top))])[1][0]
+
+
+def _coprime_counts(top: int, y: float, prime_lists) -> tuple[int, list[int]]:
+    """Psi(top, y) and, for each of one or more lists of d's primes, Psi_d(top, y).
+
+    One quotient count reads every distinct e of every list's
+    ``_moebius_terms``; each list leads with e = 1, which gives Psi.
+    """
+    terms = [_moebius_terms(primes, top) for primes in prime_lists]
+    es, where = np.unique(np.concatenate([es for es, _mus in terms]), return_inverse=True)
+    at = _psi_quotients(top, y, es)[where]
+    parts = np.split(at, np.cumsum([mus.size for _es, mus in terms])[:-1])
+    return int(at[0]), [int(mus @ part) for (_es, mus), part in zip(terms, parts)]
 
 
 def _moebius_terms(primes: list[int], top: int) -> tuple[np.ndarray, np.ndarray]:

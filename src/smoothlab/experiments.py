@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .census import _moebius_terms, _psi_quotients, _residues, _smooth_values
+from .census import _coprime_counts, _residues, _smooth_values
 from .dickman import RhoTable, build_rho_table, psi_estimate
-from .errors import DomainError, SmoothlabError
+from .errors import CapacityError, DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
 from .sieve import (
@@ -116,7 +116,7 @@ class ScanRecord:
 
 def _scan_record(x: float, y: float, a: int, totals, table: RhoTable) -> ScanRecord:
     psi_value, t, v = totals
-    est = psi_estimate(x, y, "rho", table).value  # needs finite x >= y >= 2, so u is defined
+    est = psi_estimate(x, y, "rho", table).value
     terms = main_terms(x, y, psi_value)
     t_ratio = t / psi_value
     return ScanRecord(
@@ -147,13 +147,15 @@ def _failed_record(x: float, a: int, exc: SmoothlabError) -> ScanRecord:
 def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
     """Run every (x, y(x), a) point of the config; never aborts mid-scan.
 
-    The points that share (y, a) come from one pass up to the largest of
-    their x (``_shifted_totals``), which gives each the floats of a pass up
-    to that x alone; under the theorem-range rule every x has its own y.
-    Failed points become records with nan numerics and the error message
-    attached.  Rows come back sorted by (a, x) and, when the config names an
-    output path, are also written as CSV; a path that cannot be opened for
-    writing fails before the first point is computed.
+    Each point is admitted before any pass, by y(x), ``_check_pass`` and
+    ``_check_log_ratio`` (the x >= y >= 2 of its rho estimate).  A refused
+    point, and each point of a group whose head psi is refused before its pass,
+    is a row with nan numerics and the error.  The points that share (y, a)
+    come from one pass up to the largest of their x (``_shifted_totals``),
+    which gives each the floats of a pass up to that x alone; under the
+    theorem-range rule every x has its own y.  Rows come back sorted by (a, x)
+    and, when the config names an output path, are also written as CSV; a path
+    that cannot be opened for writing fails before the first point is computed.
     """
     if cfg.output_path:
         open(cfg.output_path, "a").close()
@@ -166,19 +168,21 @@ def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
             try:
                 y = cfg.y_for(x)
                 _check_pass(x, y, a)
+                _check_log_ratio(x, y)
             except SmoothlabError as exc:
                 by_shift[a].append(_failed_record(x, a, exc))
             else:
                 groups.setdefault((y, a), []).append(x)
-    # Only points with x >= y >= 2 read the table, and x <= 2^52 keeps their u <= 52.
-    u = [math.log(x) / math.log(y) for (y, _a), xs in groups.items() for x in xs if 2 <= y <= x]
+    # x <= 2^52 and y >= 2 keep every u <= 52.
+    u = [math.log(x) / math.log(y) for (y, _a), xs in groups.items() for x in xs]
     table = build_rho_table(u_max=math.ceil(max([2.0, *u])) + 1)
     for (y, a), xs in groups.items():
-        for x, totals in zip(xs, _shifted_totals(xs, y, a)):
-            try:
-                by_shift[a].append(_scan_record(x, y, a, totals, table))
-            except SmoothlabError as exc:
-                by_shift[a].append(_failed_record(x, a, exc))
+        try:
+            totals = _shifted_totals(xs, y, a)
+        except CapacityError as exc:
+            by_shift[a] += [_failed_record(x, a, exc) for x in xs]
+        else:
+            by_shift[a] += [_scan_record(x, y, a, t, table) for x, t in zip(xs, totals)]
     records = [r for a in map(int, cfg.a_list) for r in by_shift[a]]
     records.sort(key=lambda r: (r.a, r.x))
     if cfg.output_path:
@@ -228,12 +232,12 @@ def granville_discrepancy(
     Each smooth value is labelled once with its z slice, the grid interval
     it falls in.  For each d, one ``bincount`` of slice * d + residue over a
     block of slices gives a (slice, residue) count matrix, and a running sum
-    down the grid turns its rows into the counts of the n <= z.  The worst
-    |count - share| of the block then comes from one vectorized abs/max,
-    with each share the int sum of the coprime classes divided by phi(d).
-    A block holds at most ``_COUNT_BLOCK`` counts, so memory stays
-    O(d + psi) for any delta.  The smooth values are one int32 array
-    (``census._smooth_values``), so an x past 2^27 is a CapacityError.
+    down the grid, row by row, turns its rows into the counts of the n <=
+    z.  The worst |count - share| of the block then comes from one
+    vectorized abs/max, with each share the int sum of the coprime classes
+    divided by phi(d).  A block holds at most ``_COUNT_BLOCK`` counts, so
+    memory stays O(d + psi) for any delta.  The smooth values are one int32
+    array (``census._smooth_values``), so an x past 2^27 is a CapacityError.
     """
     top, y, delta = _check_x(x), _check_y(y), _check_cutoff(delta)
     x = _to_float(x)
@@ -275,10 +279,10 @@ def granville_discrepancy(
             keys *= d
             keys += residues[start:stop]
             counts = np.bincount(keys, minlength=(last - first) * d).reshape(-1, d)
-            # A running sum down the grid: row i counts the n <= z_{first+i}.
-            np.cumsum(counts, axis=0, out=counts)
-            counts += below
-            below = counts[-1]
+            # A running sum down the grid, row by row: row i counts the n <= z_{first+i}.
+            for row in counts:
+                row += below
+                below = row
             in_class = np.take(counts, coprime, axis=1)
             shares = in_class.sum(axis=1) / coprime.size  # int / int, coprime.size = phi(d)
             worst = max(worst, float(np.abs(in_class - shares[:, None]).max()))
@@ -316,10 +320,9 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
     """ratio = psi_coprime * d / (phi(d) * psi) for each modulus, sorted by d.
 
     One ``sieve._factor_at`` call gives phi(d) and the primes of every d, of
-    which only those up to min(y, x) matter for coprimality with a smooth n.
-    Each count is the sum of mu(e) Psi(x / e, y) over the squarefree e made
-    of them (``census._moebius_terms``), and one quotient count serves every
-    e of every modulus, so nothing is sieved.
+    which only those up to min(y, x) matter for coprimality with a smooth n;
+    ``census._coprime_counts`` reads Psi and every psi_coprime from one
+    quotient count, so nothing is sieved.
     """
     top, y = _check_x(x), _check_y(y)
     x = _to_float(x)
@@ -328,12 +331,8 @@ def ft_ratio_scan(x: float, y: float, d_list) -> list[FtRatioRow]:
         return []
     values = np.array(ds, dtype=np.int64)
     idx, primes = _factor_at(values)
-    terms = [_moebius_terms(p, top) for p in _prime_lists(idx, primes, len(ds), min(y, top))]
     phis = _phi_of_pairs(values, idx, primes).tolist()
-    es = np.unique(np.concatenate([d_es for d_es, _mus in terms]))  # sorted, es[0] = 1
-    at = _psi_quotients(top, y, es)
-    psi_value = int(at[0])
-    counts = [int(mus @ at[np.searchsorted(es, d_es)]) for d_es, mus in terms]
+    psi_value, counts = _coprime_counts(top, y, _prime_lists(idx, primes, len(ds), min(y, top)))
     rows = []
     for d, phi_d, coprime in zip(ds, phis, counts):
         ratio = coprime * d / (phi_d * psi_value)

@@ -480,7 +480,7 @@ def _smooth_mask(lo: int, hi: int, y: float) -> np.ndarray:
     y >= sqrt(hi), what is left of n is 1 or one prime > sqrt(hi);
     otherwise every prime factor of a leftover > 1 exceeds y.  Either way n
     is smooth iff n / part <= cap = floor(min(y, hi)), that is iff
-    part >= ceil(n / cap) = (n - 1) // cap + 1: one division by a scalar.
+    part >= ceil(n / cap), or part > (n - 1) // cap: one division by a scalar.
     """
     lo, hi = _check_window(lo, hi)
     root = math.isqrt(hi)
@@ -489,11 +489,10 @@ def _smooth_mask(lo: int, hi: int, y: float) -> np.ndarray:
 
 
 def _part_is_smooth(part: np.ndarray, lo: int, hi: int, cap: int) -> np.ndarray:
-    """Whether n / part <= cap for each n in [lo, hi], as part >= (n - 1) // cap + 1."""
-    need = np.arange(lo - 1, hi, dtype=part.dtype)
-    need //= cap
-    need += 1
-    return part >= need
+    """Whether n / part <= cap for each n in [lo, hi], as part > (n - 1) // cap."""
+    below = np.arange(lo - 1, hi, dtype=part.dtype)
+    below //= cap
+    return part > below
 
 
 def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:

@@ -274,8 +274,13 @@ def strip_windows(monkeypatch):
 
 @pytest.fixture
 def quotient_counts(monkeypatch):
-    """(x, y, number of reads) of every quotient count of psi made while the test runs."""
-    from smoothlab import census, experiments
+    """(x, y, number of reads) of every quotient count of psi made while the test runs.
+
+    Every count goes through ``census._psi_quotients``: ``psi`` and
+    ``_coprime_counts``, which ``psi_coprime`` and ``ft_ratio_scan`` read,
+    are its only callers.
+    """
+    from smoothlab import census
 
     calls = []
     count = census._psi_quotients
@@ -285,8 +290,7 @@ def quotient_counts(monkeypatch):
         calls.append((top, y, len(es)))
         return count(top, y, es)
 
-    for module in (census, experiments):
-        monkeypatch.setattr(module, "_psi_quotients", counted)
+    monkeypatch.setattr(census, "_psi_quotients", counted)
     return calls
 
 

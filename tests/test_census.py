@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothlab import (
@@ -206,6 +206,29 @@ def test_a_modulus_past_2_52_without_primes_to_2_18_is_refused_at_once():
     assert peak < 1 << 20
     # With y <= 2^18 none of its primes counts.
     assert psi_coprime(1e6, 1e3, d) == psi(1e6, 1e3)
+
+
+#: Moduli for ``_coprime_counts``: squarefree and not, with 13 primes, and past 2^52.
+COPRIME_MODULI = [1, 2, 12, 97, 30030, PRIMORIAL_13, 2**62 + 1, 2**54 + 3, 3 * 2**60]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 10**4) | st.floats(1, 10**4),
+    st.sampled_from([1, 1.5, 2, 13, 97.5, 1e3, math.inf]),
+    st.lists(st.sampled_from(COPRIME_MODULI), min_size=1, max_size=6),
+)
+@example(10**4, 97.5, [2**62 + 1, 12, 2**62 + 1, PRIMORIAL_13, 12])
+@example(10**4, 1e3, [3 * 2**60, 30030, 3 * 2**60])
+def test_coprime_counts_match_psi_coprime_and_gcd_counts(x, y, ds):
+    # One quotient count serves a whole list of moduli, repeats included.
+    top = math.floor(x)
+    smooth = oracle_smooth_list(0, top, y)
+    lists = [sieve._modulus_primes(d, min(y, top)) for d in ds]
+    psi_value, counts = census._coprime_counts(top, y, lists)
+    assert psi_value == len(smooth)
+    assert counts == [psi_coprime(x, y, d) for d in ds]
+    assert counts == [sum(1 for n in smooth if math.gcd(n, d) == 1) for d in ds]
 
 
 def test_the_quotient_count_is_admitted_before_it_allocates():

@@ -258,6 +258,17 @@ def test_scan_points_without_a_logarithm_are_error_rows(config, tmp_path):
     assert "Traceback" not in err and err == ""
 
 
+def test_a_refused_head_psi_leaves_the_scan_answering(tmp_path):
+    # Both groups' head psi is refused before its pass; the scan exited 1.
+    (tmp_path / "scan.cfg").write_text(
+        "x_grid = 10000000000050, 10000000000100\ny = 1e3\n"
+        "a_list = 10000000000010, 10000000000000\n"
+    )
+    start = time.perf_counter()
+    assert invoke(["scan", "--config", str(tmp_path / "scan.cfg")]) == (0, "rows=4 failed=4\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize(
     "argv, windows",
     [

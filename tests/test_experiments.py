@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +96,29 @@ def test_scan_csv_round_trip(tmp_path):
     assert [scan_record_line(r) for r in back] == [scan_record_line(r) for r in records]
     write_scan_csv(tmp_path / "again.csv", back)
     assert (tmp_path / "again.csv").read_text() == text
+
+
+def test_a_y_above_x_is_refused_before_any_pass(smooth_mask_entries):
+    # The pass up to x = 4e6 ran, 0.23 s, before the rho estimate refused the row.
+    [record] = convergence_scan(ScanConfig(x_grid=(4e6,), a_list=(1,), y=1e7))
+    assert smooth_mask_entries == []
+    assert record.error == "needs finite x >= y >= 2, got x=4000000.0, y=10000000.0"
+    assert scan_record_line(record) == "4000000.00000,nan,nan,1,0,nan,nan,nan,nan,nan,nan,nan"
+
+
+def test_a_refused_head_psi_fails_its_own_rows():
+    # Psi(1e13, 1e3) of both shifts is past the quotient budget; the refusal
+    # escaped the scan.  Under the theorem-range rule the other x of the
+    # shift, with its own y, is still answered.
+    budget = "quotient-table updates, budget is"
+    cfg = ScanConfig(x_grid=(10**13 + 50, 10**13 + 100), a_list=(10**13 + 10, 10**13), y=1e3)
+    start = time.perf_counter()
+    records = convergence_scan(cfg)
+    assert time.perf_counter() - start < 1.0
+    assert len(records) == 4 and all(budget in r.error for r in records)
+    small, large = convergence_scan(ScanConfig(x_grid=(100.0, 10**13 + 50), a_list=(10**13 + 10,)))
+    assert (small.error, small.psi_exact, small.t_exact) == (None, 62, 0.0)
+    assert budget in large.error and math.isnan(large.t_exact)
 
 
 def _point_error(cfg, x, a):

@@ -518,3 +518,18 @@ def test_each_rule_has_one_definition():
     assert _calls_to("_wheel_part", tau_omega) == []
     bound = r"math\.log\(math\.log\(math\.log\("
     assert len(re.findall(bound, sources["experiments.py"])) == 1
+
+
+def test_the_coprime_count_has_one_owner():
+    # ``ft_ratio_scan`` kept its own copy of psi_coprime's algorithm: the
+    # Moebius terms of every modulus and one quotient count over all of them.
+    package = Path(smoothlab.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert set(re.findall(r"\w+", sources["experiments.py"])).isdisjoint(
+        {"_moebius_terms", "_psi_quotients"}
+    )
+    census_tree = ast.parse(sources["census.py"])
+    assert sorted(_calls_to("_psi_quotients", census_tree)) == ["_coprime_counts", "psi"]
+    assert _calls_to("_moebius_terms", census_tree) == ["_coprime_counts"]
+    assert _calls_to("_coprime_counts", census_tree) == ["psi_coprime"]
+    assert _calls_to("_coprime_counts", ast.parse(sources["experiments.py"])) == ["ft_ratio_scan"]

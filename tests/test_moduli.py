@@ -153,6 +153,14 @@ def test_discrepancy_bits_on_fixed_cases(x, y, delta, z_mode, block):
         assert_discrepancy_bits(x, y, delta, z_mode)
 
 
+def test_discrepancy_running_sum_spans_blocks_at_the_package_size():
+    # At x = 3e4 the grid has 44 z, so every d > 372 of the 400 spans
+    # several blocks of the package's own size; the running sum goes row
+    # by row and carries the last row of one block into the next.
+    assert 373 * 44 > experiments._COUNT_BLOCK
+    assert_discrepancy_bits(3e4, 1e3, 400, "max_over_grid")
+
+
 def test_discrepancy_memory_does_not_grow_with_delta():
     # The (z slice, residue) counts are built in blocks of _COUNT_BLOCK; at
     # x = 3e4 the 44 slices of every d > 372 span several blocks.  Whole
