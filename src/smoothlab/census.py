@@ -112,12 +112,13 @@ def psi(x: float, y: float) -> int:
 def _psi_quotients(top: int, y: float, es) -> np.ndarray:
     """Psi(top // e, y) for each e in 1..top of es, in int64, from one count over V(top).
 
-    V(top) = {top // n} is held as two int64 tables of r + 1 entries,
-    r = isqrt(top): ``small[v]`` for the values v <= r and ``large[k]`` for
-    the value top // k, k <= r.  Every top // e is in V, and so is
-    floor(v / m) for every v in V.  With cap = floor(min(y, top)), cap < 2
-    counts only n = 1 and cap >= top every n, and neither builds V; any
-    other count is admitted first (``_check_quotient``).
+    The es may repeat and come in any order.  V(top) = {top // n} is held as
+    two int64 tables of r + 1 entries, r = isqrt(top): ``small[v]`` for the
+    values v <= r and ``large[k]`` for the value top // k, k <= r.  Every
+    top // e is in V, and so is floor(v / m) for every v in V.  With cap =
+    floor(min(y, top)), cap < 2 counts only n = 1 and cap >= top every n,
+    and neither builds V; any other count is admitted first
+    (``_check_quotient``).
     """
     es = np.asarray(es, dtype=np.int64)
     values = top // es
@@ -271,14 +272,13 @@ def psi_coprime(x: float, y: float, d: int) -> int:
 def _coprime_counts(top: int, y: float, prime_lists) -> tuple[int, list[int]]:
     """Psi(top, y) and, for each of one or more lists of d's primes, Psi_d(top, y).
 
-    One quotient count reads every distinct e of every list's
-    ``_moebius_terms``; each list leads with e = 1, which gives Psi.
+    One quotient count reads every term (e, mu(e)) of every list's
+    ``_moebius_terms`` as given, repeats included.  Each list leads with its
+    one e = 1, so Psi_d sums the signed counts from one e = 1 to the next.
     """
-    terms = [_moebius_terms(primes, top) for primes in prime_lists]
-    es, where = np.unique(np.concatenate([es for es, _mus in terms]), return_inverse=True)
-    at = _psi_quotients(top, y, es)[where]
-    parts = np.split(at, np.cumsum([mus.size for _es, mus in terms])[:-1])
-    return int(at[0]), [int(mus @ part) for (_es, mus), part in zip(terms, parts)]
+    es, mus = map(np.concatenate, zip(*(_moebius_terms(primes, top) for primes in prime_lists)))
+    signed = _psi_quotients(top, y, es) * mus
+    return int(signed[0]), np.add.reduceat(signed, np.flatnonzero(es == 1)).tolist()
 
 
 def _moebius_terms(primes: list[int], top: int) -> tuple[np.ndarray, np.ndarray]:

@@ -31,9 +31,6 @@ from .sieve import (
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
 FT_CSV_HEADER = "d,ratio,dev,lemma_scale"
 
-#: Columns of the scan and ratio CSVs that hold integers; the rest are floats.
-_INT_COLUMNS = ("a", "psi", "d")
-
 #: Geometric spacing of the z grid approximating max over z <= x.
 Z_GRID_RATIO = 2.0 ** 0.25
 Z_GRID_FLOOR = 16.0
@@ -459,15 +456,16 @@ def write_scan_csv(path, records) -> None:
     _write_csv(path, SCAN_CSV_HEADER, records)
 
 
-def _read_csv(path, header: str, what: str) -> list[list]:
-    """The non-blank data rows of a CSV file with the given header, as numbers.
+def _read_csv(path, header: str, what: str, record):
+    """The non-blank data rows of a CSV file with the given header, as ``record``s.
 
-    Each cell goes through ``parse_number``, as int in the integer columns
-    and float elsewhere.  A wrong header, a row with the wrong number of
-    cells or a malformed cell is a DomainError naming the file line (and the
-    column).
+    Column i goes through ``parse_number`` with the type of the record's
+    i-th field; a scan record's ``error`` is not a column.  A wrong header,
+    a row with the wrong number of cells or a malformed cell is a
+    DomainError naming the file line (and the column).
     """
     columns = header.split(",")
+    kinds = [f.type for f in fields(record) if f.name != "error"]
     rows = []
     with open(path, newline="") as fh:
         found = fh.readline().strip()
@@ -483,18 +481,15 @@ def _read_csv(path, header: str, what: str) -> list[list]:
                     f"malformed {what} CSV line {lineno}: {len(cells)} cells, "
                     f"expected {len(columns)}"
                 )
-            rows.append([
-                parse_number(
-                    cell, int if col in _INT_COLUMNS else float,
-                    f"column {col!r} of {what} CSV line {lineno}",
-                )
-                for col, cell in zip(columns, cells)
-            ])
+            rows.append(record(*(
+                parse_number(cell, kind, f"column {col!r} of {what} CSV line {lineno}")
+                for col, kind, cell in zip(columns, kinds, cells)
+            )))
     return rows
 
 
 def read_scan_csv(path) -> list[ScanRecord]:
-    return [ScanRecord(*row) for row in _read_csv(path, SCAN_CSV_HEADER, "scan")]
+    return _read_csv(path, SCAN_CSV_HEADER, "scan", ScanRecord)
 
 
 def write_ft_csv(path, rows) -> None:
@@ -502,7 +497,7 @@ def write_ft_csv(path, rows) -> None:
 
 
 def read_ft_csv(path) -> list[FtRatioRow]:
-    return [FtRatioRow(*row) for row in _read_csv(path, FT_CSV_HEADER, "ratio")]
+    return _read_csv(path, FT_CSV_HEADER, "ratio", FtRatioRow)
 
 
 def write_json_report(path, config: dict, rows, goldens: dict) -> None:

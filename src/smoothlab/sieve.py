@@ -156,15 +156,15 @@ class ArithTable:
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (Eratosthenes)."""
+    """All primes <= n as an int64 array (Eratosthenes; ``mask[i]`` is the odd 2i + 1)."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    mask = np.ones((n + 1) // 2, dtype=bool)
+    mask[0] = False
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if mask[i]:  # p = 2i + 1 strikes its odd multiples from p^2 = 2 * 2i(i + 1) + 1 on
+            mask[2 * i * (i + 1) :: 2 * i + 1] = False
+    return np.concatenate([[2], 2 * np.flatnonzero(mask) + 1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +371,8 @@ def _check_point(u: float, u_max: float) -> float:
 
 def segment_bounds(lo: int, hi: int):
     """Split [lo, hi] into inclusive chunks of at most ``STREAM_SEGMENT`` entries."""
-    s = int(lo)
-    hi = int(hi)
-    while s <= hi:
-        e = min(s + STREAM_SEGMENT - 1, hi)
-        yield s, e
-        s = e + 1
+    for s in range(lo, hi + 1, STREAM_SEGMENT):
+        yield s, min(s + STREAM_SEGMENT - 1, hi)
 
 
 def _window_dtype(hi: int):

@@ -211,17 +211,27 @@ def test_a_modulus_past_2_52_without_primes_to_2_18_is_refused_at_once():
 #: Moduli for ``_coprime_counts``: squarefree and not, with 13 primes, and past 2^52.
 COPRIME_MODULI = [1, 2, 12, 97, 30030, PRIMORIAL_13, 2**62 + 1, 2**54 + 3, 3 * 2**60]
 
+#: Moduli made of the primes up to 60, a prime repeating or shared between
+#: moduli, so the lists of one call repeat terms.
+SMALL_PRIME_MODULI = st.lists(st.sampled_from(sieve.primes_upto(60).tolist()), max_size=8).map(
+    math.prod
+)
 
-@settings(max_examples=40, deadline=None)
+
+@settings(max_examples=50, deadline=None)
 @given(
     st.integers(1, 10**4) | st.floats(1, 10**4),
-    st.sampled_from([1, 1.5, 2, 13, 97.5, 1e3, math.inf]),
-    st.lists(st.sampled_from(COPRIME_MODULI), min_size=1, max_size=6),
+    st.sampled_from([1, 1.5, 2, 7, 13, 30, 97.5, 100, 1e3, 1e5, math.inf]),
+    st.lists(SMALL_PRIME_MODULI | st.sampled_from(COPRIME_MODULI), min_size=1, max_size=5).flatmap(
+        lambda ds: st.permutations([*ds, 1, 2**62 + 1])
+    ),
 )
 @example(10**4, 97.5, [2**62 + 1, 12, 2**62 + 1, PRIMORIAL_13, 12])
 @example(10**4, 1e3, [3 * 2**60, 30030, 3 * 2**60])
+@example(10**4, 30, [6, 1, 6, 2, 2**62 + 1, 4])
 def test_coprime_counts_match_psi_coprime_and_gcd_counts(x, y, ds):
-    # One quotient count serves a whole list of moduli, repeats included.
+    # One quotient count serves a whole list of moduli and reads every term
+    # as given, repeats included, with d = 1 and a d past 2^52 anywhere.
     top = math.floor(x)
     smooth = oracle_smooth_list(0, top, y)
     lists = [sieve._modulus_primes(d, min(y, top)) for d in ds]
@@ -229,6 +239,25 @@ def test_coprime_counts_match_psi_coprime_and_gcd_counts(x, y, ds):
     assert psi_value == len(smooth)
     assert counts == [psi_coprime(x, y, d) for d in ds]
     assert counts == [sum(1 for n in smooth if math.gcd(n, d) == 1) for d in ds]
+
+
+def _coprime_counts_over_distinct_terms(top, y, prime_lists):
+    """``_coprime_counts`` as it read each distinct term once and gathered it back."""
+    terms = [census._moebius_terms(primes, top) for primes in prime_lists]
+    es, where = np.unique(np.concatenate([es for es, _mus in terms]), return_inverse=True)
+    at = census._psi_quotients(top, y, es)[where]
+    parts = np.split(at, np.cumsum([mus.size for _es, mus in terms])[:-1])
+    return int(at[0]), [int(mus @ part) for (_es, mus), part in zip(terms, parts)]
+
+
+def test_a_many_term_modulus_equals_its_distinct_term_count():
+    # The 46 primes up to 199 give 172,983 terms at 1e7; the second list
+    # shares eight of its primes, and the first list comes again.
+    primes = sieve.primes_upto(199).tolist()
+    lists = [primes, [2, 3, 5, 7, 11, 13, 197, 199], primes]
+    got = census._coprime_counts(10**7, 1e3, lists)
+    assert got == _coprime_counts_over_distinct_terms(10**7, 1e3, lists)
+    assert got[1][0] == got[1][2] == psi_coprime(1e7, 1e3, math.prod(primes))
 
 
 def test_the_quotient_count_is_admitted_before_it_allocates():

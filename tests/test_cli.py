@@ -352,7 +352,7 @@ def test_psi_at_1e12_answers_in_under_two_seconds():
 
 def test_ftratio_past_the_sieve_reach_sieves_nothing(strip_windows, quotient_counts):
     # The sieve took 65 s over its 4e9 entries for these lines; one quotient
-    # count of V(4e9) reads Psi(4e9 / e, 30) at e = 1, 2 and 3.
+    # count of V(4e9) reads Psi(4e9 / e, 30) at the terms e = 1, 2, 1 and 3.
     assert invoke(["ftratio", "--x", "4e9", "--y", "30", "--d-list", "2,3"]) == (
         0,
         "d=2 ratio=0.392869943846 dev=0.607130056154 lemma_scale=1.28312353829\n"
@@ -360,7 +360,7 @@ def test_ftratio_past_the_sieve_reach_sieves_nothing(strip_windows, quotient_cou
         "",
     )
     assert strip_windows == []
-    assert quotient_counts == [(4_000_000_000, 30.0, 3)]
+    assert quotient_counts == [(4_000_000_000, 30.0, 4)]
 
 
 def test_a_shift_near_x_sieves_no_window_below_it(strip_windows, quotient_counts):
@@ -458,6 +458,20 @@ def test_importing_the_cli_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_the_module_runs_as_a_script():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def script(*argv):
+        command = [sys.executable, "-m", "smoothlab.cli", *argv]
+        return subprocess.run(command, env=env, capture_output=True, text=True)
+
+    done = script("psi", "--x", "10", "--y", "3")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "psi=7\n", "")
+    done = script("psi", "--x", "nan", "--y", "3")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_usage_error_exit_code():

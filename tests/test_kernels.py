@@ -530,6 +530,11 @@ def test_the_coprime_count_has_one_owner():
     )
     census_tree = ast.parse(sources["census.py"])
     assert sorted(_calls_to("_psi_quotients", census_tree)) == ["_coprime_counts", "psi"]
+    # It deduplicated the terms, read them, gathered them back and split them
+    # per list; now it takes one signed sum over the terms as given.
+    assert set(re.findall(r"\w+", sources["census.py"])).isdisjoint(
+        {"unique", "split", "return_inverse"}
+    )
     assert _calls_to("_moebius_terms", census_tree) == ["_coprime_counts"]
     assert _calls_to("_coprime_counts", census_tree) == ["psi_coprime"]
     assert _calls_to("_coprime_counts", ast.parse(sources["experiments.py"])) == ["ft_ratio_scan"]

@@ -1,3 +1,4 @@
+import bisect
 import importlib
 import inspect
 import math
@@ -63,6 +64,26 @@ def test_spec_examples():
     assert t97.phi_of(97) == 96
     assert t97.mu_of(97) == -1
     assert t97.spf_of(97) == 97 == t97.lpf_of(97)
+
+
+def _trial_division_primes(n):
+    """The m in 2..n that no prime p <= sqrt(n) other than m divides."""
+    small = [m for m in range(2, math.isqrt(n) + 1) if all(m % p for p in range(2, m))]
+    values = np.arange(2, n + 1)
+    for p in small:
+        values = values[(values % p != 0) | (values == p)]
+    return values.tolist()
+
+
+def test_primes_upto_matches_trial_division():
+    # One flag per odd number; 2 is prepended.
+    below = _trial_division_primes(2000)
+    for n in range(2001):
+        got = primes_upto(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == below[: bisect.bisect_right(below, n)], n
+    for n in (2**20, 10**6 + 1):
+        assert primes_upto(n).tolist() == _trial_division_primes(n)
 
 
 def test_against_factorization_oracle_small():
