@@ -141,18 +141,20 @@ def _psi_quotients(top: int, y: float, es) -> np.ndarray:
         pi_cap = int(large[top // cap])
     else:
         pi_cap = int(_prime_counts(cap)[1][1])
-    # A v <= cap counts every n <= v.
-    for i in np.flatnonzero(values > cap).tolist():
-        e, v = int(es[i]), int(values[i])
+    # A v <= cap counts every n <= v; each distinct e above is counted once.
+    big = np.flatnonzero(values > cap)
+    terms = es[big].tolist()
+    counts = dict.fromkeys(terms)
+    for e in counts:
         # Every prime q > cap >= r exceeds sqrt(v), so each n <= v that is
         # not cap-smooth has one such q, and the sum over q of floor(v / q)
         # is the sum of pi(v // j) - pi(cap) over the j with v // j > cap,
-        # j <= jmax; v // j = top // (e j) is large[e j] while e j <= r.
+        # j <= jmax.  e jmax <= top / (cap + 1) < r + 1, so each v // j =
+        # top // (e j) is large[e j].
+        v = top // e
         jmax = v // (cap + 1)
-        jlarge = min(jmax, r // e)
-        above = int(large[e : e * jlarge + 1 : e].sum())
-        above += int(small[v // np.arange(jlarge + 1, jmax + 1)].sum())
-        values[i] = v - above + jmax * pi_cap
+        counts[e] = v - int(large[e : e * jmax + 1 : e].sum()) + jmax * pi_cap
+    values[big] = [counts[e] for e in terms]
     return values
 
 

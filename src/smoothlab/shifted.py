@@ -349,17 +349,16 @@ def v_via_abel(x: float, y: float, a: int) -> float:
 
     Uses V * Psi = T(x, y) * (x - a) - integral_1^x T(t, y) dt, where T(., y)
     is a step function in its first argument; the integral is the exact sum
-    of T(k) over integer k < floor(x) plus the fractional top piece.
+    of T(k) over integer k < floor(x) plus the fractional top piece.  Psi is
+    ``psi``'s quotient count, which shares no code with the pass it checks.
     """
     a, y = _check_pass(x, y, a)
-    psi_value = _head_psi(x, y, a)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
     running_t = 0.0
     integral_parts = []
     for s, e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
-        psi_value += idx.size
         terms = np.zeros(e - s + 1)
         terms[idx] = _t_terms(a, s, idx, phi_at)
         cumulative = running_t + np.cumsum(terms)
@@ -369,7 +368,7 @@ def v_via_abel(x: float, y: float, a: int) -> float:
         running_t = float(cumulative[-1])
     t_at_x = running_t
     integral = math.fsum(integral_parts) + (x - top) * t_at_x
-    return (t_at_x * (x - a) - integral) / psi_value
+    return (t_at_x * (x - a) - integral) / psi(x, y)
 
 
 @dataclass(frozen=True)

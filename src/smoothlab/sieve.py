@@ -30,9 +30,11 @@ Miller-Rabin and Pollard-Brent, so its memory does not grow with sqrt(max).
 moduli of ``psi_coprime`` and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
-and ``segment_bounds`` is the only code that does so.  Every windowed
-kernel and :func:`sieve_range` reject a window of more than
-``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before they allocate.
+and ``segment_bounds`` is the only code that does so.  Only
+:func:`sieve_range` and :func:`tau_omega_range` take windows from outside
+callers, and they refuse one past ``DEFAULT_SEGMENT_CAPACITY`` (2^22)
+entries before they allocate; the other kernels and ``_factor_at`` trust
+the range or values their entry point checked.
 
 :func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
 same kernels in three stride walks (its spf/lpf loop, one phi strip and
@@ -56,7 +58,7 @@ import numpy as np
 
 from .errors import AccuracyError, CapacityError, DomainError
 
-#: Largest window one kernel call or ``sieve_range`` accepts.
+#: Largest window ``sieve_range`` or ``tau_omega_range`` accepts.
 DEFAULT_SEGMENT_CAPACITY = 1 << 22
 
 #: Entries per segment of every stream (``segment_bounds``).  A 2^18
@@ -478,7 +480,6 @@ def _smooth_mask(lo: int, hi: int, y: float) -> np.ndarray:
     is smooth iff n / part <= cap = floor(min(y, hi)), that is iff
     part >= ceil(n / cap), or part > (n - 1) // cap: one division by a scalar.
     """
-    lo, hi = _check_window(lo, hi)
     root = math.isqrt(hi)
     bound = root if y >= root else math.floor(y)
     return _part_is_smooth(_strip_primes(lo, hi, bound), lo, hi, math.floor(min(y, hi)))
@@ -510,11 +511,10 @@ def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
     of the union window [min(s, s - a), max(e, e - a)] when
     y >= isqrt(max(e, e - a)) and |a| <= e - s, else the mask and then
     ``_phi_at`` for sparse smooth n (``SPARSE_PHI_FACTOR``; the choice
-    sieves no primes) or one strip of the shifted window.  Each strip
-    passes ``_check_window``.
+    sieves no primes) or one strip of the shifted window.
     """
     if abs(a) <= e - s and y >= math.isqrt(max(e, e - a)):
-        lo, hi = _check_window(min(s, s - a), max(e, e - a))
+        lo, hi = min(s, s - a), max(e, e - a)
         part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
         cap = math.floor(min(y, e))
         idx = np.flatnonzero(_part_is_smooth(part[s - lo : e - lo + 1], s, e, cap))
@@ -522,7 +522,7 @@ def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
         idx = np.flatnonzero(_smooth_mask(s, e, y))
         if idx.size * _prime_count_bound(math.isqrt(e - a)) < SPARSE_PHI_FACTOR * (e - s + 1):
             return idx, _phi_at(idx + (s - a))
-        lo, hi = _check_window(s - a, e - a)
+        lo, hi = s - a, e - a
         part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
     # The entries of the values n - a at the smooth n; the windows are freed here.
     shifted = slice(s - a - lo, e - a - lo + 1)
@@ -544,10 +544,6 @@ def _factor_at(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     values = np.asarray(values)
     top = int(values.max(initial=1))
-    if values.min(initial=1) < 1:
-        raise DomainError(f"values to factor must be >= 1, got {int(values.min())}")
-    if top > MAX_SIEVE_BOUND:
-        raise DomainError(f"hi={top} exceeds supported bound 2^52")
     rem = values.astype(_window_dtype(top))
     live = np.arange(values.size)
     root = math.isqrt(top)
@@ -687,7 +683,6 @@ def _mu_segment(lo: int, hi: int) -> np.ndarray:
     The product of the small primes of n divides n, so it is kept in the
     window's dtype (int32 when hi < 2^31), as ``_strip_primes`` keeps its part.
     """
-    lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
     dtype = _window_dtype(hi)
     mu = np.ones(size, dtype=np.int8)

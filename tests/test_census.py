@@ -19,6 +19,7 @@ from smoothlab import (
     psi_enum_oracle,
     psi_progression,
     sieve,
+    sieve_range,
 )
 
 from conftest import oracle_factorize, oracle_mu, oracle_smooth_list, stream_segment
@@ -258,6 +259,30 @@ def test_a_many_term_modulus_equals_its_distinct_term_count():
     got = census._coprime_counts(10**7, 1e3, lists)
     assert got == _coprime_counts_over_distinct_terms(10**7, 1e3, lists)
     assert got[1][0] == got[1][2] == psi_coprime(1e7, 1e3, math.prod(primes))
+
+
+@pytest.mark.parametrize("top", [10**4, 999_983, 10**6])
+def test_coprime_counts_at_large_y_match_a_term_by_term_count(top):
+    # At y >= sqrt(x) each distinct e with x // e > y is counted once and
+    # written to all its copies; the lists repeat and share terms.  The
+    # reference reads Psi(x // e, y) for each term on its own, from a table
+    # of largest prime factors.
+    r = math.isqrt(top)
+    lpf = sieve_range(1, top).lpf
+    in_v = next(c for c in range(r + 1, top) if top // (top // c) == c)
+    not_in_v = next(c for c in range(r + 1, top) if top // (top // c) != c)
+    lists = [[2, 3, 5, 7], [3, 5, 7, 11, 13], [2, 3, 5, 7], [], [2, 97], [3, 5, 7, 11, 13]]
+    for y in (r, r + 0.5, in_v, not_in_v, 2 * r, top // 2, top - 1):
+        smooth_upto = np.concatenate([[0], np.cumsum(lpf <= y)]).tolist()
+        reference = [
+            sum(
+                (-1) ** k * smooth_upto[top // math.prod(c)]
+                for k in range(len(primes) + 1)
+                for c in itertools.combinations(primes, k)
+            )
+            for primes in lists
+        ]
+        assert census._coprime_counts(top, y, lists) == (smooth_upto[top], reference), y
 
 
 def test_the_quotient_count_is_admitted_before_it_allocates():

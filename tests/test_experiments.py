@@ -184,6 +184,8 @@ def test_scan_config_validation():
         ScanConfig(x_grid=(100.0, 10.0), a_list=(1,), y=3.0)
     with pytest.raises(DomainError):
         ScanConfig(x_grid=(10.0,), a_list=(0,), y=3.0)
+    with pytest.raises(DomainError, match="a_list must be non-empty"):
+        ScanConfig(x_grid=(10,), a_list=())
     for C in (0.0, math.nan):
         with pytest.raises(DomainError, match="C must be positive"):
             ScanConfig(x_grid=(10.0,), a_list=(1,), C=C)
@@ -245,6 +247,7 @@ def test_granville_delta_clamp():
 
 
 def test_ft_ratio_examples():
+    assert ft_ratio_scan(1e3, 7, []) == []
     rows = ft_ratio_scan(10, 3, [2, 1])
     assert [r.d for r in rows] == [1, 2]
     assert rows[0].ratio == 1.0
@@ -282,9 +285,11 @@ SCAN_ROW = "100,3,4.19180654858,1,10,11.6,5.5,20.2,0.55,0.05,0.1,0.3"
          "'2.5' in column 'd' of ratio CSV line 2"),
         (read_ft_csv, FT_CSV_HEADER, ["2,0.5,0.5"], "ratio CSV line 2: 3 cells, expected 4"),
         (read_ft_csv, FT_CSV_HEADER, ["2,0.5,0.5,1.2,7"], "ratio CSV line 2: 5 cells, expected 4"),
+        (read_scan_csv, FT_CSV_HEADER, [], "unexpected scan CSV header: 'd,ratio,"),
+        (read_ft_csv, SCAN_CSV_HEADER, [], "unexpected ratio CSV header: 'x,y,"),
     ],
     ids=["scan-bad-int", "scan-bad-float", "scan-short-row", "ft-bad-float", "ft-bad-int",
-         "ft-short-row", "ft-long-row"],
+         "ft-short-row", "ft-long-row", "scan-wrong-header", "ft-wrong-header"],
 )
 def test_csv_readers_reject_malformed_rows(reader, header, rows, match, tmp_path):
     path = tmp_path / "rows.csv"
@@ -310,6 +315,9 @@ def test_range_check_flags():
     small = range_check(10, 3, C=2.0)  # 10 < e^e: iterated log undefined
     assert small.in_theorem_range is None
     assert math.isnan(small.theorem_threshold)
+    tiny = range_check(2.5, 2)  # x <= e: log log x undefined too
+    assert math.isnan(tiny.theorem_threshold) and math.isnan(tiny.lemma1_lower)
+    assert tiny.in_theorem_range is None and tiny.in_lemma1_range is None
 
     assert flags.in_lemma5_d_bound(1)
     big_d = int(math.exp(math.exp(frozen.lemma5_threshold))) + 2
@@ -381,6 +389,8 @@ def test_parse_config_theorem_rule_and_errors():
         parse_config("x_grid = 10\na_list = 1\nbogus = 3")
     with pytest.raises(DomainError):
         parse_config("a_list = 1")
+    with pytest.raises(DomainError, match="config needs an a_list"):
+        parse_config("x_grid = 10\n")
     with pytest.raises(DomainError):
         parse_config("x_grid 10")
     with pytest.raises(DomainError, match="C must be positive"):

@@ -200,6 +200,7 @@ def test_phi_at_splits_a_square_and_a_product_just_above_the_prime_bound(prime_w
     low = next(p for p in range(2**18 + 1, 2**19, 2) if sieve._is_prime(p))
     high = next(q for q in range(2**52 // low, 0, -1) if sieve._is_prime(q))
     assert sieve._is_prime(square) and low < 2**18 + 10 and low * high <= 2**52
+    assert not sieve._is_prime(0) and not sieve._is_prime(1)
     assert _phi_at(np.array([square**2, low * high, 6 * square])).tolist() == [
         square * (square - 1), (low - 1) * (high - 1), 2 * (square - 1),
     ]
@@ -473,6 +474,22 @@ def test_one_factorization_serves_every_single_integer():
     assert sorted(_calls_to("_factor_at", sieve_tree)) == [
         "_modulus_primes", "_phi_at", "largest_prime_factor",
     ]
+
+
+def test_each_argument_is_checked_once_at_its_entry_point():
+    # The mask, Moebius and shifted kernels ran ``_check_window`` again on
+    # segments of a range their entry point had admitted, and ``_factor_at``
+    # checked again the values its callers had checked.  Only the two that
+    # take windows from outside callers check them now.
+    package = Path(smoothlab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    callers = [fn for tree in trees.values() for fn in _calls_to("_check_window", tree)]
+    assert sorted(callers) == ["sieve_range", "tau_omega_range"]
+    [factor_at] = [
+        node for node in ast.walk(trees["sieve.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_factor_at"
+    ]
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(factor_at))
 
 
 def test_one_exact_sum_and_one_prime_count_bound():

@@ -263,6 +263,17 @@ def test_ft_ratio_memory_does_not_grow_with_the_modulus():
     assert rows[0].ratio == count * prime / ((prime - 1) * count)
 
 
+def test_a_repeated_modulus_gives_its_row_for_each_copy():
+    # The quotient count took one step per copy of a repeated term above y;
+    # now it takes one per distinct term and writes it to every copy.
+    p13 = math.prod(sieve.primes_upto(41).tolist())
+
+    def bits(rows):
+        return [(r.d, r.ratio.hex(), r.dev.hex(), r.lemma_scale.hex()) for r in rows]
+
+    assert bits(ft_ratio_scan(1e9, 1e5, [p13] * 20)) == bits(ft_ratio_scan(1e9, 1e5, [p13])) * 20
+
+
 def test_lemma_scale_is_nan_where_log_y_vanishes():
     rows = ft_ratio_scan(100, 1, [2, 30])
     assert [r.ratio for r in rows] == [2 / 1, 30 / 8]  # only n = 1 is 1-smooth

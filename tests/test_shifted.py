@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import (
+    AccuracyError,
     CapacityError,
     DomainError,
     ZETA2_INV,
@@ -354,6 +355,10 @@ def test_i_integral_examples(rho_table):
     assert res.value == pytest.approx((100.0**2 - 1.0) / 2.0, rel=1e-10)
     assert res.comparator == pytest.approx(5000.0, rel=1e-12)
     assert i_integral(1, 50, rho_table).value == 0.0
+    with pytest.raises(DomainError, match="x >= 1, got 0.5"):
+        i_integral(0.5, 50, rho_table)
+    with pytest.raises(DomainError, match="y >= 2, got 1.5"):
+        i_integral(100, 1.5, rho_table)
     with pytest.raises(DomainError):
         i_integral(2.0 ** (33 * 10), 2, rho_table)  # u beyond the table
     # x^2 overflows: refused, where these once gave value=nan, comparator=inf
@@ -365,10 +370,15 @@ def test_i_integral_examples(rho_table):
     assert res.error_estimate == 0
 
 
-def test_i_integral_comparator_band(rho_table):
+def test_i_integral_comparator_band(rho_table, monkeypatch):
     res = i_integral(1e6, 1e3, rho_table)
     assert 0.9 <= res.value / res.comparator <= 1.3
     assert res.error_estimate <= 1e-8 * abs(res.value)
+    # With no error tolerated the value is refused, and carried as the estimate.
+    monkeypatch.setattr(shifted, "_QUAD_REL_TOL", 0.0)
+    with pytest.raises(AccuracyError) as refused:
+        i_integral(1e6, 1e3, rho_table)
+    assert refused.value.estimate == res.value
 
 
 def _quad_reference(x, y, table):
