@@ -20,6 +20,7 @@ below 2^31 (``_segment_values``), so their memory does not grow with x.
 ``_smooth_values`` alone holds a whole set, of a span up to 2^27.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -71,14 +72,6 @@ def _residues(values: np.ndarray, d: int) -> np.ndarray:
     quotients = values // d
     quotients *= d
     return np.subtract(values, quotients, out=quotients)
-
-
-def enumerate_smooth(lo: int, hi: int, y: float):
-    """Yield the y-smooth integers in (lo, hi] in increasing order."""
-    y = _check_y(y)
-    lo, hi = _check_range(lo, hi)
-    for values in _segment_values(lo, hi, y):
-        yield from values.tolist()
 
 
 def _segment_values(lo: int, hi: int, y: float):
@@ -238,12 +231,14 @@ def psi_enum_oracle(x: float, y: float) -> int:
     if x > ENUM_ORACLE_LIMIT:
         raise CapacityError(f"oracle limited to x <= {ENUM_ORACLE_LIMIT}")
 
-    primes = []
-    m = 2
-    while m <= y:
-        if all(m % p for p in primes if p * p <= m):
-            primes.append(m)
-        m += 1
+    # The primes up to min(y, x), from a sieve of its own: a y past x needs no more.
+    bound = math.floor(min(y, top))
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    primes = list(itertools.compress(range(bound + 1), flags))
 
     def count(limit: int, j: int) -> int:
         total = 1  # the empty product

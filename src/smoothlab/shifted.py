@@ -44,8 +44,8 @@ from .census import MAX_MATERIALIZED_SPAN, psi
 from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
-    _check_cutoff, _check_pass, _mu_segment, _smooth_mask, _smooth_phi_shifted, _to_float,
-    segment_bounds, tau_omega_range,
+    _check_cutoff, _check_pass, _mu_segment, _smooth_mask, _smooth_phi_shifted, _tau_omega,
+    _to_float, segment_bounds,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -93,7 +93,7 @@ def _shifted_pass(x: float, y: float, a: int, kernel):
 def _smooth_tau_omega(s: int, e: int, y: float, a: int):
     """(idx, at): the y-smooth n in [s, e] are s + idx, and at holds tau and omega of n - a."""
     idx = np.flatnonzero(_smooth_mask(s, e, y))
-    at = np.asarray(tau_omega_range(s - a, e - a))[:, idx] if idx.size else np.zeros((2, 0))
+    at = np.asarray(_tau_omega(s - a, e - a))[:, idx] if idx.size else np.zeros((2, 0))
     return idx, at
 
 

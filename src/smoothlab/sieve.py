@@ -19,9 +19,9 @@ kernel is one loop over it, sized to its question:
   one phi strip of the union window [min(s, s - a), max(e, e - a)], read
   for smoothness as ``_smooth_mask`` reads its own, or the mask and then
   ``_phi_at`` (``SPARSE_PHI_FACTOR``) or a strip of the shifted window.
-- ``_mu_segment`` gives mu, and ``tau_omega_range`` tau and omega, from
-  the same strides; ``tau_omega_range`` finds the n with a prime above
-  sqrt(hi) from the ``_strip_primes`` part.
+- ``_mu_segment`` gives mu, and ``_tau_omega`` tau and omega, from the
+  same strides; ``_tau_omega`` finds the n with a prime above sqrt(hi)
+  from the ``_strip_primes`` part.
 
 ``_factor_at`` is the one factorization of single integers and takes no
 window: trial division by the primes up to min(sqrt(max), 2^18), then
@@ -31,10 +31,10 @@ moduli of ``psi_coprime`` and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
 and ``segment_bounds`` is the only code that does so.  Only
-:func:`sieve_range` and :func:`tau_omega_range` take windows from outside
-callers, and they refuse one past ``DEFAULT_SEGMENT_CAPACITY`` (2^22)
-entries before they allocate; the other kernels and ``_factor_at`` trust
-the range or values their entry point checked.
+:func:`sieve_range` takes windows from outside callers, and it refuses one
+past ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the
+other kernels and ``_factor_at`` trust the range or values their entry
+point checked.
 
 :func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
 same kernels in three stride walks (its spf/lpf loop, one phi strip and
@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import AccuracyError, CapacityError, DomainError
 
-#: Largest window ``sieve_range`` or ``tau_omega_range`` accepts.
+#: Largest window ``sieve_range`` accepts.
 DEFAULT_SEGMENT_CAPACITY = 1 << 22
 
 #: Entries per segment of every stream (``segment_bounds``).  A 2^18
@@ -712,17 +712,18 @@ def largest_prime_factor(n: int) -> int:
     return int(_factor_at(np.array([n], dtype=np.int64))[1].max(initial=1))
 
 
-def tau_omega_range(lo: int, hi: int):
+def _tau_omega(lo: int, hi: int):
     """Divisor counts tau(n) and distinct-prime counts omega(n) on [lo, hi].
 
-    Returns a pair of int64 arrays aligned with the range, counted in int32.
+    Returns a pair of int64 arrays aligned with the window, counted in int32.
+    The window is the shifted [s - a, e - a] of a segment of a pass that
+    ``_check_pass`` admitted, so it holds at most ``STREAM_SEGMENT`` entries.
     Ahead of p's strides, ``before`` keeps tau(n); after the p^(k-1) stride
     tau(n) is before * k, and the p^k stride adds before, so tau(n) ends as
     the product of (e + 1) over the exponents e of n.  The n with a prime
     above sqrt(hi) are those whose ``_strip_primes`` part over the primes
     <= sqrt(hi) falls short of n.
     """
-    lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
     tau = np.ones(size, dtype=np.int32)
     omega = np.zeros(size, dtype=np.int32)

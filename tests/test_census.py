@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,37 +14,40 @@ from smoothlab import (
     DomainError,
     SmoothRange,
     census,
-    enumerate_smooth,
     psi,
     psi_coprime,
     psi_enum_oracle,
     psi_progression,
     sieve,
-    sieve_range,
 )
 
 from conftest import oracle_factorize, oracle_mu, oracle_smooth_list, stream_segment
 
 
-def test_enumerate_examples():
-    assert list(enumerate_smooth(0, 10, 3)) == [1, 2, 3, 4, 6, 8, 9]
-    assert list(enumerate_smooth(1, 10, 3)) == [2, 3, 4, 6, 8, 9]
-    assert list(enumerate_smooth(0, 10, 1.9)) == [1]
+def smooth_stream(lo: int, hi: int, y: float) -> list[int]:
+    """The y-smooth n in (lo, hi] from the segment stream ``psi_progression`` reads."""
+    return [n for values in census._segment_values(lo, hi, y) for n in values.tolist()]
 
 
-def test_enumerate_matches_oracle():
+def test_segment_values_examples():
+    assert smooth_stream(0, 10, 3) == [1, 2, 3, 4, 6, 8, 9]
+    assert smooth_stream(1, 10, 3) == [2, 3, 4, 6, 8, 9]
+    assert smooth_stream(0, 10, 1.9) == [1]
+
+
+def test_segment_values_match_oracle():
     rng = random.Random(3)
     for _ in range(25):
         lo = rng.randrange(0, 500)
         hi = lo + rng.randrange(1, 400)
         y = rng.choice([2, 3, 5.5, 7, 19, 97])
-        assert list(enumerate_smooth(lo, hi, y)) == oracle_smooth_list(lo, hi, y)
+        assert smooth_stream(lo, hi, y) == oracle_smooth_list(lo, hi, y)
 
 
-def test_enumerate_streams_across_segments():
-    big = list(enumerate_smooth(0, 3000, 7))
+def test_segment_values_stream_across_segments():
+    big = smooth_stream(0, 3000, 7)
     with stream_segment(100):
-        small_cap = list(enumerate_smooth(0, 3000, 7))
+        small_cap = smooth_stream(0, 3000, 7)
     assert big == small_cap
 
 
@@ -59,6 +63,15 @@ def test_psi_enum_oracle_examples():
     assert psi_enum_oracle(10, 3) == 7
     assert psi_enum_oracle(16, 2) == 5
     assert psi_enum_oracle(1, 19) == 1
+
+
+def test_psi_enum_oracle_lists_primes_only_up_to_x():
+    # It tested every m <= y against the primes found so far: y = inf never
+    # returned, and (10, 3e5) took 21 s.
+    start = time.perf_counter()
+    assert psi_enum_oracle(1e5, math.inf) == 100_000
+    assert psi_enum_oracle(10, 1e300) == 10
+    assert time.perf_counter() - start < 1
 
 
 def test_psi_equals_enum_oracle_grid():
@@ -97,11 +110,9 @@ def quotient_points(draw):
 @settings(max_examples=40, deadline=None)
 @given(quotient_points())
 def test_quotient_count_matches_the_sieve_and_the_oracle(point):
-    # y below sqrt(x) takes the Buchstab updates, y above Lucy's prime counts;
-    # the oracle lists the primes up to y, so y = inf takes floor(x) instead.
+    # y below sqrt(x) takes the Buchstab updates, y above Lucy's prime counts.
     x, y = point
-    oracle = psi_enum_oracle(x, y) if y < math.inf else math.floor(x)
-    assert psi(x, y) == sieved_psi(x, y) == oracle, point
+    assert psi(x, y) == sieved_psi(x, y) == psi_enum_oracle(x, y), point
 
 
 @pytest.mark.parametrize(
@@ -154,7 +165,7 @@ def test_moebius_terms_stop_at_x():
 def test_a_modulus_with_many_primes_is_admitted_term_by_term(monkeypatch):
     # 46 primes up to 199, a d past 2^52: 45,713 squarefree e <= 1e6.
     d = math.prod(sieve.primes_upto(199).tolist())
-    smooth = list(enumerate_smooth(0, 10**6, 1e3))
+    smooth = smooth_stream(0, 10**6, 1e3)
     assert psi_coprime(1e6, 1e3, d) == sum(1 for n in smooth if math.gcd(n, d) == 1)
     monkeypatch.setattr(sieve, "QUOTIENT_BUDGET", 40_000 * sieve._QUOTIENT_HOLD)
     with pytest.raises(CapacityError, match="inclusion-exclusion terms"):
@@ -261,14 +272,23 @@ def test_a_many_term_modulus_equals_its_distinct_term_count():
     assert got[1][0] == got[1][2] == psi_coprime(1e7, 1e3, math.prod(primes))
 
 
+def _largest_prime_factors(top):
+    """lpf(n) at index n <= top (1 at 0 and 1): each prime p writes p on its multiples, p rising."""
+    lpf = np.ones(top + 1, dtype=np.int64)
+    for p in range(2, top + 1):
+        if lpf[p] == 1:
+            lpf[p::p] = p
+    return lpf
+
+
 @pytest.mark.parametrize("top", [10**4, 999_983, 10**6])
 def test_coprime_counts_at_large_y_match_a_term_by_term_count(top):
     # At y >= sqrt(x) each distinct e with x // e > y is counted once and
     # written to all its copies; the lists repeat and share terms.  The
     # reference reads Psi(x // e, y) for each term on its own, from a table
-    # of largest prime factors.
+    # of largest prime factors made by a plain sieve.
     r = math.isqrt(top)
-    lpf = sieve_range(1, top).lpf
+    lpf = _largest_prime_factors(top)[1:]
     in_v = next(c for c in range(r + 1, top) if top // (top // c) == c)
     not_in_v = next(c for c in range(r + 1, top) if top // (top // c) != c)
     lists = [[2, 3, 5, 7], [3, 5, 7, 11, 13], [2, 3, 5, 7], [], [2, 97], [3, 5, 7, 11, 13]]
@@ -435,9 +455,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         psi_enum_oracle(math.nan, 3)
     with pytest.raises(DomainError):
-        list(enumerate_smooth(-1, 10, 3))
+        psi_progression(-1, 10, 3, 1, 2)
     # past the sieve bound, rejected before the first segment
     with pytest.raises(DomainError):
         psi_progression(0, 2**53, 3, 1, 2)
-    with pytest.raises(DomainError):
-        next(enumerate_smooth(0, 2**53, 3))

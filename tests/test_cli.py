@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import smoothlab
 from smoothlab import census, cli, dickman
 from smoothlab.cli import build_parser, run
 from smoothlab.dickman import LOG_UNDERFLOW, build_rho_table, rho_log
@@ -501,6 +503,17 @@ def test_help_lists_documented_flags():
         text = out.getvalue()
         for flag in flags:
             assert flag in text, (cmd, flag)
+
+
+def test_readme_gives_each_exported_name_without_a_subcommand_a_reason():
+    # The list once carried a "No reason" bullet for a name that nothing read.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    intro = "Exported names that no subcommand reaches stay for one reason each:\n\n"
+    bullets = re.split(r"^- ", readme.split(intro, 1)[1].split("\n\n", 1)[0], flags=re.M)[1:]
+    named = [re.findall(r"`(\w+)`", bullet) for bullet in bullets]
+    assert bullets and all(named)
+    assert not [bullet for bullet in bullets if "No reason" in bullet]
+    assert {name for names in named for name in names} - set(smoothlab.__all__) == set()
 
 
 def test_scan_csv_round_trip(tmp_path):

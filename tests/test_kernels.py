@@ -1,24 +1,25 @@
 """Differential property tests for the sieve kernels.
 
 Every kernel (the smoothness mask, the totient, Moebius and tau/omega
-kernels, and the spf/lpf columns of ``sieve_range``) is checked over random
+kernels, and the columns of ``sieve_range``) is checked over random
 windows against the factoring oracles in conftest, which share no code
 with the sieve.  ``sieve_range`` is built from the same stride core as the
-kernels, so the comparisons with it only check that the two agree.  The
-factorization ``_factor_at`` is checked by its distinct primes against the
-oracle, and the sparse totient ``_phi_at`` on top of it against the oracle
-and ``sieve_range``'s totient; a count of the prime lists they make shows
-that the Miller-Rabin test and Pollard-Brent split settle every value
-after the primes up to 2^18, and that a sparse shifted segment makes its
-trial primes once.  The shifted-segment kernel ``_smooth_phi_shifted`` is
-checked on each of its routes against the mask and the oracle, and T and
-V through it against the mask route.  psi, T and V are checked not to
-depend on how the range is split into segments, with small y, where a
-segment takes phi(n - a) from ``_phi_at``, next to large y, where it
-takes the window.
+kernels, so no kernel test compares with it.  The factorization
+``_factor_at`` is checked by its distinct primes against the oracle, and
+the sparse totient ``_phi_at`` on top of it against the oracle; a count of
+the prime lists they make shows that the Miller-Rabin test and
+Pollard-Brent split settle every value after the primes up to 2^18, and
+that a sparse shifted segment makes its trial primes once.  The
+shifted-segment kernel ``_smooth_phi_shifted`` is checked on each of its
+routes against the mask and the oracle, and T and V through it against
+the mask route, which takes phi from the oracle.  psi, T and V are
+checked not to depend on how the range is split into segments, with small
+y, where a segment takes phi(n - a) from ``_phi_at``, next to large y,
+where it takes the window.
 """
 
 import ast
+import functools
 import math
 import re
 import tracemalloc
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 import smoothlab
 from smoothlab import psi, shifted, sieve, sieve_range, t_exact, v_exact, v_via_abel
 from smoothlab.sieve import (
-    _factor_at, _mu_segment, _phi_at, _smooth_mask, _smooth_phi_shifted, tau_omega_range,
+    _factor_at, _mu_segment, _phi_at, _smooth_mask, _smooth_phi_shifted, _tau_omega,
 )
 
 from conftest import (
@@ -88,34 +89,30 @@ def window_and_y(draw):
 
 @SETTINGS
 @given(window_and_y())
-def test_smooth_mask_matches_reference_and_oracle(case):
+def test_smooth_mask_matches_oracle(case):
     lo, hi, y = case
-    mask = _smooth_mask(lo, hi, y)
-    assert np.array_equal(mask, sieve_range(lo, hi).lpf <= y)
-    assert mask.tolist() == [oracle_is_smooth(n, y) for n in range(lo, hi + 1)]
+    assert _smooth_mask(lo, hi, y).tolist() == [oracle_is_smooth(n, y) for n in range(lo, hi + 1)]
 
 
 @SETTINGS
 @given(windows())
-def test_phi_segment_matches_reference_and_oracle(window):
+def test_sieve_range_phi_matches_oracle(window):
     lo, hi = window
     assert sieve_range(lo, hi).phi.tolist() == [oracle_phi(n) for n in range(lo, hi + 1)]
 
 
 @SETTINGS
 @given(windows())
-def test_mu_segment_matches_reference_and_oracle(window):
+def test_mu_segment_matches_oracle(window):
     lo, hi = window
-    mu = _mu_segment(lo, hi)
-    assert np.array_equal(mu, sieve_range(lo, hi).mu)
-    assert mu.tolist() == [oracle_mu(n) for n in range(lo, hi + 1)]
+    assert _mu_segment(lo, hi).tolist() == [oracle_mu(n) for n in range(lo, hi + 1)]
 
 
 @SETTINGS
 @given(windows())
-def test_tau_omega_range_matches_oracle(window):
+def test_tau_omega_matches_oracle(window):
     lo, hi = window
-    tau, omega = tau_omega_range(lo, hi)
+    tau, omega = _tau_omega(lo, hi)
     assert tau.tolist() == [oracle_tau(n) for n in range(lo, hi + 1)]
     assert omega.tolist() == [oracle_omega(n) for n in range(lo, hi + 1)]
 
@@ -139,11 +136,10 @@ def value_sets(draw):
 
 @SETTINGS
 @given(value_sets())
-def test_phi_at_matches_window_and_oracle(case):
-    lo, hi, values = case
+def test_phi_at_matches_oracle(case):
+    _lo, _hi, values = case
     phi = _phi_at(np.array(values))
     assert phi.dtype == np.int64
-    assert np.array_equal(phi, sieve_range(lo, hi).phi[np.array(values) - lo])
     assert phi.tolist() == [oracle_phi(n) for n in values]
 
 
@@ -285,7 +281,7 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
             oracle_phi(n) for n in ns
         ]
         assert _mu_segment(lo, hi).tolist() == [oracle_mu(n) for n in ns]
-        tau, omega = tau_omega_range(lo, hi)
+        tau, omega = _tau_omega(lo, hi)
         assert tau.tolist() == [oracle_tau(n) for n in ns]
         assert omega.tolist() == [oracle_omega(n) for n in ns]
 
@@ -393,10 +389,15 @@ def test_a_sparse_segment_sieves_its_trial_primes_once(monkeypatch):
     assert [n for n in asked if n > 7] == [y, math.isqrt(int(idx[-1]) + s - a)]
 
 
+#: The oracle's phi, kept across the examples below, whose values n - a
+#: all lie below 10^4 + 20.
+_cached_oracle_phi = functools.cache(oracle_phi)
+
+
 def _mask_route(s, e, y, a):
-    """The route of a segment without the union kernel: the mask, then the shifted window."""
+    """The route of a segment without the union kernel: the mask, then phi from the oracle."""
     idx = np.flatnonzero(_smooth_mask(s, e, y))
-    return idx, sieve_range(s - a, e - a).phi[idx]
+    return idx, np.array([_cached_oracle_phi(n) for n in (idx + (s - a)).tolist()], dtype=np.int64)
 
 
 @st.composite
@@ -479,17 +480,44 @@ def test_one_factorization_serves_every_single_integer():
 def test_each_argument_is_checked_once_at_its_entry_point():
     # The mask, Moebius and shifted kernels ran ``_check_window`` again on
     # segments of a range their entry point had admitted, and ``_factor_at``
-    # checked again the values its callers had checked.  Only the two that
-    # take windows from outside callers check them now.
+    # checked again the values its callers had checked, and so did the
+    # tau/omega kernel of ``aux_averages``'s pass.  Only ``sieve_range``,
+    # which takes windows from outside callers, checks them now.
     package = Path(smoothlab.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     callers = [fn for tree in trees.values() for fn in _calls_to("_check_window", tree)]
-    assert sorted(callers) == ["sieve_range", "tau_omega_range"]
+    assert callers == ["sieve_range"]
     [factor_at] = [
         node for node in ast.walk(trees["sieve.py"])
         if isinstance(node, ast.FunctionDef) and node.name == "_factor_at"
     ]
     assert not any(isinstance(node, ast.Raise) for node in ast.walk(factor_at))
+
+
+def test_the_pass_kernels_have_no_public_twin():
+    # ``census.enumerate_smooth`` was a public generator over the segments
+    # that ``psi_progression`` reads, and ``sieve.tau_omega_range`` a public
+    # name for the kernel that only ``aux_averages``'s pass calls.
+    package = Path(smoothlab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defined = {
+        node.name for tree in trees.values()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    assert defined.isdisjoint({"enumerate_smooth", "tau_omega_range"})
+    assert [fn for tree in trees.values() for fn in _calls_to("_tau_omega", tree)] == [
+        "_smooth_tau_omega"
+    ]
+    # ``sieve_range`` shares the stride core with the kernels, so it is no
+    # reference for them: only its own tests call it.
+    readers = {
+        (path.name, fn)
+        for path in sorted(Path(__file__).parent.glob("test_*.py"))
+        for fn in _calls_to("sieve_range", ast.parse(path.read_text()))
+    }
+    assert readers and {
+        (name, fn) for name, fn in readers if name != "test_sieve.py" and "sieve_range" not in fn
+    } == set()
 
 
 def test_one_exact_sum_and_one_prime_count_bound():
@@ -519,7 +547,7 @@ def test_one_exact_sum_and_one_prime_count_bound():
 def test_each_rule_has_one_definition():
     # The CLI carried the rho rule of psi_estimate, the pass check of the
     # shifted sums and one copy of --x, --y and --a per subcommand;
-    # tau_omega_range rebuilt the smooth part, and the scan and range_check
+    # the tau/omega kernel rebuilt the smooth part, and the scan and range_check
     # each wrote the theorem-range bound.
     package = Path(smoothlab.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
@@ -529,9 +557,9 @@ def test_each_rule_has_one_definition():
         assert sources["cli.py"].count(f'add_argument("{option}"') == 1, option
     [tau_omega] = [
         node for node in ast.walk(ast.parse(sources["sieve.py"]))
-        if isinstance(node, ast.FunctionDef) and node.name == "tau_omega_range"
+        if isinstance(node, ast.FunctionDef) and node.name == "_tau_omega"
     ]
-    assert _calls_to("_strip_primes", tau_omega) == ["tau_omega_range"]
+    assert _calls_to("_strip_primes", tau_omega) == ["_tau_omega"]
     assert _calls_to("_wheel_part", tau_omega) == []
     bound = r"math\.log\(math\.log\(math\.log\("
     assert len(re.findall(bound, sources["experiments.py"])) == 1

@@ -19,7 +19,6 @@ from smoothlab import (
     SmoothRange,
     ScanConfig,
     aux_averages,
-    enumerate_smooth,
     ft_ratio_scan,
     is_smooth,
     psi_coprime,
@@ -31,10 +30,10 @@ from smoothlab import (
     v_via_abel,
 )
 from smoothlab.sieve import (
+    _tau_omega,
     largest_prime_factor,
     primes_upto,
     segment_bounds,
-    tau_omega_range,
 )
 
 from conftest import (
@@ -215,7 +214,6 @@ NAN, INF = math.nan, math.inf
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: list(enumerate_smooth(0, NAN, 7)),
         lambda: psi_progression(0, NAN, 7, 1, 3),
         lambda: psi_progression(0, 100, 7, 1, NAN),
         lambda: psi_progression(0, 100, 7, NAN, 3),
@@ -223,7 +221,6 @@ NAN, INF = math.nan, math.inf
         lambda: psi_coprime(100, 7, 6.5),
         lambda: SmoothRange(1, NAN, 7),
         lambda: sieve_range(1, INF),
-        lambda: tau_omega_range(1, NAN),
         lambda: is_smooth(NAN, 7),
         lambda: sieve_range(1, 50).phi_of(2.5),
         lambda: t_exact(100, 7, 1.5),
@@ -320,11 +317,11 @@ def test_scalar_helpers():
 
 def test_tau_omega_against_oracle():
     lo, hi = 9_990, 10_500
-    tau, omega = tau_omega_range(lo, hi)
+    tau, omega = _tau_omega(lo, hi)
     for n in range(lo, hi + 1):
         assert tau[n - lo] == oracle_tau(n), n
         assert omega[n - lo] == oracle_omega(n), n
-    tau1, omega1 = tau_omega_range(1, 200)
+    tau1, omega1 = _tau_omega(1, 200)
     for n in range(1, 201):
         assert tau1[n - 1] == oracle_tau(n)
         assert omega1[n - 1] == oracle_omega(n)

@@ -22,7 +22,6 @@ from smoothlab import (
     aux_averages,
     build_rho_table,
     convergence_scan,
-    enumerate_smooth,
     ft_ratio_scan,
     granville_discrepancy,
     i_integral,
@@ -45,7 +44,7 @@ from smoothlab import (
     v_via_abel,
 )
 from smoothlab.experiments import parse_config
-from smoothlab.sieve import largest_prime_factor, tau_omega_range
+from smoothlab.sieve import largest_prime_factor
 
 NAN, INF = math.nan, math.inf
 BIG = 1e300
@@ -69,15 +68,11 @@ ENTRY_POINTS = [
     ("psi_progression.y", lambda v: psi_progression(0, 100, v, 1, 3), REAL_BAD),
     ("psi_progression.a", lambda v: psi_progression(0, 100, 7, v, 3), INT_BAD),
     ("psi_progression.d", lambda v: psi_progression(0, 100, 7, 1, v), INT_BAD),
-    ("enumerate_smooth.lo", lambda v: list(enumerate_smooth(v, 100, 7)), INT_BAD),
-    ("enumerate_smooth.hi", lambda v: list(enumerate_smooth(0, v, 7)), INT_BAD + (BIG,)),
-    ("enumerate_smooth.y", lambda v: list(enumerate_smooth(0, 100, v)), REAL_BAD),
     ("SmoothRange.first", lambda v: SmoothRange(v, 100, 7), INT_BAD),
     ("SmoothRange.last", lambda v: SmoothRange(1, v, 7), INT_BAD + (BIG,)),
     ("SmoothRange.y", lambda v: SmoothRange(1, 100, v), REAL_BAD),
     ("sieve_range.lo", lambda v: sieve_range(v, 100), INT_BAD),
     ("sieve_range.hi", lambda v: sieve_range(1, v), INT_BAD + (BIG,)),
-    ("tau_omega_range.hi", lambda v: tau_omega_range(1, v), INT_BAD + (BIG,)),
     ("is_smooth.n", lambda v: is_smooth(v, 7), INT_BAD + (BIG,)),
     ("is_smooth.y", lambda v: is_smooth(10, v), REAL_BAD),
     ("largest_prime_factor.n", largest_prime_factor, INT_BAD + (BIG,)),
@@ -199,7 +194,6 @@ HUGE_AS_INF = [
     ("psi.y", lambda v: psi(100, v)),
     ("psi_coprime.y", lambda v: psi_coprime(100, v, 6)),
     ("psi_progression.y", lambda v: psi_progression(0, 100, v, 1, 3)),
-    ("enumerate_smooth.y", lambda v: list(enumerate_smooth(0, 100, v))),
     ("SmoothRange.y", lambda v: SmoothRange(1, 100, v).values.tolist()),
     ("is_smooth.y", lambda v: is_smooth(97, v)),
     ("t_via_mobius.y", lambda v: t_via_mobius(100, v, 1, 5)),
