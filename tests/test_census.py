@@ -74,6 +74,28 @@ def test_psi_enum_oracle_lists_primes_only_up_to_x():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [
+        (1, math.inf, 1),
+        (1.5, 1.5, 1),
+        (2, math.inf, 2),
+        (10, 10, 10),
+        (10, 10.5, 10),
+        (97, 96.5, 96),  # y just below a prime x: all but x itself
+        (97.5, 1e300, 97),
+        (1000.5, math.inf, 1000),
+        (10**4, 2 * 10**4, 10**4),
+        (30030, 30030, 30030),
+        (10**5, 3 * 10**5, 10**5),
+        (3 * 10**5, math.inf, 3 * 10**5),
+    ],
+)
+def test_psi_enum_oracle_matches_psi_with_y_near_or_past_x(x, y, expected):
+    # Points the oracle could not reach while it tested every m <= y.
+    assert psi_enum_oracle(x, y) == psi(x, y) == expected
+
+
 def test_psi_equals_enum_oracle_grid():
     for x in (10, 100, 1000):
         for y in (2, 3, 5, 7, 19, 97):

@@ -60,6 +60,7 @@ ENTRY_POINTS = [
     ("psi.x", lambda v: psi(v, 7), X_BAD),
     ("psi.y", lambda v: psi(100, v), REAL_BAD),
     ("psi_enum_oracle.x", lambda v: psi_enum_oracle(v, 7), X_BAD),
+    ("psi_enum_oracle.y", lambda v: psi_enum_oracle(100, v), REAL_BAD),
     ("psi_coprime.x", lambda v: psi_coprime(v, 7, 6), X_BAD),
     ("psi_coprime.y", lambda v: psi_coprime(100, v, 6), REAL_BAD),
     ("psi_coprime.d", lambda v: psi_coprime(100, 7, v), INT_BAD),
@@ -121,6 +122,7 @@ def test_every_entry_point_refuses_a_bad_argument_before_it_allocates(call, valu
     "call, expected",
     [
         (lambda: psi(100, INF), 100),
+        (lambda: psi_enum_oracle(100, INF), 100),
         (lambda: is_smooth(97, INF), True),
         (lambda: psi_coprime(100, 7, 2**60 * 3), psi_coprime(100, 7, 6)),
         (lambda: psi_progression(0, 100, 7, 8, 2**60), 1),
@@ -129,7 +131,7 @@ def test_every_entry_point_refuses_a_bad_argument_before_it_allocates(call, valu
         (lambda: granville_discrepancy(100, 7, INF).delta, 100.0),
         (lambda: t_exact(100, 7, BIG), 0.0),
     ],
-    ids=["psi-y-inf", "is_smooth-y-inf", "psi_coprime-d-past-2^52",
+    ids=["psi-y-inf", "psi_enum_oracle-y-inf", "is_smooth-y-inf", "psi_coprime-d-past-2^52",
          "psi_progression-d-past-2^52", "mobius-delta-inf", "mobius-delta-1e300",
          "discrepancy-delta-inf", "t-shift-past-x"],
 )
@@ -192,6 +194,7 @@ def test_every_argument_check_lives_in_the_sieve_module():
 # (name, call taking one argument): each answers for HUGE as it does for inf.
 HUGE_AS_INF = [
     ("psi.y", lambda v: psi(100, v)),
+    ("psi_enum_oracle.y", lambda v: psi_enum_oracle(100, v)),
     ("psi_coprime.y", lambda v: psi_coprime(100, v, 6)),
     ("psi_progression.y", lambda v: psi_progression(0, 100, v, 1, 3)),
     ("SmoothRange.y", lambda v: SmoothRange(1, 100, v).values.tolist()),
