@@ -91,7 +91,7 @@ def _run_rho(args) -> int:
 def _run_tsum(args) -> int:
     if args.delta is None:
         split = None
-        [(psi_value, t, _v)] = _shifted_totals([args.x], args.y, args.a)
+        [[(psi_value, t, _v)]] = _shifted_totals([args.x], args.y, [args.a])
     else:
         # The split's pass is the T pass; it refuses a range too large to
         # materialize before it sieves.

@@ -141,24 +141,40 @@ def _failed_record(x: float, a: int, exc: SmoothlabError) -> ScanRecord:
     )
 
 
+def _scan_totals(xs, y: float, shifts: list[int]) -> list:
+    """Per shift, its ``_shifted_totals`` rows at xs, or the CapacityError that refused it.
+
+    The shifts share one pass; when that is refused, each shift runs alone,
+    so a refused head psi fails the rows of its own shift only.
+    """
+    try:
+        return _shifted_totals(xs, y, shifts)
+    except CapacityError as exc:
+        if len(shifts) == 1:
+            return [exc]
+    return [_scan_totals(xs, y, [a])[0] for a in shifts]
+
+
 def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
     """Run every (x, y(x), a) point of the config; never aborts mid-scan.
 
     Each point is admitted before any pass, by y(x), ``_check_pass`` and
     ``_check_log_ratio`` (the x >= y >= 2 of its rho estimate).  A refused
-    point, and each point of a group whose head psi is refused before its pass,
-    is a row with nan numerics and the error.  The points that share (y, a)
-    come from one pass up to the largest of their x (``_shifted_totals``),
-    which gives each the floats of a pass up to that x alone; under the
-    theorem-range rule every x has its own y.  Rows come back sorted by (a, x)
-    and, when the config names an output path, are also written as CSV; a path
-    that cannot be opened for writing fails before the first point is computed.
+    point, and each point of a shift whose head psi is refused before its
+    pass, is a row with nan numerics and the error.  The points that share y
+    and the list of shifts admitted at their x come from one pass up to the
+    largest of their x for all those shifts (``_shifted_totals``), which
+    gives each (x, a) the floats of a pass of that shift up to that x alone;
+    under the theorem-range rule every x has its own y.  Rows come back
+    sorted by (a, x) and, when the config names an output path, are also
+    written as CSV; a path that cannot be opened for writing fails before
+    the first point is computed.
     """
     if cfg.output_path:
         open(cfg.output_path, "a").close()
     # A shift listed twice is computed once and its rows repeated, so every
-    # group's x stay strictly increasing.
-    by_shift, groups = {}, {}
+    # pass takes distinct shifts.
+    by_shift, admitted = {}, {}
     for a in dict.fromkeys(map(int, cfg.a_list)):
         by_shift[a] = []
         for x in map(_to_float, cfg.x_grid):
@@ -169,17 +185,20 @@ def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
             except SmoothlabError as exc:
                 by_shift[a].append(_failed_record(x, a, exc))
             else:
-                groups.setdefault((y, a), []).append(x)
+                admitted.setdefault((x, y), []).append(a)
+    # The x of a group come in grid order: its first shift admitted them in turn.
+    groups = {}
+    for (x, y), shifts in admitted.items():
+        groups.setdefault((y, tuple(shifts)), []).append(x)
     # x <= 2^52 and y >= 2 keep every u <= 52.
-    u = [math.log(x) / math.log(y) for (y, _a), xs in groups.items() for x in xs]
+    u = [math.log(x) / math.log(y) for (y, _shifts), xs in groups.items() for x in xs]
     table = build_rho_table(u_max=math.ceil(max([2.0, *u])) + 1)
-    for (y, a), xs in groups.items():
-        try:
-            totals = _shifted_totals(xs, y, a)
-        except CapacityError as exc:
-            by_shift[a] += [_failed_record(x, a, exc) for x in xs]
-        else:
-            by_shift[a] += [_scan_record(x, y, a, t, table) for x, t in zip(xs, totals)]
+    for (y, shifts), xs in groups.items():
+        for a, totals in zip(shifts, _scan_totals(xs, y, list(shifts))):
+            if isinstance(totals, CapacityError):
+                by_shift[a] += [_failed_record(x, a, totals) for x in xs]
+            else:
+                by_shift[a] += [_scan_record(x, y, a, t, table) for x, t in zip(xs, totals)]
     records = [r for a in map(int, cfg.a_list) for r in by_shift[a]]
     records.sort(key=lambda r: (r.a, r.x))
     if cfg.output_path:

@@ -15,12 +15,14 @@ v = log t / log y on fixed Gauss-Legendre panels (32 points, with the
 its kinks and split further where y^(2v) grows fast; the nodes come from
 numpy, so the module needs no scipy.
 
-T and V come from one pass over the segments of (max(a,0), floor(x)]:
-``_shifted_pass`` calls one kernel per segment.  For phi that kernel is
-``sieve._smooth_phi_shifted``: it tests the segment for smoothness, gives
-phi(n - a) at the smooth n only and picks its route itself; every route
-gives the same integers, so the route never changes a result.
-``aux_averages`` passes ``_smooth_tau_omega`` instead.  The Moebius split
+T and V come from one pass over the segments of (max(a,0), floor(x)], and
+one pass serves a whole list of shifts: ``_shifted_pass`` reads the
+segment stream of ``sieve._smooth_phi_shifted``, which finds the smooth n
+of each segment once and gives phi(n - a) at them for every shift.  It
+picks its route itself, generated smooth n at small y or the sieve;
+every route gives the same integers, so the route never changes a
+result.  ``aux_averages`` calls ``_smooth_tau_omega`` per segment
+instead, on the mask.  The Moebius split
 rides on the same pass: it sums T and marks n - a for the smooth n of each
 segment in a bool indicator, 1 byte per modulus for every y, so each n is
 tested for smoothness once.  It then counts the multiples of each modulus
@@ -28,9 +30,10 @@ in the indicator, one segment of moduli at a time: a strided count per
 squarefree d up to the square root of its length n, and for the d above
 it one strided add per multiplier j.  Float terms are summed
 exactly (``_exact_int``) and rounded once (``_round_exact``), so T and the
-Moebius split do not depend on the segment size or the term order.  The
-same exactness lets one pass serve a whole grid of x: T at each x is the
-running exact integer of the terms so far, rounded at that cut.
+Moebius split do not depend on the segment size, the term order or the
+other shifts of the pass.  The same exactness lets one pass serve a whole
+grid of x: T at each x is the running exact integer of the terms so far,
+rounded at that cut.
 """
 
 import math
@@ -79,15 +82,17 @@ def _head_psi(x: float, y: float, a: int) -> int:
     return psi(min(x, a), y) if a > 0 else 0
 
 
-def _shifted_pass(x: float, y: float, a: int, kernel):
-    """The segments of a shifted sum up to x, for arguments from ``_check_pass``.
+def _shifted_pass(x: float, y: float, shifts: list[int]):
+    """The segments of the shifted sums up to x of every shift, for arguments from ``_check_pass``.
 
-    Yields (s, e, idx, at) for each segment [s, e] of (max(a,0), floor(x)],
-    where (idx, at) = kernel(s, e, y, a): the y-smooth n are s + idx, and
-    ``at`` holds the kernel's values of n - a at them.  The kernel's windows
-    are freed before the caller sums the terms.
+    Yields (s, e, rows) for the segments [s, e] of (min max(a, 0),
+    floor(x)] in order, with one (idx, phi) row per shift: the y-smooth n of
+    the segment above max(a, 0) are s + idx, and phi holds phi(n - a) at
+    them (``sieve._smooth_phi_shifted``).  A segment with no smooth n may be
+    left out.  The kernel's windows are freed before the caller sums the
+    terms.
     """
-    return ((s, e, *kernel(s, e, y, a)) for s, e in segment_bounds(max(a, 0) + 1, math.floor(x)))
+    return _smooth_phi_shifted(min(max(a, 0) for a in shifts), math.floor(x), y, shifts)
 
 
 def _smooth_tau_omega(s: int, e: int, y: float, a: int):
@@ -122,48 +127,54 @@ def _v_parts(x: float, y: float, a: int) -> tuple[float, int]:
     a, y = _check_pass(x, y, a)
     psi_value = _head_psi(x, y, a)
     numerator = 0
-    for _s, e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
+    for _s, e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
         psi_value += idx.size
         numerator += _int_sum(phi_at, e - a)
     return numerator / psi_value, psi_value
 
 
-def _shifted_totals(xs, y: float, a: int) -> list[tuple[int, float, float]]:
-    """(Psi(x, y), T(x, y), V(x, y)) at each x of a strictly increasing list, from one pass.
+def _shifted_totals(xs, y: float, shifts) -> list[list[tuple[int, float, float]]]:
+    """(Psi(x, y), T(x, y), V(x, y)) at each x of a strictly increasing list, for each shift.
 
-    xs out of order raise, and every x goes through ``_check_pass`` before
-    the pass, which runs up to the last x.  At each cut floor(x) the
-    running counts are read, and T's running exact integer is rounded there:
-    the correctly rounded sum of the same terms, so the same float that a
-    pass up to that x alone gives.
+    One pass up to the last x serves every shift: the smooth n are found
+    once, and each shift reads phi(n - a) at those above max(a, 0).  xs out
+    of order raise, and every (x, a) goes through ``_check_pass`` before
+    the pass.  At each cut floor(x) a shift's running counts are read, and
+    its T's running exact integer is rounded there: the correctly rounded
+    sum of the same terms, so the same float that a pass of that shift up
+    to that x alone gives.  The rows come per shift, in the order given.
     """
     if not all(u < v for u, v in zip(xs, xs[1:])):
         raise DomainError("xs must be strictly increasing")
     for x in xs:
-        a, y = _check_pass(x, y, a)
-    head = _head_psi(xs[-1], y, a)
+        checked = [_check_pass(x, y, a) for a in shifts]
+    shifts, y = [a for a, _y in checked], checked[0][1]
+    heads = [_head_psi(xs[-1], y, a) for a in shifts]
     cuts = [math.floor(x) for x in xs]
-    rows = []
-    count = numerator = total = 0
+    rows = [[] for _ in shifts]
+    sums = [[0, 0, 0] for _ in shifts]  # per shift: count, numerator, exact T
 
-    def read(cut):
+    def read(j, cut):
         # A cut below a > 0 has no terms; every other cut shares the pass's head.
-        psi_value = (psi(cut, y) if cut < a else head) + count
-        rows.append((psi_value, _round_exact(total), numerator / psi_value))
+        count, numerator, total = sums[j]
+        psi_value = (psi(cut, y) if cut < shifts[j] else heads[j]) + count
+        rows[j].append((psi_value, _round_exact(total), numerator / psi_value))
 
-    for s, e, idx, phi_at in _shifted_pass(xs[-1], y, a, _smooth_phi_shifted):
-        terms = _t_terms(a, s, idx, phi_at)
-        done = 0
-        for cut in [c for c in cuts[len(rows) :] if c <= e] + [None]:
-            stop = idx.size if cut is None else int(np.searchsorted(idx, cut - s, "right"))
-            count += stop - done
-            numerator += _int_sum(phi_at[done:stop], e - a)
-            total += _exact_int(terms[done:stop])
-            done = stop
-            if cut is not None:
-                read(cut)
-    for cut in cuts[len(rows) :]:
-        read(cut)
+    for s, e, parts in _shifted_pass(xs[-1], y, shifts):
+        for j, (a, (idx, phi_at)) in enumerate(zip(shifts, parts)):
+            terms = _t_terms(a, s, idx, phi_at)
+            done = 0
+            for cut in [c for c in cuts[len(rows[j]) :] if c <= e] + [None]:
+                stop = idx.size if cut is None else int(np.searchsorted(idx, cut - s, "right"))
+                sums[j][0] += stop - done
+                sums[j][1] += _int_sum(phi_at[done:stop], e - a)
+                sums[j][2] += _exact_int(terms[done:stop])
+                done = stop
+                if cut is not None:
+                    read(j, cut)
+    for j in range(len(shifts)):
+        for cut in cuts[len(rows[j]) :]:
+            read(j, cut)
     return rows
 
 
@@ -222,7 +233,7 @@ def t_exact(x: float, y: float, a: int) -> float:
     """
     a, y = _check_pass(x, y, a)
     total = 0
-    for s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
+    for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
         total += _exact_int(_t_terms(a, s, idx, phi_at))
     return _round_exact(total)
 
@@ -244,7 +255,7 @@ def t_exact_fraction(x: float, y: float, a: int) -> Fraction:
     a, y = _check_pass(x, y, a)
     terms = [
         Fraction(int(p), int(i) + s - a)
-        for s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted)
+        for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a])
         for i, p in zip(idx, phi_at)
     ]
     return _tree_sum(terms)
@@ -319,7 +330,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
         raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
     g = np.zeros(max(d_max, 0) + 1, dtype=bool)
     count = t = 0
-    for s, _e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
+    for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
         count += idx.size
         t += _exact_int(_t_terms(a, s, idx, phi_at))
         g[idx + (s - a)] = True
@@ -358,7 +369,14 @@ def v_via_abel(x: float, y: float, a: int) -> float:
         return 0.0
     running_t = 0.0
     integral_parts = []
-    for s, e, idx, phi_at in _shifted_pass(x, y, a, _smooth_phi_shifted):
+    # The pass may leave out a segment with no smooth n; every segment adds its part.
+    stream = _shifted_pass(x, y, [a])
+    ahead = next(stream, None)
+    for s, e in segment_bounds(max(a, 0) + 1, top):
+        idx = phi_at = np.zeros(0, dtype=np.int64)
+        if ahead is not None and ahead[0] == s:
+            [(idx, phi_at)] = ahead[2]
+            ahead = next(stream, None)
         terms = np.zeros(e - s + 1)
         terms[idx] = _t_terms(a, s, idx, phi_at)
         cumulative = running_t + np.cumsum(terms)
@@ -413,7 +431,8 @@ def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     a, y = _check_pass(x, y, a)
     psi_value = _head_psi(x, y, a)
     tau_sum = omega_sum = 0
-    for _s, _e, idx, at in _shifted_pass(x, y, a, _smooth_tau_omega):
+    for s, e in segment_bounds(max(a, 0) + 1, math.floor(x)):
+        idx, at = _smooth_tau_omega(s, e, y, a)
         psi_value += idx.size
         tau_sum += int(at[0].sum())
         omega_sum += int(at[1].sum())

@@ -14,23 +14,30 @@ kernel is one loop over it, sized to its question:
 - a phi strip takes every prime p <= sqrt(hi) with phi of the part, and
   ``_phi_from_part`` multiplies in q - 1 for the (at most one) prime
   q = n / part > sqrt(hi); ``sieve_range`` and the shifted kernel share it.
-- ``_smooth_phi_shifted`` is the one kernel of a shifted segment [s, e]
-  and the one place that picks how it gets its smooth n and phi(n - a):
-  one phi strip of the union window [min(s, s - a), max(e, e - a)], read
-  for smoothness as ``_smooth_mask`` reads its own, or the mask and then
-  ``_phi_at`` (``SPARSE_PHI_FACTOR``) or a strip of the shifted window.
+- ``_smooth_phi_shifted`` is the one pass of shifted totients, and the
+  one place that picks how it gets its smooth n and phi(n - a), for a whole
+  list of shifts at once.  At small y it generates the smooth n, multiplied
+  out of the prime powers up to y (``_smooth_upto``), and takes phi(n - a)
+  from ``_phi_at``.  Otherwise ``_sieve_phi_segment`` tests each segment
+  [s, e] once for every shift: one phi strip of the union window
+  [min(s, s - max a), max(e, e - min a)], read for smoothness as
+  ``_smooth_mask`` reads its own, or the mask and then, for each band of
+  shifts, ``_phi_at`` (``SPARSE_PHI_FACTOR``) or a strip of the band's
+  window.
 - ``_mu_segment`` gives mu, and ``_tau_omega`` tau and omega, from the
   same strides; ``_tau_omega`` finds the n with a prime above sqrt(hi)
   from the ``_strip_primes`` part.
 
 ``_factor_at`` is the one factorization of single integers and takes no
 window: trial division by the primes up to min(sqrt(max), 2^18), then
-Miller-Rabin and Pollard-Brent, so its memory does not grow with sqrt(max).
+Miller-Rabin and Pollard-Brent (one gcd per block of steps), so its memory
+does not grow with sqrt(max).
 ``_phi_at`` (sparse values), ``is_smooth``, ``largest_prime_factor`` and the
 moduli of ``psi_coprime`` and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
-and ``segment_bounds`` is the only code that does so.  Only
+and ``segment_bounds`` is the only code that does so; a generated pass
+takes only the segments that hold a smooth n.  Only
 :func:`sieve_range` takes windows from outside callers, and it refuses one
 past ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the
 other kernels and ``_factor_at`` trust the range or values their entry
@@ -87,6 +94,9 @@ _TRIAL_BLOCK = 1 << 16
 #: multiply to more than 2^52, so what is left of a value is 1, a prime,
 #: or a product p q or p^2 of two primes, which ``_split_semiprime`` splits.
 _TRIAL_PRIMES = 1 << 18
+
+#: Steps of ``_pollard_brent`` whose differences share one gcd.
+_BRENT_BLOCK = 128
 
 #: Miller-Rabin with these bases is exact for every n below 3.8e18 > 2^52.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -371,9 +381,17 @@ def _check_point(u: float, u_max: float) -> float:
     return u
 
 
-def segment_bounds(lo: int, hi: int):
-    """Split [lo, hi] into inclusive chunks of at most ``STREAM_SEGMENT`` entries."""
-    for s in range(lo, hi + 1, STREAM_SEGMENT):
+def segment_bounds(lo: int, hi: int, holding=None):
+    """Split [lo, hi] into inclusive chunks of at most ``STREAM_SEGMENT`` entries.
+
+    With ``holding``, an increasing int64 array of values in [lo, hi], only
+    the chunks that hold one of them come.
+    """
+    if holding is None:
+        starts = range(lo, hi + 1, STREAM_SEGMENT)
+    else:
+        starts = (np.unique((holding - lo) // STREAM_SEGMENT) * STREAM_SEGMENT + lo).tolist()
+    for s in starts:
         yield s, min(s + STREAM_SEGMENT - 1, hi)
 
 
@@ -387,15 +405,17 @@ def _strides(lo: int, hi: int, bound: int):
 
     ``start`` is the offset of the first multiple of p^k in the window, so
     the multiples are ``start::p**k``.  Powers come in increasing k for
-    each p, and the primes in increasing order.  A p^k > hi, or one with
-    no multiple in the window, gives start >= size; then so does every
-    higher power, so the primes with none are dropped in one array step.
+    each p, and the primes in increasing order.  A p^k > hi ends the
+    powers of p: in a window of lo >= 1 it has no multiple, and in one
+    holding 0 its only multiple is 0.  A p^k with no multiple in the window
+    gives start >= size; then so does every higher power, so the primes
+    with none are dropped in one array step.
     """
     size = hi - lo + 1
     primes = primes_upto(bound)
     for p in primes[(-lo) % primes < size].tolist():
         pk, k = p, 1
-        while (start := (-lo) % pk) < size:
+        while pk <= hi and (start := (-lo) % pk) < size:
             yield p, k, start
             pk *= p
             k += 1
@@ -504,33 +524,185 @@ def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:
     return tot.astype(np.int64, copy=False)
 
 
-def _smooth_phi_shifted(s: int, e: int, y: float, a: int):
-    """(idx, phi): the y-smooth n in [s, e] are s + idx, and phi holds phi(n - a) at them.
+def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
+    """The segments of a pass of shifted totients over (lo, hi], for every shift at once.
 
-    It picks the route, and every route gives the same integers: one strip
-    of the union window [min(s, s - a), max(e, e - a)] when
-    y >= isqrt(max(e, e - a)) and |a| <= e - s, else the mask and then
-    ``_phi_at`` for sparse smooth n (``SPARSE_PHI_FACTOR``; the choice
-    sieves no primes) or one strip of the shifted window.
+    lo is the least max(a, 0) over the shifts, and every n - a <= 2^52
+    (``_check_pass``).  Yields (s, e, rows) for the segments [s, e] of
+    ``segment_bounds`` in order, with one (idx, phi) row per shift; a
+    segment with no smooth n may be left out.  The y-smooth n in
+    [s, e] above max(a, 0) are s + idx, and phi holds phi(n - a) at them.
+    ``_generated_smooth`` picks the route from the arguments: the smooth n
+    multiplied out of the primes up to y (``_generated_phi_segments``), or
+    the sieve, one ``_sieve_phi_segment`` per segment.  Every route gives
+    the same integers.
     """
-    if abs(a) <= e - s and y >= math.isqrt(max(e, e - a)):
-        lo, hi = min(s, s - a), max(e, e - a)
-        part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
+    values = _generated_smooth(lo, hi, y, shifts)
+    if values is not None:
+        return _generated_phi_segments(values, lo, hi, shifts)
+    return ((s, e, _sieve_phi_segment(s, e, y, shifts)) for s, e in segment_bounds(lo + 1, hi))
+
+
+def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]) -> list:
+    """[(idx, phi)] per shift a: s + idx are the y-smooth n in [s, e] above max(a, 0).
+
+    phi holds phi(n - a) at them.  The n are tested for smoothness once for
+    all the shifts.  When the shifts and 0 spread over at most e - s and
+    y >= isqrt(max(e, e - min a)), one strip of the union window
+    [min(s, s - max a), max(e, e - min a)] gives the smooth n and every
+    phi(n - a).  Otherwise the mask gives the smooth n, and the shifts go in
+    bands of spread at most e - s: a band takes ``_phi_at`` at its values
+    when they are sparse (``SPARSE_PHI_FACTOR``; the choice sieves no
+    primes), else one strip of its window [s - max a, e - min a].  No window
+    reaches a value below 1.
+    """
+    top = max(e, e - min(shifts))
+    if max(*shifts, 0) - min(*shifts, 0) <= e - s and y >= math.isqrt(top):
+        first = max(1, min(s, s - max(shifts)))
+        part, tot = _strip_primes(first, top, math.isqrt(top), phi=True)
         cap = math.floor(min(y, e))
-        idx = np.flatnonzero(_part_is_smooth(part[s - lo : e - lo + 1], s, e, cap))
-    else:
-        idx = np.flatnonzero(_smooth_mask(s, e, y))
-        if idx.size * _prime_count_bound(math.isqrt(e - a)) < SPARSE_PHI_FACTOR * (e - s + 1):
-            return idx, _phi_at(idx + (s - a))
-        lo, hi = s - a, e - a
-        part, tot = _strip_primes(lo, hi, math.isqrt(hi), phi=True)
-    # The entries of the values n - a at the smooth n; the windows are freed here.
-    shifted = slice(s - a - lo, e - a - lo + 1)
-    part, tot = part[shifted][idx], tot[shifted][idx]
+        idx = np.flatnonzero(_part_is_smooth(part[s - first : e - first + 1], s, e, cap))
+        return [_phi_read(part, tot, first, s, a, _above(idx, s, a)) for a in shifts]
+    idx = np.flatnonzero(_smooth_mask(s, e, y))
+    rows = {}
+    for band in _shift_bands(shifts, e - s):
+        picks = {a: _above(idx, s, a) for a in band}
+        count = sum(pick.size for pick in picks.values())
+        primes = _prime_count_bound(math.isqrt(max(e - band[0], 0)))  # a band past e has no terms
+        if count * primes < SPARSE_PHI_FACTOR * (e - s + 1):
+            phi = np.split(_phi_at(np.concatenate([pick + (s - a) for a, pick in picks.items()])),
+                           np.cumsum([pick.size for pick in picks.values()])[:-1])
+            rows.update((a, (pick, at)) for (a, pick), at in zip(picks.items(), phi))
+        else:
+            first, last = max(1, s - band[-1]), e - band[0]
+            part, tot = _strip_primes(first, last, math.isqrt(last), phi=True)
+            rows.update((a, _phi_read(part, tot, first, s, a, pick)) for a, pick in picks.items())
+    return [rows[a] for a in shifts]
+
+
+def _above(idx: np.ndarray, s: int, a: int) -> np.ndarray:
+    """The entries of increasing idx with s + idx > max(a, 0): a view of its tail."""
+    return idx[np.searchsorted(idx, max(a, 0) - s, "right") :]
+
+
+def _shift_bands(shifts: list[int], spread: int) -> list[list[int]]:
+    """The distinct shifts, increasing, cut into bands of largest minus least at most spread."""
+    bands = []
+    for a in sorted(set(shifts)):
+        if bands and a - bands[-1][0] <= spread:
+            bands[-1].append(a)
+        else:
+            bands.append([a])
+    return bands
+
+
+def _phi_read(part: np.ndarray, tot: np.ndarray, first: int, s: int, a: int, idx: np.ndarray):
+    """(idx, phi(n - a)) at n = s + idx, from a phi strip (part, tot) of a window starting at first.
+
+    n = s sits at entry s - a - first of the window; when that is below 0
+    (a shift at or past s), the entries are offset instead of the window.
+    """
+    start = s - a - first
+    window, at = slice(max(start, 0), None), idx if start >= 0 else idx + start
     rem = idx.astype(part.dtype)
     rem += s - a
-    rem //= part
-    return idx, _phi_from_part(rem, tot)
+    rem //= part[window][at]
+    return idx, _phi_from_part(rem, tot[window][at])
+
+
+def _generated_smooth(lo: int, hi: int, y: float, shifts: list[int]):
+    """The route of a pass over (lo, hi]: its y-smooth n, generated and increasing, or None.
+
+    None sends the pass to the sieve.  The n are generated (``_smooth_upto``)
+    when at most ``STREAM_SEGMENT`` n <= hi are y-smooth and, as for a
+    sparse segment, their count times the number of shifts times
+    pi(sqrt(hi - min a)) is below ``SPARSE_PHI_FACTOR`` times hi - lo:
+    ``_phi_at`` then costs less than a sieve of the pass.  The count is
+    taken while generating, which stops past the cap, so no psi is counted.
+    An empty pass sieves at once, and so does one whose ``_smooth_floor``
+    already passes the cap.
+    """
+    if hi <= lo:
+        return None
+    primes = _prime_count_bound(math.isqrt(hi - min(shifts)))
+    cap = SPARSE_PHI_FACTOR * (hi - lo) / (len(shifts) * primes) if primes else math.inf
+    cap = min(STREAM_SEGMENT, cap)
+    if _smooth_floor(hi, y) > cap:
+        return None
+    values = _smooth_upto(hi, y, cap)
+    return None if values is None else values[np.searchsorted(values, lo, "right") :]
+
+
+def _smooth_floor(top: int, y: float) -> float:
+    """A lower bound of Psi(top, y) from its arguments alone, 0 where it says nothing.
+
+    An n <= top that is not y-smooth has a prime p in (y, top] that
+    divides it, so Psi(top, y) >= top (1 - S) for any S >= the sum of 1/p
+    over those p.  Rosser and Schoenfeld (Illinois J. Math. 6, 1962,
+    Theorem 5) bound the sum over p <= t by log log t + B +- 1/(2 log^2 t),
+    the upper bound for t >= 286; B cancels.  At y >= sqrt(top) this is
+    about 30 % of the n, and at y = 1e3, top = 1.2e6 about 28 %.
+    """
+    bound = math.floor(min(y, top))
+    if top < 286 or bound < 2:
+        return 0.0
+    log_top, log_y = math.log(top), math.log(bound)
+    tail = math.log(log_top / log_y) + 0.5 / log_top**2 + 0.5 / log_y**2
+    return max(0.0, top * (1.0 - tail))
+
+
+def _smooth_upto(top: int, y: float, cap: float):
+    """The y-smooth n <= top as an increasing int64 array, or None if more than cap of them exist.
+
+    Multiplied out of the prime powers up to min(y, top), as in D. J.
+    Bernstein, *Enumerating and counting smooth integers* (1995): each
+    prime p multiplies every value v <= top / p^k by p^k.  The count only
+    grows, so it stops once it passes cap; every n <= min(y, top) is
+    smooth, so a bound past cap stops it before any prime is sieved.
+    """
+    bound = math.floor(min(y, top))
+    if bound > cap:
+        return None
+    values = np.ones(1, dtype=np.int64)
+    for p in primes_upto(bound).tolist():
+        pieces, count = [values], values.size
+        layer = values
+        while (layer := layer[layer <= top // p] * p).size:
+            pieces.append(layer)
+            count += layer.size
+            if count > cap:
+                return None
+        values = np.concatenate(pieces)
+    values.sort()
+    return values
+
+
+def _generated_phi_segments(values: np.ndarray, lo: int, hi: int, shifts: list[int]):
+    """The (s, e, rows) stream of ``_smooth_phi_shifted`` from the increasing smooth n of (lo, hi].
+
+    Only the segments that hold one of the n come, so a pass up to 2^52
+    takes no time per empty segment.  phi(n - a) comes from ``_phi_at``
+    over runs of consecutive segments, each of at least STREAM_SEGMENT //
+    len(shifts) values, so that a run holds at most about
+    ``STREAM_SEGMENT`` totients.
+    """
+    run = max(1, STREAM_SEGMENT // len(shifts))
+    starts = [int(np.searchsorted(values, max(a, 0), "right")) for a in shifts]
+    done = stop = 0
+    phis = [(0, np.zeros(0, dtype=np.int64))] * len(shifts)
+    for s, e in segment_bounds(lo + 1, hi, values):
+        begin, end = done, int(np.searchsorted(values, e, "right"))
+        if end > stop:
+            stop = max(end, min(values.size, begin + run))
+            phis = [(max(begin, k), _phi_at(values[max(begin, k) : stop] - a))
+                    for a, k in zip(shifts, starts)]
+        idx = values[begin:end] - s
+        rows = []
+        for (base, phi), k in zip(phis, starts):
+            first = max(begin, k)
+            rows.append((idx[first - begin :], phi[first - base : max(end, first) - base]))
+        done = end
+        yield s, e, rows
 
 
 def _factor_at(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -639,17 +811,25 @@ def _split_semiprime(n: int) -> int:
 def _pollard_brent(n: int, c: int) -> int:
     """A factor of the composite odd n from the walk x -> x^2 + c (mod n): n on failure.
 
-    Brent's cycle search: the walk saves its point at every power of two
-    and compares each later step with it, so the gcd turns up a prime
-    factor p of n after about sqrt(p) steps.
+    Brent's cycle search (BIT 20, 1980): the walk saves its point at every
+    power of two and compares each later step with it, so the gcd turns up
+    a prime factor p of n after about sqrt(p) steps.  The differences of
+    up to ``_BRENT_BLOCK`` steps are multiplied mod n and take one gcd; a
+    block whose gcd is not 1 is walked again one gcd per step, so the
+    factor returned is the one of the first step whose gcd is not 1.
     """
     x, r = 2, 1
     while True:
         saved = x
-        for _ in range(r):
-            x = (x * x + c) % n
-            g = math.gcd(x - saved, n)
-            if g != 1:
+        for done in range(0, r, _BRENT_BLOCK):
+            start, product = x, 1
+            for _ in range(min(_BRENT_BLOCK, r - done)):
+                x = (x * x + c) % n
+                product = product * (x - saved) % n
+            if math.gcd(product, n) != 1:
+                x = start
+                while (g := math.gcd((x := (x * x + c) % n) - saved, n)) == 1:
+                    pass
                 return g
         r *= 2
 

@@ -11,6 +11,7 @@ resize the sieve's windows.
 import itertools
 import math
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -191,13 +192,43 @@ def stream_segment(size: int):
     return patch.object(sieve, "STREAM_SEGMENT", size)
 
 
+@contextmanager
+def forced_route(route: str):
+    """Context manager: every shifted-totient pass takes ``route``, "sieve" or "generated".
+
+    It patches ``sieve._generated_smooth``, the one seam of the choice: to
+    None for the sieve, or to every smooth n of the pass, uncapped.  It
+    yields a list that gets one entry per call of the forced route's
+    kernel, so a test can see that route run.
+    """
+    from smoothlab import sieve
+
+    def choose(lo, hi, y, shifts):
+        if route == "sieve":
+            return None
+        values = sieve._smooth_upto(hi, y, math.inf)
+        return values[values > lo]
+
+    name = {"sieve": "_sieve_phi_segment", "generated": "_generated_phi_segments"}[route]
+    kernel = getattr(sieve, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with patch.object(sieve, "_generated_smooth", choose), patch.object(sieve, name, counted):
+        yield calls
+
+
 @pytest.fixture
 def smooth_mask_entries(monkeypatch):
     """The number of n tested for smoothness by each kernel call made while the test runs.
 
-    Counts the window of every smoothness mask and the segment [s, e] of
-    every ``_smooth_phi_shifted`` call, which tests only those n (with its
-    own mask or its union strip).
+    Counts the window of every smoothness mask and the range (lo, hi] of
+    every ``_smooth_phi_shifted`` pass, which settles each of those n once
+    for all its shifts: by a mask or union strip per segment, or by
+    generating the smooth n.
     """
     from smoothlab import census, shifted
 
@@ -208,9 +239,9 @@ def smooth_mask_entries(monkeypatch):
         entries.append(hi - lo + 1)
         return kernel(lo, hi, y)
 
-    def counted_union(s, e, y, a):
-        entries.append(e - s + 1)
-        return union(s, e, y, a)
+    def counted_union(lo, hi, y, shifts):
+        entries.append(max(hi - lo, 0))
+        return union(lo, hi, y, shifts)
 
     for module in (census, shifted):
         monkeypatch.setattr(module, "_smooth_mask", counted)

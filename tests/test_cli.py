@@ -239,13 +239,14 @@ def test_malformed_numbers_and_file_errors_are_rejected(argv, config, tmp_path):
     ],
 )
 def test_tsum_and_vsum_test_each_n_for_smoothness_once(argv, smooth_mask_entries, tmp_path):
-    # The scan reads its three x from one pass per shift.  Each pass tests
-    # the n above max(a, 0); the quotient count takes Psi(a, y) unsieved.
+    # The scan reads its three x and both shifts from one pass, which tests
+    # each n above the least max(a, 0) once; the quotient count takes
+    # Psi(a, y) unsieved.
     (tmp_path / "scan.cfg").write_text("x_grid = 5000, 12500.5, 20000.5\ny = 30\na_list = 7, -3\n")
     code, _out, err = invoke([arg.format(tmp=tmp_path) for arg in argv])
     assert (code, err) == (0, "")
     shifts = [7, -3] if argv[0] == "scan" else [int(argv[argv.index("--a") + 1])]
-    assert sum(smooth_mask_entries) == sum(20000 - max(a, 0) for a in shifts)
+    assert sum(smooth_mask_entries) == 20000 - min(max(a, 0) for a in shifts)
 
 
 @pytest.mark.parametrize(

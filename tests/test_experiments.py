@@ -119,6 +119,12 @@ def test_a_refused_head_psi_fails_its_own_rows():
     small, large = convergence_scan(ScanConfig(x_grid=(100.0, 10**13 + 50), a_list=(10**13 + 10,)))
     assert (small.error, small.psi_exact, small.t_exact) == (None, 62, 0.0)
     assert budget in large.error and math.isnan(large.t_exact)
+    # The shifts of one y share a pass, but Psi(2e15, 3) refuses only its
+    # own shift: the other runs alone, over its generated 3-smooth n.
+    admitted, refused = convergence_scan(ScanConfig(x_grid=(4e15,), a_list=(-1, 2 * 10**15), y=3))
+    smooth = sum(1 for i in range(53) for j in range(34) if 2**i * 3**j <= 4 * 10**15)
+    assert (admitted.error, admitted.psi_exact) == (None, smooth)
+    assert budget in refused.error and math.isnan(refused.t_exact)
 
 
 def _point_error(cfg, x, a):

@@ -20,6 +20,7 @@ where it takes the window.
 
 import ast
 import functools
+import itertools
 import math
 import re
 import tracemalloc
@@ -34,12 +35,12 @@ from hypothesis import strategies as st
 import smoothlab
 from smoothlab import psi, shifted, sieve, sieve_range, t_exact, v_exact, v_via_abel
 from smoothlab.sieve import (
-    _factor_at, _mu_segment, _phi_at, _smooth_mask, _smooth_phi_shifted, _tau_omega,
+    _factor_at, _mu_segment, _phi_at, _sieve_phi_segment, _smooth_mask, _tau_omega,
 )
 
 from conftest import (
     oracle_factorize, oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi,
-    oracle_spf, oracle_tau, stream_segment,
+    oracle_smooth_list, oracle_spf, oracle_tau, forced_route, stream_segment,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
@@ -247,6 +248,93 @@ def test_split_semiprime_takes_the_next_seed_when_a_walk_fails():
     assert sieve._split_semiprime(5 * 97) in (5, 97)
 
 
+def _stepwise_pollard_brent(n, c):
+    """Brent's walk with one gcd per step, as ``sieve._pollard_brent`` took it before its blocks."""
+    x, r = 2, 1
+    while True:
+        saved = x
+        for _ in range(r):
+            x = (x * x + c) % n
+            g = math.gcd(x - saved, n)
+            if g != 1:
+                return g
+        r *= 2
+
+
+@SETTINGS
+@given(
+    st.sampled_from([3, 5, 97, 2**18 + 3, 2**26 - 5, 67_108_859]),
+    st.sampled_from([7, 11, 101, 2**18 + 13, 2**26 - 5, 67_108_837]),
+    st.integers(1, 4),
+)
+def test_pollard_brent_blocks_find_the_factor_of_one_gcd_per_step(p, q, c):
+    # The differences of a block share one gcd; a block that hits goes again
+    # step by step, so the first step whose gcd is not 1 gives the factor.
+    assert sieve._pollard_brent(p * q, c) == _stepwise_pollard_brent(p * q, c)
+
+
+def test_strides_end_in_a_window_holding_zero():
+    # Every p^k divides 0, so the powers of p once ran on without end here.
+    def first_strides(lo, hi, bound):
+        return list(itertools.islice(sieve._strides(lo, hi, bound), 100))
+
+    assert first_strides(0, 10, 3) == [(2, 1, 0), (2, 2, 0), (2, 3, 0), (3, 1, 0), (3, 2, 0)]
+    assert first_strides(0, 1, 3) == []
+
+
+@SETTINGS
+@given(st.integers(1, 3000), FIXED_Y, st.integers(0, 400) | st.just(math.inf))
+def test_generated_smooth_n_match_the_oracle_up_to_the_cap(top, y, cap):
+    values = sieve._smooth_upto(top, y, cap)
+    smooth = oracle_smooth_list(0, top, y)
+    if len(smooth) > cap:
+        assert values is None
+    else:
+        assert values.dtype == np.int64 and values.tolist() == smooth
+
+
+@SETTINGS
+@given(st.integers(1, 10**6), st.sampled_from([1, 1.5, 2, 3, 7, 30, 100, 286, 1000, 5e4, math.inf]))
+def test_the_lower_bound_of_psi_holds(top, y):
+    assert sieve._smooth_floor(top, y) <= psi(top, y)
+
+
+def test_generation_stops_past_its_cap_before_sieving_primes_past_it(monkeypatch):
+    # Every n <= min(y, top) is smooth, so such a bound past the cap stops
+    # the generator before it sieves a prime; near the cap it stops once
+    # its count passes it.
+    asked = []
+    primes_upto = sieve.primes_upto
+    monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
+    assert sieve._smooth_upto(2**52, math.inf, 2**18) is None
+    assert asked == []
+    assert sieve._smooth_upto(2**52, 30, 10**5) is None
+    assert asked == [30]
+
+
+@pytest.mark.parametrize(
+    "x, y, generated",
+    [
+        (1e8, 30, True),  # 88,415 sparse smooth n: generated
+        (1e6, 200, False),  # the count passes the crossover while generating: the sieve
+        (4.5e6, 1e3, False),  # dense by its lower bound alone: the sieve, nothing generated
+        (3e4, 1e5, False),
+    ],
+)
+def test_the_pass_picks_its_route_from_the_arguments(x, y, generated, monkeypatch, quotient_counts):
+    routes = []
+
+    def counting(name):
+        kernel = getattr(sieve, name)
+        return lambda *args: routes.append(name) or kernel(*args)
+
+    for name in ("_sieve_phi_segment", "_generated_phi_segments"):
+        monkeypatch.setattr(sieve, name, counting(name))
+    t_exact(x, y, 1)
+    assert set(routes) == ({"_generated_phi_segments"} if generated else {"_sieve_phi_segment"})
+    assert quotient_counts == []  # the choice counts no psi
+
+
 @st.composite
 def sum_cases(draw):
     x = draw(st.integers(1, 5000))
@@ -277,7 +365,7 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
         for y in (7, 1000, 46340.5, math.inf):
             assert _smooth_mask(lo, hi, y).tolist() == [p <= y for p in lpf]
         # The union strip of a shift by -1 over [lo - 1, hi - 1] is phi on [lo, hi].
-        assert _smooth_phi_shifted(lo - 1, hi - 1, math.inf, -1)[1].tolist() == [
+        assert _sieve_phi_segment(lo - 1, hi - 1, math.inf, [-1])[0][1].tolist() == [
             oracle_phi(n) for n in ns
         ]
         assert _mu_segment(lo, hi).tolist() == [oracle_mu(n) for n in ns]
@@ -288,62 +376,69 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
 
 @st.composite
 def shifted_cases(draw):
-    """A segment [s, e] below 10^6 or across 2^31, a shift a with n - a >= 1,
-    and a y for every route of the kernel: at or above isqrt of the top of
-    the union window [min(s, s - a), max(e, e - a)] with |a| at most e - s
-    (one union strip), or a lower y or a shift at or past the segment length
-    (the mask, then ``_phi_at`` for sparse smooth n or the shifted window
-    for dense ones)."""
+    """A segment [s, e] below 10^6 or across 2^31, up to four distinct
+    shifts with every n - a <= 2^52, and a y for every route of the kernel:
+    at or above isqrt of the top of the union window [min(s, s - max a),
+    max(e, e - min a)] with the shifts and 0 spread over at most e - s (one
+    union strip), or a lower y or shifts spread wider (the mask, then, band
+    by band, ``_phi_at`` for sparse smooth n or the band's window for dense
+    ones).  A shift at or past s leaves the n <= a of the segment out."""
     size = draw(st.integers(1, 200))
     if draw(st.booleans()):
         s = draw(st.integers(21, 10**6))
     else:
         s = 2**31 - draw(st.integers(0, size + 20))
     e = s + size - 1
-    longer = st.sampled_from([size - 1, 1 - size, size, -size, size + 7, -(10**5)])
-    a = draw((st.integers(-20, 20) | longer).filter(bool))
-    a = min(a, s - 1)  # n - a >= 1
-    root = math.isqrt(max(e, e - a))
+    longer = st.sampled_from([size - 1, 1 - size, size, -size, size + 7, -(10**5), s, e - 3])
+    shifts = draw(st.lists((st.integers(-20, 20) | longer).filter(bool), min_size=1, max_size=4,
+                           unique=True))
+    root = math.isqrt(max(e, e - min(shifts)))
     y = draw(st.sampled_from([2, 30, root - 1, root, root + 0.5, 1e5, math.inf]))
-    return s, e, y, a
+    return s, e, y, shifts
 
 
 @SETTINGS
 @given(shifted_cases())
-@example((2**52 - 60, 2**52, math.inf, 7))
-@example((2**31 - 30, 2**31 + 30, math.inf, -15))
-@example((10**5, 10**5 + 199, 316, -199))  # isqrt of the union top: the union strip
-@example((10**5, 10**5 + 199, 315, -199))  # just below it: the mask and the window
-@example((10**5, 10**5 + 199, 30, -200))  # sparse smooth n: the mask and _phi_at
-@example((2**31 + 1, 2**31 + 200, 2, 200))  # no smooth n at all
+@example((2**52 - 60, 2**52, math.inf, [7]))
+@example((2**31 - 30, 2**31 + 30, math.inf, [-15]))
+@example((10**5, 10**5 + 199, 316, [-199]))  # isqrt of the union top: the union strip
+@example((10**5, 10**5 + 199, 315, [-199]))  # just below it: the mask and the window
+@example((10**5, 10**5 + 199, 30, [-200]))  # sparse smooth n: the mask and _phi_at
+@example((2**31 + 1, 2**31 + 200, 2, [200]))  # no smooth n at all
+@example((10**5, 10**5 + 199, 316, [-150, -3, 5]))  # one union strip for three shifts
+@example((10**5, 10**5 + 199, 1e5, [-5000, -4900, 3, 10**5 + 150]))  # two bands and a late shift
 def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
-    s, e, y, a = case
-    idx, phi = _smooth_phi_shifted(s, e, y, a)
-    assert np.array_equal(idx, np.flatnonzero(_smooth_mask(s, e, y)))
-    assert phi.dtype == np.int64
-    assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
+    s, e, y, shifts = case
+    smooth = np.flatnonzero(_smooth_mask(s, e, y)).tolist()
+    for a, (idx, phi) in zip(shifts, _sieve_phi_segment(s, e, y, shifts), strict=True):
+        assert idx.tolist() == [i for i in smooth if s + i > max(a, 0)]
+        assert phi.dtype == np.int64
+        assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
 
 
 @pytest.mark.parametrize(
-    "y, a, strips",
+    "y, shifts, strips",
     [
-        (400, -199, [399]),  # |a| <= e - s and y >= isqrt(e - a): the union window
-        (400, 199, [399]),
-        (400, -200, [200]),  # a shift past the segment: the mask, then the shifted window
-        (315, -199, [200]),  # y below isqrt(e - a): likewise
-        (30, -200, []),  # sparse smooth n: the mask, then _phi_at
+        (400, [-199], [399]),  # |a| <= e - s and y >= isqrt(e - a): the union window
+        (400, [199], [399]),
+        (400, [-200], [200]),  # a shift past the segment: the mask, then the shifted window
+        (315, [-199], [200]),  # y below isqrt(e - a): likewise
+        (30, [-200], []),  # sparse smooth n: the mask, then _phi_at
+        (400, [-150, -3, 5], [355]),  # the shifts and 0 spread over at most e - s: one union strip
+        (1e5, [-5000, -4900, 3], [300, 200]),  # wider: the mask, then one window per band
     ],
 )
-def test_smooth_phi_shifted_picks_its_route(y, a, strips, phi_window_entries):
+def test_smooth_phi_shifted_picks_its_route(y, shifts, strips, phi_window_entries):
     s, e = 10**5, 10**5 + 199
-    idx, phi = _smooth_phi_shifted(s, e, y, a)
+    rows = _sieve_phi_segment(s, e, y, shifts)
     assert phi_window_entries == strips
-    assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
+    for a, (idx, phi) in zip(shifts, rows, strict=True):
+        assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
 
 
 def test_smooth_phi_shifted_strips_no_window_past_its_segment(phi_window_entries):
     # A shift of -2^40 once asked for a union window of 2^40 entries.
-    idx, phi = _smooth_phi_shifted(1, 100, math.inf, -(2**40))
+    [(idx, phi)] = _sieve_phi_segment(1, 100, math.inf, [-(2**40)])
     assert idx.tolist() == list(range(100))
     assert phi.tolist() == [oracle_phi(n + 2**40) for n in range(1, 101)]
     assert phi_window_entries and max(phi_window_entries) <= 100
@@ -362,7 +457,7 @@ def test_smooth_phi_shifted_counts_no_primes_near_2_52(monkeypatch):
         return primes_upto(n)
 
     monkeypatch.setattr(sieve, "primes_upto", recording)
-    idx, phi = _smooth_phi_shifted(1, 2**22, 1, a)
+    [(idx, phi)] = _sieve_phi_segment(1, 2**22, 1, [a])
     assert 2**22 - a == 2**52 - 1
     assert (idx.tolist(), phi.tolist()) == ([0], [oracle_phi(1 - a)])
     assert max(asked) <= 2**18
@@ -382,7 +477,7 @@ def test_a_sparse_segment_sieves_its_trial_primes_once(monkeypatch):
         return primes_upto(n)
 
     monkeypatch.setattr(sieve, "primes_upto", recording)
-    idx, phi = _smooth_phi_shifted(s, e, y, a)
+    [(idx, phi)] = _sieve_phi_segment(s, e, y, [a])
     assert 0 < idx.size < 200
     assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
     # The wheel's primes to 7 come with every mask.
@@ -394,10 +489,16 @@ def test_a_sparse_segment_sieves_its_trial_primes_once(monkeypatch):
 _cached_oracle_phi = functools.cache(oracle_phi)
 
 
-def _mask_route(s, e, y, a):
-    """The route of a segment without the union kernel: the mask, then phi from the oracle."""
-    idx = np.flatnonzero(_smooth_mask(s, e, y))
-    return idx, np.array([_cached_oracle_phi(n) for n in (idx + (s - a)).tolist()], dtype=np.int64)
+def _mask_route(lo, hi, y, shifts):
+    """A pass without the totient routes: the mask of each segment, then phi from the oracle."""
+    for s, e in sieve.segment_bounds(lo + 1, hi):
+        idx = np.flatnonzero(_smooth_mask(s, e, y))
+        rows = []
+        for a in shifts:
+            above = idx[idx > max(a, 0) - s]
+            phi = [_cached_oracle_phi(n) for n in (above + (s - a)).tolist()]
+            rows.append((above, np.array(phi, dtype=np.int64)))
+        yield s, e, rows
 
 
 @st.composite
@@ -406,21 +507,29 @@ def union_sum_cases(draw):
     segment = draw(st.integers(max(1, math.floor(x) // 64), math.floor(x) + 10))
     a = draw(st.integers(-20, 20).filter(bool) | st.sampled_from([segment, -segment - 3]))
     root = math.isqrt(math.floor(x) - min(a, 0))
-    y = draw(st.sampled_from([root - 1, root, root + 0.5, 1e5, math.inf]).filter(lambda v: v >= 1))
+    y = draw(
+        st.sampled_from([2, 7, 30, root - 1, root, root + 0.5, 1e5, math.inf])
+        .filter(lambda v: v >= 1)
+    )
     return x, y, a, segment
 
 
+@pytest.mark.parametrize("route", ["sieve", "generated"])
 @SETTINGS
 @given(union_sum_cases())
 @example((120, 10, -1, 1000))  # isqrt(120) <= y < isqrt(121): 11 must not count as 10-smooth
-def test_t_and_v_match_the_mask_route(case):
+def test_t_and_v_match_the_mask_route(route, case):
+    # The patch replaces the whole pass, so no route can bypass it, and the
+    # forced route is seen running by its call count.
     x, y, a, segment = case
     sums = (t_exact, v_exact, v_via_abel)
     with stream_segment(segment):
-        got = [fn(x, y, a).hex() for fn in sums]
+        with forced_route(route) as calls:
+            got = [fn(x, y, a).hex() for fn in sums]
         with patch.object(shifted, "_smooth_phi_shifted", _mask_route):
             want = [fn(x, y, a).hex() for fn in sums]
     assert got == want
+    assert calls or math.floor(x) <= max(a, 0)
 
 
 def test_the_totient_routes_live_in_the_sieve_module():

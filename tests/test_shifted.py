@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,9 @@ from smoothlab.shifted import (
     _EXACT_UNIT, _exact_int, _int_sum, _multiple_counts, _round_exact, _shifted_totals,
 )
 
-from conftest import oracle_mobius_split, oracle_mu, oracle_t, oracle_v, stream_segment
+from conftest import (
+    forced_route, oracle_mobius_split, oracle_mu, oracle_t, oracle_v, stream_segment,
+)
 
 SMALL_GRID = [
     (x, y, a)
@@ -83,7 +86,7 @@ def test_t_exact_counts_no_psi(monkeypatch):
         calls.clear()
         t = t_exact(x, y, a)
         assert calls == []
-        assert t.hex() == _shifted_totals([x], y, a)[0][1].hex()
+        assert t.hex() == _shifted_totals([x], y, [a])[0][0][1].hex()
 
 
 def test_t_exact_memory_does_not_grow_with_x():
@@ -452,7 +455,51 @@ def test_aux_averages_matches_oracle():
 @pytest.mark.parametrize("xs", [[300.0, 10.0], [10.0, 300.0, 10.0, 300.0], [50.0, 50.0]])
 def test_shifted_totals_refuses_xs_out_of_order(xs):
     with pytest.raises(DomainError, match="strictly increasing"):
-        _shifted_totals(xs, 7.0, 1)
+        _shifted_totals(xs, 7.0, [1])
+
+
+@st.composite
+def shared_pass_cases(draw):
+    """An x grid over several segments, a y, and up to 16 distinct shifts of both signs.
+
+    The shifts run near 0, where one union window serves them, and out to
+    several segments, where they go in bands and may start past some x.
+    """
+    top = draw(st.integers(1, 3000))
+    xs = sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=4)) | {top})
+    segment = draw(st.integers(max(1, top // 24), top + 10))
+    near, far = st.integers(-40, 40), st.integers(-3 * top - 50, 3 * top + 50)
+    shifts = draw(st.lists((near | far).filter(bool), min_size=1, max_size=16, unique=True))
+    y = draw(st.sampled_from([2, 3, 7, 30, 100, 1e3, math.inf]))
+    return xs, y, shifts, segment
+
+
+@pytest.mark.parametrize("route", [None, "sieve", "generated"])
+@settings(max_examples=40, deadline=None)
+@given(shared_pass_cases())
+def test_one_pass_serves_every_shift(route, case):
+    xs, y, shifts, segment = case
+    with stream_segment(segment), (forced_route(route) if route else nullcontext([])) as calls:
+        shared = _shifted_totals(xs, y, shifts)
+        alone = [_shifted_totals(xs, y, [a])[0] for a in shifts]
+
+    def hexed(per_shift):
+        return [[(p, t.hex(), v.hex()) for p, t, v in rows] for rows in per_shift]
+
+    assert hexed(shared) == hexed(alone)
+    assert calls or not route or xs[-1] <= min(max(a, 0) for a in shifts)
+
+
+def test_one_pass_keeps_the_sieve_route_values():
+    # Psi, T and V of the sieve route at (1e8, 30) before the smooth n were
+    # generated at small y, for both shifts from one pass.
+    [[(psi_1, t_1, v_1)], [(psi_2, t_2, v_2)]] = _shifted_totals([1e8], 30, [1, -2])
+    assert (psi_1, t_1.hex(), v_1.hex()) == (
+        88415, "0x1.11c02fe72adfap+16", "0x1.4862d39851f9cp+24"
+    )
+    assert (psi_2, t_2.hex(), v_2.hex()) == (
+        88415, "0x1.786924afdc580p+15", "0x1.b9dd9c841fe27p+23"
+    )
 
 
 def _fsum_hex(chunks):
