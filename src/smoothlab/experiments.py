@@ -20,12 +20,12 @@ import numpy as np
 
 from .census import _coprime_counts, _residues, _smooth_values
 from .dickman import RhoTable, build_rho_table, psi_estimate
-from .errors import CapacityError, DomainError, SmoothlabError
+from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _E, ZETA2_INV, _shifted_totals, main_terms
 from .sieve import (
-    _check_cutoff, _check_log_ratio, _check_modulus, _check_pass, _check_shift, _check_x,
-    _check_y, _factor_at, _phi_of_pairs, _prime_lists, _to_float,
+    _check_cutoff, _check_log_ratio, _check_modulus, _check_pass, _check_quotient, _check_shift,
+    _check_x, _check_y, _factor_at, _phi_of_pairs, _prime_lists, _to_float,
 )
 
 SCAN_CSV_HEADER = "x,y,u,a,psi,psi_rho,t,v,t_ratio,t_err,v_err,err_scale"
@@ -141,27 +141,14 @@ def _failed_record(x: float, a: int, exc: SmoothlabError) -> ScanRecord:
     )
 
 
-def _scan_totals(xs, y: float, shifts: list[int]) -> list:
-    """Per shift, its ``_shifted_totals`` rows at xs, or the CapacityError that refused it.
-
-    The shifts share one pass; when that is refused, each shift runs alone,
-    so a refused head psi fails the rows of its own shift only.
-    """
-    try:
-        return _shifted_totals(xs, y, shifts)
-    except CapacityError as exc:
-        if len(shifts) == 1:
-            return [exc]
-    return [_scan_totals(xs, y, [a])[0] for a in shifts]
-
-
 def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
     """Run every (x, y(x), a) point of the config; never aborts mid-scan.
 
-    Each point is admitted before any pass, by y(x), ``_check_pass`` and
-    ``_check_log_ratio`` (the x >= y >= 2 of its rho estimate).  A refused
-    point, and each point of a shift whose head psi is refused before its
-    pass, is a row with nan numerics and the error.  The points that share y
+    Each point is admitted before any pass, by y(x), ``_check_pass``,
+    ``_check_log_ratio`` (the x >= y >= 2 of its rho estimate) and, for
+    a > 0, ``_check_quotient`` of its head psi(min(x, a), y), the smooth n
+    that its pass skips.  A refused point is a row with nan numerics and
+    the error, and no admitted pass can raise.  The points that share y
     and the list of shifts admitted at their x come from one pass up to the
     largest of their x for all those shifts (``_shifted_totals``), which
     gives each (x, a) the floats of a pass of that shift up to that x alone;
@@ -182,6 +169,8 @@ def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
                 y = cfg.y_for(x)
                 _check_pass(x, y, a)
                 _check_log_ratio(x, y)
+                if a > 0:
+                    _check_quotient(math.floor(min(x, a)), y)
             except SmoothlabError as exc:
                 by_shift[a].append(_failed_record(x, a, exc))
             else:
@@ -194,11 +183,8 @@ def convergence_scan(cfg: ScanConfig) -> list[ScanRecord]:
     u = [math.log(x) / math.log(y) for (y, _shifts), xs in groups.items() for x in xs]
     table = build_rho_table(u_max=math.ceil(max([2.0, *u])) + 1)
     for (y, shifts), xs in groups.items():
-        for a, totals in zip(shifts, _scan_totals(xs, y, list(shifts))):
-            if isinstance(totals, CapacityError):
-                by_shift[a] += [_failed_record(x, a, totals) for x in xs]
-            else:
-                by_shift[a] += [_scan_record(x, y, a, t, table) for x, t in zip(xs, totals)]
+        for a, totals in zip(shifts, _shifted_totals(xs, y, list(shifts))):
+            by_shift[a] += [_scan_record(x, y, a, t, table) for x, t in zip(xs, totals)]
     records = [r for a in map(int, cfg.a_list) for r in by_shift[a]]
     records.sort(key=lambda r: (r.a, r.x))
     if cfg.output_path:

@@ -7,33 +7,33 @@ For a nonzero integer shift a, the two quantities of interest are
 
 together with three independent evaluation routes used to cross-check them:
 a truncated Moebius expansion of T (phi(k)/k = sum over d | k of mu(d)/d),
-a partial-summation identity for V built from cumulative T at integer cut
-points, and the quadrature integral I(x, y) = integral of t * rho(log t /
+a partial-summation identity for V built from T's steps at the smooth n,
+and the quadrature integral I(x, y) = integral of t * rho(log t /
 log y) with its leading-term comparator x^2 rho(u) / 2.  I is taken in
 v = log t / log y on fixed Gauss-Legendre panels (32 points, with the
 16-point rule for the error estimate), cut at every integer where rho has
 its kinks and split further where y^(2v) grows fast; the nodes come from
 numpy, so the module needs no scipy.
 
-T and V come from one pass over the segments of (max(a,0), floor(x)], and
-one pass serves a whole list of shifts: ``_shifted_pass`` reads the
-segment stream of ``sieve._smooth_phi_shifted``, which finds the smooth n
-of each segment once and gives phi(n - a) at them for every shift.  It
-picks its route itself, generated smooth n at small y or the sieve;
-every route gives the same integers, so the route never changes a
-result.  ``aux_averages`` calls ``_smooth_tau_omega`` per segment
-instead, on the mask.  The Moebius split
+T and V come from one pass over (max(a,0), floor(x)], and one pass serves
+a whole list of shifts: ``_shifted_pass`` reads the window stream of
+``sieve._smooth_phi_shifted``, which finds the smooth n of each window
+once and gives phi(n - a) at them for every shift.  It picks its route
+itself, generated smooth n at small y (one window per run of them) or the
+sieve (one window per segment); every route gives the same integers, so
+the route never changes a result.  ``aux_averages`` calls
+``_smooth_tau_omega`` per segment instead, on the mask.  The Moebius split
 rides on the same pass: it sums T and marks n - a for the smooth n of each
-segment in a bool indicator, 1 byte per modulus for every y, so each n is
+window in a bool indicator, 1 byte per modulus for every y, so each n is
 tested for smoothness once.  It then counts the multiples of each modulus
 in the indicator, one segment of moduli at a time: a strided count per
 squarefree d up to the square root of its length n, and for the d above
 it one strided add per multiplier j.  Float terms are summed
-exactly (``_exact_int``) and rounded once (``_round_exact``), so T and the
-Moebius split do not depend on the segment size, the term order or the
-other shifts of the pass.  The same exactness lets one pass serve a whole
-grid of x: T at each x is the running exact integer of the terms so far,
-rounded at that cut.
+exactly (``_exact_int``) and rounded once (``_round_exact``), so T, V by
+partial summation and the Moebius split do not depend on the windows, the
+term order or the other shifts of the pass.  The same exactness lets one
+pass serve a whole grid of x: T at each x is the running exact integer of
+the terms so far, rounded at that cut.
 """
 
 import math
@@ -83,14 +83,14 @@ def _head_psi(x: float, y: float, a: int) -> int:
 
 
 def _shifted_pass(x: float, y: float, shifts: list[int]):
-    """The segments of the shifted sums up to x of every shift, for arguments from ``_check_pass``.
+    """The windows of the shifted sums up to x of every shift, for arguments from ``_check_pass``.
 
-    Yields (s, e, rows) for the segments [s, e] of (min max(a, 0),
-    floor(x)] in order, with one (idx, phi) row per shift: the y-smooth n of
-    the segment above max(a, 0) are s + idx, and phi holds phi(n - a) at
-    them (``sieve._smooth_phi_shifted``).  A segment with no smooth n may be
-    left out.  The kernel's windows are freed before the caller sums the
-    terms.
+    Yields (s, e, rows) for increasing, disjoint windows [s, e] that hold
+    every smooth n of (min max(a, 0), floor(x)], with one (idx, phi) row per
+    shift: the y-smooth n of the window above max(a, 0) are s + idx, and
+    phi holds phi(n - a) at them (``sieve._smooth_phi_shifted``).  Where
+    the windows fall depends on the route, so each caller sums its terms
+    exactly.  The kernel's strips are freed before the caller sums them.
     """
     return _smooth_phi_shifted(min(max(a, 0) for a in shifts), math.floor(x), y, shifts)
 
@@ -226,7 +226,7 @@ def _round_exact(total: int) -> float:
 def t_exact(x: float, y: float, a: int) -> float:
     """T(x, y): sum of phi(n - a)/(n - a) over smooth n in (max(a,0), floor(x)].
 
-    Terms stream segment by segment into an exact sum that is rounded once
+    Terms stream window by window into an exact sum that is rounded once
     (``_exact_int``, the float math.fsum gives), so the result is within
     1e-12 relative of the exact rational value and memory does not grow
     with x.  No psi is counted, so a shift a near x costs only its terms.
@@ -314,7 +314,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
 
     The moduli run to floor(x) - a for either sign of a: every n - a lies
     in [1, floor(x) - a], so no count above that is nonzero.  One pass over
-    the segments, the one that T takes, sums T and marks the values n - a
+    the windows, the one that T takes, sums T and marks the values n - a
     of the smooth n in a bool indicator: 1 byte per modulus for every y, so
     more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a CapacityError,
     raised before anything is allocated.  mu, the counts of multiples
@@ -358,34 +358,25 @@ def v_exact(x: float, y: float, a: int) -> float:
 def v_via_abel(x: float, y: float, a: int) -> float:
     """V(x, y) through partial summation.
 
-    Uses V * Psi = T(x, y) * (x - a) - integral_1^x T(t, y) dt, where T(., y)
-    is a step function in its first argument; the integral is the exact sum
-    of T(k) over integer k < floor(x) plus the fractional top piece.  Psi is
+    Uses V * Psi = T(x, y) * (x - a) - integral_1^x T(t, y) dt.  T(., y) is
+    a step function that rises by t_n = phi(n - a) / (n - a) at each smooth
+    n, so the integral is the sum of t_n (floor(x) - n) over its steps plus
+    the fractional top piece (x - floor(x)) T(x).  T(x) and that sum, each
+    product rounded once, are exact sums rounded once (``_exact_int``), so
+    the result does not depend on the windows of the pass.  Psi is
     ``psi``'s quotient count, which shares no code with the pass it checks.
     """
     a, y = _check_pass(x, y, a)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
-    running_t = 0.0
-    integral_parts = []
-    # The pass may leave out a segment with no smooth n; every segment adds its part.
-    stream = _shifted_pass(x, y, [a])
-    ahead = next(stream, None)
-    for s, e in segment_bounds(max(a, 0) + 1, top):
-        idx = phi_at = np.zeros(0, dtype=np.int64)
-        if ahead is not None and ahead[0] == s:
-            [(idx, phi_at)] = ahead[2]
-            ahead = next(stream, None)
-        terms = np.zeros(e - s + 1)
-        terms[idx] = _t_terms(a, s, idx, phi_at)
-        cumulative = running_t + np.cumsum(terms)
-        upper = min(e, top - 1)
-        if upper >= s:
-            integral_parts.append(float(np.sum(cumulative[: upper - s + 1])))
-        running_t = float(cumulative[-1])
-    t_at_x = running_t
-    integral = math.fsum(integral_parts) + (x - top) * t_at_x
+    t = steps = 0
+    for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
+        terms = _t_terms(a, s, idx, phi_at)
+        t += _exact_int(terms)
+        steps += _exact_int(terms * (top - s - idx))
+    t_at_x = _round_exact(t)
+    integral = _round_exact(steps) + (x - top) * t_at_x
     return (t_at_x * (x - a) - integral) / psi(x, y)
 
 

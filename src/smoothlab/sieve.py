@@ -37,7 +37,7 @@ moduli of ``psi_coprime`` and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
 and ``segment_bounds`` is the only code that does so; a generated pass
-takes only the segments that hold a smooth n.  Only
+cuts no segments, but one window per run of its smooth n.  Only
 :func:`sieve_range` takes windows from outside callers, and it refuses one
 past ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the
 other kernels and ``_factor_at`` trust the range or values their entry
@@ -381,17 +381,9 @@ def _check_point(u: float, u_max: float) -> float:
     return u
 
 
-def segment_bounds(lo: int, hi: int, holding=None):
-    """Split [lo, hi] into inclusive chunks of at most ``STREAM_SEGMENT`` entries.
-
-    With ``holding``, an increasing int64 array of values in [lo, hi], only
-    the chunks that hold one of them come.
-    """
-    if holding is None:
-        starts = range(lo, hi + 1, STREAM_SEGMENT)
-    else:
-        starts = (np.unique((holding - lo) // STREAM_SEGMENT) * STREAM_SEGMENT + lo).tolist()
-    for s in starts:
+def segment_bounds(lo: int, hi: int):
+    """Split [lo, hi] into inclusive chunks of at most ``STREAM_SEGMENT`` entries."""
+    for s in range(lo, hi + 1, STREAM_SEGMENT):
         yield s, min(s + STREAM_SEGMENT - 1, hi)
 
 
@@ -525,21 +517,21 @@ def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:
 
 
 def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
-    """The segments of a pass of shifted totients over (lo, hi], for every shift at once.
+    """The windows of a pass of shifted totients over (lo, hi], for every shift at once.
 
     lo is the least max(a, 0) over the shifts, and every n - a <= 2^52
-    (``_check_pass``).  Yields (s, e, rows) for the segments [s, e] of
-    ``segment_bounds`` in order, with one (idx, phi) row per shift; a
-    segment with no smooth n may be left out.  The y-smooth n in
-    [s, e] above max(a, 0) are s + idx, and phi holds phi(n - a) at them.
-    ``_generated_smooth`` picks the route from the arguments: the smooth n
-    multiplied out of the primes up to y (``_generated_phi_segments``), or
-    the sieve, one ``_sieve_phi_segment`` per segment.  Every route gives
-    the same integers.
+    (``_check_pass``).  Yields (s, e, rows) for increasing, disjoint windows
+    [s, e] that together hold every smooth n of the pass, with one (idx,
+    phi) row per shift: the y-smooth n in [s, e] above max(a, 0) are
+    s + idx, and phi holds phi(n - a) at them.  ``_generated_smooth`` picks
+    the route from the arguments: the smooth n multiplied out of the primes
+    up to y, one window per run of them (``_generated_phi_segments``), or
+    the sieve, one ``_sieve_phi_segment`` per segment of ``segment_bounds``.
+    Every route gives the same integers; only the windows differ.
     """
     values = _generated_smooth(lo, hi, y, shifts)
     if values is not None:
-        return _generated_phi_segments(values, lo, hi, shifts)
+        return _generated_phi_segments(values, shifts)
     return ((s, e, _sieve_phi_segment(s, e, y, shifts)) for s, e in segment_bounds(lo + 1, hi))
 
 
@@ -677,32 +669,21 @@ def _smooth_upto(top: int, y: float, cap: float):
     return values
 
 
-def _generated_phi_segments(values: np.ndarray, lo: int, hi: int, shifts: list[int]):
-    """The (s, e, rows) stream of ``_smooth_phi_shifted`` from the increasing smooth n of (lo, hi].
+def _generated_phi_segments(values: np.ndarray, shifts: list[int]):
+    """The (s, e, rows) windows of ``_smooth_phi_shifted`` from the increasing smooth n of a pass.
 
-    Only the segments that hold one of the n come, so a pass up to 2^52
-    takes no time per empty segment.  phi(n - a) comes from ``_phi_at``
-    over runs of consecutive segments, each of at least STREAM_SEGMENT //
-    len(shifts) values, so that a run holds at most about
-    ``STREAM_SEGMENT`` totients.
+    One window per run of STREAM_SEGMENT // len(shifts) of the n, from the
+    run's first n to its last, so a pass up to 2^52 takes no time where it
+    has no smooth n, and a window holds at most about ``STREAM_SEGMENT``
+    totients: one ``_phi_at`` per shift, at its n above max(a, 0).
     """
     run = max(1, STREAM_SEGMENT // len(shifts))
-    starts = [int(np.searchsorted(values, max(a, 0), "right")) for a in shifts]
-    done = stop = 0
-    phis = [(0, np.zeros(0, dtype=np.int64))] * len(shifts)
-    for s, e in segment_bounds(lo + 1, hi, values):
-        begin, end = done, int(np.searchsorted(values, e, "right"))
-        if end > stop:
-            stop = max(end, min(values.size, begin + run))
-            phis = [(max(begin, k), _phi_at(values[max(begin, k) : stop] - a))
-                    for a, k in zip(shifts, starts)]
-        idx = values[begin:end] - s
-        rows = []
-        for (base, phi), k in zip(phis, starts):
-            first = max(begin, k)
-            rows.append((idx[first - begin :], phi[first - base : max(end, first) - base]))
-        done = end
-        yield s, e, rows
+    for start in range(0, values.size, run):
+        chunk = values[start : start + run]
+        s = int(chunk[0])
+        idx = chunk - s
+        picks = [(a, _above(idx, s, a)) for a in shifts]
+        yield s, int(chunk[-1]), [(pick, _phi_at(pick + (s - a))) for a, pick in picks]
 
 
 def _factor_at(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -732,7 +713,7 @@ def _factor_at(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # several primes in one block.
         while at.size:
             np.floor_divide.at(rem, at, p)
-            again = rem[at] % p == 0
+            again = (rem[at] % p == 0) & (rem[at] > 0)  # a 0 would divide forever
             at, p = at[again], p[again]
         live = live[rem[live] >= (int(block[-1]) + 1) ** 2]
     if root > _TRIAL_PRIMES:

@@ -119,6 +119,12 @@ def test_a_refused_head_psi_fails_its_own_rows():
     small, large = convergence_scan(ScanConfig(x_grid=(100.0, 10**13 + 50), a_list=(10**13 + 10,)))
     assert (small.error, small.psi_exact, small.t_exact) == (None, 62, 0.0)
     assert budget in large.error and math.isnan(large.t_exact)
+    # With one y for both x, the group's head Psi(10^13 + 10, 10^3) once
+    # failed the x = 1e5 row too, a count that row never needs.
+    small, large = convergence_scan(ScanConfig(x_grid=(1e5, 10**13 + 50), a_list=(10**13 + 10,),
+                                               y=1e3))
+    assert (small.error, small.psi_exact, small.t_exact) == (None, 53_323, 0.0)
+    assert budget in large.error and math.isnan(large.t_exact)
     # The shifts of one y share a pass, but Psi(2e15, 3) refuses only its
     # own shift: the other runs alone, over its generated 3-smooth n.
     admitted, refused = convergence_scan(ScanConfig(x_grid=(4e15,), a_list=(-1, 2 * 10**15), y=3))

@@ -20,9 +20,11 @@ where it takes the window.
 
 import ast
 import functools
+import inspect
 import itertools
 import math
 import re
+import signal
 import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
@@ -335,6 +337,43 @@ def test_the_pass_picks_its_route_from_the_arguments(x, y, generated, monkeypatc
     assert quotient_counts == []  # the choice counts no psi
 
 
+def test_a_generated_pass_yields_one_window_per_run(monkeypatch):
+    # The stream's memory bound: a window holds at most STREAM_SEGMENT //
+    # len(shifts) smooth n, from the first to the last of its run, and
+    # takes one ``_phi_at`` per shift.
+    shifts = [1, -2, 5]
+    phi_calls = []
+    phi_at = sieve._phi_at
+    monkeypatch.setattr(sieve, "_phi_at", lambda values: phi_calls.append(values) or phi_at(values))
+    with stream_segment(100), forced_route("generated") as calls:
+        windows = list(sieve._smooth_phi_shifted(0, 10**5, 30, shifts))
+    run, count = 100 // len(shifts), psi(1e5, 30)
+    assert len(calls) == 1 and len(windows) == -(-count // run)
+    assert len(phi_calls) == len(windows) * len(shifts)
+    bounds = [(s, e) for s, e, _rows in windows]
+    assert all(s <= e < after for (s, e), (after, _e) in zip(bounds, bounds[1:]))
+    for s, e, rows in windows:
+        idx = rows[1][0]  # every n of the window is above max(-2, 0)
+        assert 0 < idx.size <= run and (idx[0], idx[-1]) == (0, e - s)
+    assert sum(rows[1][0].size for _s, _e, rows in windows) == count
+
+
+def test_phi_at_returns_on_a_zero():
+    # A 0 is outside the values ``_phi_at`` is for, but it once divided
+    # forever in ``_factor_at``; the alarm makes a regression fail this test
+    # instead of hanging the suite.
+    def expire(signum, frame):
+        raise TimeoutError("_phi_at did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        assert _phi_at(np.array([0, 5])).tolist() == [0, 4]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @st.composite
 def sum_cases(draw):
     x = draw(st.integers(1, 5000))
@@ -601,6 +640,24 @@ def test_each_argument_is_checked_once_at_its_entry_point():
         if isinstance(node, ast.FunctionDef) and node.name == "_factor_at"
     ]
     assert not any(isinstance(node, ast.Raise) for node in ast.walk(factor_at))
+
+
+def test_the_shifted_sums_read_windows_not_segments():
+    # ``v_via_abel`` lined the pass up with ``segment_bounds`` to fill every
+    # integer of each segment, and for it alone a generated pass was cut
+    # into the segments that held its n (``segment_bounds(holding=...)``).
+    # The one reader of the pass that still cuts segments cuts its moduli,
+    # from 1, not the n of the pass.
+    tree = ast.parse((Path(smoothlab.__file__).parent / "shifted.py").read_text())
+    readers = set(_calls_to("_shifted_pass", tree))
+    assert "v_via_abel" in readers
+    assert readers & set(_calls_to("segment_bounds", tree)) == {"t_via_mobius"}
+    [mobius] = [fn for fn in tree.body if getattr(fn, "name", None) == "t_via_mobius"]
+    assert [
+        ast.literal_eval(node.args[0]) for node in ast.walk(mobius)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "segment_bounds"
+    ] == [1]
+    assert list(inspect.signature(sieve.segment_bounds).parameters) == ["lo", "hi"]
 
 
 def test_the_pass_kernels_have_no_public_twin():

@@ -304,7 +304,12 @@ def test_abel_negative_shift_and_fractional_x():
 def test_abel_streaming_matches():
     whole = v_via_abel(20000, 19, 3)
     with stream_segment(777):
-        assert v_via_abel(20000, 19, 3) == pytest.approx(whole, rel=1e-12)
+        assert v_via_abel(20000, 19, 3) == whole
+
+
+def test_abel_reaches_the_generated_route():
+    # The reference once filled every integer up to x: 3.8 million segments here.
+    assert v_via_abel(1e12, 7, -3) == pytest.approx(v_exact(1e12, 7, -3), rel=1e-12)
 
 
 def test_main_terms():
