@@ -14,16 +14,15 @@ kernel is one loop over it, sized to its question:
 - a phi strip takes every prime p <= sqrt(hi) with phi of the part, and
   ``_phi_from_part`` multiplies in q - 1 for the (at most one) prime
   q = n / part > sqrt(hi); ``sieve_range`` and the shifted kernel share it.
-- ``_smooth_phi_shifted`` is the one pass of shifted totients, and the
-  one place that picks how it gets its smooth n and phi(n - a), for a whole
-  list of shifts at once.  At small y it generates the smooth n, multiplied
-  out of the prime powers up to y (``_smooth_upto``), and takes phi(n - a)
-  from ``_phi_at``.  Otherwise ``_sieve_phi_segment`` tests each segment
-  [s, e] once for every shift: one phi strip of the union window
-  [min(s, s - max a), max(e, e - min a)], read for smoothness as
-  ``_smooth_mask`` reads its own, or the mask and then, for each band of
-  shifts, ``_phi_at`` (``SPARSE_PHI_FACTOR``) or a strip of the band's
-  window.
+- ``_smooth_phi_shifted`` is the one pass of shifted totients, for a
+  whole list of shifts at once, and ``_generated_smooth`` picks its one
+  route from its arguments alone.  At small y the pass generates the
+  smooth n, multiplied out of the prime powers up to y (``_smooth_upto``),
+  and takes phi(n - a) from ``_phi_at``.  Otherwise ``_sieve_phi_segment``
+  strips each segment [s, e] once for every shift: one phi strip of the
+  union window [min(s, s - max a), max(e, e - min a)], read for
+  smoothness as ``_smooth_mask`` reads its own, or the mask and then one
+  strip of each band of shifts.
 - ``_mu_segment`` gives mu, and ``_tau_omega`` tau and omega, from the
   same strides; ``_tau_omega`` finds the n with a prime above sqrt(hi)
   from the ``_strip_primes`` part.
@@ -31,17 +30,18 @@ kernel is one loop over it, sized to its question:
 ``_factor_at`` is the one factorization of single integers and takes no
 window: trial division by the primes up to min(sqrt(max), 2^18), then
 Miller-Rabin and Pollard-Brent (one gcd per block of steps), so its memory
-does not grow with sqrt(max).
-``_phi_at`` (sparse values), ``is_smooth``, ``largest_prime_factor`` and the
-moduli of ``psi_coprime`` and ``ft_ratio_scan`` read it.
+does not grow with sqrt(max).  ``_phi_at`` (a generated pass),
+``is_smooth``, ``largest_prime_factor`` and the moduli of ``psi_coprime``
+and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
 and ``segment_bounds`` is the only code that does so; a generated pass
-cuts no segments, but one window per run of its smooth n.  Only
-:func:`sieve_range` takes windows from outside callers, and it refuses one
-past ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the
-other kernels and ``_factor_at`` trust the range or values their entry
-point checked.
+cuts no segments, but one window per run of its smooth n, and holds at
+most ``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range`
+takes windows from outside callers, and it refuses one past
+``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the other
+kernels and ``_factor_at`` trust the range or values their entry point
+checked.
 
 :func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
 same kernels in three stride walks (its spf/lpf loop, one phi strip and
@@ -68,18 +68,24 @@ from .errors import AccuracyError, CapacityError, DomainError
 #: Largest window ``sieve_range`` accepts.
 DEFAULT_SEGMENT_CAPACITY = 1 << 22
 
-#: Entries per segment of every stream (``segment_bounds``).  A 2^18
+#: Entries per segment of every stream (``segment_bounds``), and smooth n
+#: per run of a generated pass (``_generated_phi_segments``).  A 2^18
 #: window keeps an int32 smooth part and totient (1 MiB each) near the L2
 #: cache; larger windows were slower on the 2-core reference box.
 STREAM_SEGMENT = 1 << 18
 
-#: A shifted segment takes phi(n - a) from ``_phi_at`` at its smooth n when
-#: their count times pi(sqrt(e - a)), taken as Rosser and Schoenfeld's bound
-#: (``_prime_count_bound``), is below this multiple of the segment size, and
-#: from a window strip otherwise.  On 2^18-entry windows the two cost the
-#: same at about 8 times the size near e - a = 4e6 (2.6 % density) and 40
-#: to 70 times near 2e9 (1 % or more); the factor sits at the low end.
-SPARSE_PHI_FACTOR = 12
+#: Most smooth n a generated pass holds: 2^22 int64 values, 32 MiB.  A
+#: generation stopped at it peaked at 73 MB of RSS, against 198 MB at 2^24.
+GENERATED_CAPACITY = 1 << 22
+
+#: A pass generates its smooth n and takes phi(n - a) from ``_phi_at`` when
+#: their count times the shifts times pi(sqrt(hi - min a)), as Rosser and
+#: Schoenfeld bound it (``_prime_count_bound``), is below this multiple of
+#: hi - lo, and sieves a mask and strips otherwise.  With a = 1 at y = 100
+#: (2-core box, min of 3) the sieve took 2.1 and 7.7 s at x = 1e8 and 3e8
+#: and generating 1.7 and 4.4 s; 12 sieves both and 13 generates both.  At
+#: x = 1e7 and 3e7, which 13 sieves, the two routes are within 15 %.
+SPARSE_PHI_FACTOR = 13
 
 #: The prime powers p^e (p -> e) whose multiples ``_strip_primes`` takes from
 #: one tiled pattern instead of strides.  The pattern of any subset of them
@@ -539,14 +545,13 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]) -> list:
     """[(idx, phi)] per shift a: s + idx are the y-smooth n in [s, e] above max(a, 0).
 
     phi holds phi(n - a) at them.  The n are tested for smoothness once for
-    all the shifts.  When the shifts and 0 spread over at most e - s and
-    y >= isqrt(max(e, e - min a)), one strip of the union window
-    [min(s, s - max a), max(e, e - min a)] gives the smooth n and every
-    phi(n - a).  Otherwise the mask gives the smooth n, and the shifts go in
-    bands of spread at most e - s: a band takes ``_phi_at`` at its values
-    when they are sparse (``SPARSE_PHI_FACTOR``; the choice sieves no
-    primes), else one strip of its window [s - max a, e - min a].  No window
-    reaches a value below 1.
+    all the shifts, and phi comes from strips alone.  When the shifts and 0
+    spread over at most e - s and y >= isqrt(max(e, e - min a)), one strip
+    of the union window [min(s, s - max a), max(e, e - min a)] gives the
+    smooth n and every phi(n - a).  Otherwise the mask gives the smooth n,
+    and the shifts below e go in bands of spread at most e - s, each with
+    one strip of its window [s - max a, e - min a]; a shift at or past e
+    has no n here and strips nothing.  No window reaches a value below 1.
     """
     top = max(e, e - min(shifts))
     if max(*shifts, 0) - min(*shifts, 0) <= e - s and y >= math.isqrt(top):
@@ -556,19 +561,11 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]) -> list:
         idx = np.flatnonzero(_part_is_smooth(part[s - first : e - first + 1], s, e, cap))
         return [_phi_read(part, tot, first, s, a, _above(idx, s, a)) for a in shifts]
     idx = np.flatnonzero(_smooth_mask(s, e, y))
-    rows = {}
-    for band in _shift_bands(shifts, e - s):
-        picks = {a: _above(idx, s, a) for a in band}
-        count = sum(pick.size for pick in picks.values())
-        primes = _prime_count_bound(math.isqrt(max(e - band[0], 0)))  # a band past e has no terms
-        if count * primes < SPARSE_PHI_FACTOR * (e - s + 1):
-            phi = np.split(_phi_at(np.concatenate([pick + (s - a) for a, pick in picks.items()])),
-                           np.cumsum([pick.size for pick in picks.values()])[:-1])
-            rows.update((a, (pick, at)) for (a, pick), at in zip(picks.items(), phi))
-        else:
-            first, last = max(1, s - band[-1]), e - band[0]
-            part, tot = _strip_primes(first, last, math.isqrt(last), phi=True)
-            rows.update((a, _phi_read(part, tot, first, s, a, pick)) for a, pick in picks.items())
+    rows = {a: (idx[:0], np.zeros(0, dtype=np.int64)) for a in shifts}
+    for band in _shift_bands([a for a in shifts if a < e], e - s):
+        first, last = max(1, s - band[-1]), e - band[0]
+        part, tot = _strip_primes(first, last, math.isqrt(last), phi=True)
+        rows.update((a, _phi_read(part, tot, first, s, a, _above(idx, s, a))) for a in band)
     return [rows[a] for a in shifts]
 
 
@@ -605,20 +602,21 @@ def _phi_read(part: np.ndarray, tot: np.ndarray, first: int, s: int, a: int, idx
 def _generated_smooth(lo: int, hi: int, y: float, shifts: list[int]):
     """The route of a pass over (lo, hi]: its y-smooth n, generated and increasing, or None.
 
-    None sends the pass to the sieve.  The n are generated (``_smooth_upto``)
-    when at most ``STREAM_SEGMENT`` n <= hi are y-smooth and, as for a
-    sparse segment, their count times the number of shifts times
-    pi(sqrt(hi - min a)) is below ``SPARSE_PHI_FACTOR`` times hi - lo:
-    ``_phi_at`` then costs less than a sieve of the pass.  The count is
-    taken while generating, which stops past the cap, so no psi is counted.
-    An empty pass sieves at once, and so does one whose ``_smooth_floor``
-    already passes the cap.
+    None sends the pass to the sieve; this is the one route choice of the
+    pass, from its arguments alone.  The n are generated (``_smooth_upto``)
+    when their count times the number of shifts times pi(sqrt(hi - min a))
+    is below ``SPARSE_PHI_FACTOR`` times hi - lo, where ``_phi_at`` costs
+    less than the sieve's masks and strips, and at most
+    ``GENERATED_CAPACITY`` n <= hi are y-smooth, which bounds the memory of
+    the pass.  The count is taken while generating, which stops past the
+    cap, so no psi is counted.  An empty pass sieves at once, and so does
+    one whose ``_smooth_floor`` already passes the cap.
     """
     if hi <= lo:
         return None
     primes = _prime_count_bound(math.isqrt(hi - min(shifts)))
     cap = SPARSE_PHI_FACTOR * (hi - lo) / (len(shifts) * primes) if primes else math.inf
-    cap = min(STREAM_SEGMENT, cap)
+    cap = min(GENERATED_CAPACITY, cap)
     if _smooth_floor(hi, y) > cap:
         return None
     values = _smooth_upto(hi, y, cap)

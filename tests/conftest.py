@@ -196,10 +196,11 @@ def stream_segment(size: int):
 def forced_route(route: str):
     """Context manager: every shifted-totient pass takes ``route``, "sieve" or "generated".
 
-    It patches ``sieve._generated_smooth``, the one seam of the choice: to
-    None for the sieve, or to every smooth n of the pass, uncapped.  It
-    yields a list that gets one entry per call of the forced route's
-    kernel, so a test can see that route run.
+    A pass has these two routes, and ``sieve._generated_smooth`` picks one
+    from the pass's arguments alone.  This patches that one seam: to None
+    for the sieve, or to every smooth n of the pass, past the sparse rule
+    and ``GENERATED_CAPACITY``.  It yields a list that gets one entry per
+    call of the forced route's kernel, so a test can see that route run.
     """
     from smoothlab import sieve
 

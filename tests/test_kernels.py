@@ -9,13 +9,15 @@ kernels, so no kernel test compares with it.  The factorization
 the sparse totient ``_phi_at`` on top of it against the oracle; a count of
 the prime lists they make shows that the Miller-Rabin test and
 Pollard-Brent split settle every value after the primes up to 2^18, and
-that a sparse shifted segment makes its trial primes once.  The
-shifted-segment kernel ``_smooth_phi_shifted`` is checked on each of its
-routes against the mask and the oracle, and T and V through it against
-the mask route, which takes phi from the oracle.  psi, T and V are
-checked not to depend on how the range is split into segments, with small
-y, where a segment takes phi(n - a) from ``_phi_at``, next to large y,
-where it takes the window.
+that a generated pass makes its trial primes once.  The shifted pass
+``_smooth_phi_shifted`` is checked on each of its routes: each sieved
+segment (one union strip, or the mask and a strip per band of shifts)
+against the mask and the oracle, the route chosen from the arguments
+alone, and T and V through both routes against the mask route, which
+takes phi from the oracle.  psi, T and V are checked not to depend on how
+the range is split into segments, with small y, where the pass generates
+its smooth n and takes phi(n - a) from ``_phi_at``, next to large y,
+where it strips the window.
 """
 
 import ast
@@ -321,20 +323,42 @@ def test_generation_stops_past_its_cap_before_sieving_primes_past_it(monkeypatch
         (1e6, 200, False),  # the count passes the crossover while generating: the sieve
         (4.5e6, 1e3, False),  # dense by its lower bound alone: the sieve, nothing generated
         (3e4, 1e5, False),
+        # The grid of the crossover at y = 100 and 300.
+        (1e8, 100, True),
+        (3e8, 100, True),
+        (1e7, 100, False),
+        (3e7, 100, False),
+        (1e8, 300, False),
     ],
 )
-def test_the_pass_picks_its_route_from_the_arguments(x, y, generated, monkeypatch, quotient_counts):
-    routes = []
-
-    def counting(name):
-        kernel = getattr(sieve, name)
-        return lambda *args: routes.append(name) or kernel(*args)
-
-    for name in ("_sieve_phi_segment", "_generated_phi_segments"):
-        monkeypatch.setattr(sieve, name, counting(name))
-    t_exact(x, y, 1)
-    assert set(routes) == ({"_generated_phi_segments"} if generated else {"_sieve_phi_segment"})
+def test_the_pass_picks_its_route_from_the_arguments(x, y, generated, quotient_counts):
+    # The seam's value is the route: None sends the pass to the sieve, and
+    # the forced routes show the pass following it.  No pass runs here.
+    values = sieve._generated_smooth(1, math.floor(x), y, [1])
+    assert (values is not None) == generated
     assert quotient_counts == []  # the choice counts no psi
+
+
+def test_a_pass_past_2_18_smooth_n_is_generated(quotient_counts):
+    # The generated route stopped at 2^18 smooth n, so this pass sieved
+    # 11,444 segments in 24-30 s; generated, it takes about 2 s.
+    values = sieve._generated_smooth(0, 3 * 10**9, 30, [1])
+    assert values.size == 275_335 > sieve.STREAM_SEGMENT
+    assert quotient_counts == []
+    assert psi(3e9, 30) == values.size
+
+
+def test_the_stream_segment_does_not_cap_a_generated_pass():
+    # Psi(1e6, 30) = 14,697 smooth n are more than a segment of 2^10, and
+    # the pass is generated all the same, in runs of 2^10 of them.
+    with stream_segment(2**10):
+        assert sieve._generated_smooth(1, 10**6, 30, [1]) is not None
+        windows = list(sieve._smooth_phi_shifted(1, 10**6, 30, [1]))
+        generated = t_exact(1e6, 30, 1).hex()
+    with forced_route("sieve") as calls:
+        sieved = t_exact(1e6, 30, 1).hex()
+    assert len(windows) == 15 and calls
+    assert generated == sieved
 
 
 def test_a_generated_pass_yields_one_window_per_run(monkeypatch):
@@ -419,9 +443,9 @@ def shifted_cases(draw):
     shifts with every n - a <= 2^52, and a y for every route of the kernel:
     at or above isqrt of the top of the union window [min(s, s - max a),
     max(e, e - min a)] with the shifts and 0 spread over at most e - s (one
-    union strip), or a lower y or shifts spread wider (the mask, then, band
-    by band, ``_phi_at`` for sparse smooth n or the band's window for dense
-    ones).  A shift at or past s leaves the n <= a of the segment out."""
+    union strip), or a lower y or shifts spread wider (the mask, then one
+    strip of each band's window).  A shift at or past s leaves the n <= a
+    of the segment out."""
     size = draw(st.integers(1, 200))
     if draw(st.booleans()):
         s = draw(st.integers(21, 10**6))
@@ -442,7 +466,7 @@ def shifted_cases(draw):
 @example((2**31 - 30, 2**31 + 30, math.inf, [-15]))
 @example((10**5, 10**5 + 199, 316, [-199]))  # isqrt of the union top: the union strip
 @example((10**5, 10**5 + 199, 315, [-199]))  # just below it: the mask and the window
-@example((10**5, 10**5 + 199, 30, [-200]))  # sparse smooth n: the mask and _phi_at
+@example((10**5, 10**5 + 199, 30, [-200]))  # sparse smooth n: the mask and the window
 @example((2**31 + 1, 2**31 + 200, 2, [200]))  # no smooth n at all
 @example((10**5, 10**5 + 199, 316, [-150, -3, 5]))  # one union strip for three shifts
 @example((10**5, 10**5 + 199, 1e5, [-5000, -4900, 3, 10**5 + 150]))  # two bands and a late shift
@@ -462,9 +486,10 @@ def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
         (400, [199], [399]),
         (400, [-200], [200]),  # a shift past the segment: the mask, then the shifted window
         (315, [-199], [200]),  # y below isqrt(e - a): likewise
-        (30, [-200], []),  # sparse smooth n: the mask, then _phi_at
+        (30, [-200], [200]),  # sparse smooth n: likewise; only a generated pass takes _phi_at
         (400, [-150, -3, 5], [355]),  # the shifts and 0 spread over at most e - s: one union strip
         (1e5, [-5000, -4900, 3], [300, 200]),  # wider: the mask, then one window per band
+        (1e5, [-5000, 10**5 + 199], [200]),  # a shift at e has no n here and strips nothing
     ],
 )
 def test_smooth_phi_shifted_picks_its_route(y, shifts, strips, phi_window_entries):
@@ -486,41 +511,34 @@ def test_smooth_phi_shifted_strips_no_window_past_its_segment(phi_window_entries
 def test_smooth_phi_shifted_counts_no_primes_near_2_52(monkeypatch):
     # The route choice once sieved the primes up to 2^26 here only to count
     # them: 1.3 s and 96 MiB for one segment.  With y = 1 only n = 1 is
-    # smooth, and 1 - a = 2^22 (2^30 - 1) has small primes alone.
+    # smooth, so the pass is generated, and 1 - a = 2^22 (2^30 - 1) has
+    # small primes alone.
     a = 1 - 2**22 * (2**30 - 1)
     asked = []
     primes_upto = sieve.primes_upto
-
-    def recording(n):
-        asked.append(n)
-        return primes_upto(n)
-
-    monkeypatch.setattr(sieve, "primes_upto", recording)
-    [(idx, phi)] = _sieve_phi_segment(1, 2**22, 1, [a])
+    monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
+    assert sieve._generated_smooth(0, 2**22, 1, [a]).tolist() == [1]
+    [(s, e, [(idx, phi)])] = sieve._smooth_phi_shifted(0, 2**22, 1, [a])
     assert 2**22 - a == 2**52 - 1
-    assert (idx.tolist(), phi.tolist()) == ([0], [oracle_phi(1 - a)])
+    assert (s, e, idx.tolist(), phi.tolist()) == (1, 1, [0], [oracle_phi(1 - a)])
+    assert t_exact(2**22, 1, a) == oracle_phi(1 - a) / (1 - a)
     assert max(asked) <= 2**18
 
 
-def test_a_sparse_segment_sieves_its_trial_primes_once(monkeypatch):
+def test_a_generated_pass_sieves_its_trial_primes_once(monkeypatch):
     # The route choice once sieved the primes up to isqrt(e - a) to count
     # them, and ``_phi_at`` then sieved the same primes for its trial
-    # division.  Now it sieves the mask's primes up to y and the trial
-    # primes, and no others.
-    s, e, y, a = 10**5, 10**5 + 199, 30, -200
+    # division.  Now a pass of one window sieves the primes up to y to
+    # generate its smooth n and the trial primes, and no others.
+    x, y, a = 10**6, 30, -200
+    top = int(sieve._smooth_upto(x, y, math.inf)[-1])
     asked = []
     primes_upto = sieve.primes_upto
-
-    def recording(n):
-        asked.append(n)
-        return primes_upto(n)
-
-    monkeypatch.setattr(sieve, "primes_upto", recording)
-    [(idx, phi)] = _sieve_phi_segment(s, e, y, [a])
-    assert 0 < idx.size < 200
-    assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
-    # The wheel's primes to 7 come with every mask.
-    assert [n for n in asked if n > 7] == [y, math.isqrt(int(idx[-1]) + s - a)]
+    monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
+    [(s, e, [(idx, phi)])] = sieve._smooth_phi_shifted(0, x, y, [a])
+    assert (s, e, idx.size) == (1, top, psi(x, y))
+    assert phi[-10:].tolist() == [oracle_phi(int(n)) for n in idx[-10:] + (s - a)]
+    assert asked == [y, math.isqrt(top - a)]
 
 
 #: The oracle's phi, kept across the examples below, whose values n - a
@@ -590,6 +608,18 @@ def test_the_totient_routes_live_in_the_sieve_module():
     }
     assert "_smooth_phi_shifted" in imported
     assert imported.isdisjoint({"SmoothRange", "_phi_at"})
+    # The sieve route strips every totient window; only a generated pass
+    # factors its values.  The segment length is no cap on the routes: it
+    # cuts the sieve's segments and the generated runs, and nothing else.
+    sieve_tree = ast.parse((package / "sieve.py").read_text())
+    assert _calls_to("_phi_at", sieve_tree) == ["_generated_phi_segments"]
+    functions = [fn for fn in ast.walk(sieve_tree) if isinstance(fn, ast.FunctionDef)]
+    readers = [fn.name for fn in functions for _read in _reads_of("STREAM_SEGMENT", fn)]
+    assert set(readers) == {"segment_bounds", "_generated_phi_segments"}
+    assert len(readers) == len(_reads_of("STREAM_SEGMENT", sieve_tree))  # none outside them
+    assert [path.name for path in package.glob("*.py") if "STREAM_SEGMENT" in path.read_text()] == [
+        "sieve.py"
+    ]
 
 
 def _calls_to(name, tree):
@@ -600,6 +630,15 @@ def _calls_to(name, tree):
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    ]
+
+
+def _reads_of(name, tree):
+    """The nodes of ``tree`` that read the variable ``name``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
     ]
 
 
