@@ -548,10 +548,12 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]) -> list:
     all the shifts, and phi comes from strips alone.  When the shifts and 0
     spread over at most e - s and y >= isqrt(max(e, e - min a)), one strip
     of the union window [min(s, s - max a), max(e, e - min a)] gives the
-    smooth n and every phi(n - a).  Otherwise the mask gives the smooth n,
-    and the shifts below e go in bands of spread at most e - s, each with
-    one strip of its window [s - max a, e - min a]; a shift at or past e
-    has no n here and strips nothing.  No window reaches a value below 1.
+    smooth n and every phi(n - a).  Otherwise the mask gives the smooth n
+    s + idx, and the shifts with a smooth n above max(a, 0) here go in bands
+    of spread at most e - s, each with one strip of its window
+    [s + idx[0] - max a, s + idx[-1] - min a]; the other shifts strip
+    nothing, so a segment with no smooth n sieves its mask alone.  No
+    window reaches a value below 1.
     """
     top = max(e, e - min(shifts))
     if max(*shifts, 0) - min(*shifts, 0) <= e - s and y >= math.isqrt(top):
@@ -562,8 +564,8 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]) -> list:
         return [_phi_read(part, tot, first, s, a, _above(idx, s, a)) for a in shifts]
     idx = np.flatnonzero(_smooth_mask(s, e, y))
     rows = {a: (idx[:0], np.zeros(0, dtype=np.int64)) for a in shifts}
-    for band in _shift_bands([a for a in shifts if a < e], e - s):
-        first, last = max(1, s - band[-1]), e - band[0]
+    for band in _shift_bands([a for a in shifts if _above(idx, s, a).size], e - s):
+        first, last = max(1, s + int(idx[0]) - band[-1]), s + int(idx[-1]) - band[0]
         part, tot = _strip_primes(first, last, math.isqrt(last), phi=True)
         rows.update((a, _phi_read(part, tot, first, s, a, _above(idx, s, a))) for a in band)
     return [rows[a] for a in shifts]

@@ -368,11 +368,11 @@ def test_ftratio_past_the_sieve_reach_sieves_nothing(strip_windows, quotient_cou
 
 def test_a_shift_near_x_sieves_no_window_below_it(strip_windows, quotient_counts):
     # Psi(a, y) of the n <= a comes from the quotient count, so the windows
-    # sieved are the 100 n of the terms and their 100 values n - a; it
-    # sieved all of [1, a].
+    # sieved are the 100 n of the terms and their values n - a from the
+    # least smooth n, 19,999,902; it sieved all of [1, a].
     argv = ["vsum", "--x", "2e7", "--y", "1e5", "--a", "19999900"]
     assert invoke(argv) == (0, "v=0.000120792972331 v_main=6079271.01854\n", "")
-    assert strip_windows == [(19_999_901, 20_000_000), (1, 100)]
+    assert strip_windows == [(19_999_901, 20_000_000), (2, 100)]
     assert quotient_counts == [(19_999_900, 1e5, 1)]
 
 

@@ -484,12 +484,15 @@ def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
     [
         (400, [-199], [399]),  # |a| <= e - s and y >= isqrt(e - a): the union window
         (400, [199], [399]),
-        (400, [-200], [200]),  # a shift past the segment: the mask, then the shifted window
-        (315, [-199], [200]),  # y below isqrt(e - a): likewise
-        (30, [-200], [200]),  # sparse smooth n: likewise; only a generated pass takes _phi_at
+        # A shift past the segment: the mask, then the shifted window from the
+        # least smooth n (s) to the largest (s + 192).
+        (400, [-200], [193]),
+        (315, [-199], [193]),  # y below isqrt(e - a): likewise
+        (30, [-200], [189]),  # sparse smooth n: likewise; only a generated pass takes _phi_at
         (400, [-150, -3, 5], [355]),  # the shifts and 0 spread over at most e - s: one union strip
         (1e5, [-5000, -4900, 3], [300, 200]),  # wider: the mask, then one window per band
-        (1e5, [-5000, 10**5 + 199], [200]),  # a shift at e has no n here and strips nothing
+        (1e5, [-5000, 10**5 + 199], [200]),  # a shift at e has no n above it and strips nothing
+        (2, [-200, 5], []),  # no smooth n in the segment: the mask alone
     ],
 )
 def test_smooth_phi_shifted_picks_its_route(y, shifts, strips, phi_window_entries):
@@ -525,6 +528,32 @@ def test_smooth_phi_shifted_counts_no_primes_near_2_52(monkeypatch):
     assert max(asked) <= 2**18
 
 
+def test_a_sieved_segment_with_no_smooth_n_strips_nothing(monkeypatch, phi_window_entries):
+    # No n of this segment is 30-smooth.  Stripping the shift's window all
+    # the same would sieve the primes up to isqrt(e - a) = 2^26 and stride
+    # them over 2^18 entries, for every empty segment of a sieved pass.
+    s, e = 2**51 + 1, 2**51 + 2**18
+    a = e - 2**52
+    asked = []
+    primes_upto = sieve.primes_upto
+    monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
+    [(idx, phi)] = _sieve_phi_segment(s, e, 30, [a])
+    assert (idx.size, phi.size) == (0, 0)
+    assert phi_window_entries == []
+    assert max(asked) <= 30
+
+
+def test_a_sieved_segment_strips_only_the_span_of_its_smooth_n(phi_window_entries):
+    # 2^46 is the one 30-smooth n of its segment.  A strip of the whole
+    # window would stride the primes up to 2^23 over 2^18 entries.
+    n = 2**46
+    s, e = n - 2**17, n + 2**17 - 1
+    [(idx, phi)] = _sieve_phi_segment(s, e, 30, [1])
+    assert (s + idx).tolist() == [n]
+    assert phi.tolist() == [oracle_phi(n - 1)]
+    assert phi_window_entries == [1]
+
+
 def test_a_generated_pass_sieves_its_trial_primes_once(monkeypatch):
     # The route choice once sieved the primes up to isqrt(e - a) to count
     # them, and ``_phi_at`` then sieved the same primes for its trial
@@ -537,7 +566,7 @@ def test_a_generated_pass_sieves_its_trial_primes_once(monkeypatch):
     monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
     [(s, e, [(idx, phi)])] = sieve._smooth_phi_shifted(0, x, y, [a])
     assert (s, e, idx.size) == (1, top, psi(x, y))
-    assert phi[-10:].tolist() == [oracle_phi(int(n)) for n in idx[-10:] + (s - a)]
+    assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
     assert asked == [y, math.isqrt(top - a)]
 
 
