@@ -233,8 +233,8 @@ def granville_discrepancy(
 
     Each smooth value is labelled once with its z slice, the grid interval
     it falls in.  For each d, one ``bincount`` of slice * d + residue over a
-    block of slices gives a (slice, residue) count matrix, and a running sum
-    down the grid, row by row, turns its rows into the counts of the n <=
+    block of slices gives a (slice, residue) count matrix, and one
+    cumulative sum down the grid turns its rows into the counts of the n <=
     z.  The worst |count - share| of the block then comes from one
     vectorized abs/max, with each share the int sum of the coprime classes
     divided by phi(d).  A block holds at most ``_COUNT_BLOCK`` counts, so
@@ -281,10 +281,10 @@ def granville_discrepancy(
             keys *= d
             keys += residues[start:stop]
             counts = np.bincount(keys, minlength=(last - first) * d).reshape(-1, d)
-            # A running sum down the grid, row by row: row i counts the n <= z_{first+i}.
-            for row in counts:
-                row += below
-                below = row
+            # A running sum down the grid: row i counts the n <= z_{first+i}.
+            np.cumsum(counts, axis=0, out=counts)
+            counts += below
+            below = counts[-1]
             in_class = np.take(counts, coprime, axis=1)
             shares = in_class.sum(axis=1) / coprime.size  # int / int, coprime.size = phi(d)
             worst = max(worst, float(np.abs(in_class - shares[:, None]).max()))

@@ -1,6 +1,7 @@
 """Numeric output formatting shared by the CSV writers and the CLI."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -8,8 +9,10 @@ import numpy as np
 def format_sig12(value) -> str:
     """Render a number positionally with exactly 12 significant digits.
 
-    Trailing zeros are kept so the digit count is stable; integers print
-    exactly; non-finite floats print as ``nan``/``inf`` so CSV stays
+    A float is rounded once, correctly: half to even on its exact binary
+    value, by ``.11e``; ``Decimal`` then writes those 12 digits without an
+    exponent, trailing zeros kept so the digit count is stable.  Integers
+    print exactly; non-finite floats print as ``nan``/``inf`` so CSV stays
     parseable.
     """
     if isinstance(value, (int, np.integer)):
@@ -19,15 +22,4 @@ def format_sig12(value) -> str:
         return "nan"
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    mantissa, _, exp_part = f"{v:.11e}".partition("e")
-    exponent = int(exp_part)
-    sign = "-" if mantissa.startswith("-") else ""
-    digits = mantissa.lstrip("-").replace(".", "")  # exactly 12 digits
-    point = exponent + 1  # digits left of the decimal point
-    if point <= 0:
-        body = "0." + "0" * (-point) + digits
-    elif point >= len(digits):
-        body = digits + "0" * (point - len(digits))
-    else:
-        body = digits[:point] + "." + digits[point:]
-    return sign + body
+    return format(Decimal(f"{v:.11e}"), "f")

@@ -21,8 +21,9 @@ a whole list of shifts: ``_shifted_pass`` reads the window stream of
 once and gives phi(n - a) at them for every shift.  It picks its route
 itself, generated smooth n at small y (one window per run of them) or the
 sieve (one window per segment); every route gives the same integers, so
-the route never changes a result.  ``aux_averages`` calls
-``_smooth_tau_omega`` per segment instead, on the mask.  The Moebius split
+the route never changes a result.  ``aux_averages`` runs its own loop
+over the segments instead: ``_smooth_mask``, then ``_tau_omega`` of the
+shifted segment, read at the smooth n.  The Moebius split
 rides on the same pass: it sums T and marks n - a for the smooth n of each
 window in a bool indicator, 1 byte per modulus for every y, so each n is
 tested for smoothness once.  It then counts the multiples of each modulus
@@ -93,13 +94,6 @@ def _shifted_pass(x: float, y: float, shifts: list[int]):
     exactly.  The kernel's strips are freed before the caller sums them.
     """
     return _smooth_phi_shifted(min(max(a, 0) for a in shifts), math.floor(x), y, shifts)
-
-
-def _smooth_tau_omega(s: int, e: int, y: float, a: int):
-    """(idx, at): the y-smooth n in [s, e] are s + idx, and at holds tau and omega of n - a."""
-    idx = np.flatnonzero(_smooth_mask(s, e, y))
-    at = np.asarray(_tau_omega(s - a, e - a))[:, idx] if idx.size else np.zeros((2, 0))
-    return idx, at
 
 
 def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
@@ -423,10 +417,12 @@ def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     psi_value = _head_psi(x, y, a)
     tau_sum = omega_sum = 0
     for s, e in segment_bounds(max(a, 0) + 1, math.floor(x)):
-        idx, at = _smooth_tau_omega(s, e, y, a)
-        psi_value += idx.size
-        tau_sum += int(at[0].sum())
-        omega_sum += int(at[1].sum())
+        idx = np.flatnonzero(_smooth_mask(s, e, y))
+        if idx.size:
+            tau, omega = _tau_omega(s - a, e - a)
+            psi_value += idx.size
+            tau_sum += int(tau[idx].sum())
+            omega_sum += int(omega[idx].sum())
     return AuxAverages(tau_sum / psi_value, omega_sum / psi_value)
 
 

@@ -2,7 +2,9 @@
 
 Everything here factors integers one at a time (trial division by d < 1024,
 then Miller-Rabin and Pollard's rho for what is left, so that values near
-2^52 stay cheap) and sums with exact rationals; none of it touches the
+2^52 stay cheap) and sums with exact rationals, except the summatory
+totient, which sieves a list of its own and recurses on quotients; none
+of it touches the
 package's sieve or table machinery, so these are independent references,
 not shortcuts.  The fixtures and ``stream_segment`` below only count or
 resize the sieve's windows.
@@ -179,6 +181,36 @@ def oracle_tau(n: int) -> int:
 
 def oracle_omega(n: int) -> int:
     return len(oracle_factorize(n))
+
+
+def oracle_totient_sum(top: int) -> int:
+    """Phi(top), the sum of phi(k) over 1 <= k <= top.
+
+    Phi(v) = v(v + 1)/2 - sum over d >= 2 of Phi(v // d), one term per run
+    of equal quotients; a totient sieve gives Phi below top^(2/3).
+    """
+    head = round(top ** (2 / 3))
+    phi = list(range(head + 1))
+    for p in range(2, head + 1):
+        if phi[p] == p:
+            for m in range(p, head + 1, p):
+                phi[m] -= phi[m] // p
+    small = list(itertools.accumulate(phi))
+    large = {}
+
+    def total(v: int) -> int:
+        if v <= head:
+            return small[v]
+        if v not in large:
+            s, d = v * (v + 1) // 2, 2
+            while d <= v:
+                q = v // d
+                s -= (v // q + 1 - d) * total(q)
+                d = v // q + 1
+            large[v] = s
+        return large[v]
+
+    return total(top)
 
 
 def stream_segment(size: int):

@@ -161,6 +161,22 @@ def test_psi_past_the_sieve_reach(x, y, expected):
     assert psi(x, y) == expected
 
 
+#: pi(10^k) for k = 1..12, the published table (OEIS A006880).
+PUBLISHED_PI = [
+    4, 25, 168, 1_229, 9_592, 78_498, 664_579, 5_761_455, 50_847_534,
+    455_052_511, 4_118_054_813, 37_607_912_018,
+]
+
+
+def test_prime_counts_match_the_published_table():
+    # An outside reference for the prime counts of the quotient count's
+    # large-y branch.  One table at 10^12 holds pi at every 10^k: small[v]
+    # is pi(v) for v <= 10^6, and large[m] is pi(10^12 // m).
+    small, large = census._prime_counts(10**12)
+    assert [int(small[10**k]) for k in range(1, 7)] == PUBLISHED_PI[:6]
+    assert [int(large[10 ** (12 - k)]) for k in range(6, 13)] == PUBLISHED_PI[5:]
+
+
 #: The product of the first 13 primes, the most primes a modulus below 2^52 has.
 PRIMORIAL_13 = 304_250_263_527_210
 

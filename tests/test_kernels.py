@@ -730,17 +730,18 @@ def test_the_shifted_sums_read_windows_not_segments():
 
 def test_the_pass_kernels_have_no_public_twin():
     # ``census.enumerate_smooth`` was a public generator over the segments
-    # that ``psi_progression`` reads, and ``sieve.tau_omega_range`` a public
-    # name for the kernel that only ``aux_averages``'s pass calls.
+    # that ``psi_progression`` reads, ``sieve.tau_omega_range`` a public
+    # name for the kernel that only ``aux_averages``'s pass calls, and
+    # ``shifted._smooth_tau_omega`` an adapter between that pass and it.
     package = Path(smoothlab.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     defined = {
         node.name for tree in trees.values()
         for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     }
-    assert defined.isdisjoint({"enumerate_smooth", "tau_omega_range"})
+    assert defined.isdisjoint({"enumerate_smooth", "tau_omega_range", "_smooth_tau_omega"})
     assert [fn for tree in trees.values() for fn in _calls_to("_tau_omega", tree)] == [
-        "_smooth_tau_omega"
+        "aux_averages"
     ]
     # ``sieve_range`` shares the stride core with the kernels, so it is no
     # reference for them: only its own tests call it.

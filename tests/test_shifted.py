@@ -33,7 +33,8 @@ from smoothlab.shifted import (
 )
 
 from conftest import (
-    forced_route, oracle_mobius_split, oracle_mu, oracle_t, oracle_v, stream_segment,
+    forced_route, oracle_mobius_split, oracle_mu, oracle_t, oracle_totient_sum, oracle_v,
+    stream_segment,
 )
 
 SMALL_GRID = [
@@ -287,6 +288,15 @@ def test_int_sum_is_exact_past_int64():
 def test_v_exact_matches_oracle_grid():
     for x, y, a in SMALL_GRID:
         assert v_exact(x, y, a) == float(oracle_v(x, y, a)), (x, y, a)
+
+
+@pytest.mark.parametrize("x, a", [(1e6, 1), (1e6, -5), (1e7, 3), (3e7, 1)])
+def test_v_at_y_inf_matches_the_summatory_totient(x, a):
+    # At y = inf every n counts: Psi = floor(x), and V's numerator is
+    # Phi(floor(x) - a) - Phi(max(-a, 0)), one exactly rounded division.
+    top = math.floor(x)
+    want = (oracle_totient_sum(top - a) - oracle_totient_sum(max(-a, 0))) / top
+    assert v_exact(x, math.inf, a).hex() == want.hex()
 
 
 def test_abel_identity():
