@@ -4,10 +4,9 @@ Everything here factors integers one at a time (trial division by d < 1024,
 then Miller-Rabin and Pollard's rho for what is left, so that values near
 2^52 stay cheap) and sums with exact rationals, except the summatory
 totient, which sieves a list of its own and recurses on quotients; none
-of it touches the
-package's sieve or table machinery, so these are independent references,
-not shortcuts.  The fixtures and ``stream_segment`` below only count or
-resize the sieve's windows.
+of it touches the package's sieve or table machinery, so these are
+independent references, not shortcuts.  The fixtures and
+``stream_segment`` below only count or resize the sieve's windows.
 """
 
 import itertools
@@ -205,8 +204,9 @@ def oracle_totient_sum(top: int) -> int:
             s, d = v * (v + 1) // 2, 2
             while d <= v:
                 q = v // d
-                s -= (v // q + 1 - d) * total(q)
-                d = v // q + 1
+                end = v // q  # the largest d' with v // d' = q
+                s -= (end - d + 1) * total(q)
+                d = end + 1
             large[v] = s
         return large[v]
 
