@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="convergence scan driven by a config file")
     p.add_argument("--config", required=True, help="flat key = value config file")
-    p.add_argument("--out", default=None, help="override the config output path")
+    p.add_argument("--out", type=experiments.output_path, help="override the config output path")
 
     p = sub.add_parser("discrepancy", parents=[xy], help="progression discrepancy report")
     p.add_argument("--delta", type=float, required=True, help="modulus cutoff")
@@ -65,11 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="fixed_x",
         help="probe z = x only, or a geometric z grid",
     )
-    p.add_argument("--out", default=None, help="write the JSON report here")
+    p.add_argument("--out", type=experiments.output_path, help="write the JSON report here")
 
     p = sub.add_parser("ftratio", parents=[xy], help="coprime-count ratios for chosen moduli")
     p.add_argument("--d-list", required=True, help="comma-separated moduli")
-    p.add_argument("--out", default=None, help="write rows as CSV here")
+    p.add_argument("--out", type=experiments.output_path, help="write rows as CSV here")
 
     return parser
 

@@ -530,11 +530,21 @@ def parse_number(text: str, kind, where: str):
         raise DomainError(f"malformed number {text.strip()!r} in {where}") from None
 
 
+def output_path(text: str, where: str = "--out") -> str:
+    """text, a path to write to; an empty one would write nothing, so it is a DomainError.
+
+    DomainError is a ValueError: as an argparse ``type`` this makes a usage error.
+    """
+    if not text:
+        raise DomainError(f"empty output path in {where}")
+    return text
+
+
 def parse_config(text: str) -> ScanConfig:
     """Parse the flat key = value scan-config format.
 
-    Recognized keys: x_grid, y, a_list, C, out.  Lists are comma
-    separated; blank lines and #-comments are ignored.
+    Recognized keys: x_grid, y, a_list, C, out, each at most once.  Lists
+    are comma separated; blank lines and #-comments are ignored.
     """
     values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -547,6 +557,8 @@ def parse_config(text: str) -> ScanConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise DomainError(f"unknown config key {key!r} on line {lineno}")
+        if key in lines:
+            raise DomainError(f"config key {key!r} on line {lineno} repeats line {lines[key]}")
         values[key], lines[key] = val, lineno
     if "x_grid" not in values:
         raise DomainError("config needs an x_grid")
@@ -570,7 +582,8 @@ def parse_config(text: str) -> ScanConfig:
             )
         kwargs["C"] = number("C", values["C"])
     if "out" in values:
-        kwargs["output_path"] = values["out"]
+        where = f"config key 'out' on line {lines['out']}"
+        kwargs["output_path"] = output_path(values["out"], where)
     return ScanConfig(**kwargs)
 
 

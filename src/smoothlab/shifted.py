@@ -39,7 +39,6 @@ the terms so far, rounded at that cut.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -54,9 +53,6 @@ from .sieve import (
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
 ZETA2_INV = 6.0 / (math.pi * math.pi)
-
-#: Ceiling for the exact-rational summation mode.
-RATIONAL_MODE_LIMIT = 10**4
 
 #: Terms per slice of ``_exact_int``.  The highs of a band sum to at most
 #: 2^50 units of 2^-36 and its lows to at most 2^45 units of 2^-68, so
@@ -220,39 +216,17 @@ def _round_exact(total: int) -> float:
 def t_exact(x: float, y: float, a: int) -> float:
     """T(x, y): sum of phi(n - a)/(n - a) over smooth n in (max(a,0), floor(x)].
 
-    Terms stream window by window into an exact sum that is rounded once
-    (``_exact_int``, the float math.fsum gives), so the result is within
-    1e-12 relative of the exact rational value and memory does not grow
-    with x.  No psi is counted, so a shift a near x costs only its terms.
+    Each term is one correctly rounded division, and the terms stream
+    window by window into an exact sum that is rounded once (``_exact_int``),
+    so the result is the float that math.fsum of the terms gives and memory
+    does not grow with x.  No psi is counted, so a shift a near x costs only
+    its terms.
     """
     a, y = _check_pass(x, y, a)
     total = 0
     for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
         total += _exact_int(_t_terms(a, s, idx, phi_at))
     return _round_exact(total)
-
-
-def _tree_sum(fractions: list[Fraction]) -> Fraction:
-    # Pairwise reduction keeps intermediate denominators small.
-    while len(fractions) > 1:
-        fractions = [
-            fractions[i] + fractions[i + 1] if i + 1 < len(fractions) else fractions[i]
-            for i in range(0, len(fractions), 2)
-        ]
-    return fractions[0] if fractions else Fraction(0)
-
-
-def t_exact_fraction(x: float, y: float, a: int) -> Fraction:
-    """Exact rational T(x, y), for pinning the float path at small x."""
-    if not x < RATIONAL_MODE_LIMIT + 1:  # also rejects nan, before any sieving
-        raise DomainError(f"rational mode limited to x <= {RATIONAL_MODE_LIMIT}")
-    a, y = _check_pass(x, y, a)
-    terms = [
-        Fraction(int(p), int(i) + s - a)
-        for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a])
-        for i, p in zip(idx, phi_at)
-    ]
-    return _tree_sum(terms)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here factors integers one at a time (trial division by d < 1024,
 then Miller-Rabin and Pollard's rho for what is left, so that values near
-2^52 stay cheap) and sums with exact rationals, except the summatory
-totient, which sieves a list of its own and recurses on quotients; none
+2^52 stay cheap) and sums with exact rationals, except the float T, which
+is ``math.fsum`` of its rounded terms, and the summatory totient, which
+sieves a list of its own and recurses on quotients; none
 of it touches the package's sieve or table machinery, so these are
 independent references, not shortcuts.  The fixtures and
 ``stream_segment`` below only count or resize the sieve's windows.
@@ -117,6 +118,11 @@ def oracle_t(x: int, y: float, a: int) -> Fraction:
     for n in oracle_smooth_list(max(a, 0), x, y):
         total += Fraction(oracle_phi(n - a), n - a)
     return total
+
+
+def oracle_t_float(x: int, y: float, a: int) -> float:
+    """The float T: math.fsum of the correctly rounded terms phi(n - a) / (n - a)."""
+    return math.fsum(oracle_phi(n - a) / (n - a) for n in oracle_smooth_list(max(a, 0), x, y))
 
 
 def oracle_v(x: int, y: float, a: int) -> Fraction:

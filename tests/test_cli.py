@@ -554,6 +554,42 @@ def test_scan_uses_config_out(tmp_path):
     assert out_csv.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        # The later x_grid once won in silence: this scanned x = 200 alone.
+        ("x_grid = 200\n", "error: config key 'x_grid' on line 4 repeats line 1\n"),
+        ("y = 3\n", "error: config key 'y' on line 4 repeats line 2\n"),
+        ("out = # no path\n", "error: empty output path in config key 'out' on line 4\n"),
+    ],
+    ids=["x_grid-twice", "y-twice", "empty-out"],
+)
+def test_scan_refuses_a_config_key_it_would_ignore(tmp_path, monkeypatch, extra, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg").write_text(f"x_grid = 1000, 5000\ny = 7\na_list = 1\n{extra}")
+    assert invoke(["scan", "--config", "cfg", "--out", "scan.csv"]) == (1, "", error)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--config", "cfg", "--out", ""],
+        ["discrepancy", "--x", "100", "--y", "7", "--delta", "5", "--out", ""],
+        ["ftratio", "--x", "100", "--y", "7", "--d-list", "2,3", "--out", ""],
+    ],
+    ids=["scan", "discrepancy", "ftratio"],
+)
+def test_an_empty_out_is_a_usage_error(tmp_path, monkeypatch, argv):
+    # Each once exited 0 and wrote nothing; scan's even dropped the config's out.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg").write_text("x_grid = 10, 100\ny = 3\na_list = 1\nout = config.csv\n")
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --out: invalid output_path value: ''\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg"]
+
+
 def test_discrepancy_json(tmp_path):
     report = tmp_path / "disc.json"
     code, out, _ = invoke(

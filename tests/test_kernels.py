@@ -733,13 +733,24 @@ def test_the_pass_kernels_have_no_public_twin():
     # that ``psi_progression`` reads, ``sieve.tau_omega_range`` a public
     # name for the kernel that only ``aux_averages``'s pass calls, and
     # ``shifted._smooth_tau_omega`` an adapter between that pass and it.
+    # ``shifted.t_exact_fraction`` re-summed the T pass's own rows as
+    # Fractions (``_tree_sum``, up to ``RATIONAL_MODE_LIMIT``), so it shared
+    # the pass it was meant to check; the conftest oracles replace it.
     package = Path(smoothlab.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     defined = {
         node.name for tree in trees.values()
         for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     }
-    assert defined.isdisjoint({"enumerate_smooth", "tau_omega_range", "_smooth_tau_omega"})
+    assert defined.isdisjoint({
+        "enumerate_smooth", "tau_omega_range", "_smooth_tau_omega", "t_exact_fraction", "_tree_sum",
+    })
+    assert not [name for name in trees if "RATIONAL_MODE_LIMIT" in (package / name).read_text()]
+    assert not [
+        node for node in ast.walk(trees["shifted.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and "fractions" in [alias.name for alias in node.names]
+    ]
     assert [fn for tree in trees.values() for fn in _calls_to("_tau_omega", tree)] == [
         "aux_averages"
     ]

@@ -22,7 +22,6 @@ from smoothlab import (
     shifted,
     sieve,
     t_exact,
-    t_exact_fraction,
     t_via_mobius,
     v_exact,
     v_via_abel,
@@ -33,8 +32,8 @@ from smoothlab.shifted import (
 )
 
 from conftest import (
-    forced_route, oracle_mobius_split, oracle_mu, oracle_t, oracle_totient_sum, oracle_v,
-    stream_segment,
+    forced_route, oracle_mobius_split, oracle_mu, oracle_t, oracle_t_float, oracle_totient_sum,
+    oracle_v, stream_segment,
 )
 
 SMALL_GRID = [
@@ -47,11 +46,10 @@ SMALL_GRID = [
 
 def test_t_exact_spec_examples():
     assert t_exact(10, 3, 1) == pytest.approx(454 / 105, rel=1e-14)
-    assert t_exact_fraction(10, 3, 1) == Fraction(454, 105)
+    assert oracle_t(10, 3, 1) == Fraction(454, 105)
     # brute-force oracle pins the negative-shift case; the sum is
     # 1/2 + 2/3 + 1/2 + 4/5 + 6/7 + 2/3 + 2/5
     assert oracle_t(10, 3, -1) == Fraction(461, 105)
-    assert t_exact_fraction(10, 3, -1) == Fraction(461, 105)
     assert t_exact(10, 3, -1) == pytest.approx(461 / 105, rel=1e-14)
     assert t_exact(5, 3, 7) == 0.0
     assert t_exact(7, 7, 7) == 0.0  # range (7, 7] is empty
@@ -62,13 +60,31 @@ def test_t_exact_matches_oracle_grid():
         expected = oracle_t(x, y, a)
         got = t_exact(x, y, a)
         assert got == pytest.approx(float(expected), rel=1e-12), (x, y, a)
-        assert t_exact_fraction(x, y, a) == expected, (x, y, a)
+        assert got.hex() == oracle_t_float(x, y, a).hex(), (x, y, a)
 
 
 def test_t_float_within_1e12_of_rational():
     for x, y, a in ((10**4, 19, 1), (10**4, 97, -3), (5000, 7, 2)):
-        exact = t_exact_fraction(x, y, a)
+        exact = oracle_t(x, y, a)
         assert abs(t_exact(x, y, a) - float(exact)) <= 1e-12 * float(exact)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3000),
+    st.sampled_from([1, 1.5, 2, 3, 7, 30, 97, math.inf]),
+    st.integers(-40, 40).filter(bool),
+)
+def test_t_is_the_correctly_rounded_sum_on_both_routes(x, y, a):
+    # Pins _exact_int and _round_exact bit for bit, T and the split's T on
+    # each route, against the oracle's fsum of its own rounded terms.
+    want = oracle_t_float(x, y, a).hex()
+    for route in ("sieve", "generated"):
+        with forced_route(route) as calls:
+            assert t_exact(x, y, a).hex() == want, route
+            for delta in (1, 10, x):
+                assert t_via_mobius(x, y, a, delta).t.hex() == want, (route, delta)
+        assert calls or x <= max(a, 0), route
 
 
 def test_t_exact_streaming_matches():
@@ -168,7 +184,7 @@ def test_t_domain_errors(smooth_mask_entries):
         t_exact(10, 3, 0)
     with pytest.raises(DomainError):
         t_via_mobius(10, 3, 1, 0.5)
-    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel, aux_averages):
+    for fn in (t_exact, v_exact, v_via_abel, aux_averages):
         for y in (math.nan, 0.5):
             with pytest.raises(DomainError):
                 fn(10, y, 1)

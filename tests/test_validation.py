@@ -38,7 +38,6 @@ from smoothlab import (
     rho_prime,
     sieve_range,
     t_exact,
-    t_exact_fraction,
     t_via_mobius,
     v_exact,
     v_via_abel,
@@ -91,7 +90,7 @@ ENTRY_POINTS = [
     ("ScanConfig.C", lambda v: ScanConfig(x_grid=(10.0,), a_list=(1,), C=v), REAL_BAD),
 ] + [
     (f"{fn.__name__}.{arg}", call, bad)
-    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel, aux_averages)
+    for fn in (t_exact, v_exact, v_via_abel, aux_averages)
     for arg, call, bad in (
         ("x", lambda v, fn=fn: fn(v, 7, 1), X_BAD),
         ("y", lambda v, fn=fn: fn(100, v, 1), REAL_BAD),
@@ -212,7 +211,7 @@ HUGE_AS_INF = [
     ("ScanConfig.C", lambda v: ScanConfig(x_grid=(1e4,), a_list=(1,), C=v).y_for(1e4)),
 ] + [
     (f"{fn.__name__}.y", lambda v, fn=fn: fn(100, v, 1))
-    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel, aux_averages)
+    for fn in (t_exact, v_exact, v_via_abel, aux_averages)
 ]
 
 # Calls that refuse an x (or u) of HUGE, as each refuses a too-large float.
@@ -232,7 +231,7 @@ HUGE_REFUSED = [
     ("rho_prime.u", lambda v: rho_prime(build_rho_table(4), v)),
 ] + [
     (f"{fn.__name__}.x", lambda v, fn=fn: fn(v, 7, 1))
-    for fn in (t_exact, t_exact_fraction, v_exact, v_via_abel, aux_averages)
+    for fn in (t_exact, v_exact, v_via_abel, aux_averages)
 ]
 
 
