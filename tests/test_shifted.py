@@ -76,8 +76,8 @@ def test_t_float_within_1e12_of_rational():
     st.integers(-40, 40).filter(bool),
 )
 def test_t_is_the_correctly_rounded_sum_on_both_routes(x, y, a):
-    # Pins _exact_int and _round_exact bit for bit, T and the split's T on
-    # each route, against the oracle's fsum of its own rounded terms.
+    # T and the split's T on each route, bit for bit against the oracle's
+    # fsum of its own rounded terms: this pins _exact_int and _round_exact.
     want = oracle_t_float(x, y, a).hex()
     for route in ("sieve", "generated"):
         with forced_route(route) as calls:
