@@ -76,6 +76,8 @@ class ScanConfig:
                 raise DomainError("give y or C, not both: C sets y only when y is absent")
             if not self.C > 0:
                 raise DomainError(f"C must be positive, got {self.C}")
+        if self.output_path is not None:
+            output_path(self.output_path, "ScanConfig.output_path")
 
     def y_for(self, x: float) -> float:
         if self.y is not None:

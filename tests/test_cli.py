@@ -560,9 +560,12 @@ def test_scan_uses_config_out(tmp_path):
         # The later x_grid once won in silence: this scanned x = 200 alone.
         ("x_grid = 200\n", "error: config key 'x_grid' on line 4 repeats line 1\n"),
         ("y = 3\n", "error: config key 'y' on line 4 repeats line 2\n"),
+        # The later out once won in silence, as x_grid did.
+        ("out = other.csv\nout = again.csv\n",
+         "error: config key 'out' on line 5 repeats line 4\n"),
         ("out = # no path\n", "error: empty output path in config key 'out' on line 4\n"),
     ],
-    ids=["x_grid-twice", "y-twice", "empty-out"],
+    ids=["x_grid-twice", "y-twice", "out-twice", "empty-out"],
 )
 def test_scan_refuses_a_config_key_it_would_ignore(tmp_path, monkeypatch, extra, error):
     monkeypatch.chdir(tmp_path)

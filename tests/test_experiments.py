@@ -85,6 +85,15 @@ def test_scan_row_level_error_markers():
     assert all(math.isnan(r.t_exact) for r in records)
 
 
+def test_scan_config_refuses_an_empty_output_path(tmp_path, monkeypatch):
+    # The scan once returned its rows and wrote no file: ``if cfg.output_path``
+    # skipped both the touch and the CSV.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DomainError, match="empty output path in ScanConfig.output_path"):
+        convergence_scan(ScanConfig(x_grid=(10.0, 100.0), a_list=(1,), y=3.0, output_path=""))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_csv_round_trip(tmp_path):
     out = tmp_path / "scan.csv"
     records = convergence_scan(small_scan(out=out))

@@ -63,28 +63,40 @@ def test_t_exact_matches_oracle_grid():
         assert got.hex() == oracle_t_float(x, y, a).hex(), (x, y, a)
 
 
+LARGE_T_POINTS = ((10**4, 19, 1), (10**4, 97, -3), (5000, 7, 2))
+
+
 def test_t_float_within_1e12_of_rational():
-    for x, y, a in ((10**4, 19, 1), (10**4, 97, -3), (5000, 7, 2)):
+    for x, y, a in LARGE_T_POINTS:
         exact = oracle_t(x, y, a)
         assert abs(t_exact(x, y, a) - float(exact)) <= 1e-12 * float(exact)
 
 
+@pytest.mark.parametrize("x, y, a", LARGE_T_POINTS, ids=["1e4-19-1", "1e4-97-minus3", "5000-7-2"])
+def test_t_is_the_correctly_rounded_sum_at_large_x_on_both_routes(x, y, a):
+    want = oracle_t_float(x, y, a).hex()
+    for route in ("sieve", "generated"):
+        with forced_route(route) as calls:
+            assert t_exact(x, y, a).hex() == want, route
+        assert calls, route
+
+
+@pytest.mark.parametrize("route", ["sieve", "generated"])
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 3000),
     st.sampled_from([1, 1.5, 2, 3, 7, 30, 97, math.inf]),
     st.integers(-40, 40).filter(bool),
 )
-def test_t_is_the_correctly_rounded_sum_on_both_routes(x, y, a):
-    # T and the split's T on each route, bit for bit against the oracle's
+def test_t_is_the_correctly_rounded_sum_on_both_routes(route, x, y, a):
+    # T and the split's T on the route, bit for bit against the oracle's
     # fsum of its own rounded terms: this pins _exact_int and _round_exact.
     want = oracle_t_float(x, y, a).hex()
-    for route in ("sieve", "generated"):
-        with forced_route(route) as calls:
-            assert t_exact(x, y, a).hex() == want, route
-            for delta in (1, 10, x):
-                assert t_via_mobius(x, y, a, delta).t.hex() == want, (route, delta)
-        assert calls or x <= max(a, 0), route
+    with forced_route(route) as calls:
+        assert t_exact(x, y, a).hex() == want
+        for delta in (1, 10, x):
+            assert t_via_mobius(x, y, a, delta).t.hex() == want, delta
+    assert calls or x <= max(a, 0)
 
 
 def test_t_exact_streaming_matches():

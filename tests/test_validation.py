@@ -88,6 +88,8 @@ ENTRY_POINTS = [
     ("ft_ratio_scan.d", lambda v: ft_ratio_scan(100, 7, [2, v]), INT_BAD + (BIG,)),
     ("ScanConfig.a", lambda v: ScanConfig(x_grid=(10.0,), a_list=(v,), y=3.0), INT_BAD),
     ("ScanConfig.C", lambda v: ScanConfig(x_grid=(10.0,), a_list=(1,), C=v), REAL_BAD),
+    ("ScanConfig.output_path",
+     lambda v: ScanConfig(x_grid=(10.0,), a_list=(1,), y=3.0, output_path=v), ("",)),
 ] + [
     (f"{fn.__name__}.{arg}", call, bad)
     for fn in (t_exact, v_exact, v_via_abel, aux_averages)
