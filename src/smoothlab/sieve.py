@@ -22,7 +22,10 @@ kernel is one loop over it, sized to its question:
   strips each segment [s, e] once for every shift: one phi strip of the
   union window [min(s, s - max a), max(e, e - min a)], read for
   smoothness as ``_smooth_mask`` reads its own, or the mask and then one
-  strip of each band of shifts.
+  strip of each band of shifts.  Strips per segment, reads per window: it
+  yields the segment in windows of at most ``_READ_BLOCK`` (2^14)
+  entries, so the smoothness test, the gathers and the callers' sums make
+  no array of the segment's size.
 - ``_mu_segment`` gives mu, and ``_tau_omega`` tau and omega, from the
   same strides; ``_tau_omega`` finds the n with a prime above sqrt(hi)
   from the ``_strip_primes`` part.
@@ -35,9 +38,13 @@ does not grow with sqrt(max).  ``_phi_at`` (a generated pass),
 and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
-and ``segment_bounds`` is the only code that does so; a generated pass
-cuts no segments, but one window per run of its smooth n, and holds at
-most ``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range`
+and ``segment_bounds`` is the only code that does so; a sieved pass
+strips each segment once and reads it in windows of ``_READ_BLOCK``
+(2^14) entries, which holds its tracemalloc peak at one segment's strips
+plus 2^14-entry temporaries (2.9 MiB for ``t_exact(4.6e6, 1e5, 1)``, 3.3
+MiB for three shifts, against 10.9 and 19.9 MiB when each segment was
+read whole).  A generated pass cuts no segments, but one window per run
+of its smooth n, and holds at most ``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range`
 takes windows from outside callers, and it refuses one past
 ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the other
 kernels and ``_factor_at`` trust the range or values their entry point
@@ -73,6 +80,13 @@ DEFAULT_SEGMENT_CAPACITY = 1 << 22
 #: window keeps an int32 smooth part and totient (1 MiB each) near the L2
 #: cache; larger windows were slower on the 2-core reference box.
 STREAM_SEGMENT = 1 << 18
+
+#: Entries per read of a sieved segment: ``_sieve_phi_segment`` strips a
+#: segment once and yields it in windows of at most this many, and
+#: ``_part_is_smooth`` tests smoothness this many at a time.  So the
+#: smoothness test, the gathers of ``_phi_read`` and the callers' sums
+#: make no array of the segment's size, and each stays in the L2 cache.
+_READ_BLOCK = 1 << 14
 
 #: Most smooth n a generated pass holds: 2^22 int64 values, 32 MiB.  A
 #: generation stopped at it peaked at 73 MB of RSS, against 198 MB at 2^24.
@@ -504,10 +518,18 @@ def _smooth_mask(lo: int, hi: int, y: float) -> np.ndarray:
 
 
 def _part_is_smooth(part: np.ndarray, lo: int, hi: int, cap: int) -> np.ndarray:
-    """Whether n / part <= cap for each n in [lo, hi], as part > (n - 1) // cap."""
-    below = np.arange(lo - 1, hi, dtype=part.dtype)
-    below //= cap
-    return part > below
+    """Whether n / part <= cap for each n in [lo, hi], as part > (n - 1) // cap.
+
+    The test goes ``_READ_BLOCK`` entries at a time, so only the bool
+    result has the window's length.
+    """
+    smooth = np.empty(hi - lo + 1, dtype=bool)
+    for start in range(0, smooth.size, _READ_BLOCK):
+        stop = min(start + _READ_BLOCK, smooth.size)
+        below = np.arange(lo - 1 + start, lo - 1 + stop, dtype=part.dtype)
+        below //= cap
+        np.greater(part[start:stop], below, out=smooth[start:stop])
+    return smooth
 
 
 def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:
@@ -532,26 +554,36 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
     s + idx, and phi holds phi(n - a) at them.  ``_generated_smooth`` picks
     the route from the arguments: the smooth n multiplied out of the primes
     up to y, one window per run of them (``_generated_phi_segments``), or
-    the sieve, one ``_sieve_phi_segment`` per segment of ``segment_bounds``.
-    Every route gives the same integers; only the windows differ.
+    the sieve, which strips each segment of ``segment_bounds`` once and
+    reads it in windows of at most ``_READ_BLOCK`` entries
+    (``_sieve_phi_segment``).  Every route gives the same integers; only
+    the windows differ.
     """
     values = _generated_smooth(lo, hi, y, shifts)
     if values is not None:
         return _generated_phi_segments(values, shifts)
-    return ((s, e, _sieve_phi_segment(s, e, y, shifts)) for s, e in segment_bounds(lo + 1, hi))
+    return (
+        window
+        for s, e in segment_bounds(lo + 1, hi)
+        for window in _sieve_phi_segment(s, e, y, shifts)
+    )
 
 
-def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]) -> list:
-    """[(idx, phi)] per shift a: s + idx are the y-smooth n in [s, e] above max(a, 0).
+def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]):
+    """Yield (ws, we, rows) for the windows [ws, we] of [s, e] that hold a y-smooth n.
 
-    phi holds phi(n - a) at them.  The n are tested for smoothness once for
-    all the shifts, and phi comes from strips alone.  When the shifts and 0
-    spread over at most e - s and y >= isqrt(max(e, e - min a)), one strip
-    of the union window [min(s, s - max a), max(e, e - min a)] gives the
-    smooth n and every phi(n - a).  Otherwise the mask gives the smooth n
-    s + idx, and the shifts with a smooth n above max(a, 0) here go in bands
-    of spread at most e - s, each with one strip of its window
-    [s + idx[0] - max a, s + idx[-1] - min a]; the other shifts strip
+    The windows are increasing, disjoint and at most ``_READ_BLOCK``
+    entries each, with one (idx, phi) row per shift a: ws + idx are the
+    y-smooth n in [ws, we] above max(a, 0), and phi holds phi(n - a) at
+    them.  The segment is stripped once and then read window by window, so
+    the reads and their callers' sums hold no array of the segment's size.
+    The n are tested for smoothness once for all the shifts, and phi comes
+    from strips alone.  When the shifts and 0 spread over at most e - s and
+    y >= isqrt(max(e, e - min a)), one strip of the union window
+    [min(s, s - max a), max(e, e - min a)] gives the smooth n and every
+    phi(n - a).  Otherwise the mask gives the smooth n, and the shifts with
+    a smooth n above max(a, 0) in the segment go in bands of spread at most
+    e - s, each with one strip (``_band_strips``); the other shifts strip
     nothing, so a segment with no smooth n sieves its mask alone.  No
     window reaches a value below 1.
     """
@@ -560,15 +592,44 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]) -> list:
         first = max(1, min(s, s - max(shifts)))
         part, tot = _strip_primes(first, top, math.isqrt(top), phi=True)
         cap = math.floor(min(y, e))
-        idx = np.flatnonzero(_part_is_smooth(part[s - first : e - first + 1], s, e, cap))
-        return [_phi_read(part, tot, first, s, a, _above(idx, s, a)) for a in shifts]
-    idx = np.flatnonzero(_smooth_mask(s, e, y))
-    rows = {a: (idx[:0], np.zeros(0, dtype=np.int64)) for a in shifts}
-    for band in _shift_bands([a for a in shifts if _above(idx, s, a).size], e - s):
-        first, last = max(1, s + int(idx[0]) - band[-1]), s + int(idx[-1]) - band[0]
+        strips = dict.fromkeys(shifts, (part, tot, first))
+
+        def smooth(ws, we):
+            return _part_is_smooth(part[ws - first : we - first + 1], ws, we, cap)
+    else:
+        mask = _smooth_mask(s, e, y)
+        strips = _band_strips(mask, s, e, shifts)
+
+        def smooth(ws, we):
+            return mask[ws - s : we - s + 1]
+    no_phi = np.zeros(0, dtype=np.int64)
+    for ws in range(s, e + 1, _READ_BLOCK):
+        we = min(ws + _READ_BLOCK - 1, e)
+        idx = np.flatnonzero(smooth(ws, we))
+        if idx.size:
+            yield ws, we, [
+                _phi_read(*strips[a], ws, a, _above(idx, ws, a)) if a in strips else (idx[:0], no_phi)
+                for a in shifts
+            ]
+
+
+def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int]) -> dict:
+    """{a: (part, tot, first)}: a phi strip for each shift with a smooth n above max(a, 0) in [s, e].
+
+    smooth marks the y-smooth n of [s, e], the least at s + i and the
+    largest at s + j.  Those shifts go in bands of spread at most e - s,
+    and each band shares one strip of its window [s + i - max a,
+    s + j - min a], starting at first.
+    """
+    if not smooth.any():
+        return {}
+    i, j = int(smooth.argmax()), e - s - int(smooth[::-1].argmax())
+    strips = {}
+    for band in _shift_bands([a for a in shifts if s + j > max(a, 0)], e - s):
+        first, last = max(1, s + i - band[-1]), s + j - band[0]
         part, tot = _strip_primes(first, last, math.isqrt(last), phi=True)
-        rows.update((a, _phi_read(part, tot, first, s, a, _above(idx, s, a))) for a in band)
-    return [rows[a] for a in shifts]
+        strips.update(dict.fromkeys(band, (part, tot, first)))
+    return strips
 
 
 def _above(idx: np.ndarray, s: int, a: int) -> np.ndarray:

@@ -6,8 +6,8 @@ then Miller-Rabin and Pollard's rho for what is left, so that values near
 is ``math.fsum`` of its rounded terms, and the summatory totient, which
 sieves a list of its own and recurses on quotients; none
 of it touches the package's sieve or table machinery, so these are
-independent references, not shortcuts.  The fixtures and
-``stream_segment`` below only count or resize the sieve's windows.
+independent references, not shortcuts.  The fixtures, ``stream_segment``
+and ``read_block`` below only count or resize the sieve's windows.
 """
 
 import itertools
@@ -228,6 +228,17 @@ def stream_segment(size: int):
     from smoothlab import sieve
 
     return patch.object(sieve, "STREAM_SEGMENT", size)
+
+
+def read_block(size: int):
+    """Context manager: every sieved segment is read in windows of ``size`` entries.
+
+    Like ``stream_segment``, a ``patch.object`` that works inside hypothesis
+    tests.  A small size puts window edges inside segments, bands and cuts.
+    """
+    from smoothlab import sieve
+
+    return patch.object(sieve, "_READ_BLOCK", size)
 
 
 @contextmanager

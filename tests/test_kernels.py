@@ -11,8 +11,9 @@ the prime lists they make shows that the Miller-Rabin test and
 Pollard-Brent split settle every value after the primes up to 2^18, and
 that a generated pass makes its trial primes once.  The shifted pass
 ``_smooth_phi_shifted`` is checked on each of its routes: each sieved
-segment (one union strip, or the mask and a strip per band of shifts)
-against the mask and the oracle, the route chosen from the arguments
+segment (one union strip, or the mask and a strip per band of shifts),
+its windows joined, against the mask and the oracle, the windows' shape
+and strips at a small read block, the route chosen from the arguments
 alone, and T and V through both routes against the mask route, which
 takes phi from the oracle.  psi, T and V are checked not to depend on how
 the range is split into segments, with small y, where the pass generates
@@ -28,6 +29,7 @@ import math
 import re
 import signal
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 from unittest.mock import patch
 
@@ -44,7 +46,7 @@ from smoothlab.sieve import (
 
 from conftest import (
     oracle_factorize, oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi,
-    oracle_smooth_list, oracle_spf, oracle_tau, forced_route, stream_segment,
+    oracle_smooth_list, oracle_spf, oracle_tau, forced_route, read_block, stream_segment,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
@@ -418,6 +420,22 @@ def test_psi_t_v_do_not_depend_on_capacity(case):
     assert split == whole
 
 
+def _segment_rows(s, e, y, shifts):
+    """The (idx, phi) row of each shift over the whole segment [s, e], idx from s.
+
+    ``_sieve_phi_segment`` yields the segment in windows; this joins them.
+    """
+    windows = list(_sieve_phi_segment(s, e, y, shifts))
+    none = np.zeros(0, dtype=np.int64)
+    return [
+        (
+            np.concatenate([none, *(rows[j][0] + (ws - s) for ws, _we, rows in windows)]),
+            np.concatenate([none, *(rows[j][1] for _ws, _we, rows in windows)]),
+        )
+        for j in range(len(shifts))
+    ]
+
+
 def test_kernels_on_both_sides_of_the_int32_remainder():
     # hi < 2^31 builds the smooth part in int32, hi >= 2^31 in int64, up to
     # the largest window the sieve accepts.
@@ -428,7 +446,7 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
         for y in (7, 1000, 46340.5, math.inf):
             assert _smooth_mask(lo, hi, y).tolist() == [p <= y for p in lpf]
         # The union strip of a shift by -1 over [lo - 1, hi - 1] is phi on [lo, hi].
-        assert _sieve_phi_segment(lo - 1, hi - 1, math.inf, [-1])[0][1].tolist() == [
+        assert _segment_rows(lo - 1, hi - 1, math.inf, [-1])[0][1].tolist() == [
             oracle_phi(n) for n in ns
         ]
         assert _mu_segment(lo, hi).tolist() == [oracle_mu(n) for n in ns]
@@ -473,7 +491,7 @@ def shifted_cases(draw):
 def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
     s, e, y, shifts = case
     smooth = np.flatnonzero(_smooth_mask(s, e, y)).tolist()
-    for a, (idx, phi) in zip(shifts, _sieve_phi_segment(s, e, y, shifts), strict=True):
+    for a, (idx, phi) in zip(shifts, _segment_rows(s, e, y, shifts), strict=True):
         assert idx.tolist() == [i for i in smooth if s + i > max(a, 0)]
         assert phi.dtype == np.int64
         assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
@@ -497,15 +515,73 @@ def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
 )
 def test_smooth_phi_shifted_picks_its_route(y, shifts, strips, phi_window_entries):
     s, e = 10**5, 10**5 + 199
-    rows = _sieve_phi_segment(s, e, y, shifts)
+    rows = _segment_rows(s, e, y, shifts)
     assert phi_window_entries == strips
     for a, (idx, phi) in zip(shifts, rows, strict=True):
         assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
 
 
+@pytest.mark.parametrize(
+    "y, shifts",
+    [
+        (400, [-150, -3, 5]),  # one union strip for three shifts
+        (1e5, [-5000, -4900, 3]),  # the mask, then one strip per band
+        (400, [-200]),  # a shift past the segment: the mask, then its window
+        (1e5, [-5000, 10**5 + 150]),  # a shift inside the segment leaves its n <= a out
+    ],
+    ids=["union", "bands", "past-the-segment", "inside-the-segment"],
+)
+def test_a_sieved_segment_is_read_in_windows_of_the_read_block(y, shifts, phi_window_entries):
+    # Strips per segment, reads per window: at a block of 16 the segment's
+    # 200 entries come in windows of at most 16, from the same strips.
+    s, e = 10**5, 10**5 + 199
+    list(_sieve_phi_segment(s, e, y, shifts))
+    whole = phi_window_entries[:]
+    phi_window_entries.clear()
+    with read_block(16):
+        windows = list(_sieve_phi_segment(s, e, y, shifts))
+    assert phi_window_entries == whole
+    bounds = [(ws, we) for ws, we, _rows in windows]
+    assert all(s <= ws <= we <= e and we - ws < 16 for ws, we in bounds)
+    assert all(we < after for (_ws, we), (after, _e) in zip(bounds, bounds[1:]))
+    smooth = [n for n in range(s, e + 1) if oracle_is_smooth(n, y)]
+    for j, a in enumerate(shifts):
+        ns = [ws + i for ws, _we, rows in windows for i in rows[j][0].tolist()]
+        assert ns == [n for n in smooth if n > max(a, 0)]
+        assert all(rows[j][1].dtype == np.int64 for _ws, _we, rows in windows)
+        phi = [v for _ws, _we, rows in windows for v in rows[j][1].tolist()]
+        assert phi == [oracle_phi(n - a) for n in ns]
+
+
+def test_the_sieve_route_strips_each_segment_once(strip_windows):
+    # Reading in windows of 64 entries calls the segment kernel and strips
+    # once per segment of 1000, as reading each segment whole did.
+    want = t_exact(10**4, 1e5, 1).hex()
+    strip_windows.clear()
+    with stream_segment(1000), read_block(64), forced_route("sieve") as calls:
+        got = t_exact(10**4, 1e5, 1).hex()
+    assert len(calls) == len(strip_windows) == 10  # the segments of (1, 10^4]
+    assert got == want
+
+
+@pytest.mark.parametrize("y", [math.inf, 1e3], ids=["union", "mask"])
+def test_a_full_segment_is_read_in_read_block_windows(y):
+    s, e = 2**20 + 1, 2**20 + sieve.STREAM_SEGMENT
+    block = sieve._READ_BLOCK
+    windows = list(_sieve_phi_segment(s, e, y, [1, -2]))
+    assert [(ws, we) for ws, we, _rows in windows] == [
+        (ws, ws + block - 1) for ws in range(s, e + 1, block)
+    ]
+    assert sum(rows[0][0].size for _ws, _we, rows in windows) == np.count_nonzero(
+        _smooth_mask(s, e, y)
+    )
+    [_one, (idx, phi)] = _segment_rows(s, e, y, [1, -2])
+    assert phi.tolist() == _phi_at(idx + (s + 2)).tolist()
+
+
 def test_smooth_phi_shifted_strips_no_window_past_its_segment(phi_window_entries):
     # A shift of -2^40 once asked for a union window of 2^40 entries.
-    [(idx, phi)] = _sieve_phi_segment(1, 100, math.inf, [-(2**40)])
+    [(idx, phi)] = _segment_rows(1, 100, math.inf, [-(2**40)])
     assert idx.tolist() == list(range(100))
     assert phi.tolist() == [oracle_phi(n + 2**40) for n in range(1, 101)]
     assert phi_window_entries and max(phi_window_entries) <= 100
@@ -537,7 +613,7 @@ def test_a_sieved_segment_with_no_smooth_n_strips_nothing(monkeypatch, phi_windo
     asked = []
     primes_upto = sieve.primes_upto
     monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
-    [(idx, phi)] = _sieve_phi_segment(s, e, 30, [a])
+    [(idx, phi)] = _segment_rows(s, e, 30, [a])
     assert (idx.size, phi.size) == (0, 0)
     assert phi_window_entries == []
     assert max(asked) <= 30
@@ -548,7 +624,7 @@ def test_a_sieved_segment_strips_only_the_span_of_its_smooth_n(phi_window_entrie
     # window would stride the primes up to 2^23 over 2^18 entries.
     n = 2**46
     s, e = n - 2**17, n + 2**17 - 1
-    [(idx, phi)] = _sieve_phi_segment(s, e, 30, [1])
+    [(idx, phi)] = _segment_rows(s, e, 30, [1])
     assert (s + idx).tolist() == [n]
     assert phi.tolist() == [oracle_phi(n - 1)]
     assert phi_window_entries == [1]
@@ -610,7 +686,9 @@ def test_t_and_v_match_the_mask_route(route, case):
     x, y, a, segment = case
     sums = (t_exact, v_exact, v_via_abel)
     with stream_segment(segment):
-        with forced_route(route) as calls:
+        # The sieve reads its segments in windows of 7 entries, so that
+        # window edges fall inside segments and bands.
+        with forced_route(route) as calls, read_block(7) if route == "sieve" else nullcontext():
             got = [fn(x, y, a).hex() for fn in sums]
         with patch.object(shifted, "_smooth_phi_shifted", _mask_route):
             want = [fn(x, y, a).hex() for fn in sums]

@@ -33,7 +33,7 @@ from smoothlab.shifted import (
 
 from conftest import (
     forced_route, oracle_mobius_split, oracle_mu, oracle_t, oracle_t_float, oracle_totient_sum,
-    oracle_v, stream_segment,
+    oracle_v, read_block, stream_segment,
 )
 
 SMALL_GRID = [
@@ -92,7 +92,8 @@ def test_t_is_the_correctly_rounded_sum_on_both_routes(route, x, y, a):
     # T and the split's T on the route, bit for bit against the oracle's
     # fsum of its own rounded terms: this pins _exact_int and _round_exact.
     want = oracle_t_float(x, y, a).hex()
-    with forced_route(route) as calls:
+    # The sieve reads in windows of 7 entries, so window edges fall inside segments.
+    with forced_route(route) as calls, read_block(7) if route == "sieve" else nullcontext():
         assert t_exact(x, y, a).hex() == want
         for delta in (1, 10, x):
             assert t_via_mobius(x, y, a, delta).t.hex() == want, delta
@@ -129,6 +130,22 @@ def test_t_exact_memory_does_not_grow_with_x():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_dense_pass_holds_one_strip_whatever_its_shifts():
+    # Strips per segment, reads per 2^14-entry window: the peak stays near
+    # one union strip (two int32 arrays of about 2^18 entries), and a pass
+    # of three shifts holds no more.  Reading each 2^18-entry segment whole
+    # peaked at 10.9 and 19.9 MiB.
+    assert sieve._generated_smooth(0, 4_600_000, 1e5, [1, 2, -1]) is None  # the sieve route
+    for run in (lambda: t_exact(4.6e6, 1e5, 1), lambda: _shifted_totals([4.6e6], 1e5, [1, 2, -1])):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 @pytest.mark.parametrize(
@@ -522,7 +539,10 @@ def shared_pass_cases(draw):
 @given(shared_pass_cases())
 def test_one_pass_serves_every_shift(route, case):
     xs, y, shifts, segment = case
-    with stream_segment(segment), (forced_route(route) if route else nullcontext([])) as calls:
+    # The sieve reads in windows of 7 entries, so window edges fall inside
+    # segments, bands and the x cuts.
+    blocks = read_block(7) if route == "sieve" else nullcontext()
+    with stream_segment(segment), (forced_route(route) if route else nullcontext([])) as calls, blocks:
         shared = _shifted_totals(xs, y, shifts)
         alone = [_shifted_totals(xs, y, [a])[0] for a in shifts]
 
