@@ -20,10 +20,11 @@ a whole list of shifts: ``_shifted_pass`` reads the window stream of
 ``sieve._smooth_phi_shifted``, which finds the smooth n of each window
 once and gives phi(n - a) at them for every shift.  It picks its route
 itself, generated smooth n at small y (one window per run of them) or the
-sieve (strips per segment, reads per window of at most 2^14 entries);
-every route gives the same integers, so the route never changes a result.  ``aux_averages`` runs its own loop
-over the segments instead: ``_smooth_mask``, then ``_tau_omega`` of the
-shifted segment, read at the smooth n.  The Moebius split
+sieve (strips per segment, reads per window of at most 2^14 smooth n);
+every route gives the same integers, so the route never changes a result.
+``aux_averages`` runs its own loop over the segments instead:
+``_smooth_mask``, then ``_tau_omega`` of the shifted segment, read at the
+smooth n.  The Moebius split
 rides on the same pass: it sums T and marks n - a for the smooth n of each
 window in a bool indicator, 1 byte per modulus for every y, so each n is
 tested for smoothness once.  It then counts the multiples of each modulus
@@ -88,7 +89,7 @@ def _shifted_pass(x: float, y: float, shifts: list[int]):
     phi holds phi(n - a) at them (``sieve._smooth_phi_shifted``).  Where
     the windows fall depends on the route, so each caller sums its terms
     exactly.  A sieved segment's strips live while the caller sums its
-    windows of at most 2^14 entries, and go with the segment; no other
+    windows of at most 2^14 smooth n, and go with the segment; no other
     array of the segment's size is made.
     """
     return _smooth_phi_shifted(min(max(a, 0) for a in shifts), math.floor(x), y, shifts)

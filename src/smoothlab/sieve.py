@@ -23,9 +23,9 @@ kernel is one loop over it, sized to its question:
   union window [min(s, s - max a), max(e, e - min a)], read for
   smoothness as ``_smooth_mask`` reads its own, or the mask and then one
   strip of each band of shifts.  Strips per segment, reads per window: it
-  yields the segment in windows of at most ``_READ_BLOCK`` (2^14)
-  entries, so the smoothness test, the gathers and the callers' sums make
-  no array of the segment's size.
+  yields the segment in windows of whole ``_READ_BLOCK`` (2^14) entry
+  blocks that hold at most 2^14 smooth n each, so the smoothness test, the
+  gathers and the callers' sums make no array of the segment's size.
 - ``_mu_segment`` gives mu, and ``_tau_omega`` tau and omega, from the
   same strides; ``_tau_omega`` finds the n with a prime above sqrt(hi)
   from the ``_strip_primes`` part.
@@ -39,16 +39,16 @@ and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
 and ``segment_bounds`` is the only code that does so; a sieved pass
-strips each segment once and reads it in windows of ``_READ_BLOCK``
-(2^14) entries, which holds its tracemalloc peak at one segment's strips
-plus 2^14-entry temporaries (2.9 MiB for ``t_exact(4.6e6, 1e5, 1)``, 3.3
+strips each segment once and reads it in windows of at most
+``_READ_BLOCK`` (2^14) smooth n, which holds its tracemalloc peak at one
+segment's strips plus 2^14-entry temporaries (2.9 MiB for ``t_exact(4.6e6, 1e5, 1)``, 3.3
 MiB for three shifts, against 10.9 and 19.9 MiB when each segment was
 read whole).  A generated pass cuts no segments, but one window per run
-of its smooth n, and holds at most ``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range`
-takes windows from outside callers, and it refuses one past
-``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the other
-kernels and ``_factor_at`` trust the range or values their entry point
-checked.
+of its smooth n, and holds at most ``GENERATED_CAPACITY`` (2^22) of
+them.  Only :func:`sieve_range` takes windows from outside callers, and
+it refuses one past ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it
+allocates; the other kernels and ``_factor_at`` trust the range or values
+their entry point checked.
 
 :func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
 same kernels in three stride walks (its spf/lpf loop, one phi strip and
@@ -81,9 +81,10 @@ DEFAULT_SEGMENT_CAPACITY = 1 << 22
 #: cache; larger windows were slower on the 2-core reference box.
 STREAM_SEGMENT = 1 << 18
 
-#: Entries per read of a sieved segment: ``_sieve_phi_segment`` strips a
-#: segment once and yields it in windows of at most this many, and
-#: ``_part_is_smooth`` tests smoothness this many at a time.  So the
+#: Entries per read block of a sieved segment, and most smooth n per window:
+#: ``_sieve_phi_segment`` strips a segment once and yields it in windows of
+#: whole blocks that hold at most this many smooth n, and
+#: ``_part_is_smooth`` tests smoothness one block at a time.  So the
 #: smoothness test, the gathers of ``_phi_read`` and the callers' sums
 #: make no array of the segment's size, and each stays in the L2 cache.
 _READ_BLOCK = 1 << 14
@@ -555,7 +556,7 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
     the route from the arguments: the smooth n multiplied out of the primes
     up to y, one window per run of them (``_generated_phi_segments``), or
     the sieve, which strips each segment of ``segment_bounds`` once and
-    reads it in windows of at most ``_READ_BLOCK`` entries
+    reads it in windows of at most ``_READ_BLOCK`` smooth n
     (``_sieve_phi_segment``).  Every route gives the same integers; only
     the windows differ.
     """
@@ -572,20 +573,23 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
 def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]):
     """Yield (ws, we, rows) for the windows [ws, we] of [s, e] that hold a y-smooth n.
 
-    The windows are increasing, disjoint and at most ``_READ_BLOCK``
-    entries each, with one (idx, phi) row per shift a: ws + idx are the
-    y-smooth n in [ws, we] above max(a, 0), and phi holds phi(n - a) at
-    them.  The segment is stripped once and then read window by window, so
-    the reads and their callers' sums hold no array of the segment's size.
-    The n are tested for smoothness once for all the shifts, and phi comes
-    from strips alone.  When the shifts and 0 spread over at most e - s and
+    The windows are increasing and disjoint, with one (idx, phi) row per
+    shift a: ws + idx are the y-smooth n in [ws, we] above max(a, 0), and
+    phi holds phi(n - a) at them.  The segment is stripped once and then
+    read window by window, each window whole ``_READ_BLOCK``-entry blocks
+    with at most ``_READ_BLOCK`` smooth n, so the reads and their callers'
+    sums hold no array of the segment's size.  The n are tested for
+    smoothness once for all the shifts, and phi comes from strips alone.
+    When the shifts and 0 spread over at most e - s and
     y >= isqrt(max(e, e - min a)), one strip of the union window
     [min(s, s - max a), max(e, e - min a)] gives the smooth n and every
-    phi(n - a).  Otherwise the mask gives the smooth n, and the shifts with
-    a smooth n above max(a, 0) in the segment go in bands of spread at most
-    e - s, each with one strip (``_band_strips``); the other shifts strip
-    nothing, so a segment with no smooth n sieves its mask alone.  No
-    window reaches a value below 1.
+    phi(n - a), and each window is one block, tested for smoothness from
+    the strip as it is read.  Otherwise the mask gives the smooth n and the
+    windows (``_mask_windows``), and the shifts with a smooth n above
+    max(a, 0) in the segment go in bands of spread at most e - s, each with
+    one strip (``_band_strips``); the other shifts strip nothing, so a
+    segment with no smooth n sieves its mask alone.  No window reaches a
+    value below 1.
     """
     top = max(e, e - min(shifts))
     if max(*shifts, 0) - min(*shifts, 0) <= e - s and y >= math.isqrt(top):
@@ -593,24 +597,44 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]):
         part, tot = _strip_primes(first, top, math.isqrt(top), phi=True)
         cap = math.floor(min(y, e))
         strips = dict.fromkeys(shifts, (part, tot, first))
+        windows = [(ws, min(ws + _READ_BLOCK - 1, e)) for ws in range(s, e + 1, _READ_BLOCK)]
 
         def smooth(ws, we):
             return _part_is_smooth(part[ws - first : we - first + 1], ws, we, cap)
     else:
         mask = _smooth_mask(s, e, y)
         strips = _band_strips(mask, s, e, shifts)
+        windows = _mask_windows(mask, s)
 
         def smooth(ws, we):
             return mask[ws - s : we - s + 1]
     no_phi = np.zeros(0, dtype=np.int64)
-    for ws in range(s, e + 1, _READ_BLOCK):
-        we = min(ws + _READ_BLOCK - 1, e)
+    for ws, we in windows:
         idx = np.flatnonzero(smooth(ws, we))
         if idx.size:
             yield ws, we, [
                 _phi_read(*strips[a], ws, a, _above(idx, ws, a)) if a in strips else (idx[:0], no_phi)
                 for a in shifts
             ]
+
+
+def _mask_windows(mask: np.ndarray, s: int) -> list[tuple[int, int]]:
+    """The windows [ws, we] that the smoothness mask of [s, s + mask.size - 1] is read in.
+
+    Each is a run of whole ``_READ_BLOCK``-entry blocks that hold at most
+    ``_READ_BLOCK`` smooth n together, so a window's reads stay as small as
+    one block's, and a segment with few smooth n is read as one window, not
+    one per block, each of which would repeat every shift's steps.
+    """
+    starts = list(range(0, mask.size, _READ_BLOCK))
+    windows, first, held = [], 0, 0
+    for start, count in zip(starts, np.add.reduceat(mask, starts, dtype=np.int64).tolist()):
+        if held + count > _READ_BLOCK:
+            windows.append((s + first, s + start - 1))
+            first, held = start, 0
+        held += count
+    windows.append((s + first, s + mask.size - 1))
+    return windows
 
 
 def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int]) -> dict:

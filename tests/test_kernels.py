@@ -522,29 +522,34 @@ def test_smooth_phi_shifted_picks_its_route(y, shifts, strips, phi_window_entrie
 
 
 @pytest.mark.parametrize(
-    "y, shifts",
+    "y, shifts, union",
     [
-        (400, [-150, -3, 5]),  # one union strip for three shifts
-        (1e5, [-5000, -4900, 3]),  # the mask, then one strip per band
-        (400, [-200]),  # a shift past the segment: the mask, then its window
-        (1e5, [-5000, 10**5 + 150]),  # a shift inside the segment leaves its n <= a out
+        (400, [-150, -3, 5], True),  # one union strip for three shifts
+        (1e5, [-5000, -4900, 3], False),  # the mask, then one strip per band
+        (400, [-200], False),  # a shift past the segment: the mask, then its window
+        (1e5, [-5000, 10**5 + 150], False),  # a shift inside the segment leaves its n <= a out
+        (30, [-200, 7], False),  # few smooth n: the mask's blocks join into longer windows
     ],
-    ids=["union", "bands", "past-the-segment", "inside-the-segment"],
+    ids=["union", "bands", "past-the-segment", "inside-the-segment", "sparse"],
 )
-def test_a_sieved_segment_is_read_in_windows_of_the_read_block(y, shifts, phi_window_entries):
+def test_a_sieved_segment_is_read_in_windows_of_the_read_block(y, shifts, union, phi_window_entries):
     # Strips per segment, reads per window: at a block of 16 the segment's
-    # 200 entries come in windows of at most 16, from the same strips.
-    s, e = 10**5, 10**5 + 199
+    # 200 entries come in windows of whole blocks with at most 16 smooth n,
+    # from the same strips.  A union strip reads one block per window.
+    s, e, block = 10**5, 10**5 + 199, 16
     list(_sieve_phi_segment(s, e, y, shifts))
     whole = phi_window_entries[:]
     phi_window_entries.clear()
-    with read_block(16):
+    with read_block(block):
         windows = list(_sieve_phi_segment(s, e, y, shifts))
     assert phi_window_entries == whole
-    bounds = [(ws, we) for ws, we, _rows in windows]
-    assert all(s <= ws <= we <= e and we - ws < 16 for ws, we in bounds)
-    assert all(we < after for (_ws, we), (after, _e) in zip(bounds, bounds[1:]))
     smooth = [n for n in range(s, e + 1) if oracle_is_smooth(n, y)]
+    bounds = [(ws, we) for ws, we, _rows in windows]
+    assert all(s <= ws <= we <= e for ws, we in bounds)
+    assert all(we < after for (_ws, we), (after, _e) in zip(bounds, bounds[1:]))
+    assert all((ws - s) % block == 0 and (we == e or (we + 1 - s) % block == 0) for ws, we in bounds)
+    assert all(0 < sum(ws <= n <= we for n in smooth) <= block for ws, we in bounds)
+    assert all(we - ws < block for ws, we in bounds) or not union
     for j, a in enumerate(shifts):
         ns = [ws + i for ws, _we, rows in windows for i in rows[j][0].tolist()]
         assert ns == [n for n in smooth if n > max(a, 0)]
@@ -564,17 +569,21 @@ def test_the_sieve_route_strips_each_segment_once(strip_windows):
     assert got == want
 
 
-@pytest.mark.parametrize("y", [math.inf, 1e3], ids=["union", "mask"])
-def test_a_full_segment_is_read_in_read_block_windows(y):
+@pytest.mark.parametrize("y, windows", [(math.inf, 16), (1e3, 6), (30, 1)], ids=["union", "mask", "sparse"])
+def test_a_full_segment_is_read_in_read_block_windows(y, windows):
+    # A union strip reads each 2^14-entry block as a window; the mask joins
+    # whole blocks while they hold at most 2^14 smooth n between them.
     s, e = 2**20 + 1, 2**20 + sieve.STREAM_SEGMENT
     block = sieve._READ_BLOCK
-    windows = list(_sieve_phi_segment(s, e, y, [1, -2]))
-    assert [(ws, we) for ws, we, _rows in windows] == [
-        (ws, ws + block - 1) for ws in range(s, e + 1, block)
-    ]
-    assert sum(rows[0][0].size for _ws, _we, rows in windows) == np.count_nonzero(
-        _smooth_mask(s, e, y)
-    )
+    mask = _smooth_mask(s, e, y)
+    got = list(_sieve_phi_segment(s, e, y, [1, -2]))
+    bounds = [(ws, we) for ws, we, _rows in got]
+    assert len(bounds) == windows and bounds[0][0] == s and bounds[-1][1] == e
+    assert all(we + 1 == after for (_ws, we), (after, _e) in zip(bounds, bounds[1:]))
+    assert all((ws - s) % block == 0 for ws, _we in bounds)
+    held = [int(np.count_nonzero(mask[ws - s : we - s + 1])) for ws, we in bounds]
+    assert all(0 < count <= block for count in held)
+    assert [rows[0][0].size for _ws, _we, rows in got] == held
     [_one, (idx, phi)] = _segment_rows(s, e, y, [1, -2])
     assert phi.tolist() == _phi_at(idx + (s + 2)).tolist()
 
