@@ -626,9 +626,9 @@ def _mask_windows(mask: np.ndarray, s: int) -> list[tuple[int, int]]:
     one block's, and a segment with few smooth n is read as one window, not
     one per block, each of which would repeat every shift's steps.
     """
-    starts = list(range(0, mask.size, _READ_BLOCK))
     windows, first, held = [], 0, 0
-    for start, count in zip(starts, np.add.reduceat(mask, starts, dtype=np.int64).tolist()):
+    for start in range(0, mask.size, _READ_BLOCK):
+        count = int(np.count_nonzero(mask[start : start + _READ_BLOCK]))
         if held + count > _READ_BLOCK:
             windows.append((s + first, s + start - 1))
             first, held = start, 0
