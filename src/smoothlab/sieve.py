@@ -41,14 +41,15 @@ Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
 and ``segment_bounds`` is the only code that does so; a sieved pass
 strips each segment once and reads it in windows of at most
 ``_READ_BLOCK`` (2^14) smooth n, which holds its tracemalloc peak at one
-segment's strips plus 2^14-entry temporaries (2.9 MiB for ``t_exact(4.6e6, 1e5, 1)``, 3.3
-MiB for three shifts, against 10.9 and 19.9 MiB when each segment was
-read whole).  A generated pass cuts no segments, but one window per run
-of its smooth n, and holds at most ``GENERATED_CAPACITY`` (2^22) of
-them.  Only :func:`sieve_range` takes windows from outside callers, and
-it refuses one past ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it
-allocates; the other kernels and ``_factor_at`` trust the range or values
-their entry point checked.
+segment's strips plus 2^14-entry temporaries: 2.9 MiB for
+``t_exact(4.6e6, 1e5, 1)`` and 3.3 MiB for three shifts, against 10.9 and
+19.9 MiB when each segment was read whole.  A generated pass cuts no
+segments, but one window per run of its smooth n, and holds at most
+``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range` takes
+windows from outside callers, and it refuses one past
+``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the other
+kernels and ``_factor_at`` trust the range or values their entry point
+checked.
 
 :func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
 same kernels in three stride walks (its spf/lpf loop, one phi strip and
@@ -613,7 +614,9 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]):
         idx = np.flatnonzero(smooth(ws, we))
         if idx.size:
             yield ws, we, [
-                _phi_read(*strips[a], ws, a, _above(idx, ws, a)) if a in strips else (idx[:0], no_phi)
+                _phi_read(*strips[a], ws, a, _above(idx, ws, a))
+                if a in strips
+                else (idx[:0], no_phi)
                 for a in shifts
             ]
 
@@ -638,7 +641,7 @@ def _mask_windows(mask: np.ndarray, s: int) -> list[tuple[int, int]]:
 
 
 def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int]) -> dict:
-    """{a: (part, tot, first)}: a phi strip for each shift with a smooth n above max(a, 0) in [s, e].
+    """{a: (part, tot, first)}: a phi strip per shift with a smooth n above max(a, 0) in [s, e].
 
     smooth marks the y-smooth n of [s, e], the least at s + i and the
     largest at s + j.  Those shifts go in bands of spread at most e - s,

@@ -231,10 +231,12 @@ def stream_segment(size: int):
 
 
 def read_block(size: int):
-    """Context manager: every sieved segment is read in windows of ``size`` entries.
+    """Context manager: every sieved segment is read in blocks of ``size`` entries.
 
-    Like ``stream_segment``, a ``patch.object`` that works inside hypothesis
-    tests.  A small size puts window edges inside segments, bands and cuts.
+    A window is one block of a union strip, or whole blocks of a mask with
+    at most ``size`` smooth n.  Like ``stream_segment``, a ``patch.object``
+    that works inside hypothesis tests.  A small size puts window edges
+    inside segments, bands and cuts.
     """
     from smoothlab import sieve
 

@@ -532,7 +532,9 @@ def test_smooth_phi_shifted_picks_its_route(y, shifts, strips, phi_window_entrie
     ],
     ids=["union", "bands", "past-the-segment", "inside-the-segment", "sparse"],
 )
-def test_a_sieved_segment_is_read_in_windows_of_the_read_block(y, shifts, union, phi_window_entries):
+def test_a_sieved_segment_is_read_in_windows_of_the_read_block(
+    y, shifts, union, phi_window_entries
+):
     # Strips per segment, reads per window: at a block of 16 the segment's
     # 200 entries come in windows of whole blocks with at most 16 smooth n,
     # from the same strips.  A union strip reads one block per window.
@@ -547,7 +549,8 @@ def test_a_sieved_segment_is_read_in_windows_of_the_read_block(y, shifts, union,
     bounds = [(ws, we) for ws, we, _rows in windows]
     assert all(s <= ws <= we <= e for ws, we in bounds)
     assert all(we < after for (_ws, we), (after, _e) in zip(bounds, bounds[1:]))
-    assert all((ws - s) % block == 0 and (we == e or (we + 1 - s) % block == 0) for ws, we in bounds)
+    assert all((ws - s) % block == 0 for ws, _we in bounds)
+    assert all(we == e or (we + 1 - s) % block == 0 for _ws, we in bounds)
     assert all(0 < sum(ws <= n <= we for n in smooth) <= block for ws, we in bounds)
     assert all(we - ws < block for ws, we in bounds) or not union
     for j, a in enumerate(shifts):
@@ -559,7 +562,7 @@ def test_a_sieved_segment_is_read_in_windows_of_the_read_block(y, shifts, union,
 
 
 def test_the_sieve_route_strips_each_segment_once(strip_windows):
-    # Reading in windows of 64 entries calls the segment kernel and strips
+    # Reading in blocks of 64 entries calls the segment kernel and strips
     # once per segment of 1000, as reading each segment whole did.
     want = t_exact(10**4, 1e5, 1).hex()
     strip_windows.clear()
@@ -569,7 +572,9 @@ def test_the_sieve_route_strips_each_segment_once(strip_windows):
     assert got == want
 
 
-@pytest.mark.parametrize("y, windows", [(math.inf, 16), (1e3, 6), (30, 1)], ids=["union", "mask", "sparse"])
+@pytest.mark.parametrize(
+    "y, windows", [(math.inf, 16), (1e3, 6), (30, 1)], ids=["union", "mask", "sparse"]
+)
 def test_a_full_segment_is_read_in_read_block_windows(y, windows):
     # A union strip reads each 2^14-entry block as a window; the mask joins
     # whole blocks while they hold at most 2^14 smooth n between them.
@@ -695,7 +700,7 @@ def test_t_and_v_match_the_mask_route(route, case):
     x, y, a, segment = case
     sums = (t_exact, v_exact, v_via_abel)
     with stream_segment(segment):
-        # The sieve reads its segments in windows of 7 entries, so that
+        # The sieve reads its segments in blocks of 7 entries, so that
         # window edges fall inside segments and bands.
         with forced_route(route) as calls, read_block(7) if route == "sieve" else nullcontext():
             got = [fn(x, y, a).hex() for fn in sums]

@@ -92,7 +92,7 @@ def test_t_is_the_correctly_rounded_sum_on_both_routes(route, x, y, a):
     # T and the split's T on the route, bit for bit against the oracle's
     # fsum of its own rounded terms: this pins _exact_int and _round_exact.
     want = oracle_t_float(x, y, a).hex()
-    # The sieve reads in windows of 7 entries, so window edges fall inside segments.
+    # The sieve reads in blocks of 7 entries, so window edges fall inside segments.
     with forced_route(route) as calls, read_block(7) if route == "sieve" else nullcontext():
         assert t_exact(x, y, a).hex() == want
         for delta in (1, 10, x):
@@ -133,10 +133,10 @@ def test_t_exact_memory_does_not_grow_with_x():
 
 
 def test_a_dense_pass_holds_one_strip_whatever_its_shifts():
-    # Strips per segment, reads per 2^14-entry window: the peak stays near
-    # one union strip (two int32 arrays of about 2^18 entries), and a pass
-    # of three shifts holds no more.  Reading each 2^18-entry segment whole
-    # peaked at 10.9 and 19.9 MiB.
+    # Strips per segment, reads per window of at most 2^14 smooth n: the
+    # peak stays near one union strip (two int32 arrays of about 2^18
+    # entries), and a pass of three shifts holds no more.  Reading each
+    # 2^18-entry segment whole peaked at 10.9 and 19.9 MiB.
     assert sieve._generated_smooth(0, 4_600_000, 1e5, [1, 2, -1]) is None  # the sieve route
     for run in (lambda: t_exact(4.6e6, 1e5, 1), lambda: _shifted_totals([4.6e6], 1e5, [1, 2, -1])):
         tracemalloc.start()
@@ -539,10 +539,11 @@ def shared_pass_cases(draw):
 @given(shared_pass_cases())
 def test_one_pass_serves_every_shift(route, case):
     xs, y, shifts, segment = case
-    # The sieve reads in windows of 7 entries, so window edges fall inside
+    # The sieve reads in blocks of 7 entries, so window edges fall inside
     # segments, bands and the x cuts.
+    forced = forced_route(route) if route else nullcontext([])
     blocks = read_block(7) if route == "sieve" else nullcontext()
-    with stream_segment(segment), (forced_route(route) if route else nullcontext([])) as calls, blocks:
+    with stream_segment(segment), forced as calls, blocks:
         shared = _shifted_totals(xs, y, shifts)
         alone = [_shifted_totals(xs, y, [a])[0] for a in shifts]
 
