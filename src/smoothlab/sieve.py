@@ -466,46 +466,62 @@ def sieve_range(lo: int, hi: int) -> ArithTable:
     return ArithTable(lo=lo, hi=hi, spf=spf, lpf=lpf, phi=phi, mu=mu)
 
 
-def _strip_primes(lo: int, hi: int, bound: int, phi: bool = False):
+def _strip_primes(lo: int, hi: int, bound: int, phi: bool = False, out=None):
     """The bound-smooth part of each n in [lo, hi]: prod p^v_p(n) over primes p <= bound.
 
     The part divides n, so it is built by multiplication alone in the
-    window's dtype (int32 when hi < 2^31): ``_wheel_part`` gives the
+    window's dtype (int32 when hi < 2^31): ``_wheel_fill`` gives the
     multiples of the ``_WHEEL`` powers and every other p^k multiplies p
     into its multiples.  With ``phi`` it returns (part, phi(part)) in that
     dtype; phi(part) takes p - 1 at the p stride and p at each higher
-    power, exact because every partial product divides n.
+    power, exact because every partial product divides n.  The two are the
+    rows of one strip, so each stride multiplies both in one step.  The
+    strip is ``out``, a (2 or 1, hi - lo + 1) array in the window's dtype
+    that it overwrites, or a new one.
     """
-    part, tot = _wheel_part(lo, hi, bound, phi)
+    strip = np.empty((2 if phi else 1, hi - lo + 1), _window_dtype(hi)) if out is None else out
+    _wheel_fill(strip, lo, bound)
+    rows, pair = (strip, np.empty((2, 1), strip.dtype)) if phi else (strip[0], None)
     for p, k, start in _strides(lo, hi, bound):
-        if k <= _WHEEL.get(p, 0):
-            continue
-        part[start :: p**k] *= p
-        if phi:
-            tot[start :: p**k] *= p - 1 if k == 1 else p
-    return (part, tot) if phi else part
+        if k > _WHEEL.get(p, 0):
+            rows[..., start :: p**k] *= _stride_factor(p, k, pair)
+    return (strip[0], strip[1]) if phi else strip[0]
 
 
-def _wheel_part(lo: int, hi: int, bound: int, phi: bool):
-    """(part, phi(part) or None) of each n in [lo, hi] over the ``_WHEEL`` powers p^e, p <= bound.
+def _stride_factor(p: int, k: int, pair):
+    """What the p^k stride multiplies into a strip's rows: p, or the column (p, p - 1) at k = 1.
+
+    pair is None for a strip of the part alone, and otherwise the (2, 1)
+    array that the column is written into.
+    """
+    if k > 1 or pair is None:
+        return p
+    pair[0, 0], pair[1, 0] = p, p - 1
+    return pair
+
+
+def _wheel_fill(strip: np.ndarray, lo: int, bound: int) -> None:
+    """Fill a strip of the n from lo on with their ``_WHEEL`` powers p^e, p <= bound.
 
     Their multiples repeat every ``_WHEEL_PERIOD`` entries, so the powers
-    are struck on the first period of the window alone, which is then tiled
-    over the rest.
+    are struck on a pattern of one period, which is then broadcast over the
+    strip's whole periods and copied into its tail.  The pattern is an
+    array of its own: numpy copies a source that overlaps its destination
+    to the destination's size.
     """
-    span = min(hi - lo + 1, _WHEEL_PERIOD)
-    part = np.ones(span, dtype=_window_dtype(hi))
-    tot = np.ones(span, dtype=part.dtype) if phi else None
+    rows, size = strip.shape
+    span = min(size, _WHEEL_PERIOD)
+    pattern = np.ones((rows, span), strip.dtype)
+    pair = np.empty((2, 1), strip.dtype) if rows == 2 else None
     for p, k, start in _strides(lo, lo + span - 1, min(bound, max(_WHEEL))):
         if k <= _WHEEL[p]:
-            part[start :: p**k] *= p
-            if phi:
-                tot[start :: p**k] *= p - 1 if k == 1 else p
-    size = hi - lo + 1
-    return np.resize(part, size), np.resize(tot, size) if phi else None
+            pattern[:, start :: p**k] *= _stride_factor(p, k, pair)
+    whole = size - size % span
+    strip[:, :whole].reshape(rows, -1, span)[...] = pattern[:, None]
+    strip[:, whole:] = pattern[:, : size - whole]
 
 
-def _smooth_mask(lo: int, hi: int, y: float) -> np.ndarray:
+def _smooth_mask(lo: int, hi: int, y: float, out=None) -> np.ndarray:
     """Boolean array over [lo, hi] marking the y-smooth n; y must be >= 1, inf allowed.
 
     Only primes p <= min(y, sqrt(hi)) go into the smooth part.  If
@@ -513,10 +529,12 @@ def _smooth_mask(lo: int, hi: int, y: float) -> np.ndarray:
     otherwise every prime factor of a leftover > 1 exceeds y.  Either way n
     is smooth iff n / part <= cap = floor(min(y, hi)), that is iff
     part >= ceil(n / cap), or part > (n - 1) // cap: one division by a scalar.
+    The part is stripped into ``out`` as ``_strip_primes`` takes it.
     """
     root = math.isqrt(hi)
     bound = root if y >= root else math.floor(y)
-    return _part_is_smooth(_strip_primes(lo, hi, bound), lo, hi, math.floor(min(y, hi)))
+    part = _strip_primes(lo, hi, bound, out=out)
+    return _part_is_smooth(part, lo, hi, math.floor(min(y, hi)))
 
 
 def _part_is_smooth(part: np.ndarray, lo: int, hi: int, cap: int) -> np.ndarray:
@@ -564,38 +582,74 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
     values = _generated_smooth(lo, hi, y, shifts)
     if values is not None:
         return _generated_phi_segments(values, shifts)
-    return (
-        window
-        for s, e in segment_bounds(lo + 1, hi)
-        for window in _sieve_phi_segment(s, e, y, shifts)
-    )
+    return _sieved_pass(lo, hi, y, shifts)
 
 
-def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]):
+def _sieved_pass(lo: int, hi: int, y: float, shifts: list[int]):
+    """The windows of the sieve route over (lo, hi]: ``_sieve_phi_segment`` of each segment.
+
+    Every segment strips into the same buffers, which the first segment
+    sizes (``_strip_buffers``) and which live as long as the pass.
+    """
+    take = None
+    for s, e in segment_bounds(lo + 1, hi):
+        take = take or _strip_buffers(s, e, shifts)
+        yield from _sieve_phi_segment(s, e, y, shifts, take)
+
+
+def _strip_buffers(s: int, e: int, shifts: list[int]):
+    """take(band, lo, hi, rows=2): the strips of a sieved pass whose first segment is [s, e].
+
+    take gives a (rows, hi - lo + 1) view, in the window's dtype, of the
+    pass's buffer number band, made on its first use.  Buffer 0 holds a
+    segment's mask strip (one row) and then its union strip or the strip
+    of its first band of shifts, and each further band has a buffer of its
+    own.  A buffer has room for the longest strip of a segment no longer
+    than [s, e]: its length plus the spread of the shifts and 0, which is
+    less than twice it for a band.  An int64 buffer serves the int32
+    strips through a view of its bytes, so a buffer is made again only
+    when the pass first needs int64 (a window past 2^31).
+    """
+    spread = max(*shifts, 0) - min(*shifts, 0)
+    width = e - s + 1 + min(spread, e - s)
+    held = []
+
+    def take(band: int, lo: int, hi: int, rows: int = 2) -> np.ndarray:
+        dtype = np.dtype(_window_dtype(hi))
+        if band == len(held):
+            held.append(np.empty((2, width), dtype))
+        elif held[band].itemsize < dtype.itemsize:
+            held[band] = np.empty((2, width), dtype)
+        return held[band].view(dtype)[:rows, : hi - lo + 1]
+
+    return take
+
+
+def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int], take):
     """Yield (ws, we, rows) for the windows [ws, we] of [s, e] that hold a y-smooth n.
 
     The windows are increasing and disjoint, with one (idx, phi) row per
     shift a: ws + idx are the y-smooth n in [ws, we] above max(a, 0), and
-    phi holds phi(n - a) at them.  The segment is stripped once and then
-    read window by window, each window whole ``_READ_BLOCK``-entry blocks
-    with at most ``_READ_BLOCK`` smooth n, so the reads and their callers'
-    sums hold no array of the segment's size.  The n are tested for
-    smoothness once for all the shifts, and phi comes from strips alone.
-    When the shifts and 0 spread over at most e - s and
-    y >= isqrt(max(e, e - min a)), one strip of the union window
-    [min(s, s - max a), max(e, e - min a)] gives the smooth n and every
-    phi(n - a), and each window is one block, tested for smoothness from
-    the strip as it is read.  Otherwise the mask gives the smooth n and the
-    windows (``_mask_windows``), and the shifts with a smooth n above
-    max(a, 0) in the segment go in bands of spread at most e - s, each with
-    one strip (``_band_strips``); the other shifts strip nothing, so a
-    segment with no smooth n sieves its mask alone.  No window reaches a
-    value below 1.
+    phi holds phi(n - a) at them.  The segment is stripped once, into the
+    pass's buffers (take, from ``_strip_buffers``), and then read window by
+    window, each window whole ``_READ_BLOCK``-entry blocks with at most
+    ``_READ_BLOCK`` smooth n, so the reads and their callers' sums hold no
+    array of the segment's size.  The n are tested for smoothness once for
+    all the shifts, and phi comes from strips alone.  When the shifts and 0
+    spread over at most e - s and y >= isqrt(max(e, e - min a)), one strip
+    of the union window [min(s, s - max a), max(e, e - min a)] gives the
+    smooth n and every phi(n - a), and each window is one block, tested
+    for smoothness from the strip as it is read.  Otherwise the mask gives
+    the smooth n and the windows (``_mask_windows``), and the shifts with a
+    smooth n above max(a, 0) in the segment go in bands of spread at most
+    e - s, each with one strip (``_band_strips``); the other shifts strip
+    nothing, so a segment with no smooth n sieves its mask alone.  No
+    window reaches a value below 1.
     """
     top = max(e, e - min(shifts))
     if max(*shifts, 0) - min(*shifts, 0) <= e - s and y >= math.isqrt(top):
         first = max(1, min(s, s - max(shifts)))
-        part, tot = _strip_primes(first, top, math.isqrt(top), phi=True)
+        part, tot = _strip_primes(first, top, math.isqrt(top), phi=True, out=take(0, first, top))
         cap = math.floor(min(y, e))
         strips = dict.fromkeys(shifts, (part, tot, first))
         windows = [(ws, min(ws + _READ_BLOCK - 1, e)) for ws in range(s, e + 1, _READ_BLOCK)]
@@ -603,8 +657,8 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int]):
         def smooth(ws, we):
             return _part_is_smooth(part[ws - first : we - first + 1], ws, we, cap)
     else:
-        mask = _smooth_mask(s, e, y)
-        strips = _band_strips(mask, s, e, shifts)
+        mask = _smooth_mask(s, e, y, out=take(0, s, e, rows=1))
+        strips = _band_strips(mask, s, e, shifts, take)
         windows = _mask_windows(mask, s)
 
         def smooth(ws, we):
@@ -640,21 +694,22 @@ def _mask_windows(mask: np.ndarray, s: int) -> list[tuple[int, int]]:
     return windows
 
 
-def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int]) -> dict:
+def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int], take) -> dict:
     """{a: (part, tot, first)}: a phi strip per shift with a smooth n above max(a, 0) in [s, e].
 
     smooth marks the y-smooth n of [s, e], the least at s + i and the
     largest at s + j.  Those shifts go in bands of spread at most e - s,
-    and each band shares one strip of its window [s + i - max a,
-    s + j - min a], starting at first.
+    and band b shares one strip, in the pass's buffer take(b, ...), of its
+    window [s + i - max a, s + j - min a], starting at first.
     """
     if not smooth.any():
         return {}
     i, j = int(smooth.argmax()), e - s - int(smooth[::-1].argmax())
     strips = {}
-    for band in _shift_bands([a for a in shifts if s + j > max(a, 0)], e - s):
+    for b, band in enumerate(_shift_bands([a for a in shifts if s + j > max(a, 0)], e - s)):
         first, last = max(1, s + i - band[-1]), s + j - band[0]
-        part, tot = _strip_primes(first, last, math.isqrt(last), phi=True)
+        strip = take(b, first, last)
+        part, tot = _strip_primes(first, last, math.isqrt(last), phi=True, out=strip)
         strips.update(dict.fromkeys(band, (part, tot, first)))
     return strips
 
@@ -794,8 +849,10 @@ def _factor_at(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     while j < primes.size and live.size:
         block = primes[j : j + max(1, _TRIAL_BLOCK // live.size)].astype(rem.dtype)
         j += block.size
-        rows, cols = np.nonzero(rem[live][:, None] % block == 0)
-        at, p = live[rows], block[cols]
+        # One flat read of the primes x values hits: hit // live.size is
+        # the prime's entry in block, hit % live.size the value's in live.
+        which, where = np.divmod(np.flatnonzero(rem[live] % block[:, None] == 0), live.size)
+        at, p = live[where], block[which]
         pairs.append((at, p))
         # ufunc.at applies repeated indices one by one, and a value may have
         # several primes in one block.

@@ -7,14 +7,17 @@ is ``math.fsum`` of its rounded terms, and the summatory totient, which
 sieves a list of its own and recurses on quotients; none
 of it touches the package's sieve or table machinery, so these are
 independent references, not shortcuts.  The fixtures, ``stream_segment``
-and ``read_block`` below only count or resize the sieve's windows.
+and ``read_block`` below only count or resize the sieve's windows, and
+``minor_faults`` counts the process's page faults.
 """
 
 import itertools
 import math
+import resource
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -273,6 +276,18 @@ def forced_route(route: str):
         yield calls
 
 
+@contextmanager
+def minor_faults():
+    """Context manager: yields a namespace whose ``count`` is set, on exit, to the minor
+    page faults of this process (``getrusage`` ``ru_minflt``) made inside the block."""
+    faults = SimpleNamespace(count=None)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    try:
+        yield faults
+    finally:
+        faults.count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 @pytest.fixture
 def smooth_mask_entries(monkeypatch):
     """The number of n tested for smoothness by each kernel call made while the test runs.
@@ -287,9 +302,9 @@ def smooth_mask_entries(monkeypatch):
     entries = []
     kernel, union = census._smooth_mask, shifted._smooth_phi_shifted
 
-    def counted(lo, hi, y):
+    def counted(lo, hi, y, out=None):
         entries.append(hi - lo + 1)
-        return kernel(lo, hi, y)
+        return kernel(lo, hi, y, out)
 
     def counted_union(lo, hi, y, shifts):
         entries.append(max(hi - lo, 0))
@@ -325,10 +340,10 @@ def phi_window_entries(monkeypatch):
     entries = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, bound, phi=False):
+    def counted(lo, hi, bound, phi=False, out=None):
         if phi:
             entries.append(hi - lo + 1)
-        return strip(lo, hi, bound, phi)
+        return strip(lo, hi, bound, phi, out)
 
     monkeypatch.setattr(sieve, "_strip_primes", counted)
     return entries
@@ -347,9 +362,9 @@ def strip_windows(monkeypatch):
     windows = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, bound, phi=False):
+    def counted(lo, hi, bound, phi=False, out=None):
         windows.append((lo, hi))
-        return strip(lo, hi, bound, phi)
+        return strip(lo, hi, bound, phi, out)
 
     monkeypatch.setattr(sieve, "_strip_primes", counted)
     return windows

@@ -29,7 +29,7 @@ import math
 import re
 import signal
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from unittest.mock import patch
 
@@ -46,7 +46,8 @@ from smoothlab.sieve import (
 
 from conftest import (
     oracle_factorize, oracle_is_smooth, oracle_lpf, oracle_mu, oracle_omega, oracle_phi,
-    oracle_smooth_list, oracle_spf, oracle_tau, forced_route, read_block, stream_segment,
+    oracle_smooth_list, oracle_spf, oracle_t_float, oracle_tau, oracle_v, forced_route,
+    read_block, stream_segment,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97, 541, 997]
@@ -420,12 +421,17 @@ def test_psi_t_v_do_not_depend_on_capacity(case):
     assert split == whole
 
 
+def _segment_windows(s, e, y, shifts):
+    """The windows of ``_sieve_phi_segment`` over [s, e], as a pass of that one segment."""
+    return list(_sieve_phi_segment(s, e, y, shifts, sieve._strip_buffers(s, e, shifts)))
+
+
 def _segment_rows(s, e, y, shifts):
     """The (idx, phi) row of each shift over the whole segment [s, e], idx from s.
 
     ``_sieve_phi_segment`` yields the segment in windows; this joins them.
     """
-    windows = list(_sieve_phi_segment(s, e, y, shifts))
+    windows = _segment_windows(s, e, y, shifts)
     none = np.zeros(0, dtype=np.int64)
     return [
         (
@@ -539,11 +545,11 @@ def test_a_sieved_segment_is_read_in_windows_of_the_read_block(
     # 200 entries come in windows of whole blocks with at most 16 smooth n,
     # from the same strips.  A union strip reads one block per window.
     s, e, block = 10**5, 10**5 + 199, 16
-    list(_sieve_phi_segment(s, e, y, shifts))
+    _segment_windows(s, e, y, shifts)
     whole = phi_window_entries[:]
     phi_window_entries.clear()
     with read_block(block):
-        windows = list(_sieve_phi_segment(s, e, y, shifts))
+        windows = _segment_windows(s, e, y, shifts)
     assert phi_window_entries == whole
     smooth = [n for n in range(s, e + 1) if oracle_is_smooth(n, y)]
     bounds = [(ws, we) for ws, we, _rows in windows]
@@ -581,7 +587,7 @@ def test_a_full_segment_is_read_in_read_block_windows(y, windows):
     s, e = 2**20 + 1, 2**20 + sieve.STREAM_SEGMENT
     block = sieve._READ_BLOCK
     mask = _smooth_mask(s, e, y)
-    got = list(_sieve_phi_segment(s, e, y, [1, -2]))
+    got = _segment_windows(s, e, y, [1, -2])
     bounds = [(ws, we) for ws, we, _rows in got]
     assert len(bounds) == windows and bounds[0][0] == s and bounds[-1][1] == e
     assert all(we + 1 == after for (_ws, we), (after, _e) in zip(bounds, bounds[1:]))
@@ -591,6 +597,104 @@ def test_a_full_segment_is_read_in_read_block_windows(y, windows):
     assert [rows[0][0].size for _ws, _we, rows in got] == held
     [_one, (idx, phi)] = _segment_rows(s, e, y, [1, -2])
     assert phi.tolist() == _phi_at(idx + (s + 2)).tolist()
+
+
+@contextmanager
+def _strips_taken():
+    """Context manager: a list that gets the ``out`` array of every strip made while it is open."""
+    taken = []
+    strip = sieve._strip_primes
+
+    def counted(lo, hi, bound, phi=False, out=None):
+        taken.append(out)
+        return strip(lo, hi, bound, phi, out)
+
+    with patch.object(sieve, "_strip_primes", counted):
+        yield taken
+
+
+def _buffers(strips):
+    """The first strip of each distinct buffer that the strips are views of, in order of use."""
+    bases = []
+    for strip in strips:
+        if not any(np.shares_memory(strip, base) for base in bases):
+            bases.append(strip)
+    return bases
+
+
+def _sieved_totals(x, y, shifts):
+    """(T, V) of each shift by float.hex through the sieve route, with its strips and segments."""
+    with forced_route("sieve") as calls, _strips_taken() as taken:
+        rows = shifted._shifted_totals([x], y, shifts)
+    return [(t.hex(), v.hex()) for [(_psi, t, v)] in rows], taken, len(calls)
+
+
+def _oracle_totals(x, y, shifts):
+    return [(oracle_t_float(x, y, a).hex(), float(oracle_v(x, y, a)).hex()) for a in shifts]
+
+
+@pytest.mark.parametrize(
+    "y, shifts, buffers",
+    [
+        (1e5, [1, -2], 1),  # one union strip per segment
+        (30, [1, -2], 1),  # the mask, then one band, in the same rows
+        (1e5, [-1500, 1, 2500], 3),  # the mask and three bands: one buffer per band
+    ],
+    ids=["union", "mask", "bands"],
+)
+def test_a_sieved_pass_strips_every_segment_into_its_own_buffers(y, shifts, buffers):
+    # A pass of 9 segments makes its buffers once: the mask strip and the
+    # union or first band strip take buffer 0, and each further band one more.
+    with stream_segment(1000):
+        got, taken, segments = _sieved_totals(8500, y, shifts)
+    assert got == _oracle_totals(8500, y, shifts)
+    assert segments == 9
+    assert len(_buffers(taken)) == buffers
+    assert all(np.shares_memory(strip, taken[0]) for strip in taken if strip.shape[0] == 1)
+
+
+def test_a_shorter_last_segment_strips_into_the_first_segments_buffer():
+    with stream_segment(1000):
+        got, taken, segments = _sieved_totals(7300, 1e3, [1])
+    assert got == _oracle_totals(7300, 1e3, [1])
+    assert segments == 8
+    assert taken[-1].shape[1] < taken[0].shape[1]
+    assert all(np.shares_memory(strip, taken[0]) for strip in taken)
+
+
+def test_a_band_wider_than_the_segment_strips_into_its_buffer():
+    # The band of -900 and -100 reads phi from its smooth n (up to 1000 of
+    # them) shifted by 100 to 900: a window of up to 1800 entries.
+    with stream_segment(1000):
+        got, taken, segments = _sieved_totals(8000, 1e5, [-900, -100, 2000])
+    assert got == _oracle_totals(8000, 1e5, [-900, -100, 2000])
+    assert segments == 8
+    wide = [strip for strip in taken if strip.shape[1] > 1000]
+    assert wide and all(np.shares_memory(strip, taken[0]) for strip in wide)
+    assert len(_buffers(taken)) == 2
+
+
+@pytest.mark.parametrize("y, shifts", [(math.inf, [1, -2]), (1e3, [1, -300])], ids=["union", "mask"])
+def test_a_pass_across_2_31_makes_its_buffer_again_once(y, shifts):
+    # Below 2^31 the strips are int32 and above it int64; the int64 buffer
+    # also holds the int32 mask strips of the segments just below 2^31.
+    lo, hi = 2**31 - 2000, 2**31 + 2000
+    with stream_segment(500), forced_route("sieve") as calls, _strips_taken() as taken:
+        windows = list(sieve._smooth_phi_shifted(lo, hi, y, shifts))
+    assert len(calls) == 8
+    bases = _buffers(taken)
+    assert [base.dtype for base in bases] == [np.int32, np.int64]
+    assert {strip.dtype for strip in taken} == {np.dtype(np.int32), np.dtype(np.int64)}
+    smooth = oracle_smooth_list(lo, hi, y)
+    for j, a in enumerate(shifts):
+        terms = [
+            float(phi) / (n - a)
+            for s, _e, rows in windows
+            for n, phi in zip((s + rows[j][0]).tolist(), rows[j][1].tolist())
+        ]
+        want = [oracle_phi(n - a) / (n - a) for n in smooth if n > max(a, 0)]
+        assert math.fsum(terms).hex() == math.fsum(want).hex()
+        assert len(terms) == len(want)
 
 
 def test_smooth_phi_shifted_strips_no_window_past_its_segment(phi_window_entries):
@@ -898,7 +1002,8 @@ def test_each_rule_has_one_definition():
         if isinstance(node, ast.FunctionDef) and node.name == "_tau_omega"
     ]
     assert _calls_to("_strip_primes", tau_omega) == ["_tau_omega"]
-    assert _calls_to("_wheel_part", tau_omega) == []
+    assert _calls_to("_wheel_fill", tau_omega) == []
+    assert _calls_to("_wheel_fill", ast.parse(sources["sieve.py"])) == ["_strip_primes"]
     bound = r"math\.log\(math\.log\(math\.log\("
     assert len(re.findall(bound, sources["experiments.py"])) == 1
 

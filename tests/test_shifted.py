@@ -32,8 +32,8 @@ from smoothlab.shifted import (
 )
 
 from conftest import (
-    forced_route, oracle_mobius_split, oracle_mu, oracle_t, oracle_t_float, oracle_totient_sum,
-    oracle_v, read_block, stream_segment,
+    forced_route, minor_faults, oracle_mobius_split, oracle_mu, oracle_t, oracle_t_float,
+    oracle_totient_sum, oracle_v, read_block, stream_segment,
 )
 
 SMALL_GRID = [
@@ -133,19 +133,38 @@ def test_t_exact_memory_does_not_grow_with_x():
 
 
 def test_a_dense_pass_holds_one_strip_whatever_its_shifts():
-    # Strips per segment, reads per window of at most 2^14 smooth n: the
-    # peak stays near one union strip (two int32 arrays of about 2^18
+    # One strip buffer per pass, reads per window of at most 2^14 smooth n:
+    # the peak stays near one union strip (two int32 rows of about 2^18
     # entries), and a pass of three shifts holds no more.  Reading each
-    # 2^18-entry segment whole peaked at 10.9 and 19.9 MiB.
+    # 2^18-entry segment whole peaked at 10.9 and 19.9 MiB, and a fresh
+    # strip per segment at 2.94 and 3.30 MiB, the bounds here.
     assert sieve._generated_smooth(0, 4_600_000, 1e5, [1, 2, -1]) is None  # the sieve route
-    for run in (lambda: t_exact(4.6e6, 1e5, 1), lambda: _shifted_totals([4.6e6], 1e5, [1, 2, -1])):
+    runs = {
+        2.94: lambda: t_exact(4.6e6, 1e5, 1),
+        3.30: lambda: _shifted_totals([4.6e6], 1e5, [1, 2, -1]),
+    }
+    for bound, run in runs.items():
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20
+        assert peak <= bound * 2**20
+
+
+def test_a_warm_mask_route_pass_faults_no_page_in_per_segment():
+    # A fresh mask strip and band strip per segment were trimmed back to the
+    # system at each segment's end and faulted in again by the next: 5,815
+    # faults over the 18 segments of this pass, warm.  The pass's buffers
+    # are faulted in once.
+    assert sieve._generated_smooth(0, 4_600_000, 1e3, [1]) is None  # the sieve route
+    segments = len(list(sieve.segment_bounds(2, 4_600_000)))
+    want = t_exact(4.6e6, 1e3, 1)
+    with minor_faults() as faults:
+        got = t_exact(4.6e6, 1e3, 1)
+    assert got.hex() == want.hex()
+    assert faults.count < 100 * segments
 
 
 @pytest.mark.parametrize(
