@@ -7,8 +7,10 @@ kernel is one loop over it, sized to its question:
 
 - ``_strip_primes`` builds the bound-smooth part of each n, the product of
   p^v_p(n) over the primes p <= bound, by multiplication alone in the
-  window's dtype (int32 when hi < 2^31), and optionally phi of that part;
-  the multiples of 2^4, 3^2, 5 and 7 come from one tiled period of 5040.
+  window's dtype (int32 when hi < 2^31), and optionally phi of that part
+  as a second row of the same strip, each stride multiplying both rows in
+  one step; the multiples of 2^4, 3^2, 5 and 7 come from one period of
+  5040 broadcast over the strip.  A caller may hand it the strip (``out``).
 - ``_smooth_mask`` takes the primes p <= min(y, sqrt(hi)) into the part,
   and n is y-smooth exactly when part >= (n - 1) // floor(min(y, hi)) + 1.
 - a phi strip takes every prime p <= sqrt(hi) with phi of the part, and
@@ -25,7 +27,10 @@ kernel is one loop over it, sized to its question:
   strip of each band of shifts.  Strips per segment, reads per window: it
   yields the segment in windows of whole ``_READ_BLOCK`` (2^14) entry
   blocks that hold at most 2^14 smooth n each, so the smoothness test, the
-  gathers and the callers' sums make no array of the segment's size.
+  gathers and the callers' sums make no array of the segment's size.  The
+  strips of every segment go into the same buffers, which the pass makes
+  once (``_strip_buffers``): one (2, n) buffer that holds the mask strip
+  and then the union strip or the first band's, and one per further band.
 - ``_mu_segment`` gives mu, and ``_tau_omega`` tau and omega, from the
   same strides; ``_tau_omega`` finds the n with a prime above sqrt(hi)
   from the ``_strip_primes`` part.
@@ -39,11 +44,14 @@ and ``ft_ratio_scan`` read it.
 
 Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
 and ``segment_bounds`` is the only code that does so; a sieved pass
-strips each segment once and reads it in windows of at most
-``_READ_BLOCK`` (2^14) smooth n, which holds its tracemalloc peak at one
-segment's strips plus 2^14-entry temporaries: 2.9 MiB for
-``t_exact(4.6e6, 1e5, 1)`` and 3.3 MiB for three shifts, against 10.9 and
-19.9 MiB when each segment was read whole.  A generated pass cuts no
+holds one strip buffer for all its segments (and one more per further
+band of shifts), strips each segment into it once and reads it in
+windows of at most ``_READ_BLOCK`` (2^14) smooth n, which holds its
+tracemalloc peak at one segment's strips plus 2^14-entry temporaries:
+2.9 MiB for ``t_exact(4.6e6, 1e5, 1)`` and 3.3 MiB for three shifts,
+against 10.9 and 19.9 MiB when each segment was read whole.  Since the
+buffer outlives the segment, a warm pass faults its pages in once, not
+once per segment as glibc handed back and mapped again a fresh strip.  A generated pass cuts no
 segments, but one window per run of its smooth n, and holds at most
 ``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range` takes
 windows from outside callers, and it refuses one past
@@ -79,7 +87,9 @@ DEFAULT_SEGMENT_CAPACITY = 1 << 22
 #: Entries per segment of every stream (``segment_bounds``), and smooth n
 #: per run of a generated pass (``_generated_phi_segments``).  A 2^18
 #: window keeps an int32 smooth part and totient (1 MiB each) near the L2
-#: cache; larger windows were slower on the 2-core reference box.
+#: cache; larger windows were slower on the 2-core reference box.  A
+#: sieved pass holds one strip buffer for all its segments, sized from its
+#: first one (``_strip_buffers``).
 STREAM_SEGMENT = 1 << 18
 
 #: Entries per read block of a sieved segment, and most smooth n per window:
@@ -574,10 +584,10 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
     s + idx, and phi holds phi(n - a) at them.  ``_generated_smooth`` picks
     the route from the arguments: the smooth n multiplied out of the primes
     up to y, one window per run of them (``_generated_phi_segments``), or
-    the sieve, which strips each segment of ``segment_bounds`` once and
-    reads it in windows of at most ``_READ_BLOCK`` smooth n
-    (``_sieve_phi_segment``).  Every route gives the same integers; only
-    the windows differ.
+    the sieve, which strips each segment of ``segment_bounds`` once, into
+    buffers of the pass, and reads it in windows of at most
+    ``_READ_BLOCK`` smooth n (``_sieved_pass``).  Every route gives the
+    same integers; only the windows differ.
     """
     values = _generated_smooth(lo, hi, y, shifts)
     if values is not None:

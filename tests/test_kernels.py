@@ -13,7 +13,8 @@ that a generated pass makes its trial primes once.  The shifted pass
 ``_smooth_phi_shifted`` is checked on each of its routes: each sieved
 segment (one union strip, or the mask and a strip per band of shifts),
 its windows joined, against the mask and the oracle, the windows' shape
-and strips at a small read block, the route chosen from the arguments
+and strips at a small read block, every strip of a pass taken from the
+pass's own buffers (across 2^31 too), the route chosen from the arguments
 alone, and T and V through both routes against the mask route, which
 takes phi from the oracle.  psi, T and V are checked not to depend on how
 the range is split into segments, with small y, where the pass generates
