@@ -51,8 +51,9 @@ tracemalloc peak at one segment's strips plus 2^14-entry temporaries:
 2.9 MiB for ``t_exact(4.6e6, 1e5, 1)`` and 3.3 MiB for three shifts,
 against 10.9 and 19.9 MiB when each segment was read whole.  Since the
 buffer outlives the segment, a warm pass faults its pages in once, not
-once per segment as glibc handed back and mapped again a fresh strip.  A generated pass cuts no
-segments, but one window per run of its smooth n, and holds at most
+once per segment as glibc handed back and mapped again a fresh strip.
+A generated pass cuts no segments, but one window per run of its smooth
+n, and holds at most
 ``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range` takes
 windows from outside callers, and it refuses one past
 ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the other
@@ -563,15 +564,16 @@ def _part_is_smooth(part: np.ndarray, lo: int, hi: int, cap: int) -> np.ndarray:
 
 
 def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:
-    """phi(n) as int64, from rem = n // part and tot = phi(part); overwrites both.
+    """phi(n) as int64, from rem = n // part and tot = phi(part); overwrites rem.
 
     The part takes every prime p <= sqrt(n), so rem is 1 or the one prime
     q > sqrt(n) of n, exponent 1, whose factor q - 1 tot still lacks;
-    phi(n) <= n keeps the dtype.
+    phi(n) <= n keeps the dtype.  The product goes into rem, not into tot,
+    which may be a row of a strip that also holds the part.
     """
     rem -= rem > 1
-    tot *= rem
-    return tot.astype(np.int64, copy=False)
+    rem *= tot
+    return rem.astype(np.int64, copy=False)
 
 
 def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
@@ -718,8 +720,7 @@ def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int], take) ->
     strips = {}
     for b, band in enumerate(_shift_bands([a for a in shifts if s + j > max(a, 0)], e - s)):
         first, last = max(1, s + i - band[-1]), s + j - band[0]
-        strip = take(b, first, last)
-        part, tot = _strip_primes(first, last, math.isqrt(last), phi=True, out=strip)
+        part, tot = _strip_primes(first, last, math.isqrt(last), phi=True, out=take(b, first, last))
         strips.update(dict.fromkeys(band, (part, tot, first)))
     return strips
 
