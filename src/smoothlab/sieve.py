@@ -72,6 +72,7 @@ Conventions: spf(1) = lpf(1) = 1, phi(1) = 1, mu(1) = 1, so that 1 counts as
 smooth for every bound.
 """
 
+import bisect
 import itertools
 import math
 import numbers
@@ -617,13 +618,15 @@ def _strip_buffers(s: int, e: int, shifts: list[int]):
     segment's mask strip (one row) and then its union strip or the strip
     of its first band of shifts, and each further band has a buffer of its
     own.  A buffer has room for the longest strip of a segment no longer
-    than [s, e]: its length plus the spread of the shifts and 0, which is
-    less than twice it for a band.  An int64 buffer serves the int32
-    strips through a view of its bytes, so a buffer is made again only
-    when the pass first needs int64 (a window past 2^31).
+    than [s, e]: its length plus the widest spread of the shifts and 0 that
+    is at most e - s, since a union strip or a band spreads no wider.  An
+    int64 buffer serves the int32 strips through a view of its bytes, so a
+    buffer is made again only when the pass first needs int64 (a window
+    past 2^31).
     """
-    spread = max(*shifts, 0) - min(*shifts, 0)
-    width = e - s + 1 + min(spread, e - s)
+    points = sorted({*shifts, 0})
+    reach = max(points[bisect.bisect_right(points, a + e - s) - 1] - a for a in points)
+    width = e - s + 1 + reach
     held = []
 
     def take(band: int, lo: int, hi: int, rows: int = 2) -> np.ndarray:

@@ -278,8 +278,11 @@ def forced_route(route: str):
 
 @contextmanager
 def minor_faults():
-    """Context manager: yields a namespace whose ``count`` is set, on exit, to the minor
-    page faults of this process (``getrusage`` ``ru_minflt``) made inside the block."""
+    """Context manager: the minor page faults this process makes inside the block.
+
+    It yields a namespace whose ``count`` is set on exit to the change of
+    ``getrusage`` ``ru_minflt`` across the block.
+    """
     faults = SimpleNamespace(count=None)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:

@@ -645,13 +645,16 @@ def _oracle_totals(x, y, shifts):
 )
 def test_a_sieved_pass_strips_every_segment_into_its_own_buffers(y, shifts, buffers):
     # A pass of 9 segments makes its buffers once: the mask strip and the
-    # union or first band strip take buffer 0, and each further band one more.
+    # union or first band strip take buffer 0, and each further band one
+    # more.  Each holds a segment plus the widest spread of the shifts and 0
+    # within one segment (3, or 1 for the bands), not plus the 4000 of all.
     with stream_segment(1000):
         got, taken, segments = _sieved_totals(8500, y, shifts)
     assert got == _oracle_totals(8500, y, shifts)
     assert segments == 9
     assert len(_buffers(taken)) == buffers
     assert all(np.shares_memory(strip, taken[0]) for strip in taken if strip.shape[0] == 1)
+    assert {strip.base.shape for strip in taken} == {(2, 1003 if buffers == 1 else 1001)}
 
 
 def test_a_shorter_last_segment_strips_into_the_first_segments_buffer():
