@@ -360,6 +360,16 @@ def test_the_quotient_count_is_admitted_before_it_allocates():
     assert cost(2**52, 1.9) == cost(2**52, 2**52) == 0
 
 
+def test_the_quotient_budget_admits_up_to_its_boundary():
+    # At y = 1e3 this top costs 0.9999997 of the budget and the next one
+    # 1.0000006; the check alone is called, so no count runs.
+    top = 1_190_512_303_235
+    assert sieve._quotient_cost(top, 1e3) <= sieve.QUOTIENT_BUDGET < sieve._quotient_cost(top + 1, 1e3)
+    sieve._check_quotient(top, 1e3)
+    with pytest.raises(CapacityError, match="quotient-table updates"):
+        sieve._check_quotient(top + 1, 1e3)
+
+
 def test_psi_monotonicity():
     rng = random.Random(5)
     for _ in range(50):

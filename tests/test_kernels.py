@@ -212,6 +212,23 @@ def test_phi_at_splits_a_square_and_a_product_just_above_the_prime_bound(prime_w
     assert len(prime_windows) == 1
 
 
+#: OEIS A014233 below 2^52: the least strong pseudoprime to the first k prime
+#: bases for k = 1..7; the last also passes base 19, so base 23 settles it.
+STRONG_PSEUDOPRIMES = [
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321,
+]
+
+
+def test_miller_rabin_refuses_the_strong_pseudoprimes_below_2_52():
+    assert [sieve._is_prime(n) for n in STRONG_PSEUDOPRIMES] == [False] * 7
+    # 341,550,071,728,321 = 10,670,053 x 32,010,157, both prime.
+    n = STRONG_PSEUDOPRIMES[-1]
+    assert sieve._is_prime(10_670_053) and sieve._is_prime(32_010_157)
+    assert sieve.largest_prime_factor(n) == 32_010_157
+    assert _phi_at(np.array([n])).tolist() == [10_670_052 * 32_010_156] == [341_550_029_048_112]
+
+
 def _distinct_primes(values):
     """Each value's distinct primes from one ``_factor_at`` call, in increasing order."""
     at, primes = _factor_at(np.array(values, dtype=np.int64))
@@ -365,6 +382,24 @@ def test_the_stream_segment_does_not_cap_a_generated_pass():
     assert generated == sieved
 
 
+def test_a_generated_pass_stops_at_its_capacity_and_sieves(monkeypatch):
+    # Psi(1e6, 30) = 14,697 smooth n: a cap of 14,697 generates them, and one
+    # fewer stops the generation and sends the pass to the sieve, where the
+    # sparse rule alone would generate up to about 71,600 of them.
+    want = t_exact(1e6, 30, 1).hex()
+    calls = []
+    for name in ("_sieve_phi_segment", "_generated_phi_segments"):
+        kernel = getattr(sieve, name)
+        monkeypatch.setattr(sieve, name, lambda *args, n=name, k=kernel: calls.append(n) or k(*args))
+    for cap, route in ((14_697, "_generated_phi_segments"), (14_696, "_sieve_phi_segment")):
+        monkeypatch.setattr(sieve, "GENERATED_CAPACITY", cap)
+        calls.clear()
+        values = sieve._generated_smooth(1, 10**6, 30, [1])
+        assert (values is None) == (route == "_sieve_phi_segment")
+        assert t_exact(1e6, 30, 1).hex() == want
+        assert set(calls) == {route}
+
+
 def test_a_generated_pass_yields_one_window_per_run(monkeypatch):
     # The stream's memory bound: a window holds at most STREAM_SEGMENT //
     # len(shifts) smooth n, from the first to the last of its run, and
@@ -488,6 +523,7 @@ def shifted_cases(draw):
 @SETTINGS
 @given(shifted_cases())
 @example((2**52 - 60, 2**52, math.inf, [7]))
+@example((1, 2, math.inf, [-1]))  # a union top below 4: phi(2) from a remainder of 2
 @example((2**31 - 30, 2**31 + 30, math.inf, [-15]))
 @example((10**5, 10**5 + 199, 316, [-199]))  # isqrt of the union top: the union strip
 @example((10**5, 10**5 + 199, 315, [-199]))  # just below it: the mask and the window
