@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .sieve import (
     _check_int, _check_modulus, _check_quotient, _check_range, _check_terms, _check_x, _check_y,
-    _modulus_primes, _smooth_mask, _window_dtype, primes_upto, segment_bounds,
+    _modulus_primes, _PassContext, _smooth_mask, _window_dtype, primes_upto,
 )
 
 #: Upper limit for the recursive test oracle.
@@ -76,10 +76,11 @@ def _residues(values: np.ndarray, d: int) -> np.ndarray:
 
 def _segment_values(lo: int, hi: int, y: float):
     """The y-smooth n in (lo, hi], lo >= 0, one increasing array per segment, int32 below 2^31."""
-    for s, e in segment_bounds(lo + 1, hi):
+    context = _PassContext(lo + 1, hi)
+    for s, e in context.segments():
         # Every n of the window fits its dtype, so the cast is exact, and no
         # int64 copy stays alive while the next segment is sieved.
-        idx = np.flatnonzero(_smooth_mask(s, e, y))
+        idx = np.flatnonzero(_smooth_mask(s, e, y, context))
         yield np.add(idx, s, dtype=_window_dtype(e), casting="unsafe")
 
 

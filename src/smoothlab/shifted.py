@@ -22,13 +22,13 @@ once and gives phi(n - a) at them for every shift.  It picks its route
 itself, generated smooth n at small y (one window per run of them) or the
 sieve (strips per segment, reads per window of at most 2^14 smooth n);
 every route gives the same integers, so the route never changes a result.
-``aux_averages`` runs its own loop over the segments instead:
+``aux_averages`` walks the segments of a ``sieve._PassContext`` of its own:
 ``_smooth_mask``, then ``_tau_omega`` of the shifted segment, read at the
-smooth n.  The Moebius split
-rides on the same pass: it sums T and marks n - a for the smooth n of each
-window in a bool indicator, 1 byte per modulus for every y, so each n is
-tested for smoothness once.  It then counts the multiples of each modulus
-in the indicator, one segment of moduli at a time: a strided count per
+smooth n.  The Moebius split rides on the same pass: it sums T and marks
+n - a for the smooth n of each window in a bool indicator, 1 byte per
+modulus for every y, so each n is tested for smoothness once.  It then
+counts the multiples of each modulus in the indicator, one segment of
+moduli at a time (a context of its own too): a strided count per
 squarefree d up to the square root of its length n, and for the d above
 it one strided add per multiplier j.  Float terms are summed
 exactly (``_exact_int``) and rounded once (``_round_exact``), so T, V by
@@ -48,8 +48,8 @@ from .census import MAX_MATERIALIZED_SPAN, psi
 from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
-    _check_cutoff, _check_pass, _mu_segment, _smooth_mask, _smooth_phi_shifted, _tau_omega,
-    _to_float, segment_bounds,
+    _check_cutoff, _check_pass, _mu_segment, _PassContext, _smooth_mask, _smooth_phi_shifted,
+    _tau_omega, _to_float,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -88,9 +88,10 @@ def _shifted_pass(x: float, y: float, shifts: list[int]):
     shift: the y-smooth n of the window above max(a, 0) are s + idx, and
     phi holds phi(n - a) at them (``sieve._smooth_phi_shifted``).  Where
     the windows fall depends on the route, so each caller sums its terms
-    exactly.  A sieved segment's strips live while the caller sums its
-    windows of at most 2^14 smooth n, and go with the segment; no other
-    array of the segment's size is made.
+    exactly.  A sieved segment's strips live in buffers of the pass while
+    the caller sums its windows of at most 2^14 smooth n, and the next
+    segment strips into the same buffers; the mask route's smoothness mask,
+    a bool per n, is the one other array of the segment's size.
     """
     return _smooth_phi_shifted(min(max(a, 0) for a in shifts), math.floor(x), y, shifts)
 
@@ -306,8 +307,9 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
         t += _exact_int(_t_terms(a, s, idx, phi_at))
         g[idx + (s - a)] = True
     sigma1 = sigma2 = 0
-    for s, e in segment_bounds(1, d_max):
-        mu = _mu_segment(s, e)
+    context = _PassContext(1, d_max)
+    for s, e in context.segments():
+        mu = _mu_segment(s, e, context.primes(e, d_max))
         weighted = mu * _multiple_counts(g, s, e, mu)
         d = np.flatnonzero(weighted) + s
         terms = weighted[d - s] / d
@@ -393,10 +395,11 @@ def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     a, y = _check_pass(x, y, a)
     psi_value = _head_psi(x, y, a)
     tau_sum = omega_sum = 0
-    for s, e in segment_bounds(max(a, 0) + 1, math.floor(x)):
-        idx = np.flatnonzero(_smooth_mask(s, e, y))
+    context = _PassContext(max(a, 0) + 1, math.floor(x))
+    for s, e in context.segments():
+        idx = np.flatnonzero(_smooth_mask(s, e, y, context))
         if idx.size:
-            tau, omega = _tau_omega(s - a, e - a)
+            tau, omega = _tau_omega(s - a, e - a, context.primes(e - a, context.hi - a))
             psi_value += idx.size
             tau_sum += int(tau[idx].sum())
             omega_sum += int(omega[idx].sum())

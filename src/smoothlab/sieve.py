@@ -28,9 +28,7 @@ kernel is one loop over it, sized to its question:
   yields the segment in windows of whole ``_READ_BLOCK`` (2^14) entry
   blocks that hold at most 2^14 smooth n each, so the smoothness test, the
   gathers and the callers' sums make no array of the segment's size.  The
-  strips of every segment go into the same buffers, which the pass makes
-  once (``_strip_buffers``): one (2, n) buffer that holds the mask strip
-  and then the union strip or the first band's, and one per further band.
+  strips of every segment go into the buffers of the pass's context.
 - ``_mu_segment`` gives mu, and ``_tau_omega`` tau and omega, from the
   same strides; ``_tau_omega`` finds the n with a prime above sqrt(hi)
   from the ``_strip_primes`` part.
@@ -42,23 +40,22 @@ does not grow with sqrt(max).  ``_phi_at`` (a generated pass),
 ``is_smooth``, ``largest_prime_factor`` and the moduli of ``psi_coprime``
 and ``ft_ratio_scan`` read it.
 
-Streams split a range into ``STREAM_SEGMENT`` (2^18) entries per segment,
-and ``segment_bounds`` is the only code that does so; a sieved pass
-holds one strip buffer for all its segments (and one more per further
-band of shifts), strips each segment into it once and reads it in
-windows of at most ``_READ_BLOCK`` (2^14) smooth n, which holds its
-tracemalloc peak at one segment's strips plus 2^14-entry temporaries:
-2.9 MiB for ``t_exact(4.6e6, 1e5, 1)`` and 3.3 MiB for three shifts,
-against 10.9 and 19.9 MiB when each segment was read whole.  Since the
-buffer outlives the segment, a warm pass faults its pages in once, not
-once per segment as glibc handed back and mapped again a fresh strip.
-A generated pass cuts no segments, but one window per run of its smooth
-n, and holds at most
-``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range` takes
-windows from outside callers, and it refuses one past
-``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the other
-kernels and ``_factor_at`` trust the range or values their entry point
-checked.
+Every segmented stream (the sieved T/V pass, ``census``'s smooth values,
+``aux_averages`` and the moduli of the Moebius split) makes one
+``_PassContext``, which cuts its ``STREAM_SEGMENT`` (2^18) entry segments
+and holds its primes and strip buffers; ``sieve_range`` takes the primes of
+its one window from one.  A sieved pass strips each segment into its
+buffers once and reads it in windows of at most ``_READ_BLOCK`` (2^14)
+smooth n, which holds its tracemalloc peak at one segment's strips plus
+2^14-entry temporaries: 2.9 MiB for ``t_exact(4.6e6, 1e5, 1)`` and 3.3 MiB
+for three shifts, against 10.9 and 19.9 MiB when each segment was read
+whole.  The buffers outlive the segment, so a warm pass faults their pages
+in once.  A generated pass cuts no segments, but one window per run of its
+smooth n, and holds at most ``GENERATED_CAPACITY`` (2^22) of them.  Only
+:func:`sieve_range` takes windows from outside callers, and it refuses one
+past ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the
+other kernels and ``_factor_at`` trust the range or values their entry
+point checked.
 
 :func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
 same kernels in three stride walks (its spf/lpf loop, one phi strip and
@@ -86,12 +83,11 @@ from .errors import AccuracyError, CapacityError, DomainError
 #: Largest window ``sieve_range`` accepts.
 DEFAULT_SEGMENT_CAPACITY = 1 << 22
 
-#: Entries per segment of every stream (``segment_bounds``), and smooth n
-#: per run of a generated pass (``_generated_phi_segments``).  A 2^18
-#: window keeps an int32 smooth part and totient (1 MiB each) near the L2
-#: cache; larger windows were slower on the 2-core reference box.  A
-#: sieved pass holds one strip buffer for all its segments, sized from its
-#: first one (``_strip_buffers``).
+#: Entries per segment of every stream (``_PassContext.segments``), and
+#: smooth n per run of a generated pass (``_generated_phi_segments``).  A
+#: 2^18 window keeps an int32 smooth part and totient (1 MiB each) near the
+#: L2 cache; larger windows were slower on the 2-core reference box.  A
+#: stream's strip buffers are sized from its first segment.
 STREAM_SEGMENT = 1 << 18
 
 #: Entries per read block of a sieved segment, and most smooth n per window:
@@ -415,10 +411,48 @@ def _check_point(u: float, u_max: float) -> float:
     return u
 
 
-def segment_bounds(lo: int, hi: int):
-    """Split [lo, hi] into inclusive chunks of at most ``STREAM_SEGMENT`` entries."""
-    for s in range(lo, hi + 1, STREAM_SEGMENT):
-        yield s, min(s + STREAM_SEGMENT - 1, hi)
+class _PassContext:
+    """The segments, primes and strip buffers of one segmented stream over [lo, hi].
+
+    A stream makes it from its range (a T/V pass from its shifts too) in
+    its generator, and walks its segments through it.  A kind of strip
+    (mask, totient, tau or mu) that needs more primes than it holds sieves
+    them once, up to the most that kind asks anywhere in the stream.
+    Buffer 0 takes a segment's mask strip (one row) and then, in a T/V pass,
+    its union strip or its first band's (two rows), and each further band
+    has its own, with room for a segment no longer than the first plus the
+    widest spread of the shifts and 0 within it, which no union strip or
+    band passes.  An int64 buffer serves int32 strips through a view, so it
+    is made again only past 2^31.
+    """
+
+    def __init__(self, lo: int, hi: int, shifts=()):
+        self.lo, self.hi, self.top = lo, hi, hi - min((*shifts, 0))  # top: the largest n - a
+        self.bound, self.sieved, self.held = 1, np.empty(0, dtype=np.int64), []
+        self.rows = 2 if shifts else 1
+        s, e = next(self.segments(), (lo, lo))
+        points = sorted({*shifts, 0})
+        reach = max(points[bisect.bisect_right(points, a + e - s) - 1] - a for a in points)
+        self.width = e - s + 1 + reach
+
+    def segments(self):
+        """The range in inclusive segments [s, e] of ``STREAM_SEGMENT`` entries, the last less."""
+        for s in range(self.lo, self.hi + 1, STREAM_SEGMENT):
+            yield s, min(s + STREAM_SEGMENT - 1, self.hi)
+
+    def primes(self, hi: int, reach: int, y: float = math.inf) -> np.ndarray:
+        """The primes up to min(y, sqrt(hi)) of a kind of strip whose windows end by reach >= hi."""
+        bound, most = (min(math.isqrt(top), math.floor(min(y, top))) for top in (hi, reach))
+        if bound > self.bound:
+            self.bound, self.sieved = most, primes_upto(most)
+        return self.sieved[: np.searchsorted(self.sieved, bound, "right")]
+
+    def strip(self, band: int, lo: int, hi: int, rows: int = 2) -> np.ndarray:
+        """A (rows, hi - lo + 1) view, in the window's dtype, of the stream's buffer number band."""
+        dtype = np.dtype(_window_dtype(hi))
+        if band == len(self.held) or self.held[band].itemsize < dtype.itemsize:
+            self.held[band : band + 1] = [np.empty((self.rows, self.width), dtype)]
+        return self.held[band].view(dtype)[:rows, : hi - lo + 1]
 
 
 def _window_dtype(hi: int):
@@ -426,19 +460,17 @@ def _window_dtype(hi: int):
     return np.int32 if hi < 2**31 else np.int64
 
 
-def _strides(lo: int, hi: int, bound: int):
-    """Yield (p, k, start) for each prime p <= bound and each p^k with a multiple in [lo, hi].
+def _strides(lo: int, hi: int, primes: np.ndarray):
+    """Yield (p, k, start) for each of the increasing primes p and p^k with a multiple in [lo, hi].
 
     ``start`` is the offset of the first multiple of p^k in the window, so
-    the multiples are ``start::p**k``.  Powers come in increasing k for
-    each p, and the primes in increasing order.  A p^k > hi ends the
-    powers of p: in a window of lo >= 1 it has no multiple, and in one
-    holding 0 its only multiple is 0.  A p^k with no multiple in the window
+    the multiples are ``start::p**k``, and the powers of each p come in
+    increasing k.  A p^k > hi ends them: in a window of lo >= 1 it has no
+    multiple, and in one holding 0 its only multiple is 0.  A p^k with none
     gives start >= size; then so does every higher power, so the primes
     with none are dropped in one array step.
     """
     size = hi - lo + 1
-    primes = primes_upto(bound)
     for p in primes[(-lo) % primes < size].tolist():
         pk, k = p, 1
         while pk <= hi and (start := (-lo) % pk) < size:
@@ -456,30 +488,30 @@ def sieve_range(lo: int, hi: int) -> ArithTable:
     """
     lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
-    root = math.isqrt(hi)
+    primes = _PassContext(lo, hi).primes(hi, hi)
     spf = np.zeros(size, dtype=np.int64)
     lpf = np.zeros(size, dtype=np.int64)
-    for p, k, start in _strides(lo, hi, root):
+    for p, k, start in _strides(lo, hi, primes):
         if k == 1:
             spf_view = spf[start::p]
             spf_view[spf_view == 0] = p
             lpf[start::p] = p  # ascending p, so the last write is the largest
     # What is left of n is 1 or its one prime > sqrt(hi); that is its spf
     # when no smaller prime divides n (1 for n = 1), and always its lpf.
-    part, tot = _strip_primes(lo, hi, root, phi=True)
+    part, tot = _strip_primes(lo, hi, primes, phi=True)
     rem = np.arange(lo, hi + 1, dtype=part.dtype)
     rem //= part
     unset = spf == 0
     spf[unset] = rem[unset]
     lpf = np.maximum(lpf, rem)
-    phi, mu = _phi_from_part(rem, tot), _mu_segment(lo, hi)
+    phi, mu = _phi_from_part(rem, tot), _mu_segment(lo, hi, primes)
     for arr in (spf, lpf, phi, mu):
         arr.setflags(write=False)
     return ArithTable(lo=lo, hi=hi, spf=spf, lpf=lpf, phi=phi, mu=mu)
 
 
-def _strip_primes(lo: int, hi: int, bound: int, phi: bool = False, out=None):
-    """The bound-smooth part of each n in [lo, hi]: prod p^v_p(n) over primes p <= bound.
+def _strip_primes(lo: int, hi: int, primes: np.ndarray, phi: bool = False, out=None):
+    """The part of each n in [lo, hi] over the primes up to a bound, increasing: prod p^v_p(n).
 
     The part divides n, so it is built by multiplication alone in the
     window's dtype (int32 when hi < 2^31): ``_wheel_fill`` gives the
@@ -492,9 +524,9 @@ def _strip_primes(lo: int, hi: int, bound: int, phi: bool = False, out=None):
     that it overwrites, or a new one.
     """
     strip = np.empty((2 if phi else 1, hi - lo + 1), _window_dtype(hi)) if out is None else out
-    _wheel_fill(strip, lo, bound)
+    _wheel_fill(strip, lo, primes)
     rows, pair = (strip, np.empty((2, 1), strip.dtype)) if phi else (strip[0], None)
-    for p, k, start in _strides(lo, hi, bound):
+    for p, k, start in _strides(lo, hi, primes):
         if k > _WHEEL.get(p, 0):
             rows[..., start :: p**k] *= _stride_factor(p, k, pair)
     return (strip[0], strip[1]) if phi else strip[0]
@@ -512,8 +544,8 @@ def _stride_factor(p: int, k: int, pair):
     return pair
 
 
-def _wheel_fill(strip: np.ndarray, lo: int, bound: int) -> None:
-    """Fill a strip of the n from lo on with their ``_WHEEL`` powers p^e, p <= bound.
+def _wheel_fill(strip: np.ndarray, lo: int, primes: np.ndarray) -> None:
+    """Fill a strip of the n from lo on with their ``_WHEEL`` powers p^e, p among the primes.
 
     Their multiples repeat every ``_WHEEL_PERIOD`` entries, so the powers
     are struck on a pattern of one period, which is then broadcast over the
@@ -525,7 +557,7 @@ def _wheel_fill(strip: np.ndarray, lo: int, bound: int) -> None:
     span = min(size, _WHEEL_PERIOD)
     pattern = np.ones((rows, span), strip.dtype)
     pair = np.empty((2, 1), strip.dtype) if rows == 2 else None
-    for p, k, start in _strides(lo, lo + span - 1, min(bound, max(_WHEEL))):
+    for p, k, start in _strides(lo, lo + span - 1, primes[: len(_WHEEL)]):
         if k <= _WHEEL[p]:
             pattern[:, start :: p**k] *= _stride_factor(p, k, pair)
     whole = size - size % span
@@ -533,19 +565,17 @@ def _wheel_fill(strip: np.ndarray, lo: int, bound: int) -> None:
     strip[:, whole:] = pattern[:, : size - whole]
 
 
-def _smooth_mask(lo: int, hi: int, y: float, out=None) -> np.ndarray:
-    """Boolean array over [lo, hi] marking the y-smooth n; y must be >= 1, inf allowed.
+def _smooth_mask(lo: int, hi: int, y: float, context: _PassContext) -> np.ndarray:
+    """Boolean array over [lo, hi], a segment of context, marking the y-smooth n; y >= 1 or inf.
 
     Only primes p <= min(y, sqrt(hi)) go into the smooth part.  If
     y >= sqrt(hi), what is left of n is 1 or one prime > sqrt(hi);
     otherwise every prime factor of a leftover > 1 exceeds y.  Either way n
     is smooth iff n / part <= cap = floor(min(y, hi)), that is iff
     part >= ceil(n / cap), or part > (n - 1) // cap: one division by a scalar.
-    The part is stripped into ``out`` as ``_strip_primes`` takes it.
+    The part is stripped into the stream's buffer 0, with the stream's primes.
     """
-    root = math.isqrt(hi)
-    bound = root if y >= root else math.floor(y)
-    part = _strip_primes(lo, hi, bound, out=out)
+    part = _strip_primes(lo, hi, context.primes(hi, context.hi, y), out=context.strip(0, lo, hi, 1))
     return _part_is_smooth(part, lo, hi, math.floor(min(y, hi)))
 
 
@@ -587,7 +617,7 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
     s + idx, and phi holds phi(n - a) at them.  ``_generated_smooth`` picks
     the route from the arguments: the smooth n multiplied out of the primes
     up to y, one window per run of them (``_generated_phi_segments``), or
-    the sieve, which strips each segment of ``segment_bounds`` once, into
+    the sieve, which strips each segment of its ``_PassContext`` once, into
     buffers of the pass, and reads it in windows of at most
     ``_READ_BLOCK`` smooth n (``_sieved_pass``).  Every route gives the
     same integers; only the windows differ.
@@ -599,54 +629,19 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
 
 
 def _sieved_pass(lo: int, hi: int, y: float, shifts: list[int]):
-    """The windows of the sieve route over (lo, hi]: ``_sieve_phi_segment`` of each segment.
-
-    Every segment strips into the same buffers, which the first segment
-    sizes (``_strip_buffers``) and which live as long as the pass.
-    """
-    take = None
-    for s, e in segment_bounds(lo + 1, hi):
-        take = take or _strip_buffers(s, e, shifts)
-        yield from _sieve_phi_segment(s, e, y, shifts, take)
+    """The windows of the sieve route over (lo, hi]: ``_sieve_phi_segment`` of each segment."""
+    context = _PassContext(lo + 1, hi, shifts)
+    for s, e in context.segments():
+        yield from _sieve_phi_segment(s, e, y, shifts, context)
 
 
-def _strip_buffers(s: int, e: int, shifts: list[int]):
-    """take(band, lo, hi, rows=2): the strips of a sieved pass whose first segment is [s, e].
-
-    take gives a (rows, hi - lo + 1) view, in the window's dtype, of the
-    pass's buffer number band, made on its first use.  Buffer 0 holds a
-    segment's mask strip (one row) and then its union strip or the strip
-    of its first band of shifts, and each further band has a buffer of its
-    own.  A buffer has room for the longest strip of a segment no longer
-    than [s, e]: its length plus the widest spread of the shifts and 0 that
-    is at most e - s, since a union strip or a band spreads no wider.  An
-    int64 buffer serves the int32 strips through a view of its bytes, so a
-    buffer is made again only when the pass first needs int64 (a window
-    past 2^31).
-    """
-    points = sorted({*shifts, 0})
-    reach = max(points[bisect.bisect_right(points, a + e - s) - 1] - a for a in points)
-    width = e - s + 1 + reach
-    held = []
-
-    def take(band: int, lo: int, hi: int, rows: int = 2) -> np.ndarray:
-        dtype = np.dtype(_window_dtype(hi))
-        if band == len(held):
-            held.append(np.empty((2, width), dtype))
-        elif held[band].itemsize < dtype.itemsize:
-            held[band] = np.empty((2, width), dtype)
-        return held[band].view(dtype)[:rows, : hi - lo + 1]
-
-    return take
-
-
-def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int], take):
+def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int], context: _PassContext):
     """Yield (ws, we, rows) for the windows [ws, we] of [s, e] that hold a y-smooth n.
 
     The windows are increasing and disjoint, with one (idx, phi) row per
     shift a: ws + idx are the y-smooth n in [ws, we] above max(a, 0), and
     phi holds phi(n - a) at them.  The segment is stripped once, into the
-    pass's buffers (take, from ``_strip_buffers``), and then read window by
+    buffers of the pass's context, and then read window by
     window, each window whole ``_READ_BLOCK``-entry blocks with at most
     ``_READ_BLOCK`` smooth n, so the reads and their callers' sums hold no
     array of the segment's size.  The n are tested for smoothness once for
@@ -664,7 +659,8 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int], take):
     top = max(e, e - min(shifts))
     if max(*shifts, 0) - min(*shifts, 0) <= e - s and y >= math.isqrt(top):
         first = max(1, min(s, s - max(shifts)))
-        part, tot = _strip_primes(first, top, math.isqrt(top), phi=True, out=take(0, first, top))
+        primes = context.primes(top, context.top)
+        part, tot = _strip_primes(first, top, primes, phi=True, out=context.strip(0, first, top))
         cap = math.floor(min(y, e))
         strips = dict.fromkeys(shifts, (part, tot, first))
         windows = [(ws, min(ws + _READ_BLOCK - 1, e)) for ws in range(s, e + 1, _READ_BLOCK)]
@@ -672,8 +668,8 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int], take):
         def smooth(ws, we):
             return _part_is_smooth(part[ws - first : we - first + 1], ws, we, cap)
     else:
-        mask = _smooth_mask(s, e, y, out=take(0, s, e, rows=1))
-        strips = _band_strips(mask, s, e, shifts, take)
+        mask = _smooth_mask(s, e, y, context)
+        strips = _band_strips(mask, s, e, shifts, context)
         windows = _mask_windows(mask, s)
 
         def smooth(ws, we):
@@ -709,13 +705,13 @@ def _mask_windows(mask: np.ndarray, s: int) -> list[tuple[int, int]]:
     return windows
 
 
-def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int], take) -> dict:
+def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int], context) -> dict:
     """{a: (part, tot, first)}: a phi strip per shift with a smooth n above max(a, 0) in [s, e].
 
     smooth marks the y-smooth n of [s, e], the least at s + i and the
     largest at s + j.  Those shifts go in bands of spread at most e - s,
-    and band b shares one strip, in the pass's buffer take(b, ...), of its
-    window [s + i - max a, s + j - min a], starting at first.
+    and band b shares one strip, in the pass's buffer b, of its window
+    [s + i - max a, s + j - min a], starting at first.
     """
     if not smooth.any():
         return {}
@@ -723,7 +719,8 @@ def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int], take) ->
     strips = {}
     for b, band in enumerate(_shift_bands([a for a in shifts if s + j > max(a, 0)], e - s)):
         first, last = max(1, s + i - band[-1]), s + j - band[0]
-        part, tot = _strip_primes(first, last, math.isqrt(last), phi=True, out=take(b, first, last))
+        primes = context.primes(last, context.top)
+        part, tot = _strip_primes(first, last, primes, phi=True, out=context.strip(b, first, last))
         strips.update(dict.fromkeys(band, (part, tot, first)))
     return strips
 
@@ -997,8 +994,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _mu_segment(lo: int, hi: int) -> np.ndarray:
-    """Moebius mu of every n in [lo, hi] as an int8 array.
+def _mu_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Moebius mu of every n in [lo, hi] as an int8 array, from the primes up to sqrt(hi).
 
     The product of the small primes of n divides n, so it is kept in the
     window's dtype (int32 when hi < 2^31), as ``_strip_primes`` keeps its part.
@@ -1007,7 +1004,7 @@ def _mu_segment(lo: int, hi: int) -> np.ndarray:
     dtype = _window_dtype(hi)
     mu = np.ones(size, dtype=np.int8)
     small = np.ones(size, dtype=dtype)
-    for p, k, start in _strides(lo, hi, math.isqrt(hi)):
+    for p, k, start in _strides(lo, hi, primes):
         if k == 1:
             mu[start::p] *= -1
             small[start::p] *= p
@@ -1032,8 +1029,8 @@ def largest_prime_factor(n: int) -> int:
     return int(_factor_at(np.array([n], dtype=np.int64))[1].max(initial=1))
 
 
-def _tau_omega(lo: int, hi: int):
-    """Divisor counts tau(n) and distinct-prime counts omega(n) on [lo, hi].
+def _tau_omega(lo: int, hi: int, primes: np.ndarray):
+    """Divisor counts tau(n) and distinct-prime counts omega(n) on [lo, hi], by primes <= sqrt(hi).
 
     Returns a pair of int64 arrays aligned with the window, counted in int32.
     The window is the shifted [s - a, e - a] of a segment of a pass that
@@ -1048,14 +1045,13 @@ def _tau_omega(lo: int, hi: int):
     tau = np.ones(size, dtype=np.int32)
     omega = np.zeros(size, dtype=np.int32)
     before = np.empty(size, dtype=np.int32)
-    root = math.isqrt(hi)
-    for p, k, start in _strides(lo, hi, root):
+    for p, k, start in _strides(lo, hi, primes):
         if k == 1:
             omega[start::p] += 1
             before[start::p] = tau[start::p]
         tau[start :: p**k] += before[start :: p**k]
     # A part short of n leaves one prime > sqrt(hi), exponent 1.
-    part = _strip_primes(lo, hi, root)
+    part = _strip_primes(lo, hi, primes)
     big = part < np.arange(lo, hi + 1, dtype=part.dtype)
     tau[big] *= 2
     omega[big] += 1

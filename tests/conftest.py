@@ -305,9 +305,9 @@ def smooth_mask_entries(monkeypatch):
     entries = []
     kernel, union = census._smooth_mask, shifted._smooth_phi_shifted
 
-    def counted(lo, hi, y, out=None):
+    def counted(lo, hi, y, context):
         entries.append(hi - lo + 1)
-        return kernel(lo, hi, y, out)
+        return kernel(lo, hi, y, context)
 
     def counted_union(lo, hi, y, shifts):
         entries.append(max(hi - lo, 0))
@@ -343,10 +343,10 @@ def phi_window_entries(monkeypatch):
     entries = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, bound, phi=False, out=None):
+    def counted(lo, hi, primes, phi=False, out=None):
         if phi:
             entries.append(hi - lo + 1)
-        return strip(lo, hi, bound, phi, out)
+        return strip(lo, hi, primes, phi, out)
 
     monkeypatch.setattr(sieve, "_strip_primes", counted)
     return entries
@@ -365,9 +365,9 @@ def strip_windows(monkeypatch):
     windows = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, bound, phi=False, out=None):
+    def counted(lo, hi, primes, phi=False, out=None):
         windows.append((lo, hi))
-        return strip(lo, hi, bound, phi, out)
+        return strip(lo, hi, primes, phi, out)
 
     monkeypatch.setattr(sieve, "_strip_primes", counted)
     return windows

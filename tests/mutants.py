@@ -54,8 +54,8 @@ MUTANTS = [
     {
         "name": "fresh-buffer-per-strip",
         "file": "smoothlab/sieve.py",
-        "snippet": "        return held[band].view(dtype)[:rows, : hi - lo + 1]\n",
-        "replacement": "        return np.empty((2, width), dtype)[:rows, : hi - lo + 1]\n",
+        "snippet": "        return self.held[band].view(dtype)[:rows, : hi - lo + 1]\n",
+        "replacement": "        return np.empty((self.rows, self.width), dtype)[:rows, : hi - lo + 1]\n",
         "tests": [
             "tests/test_kernels.py::test_a_sieved_pass_strips_every_segment_into_its_own_buffers",
             "tests/test_kernels.py::test_a_shorter_last_segment_strips_into_the_first_segments_buffer",
@@ -64,8 +64,8 @@ MUTANTS = [
     {
         "name": "no-int64-buffer-past-2-31",
         "file": "smoothlab/sieve.py",
-        "snippet": "        elif held[band].itemsize < dtype.itemsize:\n",
-        "replacement": "        elif False:\n",
+        "snippet": "band == len(self.held) or self.held[band].itemsize < dtype.itemsize:",
+        "replacement": "band == len(self.held):",
         "tests": ["tests/test_kernels.py::test_a_pass_across_2_31_makes_its_buffer_again_once"],
     },
     {
@@ -78,11 +78,36 @@ MUTANTS = [
     {
         "name": "one-buffer-shared-by-all-bands",
         "file": "smoothlab/sieve.py",
-        "snippet": "out=take(b, first, last)",
-        "replacement": "out=take(0, first, last)",
+        "snippet": "out=context.strip(b, first, last)",
+        "replacement": "out=context.strip(0, first, last)",
         "tests": [
             "tests/test_kernels.py::test_a_sieved_pass_strips_every_segment_into_its_own_buffers[bands]",
             "tests/test_kernels.py::test_smooth_phi_shifted_matches_mask_window_and_oracle",
+        ],
+    },
+    {
+        "name": "pass-context-sieves-primes-per-segment",
+        "file": "smoothlab/sieve.py",
+        "snippet": "            self.bound, self.sieved = most, primes_upto(most)\n",
+        "replacement": "            self.bound, self.sieved = bound, primes_upto(bound)\n",
+        "tests": [
+            "tests/test_kernels.py::test_a_sieved_pass_strips_every_segment_into_its_own_buffers",
+            "tests/test_kernels.py::test_the_smooth_values_stream_sieves_its_mask_primes_once",
+            "tests/test_kernels.py::test_aux_averages_sieves_its_primes_once_per_kind_of_strip",
+            "tests/test_kernels.py::test_the_moduli_of_the_mobius_split_sieve_their_primes_once",
+        ],
+    },
+    {
+        "name": "pass-context-sieves-the-totient-bound-up-front",
+        "file": "smoothlab/sieve.py",
+        "snippet": "        self.bound, self.sieved, self.held = 1, np.empty(0, dtype=np.int64), []\n",
+        "replacement": (
+            "        self.bound, self.held = math.isqrt(self.top), []\n"
+            "        self.sieved = primes_upto(self.bound)\n"
+        ),
+        "tests": [
+            "tests/test_kernels.py::test_a_sieved_segment_with_no_smooth_n_strips_nothing",
+            "tests/test_kernels.py::test_a_sieved_pass_strips_every_segment_into_its_own_buffers[mask]",
         ],
     },
 ]

@@ -104,9 +104,9 @@ def test_psi_equals_enum_oracle_grid():
 
 def sieved_psi(x: float, y: float) -> int:
     """Psi(x, y) from the sieve: the smooth n of each stream segment up to x, counted."""
+    context = sieve._PassContext(1, math.floor(x))
     return sum(
-        int(np.count_nonzero(sieve._smooth_mask(s, e, y)))
-        for s, e in sieve.segment_bounds(1, math.floor(x))
+        int(np.count_nonzero(sieve._smooth_mask(s, e, y, context))) for s, e in context.segments()
     )
 
 

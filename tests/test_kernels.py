@@ -40,9 +40,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoothlab
-from smoothlab import psi, shifted, sieve, sieve_range, t_exact, v_exact, v_via_abel
+from smoothlab import (
+    aux_averages, census, psi, shifted, sieve, sieve_range, t_exact, t_via_mobius, v_exact,
+    v_via_abel,
+)
 from smoothlab.sieve import (
-    _factor_at, _mu_segment, _phi_at, _sieve_phi_segment, _smooth_mask, _tau_omega,
+    _factor_at, _mu_segment, _PassContext, _phi_at, _sieve_phi_segment, _smooth_mask, _tau_omega,
 )
 
 from conftest import (
@@ -100,7 +103,8 @@ def window_and_y(draw):
 @given(window_and_y())
 def test_smooth_mask_matches_oracle(case):
     lo, hi, y = case
-    assert _smooth_mask(lo, hi, y).tolist() == [oracle_is_smooth(n, y) for n in range(lo, hi + 1)]
+    mask = _smooth_mask(lo, hi, y, _PassContext(lo, hi))
+    assert mask.tolist() == [oracle_is_smooth(n, y) for n in range(lo, hi + 1)]
 
 
 @SETTINGS
@@ -114,14 +118,15 @@ def test_sieve_range_phi_matches_oracle(window):
 @given(windows())
 def test_mu_segment_matches_oracle(window):
     lo, hi = window
-    assert _mu_segment(lo, hi).tolist() == [oracle_mu(n) for n in range(lo, hi + 1)]
+    mu = _mu_segment(lo, hi, sieve.primes_upto(math.isqrt(hi)))
+    assert mu.tolist() == [oracle_mu(n) for n in range(lo, hi + 1)]
 
 
 @SETTINGS
 @given(windows())
 def test_tau_omega_matches_oracle(window):
     lo, hi = window
-    tau, omega = _tau_omega(lo, hi)
+    tau, omega = _tau_omega(lo, hi, sieve.primes_upto(math.isqrt(hi)))
     assert tau.tolist() == [oracle_tau(n) for n in range(lo, hi + 1)]
     assert omega.tolist() == [oracle_omega(n) for n in range(lo, hi + 1)]
 
@@ -301,7 +306,7 @@ def test_pollard_brent_blocks_find_the_factor_of_one_gcd_per_step(p, q, c):
 def test_strides_end_in_a_window_holding_zero():
     # Every p^k divides 0, so the powers of p once ran on without end here.
     def first_strides(lo, hi, bound):
-        return list(itertools.islice(sieve._strides(lo, hi, bound), 100))
+        return list(itertools.islice(sieve._strides(lo, hi, sieve.primes_upto(bound)), 100))
 
     assert first_strides(0, 10, 3) == [(2, 1, 0), (2, 2, 0), (2, 3, 0), (3, 1, 0), (3, 2, 0)]
     assert first_strides(0, 1, 3) == []
@@ -459,7 +464,7 @@ def test_psi_t_v_do_not_depend_on_capacity(case):
 
 def _segment_windows(s, e, y, shifts):
     """The windows of ``_sieve_phi_segment`` over [s, e], as a pass of that one segment."""
-    return list(_sieve_phi_segment(s, e, y, shifts, sieve._strip_buffers(s, e, shifts)))
+    return list(_sieve_phi_segment(s, e, y, shifts, _PassContext(s, e, shifts)))
 
 
 def _segment_rows(s, e, y, shifts):
@@ -486,13 +491,14 @@ def test_kernels_on_both_sides_of_the_int32_remainder():
         ns = range(lo, hi + 1)
         lpf = [oracle_lpf(n) for n in ns]
         for y in (7, 1000, 46340.5, math.inf):
-            assert _smooth_mask(lo, hi, y).tolist() == [p <= y for p in lpf]
+            assert _smooth_mask(lo, hi, y, _PassContext(lo, hi)).tolist() == [p <= y for p in lpf]
         # The union strip of a shift by -1 over [lo - 1, hi - 1] is phi on [lo, hi].
         assert _segment_rows(lo - 1, hi - 1, math.inf, [-1])[0][1].tolist() == [
             oracle_phi(n) for n in ns
         ]
-        assert _mu_segment(lo, hi).tolist() == [oracle_mu(n) for n in ns]
-        tau, omega = _tau_omega(lo, hi)
+        primes = sieve.primes_upto(math.isqrt(hi))
+        assert _mu_segment(lo, hi, primes).tolist() == [oracle_mu(n) for n in ns]
+        tau, omega = _tau_omega(lo, hi, primes)
         assert tau.tolist() == [oracle_tau(n) for n in ns]
         assert omega.tolist() == [oracle_omega(n) for n in ns]
 
@@ -533,7 +539,7 @@ def shifted_cases(draw):
 @example((10**5, 10**5 + 199, 1e5, [-5000, -4900, 3, 10**5 + 150]))  # two bands and a late shift
 def test_smooth_phi_shifted_matches_mask_window_and_oracle(case):
     s, e, y, shifts = case
-    smooth = np.flatnonzero(_smooth_mask(s, e, y)).tolist()
+    smooth = np.flatnonzero(_smooth_mask(s, e, y, _PassContext(s, e))).tolist()
     for a, (idx, phi) in zip(shifts, _segment_rows(s, e, y, shifts), strict=True):
         assert idx.tolist() == [i for i in smooth if s + i > max(a, 0)]
         assert phi.dtype == np.int64
@@ -623,7 +629,7 @@ def test_a_full_segment_is_read_in_read_block_windows(y, windows):
     # whole blocks while they hold at most 2^14 smooth n between them.
     s, e = 2**20 + 1, 2**20 + sieve.STREAM_SEGMENT
     block = sieve._READ_BLOCK
-    mask = _smooth_mask(s, e, y)
+    mask = _smooth_mask(s, e, y, _PassContext(s, e))
     got = _segment_windows(s, e, y, [1, -2])
     bounds = [(ws, we) for ws, we, _rows in got]
     assert len(bounds) == windows and bounds[0][0] == s and bounds[-1][1] == e
@@ -642,9 +648,9 @@ def _strips_taken():
     taken = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, bound, phi=False, out=None):
+    def counted(lo, hi, primes, phi=False, out=None):
         taken.append(out)
-        return strip(lo, hi, bound, phi, out)
+        return strip(lo, hi, primes, phi, out)
 
     with patch.object(sieve, "_strip_primes", counted):
         yield taken
@@ -670,22 +676,37 @@ def _oracle_totals(x, y, shifts):
     return [(oracle_t_float(x, y, a).hex(), float(oracle_v(x, y, a)).hex()) for a in shifts]
 
 
+@pytest.fixture
+def primes_asked(monkeypatch):
+    """The bound of every ``primes_upto`` call made while the test runs."""
+    asked = []
+    primes_upto = sieve.primes_upto
+    monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
+    return asked
+
+
 @pytest.mark.parametrize(
-    "y, shifts, buffers",
+    "y, shifts, buffers, asked",
     [
-        (1e5, [1, -2], 1),  # one union strip per segment
-        (30, [1, -2], 1),  # the mask, then one band, in the same rows
-        (1e5, [-1500, 1, 2500], 3),  # the mask and three bands: one buffer per band
+        (1e5, [1, -2], 1, [92]),  # one union strip per segment
+        (30, [1, -2], 1, [30, 92]),  # the mask, then one band, in the same rows
+        (1e5, [-1500, 1, 2500], 3, [92, 100]),  # the mask and three bands: one buffer per band
     ],
     ids=["union", "mask", "bands"],
 )
-def test_a_sieved_pass_strips_every_segment_into_its_own_buffers(y, shifts, buffers):
+def test_a_sieved_pass_strips_every_segment_into_its_own_buffers(y, shifts, buffers, asked,
+                                                                 primes_asked):
     # A pass of 9 segments makes its buffers once: the mask strip and the
     # union or first band strip take buffer 0, and each further band one
     # more.  Each holds a segment plus the widest spread of the shifts and 0
     # within one segment (3, or 1 for the bands), not plus the 4000 of all.
+    # It sieves the primes of each kind of strip once, at the largest bound
+    # that kind asks: the masks up to min(y, isqrt(8500)), and the union
+    # and band strips up to isqrt(8500 - min a), where each segment once
+    # sieved its own.
     with stream_segment(1000):
         got, taken, segments = _sieved_totals(8500, y, shifts)
+    assert primes_asked == asked
     assert got == _oracle_totals(8500, y, shifts)
     assert segments == 9
     assert len(_buffers(taken)) == buffers
@@ -735,6 +756,44 @@ def test_a_pass_across_2_31_makes_its_buffer_again_once(y, shifts):
         want = [oracle_phi(n - a) / (n - a) for n in smooth if n > max(a, 0)]
         assert math.fsum(terms).hex() == math.fsum(want).hex()
         assert len(terms) == len(want)
+
+
+def test_the_smooth_values_stream_sieves_its_mask_primes_once(primes_asked):
+    # The masks of the 9 segments take the primes up to isqrt(e), 31 to 92.
+    with stream_segment(1000):
+        values = [n for chunk in census._segment_values(0, 8500, 1e3) for n in chunk.tolist()]
+    assert primes_asked == [92]
+    assert values == oracle_smooth_list(0, 8500, 1e3)
+
+
+def test_aux_averages_sieves_its_primes_once_per_kind_of_strip(primes_asked):
+    # The masks take the primes up to isqrt(8500) = 92, and tau and omega
+    # of n + 2000 those up to isqrt(10500) = 102.
+    with stream_segment(1000):
+        got = aux_averages(8500, 1e3, -2000)
+    assert primes_asked == [92, 102]
+    smooth = oracle_smooth_list(0, 8500, 1e3)
+    assert got == (
+        sum(oracle_tau(n + 2000) for n in smooth) / len(smooth),
+        sum(oracle_omega(n + 2000) for n in smooth) / len(smooth),
+    )
+
+
+def test_the_moduli_of_the_mobius_split_sieve_their_primes_once(primes_asked):
+    # The T pass sieves its union strips' primes (up to isqrt(900) = 30)
+    # once, and the 9 segments of moduli d <= 899 theirs for mu (up to 29).
+    x, y, a, delta = 900, 1e3, 1, 100
+    with stream_segment(100), forced_route("sieve") as calls:
+        split = t_via_mobius(x, y, a, delta)
+    assert len(calls) == 9
+    assert primes_asked == [30, 29]
+    smooth = oracle_smooth_list(a, x, y)
+    terms = [
+        (d, oracle_mu(d) * sum((n - a) % d == 0 for n in smooth) / d) for d in range(1, x - a + 1)
+    ]
+    assert split.sigma1.hex() == math.fsum(term for d, term in terms if d <= delta).hex()
+    assert split.sigma2.hex() == math.fsum(term for d, term in terms if d > delta).hex()
+    assert split.t.hex() == oracle_t_float(x, y, a).hex()
 
 
 def test_smooth_phi_shifted_strips_no_window_past_its_segment(phi_window_entries):
@@ -811,8 +870,9 @@ _cached_oracle_phi = functools.cache(oracle_phi)
 
 def _mask_route(lo, hi, y, shifts):
     """A pass without the totient routes: the mask of each segment, then phi from the oracle."""
-    for s, e in sieve.segment_bounds(lo + 1, hi):
-        idx = np.flatnonzero(_smooth_mask(s, e, y))
+    context = _PassContext(lo + 1, hi)
+    for s, e in context.segments():
+        idx = np.flatnonzero(_smooth_mask(s, e, y, context))
         rows = []
         for a in shifts:
             above = idx[idx > max(a, 0) - s]
@@ -880,7 +940,7 @@ def test_the_totient_routes_live_in_the_sieve_module():
     assert _calls_to("_phi_at", sieve_tree) == ["_generated_phi_segments"]
     functions = [fn for fn in ast.walk(sieve_tree) if isinstance(fn, ast.FunctionDef)]
     readers = [fn.name for fn in functions for _read in _reads_of("STREAM_SEGMENT", fn)]
-    assert set(readers) == {"segment_bounds", "_generated_phi_segments"}
+    assert set(readers) == {"segments", "_generated_phi_segments"}
     assert len(readers) == len(_reads_of("STREAM_SEGMENT", sieve_tree))  # none outside them
     assert [path.name for path in package.glob("*.py") if "STREAM_SEGMENT" in path.read_text()] == [
         "sieve.py"
@@ -947,21 +1007,38 @@ def test_each_argument_is_checked_once_at_its_entry_point():
 
 
 def test_the_shifted_sums_read_windows_not_segments():
-    # ``v_via_abel`` lined the pass up with ``segment_bounds`` to fill every
-    # integer of each segment, and for it alone a generated pass was cut
-    # into the segments that held its n (``segment_bounds(holding=...)``).
-    # The one reader of the pass that still cuts segments cuts its moduli,
+    # ``v_via_abel`` lined the pass up with the stream's segments to fill
+    # every integer of each segment, and for it alone a generated pass was
+    # cut into the segments that held its n (``segment_bounds(holding=...)``).
+    # The one reader of the pass that still walks segments walks its moduli,
     # from 1, not the n of the pass.
     tree = ast.parse((Path(smoothlab.__file__).parent / "shifted.py").read_text())
     readers = set(_calls_to("_shifted_pass", tree))
     assert "v_via_abel" in readers
-    assert readers & set(_calls_to("segment_bounds", tree)) == {"t_via_mobius"}
+    assert readers & set(_calls_to("_PassContext", tree)) == {"t_via_mobius"}
     [mobius] = [fn for fn in tree.body if getattr(fn, "name", None) == "t_via_mobius"]
     assert [
         ast.literal_eval(node.args[0]) for node in ast.walk(mobius)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "segment_bounds"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_PassContext"
     ] == [1]
-    assert list(inspect.signature(sieve.segment_bounds).parameters) == ["lo", "hi"]
+    # The range and the shifts alone decide the segments and the buffers.
+    assert list(inspect.signature(sieve._PassContext).parameters) == ["lo", "hi", "shifts"]
+    assert list(inspect.signature(sieve._PassContext.segments).parameters) == ["self"]
+
+
+def test_the_sieve_module_sieves_primes_for_strips_only_in_the_pass_context():
+    # ``_strides`` called ``primes_upto`` for every window of every kernel:
+    # 1,523 times with 384 distinct bounds in ``v_exact(1e8, 1e3, 1)``.  Now
+    # the kernels take their primes from the stream's context, and the other
+    # callers sieve the primes of a generation or a factorization.
+    tree = ast.parse((Path(smoothlab.__file__).parent / "sieve.py").read_text())
+    [context] = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_PassContext"
+    ]
+    assert _calls_to("primes_upto", context) == ["primes"]
+    assert sorted(_calls_to("primes_upto", tree)) == [
+        "_factor_at", "_modulus_primes", "_smooth_upto", "primes",
+    ]
 
 
 def test_the_pass_kernels_have_no_public_twin():

@@ -159,7 +159,7 @@ def test_a_warm_mask_route_pass_faults_no_page_in_per_segment():
     # faults over the 18 segments of this pass, warm.  The pass's buffers
     # are faulted in once.
     assert sieve._generated_smooth(0, 4_600_000, 1e3, [1]) is None  # the sieve route
-    segments = len(list(sieve.segment_bounds(2, 4_600_000)))
+    segments = len(list(sieve._PassContext(2, 4_600_000).segments()))
     want = t_exact(4.6e6, 1e3, 1)
     with minor_faults() as faults:
         got = t_exact(4.6e6, 1e3, 1)
@@ -269,8 +269,10 @@ def test_multiple_counts_match_brute_force(n, block):
         g[0] = False
         got = []
         with stream_segment(block or sieve.STREAM_SEGMENT):
-            for s, e in sieve.segment_bounds(1, n):
-                counts = _multiple_counts(g, s, e, sieve._mu_segment(s, e))
+            context = sieve._PassContext(1, n)
+            for s, e in context.segments():
+                mu = sieve._mu_segment(s, e, context.primes(e, n))
+                counts = _multiple_counts(g, s, e, mu)
                 got += [int(counts[d - s]) for d in range(s, e + 1) if oracle_mu(d)]
         assert got == [int(g[d::d].sum()) for d in range(1, n + 1) if oracle_mu(d)]
 

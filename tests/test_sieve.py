@@ -30,10 +30,10 @@ from smoothlab import (
     v_via_abel,
 )
 from smoothlab.sieve import (
+    _PassContext,
     _tau_omega,
     largest_prime_factor,
     primes_upto,
-    segment_bounds,
 )
 
 from conftest import (
@@ -144,7 +144,7 @@ def test_segment_independence():
     whole = sieve_range(1, n)
     for k in (2, 3, 7):
         with stream_segment(-(-n // k)):
-            parts = [sieve_range(s, e) for s, e in segment_bounds(1, n)]
+            parts = [sieve_range(s, e) for s, e in _PassContext(1, n).segments()]
         assert len(parts) == k
         for name in ("spf", "lpf", "phi", "mu"):
             merged = np.concatenate([getattr(p, name) for p in parts])
@@ -168,7 +168,7 @@ def test_multiplicativity_on_coprime_pairs():
 @pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6])
 def test_mertens_sanity(n):
     total = 0
-    for s, e in segment_bounds(1, n):
+    for s, e in _PassContext(1, n).segments():
         total += int(sieve_range(s, e).mu.sum(dtype=np.int64))
     assert abs(total) <= n**0.6
 
@@ -192,7 +192,7 @@ def test_domain_and_capacity_errors():
 
 
 def test_no_function_takes_a_segment_size():
-    # segment_bounds alone decides the stream segment size.
+    # The segments of a stream's _PassContext alone decide the stream segment size.
     objects = [getattr(smoothlab, name) for name in smoothlab.__all__]
     for info in pkgutil.iter_modules(smoothlab.__path__):
         module = importlib.import_module(f"smoothlab.{info.name}")
@@ -317,11 +317,11 @@ def test_scalar_helpers():
 
 def test_tau_omega_against_oracle():
     lo, hi = 9_990, 10_500
-    tau, omega = _tau_omega(lo, hi)
+    tau, omega = _tau_omega(lo, hi, primes_upto(math.isqrt(hi)))
     for n in range(lo, hi + 1):
         assert tau[n - lo] == oracle_tau(n), n
         assert omega[n - lo] == oracle_omega(n), n
-    tau1, omega1 = _tau_omega(1, 200)
+    tau1, omega1 = _tau_omega(1, 200, primes_upto(math.isqrt(200)))
     for n in range(1, 201):
         assert tau1[n - 1] == oracle_tau(n)
         assert omega1[n - 1] == oracle_omega(n)
