@@ -309,7 +309,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     sigma1 = sigma2 = 0
     context = _PassContext(1, d_max)
     for s, e in context.segments():
-        mu = _mu_segment(s, e, context.primes(e, d_max))
+        mu = _mu_segment(s, e, context.primes(e))
         weighted = mu * _multiple_counts(g, s, e, mu)
         d = np.flatnonzero(weighted) + s
         terms = weighted[d - s] / d
@@ -395,11 +395,11 @@ def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     a, y = _check_pass(x, y, a)
     psi_value = _head_psi(x, y, a)
     tau_sum = omega_sum = 0
-    context = _PassContext(max(a, 0) + 1, math.floor(x))
+    context = _PassContext(max(a, 0) + 1, math.floor(x), [a])
     for s, e in context.segments():
         idx = np.flatnonzero(_smooth_mask(s, e, y, context))
         if idx.size:
-            tau, omega = _tau_omega(s - a, e - a, context.primes(e - a, context.hi - a))
+            tau, omega = _tau_omega(s - a, e - a, context.primes(e - a))
             psi_value += idx.size
             tau_sum += int(tau[idx].sum())
             omega_sum += int(omega[idx].sum())

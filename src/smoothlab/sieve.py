@@ -43,19 +43,19 @@ and ``ft_ratio_scan`` read it.
 Every segmented stream (the sieved T/V pass, ``census``'s smooth values,
 ``aux_averages`` and the moduli of the Moebius split) makes one
 ``_PassContext``, which cuts its ``STREAM_SEGMENT`` (2^18) entry segments
-and holds its primes and strip buffers; ``sieve_range`` takes the primes of
-its one window from one.  A sieved pass strips each segment into its
-buffers once and reads it in windows of at most ``_READ_BLOCK`` (2^14)
-smooth n, which holds its tracemalloc peak at one segment's strips plus
-2^14-entry temporaries: 2.9 MiB for ``t_exact(4.6e6, 1e5, 1)`` and 3.3 MiB
-for three shifts, against 10.9 and 19.9 MiB when each segment was read
-whole.  The buffers outlive the segment, so a warm pass faults their pages
-in once.  A generated pass cuts no segments, but one window per run of its
-smooth n, and holds at most ``GENERATED_CAPACITY`` (2^22) of them.  Only
-:func:`sieve_range` takes windows from outside callers, and it refuses one
-past ``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the
-other kernels and ``_factor_at`` trust the range or values their entry
-point checked.
+and holds its primes and strip buffers.  A sieved pass strips each
+segment into its buffers once and reads it in windows of at most
+``_READ_BLOCK`` (2^14) smooth n, which holds its tracemalloc peak at one
+segment's strips plus 2^14-entry temporaries: 2.9 MiB for
+``t_exact(4.6e6, 1e5, 1)`` and 3.3 MiB for three shifts, against 10.9 and
+19.9 MiB when each segment was read whole.  The buffers outlive the
+segment, so a warm pass faults their pages in once.  A generated pass cuts
+no segments, but one window per run of its smooth n, and holds at most
+``GENERATED_CAPACITY`` (2^22) of them.  Only :func:`sieve_range` takes
+windows from outside callers, and it refuses one past
+``DEFAULT_SEGMENT_CAPACITY`` (2^22) entries before it allocates; the other
+kernels and ``_factor_at`` trust the range or values their entry point
+checked.
 
 :func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
 same kernels in three stride walks (its spf/lpf loop, one phi strip and
@@ -414,22 +414,26 @@ def _check_point(u: float, u_max: float) -> float:
 class _PassContext:
     """The segments, primes and strip buffers of one segmented stream over [lo, hi].
 
-    A stream makes it from its range (a T/V pass from its shifts too) in
-    its generator, and walks its segments through it.  A kind of strip
-    (mask, totient, tau or mu) that needs more primes than it holds sieves
-    them once, up to the most that kind asks anywhere in the stream.
-    Buffer 0 takes a segment's mask strip (one row) and then, in a T/V pass,
-    its union strip or its first band's (two rows), and each further band
-    has its own, with room for a segment no longer than the first plus the
-    widest spread of the shifts and 0 within it, which no union strip or
-    band passes.  An int64 buffer serves int32 strips through a view, so it
-    is made again only past 2^31.
+    A stream makes it from its range, and from the shifts a of the n - a
+    its strips reach, in its generator, and walks its segments through it.
+    A kind of strip (mask, totient, tau or mu) that needs more primes than
+    it holds sieves them once, up to the most that kind can ask for a
+    value at most top, the largest n - a of the stream.  Buffer 0 takes a
+    segment's mask strip (one row) and then, in a stream that strips phi
+    (a T/V pass), its union strip or its first band's (two rows), and each
+    further band has its own, with room for a segment no longer than the
+    first plus the widest spread of the shifts and 0 within it, which no
+    union strip or band passes.  An int64 buffer serves int32 strips
+    through a view, so it is made again only past 2^31.
     """
 
-    def __init__(self, lo: int, hi: int, shifts=()):
-        self.lo, self.hi, self.top = lo, hi, hi - min((*shifts, 0))  # top: the largest n - a
-        self.bound, self.sieved, self.held = 1, np.empty(0, dtype=np.int64), []
-        self.rows = 2 if shifts else 1
+    def __init__(self, lo: int, hi: int, shifts=(), phi: bool = False):
+        self.lo, self.hi = lo, hi
+        self.top = hi - min((*shifts, 0))
+        self.bound = 1
+        self.sieved = np.empty(0, dtype=np.int64)
+        self.held = []
+        self.rows = 2 if phi else 1
         s, e = next(self.segments(), (lo, lo))
         points = sorted({*shifts, 0})
         reach = max(points[bisect.bisect_right(points, a + e - s) - 1] - a for a in points)
@@ -440,18 +444,21 @@ class _PassContext:
         for s in range(self.lo, self.hi + 1, STREAM_SEGMENT):
             yield s, min(s + STREAM_SEGMENT - 1, self.hi)
 
-    def primes(self, hi: int, reach: int, y: float = math.inf) -> np.ndarray:
-        """The primes up to min(y, sqrt(hi)) of a kind of strip whose windows end by reach >= hi."""
-        bound, most = (min(math.isqrt(top), math.floor(min(y, top))) for top in (hi, reach))
+    def primes(self, hi: int, y: float = math.inf) -> np.ndarray:
+        """The primes up to min(y, sqrt(hi)) of a strip of values at most hi <= top."""
+        bound = min(math.isqrt(hi), math.floor(min(y, hi)))
         if bound > self.bound:
-            self.bound, self.sieved = most, primes_upto(most)
+            self.bound = min(math.isqrt(self.top), math.floor(min(y, self.top)))
+            self.sieved = primes_upto(self.bound)
         return self.sieved[: np.searchsorted(self.sieved, bound, "right")]
 
     def strip(self, band: int, lo: int, hi: int, rows: int = 2) -> np.ndarray:
         """A (rows, hi - lo + 1) view, in the window's dtype, of the stream's buffer number band."""
         dtype = np.dtype(_window_dtype(hi))
-        if band == len(self.held) or self.held[band].itemsize < dtype.itemsize:
-            self.held[band : band + 1] = [np.empty((self.rows, self.width), dtype)]
+        if band == len(self.held):
+            self.held.append(np.empty((self.rows, self.width), dtype))
+        elif self.held[band].itemsize < dtype.itemsize:
+            self.held[band] = np.empty((self.rows, self.width), dtype)
         return self.held[band].view(dtype)[:rows, : hi - lo + 1]
 
 
@@ -488,7 +495,7 @@ def sieve_range(lo: int, hi: int) -> ArithTable:
     """
     lo, hi = _check_window(lo, hi)
     size = hi - lo + 1
-    primes = _PassContext(lo, hi).primes(hi, hi)
+    primes = primes_upto(math.isqrt(hi))
     spf = np.zeros(size, dtype=np.int64)
     lpf = np.zeros(size, dtype=np.int64)
     for p, k, start in _strides(lo, hi, primes):
@@ -575,7 +582,7 @@ def _smooth_mask(lo: int, hi: int, y: float, context: _PassContext) -> np.ndarra
     part >= ceil(n / cap), or part > (n - 1) // cap: one division by a scalar.
     The part is stripped into the stream's buffer 0, with the stream's primes.
     """
-    part = _strip_primes(lo, hi, context.primes(hi, context.hi, y), out=context.strip(0, lo, hi, 1))
+    part = _strip_primes(lo, hi, context.primes(hi, y), out=context.strip(0, lo, hi, 1))
     return _part_is_smooth(part, lo, hi, math.floor(min(y, hi)))
 
 
@@ -629,8 +636,12 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
 
 
 def _sieved_pass(lo: int, hi: int, y: float, shifts: list[int]):
-    """The windows of the sieve route over (lo, hi]: ``_sieve_phi_segment`` of each segment."""
-    context = _PassContext(lo + 1, hi, shifts)
+    """The windows of the sieve route over (lo, hi]: ``_sieve_phi_segment`` of each segment.
+
+    Every segment strips into the buffers of one ``_PassContext``, which
+    the first segment sizes and which lives as long as the pass.
+    """
+    context = _PassContext(lo + 1, hi, shifts, phi=True)
     for s, e in context.segments():
         yield from _sieve_phi_segment(s, e, y, shifts, context)
 
@@ -659,7 +670,7 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int], context: _Pa
     top = max(e, e - min(shifts))
     if max(*shifts, 0) - min(*shifts, 0) <= e - s and y >= math.isqrt(top):
         first = max(1, min(s, s - max(shifts)))
-        primes = context.primes(top, context.top)
+        primes = context.primes(top)
         part, tot = _strip_primes(first, top, primes, phi=True, out=context.strip(0, first, top))
         cap = math.floor(min(y, e))
         strips = dict.fromkeys(shifts, (part, tot, first))
@@ -719,7 +730,7 @@ def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int], context)
     strips = {}
     for b, band in enumerate(_shift_bands([a for a in shifts if s + j > max(a, 0)], e - s)):
         first, last = max(1, s + i - band[-1]), s + j - band[0]
-        primes = context.primes(last, context.top)
+        primes = context.primes(last)
         part, tot = _strip_primes(first, last, primes, phi=True, out=context.strip(b, first, last))
         strips.update(dict.fromkeys(band, (part, tot, first)))
     return strips

@@ -64,8 +64,11 @@ MUTANTS = [
     {
         "name": "no-int64-buffer-past-2-31",
         "file": "smoothlab/sieve.py",
-        "snippet": "band == len(self.held) or self.held[band].itemsize < dtype.itemsize:",
-        "replacement": "band == len(self.held):",
+        "snippet": (
+            "        elif self.held[band].itemsize < dtype.itemsize:\n"
+            "            self.held[band] = np.empty((self.rows, self.width), dtype)\n"
+        ),
+        "replacement": "",
         "tests": ["tests/test_kernels.py::test_a_pass_across_2_31_makes_its_buffer_again_once"],
     },
     {
@@ -88,8 +91,8 @@ MUTANTS = [
     {
         "name": "pass-context-sieves-primes-per-segment",
         "file": "smoothlab/sieve.py",
-        "snippet": "            self.bound, self.sieved = most, primes_upto(most)\n",
-        "replacement": "            self.bound, self.sieved = bound, primes_upto(bound)\n",
+        "snippet": "            self.bound = min(math.isqrt(self.top), math.floor(min(y, self.top)))\n",
+        "replacement": "            self.bound = bound\n",
         "tests": [
             "tests/test_kernels.py::test_a_sieved_pass_strips_every_segment_into_its_own_buffers",
             "tests/test_kernels.py::test_the_smooth_values_stream_sieves_its_mask_primes_once",
@@ -100,9 +103,9 @@ MUTANTS = [
     {
         "name": "pass-context-sieves-the-totient-bound-up-front",
         "file": "smoothlab/sieve.py",
-        "snippet": "        self.bound, self.sieved, self.held = 1, np.empty(0, dtype=np.int64), []\n",
+        "snippet": "        self.bound = 1\n        self.sieved = np.empty(0, dtype=np.int64)\n",
         "replacement": (
-            "        self.bound, self.held = math.isqrt(self.top), []\n"
+            "        self.bound = math.isqrt(self.top)\n"
             "        self.sieved = primes_upto(self.bound)\n"
         ),
         "tests": [

@@ -2,12 +2,13 @@
 
 Run from anywhere, with the test dependencies installed::
 
-    python tests/run_mutants.py            # every mutant
-    python tests/run_mutants.py NAME ...   # the named ones
+    python tests/run_mutants.py
 
 The listed tests first run once against ``src/`` as it is, and must pass.
-Then each mutant is applied to a fresh copy of ``src/`` in a temporary
-directory, and pytest runs only its listed tests against that copy.  The
+Then each mutant is applied to a fresh copy of ``src/`` in a directory of
+its own, and pytest runs only its listed tests against that copy there, so
+each run starts from an empty hypothesis example database and a kill never
+rests on an example that an earlier mutant found.  The
 gate exits nonzero if a snippet does not occur exactly once in its file, or
 a listed test passes on its mutant.  pytest does not collect this file (its
 name does not start with ``test_``), so the suite's time does not grow.
@@ -34,7 +35,7 @@ TIMEOUT = 600
 def run_tests(src: Path, ids: list[str], workdir: str) -> tuple[int, set[str]]:
     """(exit code, ids of the failed or erroring tests) of pytest on ids against the package in src.
 
-    pytest runs in workdir, so hypothesis keeps its examples of a mutant there.
+    pytest runs in workdir, so hypothesis keeps the examples of the run there.
     """
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(
@@ -67,27 +68,23 @@ def mutate(src: Path, mutant: dict) -> str | None:
     return None
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {mutant["name"] for mutant in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}")
-        return 2
-    chosen = [mutant for mutant in MUTANTS if not names or mutant["name"] in names]
+def main() -> int:
     problems = []
-    with tempfile.TemporaryDirectory() as workdir:
-        listed = sorted({test for mutant in chosen for test in mutant["tests"]})
-        code, failed = run_tests(ROOT / "src", listed, workdir)
+    with tempfile.TemporaryDirectory() as tmp:
+        listed = sorted({test for mutant in MUTANTS for test in mutant["tests"]})
+        (Path(tmp) / "unmutated").mkdir()
+        code, failed = run_tests(ROOT / "src", listed, str(Path(tmp) / "unmutated"))
         if code != 0:
             print(f"the listed tests do not pass on src/ as it is: {sorted(failed) or code}")
             return 1
-        for mutant in chosen:
+        for mutant in MUTANTS:
             start = time.perf_counter()
-            src = Path(workdir) / "src"
-            shutil.rmtree(src, ignore_errors=True)
+            workdir = Path(tmp) / mutant["name"]
+            src = workdir / "src"
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
             problem = mutate(src, mutant)
             if problem is None:
-                code, failed = run_tests(src, mutant["tests"], workdir)
+                code, failed = run_tests(src, mutant["tests"], str(workdir))
                 alive = survivors(mutant["tests"], failed)
                 if code in (4, 5):
                     problem = f"pytest could not run the listed tests (exit {code})"
@@ -97,9 +94,9 @@ def main(names: list[str]) -> int:
             print(f"{mutant['name']}: {status} ({time.perf_counter() - start:.1f} s)", flush=True)
             if problem is not None:
                 problems.append(mutant["name"])
-    print(f"{len(chosen) - len(problems)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -464,7 +464,7 @@ def test_psi_t_v_do_not_depend_on_capacity(case):
 
 def _segment_windows(s, e, y, shifts):
     """The windows of ``_sieve_phi_segment`` over [s, e], as a pass of that one segment."""
-    return list(_sieve_phi_segment(s, e, y, shifts, _PassContext(s, e, shifts)))
+    return list(_sieve_phi_segment(s, e, y, shifts, _PassContext(s, e, shifts, phi=True)))
 
 
 def _segment_rows(s, e, y, shifts):
@@ -690,7 +690,7 @@ def primes_asked(monkeypatch):
     [
         (1e5, [1, -2], 1, [92]),  # one union strip per segment
         (30, [1, -2], 1, [30, 92]),  # the mask, then one band, in the same rows
-        (1e5, [-1500, 1, 2500], 3, [92, 100]),  # the mask and three bands: one buffer per band
+        (1e5, [-1500, 1, 2500], 3, [100]),  # the mask and three bands: one buffer per band
     ],
     ids=["union", "mask", "bands"],
 )
@@ -700,10 +700,11 @@ def test_a_sieved_pass_strips_every_segment_into_its_own_buffers(y, shifts, buff
     # union or first band strip take buffer 0, and each further band one
     # more.  Each holds a segment plus the widest spread of the shifts and 0
     # within one segment (3, or 1 for the bands), not plus the 4000 of all.
-    # It sieves the primes of each kind of strip once, at the largest bound
-    # that kind asks: the masks up to min(y, isqrt(8500)), and the union
-    # and band strips up to isqrt(8500 - min a), where each segment once
-    # sieved its own.
+    # It sieves the primes of each kind of strip at most once, at the most
+    # that kind can ask for the pass's largest n - a, 8500 - min(a, 0): the
+    # masks up to min(y, isqrt(8500 - min(a, 0))), and the union and band
+    # strips, if the masks' primes do not reach that far, up to
+    # isqrt(8500 - min(a, 0)), where each segment once sieved its own.
     with stream_segment(1000):
         got, taken, segments = _sieved_totals(8500, y, shifts)
     assert primes_asked == asked
@@ -767,11 +768,12 @@ def test_the_smooth_values_stream_sieves_its_mask_primes_once(primes_asked):
 
 
 def test_aux_averages_sieves_its_primes_once_per_kind_of_strip(primes_asked):
-    # The masks take the primes up to isqrt(8500) = 92, and tau and omega
-    # of n + 2000 those up to isqrt(10500) = 102.
+    # The first mask sieves the primes up to isqrt(8500 + 2000) = 102, the
+    # most that a mask or tau and omega of n + 2000 ask, and no later strip
+    # sieves again.
     with stream_segment(1000):
         got = aux_averages(8500, 1e3, -2000)
-    assert primes_asked == [92, 102]
+    assert primes_asked == [102]
     smooth = oracle_smooth_list(0, 8500, 1e3)
     assert got == (
         sum(oracle_tau(n + 2000) for n in smooth) / len(smooth),
@@ -1021,8 +1023,9 @@ def test_the_shifted_sums_read_windows_not_segments():
         ast.literal_eval(node.args[0]) for node in ast.walk(mobius)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_PassContext"
     ] == [1]
-    # The range and the shifts alone decide the segments and the buffers.
-    assert list(inspect.signature(sieve._PassContext).parameters) == ["lo", "hi", "shifts"]
+    # The range, the shifts and whether the stream strips phi alone decide
+    # the segments and the buffers.
+    assert list(inspect.signature(sieve._PassContext).parameters) == ["lo", "hi", "shifts", "phi"]
     assert list(inspect.signature(sieve._PassContext.segments).parameters) == ["self"]
 
 
@@ -1030,14 +1033,15 @@ def test_the_sieve_module_sieves_primes_for_strips_only_in_the_pass_context():
     # ``_strides`` called ``primes_upto`` for every window of every kernel:
     # 1,523 times with 384 distinct bounds in ``v_exact(1e8, 1e3, 1)``.  Now
     # the kernels take their primes from the stream's context, and the other
-    # callers sieve the primes of a generation or a factorization.
+    # callers sieve the primes of a generation, a factorization or the one
+    # window of ``sieve_range``.
     tree = ast.parse((Path(smoothlab.__file__).parent / "sieve.py").read_text())
     [context] = [
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_PassContext"
     ]
     assert _calls_to("primes_upto", context) == ["primes"]
     assert sorted(_calls_to("primes_upto", tree)) == [
-        "_factor_at", "_modulus_primes", "_smooth_upto", "primes",
+        "_factor_at", "_modulus_primes", "_smooth_upto", "primes", "sieve_range",
     ]
 
 

@@ -271,7 +271,7 @@ def test_multiple_counts_match_brute_force(n, block):
         with stream_segment(block or sieve.STREAM_SEGMENT):
             context = sieve._PassContext(1, n)
             for s, e in context.segments():
-                mu = sieve._mu_segment(s, e, context.primes(e, n))
+                mu = sieve._mu_segment(s, e, context.primes(e))
                 counts = _multiple_counts(g, s, e, mu)
                 got += [int(counts[d - s]) for d in range(s, e + 1) if oracle_mu(d)]
         assert got == [int(g[d::d].sum()) for d in range(1, n + 1) if oracle_mu(d)]
