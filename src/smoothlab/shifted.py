@@ -23,19 +23,22 @@ itself, generated smooth n at small y (one window per run of them) or the
 sieve (strips per segment, reads per window of at most 2^14 smooth n);
 every route gives the same integers, so the route never changes a result.
 ``aux_averages`` walks the segments of a ``sieve._PassContext`` of its own:
-``_smooth_mask``, then ``_tau_omega`` of the shifted segment, read at the
-smooth n.  The Moebius split rides on the same pass: it sums T and marks
-n - a for the smooth n of each window in a bool indicator, 1 byte per
-modulus for every y, so each n is tested for smoothness once.  It then
-counts the multiples of each modulus in the indicator, one segment of
-moduli at a time (a context of its own too): a strided count per
-squarefree d up to the square root of its length n, and for the d above
-it one strided add per multiplier j.  Float terms are summed
-exactly (``_exact_int``) and rounded once (``_round_exact``), so T, V by
-partial summation and the Moebius split do not depend on the windows, the
-term order or the other shifts of the pass.  The same exactness lets one
-pass serve a whole grid of x: T at each x is the running exact integer of
-the terms so far, rounded at that cut.
+``_smooth_mask``, then ``_tau_omega`` of the shifted segment into rows of
+the context's buffer, read at the smooth n.  The Moebius split rides on
+the same pass: it sums T and marks n - a for the smooth n of each window
+in a bool indicator, 1 byte per modulus for every y, so each n is tested
+for smoothness once.  It then counts the multiples of each modulus in the
+indicator, one segment of moduli at a time (a context of its own too): a
+strided count per squarefree d up to the square root of its length n,
+and for the d above it one strided add per multiplier j.  It reads the
+terms of each segment in windows of ``_READ_BLOCK`` (2^14) moduli, so
+beside the indicator only the segment's int32 counts and int8 mu have
+its size.  Float terms are summed exactly (``_exact_int``) and rounded
+once (``_round_exact``), so T, V by partial summation and the Moebius
+split do not depend on the windows, the term order or the other shifts of
+the pass.  The same exactness lets one pass serve a whole grid of x: T at
+each x is the running exact integer of the terms so far, rounded at that
+cut.
 """
 
 import math
@@ -48,8 +51,8 @@ from .census import MAX_MATERIALIZED_SPAN, psi
 from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
-    _check_cutoff, _check_pass, _mu_segment, _PassContext, _smooth_mask, _smooth_phi_shifted,
-    _tau_omega, _to_float,
+    _READ_BLOCK, _check_cutoff, _check_pass, _mu_segment, _PassContext, _smooth_mask,
+    _smooth_phi_shifted, _tau_omega, _to_float,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -289,11 +292,14 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     the windows, the one that T takes, sums T and marks the values n - a
     of the smooth n in a bool indicator: 1 byte per modulus for every y, so
     more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a CapacityError,
-    raised before anything is allocated.  mu, the counts of multiples
-    (:func:`_multiple_counts`) and the terms come one segment of moduli at
-    a time; each term is one correctly rounded division, and sigma1, sigma2
-    and T are correctly rounded sums (``_exact_int``, rounded once at the
-    end).
+    raised before anything is allocated.  mu and the counts of multiples
+    (:func:`_multiple_counts`) come one segment of moduli at a time, and
+    the counts are multiplied by mu in place.  The terms come one window of
+    ``_READ_BLOCK`` moduli at a time, so no int64 or float64 array of the
+    segment's size is made: each term is one correctly rounded division,
+    and one ``searchsorted`` cuts the window's moduli at delta.  sigma1,
+    sigma2 and T are correctly rounded sums (``_exact_int``, rounded once
+    at the end), so the windows do not change them.
     """
     a, y = _check_pass(x, y, a)
     delta = _check_cutoff(delta)
@@ -310,12 +316,16 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     context = _PassContext(1, d_max)
     for s, e in context.segments():
         mu = _mu_segment(s, e, context.primes(e))
-        weighted = mu * _multiple_counts(g, s, e, mu)
-        d = np.flatnonzero(weighted) + s
-        terms = weighted[d - s] / d
-        head = d <= delta
-        sigma1 += _exact_int(terms[head])
-        sigma2 += _exact_int(terms[~head])
+        weighted = _multiple_counts(g, s, e, mu)
+        weighted *= mu
+        last_head = math.floor(min(delta, e)) - s  # the offset of the last d <= delta
+        for ws in range(0, weighted.size, _READ_BLOCK):
+            window = weighted[ws : ws + _READ_BLOCK]
+            d = np.flatnonzero(window)
+            terms = window[d] / (d + (s + ws))
+            cut = int(np.searchsorted(d, last_head - ws, "right"))
+            sigma1 += _exact_int(terms[:cut])
+            sigma2 += _exact_int(terms[cut:])
     return MobiusSplit(_round_exact(sigma1), _round_exact(sigma2), delta, _round_exact(t), count)
 
 
@@ -395,14 +405,15 @@ def aux_averages(x: float, y: float, a: int) -> AuxAverages:
     a, y = _check_pass(x, y, a)
     psi_value = _head_psi(x, y, a)
     tau_sum = omega_sum = 0
-    context = _PassContext(max(a, 0) + 1, math.floor(x), [a])
+    context = _PassContext(max(a, 0) + 1, math.floor(x), [a], rows=4)
     for s, e in context.segments():
         idx = np.flatnonzero(_smooth_mask(s, e, y, context))
         if idx.size:
-            tau, omega = _tau_omega(s - a, e - a, context.primes(e - a))
+            strip = context.strip(0, s - a, e - a, 4)
+            tau, omega = _tau_omega(s - a, e - a, context.primes(e - a), strip)
             psi_value += idx.size
-            tau_sum += int(tau[idx].sum())
-            omega_sum += int(omega[idx].sum())
+            tau_sum += int(tau[idx].sum(dtype=np.int64))
+            omega_sum += int(omega[idx].sum(dtype=np.int64))
     return AuxAverages(tau_sum / psi_value, omega_sum / psi_value)
 
 

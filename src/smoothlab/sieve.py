@@ -418,22 +418,24 @@ class _PassContext:
     its strips reach, in its generator, and walks its segments through it.
     A kind of strip (mask, totient, tau or mu) that needs more primes than
     it holds sieves them once, up to the most that kind can ask for a
-    value at most top, the largest n - a of the stream.  Buffer 0 takes a
-    segment's mask strip (one row) and then, in a stream that strips phi
-    (a T/V pass), its union strip or its first band's (two rows), and each
+    value at most top, the largest n - a of the stream.  Every buffer has
+    the most rows a strip of the stream takes: 1 for a mask, 2 for the
+    part and phi of a T/V pass, 4 for the tau, omega, ``before`` and part
+    of ``aux_averages``.  Buffer 0 takes a segment's mask strip (one row)
+    and then its union strip, its first band's or its tau strip, and each
     further band has its own, with room for a segment no longer than the
     first plus the widest spread of the shifts and 0 within it, which no
     union strip or band passes.  An int64 buffer serves int32 strips
     through a view, so it is made again only past 2^31.
     """
 
-    def __init__(self, lo: int, hi: int, shifts=(), phi: bool = False):
+    def __init__(self, lo: int, hi: int, shifts=(), rows: int = 1):
         self.lo, self.hi = lo, hi
         self.top = hi - min((*shifts, 0))
         self.bound = 1
         self.sieved = np.empty(0, dtype=np.int64)
         self.held = []
-        self.rows = 2 if phi else 1
+        self.rows = rows
         s, e = next(self.segments(), (lo, lo))
         points = sorted({*shifts, 0})
         reach = max(points[bisect.bisect_right(points, a + e - s) - 1] - a for a in points)
@@ -641,7 +643,7 @@ def _sieved_pass(lo: int, hi: int, y: float, shifts: list[int]):
     Every segment strips into the buffers of one ``_PassContext``, which
     the first segment sizes and which lives as long as the pass.
     """
-    context = _PassContext(lo + 1, hi, shifts, phi=True)
+    context = _PassContext(lo + 1, hi, shifts, rows=2)
     for s, e in context.segments():
         yield from _sieve_phi_segment(s, e, y, shifts, context)
 
@@ -1040,30 +1042,36 @@ def largest_prime_factor(n: int) -> int:
     return int(_factor_at(np.array([n], dtype=np.int64))[1].max(initial=1))
 
 
-def _tau_omega(lo: int, hi: int, primes: np.ndarray):
+def _tau_omega(lo: int, hi: int, primes: np.ndarray, strip=None):
     """Divisor counts tau(n) and distinct-prime counts omega(n) on [lo, hi], by primes <= sqrt(hi).
 
-    Returns a pair of int64 arrays aligned with the window, counted in int32.
-    The window is the shifted [s - a, e - a] of a segment of a pass that
-    ``_check_pass`` admitted, so it holds at most ``STREAM_SEGMENT`` entries.
-    Ahead of p's strides, ``before`` keeps tau(n); after the p^(k-1) stride
-    tau(n) is before * k, and the p^k stride adds before, so tau(n) ends as
-    the product of (e + 1) over the exponents e of n.  The n with a prime
-    above sqrt(hi) are those whose ``_strip_primes`` part over the primes
-    <= sqrt(hi) falls short of n.
+    Returns the rows (tau, omega) of strip, a (4, hi - lo + 1) array in the
+    window's dtype that it overwrites, or of a new one; its rows 2 and 3
+    hold ``before`` and the part.  The window is the shifted [s - a, e - a]
+    of a segment of a pass that ``_check_pass`` admitted, so it holds at
+    most ``STREAM_SEGMENT`` entries.  Ahead of p's strides, ``before`` keeps
+    tau(n); after the p^(k-1) stride tau(n) is before * k, and the p^k
+    stride adds before, so tau(n) ends as the product of (e + 1) over the
+    exponents e of n.  The n with a prime above sqrt(hi) are those whose
+    ``_strip_primes`` part over the primes <= sqrt(hi) falls short of n,
+    found ``_READ_BLOCK`` entries at a time.
     """
     size = hi - lo + 1
-    tau = np.ones(size, dtype=np.int32)
-    omega = np.zeros(size, dtype=np.int32)
-    before = np.empty(size, dtype=np.int32)
+    if strip is None:
+        strip = np.empty((4, size), _window_dtype(hi))
+    tau, omega, before, part = strip
+    tau.fill(1)
+    omega.fill(0)
     for p, k, start in _strides(lo, hi, primes):
         if k == 1:
             omega[start::p] += 1
             before[start::p] = tau[start::p]
         tau[start :: p**k] += before[start :: p**k]
-    # A part short of n leaves one prime > sqrt(hi), exponent 1.
-    part = _strip_primes(lo, hi, primes)
-    big = part < np.arange(lo, hi + 1, dtype=part.dtype)
-    tau[big] *= 2
-    omega[big] += 1
-    return tau.astype(np.int64), omega.astype(np.int64)
+    _strip_primes(lo, hi, primes, out=strip[3:])
+    for start in range(0, size, _READ_BLOCK):
+        stop = min(start + _READ_BLOCK, size)
+        # A part short of n leaves one prime > sqrt(hi), exponent 1: tau doubles.
+        big = part[start:stop] < np.arange(lo + start, lo + stop, dtype=part.dtype)
+        tau[start:stop] <<= big
+        omega[start:stop] += big
+    return tau, omega

@@ -113,4 +113,42 @@ MUTANTS = [
             "tests/test_kernels.py::test_a_sieved_pass_strips_every_segment_into_its_own_buffers[mask]",
         ],
     },
+    {
+        "name": "split-window-cut-left-of-delta",
+        "file": "smoothlab/shifted.py",
+        "snippet": 'cut = int(np.searchsorted(d, last_head - ws, "right"))',
+        "replacement": 'cut = int(np.searchsorted(d, last_head - ws, "left"))',
+        "tests": ["tests/test_shifted.py::test_the_split_cuts_each_window_at_delta_as_one_sum_does"],
+    },
+    {
+        "name": "discrepancy-drops-the-last-partial-chunk",
+        "file": "smoothlab/experiments.py",
+        "snippet": "    for lo in range(start, stop, _VALUE_CHUNK):\n",
+        "replacement": "    for lo in range(start, stop - _VALUE_CHUNK + 1, _VALUE_CHUNK):\n",
+        "tests": ["tests/test_moduli.py::test_discrepancy_rows_in_chunks_match_the_whole_set_bincount"],
+    },
+    {
+        "name": "discrepancy-labels-without-the-block-offset",
+        "file": "smoothlab/experiments.py",
+        "snippet": "            offsets -= first\n",
+        "replacement": "",
+        "tests": [
+            "tests/test_moduli.py::test_discrepancy_rows_in_chunks_match_the_whole_set_bincount[1000000.0-100-30-max_over_grid]",
+            "tests/test_moduli.py::test_discrepancy_bits_on_fixed_cases",
+        ],
+    },
+    {
+        "name": "smooth-values-without-the-psi-check",
+        "file": "smoothlab/census.py",
+        "snippet": "    if stop != values.size:\n",
+        "replacement": "    if False:\n",
+        "tests": ["tests/test_moduli.py::test_a_smooth_set_that_does_not_fill_psi_raises"],
+    },
+    {
+        "name": "discrepancy-searches-list-needles",
+        "file": "smoothlab/experiments.py",
+        "snippet": "cuts = np.array([math.floor(z) for z in z_values], dtype=values.dtype)",
+        "replacement": "cuts = [math.floor(z) for z in z_values]",
+        "tests": ["tests/test_moduli.py::test_discrepancy_holds_four_bytes_per_smooth_n_at_the_largest_span"],
+    },
 ]

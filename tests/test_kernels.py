@@ -464,7 +464,7 @@ def test_psi_t_v_do_not_depend_on_capacity(case):
 
 def _segment_windows(s, e, y, shifts):
     """The windows of ``_sieve_phi_segment`` over [s, e], as a pass of that one segment."""
-    return list(_sieve_phi_segment(s, e, y, shifts, _PassContext(s, e, shifts, phi=True)))
+    return list(_sieve_phi_segment(s, e, y, shifts, _PassContext(s, e, shifts, rows=2)))
 
 
 def _segment_rows(s, e, y, shifts):
@@ -1023,9 +1023,9 @@ def test_the_shifted_sums_read_windows_not_segments():
         ast.literal_eval(node.args[0]) for node in ast.walk(mobius)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_PassContext"
     ] == [1]
-    # The range, the shifts and whether the stream strips phi alone decide
-    # the segments and the buffers.
-    assert list(inspect.signature(sieve._PassContext).parameters) == ["lo", "hi", "shifts", "phi"]
+    # The range, the shifts and the rows of the stream's widest strip alone
+    # decide the segments and the buffers.
+    assert list(inspect.signature(sieve._PassContext).parameters) == ["lo", "hi", "shifts", "rows"]
     assert list(inspect.signature(sieve._PassContext.segments).parameters) == ["self"]
 
 

@@ -19,8 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import (
+    CapacityError,
     DomainError,
+    SmoothlabError,
     SmoothRange,
+    census,
     experiments,
     ft_ratio_scan,
     granville_discrepancy,
@@ -175,6 +178,104 @@ def test_discrepancy_memory_does_not_grow_with_delta():
         tracemalloc.stop()
     assert len(report.z_values) == 44
     assert peak < 1.5 * 2**20
+
+
+def whole_set_discrepancy(x: float, y: float, delta: float, z_mode: str):
+    """(row deviations, total) with one bincount per block over the whole smooth set.
+
+    The computation as it stood before the values were read in chunks: int32
+    labels of every value, and the residues of the whole set per d.
+    """
+    report = granville_discrepancy(x, y, delta, z_mode)  # for the z grid and the clamped delta
+    values = np.concatenate(list(census._segment_values(0, math.floor(x), y)))
+    ends = np.searchsorted(values, [math.floor(z) for z in report.z_values], side="right")
+    slices = np.repeat(np.arange(ends.size, dtype=values.dtype), np.diff(ends, prepend=0))
+    rows = []
+    for d in range(1, math.floor(report.delta) + 1):
+        residues = values % d
+        coprime = np.flatnonzero(np.gcd(np.arange(d), d) == 1)
+        step = max(1, experiments._COUNT_BLOCK // d)
+        below = np.zeros(d, dtype=np.int64)
+        worst = 0.0
+        for first in range(0, ends.size, step):
+            last = min(first + step, ends.size)
+            start, stop = ends[first - 1] if first else 0, ends[last - 1]
+            keys = (slices[start:stop] - first) * d + residues[start:stop]
+            counts = np.bincount(keys, minlength=(last - first) * d).reshape(-1, d)
+            np.cumsum(counts, axis=0, out=counts)
+            counts += below
+            below = counts[-1]
+            in_class = np.take(counts, coprime, axis=1)
+            shares = in_class.sum(axis=1) / coprime.size
+            worst = max(worst, float(np.abs(in_class - shares[:, None]).max()))
+        rows.append(worst)
+    return [v.hex() for v in rows], math.fsum(rows).hex()
+
+
+@pytest.mark.parametrize("z_mode", ["fixed_x", "max_over_grid"])
+@pytest.mark.parametrize(
+    "x, y, delta",
+    [
+        (600000.5, 7, 25),  # three segments of 2^18, few smooth n
+        (1e6, 100, 30),
+        (7e5, 1e9, 12),  # every n smooth: the values fill 3 segments
+    ],
+)
+def test_discrepancy_rows_in_chunks_match_the_whole_set_bincount(x, y, delta, z_mode):
+    # With chunks of 1000 values and blocks of 40 counts, every block spans
+    # several chunks, the last chunk of each block is partial, and on the
+    # grid every d > 1 spans several blocks.  The package's sizes take each
+    # block of the pool's requests in one chunk.
+    want = whole_set_discrepancy(x, y, delta, z_mode)
+    for chunk, block in ((1000, 40), (experiments._VALUE_CHUNK, experiments._COUNT_BLOCK)):
+        with (
+            patch.object(experiments, "_VALUE_CHUNK", chunk),
+            patch.object(experiments, "_COUNT_BLOCK", block),
+        ):
+            report = granville_discrepancy(x, y, delta, z_mode)
+        assert ([r.deviation.hex() for r in report.rows], report.total.hex()) == want
+
+
+@pytest.mark.parametrize("z_mode, label_bytes", [("fixed_x", 0), ("max_over_grid", 1)])
+def test_discrepancy_holds_four_bytes_per_smooth_n_at_the_largest_span(z_mode, label_bytes):
+    # The largest admitted x, with the span patched down to 2^20 and every n
+    # smooth: the int32 values, one 1-byte slice label per value on the
+    # grid, and temporaries of a few 2^14-entry segments and 2^12-value
+    # chunks.  The whole set's int32 labels, residues and keys and
+    # bincount's int64 copy of the keys peaked at about 23 bytes per n, and
+    # the z cuts searched as a list of Python ints cast the values to int64
+    # (8 more).
+    span = 1 << 20
+    with (
+        patch.object(census, "MAX_MATERIALIZED_SPAN", span),
+        patch.object(experiments, "_VALUE_CHUNK", 1 << 12),
+        stream_segment(1 << 14),
+    ):
+        with pytest.raises(CapacityError, match=r"range \[1, 1048577\] too large to materialize"):
+            granville_discrepancy(span + 1, 1e9, 3, z_mode)
+        tracemalloc.start()
+        try:
+            report = granville_discrepancy(span, 1e9, 3, z_mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.total_over_psi * span == report.total
+    assert peak <= (4 + label_bytes) * span + 2**20
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_a_smooth_set_that_does_not_fill_psi_raises(off):
+    # The set is sized from the quotient count and filled segment by segment
+    # from the sieve; a count off by one either way is caught at the fill.
+    psi_value = census.psi
+
+    def wrong(x, y):
+        return psi_value(x, y) + off
+
+    with stream_segment(1000), patch.object(census, "psi", wrong):
+        with pytest.raises(SmoothlabError, match=r"not find the Psi\(5000, 30\) = \d+ smooth n"):
+            granville_discrepancy(5000, 30, 3)
+        granville_discrepancy(1000, 30, 3)  # one segment is returned as it is, and counts no psi
 
 
 def float_ft_rows(x: float, y: float, ds):

@@ -12,6 +12,7 @@ from smoothlab import (
     AccuracyError,
     CapacityError,
     DomainError,
+    SmoothRange,
     ZETA2_INV,
     aux_averages,
     build_rho_table,
@@ -188,6 +189,65 @@ def test_mobius_split_holds_one_byte_per_modulus(y, sigma1, sigma2):
         tracemalloc.stop()
     assert (split.sigma1.hex(), split.sigma2.hex()) == (sigma1, sigma2)
     assert peak < 32 << 20
+
+
+def test_the_split_sums_its_moduli_in_windows():
+    # Summing a segment of moduli whole held an int32 weighted count, int64
+    # moduli, float64 terms and their head and tail copies, all of the
+    # segment's size: a peak of 4.29 MiB here, against 2.26 MiB for the T
+    # pass alone.  In windows of 2^14 moduli the split peaks in its T pass,
+    # which also holds the 1-byte indicator of the moduli.
+    x, y, a, delta = 178943, 1e5, -1, 350
+    peaks = []
+    for run in (lambda: t_exact(x, y, a), lambda: t_via_mobius(x, y, a, delta)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    indicator = x - a + 1  # g.nbytes, the moduli 0..floor(x) - a
+    assert peaks[1] <= peaks[0] + indicator + 2**18
+
+
+def unwindowed_split(x: int, y: float, a: int, delta: float) -> tuple[float, float]:
+    """(sigma1, sigma2) with each segment of moduli summed whole, as before the windows."""
+    smooth = SmoothRange(max(a, 0) + 1, x, y).values
+    g = np.zeros(x - a + 1, dtype=bool)
+    g[smooth - a] = True
+    sigma1 = sigma2 = 0
+    context = sieve._PassContext(1, x - a)
+    for s, e in context.segments():
+        mu = sieve._mu_segment(s, e, context.primes(e))
+        weighted = mu * _multiple_counts(g, s, e, mu)
+        d = np.flatnonzero(weighted) + s
+        terms = weighted[d - s] / d
+        head = d <= delta
+        sigma1 += _exact_int(terms[head])
+        sigma2 += _exact_int(terms[~head])
+    return _round_exact(sigma1), _round_exact(sigma2)
+
+
+@pytest.mark.parametrize("route, y", [("generated", 30), ("sieve", 1e5)])
+@pytest.mark.parametrize("segment", [None, 40000], ids=["one-segment", "segments-of-40000"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_the_split_cuts_each_window_at_delta_as_one_sum_does(route, y, segment, data):
+    # A window of 2^14 moduli starts at ws; delta falls just below it, on
+    # it, or on its last modulus, on both routes of the T pass and with
+    # windows that restart at a segment's edge.
+    x = data.draw(st.integers(3 * 2**14, 4 * 2**14), label="x")
+    a = data.draw(st.sampled_from([1, -1, 2, 6, -5]), label="a")
+    assert (sieve._generated_smooth(max(a, 0), x, y, [a]) is None) == (route == "sieve")
+    with stream_segment(segment or sieve.STREAM_SEGMENT):
+        context = sieve._PassContext(1, x - a)
+        starts = [ws for s, e in context.segments() for ws in range(s, e + 1, 2**14)]
+        ws = data.draw(st.sampled_from(starts), label="ws")
+        edge = data.draw(st.sampled_from([-1, 0, 2**14 - 1]), label="edge")
+        delta = max(1, ws + edge) + data.draw(st.sampled_from([0, 0.5]), label="fraction")
+        split = t_via_mobius(x, y, a, delta)
+        want = unwindowed_split(x, y, a, delta)
+    assert (split.sigma1.hex(), split.sigma2.hex()) == tuple(v.hex() for v in want)
 
 
 def test_mobius_split_refuses_too_many_moduli_before_it_allocates(smooth_mask_entries):
@@ -518,6 +578,20 @@ def test_shifted_sums_test_each_n_for_smoothness_once(fn, a, y, smooth_mask_entr
     # Each tests only the n of its terms, in (max(a, 0), x]: the head psi of
     # the others, Psi(a, y), comes from the quotient count, which sieves nothing.
     assert sum(smooth_mask_entries) == 20000 - max(a, 0)
+
+
+def test_a_warm_aux_averages_faults_no_page_in_per_segment():
+    # Fresh tau, omega, ``before`` and part arrays per segment were trimmed
+    # back to the system at each segment's end: 21,110 faults per warm call
+    # over these 39 segments.  They are rows of one buffer of the pass now.
+    segments = len(list(sieve._PassContext(2, 10**7).segments()))
+    aux_averages(1e7, 30, 1)
+    with minor_faults() as faults:
+        got = aux_averages(1e7, 30, 1)
+    assert (got.tau_avg.hex(), got.omega_avg.hex()) == (
+        "0x1.0680389b2d552p+3", "0x1.2dc8f56b9ce98p+1",
+    )
+    assert faults.count < 100 * segments
 
 
 def test_aux_averages_matches_oracle():
