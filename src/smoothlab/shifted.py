@@ -32,7 +32,7 @@ indicator, one segment of moduli at a time (a context of its own too): a
 strided count per squarefree d up to the square root of its length n,
 and for the d above it one strided add per multiplier j.  It reads the
 terms of each segment in windows of ``_READ_BLOCK`` (2^14) moduli, so
-beside the indicator only the segment's int32 counts and int8 mu have
+beside the indicator only the segment's int32 counts and mu strip have
 its size.  Float terms are summed exactly (``_exact_int``) and rounded
 once (``_round_exact``), so T, V by partial summation and the Moebius
 split do not depend on the windows, the term order or the other shifts of
@@ -315,7 +315,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     sigma1 = sigma2 = 0
     context = _PassContext(1, d_max)
     for s, e in context.segments():
-        mu = _mu_segment(s, e, context.primes(e))
+        mu = _mu_segment(s, e, context.primes(e), context.strip(0, s, e, 1))
         weighted = _multiple_counts(g, s, e, mu)
         weighted *= mu
         last_head = math.floor(min(delta, e)) - s  # the offset of the last d <= delta

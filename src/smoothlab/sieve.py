@@ -7,10 +7,10 @@ kernel is one loop over it, sized to its question:
 
 - ``_strip_primes`` builds the bound-smooth part of each n, the product of
   p^v_p(n) over the primes p <= bound, by multiplication alone in the
-  window's dtype (int32 when hi < 2^31), and optionally phi of that part
-  as a second row of the same strip, each stride multiplying both rows in
-  one step; the multiples of 2^4, 3^2, 5 and 7 come from one period of
-  5040 broadcast over the strip.  A caller may hand it the strip (``out``).
+  window's dtype (int32 when hi < 2^31): the part, the part and its phi
+  as two rows that each stride multiplies in one step, or mu(part) part;
+  the multiples of 2^4, 3^2, 5 and 7 come from one period of 5040
+  broadcast over the strip.  A caller may hand it the strip (``out``).
 - ``_smooth_mask`` takes the primes p <= min(y, sqrt(hi)) into the part,
   and n is y-smooth exactly when part >= (n - 1) // floor(min(y, hi)) + 1.
 - a phi strip takes every prime p <= sqrt(hi) with phi of the part, and
@@ -29,9 +29,9 @@ kernel is one loop over it, sized to its question:
   blocks that hold at most 2^14 smooth n each, so the smoothness test, the
   gathers and the callers' sums make no array of the segment's size.  The
   strips of every segment go into the buffers of the pass's context.
-- ``_mu_segment`` gives mu, and ``_tau_omega`` tau and omega, from the
-  same strides; ``_tau_omega`` finds the n with a prime above sqrt(hi)
-  from the ``_strip_primes`` part.
+- ``_mu_segment`` reads mu off a mu strip, and ``_tau_omega`` gives tau
+  and omega from the strides; each finds the n with a prime above sqrt(hi)
+  where the ``_strip_primes`` part falls short of n.
 
 ``_factor_at`` is the one factorization of single integers and takes no
 window: trial division by the primes up to min(sqrt(max), 2^18), then
@@ -59,7 +59,7 @@ checked.
 
 :func:`sieve_range` builds the full table (spf, lpf, phi and mu) from the
 same kernels in three stride walks (its spf/lpf loop, one phi strip and
-``_mu_segment``), so it is no independent check of them: the tests compare
+one mu strip), so it is no independent check of them: the tests compare
 every kernel with the factoring oracles in ``tests/conftest.py``, which
 share no code with this module.
 Nothing is cached; every call sieves its window afresh.  Results are
@@ -507,54 +507,57 @@ def sieve_range(lo: int, hi: int) -> ArithTable:
             lpf[start::p] = p  # ascending p, so the last write is the largest
     # What is left of n is 1 or its one prime > sqrt(hi); that is its spf
     # when no smaller prime divides n (1 for n = 1), and always its lpf.
-    part, tot = _strip_primes(lo, hi, primes, phi=True)
+    part, tot = _strip_primes(lo, hi, primes, "phi")
     rem = np.arange(lo, hi + 1, dtype=part.dtype)
     rem //= part
     unset = spf == 0
     spf[unset] = rem[unset]
     lpf = np.maximum(lpf, rem)
-    phi, mu = _phi_from_part(rem, tot), _mu_segment(lo, hi, primes)
+    phi, mu = _phi_from_part(rem, tot), _mu_segment(lo, hi, primes).astype(np.int8)
     for arr in (spf, lpf, phi, mu):
         arr.setflags(write=False)
     return ArithTable(lo=lo, hi=hi, spf=spf, lpf=lpf, phi=phi, mu=mu)
 
 
-def _strip_primes(lo: int, hi: int, primes: np.ndarray, phi: bool = False, out=None):
+def _strip_primes(lo: int, hi: int, primes: np.ndarray, kind: str = "part", out=None):
     """The part of each n in [lo, hi] over the primes up to a bound, increasing: prod p^v_p(n).
 
     The part divides n, so it is built by multiplication alone in the
     window's dtype (int32 when hi < 2^31): ``_wheel_fill`` gives the
-    multiples of the ``_WHEEL`` powers and every other p^k multiplies p
-    into its multiples.  With ``phi`` it returns (part, phi(part)) in that
-    dtype; phi(part) takes p - 1 at the p stride and p at each higher
-    power, exact because every partial product divides n.  The two are the
-    rows of one strip, so each stride multiplies both in one step.  The
-    strip is ``out``, a (2 or 1, hi - lo + 1) array in the window's dtype
-    that it overwrites, or a new one.
+    multiples of the ``_WHEEL`` powers and every other p^k multiplies its
+    ``_stride_factor`` into its multiples.  The kind "mu" returns mu(part)
+    part, and "phi" (part, phi(part)), the rows of one strip that each
+    stride multiplies in one step; phi(part) takes p - 1 at the p stride
+    and p at each higher power, exact because every partial product
+    divides n.  The strip is ``out``, a (2 or 1, hi - lo + 1) array in the
+    window's dtype that it overwrites, or a new one.
     """
+    phi = kind == "phi"
     strip = np.empty((2 if phi else 1, hi - lo + 1), _window_dtype(hi)) if out is None else out
-    _wheel_fill(strip, lo, primes)
+    _wheel_fill(strip, lo, primes, kind)
     rows, pair = (strip, np.empty((2, 1), strip.dtype)) if phi else (strip[0], None)
     for p, k, start in _strides(lo, hi, primes):
         if k > _WHEEL.get(p, 0):
-            rows[..., start :: p**k] *= _stride_factor(p, k, pair)
+            rows[..., start :: p**k] *= _stride_factor(p, k, kind, pair)
     return (strip[0], strip[1]) if phi else strip[0]
 
 
-def _stride_factor(p: int, k: int, pair):
-    """What the p^k stride multiplies into a strip's rows: p, or the column (p, p - 1) at k = 1.
+def _stride_factor(p: int, k: int, kind: str, pair):
+    """What the p^k stride multiplies into a strip of a kind: p, except for phi at k = 1 and mu.
 
-    pair is None for a strip of the part alone, and otherwise the (2, 1)
-    array that the column is written into.
+    A phi strip takes the column (p, p - 1) at k = 1, written into pair,
+    its (2, 1) array; a mu strip takes -p at k = 1 and 0 at every k >= 2.
     """
-    if k > 1 or pair is None:
-        return p
-    pair[0, 0], pair[1, 0] = p, p - 1
-    return pair
+    if kind == "phi" and k == 1:
+        pair[0, 0], pair[1, 0] = p, p - 1
+        return pair
+    if kind == "mu":
+        return -p if k == 1 else 0
+    return p
 
 
-def _wheel_fill(strip: np.ndarray, lo: int, primes: np.ndarray) -> None:
-    """Fill a strip of the n from lo on with their ``_WHEEL`` powers p^e, p among the primes.
+def _wheel_fill(strip: np.ndarray, lo: int, primes: np.ndarray, kind: str) -> None:
+    """Fill a strip of the n from lo on with the ``_stride_factor`` of their ``_WHEEL`` powers.
 
     Their multiples repeat every ``_WHEEL_PERIOD`` entries, so the powers
     are struck on a pattern of one period, which is then broadcast over the
@@ -565,10 +568,10 @@ def _wheel_fill(strip: np.ndarray, lo: int, primes: np.ndarray) -> None:
     rows, size = strip.shape
     span = min(size, _WHEEL_PERIOD)
     pattern = np.ones((rows, span), strip.dtype)
-    pair = np.empty((2, 1), strip.dtype) if rows == 2 else None
+    pair = np.empty((2, 1), strip.dtype) if kind == "phi" else None
     for p, k, start in _strides(lo, lo + span - 1, primes[: len(_WHEEL)]):
         if k <= _WHEEL[p]:
-            pattern[:, start :: p**k] *= _stride_factor(p, k, pair)
+            pattern[:, start :: p**k] *= _stride_factor(p, k, kind, pair)
     whole = size - size % span
     strip[:, :whole].reshape(rows, -1, span)[...] = pattern[:, None]
     strip[:, whole:] = pattern[:, : size - whole]
@@ -673,7 +676,7 @@ def _sieve_phi_segment(s: int, e: int, y: float, shifts: list[int], context: _Pa
     if max(*shifts, 0) - min(*shifts, 0) <= e - s and y >= math.isqrt(top):
         first = max(1, min(s, s - max(shifts)))
         primes = context.primes(top)
-        part, tot = _strip_primes(first, top, primes, phi=True, out=context.strip(0, first, top))
+        part, tot = _strip_primes(first, top, primes, "phi", out=context.strip(0, first, top))
         cap = math.floor(min(y, e))
         strips = dict.fromkeys(shifts, (part, tot, first))
         windows = [(ws, min(ws + _READ_BLOCK - 1, e)) for ws in range(s, e + 1, _READ_BLOCK)]
@@ -733,7 +736,7 @@ def _band_strips(smooth: np.ndarray, s: int, e: int, shifts: list[int], context)
     for b, band in enumerate(_shift_bands([a for a in shifts if s + j > max(a, 0)], e - s)):
         first, last = max(1, s + i - band[-1]), s + j - band[0]
         primes = context.primes(last)
-        part, tot = _strip_primes(first, last, primes, phi=True, out=context.strip(b, first, last))
+        part, tot = _strip_primes(first, last, primes, "phi", out=context.strip(b, first, last))
         strips.update(dict.fromkeys(band, (part, tot, first)))
     return strips
 
@@ -1007,25 +1010,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _mu_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Moebius mu of every n in [lo, hi] as an int8 array, from the primes up to sqrt(hi).
+def _mu_segment(lo: int, hi: int, primes: np.ndarray, out=None) -> np.ndarray:
+    """Moebius mu of every n in [lo, hi], from the primes up to sqrt(hi), in the window's dtype.
 
-    The product of the small primes of n divides n, so it is kept in the
-    window's dtype (int32 when hi < 2^31), as ``_strip_primes`` keeps its part.
+    The mu strip of ``_strip_primes`` holds r = mu(part) part, 0 where a
+    prime p^2 divides n.  What is left of n is 1 or one prime above
+    sqrt(hi), so mu(n) is sign(r), negated exactly where |r| < n, written
+    over r ``_READ_BLOCK`` entries at a time.  The strip is ``out``, a
+    (1, hi - lo + 1) array in the window's dtype, or a new one.
     """
-    size = hi - lo + 1
-    dtype = _window_dtype(hi)
-    mu = np.ones(size, dtype=np.int8)
-    small = np.ones(size, dtype=dtype)
-    for p, k, start in _strides(lo, hi, primes):
-        if k == 1:
-            mu[start::p] *= -1
-            small[start::p] *= p
-        elif k == 2:
-            mu[start :: p * p] = 0
-    # Zero entries stay zero; a squarefree n with a prime > sqrt(hi) flips once more.
-    np.negative(mu, out=mu, where=small < np.arange(lo, hi + 1, dtype=dtype))
-    return mu
+    row = _strip_primes(lo, hi, primes, "mu", out)
+    for start in range(0, row.size, _READ_BLOCK):
+        r = row[start : start + _READ_BLOCK]
+        flip = np.abs(r) < np.arange(lo + start, lo + start + r.size, dtype=row.dtype)
+        np.sign(r, out=r)
+        r *= 1 - 2 * flip.view(np.int8)  # 1 or -1, one byte per entry
+    return row
 
 
 def is_smooth(n: int, y: float) -> bool:

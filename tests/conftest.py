@@ -343,10 +343,10 @@ def phi_window_entries(monkeypatch):
     entries = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, primes, phi=False, out=None):
-        if phi:
+    def counted(lo, hi, primes, kind="part", out=None):
+        if kind == "phi":
             entries.append(hi - lo + 1)
-        return strip(lo, hi, primes, phi, out)
+        return strip(lo, hi, primes, kind, out)
 
     monkeypatch.setattr(sieve, "_strip_primes", counted)
     return entries
@@ -365,9 +365,9 @@ def strip_windows(monkeypatch):
     windows = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, primes, phi=False, out=None):
+    def counted(lo, hi, primes, kind="part", out=None):
         windows.append((lo, hi))
-        return strip(lo, hi, primes, phi, out)
+        return strip(lo, hi, primes, kind, out)
 
     monkeypatch.setattr(sieve, "_strip_primes", counted)
     return windows

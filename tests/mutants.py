@@ -114,6 +114,63 @@ MUTANTS = [
         ],
     },
     {
+        "name": "mu-strip-keeps-prime-squares",
+        "file": "smoothlab/sieve.py",
+        "snippet": "return -p if k == 1 else 0",
+        "replacement": "return -p if k == 1 else 1",
+        "tests": [
+            "tests/test_kernels.py::test_mu_segment_matches_oracle",
+            "tests/test_shifted.py::test_mobius_split_holds_one_byte_per_modulus",
+        ],
+    },
+    {
+        "name": "mu-flips-where-the-part-is-n",
+        "file": "smoothlab/sieve.py",
+        "snippet": "flip = np.abs(r) < np.arange(",
+        "replacement": "flip = np.abs(r) <= np.arange(",
+        "tests": [
+            "tests/test_kernels.py::test_mu_segment_matches_oracle",
+            "tests/test_shifted.py::test_mobius_split_holds_one_byte_per_modulus",
+        ],
+    },
+    {
+        "name": "mu-read-stops-one-block-short",
+        "file": "smoothlab/sieve.py",
+        "snippet": "for start in range(0, row.size, _READ_BLOCK):",
+        "replacement": "for start in range(0, row.size - _READ_BLOCK, _READ_BLOCK):",
+        "tests": [
+            "tests/test_kernels.py::test_mu_segment_matches_oracle",
+            "tests/test_shifted.py::test_mobius_split_holds_one_byte_per_modulus",
+        ],
+    },
+    {
+        "name": "mu-read-without-the-block-offset",
+        "file": "smoothlab/sieve.py",
+        "snippet": "np.arange(lo + start, lo + start + r.size, dtype=row.dtype)",
+        "replacement": "np.arange(lo, lo + r.size, dtype=row.dtype)",
+        "tests": [
+            "tests/test_kernels.py::test_mu_segment_matches_oracle",
+            "tests/test_shifted.py::test_mobius_split_holds_one_byte_per_modulus",
+        ],
+    },
+    {
+        "name": "tau-read-without-the-block-offset",
+        "file": "smoothlab/sieve.py",
+        "snippet": "np.arange(lo + start, lo + stop, dtype=part.dtype)",
+        "replacement": "np.arange(lo, lo + stop - start, dtype=part.dtype)",
+        "tests": [
+            "tests/test_kernels.py::test_tau_omega_matches_oracle",
+            "tests/test_shifted.py::test_a_warm_aux_averages_faults_no_page_in_per_segment",
+        ],
+    },
+    {
+        "name": "split-strips-mu-afresh-per-segment",
+        "file": "smoothlab/shifted.py",
+        "snippet": "_mu_segment(s, e, context.primes(e), context.strip(0, s, e, 1))",
+        "replacement": "_mu_segment(s, e, context.primes(e))",
+        "tests": ["tests/test_kernels.py::test_the_moduli_of_the_mobius_split_sieve_their_primes_once"],
+    },
+    {
         "name": "split-window-cut-left-of-delta",
         "file": "smoothlab/shifted.py",
         "snippet": 'cut = int(np.searchsorted(d, last_head - ws, "right"))',

@@ -117,18 +117,26 @@ def test_sieve_range_phi_matches_oracle(window):
 @SETTINGS
 @given(windows())
 def test_mu_segment_matches_oracle(window):
+    # Every window fits in one read block; blocks of 7 entries read it in
+    # pieces, each finding its n with a prime above sqrt(hi) on its own.
     lo, hi = window
-    mu = _mu_segment(lo, hi, sieve.primes_upto(math.isqrt(hi)))
-    assert mu.tolist() == [oracle_mu(n) for n in range(lo, hi + 1)]
+    primes = sieve.primes_upto(math.isqrt(hi))
+    want = [oracle_mu(n) for n in range(lo, hi + 1)]
+    for block in (nullcontext(), read_block(7)):
+        with block:
+            assert _mu_segment(lo, hi, primes).tolist() == want
 
 
 @SETTINGS
 @given(windows())
 def test_tau_omega_matches_oracle(window):
     lo, hi = window
-    tau, omega = _tau_omega(lo, hi, sieve.primes_upto(math.isqrt(hi)))
-    assert tau.tolist() == [oracle_tau(n) for n in range(lo, hi + 1)]
-    assert omega.tolist() == [oracle_omega(n) for n in range(lo, hi + 1)]
+    primes = sieve.primes_upto(math.isqrt(hi))
+    want = [oracle_tau(n) for n in range(lo, hi + 1)], [oracle_omega(n) for n in range(lo, hi + 1)]
+    for block in (nullcontext(), read_block(7)):
+        with block:
+            tau, omega = _tau_omega(lo, hi, primes)
+        assert (tau.tolist(), omega.tolist()) == want
 
 
 @SETTINGS
@@ -648,9 +656,9 @@ def _strips_taken():
     taken = []
     strip = sieve._strip_primes
 
-    def counted(lo, hi, primes, phi=False, out=None):
+    def counted(lo, hi, primes, kind="part", out=None):
         taken.append(out)
-        return strip(lo, hi, primes, phi, out)
+        return strip(lo, hi, primes, kind, out)
 
     with patch.object(sieve, "_strip_primes", counted):
         yield taken
@@ -783,12 +791,15 @@ def test_aux_averages_sieves_its_primes_once_per_kind_of_strip(primes_asked):
 
 def test_the_moduli_of_the_mobius_split_sieve_their_primes_once(primes_asked):
     # The T pass sieves its union strips' primes (up to isqrt(900) = 30)
-    # once, and the 9 segments of moduli d <= 899 theirs for mu (up to 29).
+    # once, and the 9 segments of moduli d <= 899 theirs for mu (up to 29);
+    # their mu strips, after the 9 union strips, all take one buffer.
     x, y, a, delta = 900, 1e3, 1, 100
-    with stream_segment(100), forced_route("sieve") as calls:
+    with stream_segment(100), forced_route("sieve") as calls, _strips_taken() as taken:
         split = t_via_mobius(x, y, a, delta)
     assert len(calls) == 9
     assert primes_asked == [30, 29]
+    mu_strips = taken[len(calls) :]
+    assert len(mu_strips) == 9 and len(_buffers(mu_strips)) == 1
     smooth = oracle_smooth_list(a, x, y)
     terms = [
         (d, oracle_mu(d) * sum((n - a) % d == 0 for n in smooth) / d) for d in range(1, x - a + 1)
@@ -1124,7 +1135,13 @@ def test_each_rule_has_one_definition():
     ]
     assert _calls_to("_strip_primes", tau_omega) == ["_tau_omega"]
     assert _calls_to("_wheel_fill", tau_omega) == []
-    assert _calls_to("_wheel_fill", ast.parse(sources["sieve.py"])) == ["_strip_primes"]
+    sieve_tree = ast.parse(sources["sieve.py"])
+    assert _calls_to("_wheel_fill", sieve_tree) == ["_strip_primes"]
+    # mu had a stride walk of its own; it is now a kind of strip.
+    assert sorted(set(_calls_to("_strides", sieve_tree))) == [
+        "_strip_primes", "_tau_omega", "_wheel_fill", "sieve_range",
+    ]
+    assert "_mu_segment" in _calls_to("_strip_primes", sieve_tree)
     bound = r"math\.log\(math\.log\(math\.log\("
     assert len(re.findall(bound, sources["experiments.py"])) == 1
 

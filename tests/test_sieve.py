@@ -252,6 +252,14 @@ def test_table_is_immutable():
         t.phi[0] = 99
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 50), (2**31 - 20, 2**31 + 20), (2**52 - 40, 2**52)])
+def test_table_dtypes_are_those_arith_table_documents(lo, hi):
+    # The kernels work in the window's dtype (int32 below 2^31); the table
+    # casts: int64 spf, lpf and phi, and int8 mu.
+    t = sieve_range(lo, hi)
+    assert [a.dtype for a in (t.spf, t.lpf, t.phi, t.mu)] == [np.int64] * 3 + [np.int8]
+
+
 def test_is_smooth_examples():
     assert is_smooth(8, 2) is True
     assert is_smooth(10, 3) is False
