@@ -22,6 +22,10 @@ once and gives phi(n - a) at them for every shift.  It picks its route
 itself, generated smooth n at small y (one window per run of them) or the
 sieve (strips per segment, reads per window of at most 2^14 smooth n);
 every route gives the same integers, so the route never changes a result.
+``_shifted_totals`` (``tsum``, ``scan``) and ``_v_parts`` (``vsum``) give
+``sieve._reduce_pass`` a reducer to exact integer sums instead, which a
+long sieved pass runs on each of its parts in a process of its own; the
+parts' sums add up to the pass's, so the split never changes a result.
 ``aux_averages`` walks the segments of a ``sieve._PassContext`` of its own:
 ``_smooth_mask``, then ``_tau_omega`` of the shifted segment into rows of
 the context's buffer, read at the smooth n.  The Moebius split rides on
@@ -41,6 +45,8 @@ each x is the running exact integer of the terms so far, rounded at that
 cut.
 """
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,7 +57,7 @@ from .census import MAX_MATERIALIZED_SPAN, psi
 from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
-    _READ_BLOCK, _check_cutoff, _check_pass, _mu_segment, _PassContext, _smooth_mask,
+    _READ_BLOCK, _check_cutoff, _check_pass, _mu_segment, _PassContext, _reduce_pass, _smooth_mask,
     _smooth_phi_shifted, _tau_omega, _to_float,
 )
 
@@ -123,11 +129,17 @@ def _v_parts(x: float, y: float, a: int) -> tuple[float, int]:
     """
     a, y = _check_pass(x, y, a)
     psi_value = _head_psi(x, y, a)
-    numerator = 0
-    for _s, e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
-        psi_value += idx.size
-        numerator += _int_sum(phi_at, e - a)
-    return numerator / psi_value, psi_value
+
+    def reduce(windows):
+        count = numerator = 0
+        for _s, e, [(idx, phi_at)] in windows:
+            count += idx.size
+            numerator += _int_sum(phi_at, e - a)
+        return count, numerator
+
+    parts = _reduce_pass(max(a, 0), math.floor(x), y, [a], reduce)
+    psi_value += sum(count for count, _numerator in parts)
+    return sum(numerator for _count, numerator in parts) / psi_value, psi_value
 
 
 def _shifted_totals(xs, y: float, shifts) -> list[list[tuple[int, float, float]]]:
@@ -136,10 +148,13 @@ def _shifted_totals(xs, y: float, shifts) -> list[list[tuple[int, float, float]]
     One pass up to the last x serves every shift: the smooth n are found
     once, and each shift reads phi(n - a) at those above max(a, 0).  xs out
     of order raise, and every (x, a) goes through ``_check_pass`` before
-    the pass.  At each cut floor(x) a shift's running counts are read, and
-    its T's running exact integer is rounded there: the correctly rounded
-    sum of the same terms, so the same float that a pass of that shift up
-    to that x alone gives.  The rows come per shift, in the order given.
+    the pass.  The pass is reduced part by part (``sieve._reduce_pass``)
+    to the exact count, sum of phi and T of each shift between cuts
+    floor(x) (``_interval_sums``), and the parts add up to the pass's.  At
+    each cut a shift's running sums are read, and its T's running exact
+    integer is rounded there: the correctly rounded sum of the same terms,
+    so the same float that a pass of that shift up to that x alone gives.
+    The rows come per shift, in the order given.
     """
     if not all(u < v for u, v in zip(xs, xs[1:])):
         raise DomainError("xs must be strictly increasing")
@@ -148,31 +163,44 @@ def _shifted_totals(xs, y: float, shifts) -> list[list[tuple[int, float, float]]
     shifts, y = [a for a, _y in checked], checked[0][1]
     heads = [_head_psi(xs[-1], y, a) for a in shifts]
     cuts = [math.floor(x) for x in xs]
-    rows = [[] for _ in shifts]
-    sums = [[0, 0, 0] for _ in shifts]  # per shift: count, numerator, exact T
+    reduce = functools.partial(_interval_sums, shifts, cuts)
+    parts = _reduce_pass(min(max(a, 0) for a in shifts), cuts[-1], y, shifts, reduce)
+    rows = []
+    for j, (a, head) in enumerate(zip(shifts, heads)):
+        sums, row = [0, 0, 0], []  # count, numerator, exact T
+        for i, cut in enumerate(cuts):
+            for part in parts:
+                sums = [u + v for u, v in zip(sums, part[j][i])]
+            count, numerator, total = sums
+            # A cut below a > 0 has no terms; every other cut shares the pass's head.
+            psi_value = (psi(cut, y) if cut < a else head) + count
+            row.append((psi_value, _round_exact(total), numerator / psi_value))
+        rows.append(row)
+    return rows
 
-    def read(j, cut):
-        # A cut below a > 0 has no terms; every other cut shares the pass's head.
-        count, numerator, total = sums[j]
-        psi_value = (psi(cut, y) if cut < shifts[j] else heads[j]) + count
-        rows[j].append((psi_value, _round_exact(total), numerator / psi_value))
 
-    for s, e, parts in _shifted_pass(xs[-1], y, shifts):
-        for j, (a, (idx, phi_at)) in enumerate(zip(shifts, parts)):
+def _interval_sums(shifts: list[int], cuts: list[int], windows) -> list[list[list[int]]]:
+    """[count, sum of phi, exact T] of each shift's terms in each interval (c_{i-1}, c_i] of cuts.
+
+    The windows are those of a pass, or of one part of it, up to cuts[-1];
+    the first interval is everything up to cuts[0].  Each sum is an exact
+    integer (T in units of ``_exact_int``), so the intervals of the parts
+    add up to the pass's.
+    """
+    sums = [[[0, 0, 0] for _ in cuts] for _ in shifts]
+    for s, e, parts in windows:
+        first, last = bisect.bisect_left(cuts, s), bisect.bisect_left(cuts, e)
+        for a, (idx, phi_at), intervals in zip(shifts, parts, sums):
             terms = _t_terms(a, s, idx, phi_at)
             done = 0
-            for cut in [c for c in cuts[len(rows[j]) :] if c <= e] + [None]:
-                stop = idx.size if cut is None else int(np.searchsorted(idx, cut - s, "right"))
-                sums[j][0] += stop - done
-                sums[j][1] += _int_sum(phi_at[done:stop], e - a)
-                sums[j][2] += _exact_int(terms[done:stop])
+            for i in range(first, last + 1):
+                stop = idx.size if i == last else int(np.searchsorted(idx, cuts[i] - s, "right"))
+                cell = intervals[i]
+                cell[0] += stop - done
+                cell[1] += _int_sum(phi_at[done:stop], e - a)
+                cell[2] += _exact_int(terms[done:stop])
                 done = stop
-                if cut is not None:
-                    read(j, cut)
-    for j in range(len(shifts)):
-        for cut in cuts[len(rows[j]) :]:
-            read(j, cut)
-    return rows
+    return sums
 
 
 def _exact_int(chunk: np.ndarray) -> int:

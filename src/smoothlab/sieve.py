@@ -29,7 +29,13 @@ kernel is one loop over it, sized to its question:
   blocks that hold at most 2^14 smooth n each, so the smoothness test, the
   gathers and the callers' sums make no array of the segment's size.  The
   strips of every segment go into the buffers of the pass's context.
-- ``_mu_segment`` reads mu off a mu strip, and ``_tau_omega`` gives tau
+  ``_reduce_pass`` runs a caller's additive reducer over a pass, one
+  result per part: it cuts a sieved pass of at least twice
+  ``_SPLIT_ENTRIES`` n at segment boundaries into one part per CPU and
+  reduces each part past the first in a forked child, whose integers come
+  back through a pipe.
+- ``_mu_segment`` reads mu off a mu strip, which takes no p^k past p^2,
+  and ``_tau_omega`` gives tau
   and omega from the strides; each finds the n with a prime above sqrt(hi)
   where the ``_strip_primes`` part falls short of n.
 
@@ -73,12 +79,16 @@ import bisect
 import itertools
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from decimal import Context, Decimal
 
 import numpy as np
 
-from .errors import AccuracyError, CapacityError, DomainError
+from .errors import AccuracyError, CapacityError, DomainError, SmoothlabError
 
 #: Largest window ``sieve_range`` accepts.
 DEFAULT_SEGMENT_CAPACITY = 1 << 22
@@ -97,6 +107,16 @@ STREAM_SEGMENT = 1 << 18
 #: smoothness test, the gathers of ``_phi_read`` and the callers' sums
 #: make no array of the segment's size, and each stays in the L2 cache.
 _READ_BLOCK = 1 << 14
+
+#: Fewest n of a part of a split pass.  ``_reduce_pass`` cuts a sieved pass
+#: of at least twice this many n into parts, one per CPU and none shorter,
+#: and reduces them in processes of their own.  On the 2-core reference box
+#: (medians of 15, two runs; its second core is shared, so they move) two
+#: parts took 0.62-0.67 of the serial time at 10 segments of 2^18, 0.71-0.83
+#: at 6, 0.86-0.91 at 5 and 1.0-1.8 at 2 to 4, so a pass splits from 6
+#: segments on.  It counts n, not segments: a pass of a few thousand n
+#: never splits, however short its segments.
+_SPLIT_ENTRIES = 3 << 18
 
 #: Most smooth n a generated pass holds: 2^22 int64 values, 32 MiB.  A
 #: generation stopped at it peaked at 73 MB of RSS, against 198 MB at 2^24.
@@ -469,20 +489,21 @@ def _window_dtype(hi: int):
     return np.int32 if hi < 2**31 else np.int64
 
 
-def _strides(lo: int, hi: int, primes: np.ndarray):
-    """Yield (p, k, start) for each of the increasing primes p and p^k with a multiple in [lo, hi].
+def _strides(lo: int, hi: int, primes: np.ndarray, most: int | None = None):
+    """Yield (p, k, start) for the increasing primes p and p^k, k <= most, dividing n in [lo, hi].
 
     ``start`` is the offset of the first multiple of p^k in the window, so
     the multiples are ``start::p**k``, and the powers of each p come in
     increasing k.  A p^k > hi ends them: in a window of lo >= 1 it has no
     multiple, and in one holding 0 its only multiple is 0.  A p^k with none
     gives start >= size; then so does every higher power, so the primes
-    with none are dropped in one array step.
+    with none are dropped in one array step.  ``most`` None takes every k.
     """
     size = hi - lo + 1
+    most = hi if most is None else most  # a p^k <= hi has k < hi
     for p in primes[(-lo) % primes < size].tolist():
         pk, k = p, 1
-        while pk <= hi and (start := (-lo) % pk) < size:
+        while k <= most and pk <= hi and (start := (-lo) % pk) < size:
             yield p, k, start
             pk *= p
             k += 1
@@ -526,7 +547,8 @@ def _strip_primes(lo: int, hi: int, primes: np.ndarray, kind: str = "part", out=
     window's dtype (int32 when hi < 2^31): ``_wheel_fill`` gives the
     multiples of the ``_WHEEL`` powers and every other p^k multiplies its
     ``_stride_factor`` into its multiples.  The kind "mu" returns mu(part)
-    part, and "phi" (part, phi(part)), the rows of one strip that each
+    part, 0 from p^2 on, so it takes no p^k past k = 2 (``_powers``), and
+    "phi" (part, phi(part)), the rows of one strip that each
     stride multiplies in one step; phi(part) takes p - 1 at the p stride
     and p at each higher power, exact because every partial product
     divides n.  The strip is ``out``, a (2 or 1, hi - lo + 1) array in the
@@ -536,7 +558,7 @@ def _strip_primes(lo: int, hi: int, primes: np.ndarray, kind: str = "part", out=
     strip = np.empty((2 if phi else 1, hi - lo + 1), _window_dtype(hi)) if out is None else out
     _wheel_fill(strip, lo, primes, kind)
     rows, pair = (strip, np.empty((2, 1), strip.dtype)) if phi else (strip[0], None)
-    for p, k, start in _strides(lo, hi, primes):
+    for p, k, start in _strides(lo, hi, primes, _powers(kind)):
         if k > _WHEEL.get(p, 0):
             rows[..., start :: p**k] *= _stride_factor(p, k, kind, pair)
     return (strip[0], strip[1]) if phi else strip[0]
@@ -546,7 +568,7 @@ def _stride_factor(p: int, k: int, kind: str, pair):
     """What the p^k stride multiplies into a strip of a kind: p, except for phi at k = 1 and mu.
 
     A phi strip takes the column (p, p - 1) at k = 1, written into pair,
-    its (2, 1) array; a mu strip takes -p at k = 1 and 0 at every k >= 2.
+    its (2, 1) array; a mu strip takes -p at k = 1 and 0 at k = 2.
     """
     if kind == "phi" and k == 1:
         pair[0, 0], pair[1, 0] = p, p - 1
@@ -554,6 +576,11 @@ def _stride_factor(p: int, k: int, kind: str, pair):
     if kind == "mu":
         return -p if k == 1 else 0
     return p
+
+
+def _powers(kind: str) -> int | None:
+    """The highest k of the p^k that stride a strip of a kind: 2 for mu (p^2 zeroes it), or all."""
+    return 2 if kind == "mu" else None
 
 
 def _wheel_fill(strip: np.ndarray, lo: int, primes: np.ndarray, kind: str) -> None:
@@ -569,7 +596,7 @@ def _wheel_fill(strip: np.ndarray, lo: int, primes: np.ndarray, kind: str) -> No
     span = min(size, _WHEEL_PERIOD)
     pattern = np.ones((rows, span), strip.dtype)
     pair = np.empty((2, 1), strip.dtype) if kind == "phi" else None
-    for p, k, start in _strides(lo, lo + span - 1, primes[: len(_WHEEL)]):
+    for p, k, start in _strides(lo, lo + span - 1, primes[: len(_WHEEL)], _powers(kind)):
         if k <= _WHEEL[p]:
             pattern[:, start :: p**k] *= _stride_factor(p, k, kind, pair)
     whole = size - size % span
@@ -640,14 +667,106 @@ def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
     return _sieved_pass(lo, hi, y, shifts)
 
 
-def _sieved_pass(lo: int, hi: int, y: float, shifts: list[int]):
+def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
+    """reduce of the windows of each part of the pass over (lo, hi], one result per part, in order.
+
+    reduce takes the ``_smooth_phi_shifted`` windows of a part and returns
+    Python integers, in lists or tuples, that add up part by part to those
+    of the whole pass: exact sums do.  The route is chosen once, from the
+    arguments (``_generated_smooth``).  A sieved pass is cut at segment
+    boundaries of its ``_PassContext`` into one part per CPU the process
+    may run on, none of fewer than ``_SPLIT_ENTRIES`` n (``_part_ends``).
+    The parent forks one child per part past the first and reduces the
+    first itself; each child reduces its part in a context of its own and
+    sends the result back through a pipe.  A child that fails makes the pass
+    raise, and on any way out the parent kills and reaps every child left.
+    One part, the generated route, no ``os.fork`` or a second thread runs
+    the pass in this process alone.
+    """
+    values = _generated_smooth(lo, hi, y, shifts)
+    if values is not None:
+        return [reduce(_generated_phi_segments(values, shifts))]
+    ends = _part_ends(lo, hi, shifts)
+    parent, children = os.getpid(), []  # (pid, read end) of each child not yet reaped
+    try:
+        for start, stop in zip(ends[1:-1], ends[2:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _reduce_in_child(write, parent, start, stop, y, shifts, reduce)
+            children.append((pid, read))
+            os.close(write)
+        results = [reduce(_sieved_pass(lo, ends[1], y, shifts))]
+        for start, stop in zip(ends[1:-1], ends[2:]):
+            pid, read = children[0]
+            with os.fdopen(read, "rb", closefd=False) as pipe:
+                data = pipe.read()  # to the end: the child has exited, or died
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(read)
+            if status != 0 or not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise SmoothlabError(f"the process of part ({start}, {stop}] exited with {code}")
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid, read in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
+def _part_ends(lo: int, hi: int, shifts: list[int]) -> list[int]:
+    """The ends lo < c_1 < ... < hi of the parts (lo, c_1], (c_1, c_2], ... of a sieved pass.
+
+    One part per CPU of ``os.sched_getaffinity``, but no more than leave
+    each ``_SPLIT_ENTRIES`` n and a segment, cut at the segment boundaries
+    of the pass's ``_PassContext``, as many segments in each as the count
+    allows, the longer parts last.  A single part when the pass is
+    shorter, ``os.fork`` is missing or another thread runs: a fork copies
+    only the thread that calls it.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    parts = min(cpus, (hi - lo) // _SPLIT_ENTRIES)
+    if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [lo, hi]
+    first, last = next(_PassContext(lo + 1, hi, shifts).segments())
+    step = last - first + 1
+    count = -(-(hi - lo) // step)
+    parts = min(parts, count)
+    return [lo + k * count // parts * step for k in range(parts)] + [hi]
+
+
+def _reduce_in_child(write: int, parent: int, lo: int, hi: int, y: float, shifts, reduce):
+    """In a forked child: write the pickled reduce of the sieved part (lo, hi] to write, and exit.
+
+    It exits with 0 once the result is written and with 1 on any error,
+    through ``os._exit``, so nothing of the parent's (its buffered output,
+    ``atexit`` or ``finally`` code) runs twice.  The pass stops between
+    segments once the parent is gone.
+    """
+    status = 1
+    try:
+        data = pickle.dumps(reduce(_sieved_pass(lo, hi, y, shifts, parent)))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _sieved_pass(lo: int, hi: int, y: float, shifts: list[int], parent: int | None = None):
     """The windows of the sieve route over (lo, hi]: ``_sieve_phi_segment`` of each segment.
 
     Every segment strips into the buffers of one ``_PassContext``, which
-    the first segment sizes and which lives as long as the pass.
+    the first segment sizes and which lives as long as the pass.  A part
+    reduced in a child process passes the parent's pid, and raises before
+    a segment once its parent is gone.
     """
     context = _PassContext(lo + 1, hi, shifts, rows=2)
     for s, e in context.segments():
+        if parent is not None and os.getppid() != parent:
+            raise SmoothlabError(f"the process {parent} that split the pass is gone")
         yield from _sieve_phi_segment(s, e, y, shifts, context)
 
 

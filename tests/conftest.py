@@ -296,14 +296,14 @@ def smooth_mask_entries(monkeypatch):
     """The number of n tested for smoothness by each kernel call made while the test runs.
 
     Counts the window of every smoothness mask and the range (lo, hi] of
-    every ``_smooth_phi_shifted`` pass, which settles each of those n once
-    for all its shifts: by a mask or union strip per segment, or by
-    generating the smooth n.
+    every ``_smooth_phi_shifted`` pass and ``_reduce_pass`` reduction,
+    which settles each of those n once for all its shifts: by a mask or
+    union strip per segment, or by generating the smooth n.
     """
     from smoothlab import census, shifted
 
     entries = []
-    kernel, union = census._smooth_mask, shifted._smooth_phi_shifted
+    kernel, union, reduced = census._smooth_mask, shifted._smooth_phi_shifted, shifted._reduce_pass
 
     def counted(lo, hi, y, context):
         entries.append(hi - lo + 1)
@@ -313,9 +313,14 @@ def smooth_mask_entries(monkeypatch):
         entries.append(max(hi - lo, 0))
         return union(lo, hi, y, shifts)
 
+    def counted_reduced(lo, hi, y, shifts, reduce):
+        entries.append(max(hi - lo, 0))
+        return reduced(lo, hi, y, shifts, reduce)
+
     for module in (census, shifted):
         monkeypatch.setattr(module, "_smooth_mask", counted)
     monkeypatch.setattr(shifted, "_smooth_phi_shifted", counted_union)
+    monkeypatch.setattr(shifted, "_reduce_pass", counted_reduced)
     return entries
 
 

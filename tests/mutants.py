@@ -208,4 +208,62 @@ MUTANTS = [
         "replacement": "cuts = [math.floor(z) for z in z_values]",
         "tests": ["tests/test_moduli.py::test_discrepancy_holds_four_bytes_per_smooth_n_at_the_largest_span"],
     },
+    {
+        "name": "mu-strip-strides-past-p-squared",
+        "file": "smoothlab/sieve.py",
+        "snippet": 'return 2 if kind == "mu" else None',
+        "replacement": "return None",
+        "tests": ["tests/test_kernels.py::test_a_mu_strip_strides_no_power_past_p_squared"],
+    },
+    {
+        "name": "split-drops-a-childs-part",
+        "file": "smoothlab/sieve.py",
+        "snippet": "            results.append(pickle.loads(data))\n",
+        "replacement": "            pickle.loads(data)\n",
+        "tests": ["tests/test_split.py::test_a_split_pass_gives_the_rows_of_one_process"],
+    },
+    {
+        "name": "split-adds-the-parents-part-twice",
+        "file": "smoothlab/sieve.py",
+        "snippet": "        results = [reduce(_sieved_pass(lo, ends[1], y, shifts))]\n",
+        "replacement": "        results = [reduce(_sieved_pass(lo, ends[1], y, shifts))] * 2\n",
+        "tests": ["tests/test_split.py::test_a_split_pass_gives_the_rows_of_one_process"],
+    },
+    {
+        "name": "split-cuts-one-segment-late",
+        "file": "smoothlab/sieve.py",
+        "snippet": "return [lo + k * count // parts * step for k in range(parts)] + [hi]",
+        "replacement": "return [lo + (k * count // parts + 1) * step for k in range(parts)] + [hi]",
+        "tests": [
+            "tests/test_split.py::test_the_parts_are_cut_at_segment_boundaries",
+            "tests/test_split.py::test_no_part_is_shorter_than_a_segment",
+        ],
+    },
+    {
+        "name": "split-leaves-a-child-unreaped",
+        "file": "smoothlab/sieve.py",
+        "snippet": "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+        "replacement": "            os.kill(pid, signal.SIGKILL)\n",
+        "tests": [
+            "tests/test_split.py::test_a_pass_that_raises_in_the_parent_leaves_no_child",
+            "tests/test_split.py::test_a_pass_interrupted_while_it_reads_a_child_leaves_no_child",
+        ],
+    },
+    {
+        "name": "split-child-outlives-its-parent",
+        "file": "smoothlab/sieve.py",
+        "snippet": "        if parent is not None and os.getppid() != parent:\n",
+        "replacement": "        if False:\n",
+        "tests": [
+            "tests/test_split.py::test_a_part_stops_between_segments_once_its_parent_is_gone",
+            "tests/test_split.py::test_a_child_exits_once_its_parent_is_killed",
+        ],
+    },
+    {
+        "name": "split-forks-beside-a-second-thread",
+        "file": "smoothlab/sieve.py",
+        "snippet": " or threading.active_count() > 1:",
+        "replacement": ":",
+        "tests": ["tests/test_split.py::test_a_process_with_a_second_thread_runs_the_pass_alone"],
+    },
 ]

@@ -127,6 +127,36 @@ def test_mu_segment_matches_oracle(window):
             assert _mu_segment(lo, hi, primes).tolist() == want
 
 
+@pytest.mark.parametrize(
+    "lo, hi, strides",
+    [(1, 2**18, 194), (10**6, 10**6 + 2**18 - 1, 334), (10**9, 10**9 + 2**18 - 1, 3565)],
+)
+def test_a_mu_strip_strides_no_power_past_p_squared(lo, hi, strides):
+    # A mu row is 0 wherever p^2 divides n, so each p^k stride with k >= 3
+    # multiplied 0 into zeros: a mu strip took 247 strides on (1, 2^18),
+    # 400 at 1e6 and 3,629 at 1e9.  It takes the p and p^2 with a multiple
+    # in the window, or for a power of the wheel in its first period of 5040.
+    primes = sieve.primes_upto(math.isqrt(hi))
+    taken, factor = [], sieve._stride_factor
+
+    def counted(p, k, kind, pair):
+        taken.append((p, k))
+        return factor(p, k, kind, pair)
+
+    with patch.object(sieve, "_stride_factor", counted):
+        _mu_segment(lo, hi, primes)
+    wheel = {2: 4, 3: 2, 5: 1, 7: 1}
+    want = [
+        (p, k)
+        for p in primes.tolist()
+        for k in (1, 2)
+        for top in [min(hi, lo + WHEEL_PERIOD - 1) if k <= wheel.get(p, 0) else hi]
+        if (lo + p**k - 1) // p**k * p**k <= top
+    ]
+    assert sorted(taken) == sorted(want)
+    assert len(taken) == strides
+
+
 @SETTINGS
 @given(windows())
 def test_tau_omega_matches_oracle(window):
@@ -894,6 +924,11 @@ def _mask_route(lo, hi, y, shifts):
         yield s, e, rows
 
 
+def _mask_reduced(lo, hi, y, shifts, reduce):
+    """``sieve._reduce_pass`` in one part, over the windows of ``_mask_route``."""
+    return [reduce(_mask_route(lo, hi, y, shifts))]
+
+
 @st.composite
 def union_sum_cases(draw):
     x = draw(st.integers(1, 5000) | st.floats(1, 5000))
@@ -921,7 +956,8 @@ def test_t_and_v_match_the_mask_route(route, case):
         # window edges fall inside segments and bands.
         with forced_route(route) as calls, read_block(7) if route == "sieve" else nullcontext():
             got = [fn(x, y, a).hex() for fn in sums]
-        with patch.object(shifted, "_smooth_phi_shifted", _mask_route):
+        with patch.object(shifted, "_smooth_phi_shifted", _mask_route), \
+                patch.object(shifted, "_reduce_pass", _mask_reduced):
             want = [fn(x, y, a).hex() for fn in sums]
     assert got == want
     assert calls or math.floor(x) <= max(a, 0)
