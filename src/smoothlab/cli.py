@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One line of key=value output per query, 12 significant digits, exit code 0
-on success, 1 on domain/resource errors, 2 on usage errors.
+on success, 1 on domain/resource errors, 2 on usage errors, 130 when
+interrupted (SIGINT).
 """
 
 import argparse
@@ -200,6 +201,9 @@ def run(argv) -> int:
     except (SmoothlabError, OSError) as exc:  # OSError: reading --config, writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

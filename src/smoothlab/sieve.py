@@ -32,8 +32,9 @@ kernel is one loop over it, sized to its question:
   ``_reduce_pass`` runs a caller's additive reducer over a pass, one
   result per part: it cuts a sieved pass of at least twice
   ``_SPLIT_ENTRIES`` n at segment boundaries into one part per CPU and
-  reduces each part past the first in a forked child, whose integers come
-  back through a pipe.
+  reduces each part past the first in a forked child, whose integers (or
+  error) come back through a pipe; a part whose child cannot be made is
+  reduced in the parent.
 - ``_mu_segment`` reads mu off a mu strip, which takes no p^k past p^2,
   and ``_tau_omega`` gives tau
   and omega from the strides; each finds the n with a prime above sqrt(hi)
@@ -676,44 +677,67 @@ def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
     arguments (``_generated_smooth``).  A sieved pass is cut at segment
     boundaries of its ``_PassContext`` into one part per CPU the process
     may run on, none of fewer than ``_SPLIT_ENTRIES`` n (``_part_ends``).
-    The parent forks one child per part past the first and reduces the
-    first itself; each child reduces its part in a context of its own and
-    sends the result back through a pipe.  A child that fails makes the pass
-    raise, and on any way out the parent kills and reaps every child left.
-    One part, the generated route, no ``os.fork`` or a second thread runs
-    the pass in this process alone.
+    The parent forks one child per part past the first (``_fork_part``)
+    and reduces the first itself, and every part whose pipe or process
+    could not be made; each child reduces its part in a context of its own
+    and sends the result back through a pipe.  A child that fails makes the
+    pass raise, with the child's error if it sent one, and on any way out
+    the parent kills and reaps every child left.  One part, the generated
+    route, no ``os.fork`` or a second thread runs the pass in this process
+    alone.
     """
     values = _generated_smooth(lo, hi, y, shifts)
     if values is not None:
         return [reduce(_generated_phi_segments(values, shifts))]
     ends = _part_ends(lo, hi, shifts)
-    parent, children = os.getpid(), []  # (pid, read end) of each child not yet reaped
+    parts = list(zip(ends, ends[1:]))
+    parent, children = os.getpid(), {}  # part -> (pid, read end) of each child not yet reaped
     try:
-        for start, stop in zip(ends[1:-1], ends[2:]):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _reduce_in_child(write, parent, start, stop, y, shifts, reduce)
-            children.append((pid, read))
-            os.close(write)
-        results = [reduce(_sieved_pass(lo, ends[1], y, shifts))]
-        for start, stop in zip(ends[1:-1], ends[2:]):
-            pid, read = children[0]
+        for part in parts[1:]:
+            child = _fork_part(parent, *part, y, shifts, reduce)
+            if child is not None:
+                children[part] = child
+        results = {part: reduce(_sieved_pass(*part, y, shifts)) for part in parts if part not in children}
+        for (start, stop), (pid, read) in list(children.items()):
             with os.fdopen(read, "rb", closefd=False) as pipe:
                 data = pipe.read()  # to the end: the child has exited, or died
             status = os.waitpid(pid, 0)[1]
-            children.pop(0)
+            del children[start, stop]
             os.close(read)
             if status != 0 or not data:
                 code = os.waitstatus_to_exitcode(status)
-                raise SmoothlabError(f"the process of part ({start}, {stop}] exited with {code}")
-            results.append(pickle.loads(data))
-        return results
+                error = f": {data.decode(errors='replace')}" if code > 0 and data else ""
+                raise SmoothlabError(f"the process of part ({start}, {stop}] exited with {code}{error}")
+            results[start, stop] = pickle.loads(data)
+        return [results[part] for part in parts]
     finally:
-        for pid, read in children:
+        for pid, read in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read)
+
+
+def _fork_part(parent: int, lo: int, hi: int, y: float, shifts: list[int], reduce):
+    """(pid, read end of its pipe) of a child forked to reduce the part (lo, hi], or None.
+
+    None when the pipe or the process cannot be made (too many open files,
+    or processes, or too little memory): the parent then reduces the part
+    itself, to the same integers.
+    """
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        _reduce_in_child(write, parent, lo, hi, y, shifts, reduce)
+    os.close(write)
+    return pid, read
 
 
 def _part_ends(lo: int, hi: int, shifts: list[int]) -> list[int]:
@@ -740,17 +764,21 @@ def _part_ends(lo: int, hi: int, shifts: list[int]) -> list[int]:
 def _reduce_in_child(write: int, parent: int, lo: int, hi: int, y: float, shifts, reduce):
     """In a forked child: write the pickled reduce of the sieved part (lo, hi] to write, and exit.
 
-    It exits with 0 once the result is written and with 1 on any error,
-    through ``os._exit``, so nothing of the parent's (its buffered output,
+    It exits with 0 once the result is written.  On an error it writes the
+    error's type and text instead, and exits with 1.  It exits through
+    ``os._exit``, so nothing of the parent's (its buffered output,
     ``atexit`` or ``finally`` code) runs twice.  The pass stops between
     segments once the parent is gone.
     """
     status = 1
     try:
-        data = pickle.dumps(reduce(_sieved_pass(lo, hi, y, shifts, parent)))
+        try:
+            data, done = pickle.dumps(reduce(_sieved_pass(lo, hi, y, shifts, parent))), 0
+        except Exception as exc:  # its type and text go to the parent, which raises
+            data, done = f"{type(exc).__name__}: {exc}".encode(), 1
         with os.fdopen(write, "wb") as pipe:
             pipe.write(data)
-        status = 0
+        status = done
     finally:
         os._exit(status)
 

@@ -218,15 +218,15 @@ MUTANTS = [
     {
         "name": "split-drops-a-childs-part",
         "file": "smoothlab/sieve.py",
-        "snippet": "            results.append(pickle.loads(data))\n",
-        "replacement": "            pickle.loads(data)\n",
+        "snippet": "        return [results[part] for part in parts]\n",
+        "replacement": "        return [results[parts[0]]]\n",
         "tests": ["tests/test_split.py::test_a_split_pass_gives_the_rows_of_one_process"],
     },
     {
         "name": "split-adds-the-parents-part-twice",
         "file": "smoothlab/sieve.py",
-        "snippet": "        results = [reduce(_sieved_pass(lo, ends[1], y, shifts))]\n",
-        "replacement": "        results = [reduce(_sieved_pass(lo, ends[1], y, shifts))] * 2\n",
+        "snippet": "            results[start, stop] = pickle.loads(data)\n",
+        "replacement": "            results[start, stop] = results[parts[0]]\n",
         "tests": ["tests/test_split.py::test_a_split_pass_gives_the_rows_of_one_process"],
     },
     {
@@ -265,5 +265,29 @@ MUTANTS = [
         "snippet": " or threading.active_count() > 1:",
         "replacement": ":",
         "tests": ["tests/test_split.py::test_a_process_with_a_second_thread_runs_the_pass_alone"],
+    },
+    {
+        "name": "split-reraises-a-failed-fork",
+        "file": "smoothlab/sieve.py",
+        "snippet": "        os.close(write)\n        return None\n",
+        "replacement": "        os.close(write)\n        raise\n",
+        "tests": ["tests/test_split.py::test_a_part_whose_process_cannot_be_made_is_reduced_in_the_parent[fork]"],
+    },
+    {
+        "name": "split-child-drops-its-error-text",
+        "file": "smoothlab/sieve.py",
+        "snippet": 'data, done = f"{type(exc).__name__}: {exc}".encode(), 1',
+        "replacement": 'data, done = b"", 1',
+        "tests": [
+            "tests/test_split.py::test_a_child_sends_its_error_back_and_exits_with_1",
+            "tests/test_split.py::test_a_child_that_fails_makes_the_pass_raise[raises]",
+        ],
+    },
+    {
+        "name": "cli-interrupt-not-mapped-to-130",
+        "file": "smoothlab/cli.py",
+        "snippet": "    except KeyboardInterrupt:\n",
+        "replacement": "    except ZeroDivisionError:\n",
+        "tests": ["tests/test_cli.py::test_an_interrupt_exits_130_with_one_error_line"],
     },
 ]

@@ -106,6 +106,19 @@ def test_domain_error_exit_code():
     assert "error:" in err
 
 
+def test_an_interrupt_exits_130_with_one_error_line(monkeypatch):
+    # SIGINT during a long pass ended in a KeyboardInterrupt traceback.
+    def interrupted(_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "vsum", interrupted)
+    try:
+        got = invoke(["vsum", "--x", "4e15", "--y", "30", "--a", "1"])
+    except KeyboardInterrupt:  # caught here, or it would stop the whole session
+        got = "the interrupt escaped cli.run"
+    assert got == (130, "", "error: interrupted\n")
+
+
 @pytest.mark.parametrize(
     "argv, inf_out",
     [

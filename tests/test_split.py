@@ -8,9 +8,13 @@ passes, and the rows of ``_shifted_totals`` and ``_v_parts`` must be those of
 the same pass in one process, bit for bit.  The parts must fall where
 ``_part_ends`` says, and no child may outlive its pass: not when the
 consumer raises or the parent is interrupted, not when a child fails, and
-not when the parent is gone.
+not when the parent is gone.  A part whose process or pipe cannot be made
+is reduced in the parent, and a child's error comes back with its text.
 """
 
+import contextlib
+import errno
+import io
 import math
 import os
 import signal
@@ -27,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoothlab
-from smoothlab import SmoothlabError, sieve
+from smoothlab import SmoothlabError, cli, sieve
 from smoothlab.shifted import _shifted_totals, _v_parts
 
 from conftest import forced_route, stream_segment
@@ -206,24 +210,85 @@ def test_a_pass_interrupted_while_it_reads_a_child_leaves_no_child():
     assert_no_child()
 
 
-@pytest.mark.parametrize("failure", ["raises", "killed", "unpicklable"])
-def test_a_child_that_fails_makes_the_pass_raise(failure):
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        pytest.param("raises", r"exited with 1: ValueError: a child fails$", id="raises"),
+        pytest.param("out-of-memory", r"exited with 1: MemoryError: no room$", id="out-of-memory"),
+        pytest.param("killed", rf"exited with -{signal.SIGKILL}$", id="killed"),
+        pytest.param("unpicklable", r"exited with 1: \w+Error: .*pickle", id="unpicklable"),
+    ],
+)
+def test_a_child_that_fails_makes_the_pass_raise(failure, message):
     parent = os.getpid()
 
     def reduce(windows):
         count = sum(idx.size for _s, _e, [(idx, _phi)] in windows)
         if os.getpid() != parent and failure == "raises":
             raise ValueError("a child fails")
+        if os.getpid() != parent and failure == "out-of-memory":
+            raise MemoryError("no room")
         if os.getpid() != parent and failure == "killed":
             os.kill(os.getpid(), signal.SIGKILL)
         if os.getpid() != parent and failure == "unpicklable":
             return lambda: count
         return count
 
-    with stream_segment(1000), split_into(3) as forks, pytest.raises(SmoothlabError, match="exited with"):
+    with stream_segment(1000), split_into(3) as forks, pytest.raises(SmoothlabError, match=message):
         sieve._reduce_pass(0, 30_000, 1e5, [1], reduce)
     assert len(forks) == 2
     assert_no_child()
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [("fork", BlockingIOError(errno.EAGAIN, "no process")), ("pipe", OSError(errno.EMFILE, "no file"))],
+    ids=["fork", "pipe"],
+)
+def test_a_part_whose_process_cannot_be_made_is_reduced_in_the_parent(name, error):
+    # A failed fork (EAGAIN under a process limit) or pipe (EMFILE) once
+    # refused a request that one process answers; the patch starts no process.
+    def fail():
+        raise error
+
+    argv = ["tsum", "--x", "3000", "--y", "1e5", "--a", "6"]
+    with stream_segment(100):
+        serial = _hex_rows(_shifted_totals([1200, 3000], 1e5, [6, -1]))
+        serial_v = _v_parts(3000, 1e5, -1)[0].hex()
+        line = _cli_line(argv)
+        with split_into(3), patch.object(os, name, fail):
+            assert sieve._part_ends(0, 3000, [6, -1]) == [0, 1000, 2000, 3000]
+            assert _hex_rows(_shifted_totals([1200, 3000], 1e5, [6, -1])) == serial
+            assert _v_parts(3000, 1e5, -1)[0].hex() == serial_v
+            assert _cli_line(argv) == line
+    assert_no_child()
+
+
+def _cli_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.run(argv) == 0, err.getvalue()
+    return out.getvalue()
+
+
+def test_a_child_sends_its_error_back_and_exits_with_1(monkeypatch):
+    # The child's side, in this process: os._exit is patched to stop here.
+    class Exited(Exception):
+        pass
+
+    def exit_(status):
+        raise Exited(status)
+
+    def reduce(windows):
+        raise IndexError("index 5 is out of bounds")
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    read, write = os.pipe()
+    with pytest.raises(Exited) as exited:
+        sieve._reduce_in_child(write, os.getpid(), 0, 3000, 1e5, [1], reduce)
+    with os.fdopen(read, "rb") as pipe:
+        assert pipe.read() == b"IndexError: index 5 is out of bounds"
+    assert exited.value.args == (1,)
 
 
 def test_a_part_stops_between_segments_once_its_parent_is_gone(monkeypatch):
