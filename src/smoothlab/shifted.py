@@ -16,16 +16,17 @@ its kinks and split further where y^(2v) grows fast; the nodes come from
 numpy, so the module needs no scipy.
 
 T and V come from one pass over (max(a,0), floor(x)], and one pass serves
-a whole list of shifts: ``_shifted_pass`` reads the window stream of
-``sieve._smooth_phi_shifted``, which finds the smooth n of each window
-once and gives phi(n - a) at them for every shift.  It picks its route
-itself, generated smooth n at small y (one window per run of them) or the
-sieve (strips per segment, reads per window of at most 2^14 smooth n);
-every route gives the same integers, so the route never changes a result.
-``_shifted_totals`` (``tsum``, ``scan``) and ``_v_parts`` (``vsum``) give
-``sieve._reduce_pass`` a reducer to exact integer sums instead, which a
-long sieved pass runs on each of its parts in a process of its own; the
-parts' sums add up to the pass's, so the split never changes a result.
+a whole list of shifts.  Every T/V pass reduces through
+``sieve._reduce_pass``: each consumer (``_shifted_totals`` for ``tsum``
+and ``scan``, ``_v_parts`` for ``vsum``, ``t_exact``, ``v_via_abel`` and
+the Moebius split's T pass) gives it a reducer of the pass's windows to
+exact integer sums.  The pass finds the smooth n of each window once and
+gives phi(n - a) at them for every shift.  It picks its route itself,
+generated smooth n at small y (one window per run of them) or the sieve
+(strips per segment, reads per window of at most 2^14 smooth n), and it
+runs each part of a long sieved pass in a process of its own; every route
+gives the same integers and the parts' sums add up to the pass's, so
+neither the route nor the split changes a result.
 ``aux_averages`` walks the segments of a ``sieve._PassContext`` of its own:
 ``_smooth_mask``, then ``_tau_omega`` of the shifted segment into rows of
 the context's buffer, read at the smooth n.  The Moebius split rides on
@@ -48,6 +49,7 @@ cut.
 import bisect
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,7 +60,7 @@ from .dickman import RhoTable, rho, rho_log
 from .errors import AccuracyError, CapacityError, DomainError
 from .sieve import (
     _READ_BLOCK, _check_cutoff, _check_pass, _mu_segment, _PassContext, _reduce_pass, _smooth_mask,
-    _smooth_phi_shifted, _tau_omega, _to_float,
+    _tau_omega, _to_float,
 )
 
 #: 6 / pi^2, the reciprocal of zeta(2), from the double-precision pi literal.
@@ -87,22 +89,6 @@ def _head_psi(x: float, y: float, a: int) -> int:
     With the smooth n of the pass, it makes Psi(x, y).
     """
     return psi(min(x, a), y) if a > 0 else 0
-
-
-def _shifted_pass(x: float, y: float, shifts: list[int]):
-    """The windows of the shifted sums up to x of every shift, for arguments from ``_check_pass``.
-
-    Yields (s, e, rows) for increasing, disjoint windows [s, e] that hold
-    every smooth n of (min max(a, 0), floor(x)], with one (idx, phi) row per
-    shift: the y-smooth n of the window above max(a, 0) are s + idx, and
-    phi holds phi(n - a) at them (``sieve._smooth_phi_shifted``).  Where
-    the windows fall depends on the route, so each caller sums its terms
-    exactly.  A sieved segment's strips live in buffers of the pass while
-    the caller sums its windows of at most 2^14 smooth n, and the next
-    segment strips into the same buffers; the mask route's smoothness mask,
-    a bool per n, is the one other array of the segment's size.
-    """
-    return _smooth_phi_shifted(min(max(a, 0) for a in shifts), math.floor(x), y, shifts)
 
 
 def _t_terms(a: int, s: int, idx: np.ndarray, phi_at: np.ndarray) -> np.ndarray:
@@ -137,9 +123,9 @@ def _v_parts(x: float, y: float, a: int) -> tuple[float, int]:
             numerator += _int_sum(phi_at, e - a)
         return count, numerator
 
-    parts = _reduce_pass(max(a, 0), math.floor(x), y, [a], reduce)
-    psi_value += sum(count for count, _numerator in parts)
-    return sum(numerator for _count, numerator in parts) / psi_value, psi_value
+    count, numerator = map(sum, zip(*_reduce_pass(max(a, 0), math.floor(x), y, [a], reduce)))
+    psi_value += count
+    return numerator / psi_value, psi_value
 
 
 def _shifted_totals(xs, y: float, shifts) -> list[list[tuple[int, float, float]]]:
@@ -253,15 +239,17 @@ def t_exact(x: float, y: float, a: int) -> float:
 
     Each term is one correctly rounded division, and the terms stream
     window by window into an exact sum that is rounded once (``_exact_int``),
-    so the result is the float that math.fsum of the terms gives and memory
-    does not grow with x.  No psi is counted, so a shift a near x costs only
+    so the result is the float that math.fsum of the terms gives, memory
+    does not grow with x, and the parts of the pass (``sieve._reduce_pass``)
+    add up to it.  No psi is counted, so a shift a near x costs only
     its terms.
     """
     a, y = _check_pass(x, y, a)
-    total = 0
-    for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
-        total += _exact_int(_t_terms(a, s, idx, phi_at))
-    return _round_exact(total)
+
+    def reduce(windows):
+        return sum(_exact_int(_t_terms(a, s, idx, phi_at)) for s, _e, [(idx, phi_at)] in windows)
+
+    return _round_exact(sum(_reduce_pass(max(a, 0), math.floor(x), y, [a], reduce)))
 
 
 @dataclass(frozen=True)
@@ -320,7 +308,10 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     the windows, the one that T takes, sums T and marks the values n - a
     of the smooth n in a bool indicator: 1 byte per modulus for every y, so
     more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a CapacityError,
-    raised before anything is allocated.  mu and the counts of multiples
+    raised before anything is allocated.  A part of the pass reduced in a
+    child process (``sieve._reduce_pass``) marks its own copy of the
+    indicator, and sends back the marks of its range of n - a packed, 1 bit
+    each, which the parent ORs in.  mu and the counts of multiples
     (:func:`_multiple_counts`) come one segment of moduli at a time, and
     the counts are multiplied by mu in place.  The terms come one window of
     ``_READ_BLOCK`` moduli at a time, so no int64 or float64 array of the
@@ -335,11 +326,26 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     if d_max > MAX_MATERIALIZED_SPAN:
         raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
     g = np.zeros(max(d_max, 0) + 1, dtype=bool)
+    parent = os.getpid()
+
+    def reduce(windows):
+        count = t = first = last = 0
+        for s, e, [(idx, phi_at)] in windows:
+            count += idx.size
+            t += _exact_int(_t_terms(a, s, idx, phi_at))
+            g[idx + (s - a)] = True
+            first, last = first or s - a, e - a  # every k = n - a >= 1
+        if os.getpid() == parent:
+            return count, t, first, np.zeros(0, dtype=np.uint8)  # g holds its marks
+        return count, t, first, np.packbits(g[first : last + 1])
+
     count = t = 0
-    for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
-        count += idx.size
-        t += _exact_int(_t_terms(a, s, idx, phi_at))
-        g[idx + (s - a)] = True
+    for part_count, part_t, first, marks in _reduce_pass(max(a, 0), math.floor(x), y, [a], reduce):
+        count += part_count
+        t += part_t
+        for start in range(0, marks.size, _READ_BLOCK):  # a child's marks, 2^17 k at a time
+            held = g[first + 8 * start : first + 8 * (start + _READ_BLOCK)]
+            held |= np.unpackbits(marks[start : start + _READ_BLOCK], count=held.size).view(bool)
     sigma1 = sigma2 = 0
     context = _PassContext(1, d_max)
     for s, e in context.segments():
@@ -374,18 +380,24 @@ def v_via_abel(x: float, y: float, a: int) -> float:
     n, so the integral is the sum of t_n (floor(x) - n) over its steps plus
     the fractional top piece (x - floor(x)) T(x).  T(x) and that sum, each
     product rounded once, are exact sums rounded once (``_exact_int``), so
-    the result does not depend on the windows of the pass.  Psi is
-    ``psi``'s quotient count, which shares no code with the pass it checks.
+    the result does not depend on the windows or the parts of the pass.
+    Psi is ``psi``'s quotient count, which shares no code with the pass it
+    checks.
     """
     a, y = _check_pass(x, y, a)
     top = math.floor(x)
     if top <= max(a, 0):
         return 0.0
-    t = steps = 0
-    for s, _e, [(idx, phi_at)] in _shifted_pass(x, y, [a]):
-        terms = _t_terms(a, s, idx, phi_at)
-        t += _exact_int(terms)
-        steps += _exact_int(terms * (top - s - idx))
+
+    def reduce(windows):
+        t = steps = 0
+        for s, _e, [(idx, phi_at)] in windows:
+            terms = _t_terms(a, s, idx, phi_at)
+            t += _exact_int(terms)
+            steps += _exact_int(terms * (top - s - idx))
+        return t, steps
+
+    t, steps = map(sum, zip(*_reduce_pass(max(a, 0), top, y, [a], reduce)))
     t_at_x = _round_exact(t)
     integral = _round_exact(steps) + (x - top) * t_at_x
     return (t_at_x * (x - a) - integral) / psi(x, y)

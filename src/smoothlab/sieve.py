@@ -16,9 +16,9 @@ kernel is one loop over it, sized to its question:
 - a phi strip takes every prime p <= sqrt(hi) with phi of the part, and
   ``_phi_from_part`` multiplies in q - 1 for the (at most one) prime
   q = n / part > sqrt(hi); ``sieve_range`` and the shifted kernel share it.
-- ``_smooth_phi_shifted`` is the one pass of shifted totients, for a
-  whole list of shifts at once, and ``_generated_smooth`` picks its one
-  route from its arguments alone.  At small y the pass generates the
+- ``_reduce_pass`` is the one pass of shifted totients, for a whole list
+  of shifts at once, and every T/V consumer reduces through it;
+  ``_generated_smooth`` picks its one route from its arguments alone.  At small y the pass generates the
   smooth n, multiplied out of the prime powers up to y (``_smooth_upto``),
   and takes phi(n - a) from ``_phi_at``.  Otherwise ``_sieve_phi_segment``
   strips each segment [s, e] once for every shift: one phi strip of the
@@ -29,8 +29,8 @@ kernel is one loop over it, sized to its question:
   blocks that hold at most 2^14 smooth n each, so the smoothness test, the
   gathers and the callers' sums make no array of the segment's size.  The
   strips of every segment go into the buffers of the pass's context.
-  ``_reduce_pass`` runs a caller's additive reducer over a pass, one
-  result per part: it cuts a sieved pass of at least twice
+  The pass runs a caller's additive reducer, one result per part: it cuts
+  a sieved pass of at least twice
   ``_SPLIT_ENTRIES`` n at segment boundaries into one part per CPU and
   reduces each part past the first in a forked child, whose integers (or
   error) come back through a pipe; a part whose child cannot be made is
@@ -317,7 +317,7 @@ def _check_pass(x: float, y: float, a: int) -> tuple[int, float]:
 
     Every check runs before any sieving: a later pass over (max(a,0),
     floor(x)] raises nothing, and a scan can fail one grid point on its own.
-    Each caller of ``_shifted_pass`` runs it once per x.
+    Each consumer of ``_reduce_pass`` runs it once per x.
     """
     a, y = _check_shift(a), _check_y(y)
     top = _check_x(x)
@@ -647,44 +647,34 @@ def _phi_from_part(rem: np.ndarray, tot: np.ndarray) -> np.ndarray:
     return rem.astype(np.int64, copy=False)
 
 
-def _smooth_phi_shifted(lo: int, hi: int, y: float, shifts: list[int]):
-    """The windows of a pass of shifted totients over (lo, hi], for every shift at once.
-
-    lo is the least max(a, 0) over the shifts, and every n - a <= 2^52
-    (``_check_pass``).  Yields (s, e, rows) for increasing, disjoint windows
-    [s, e] that together hold every smooth n of the pass, with one (idx,
-    phi) row per shift: the y-smooth n in [s, e] above max(a, 0) are
-    s + idx, and phi holds phi(n - a) at them.  ``_generated_smooth`` picks
-    the route from the arguments: the smooth n multiplied out of the primes
-    up to y, one window per run of them (``_generated_phi_segments``), or
-    the sieve, which strips each segment of its ``_PassContext`` once, into
-    buffers of the pass, and reads it in windows of at most
-    ``_READ_BLOCK`` smooth n (``_sieved_pass``).  Every route gives the
-    same integers; only the windows differ.
-    """
-    values = _generated_smooth(lo, hi, y, shifts)
-    if values is not None:
-        return _generated_phi_segments(values, shifts)
-    return _sieved_pass(lo, hi, y, shifts)
-
-
 def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
     """reduce of the windows of each part of the pass over (lo, hi], one result per part, in order.
 
-    reduce takes the ``_smooth_phi_shifted`` windows of a part and returns
-    Python integers, in lists or tuples, that add up part by part to those
-    of the whole pass: exact sums do.  The route is chosen once, from the
-    arguments (``_generated_smooth``).  A sieved pass is cut at segment
-    boundaries of its ``_PassContext`` into one part per CPU the process
-    may run on, none of fewer than ``_SPLIT_ENTRIES`` n (``_part_ends``).
-    The parent forks one child per part past the first (``_fork_part``)
-    and reduces the first itself, and every part whose pipe or process
-    could not be made; each child reduces its part in a context of its own
-    and sends the result back through a pipe.  A child that fails makes the
-    pass raise, with the child's error if it sent one, and on any way out
-    the parent kills and reaps every child left.  One part, the generated
-    route, no ``os.fork`` or a second thread runs the pass in this process
-    alone.
+    The one entry of a pass of shifted totients, for every shift at once;
+    lo is the least max(a, 0) over the shifts, and every n - a <= 2^52
+    (``_check_pass``).  reduce takes the windows of a part: (s, e, rows)
+    for increasing, disjoint windows [s, e] that hold every smooth n of the
+    part, with one (idx, phi) row per shift, where s + idx are the y-smooth
+    n in [s, e] above max(a, 0) and phi holds phi(n - a) at them.  It
+    returns picklable values whose exact sums over the parts are those of
+    the whole pass.
+
+    ``_generated_smooth`` picks the route once, from the arguments: the
+    smooth n multiplied out of the primes up to y, one window per run of
+    them (``_generated_phi_segments``), or the sieve, which strips each
+    segment of its ``_PassContext`` once, into buffers of the pass, and
+    reads it in windows of at most ``_READ_BLOCK`` smooth n
+    (``_sieved_pass``).  Every route gives the same integers; only the
+    windows differ.  A sieved pass is cut at segment boundaries into one
+    part per CPU the process may run on, none of fewer than
+    ``_SPLIT_ENTRIES`` n (``_part_ends``).  The parent forks one child per
+    part past the first; it reduces the first part itself, and every part
+    whose pipe or process could not be made.  Each child
+    reduces its part in a context of its own and sends the result, or its
+    error, back through a pipe.  A child that fails makes the pass raise,
+    and on any way out the parent kills and reaps every child left.  One
+    part, the generated route, no ``os.fork`` or a second thread runs the
+    pass in this process alone.
     """
     values = _generated_smooth(lo, hi, y, shifts)
     if values is not None:
@@ -694,9 +684,20 @@ def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
     parent, children = os.getpid(), {}  # part -> (pid, read end) of each child not yet reaped
     try:
         for part in parts[1:]:
-            child = _fork_part(parent, *part, y, shifts, reduce)
-            if child is not None:
-                children[part] = child
+            try:
+                read, write = os.pipe()
+            except OSError:  # too many open files: the parent reduces the part
+                continue
+            try:
+                pid = os.fork()
+            except OSError:  # too many processes or too little memory: likewise
+                os.close(read)
+                os.close(write)
+                continue
+            if pid == 0:
+                _reduce_in_child(write, parent, *part, y, shifts, reduce)
+            children[part] = pid, read
+            os.close(write)
         results = {part: reduce(_sieved_pass(*part, y, shifts)) for part in parts if part not in children}
         for (start, stop), (pid, read) in list(children.items()):
             with os.fdopen(read, "rb", closefd=False) as pipe:
@@ -715,29 +716,6 @@ def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read)
-
-
-def _fork_part(parent: int, lo: int, hi: int, y: float, shifts: list[int], reduce):
-    """(pid, read end of its pipe) of a child forked to reduce the part (lo, hi], or None.
-
-    None when the pipe or the process cannot be made (too many open files,
-    or processes, or too little memory): the parent then reduces the part
-    itself, to the same integers.
-    """
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        _reduce_in_child(write, parent, lo, hi, y, shifts, reduce)
-    os.close(write)
-    return pid, read
 
 
 def _part_ends(lo: int, hi: int, shifts: list[int]) -> list[int]:
@@ -987,7 +965,7 @@ def _smooth_upto(top: int, y: float, cap: float):
 
 
 def _generated_phi_segments(values: np.ndarray, shifts: list[int]):
-    """The (s, e, rows) windows of ``_smooth_phi_shifted`` from the increasing smooth n of a pass.
+    """The (s, e, rows) windows of a generated pass from its increasing smooth n.
 
     One window per run of STREAM_SEGMENT // len(shifts) of the n, from the
     run's first n to its last, so a pass up to 2^52 takes no time where it

@@ -269,8 +269,8 @@ MUTANTS = [
     {
         "name": "split-reraises-a-failed-fork",
         "file": "smoothlab/sieve.py",
-        "snippet": "        os.close(write)\n        return None\n",
-        "replacement": "        os.close(write)\n        raise\n",
+        "snippet": "                os.close(write)\n                continue\n",
+        "replacement": "                os.close(write)\n                raise\n",
         "tests": ["tests/test_split.py::test_a_part_whose_process_cannot_be_made_is_reduced_in_the_parent[fork]"],
     },
     {
@@ -289,5 +289,12 @@ MUTANTS = [
         "snippet": "    except KeyboardInterrupt:\n",
         "replacement": "    except ZeroDivisionError:\n",
         "tests": ["tests/test_cli.py::test_an_interrupt_exits_130_with_one_error_line"],
+    },
+    {
+        "name": "mobius-split-drops-a-childs-marks",
+        "file": "smoothlab/shifted.py",
+        "snippet": "np.packbits(g[first : last + 1])",
+        "replacement": "np.packbits(g[first:first])",
+        "tests": ["tests/test_split.py::test_a_split_pass_gives_the_rows_of_one_process"],
     },
 ]

@@ -10,7 +10,7 @@ the sparse totient ``_phi_at`` on top of it against the oracle; a count of
 the prime lists they make shows that the Miller-Rabin test and
 Pollard-Brent split settle every value after the primes up to 2^18, and
 that a generated pass makes its trial primes once.  The shifted pass
-``_smooth_phi_shifted`` is checked on each of its routes: each sieved
+(``_reduce_pass``) is checked on each of its routes: each sieved
 segment (one union strip, or the mask and a strip per band of shifts),
 its windows joined, against the mask and the oracle, the windows' shape
 and strips at a small read block, every strip of a pass taken from the
@@ -417,7 +417,7 @@ def test_the_stream_segment_does_not_cap_a_generated_pass():
     # the pass is generated all the same, in runs of 2^10 of them.
     with stream_segment(2**10):
         assert sieve._generated_smooth(1, 10**6, 30, [1]) is not None
-        windows = list(sieve._smooth_phi_shifted(1, 10**6, 30, [1]))
+        windows = _pass_windows(1, 10**6, 30, [1])
         generated = t_exact(1e6, 30, 1).hex()
     with forced_route("sieve") as calls:
         sieved = t_exact(1e6, 30, 1).hex()
@@ -452,7 +452,7 @@ def test_a_generated_pass_yields_one_window_per_run(monkeypatch):
     phi_at = sieve._phi_at
     monkeypatch.setattr(sieve, "_phi_at", lambda values: phi_calls.append(values) or phi_at(values))
     with stream_segment(100), forced_route("generated") as calls:
-        windows = list(sieve._smooth_phi_shifted(0, 10**5, 30, shifts))
+        windows = _pass_windows(0, 10**5, 30, shifts)
     run, count = 100 // len(shifts), psi(1e5, 30)
     assert len(calls) == 1 and len(windows) == -(-count // run)
     assert len(phi_calls) == len(windows) * len(shifts)
@@ -498,6 +498,11 @@ def test_psi_t_v_do_not_depend_on_capacity(case):
     with stream_segment(segment):
         split = psi(x, y), t_exact(x, y, a).hex(), v_exact(x, y, a).hex()
     assert split == whole
+
+
+def _pass_windows(lo, hi, y, shifts):
+    """The windows of the pass over (lo, hi]: ``_reduce_pass`` with ``list``, joined over its parts."""
+    return [window for part in sieve._reduce_pass(lo, hi, y, shifts, list) for window in part]
 
 
 def _segment_windows(s, e, y, shifts):
@@ -780,7 +785,7 @@ def test_a_pass_across_2_31_makes_its_buffer_again_once(y, shifts):
     # also holds the int32 mask strips of the segments just below 2^31.
     lo, hi = 2**31 - 2000, 2**31 + 2000
     with stream_segment(500), forced_route("sieve") as calls, _strips_taken() as taken:
-        windows = list(sieve._smooth_phi_shifted(lo, hi, y, shifts))
+        windows = _pass_windows(lo, hi, y, shifts)
     assert len(calls) == 8
     bases = _buffers(taken)
     assert [base.dtype for base in bases] == [np.int32, np.int64]
@@ -857,7 +862,7 @@ def test_smooth_phi_shifted_counts_no_primes_near_2_52(monkeypatch):
     primes_upto = sieve.primes_upto
     monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
     assert sieve._generated_smooth(0, 2**22, 1, [a]).tolist() == [1]
-    [(s, e, [(idx, phi)])] = sieve._smooth_phi_shifted(0, 2**22, 1, [a])
+    [(s, e, [(idx, phi)])] = _pass_windows(0, 2**22, 1, [a])
     assert 2**22 - a == 2**52 - 1
     assert (s, e, idx.tolist(), phi.tolist()) == (1, 1, [0], [oracle_phi(1 - a)])
     assert t_exact(2**22, 1, a) == oracle_phi(1 - a) / (1 - a)
@@ -900,7 +905,7 @@ def test_a_generated_pass_sieves_its_trial_primes_once(monkeypatch):
     asked = []
     primes_upto = sieve.primes_upto
     monkeypatch.setattr(sieve, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
-    [(s, e, [(idx, phi)])] = sieve._smooth_phi_shifted(0, x, y, [a])
+    [(s, e, [(idx, phi)])] = _pass_windows(0, x, y, [a])
     assert (s, e, idx.size) == (1, top, psi(x, y))
     assert phi.tolist() == [oracle_phi(int(n)) for n in idx + (s - a)]
     assert asked == [y, math.isqrt(top - a)]
@@ -956,8 +961,7 @@ def test_t_and_v_match_the_mask_route(route, case):
         # window edges fall inside segments and bands.
         with forced_route(route) as calls, read_block(7) if route == "sieve" else nullcontext():
             got = [fn(x, y, a).hex() for fn in sums]
-        with patch.object(shifted, "_smooth_phi_shifted", _mask_route), \
-                patch.object(shifted, "_reduce_pass", _mask_reduced):
+        with patch.object(shifted, "_reduce_pass", _mask_reduced):
             want = [fn(x, y, a).hex() for fn in sums]
     assert got == want
     assert calls or math.floor(x) <= max(a, 0)
@@ -980,14 +984,24 @@ def test_the_totient_routes_live_in_the_sieve_module():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert "_smooth_phi_shifted" in imported
-    assert imported.isdisjoint({"SmoothRange", "_phi_at"})
+    # Every T/V pass enters through ``_reduce_pass``, the one function that
+    # picks the route and forks; no other module reads a window stream.
+    sieve_tree = ast.parse((package / "sieve.py").read_text())
+    functions = [fn for fn in ast.walk(sieve_tree) if isinstance(fn, ast.FunctionDef)]
+    streams = {
+        fn.name for fn in functions
+        if any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))
+    }
+    assert {"_sieved_pass", "_generated_phi_segments", "_sieve_phi_segment"} <= streams
+    assert "_reduce_pass" in imported
+    assert imported.isdisjoint({"SmoothRange", "_phi_at", *streams})
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    for call in ("_generated_smooth", "os.fork"):
+        assert [fn for tree in trees for fn in _calls_to(call, tree)] == ["_reduce_pass"]
     # The sieve route strips every totient window; only a generated pass
     # factors its values.  The segment length is no cap on the routes: it
     # cuts the sieve's segments and the generated runs, and nothing else.
-    sieve_tree = ast.parse((package / "sieve.py").read_text())
     assert _calls_to("_phi_at", sieve_tree) == ["_generated_phi_segments"]
-    functions = [fn for fn in ast.walk(sieve_tree) if isinstance(fn, ast.FunctionDef)]
     readers = [fn.name for fn in functions for _read in _reads_of("STREAM_SEGMENT", fn)]
     assert set(readers) == {"segments", "_generated_phi_segments"}
     assert len(readers) == len(_reads_of("STREAM_SEGMENT", sieve_tree))  # none outside them
@@ -997,13 +1011,13 @@ def test_the_totient_routes_live_in_the_sieve_module():
 
 
 def _calls_to(name, tree):
-    """The names of the functions of ``tree`` that call ``name``, one entry per call."""
+    """The names of the functions of ``tree`` that call ``name`` (dotted, as written), one per call."""
     return [
         fn.name
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == name
     ]
 
 
@@ -1062,8 +1076,8 @@ def test_the_shifted_sums_read_windows_not_segments():
     # The one reader of the pass that still walks segments walks its moduli,
     # from 1, not the n of the pass.
     tree = ast.parse((Path(smoothlab.__file__).parent / "shifted.py").read_text())
-    readers = set(_calls_to("_shifted_pass", tree))
-    assert "v_via_abel" in readers
+    readers = set(_calls_to("_reduce_pass", tree))
+    assert readers == {"_v_parts", "_shifted_totals", "t_exact", "v_via_abel", "t_via_mobius"}
     assert readers & set(_calls_to("_PassContext", tree)) == {"t_via_mobius"}
     [mobius] = [fn for fn in tree.body if getattr(fn, "name", None) == "t_via_mobius"]
     assert [

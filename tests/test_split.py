@@ -4,8 +4,9 @@ A sieved pass of at least twice ``_SPLIT_ENTRIES`` n is cut at segment
 boundaries into one part per CPU; the parent forks one child per part past
 the first, reduces the first itself and adds the exact sums of the others.
 Here a small threshold and a patched CPU set force the split on short
-passes, and the rows of ``_shifted_totals`` and ``_v_parts`` must be those of
-the same pass in one process, bit for bit.  The parts must fall where
+passes, and the results of every consumer of the pass (``_shifted_totals``,
+``_v_parts``, ``t_exact``, ``v_via_abel`` and the Moebius split) must be
+those of the same pass in one process, bit for bit.  The parts must fall where
 ``_part_ends`` says, and no child may outlive its pass: not when the
 consumer raises or the parent is interrupted, not when a child fails, and
 not when the parent is gone.  A part whose process or pipe cannot be made
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 
 import smoothlab
 from smoothlab import SmoothlabError, cli, sieve
-from smoothlab.shifted import _shifted_totals, _v_parts
+from smoothlab.shifted import _shifted_totals, _v_parts, t_exact, t_via_mobius, v_via_abel
 
 from conftest import forced_route, stream_segment
 
@@ -97,24 +98,40 @@ def split_cases(draw):
     return xs, y, shifts, segment, cpus
 
 
+def _consumers(xs, y, shifts, delta):
+    """The bits of every consumer of the pass: the rows of ``_shifted_totals``, then per shift
+    ``_v_parts``, ``t_exact``, ``v_via_abel`` and the Moebius split (sigma1, sigma2, t, count)."""
+    x = xs[-1]
+    rows = _hex_rows(_shifted_totals(xs, y, shifts))
+    for a in shifts:
+        v, psi_value = _v_parts(x, y, a)
+        split = t_via_mobius(x, y, a, delta)
+        rows.append([
+            (v.hex(), psi_value), t_exact(x, y, a).hex(), v_via_abel(x, y, a).hex(),
+            (split.sigma1.hex(), split.sigma2.hex(), split.t.hex(), split.count),
+        ])
+    return rows
+
+
 @settings(max_examples=25, deadline=None)
-@given(split_cases())
-@example(([600, 1200], 1e5, [1, -2], 100, 3))
-@example(([2**31 + 1000], 30, [2**31 - 200, 2**31 - 150], 100, 2))
-def test_a_split_pass_gives_the_rows_of_one_process(case):
+@given(split_cases(), st.sampled_from([1, 7, 100, math.inf]))
+@example(([600, 1200], 1e5, [1, -2], 100, 3), 7)
+@example(([2**31 + 1000], 30, [2**31 - 200, 2**31 - 150], 100, 2), 100)
+# The child's part (600, 1200] marks the k = n + 2 in (602, 1202], which the
+# parent's part lacks, so the split's counts need the marks it sends back.
+@example(([1200], 1e5, [-2], 100, 2), 100)
+def test_a_split_pass_gives_the_rows_of_one_process(case, delta):
     xs, y, shifts, segment, cpus = case
     with stream_segment(segment), forced_route("sieve"):
-        serial = _hex_rows(_shifted_totals(xs, y, shifts))
-        serial_v = [_v_parts(xs[-1], y, a) for a in shifts]
+        serial = _consumers(xs, y, shifts, delta)
         with split_into(cpus) as forks:
-            split = _hex_rows(_shifted_totals(xs, y, shifts))
-            split_v = [_v_parts(xs[-1], y, a) for a in shifts]
+            split = _consumers(xs, y, shifts, delta)
+            # The pass of every shift at once, then four of each shift alone.
+            passes = [shifts] + [[a] for a in shifts for _consumer in range(4)]
+            ends = [sieve._part_ends(min(max(a, 0) for a in s), math.floor(xs[-1]), s) for s in passes]
     assert split == serial
-    assert [(v.hex(), psi_value) for v, psi_value in split_v] == [
-        (v.hex(), psi_value) for v, psi_value in serial_v
-    ]
-    # Each of the 1 + len(shifts) passes forked one child per part past the first.
-    assert len(forks) == (1 + len(shifts)) * (cpus - 1)
+    # Each pass forked one child per part past the first.
+    assert len(forks) == sum(len(part_ends) - 2 for part_ends in ends)
     assert_no_child()
 
 
