@@ -18,9 +18,10 @@ kernel is one loop over it, sized to its question:
   q = n / part > sqrt(hi); ``sieve_range`` and the shifted kernel share it.
 - ``_reduce_pass`` is the one pass of shifted totients, for a whole list
   of shifts at once, and every T/V consumer reduces through it;
-  ``_generated_smooth`` picks its one route from its arguments alone.  At small y the pass generates the
-  smooth n, multiplied out of the prime powers up to y (``_smooth_upto``),
-  and takes phi(n - a) from ``_phi_at``.  Otherwise ``_sieve_phi_segment``
+  ``_generated_smooth`` picks its one route from its arguments alone.  At
+  small y the pass generates the smooth n, multiplied out of the prime
+  powers up to y (``_smooth_upto``), and takes phi(n - a) from
+  ``_phi_at``.  Otherwise ``_sieve_phi_segment``
   strips each segment [s, e] once for every shift: one phi strip of the
   union window [min(s, s - max a), max(e, e - min a)], read for
   smoothness as ``_smooth_mask`` reads its own, or the mask and then one
@@ -30,11 +31,10 @@ kernel is one loop over it, sized to its question:
   gathers and the callers' sums make no array of the segment's size.  The
   strips of every segment go into the buffers of the pass's context.
   The pass runs a caller's additive reducer, one result per part: it cuts
-  a sieved pass of at least twice
-  ``_SPLIT_ENTRIES`` n at segment boundaries into one part per CPU and
-  reduces each part past the first in a forked child, whose integers (or
-  error) come back through a pipe; a part whose child cannot be made is
-  reduced in the parent.
+  a sieved pass of at least twice ``_SPLIT_ENTRIES`` n at segment
+  boundaries into one part per CPU and reduces each part past the first
+  in a forked child, whose integers (or error) come back through a pipe; a
+  part whose child cannot be made is reduced in the parent.
 - ``_mu_segment`` reads mu off a mu strip, which takes no p^k past p^2,
   and ``_tau_omega`` gives tau
   and omega from the strides; each finds the n with a prime above sqrt(hi)
@@ -669,12 +669,12 @@ def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
     part per CPU the process may run on, none of fewer than
     ``_SPLIT_ENTRIES`` n (``_part_ends``).  The parent forks one child per
     part past the first; it reduces the first part itself, and every part
-    whose pipe or process could not be made.  Each child
-    reduces its part in a context of its own and sends the result, or its
-    error, back through a pipe.  A child that fails makes the pass raise,
-    and on any way out the parent kills and reaps every child left.  One
-    part, the generated route, no ``os.fork`` or a second thread runs the
-    pass in this process alone.
+    whose pipe or process could not be made.  Each child reduces its part
+    in a context of its own and sends the result, or its error, back
+    through a pipe.  A child that fails makes the pass raise, and on any
+    way out the parent kills and reaps every child left.  One part, the
+    generated route, no ``os.fork`` or a second thread runs the pass in
+    this process alone.
     """
     values = _generated_smooth(lo, hi, y, shifts)
     if values is not None:
@@ -751,12 +751,12 @@ def _reduce_in_child(write: int, parent: int, lo: int, hi: int, y: float, shifts
     status = 1
     try:
         try:
-            data, done = pickle.dumps(reduce(_sieved_pass(lo, hi, y, shifts, parent))), 0
+            data, code = pickle.dumps(reduce(_sieved_pass(lo, hi, y, shifts, parent))), 0
         except Exception as exc:  # its type and text go to the parent, which raises
-            data, done = f"{type(exc).__name__}: {exc}".encode(), 1
+            data, code = f"{type(exc).__name__}: {exc}".encode(), 1
         with os.fdopen(write, "wb") as pipe:
             pipe.write(data)
-        status = done
+        status = code
     finally:
         os._exit(status)
 

@@ -276,8 +276,8 @@ MUTANTS = [
     {
         "name": "split-child-drops-its-error-text",
         "file": "smoothlab/sieve.py",
-        "snippet": 'data, done = f"{type(exc).__name__}: {exc}".encode(), 1',
-        "replacement": 'data, done = b"", 1',
+        "snippet": 'data, code = f"{type(exc).__name__}: {exc}".encode(), 1',
+        "replacement": 'data, code = b"", 1',
         "tests": [
             "tests/test_split.py::test_a_child_sends_its_error_back_and_exits_with_1",
             "tests/test_split.py::test_a_child_that_fails_makes_the_pass_raise[raises]",

@@ -99,8 +99,11 @@ def split_cases(draw):
 
 
 def _consumers(xs, y, shifts, delta):
-    """The bits of every consumer of the pass: the rows of ``_shifted_totals``, then per shift
-    ``_v_parts``, ``t_exact``, ``v_via_abel`` and the Moebius split (sigma1, sigma2, t, count)."""
+    """The bits of every consumer of the pass up to xs[-1].
+
+    The rows of ``_shifted_totals``, then for each shift ``_v_parts``,
+    ``t_exact``, ``v_via_abel`` and the Moebius split (sigma1, sigma2, t, count).
+    """
     x = xs[-1]
     rows = _hex_rows(_shifted_totals(xs, y, shifts))
     for a in shifts:
