@@ -27,29 +27,28 @@ generated smooth n at small y (one window per run of them) or the sieve
 runs each part of a long sieved pass in a process of its own; every route
 gives the same integers and the parts' sums add up to the pass's, so
 neither the route nor the split changes a result.
-``aux_averages`` walks the segments of a ``sieve._PassContext`` of its own:
-``_smooth_mask``, then ``_tau_omega`` of the shifted segment into rows of
-the context's buffer, read at the smooth n.  The Moebius split rides on
-the same pass: it sums T and marks n - a for the smooth n of each window
-in a bool indicator, 1 byte per modulus for every y, so each n is tested
-for smoothness once.  It then counts the multiples of each modulus in the
-indicator, one segment of moduli at a time (a context of its own too): a
-strided count per squarefree d up to the square root of its length n,
-and for the d above it one strided add per multiplier j.  It reads the
-terms of each segment in windows of ``_READ_BLOCK`` (2^14) moduli, so
-beside the indicator only the segment's int32 counts and mu strip have
-its size.  Float terms are summed exactly (``_exact_int``) and rounded
-once (``_round_exact``), so T, V by partial summation and the Moebius
-split do not depend on the windows, the term order or the other shifts of
-the pass.  The same exactness lets one pass serve a whole grid of x: T at
-each x is the running exact integer of the terms so far, rounded at that
-cut.
+``aux_averages`` walks the segments of a ``sieve._PassContext`` of its
+own: ``_smooth_mask``, then ``_tau_omega`` of the shifted segment into
+rows of the context's buffer, read at the smooth n.  The Moebius split
+rides on the same pass, so each n is tested for smoothness once: its
+reducer sums T and packs the marks of n - a at each window's smooth n, 1
+bit each, and after the pass they go into a bool indicator, 1 byte per
+modulus.  It counts the multiples of each modulus in the indicator, one
+segment of moduli at a time (a context of its own too): a strided count
+per squarefree d up to the square root of its length n, and for the d
+above it one strided add per multiplier j.  It reads the terms of each
+segment in windows of ``_READ_BLOCK`` (2^14) moduli, so beside the
+indicator only the segment's int32 counts and mu strip have its size.
+Float terms are summed exactly (``_exact_int``) and rounded once
+(``_round_exact``), so T, V by partial summation and the Moebius split do
+not depend on the windows, the term order or the other shifts of the pass.
+The same exactness lets one pass serve a whole grid of x: T at each x is
+the running exact integer of the terms so far, rounded at that cut.
 """
 
 import bisect
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -305,13 +304,13 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
 
     The moduli run to floor(x) - a for either sign of a: every n - a lies
     in [1, floor(x) - a], so no count above that is nonzero.  One pass over
-    the windows, the one that T takes, sums T and marks the values n - a
-    of the smooth n in a bool indicator: 1 byte per modulus for every y, so
+    the windows, the one that T takes, sums T and packs the marks of the
+    values n - a of each window's smooth n, 1 bit each: a part reduced in
+    a child process (``sieve._reduce_pass``) returns its marks as the
+    parent's own part does.  After the pass the parts' marks are ORed into
+    a bool indicator, 2^17 k at a time: 1 byte per modulus for every y, so
     more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a CapacityError,
-    raised before anything is allocated.  A part of the pass reduced in a
-    child process (``sieve._reduce_pass``) marks its own copy of the
-    indicator, and sends back the marks of its range of n - a packed, 1 bit
-    each, which the parent ORs in.  mu and the counts of multiples
+    raised before anything is allocated.  mu and the counts of multiples
     (:func:`_multiple_counts`) come one segment of moduli at a time, and
     the counts are multiplied by mu in place.  The terms come one window of
     ``_READ_BLOCK`` moduli at a time, so no int64 or float64 array of the
@@ -325,27 +324,25 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     d_max = math.floor(x) - a
     if d_max > MAX_MATERIALIZED_SPAN:
         raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
-    g = np.zeros(max(d_max, 0) + 1, dtype=bool)
-    parent = os.getpid()
 
     def reduce(windows):
-        count = t = first = last = 0
+        t, marks = 0, []
         for s, e, [(idx, phi_at)] in windows:
-            count += idx.size
             t += _exact_int(_t_terms(a, s, idx, phi_at))
-            g[idx + (s - a)] = True
-            first, last = first or s - a, e - a  # every k = n - a >= 1
-        if os.getpid() == parent:
-            return count, t, first, np.zeros(0, dtype=np.uint8)  # g holds its marks
-        return count, t, first, np.packbits(g[first : last + 1])
+            window = np.zeros(e - s + 1, dtype=bool)
+            window[idx] = True
+            marks.append((s - a, np.packbits(window)))  # every k = n - a >= 1
+        return t, marks
 
-    count = t = 0
-    for part_count, part_t, first, marks in _reduce_pass(max(a, 0), math.floor(x), y, [a], reduce):
-        count += part_count
-        t += part_t
-        for start in range(0, marks.size, _READ_BLOCK):  # a child's marks, 2^17 k at a time
-            held = g[first + 8 * start : first + 8 * (start + _READ_BLOCK)]
-            held |= np.unpackbits(marks[start : start + _READ_BLOCK], count=held.size).view(bool)
+    parts = _reduce_pass(max(a, 0), math.floor(x), y, [a], reduce)
+    t = sum(part_t for part_t, _marks in parts)
+    g = np.zeros(max(d_max, 0) + 1, dtype=bool)
+    for _t, marks in parts:
+        for first, packed in marks:
+            span = g[first : first + 8 * packed.size]
+            for start in range(0, packed.size, _READ_BLOCK):  # 2^17 k at a time
+                held = span[8 * start : 8 * (start + _READ_BLOCK)]
+                held |= np.unpackbits(packed[start : start + _READ_BLOCK], count=held.size).view(bool)
     sigma1 = sigma2 = 0
     context = _PassContext(1, d_max)
     for s, e in context.segments():
@@ -360,6 +357,7 @@ def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
             cut = int(np.searchsorted(d, last_head - ws, "right"))
             sigma1 += _exact_int(terms[:cut])
             sigma2 += _exact_int(terms[cut:])
+    count = int(np.count_nonzero(g))
     return MobiusSplit(_round_exact(sigma1), _round_exact(sigma2), delta, _round_exact(t), count)
 
 

@@ -657,7 +657,8 @@ def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
     part, with one (idx, phi) row per shift, where s + idx are the y-smooth
     n in [s, e] above max(a, 0) and phi holds phi(n - a) at them.  It
     returns picklable values whose exact sums over the parts are those of
-    the whole pass.
+    the whole pass, and writes nothing that its caller reads: a part may
+    run in a forked child, whose writes no other process sees.
 
     ``_generated_smooth`` picks the route once, from the arguments: the
     smooth n multiplied out of the primes up to y, one window per run of

@@ -293,8 +293,29 @@ MUTANTS = [
     {
         "name": "mobius-split-drops-a-childs-marks",
         "file": "smoothlab/shifted.py",
-        "snippet": "np.packbits(g[first : last + 1])",
-        "replacement": "np.packbits(g[first:first])",
+        "snippet": "    for _t, marks in parts:\n",
+        "replacement": "    for _t, marks in parts[:1]:\n",
         "tests": ["tests/test_split.py::test_a_split_pass_gives_the_rows_of_one_process"],
+    },
+    {
+        "name": "mobius-split-skips-the-first-parts-marks",
+        "file": "smoothlab/shifted.py",
+        "snippet": "    for _t, marks in parts:\n",
+        "replacement": "    for _t, marks in parts[1:]:\n",
+        "tests": [
+            "tests/test_shifted.py::test_mobius_split_matches_oracle",
+            "tests/test_shifted.py::test_the_whole_split_is_the_same_on_both_routes",
+            "tests/test_split.py::test_a_split_pass_gives_the_rows_of_one_process",
+        ],
+    },
+    {
+        "name": "mobius-split-merges-a-chunk-at-its-byte-offset",
+        "file": "smoothlab/shifted.py",
+        "snippet": "held = span[8 * start : 8 * (start + _READ_BLOCK)]",
+        "replacement": "held = span[start : start + 8 * _READ_BLOCK]",
+        "tests": [
+            "tests/test_shifted.py::test_the_whole_split_is_the_same_on_both_routes",
+            "tests/test_shifted.py::test_mobius_split_holds_one_byte_per_modulus",
+        ],
     },
 ]

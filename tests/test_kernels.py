@@ -1021,6 +1021,13 @@ def _calls_to(name, tree):
     ]
 
 
+def _subscript_base(node):
+    """The name that a subscript or attribute chain such as ``g[i].flat[j]`` starts from."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return getattr(node, "id", None)
+
+
 def _reads_of(name, tree):
     """The nodes of ``tree`` that read the variable ``name``."""
     return [
@@ -1084,6 +1091,31 @@ def test_the_shifted_sums_read_windows_not_segments():
         ast.literal_eval(node.args[0]) for node in ast.walk(mobius)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_PassContext"
     ] == [1]
+    # Only the seam knows which process reduces a part.  The Moebius split's
+    # reducer asked ``os.getpid()`` and marked its caller's indicator in
+    # place (``g[idx + (s - a)] = True``), which a child wrote into its
+    # copy-on-write copy; a reducer now writes only arrays it makes.
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {getattr(node, "module", None) or "" for node in imports} | {
+        alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names
+    }
+    assert "os" not in {name.partition(".")[0] for name in modules}
+    reducers = [
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("reduce", "_interval_sums")
+    ]
+    assert len(reducers) == 5
+    for fn in reducers:
+        bound = {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)} | {
+            node.id for node in ast.walk(fn) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        written = [
+            _subscript_base(target) for node in ast.walk(fn)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for target in ast.walk(top) if isinstance(target, ast.Subscript)
+        ]
+        assert [name for name in written if name not in bound] == [], fn.name
     # The range, the shifts and the rows of the stream's widest strip alone
     # decide the segments and the buffers.
     assert list(inspect.signature(sieve._PassContext).parameters) == ["lo", "hi", "shifts", "rows"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothlab import (
@@ -99,6 +99,30 @@ def test_t_is_the_correctly_rounded_sum_on_both_routes(route, x, y, a):
         for delta in (1, 10, x):
             assert t_via_mobius(x, y, a, delta).t.hex() == want, delta
     assert calls or x <= max(a, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3000),
+    st.sampled_from([1, 1.5, 2, 3, 7, 30, 97, math.inf]),
+    st.integers(-40, 40).filter(bool),
+    st.sampled_from([1, 10, math.inf]),
+)
+# One generated window holds every smooth n: its k = n - a span three
+# merge chunks of 8 * 2^14 k, where the sieve's windows span a few hundred.
+@example(300_000, 7, 1, 10)
+@example(300_000, 7, -3, math.inf)
+def test_the_whole_split_is_the_same_on_both_routes(x, y, a, delta):
+    # sigma1, sigma2, T and the count, bit for bit, whether the T pass
+    # sieves in blocks of 7 entries or generates its smooth n; the count
+    # is that of psi's quotient count, which shares no code with the pass.
+    splits = []
+    for route in ("sieve", "generated"):
+        with forced_route(route), read_block(7):
+            split = t_via_mobius(x, y, a, delta)
+        splits.append((split.sigma1.hex(), split.sigma2.hex(), split.t.hex(), split.count))
+    assert splits[0] == splits[1]
+    assert splits[0][3] == psi(x, y) - (psi(min(x, a), y) if a > 0 else 0)
 
 
 def test_t_exact_streaming_matches():
