@@ -29,16 +29,12 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, SmoothlabError
 from .sieve import (
-    _check_int, _check_modulus, _check_quotient, _check_range, _check_terms, _check_x, _check_y,
-    _modulus_primes, _PassContext, _smooth_mask, _window_dtype, primes_upto,
+    MAX_MATERIALIZED_SPAN, _check_int, _check_modulus, _check_quotient, _check_range, _check_terms,
+    _check_x, _check_y, _modulus_primes, _PassContext, _smooth_mask, _window_dtype, primes_upto,
 )
 
 #: Upper limit for the recursive test oracle.
 ENUM_ORACLE_LIMIT = 10**7
-
-#: Largest span ``_smooth_values`` will materialize, and most moduli
-#: ``shifted.t_via_mobius`` takes: it holds a 1-byte indicator of each.
-MAX_MATERIALIZED_SPAN = 1 << 27
 
 
 class SmoothRange:

@@ -15,6 +15,7 @@ from .dickman import rho_at
 from .errors import DomainError, SmoothlabError
 from .formats import format_sig12
 from .shifted import _head_psi, _shifted_totals, _v_parts, main_terms, t_via_mobius
+from .sieve import _check_split
 
 _EPILOG = "Numeric output carries 12 significant digits."
 
@@ -90,24 +91,16 @@ def _run_rho(args) -> int:
 
 
 def _run_tsum(args) -> int:
+    split = {}
     if args.delta is None:
-        split = None
         [[(psi_value, t, _v)]] = _shifted_totals([args.x], args.y, [args.a])
     else:
-        # The split's pass is the T pass; it refuses a range too large to
-        # materialize before it sieves.
-        split = t_via_mobius(args.x, args.y, args.a, args.delta)
-        psi_value, t = _head_psi(args.x, args.y, args.a) + split.count, split.t
-    ratio = t / psi_value
-    pairs = [("t", format_sig12(t)), ("ratio", format_sig12(ratio))]
-    if split is not None:
-        pairs += [
-            ("sigma1", format_sig12(split.sigma1)),
-            ("sigma2", format_sig12(split.sigma2)),
-            ("total", format_sig12(split.total)),
-            ("delta_used", format_sig12(split.delta_used)),
-        ]
-    _emit(pairs)
+        _check_split(args.x, args.y, args.a, args.delta)  # then the head: both refuse before the pass
+        head = _head_psi(args.x, args.y, args.a)
+        mobius = t_via_mobius(args.x, args.y, args.a, args.delta)
+        psi_value, t = head + mobius.count, mobius.t
+        split = {key: getattr(mobius, key) for key in ("sigma1", "sigma2", "total", "delta_used")}
+    _emit((key, format_sig12(value)) for key, value in {"t": t, "ratio": t / psi_value, **split}.items())
     return 0
 
 

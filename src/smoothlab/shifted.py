@@ -32,13 +32,13 @@ own: ``_smooth_mask``, then ``_tau_omega`` of the shifted segment into
 rows of the context's buffer, read at the smooth n.  The Moebius split
 rides on the same pass, so each n is tested for smoothness once: its
 reducer sums T and packs the marks of n - a at each window's smooth n, 1
-bit each, and after the pass they go into a bool indicator, 1 byte per
-modulus.  It counts the multiples of each modulus in the indicator, one
-segment of moduli at a time (a context of its own too): a strided count
-per squarefree d up to the square root of its length n, and for the d
-above it one strided add per multiplier j.  It reads the terms of each
-segment in windows of ``_READ_BLOCK`` (2^14) moduli, so beside the
-indicator only the segment's int32 counts and mu strip have its size.
+bit each, one pack per 2^17 k, and after the pass each pack is ORed into
+a bool indicator, 1 byte per modulus, and dropped.  It counts the
+multiples of each modulus in the indicator one segment of moduli at a
+time (a context of its own too, ``_multiple_counts``), and reads the
+terms of each segment in windows of ``_READ_BLOCK`` (2^14) moduli, so
+beside the indicator only the segment's int32 counts and mu strip have
+its size.
 Float terms are summed exactly (``_exact_int``) and rounded once
 (``_round_exact``), so T, V by partial summation and the Moebius split do
 not depend on the windows, the term order or the other shifts of the pass.
@@ -54,11 +54,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import MAX_MATERIALIZED_SPAN, psi
+from .census import psi
 from .dickman import RhoTable, rho, rho_log
-from .errors import AccuracyError, CapacityError, DomainError
+from .errors import AccuracyError, DomainError
 from .sieve import (
-    _READ_BLOCK, _check_cutoff, _check_pass, _mu_segment, _PassContext, _reduce_pass, _smooth_mask,
+    _READ_BLOCK, _check_pass, _check_split, _mu_segment, _PassContext, _reduce_pass, _smooth_mask,
     _tau_omega, _to_float,
 )
 
@@ -302,47 +302,44 @@ def _multiple_counts(g: np.ndarray, s: int, e: int, mu: np.ndarray) -> np.ndarra
 def t_via_mobius(x: float, y: float, a: int, delta: float) -> MobiusSplit:
     """Evaluate T through progression counts: sum over d of mu(d)/d * #{n = a mod d}.
 
-    The moduli run to floor(x) - a for either sign of a: every n - a lies
-    in [1, floor(x) - a], so no count above that is nonzero.  One pass over
-    the windows, the one that T takes, sums T and packs the marks of the
-    values n - a of each window's smooth n, 1 bit each: a part reduced in
-    a child process (``sieve._reduce_pass``) returns its marks as the
-    parent's own part does.  After the pass the parts' marks are ORed into
-    a bool indicator, 2^17 k at a time: 1 byte per modulus for every y, so
-    more than ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a CapacityError,
-    raised before anything is allocated.  mu and the counts of multiples
-    (:func:`_multiple_counts`) come one segment of moduli at a time, and
-    the counts are multiplied by mu in place.  The terms come one window of
-    ``_READ_BLOCK`` moduli at a time, so no int64 or float64 array of the
-    segment's size is made: each term is one correctly rounded division,
-    and one ``searchsorted`` cuts the window's moduli at delta.  sigma1,
-    sigma2 and T are correctly rounded sums (``_exact_int``, rounded once
-    at the end), so the windows do not change them.
+    The moduli run to floor(x) - a for either sign of a: every n - a lies in
+    [1, floor(x) - a], so no count above that is nonzero.  One pass over the
+    windows, the one that T takes, sums T and packs the marks of the values
+    n - a of each window's smooth n, 1 bit each, one pack per 2^17 k (8
+    ``_READ_BLOCK``): a part reduced in a child process
+    (``sieve._reduce_pass``) returns its packs as the parent's own does.
+    After the pass each pack is ORed whole into a bool indicator and
+    dropped: 1 byte per modulus for every y, so more than
+    ``MAX_MATERIALIZED_SPAN`` (2^27) moduli are a CapacityError, raised
+    before anything is allocated (``sieve._check_split``).  mu and the counts
+    of multiples (:func:`_multiple_counts`) come one segment of moduli at a
+    time, and the counts are multiplied by mu in place.  The terms come one
+    window of ``_READ_BLOCK`` moduli at a time, so no int64 or float64 array
+    of the segment's size is made: each term is one correctly rounded
+    division, and one ``searchsorted`` cuts the window's moduli at
+    delta.  sigma1, sigma2 and T are correctly rounded sums (``_exact_int``,
+    rounded once at the end), so the windows do not change them.
     """
-    a, y = _check_pass(x, y, a)
-    delta = _check_cutoff(delta)
-    d_max = math.floor(x) - a
-    if d_max > MAX_MATERIALIZED_SPAN:
-        raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
+    a, y, delta, d_max = _check_split(x, y, a, delta)
 
     def reduce(windows):
         t, marks = 0, []
         for s, e, [(idx, phi_at)] in windows:
             t += _exact_int(_t_terms(a, s, idx, phi_at))
-            window = np.zeros(e - s + 1, dtype=bool)
-            window[idx] = True
-            marks.append((s - a, np.packbits(window)))  # every k = n - a >= 1
+            for lo in range(0, e - s + 1, 8 * _READ_BLOCK):  # 2^17 k at a time
+                unit = np.zeros(min(8 * _READ_BLOCK, e - s + 1 - lo), dtype=bool)
+                unit[idx[np.searchsorted(idx, lo) : np.searchsorted(idx, lo + unit.size)] - lo] = True
+                marks.append((s + lo - a, np.packbits(unit)))  # every k = n - a >= 1
         return t, marks
 
     parts = _reduce_pass(max(a, 0), math.floor(x), y, [a], reduce)
     t = sum(part_t for part_t, _marks in parts)
     g = np.zeros(max(d_max, 0) + 1, dtype=bool)
     for _t, marks in parts:
-        for first, packed in marks:
+        while marks:  # each pack is dropped once merged
+            first, packed = marks.pop()
             span = g[first : first + 8 * packed.size]
-            for start in range(0, packed.size, _READ_BLOCK):  # 2^17 k at a time
-                held = span[8 * start : 8 * (start + _READ_BLOCK)]
-                held |= np.unpackbits(packed[start : start + _READ_BLOCK], count=held.size).view(bool)
+            span |= np.unpackbits(packed, count=span.size).view(bool)
     sigma1 = sigma2 = 0
     context = _PassContext(1, d_max)
     for s, e in context.segments():
@@ -395,10 +392,11 @@ def v_via_abel(x: float, y: float, a: int) -> float:
             steps += _exact_int(terms * (top - s - idx))
         return t, steps
 
+    psi_value = psi(x, y)  # before the pass: a refused count sieves nothing
     t, steps = map(sum, zip(*_reduce_pass(max(a, 0), top, y, [a], reduce)))
     t_at_x = _round_exact(t)
     integral = _round_exact(steps) + (x - top) * t_at_x
-    return (t_at_x * (x - a) - integral) / psi(x, y)
+    return (t_at_x * (x - a) - integral) / psi_value
 
 
 @dataclass(frozen=True)

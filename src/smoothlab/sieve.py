@@ -119,6 +119,10 @@ _READ_BLOCK = 1 << 14
 #: never splits, however short its segments.
 _SPLIT_ENTRIES = 3 << 18
 
+#: Largest span ``census._smooth_values`` will materialize, and most moduli
+#: ``shifted.t_via_mobius`` takes: it holds a 1-byte indicator of each.
+MAX_MATERIALIZED_SPAN = 1 << 27
+
 #: Most smooth n a generated pass holds: 2^22 int64 values, 32 MiB.  A
 #: generation stopped at it peaked at 73 MB of RSS, against 198 MB at 2^24.
 GENERATED_CAPACITY = 1 << 22
@@ -323,6 +327,15 @@ def _check_pass(x: float, y: float, a: int) -> tuple[int, float]:
     top = _check_x(x)
     _check_range(0, top - a)  # the largest n - a the totient kernels take
     return a, y
+
+
+def _check_split(x: float, y: float, a: int, delta: float) -> tuple[int, float, float, int]:
+    """(a, y, delta, floor(x) - a) of a Moebius split, after every check it makes before its pass."""
+    a, y = _check_pass(x, y, a)
+    delta, d_max = _check_cutoff(delta), math.floor(x) - a
+    if d_max > MAX_MATERIALIZED_SPAN:
+        raise CapacityError(f"moduli [1, {d_max}] too large to materialize")
+    return a, y, delta, d_max
 
 
 def _check_log_ratio(x: float, y: float) -> tuple[float, float]:
@@ -680,7 +693,7 @@ def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
     values = _generated_smooth(lo, hi, y, shifts)
     if values is not None:
         return [reduce(_generated_phi_segments(values, shifts))]
-    ends = _part_ends(lo, hi, shifts)
+    ends = _part_ends(lo, hi)
     parts = list(zip(ends, ends[1:]))
     parent, children = os.getpid(), {}  # part -> (pid, read end) of each child not yet reaped
     try:
@@ -719,7 +732,7 @@ def _reduce_pass(lo: int, hi: int, y: float, shifts: list[int], reduce) -> list:
             os.close(read)
 
 
-def _part_ends(lo: int, hi: int, shifts: list[int]) -> list[int]:
+def _part_ends(lo: int, hi: int) -> list[int]:
     """The ends lo < c_1 < ... < hi of the parts (lo, c_1], (c_1, c_2], ... of a sieved pass.
 
     One part per CPU of ``os.sched_getaffinity``, but no more than leave
@@ -733,7 +746,7 @@ def _part_ends(lo: int, hi: int, shifts: list[int]) -> list[int]:
     parts = min(cpus, (hi - lo) // _SPLIT_ENTRIES)
     if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [lo, hi]
-    first, last = next(_PassContext(lo + 1, hi, shifts).segments())
+    first, last = next(_PassContext(lo + 1, hi).segments())
     step = last - first + 1
     count = -(-(hi - lo) // step)
     parts = min(parts, count)

@@ -309,13 +309,50 @@ MUTANTS = [
         ],
     },
     {
-        "name": "mobius-split-merges-a-chunk-at-its-byte-offset",
+        "name": "mobius-split-marks-a-unit-without-its-offset",
         "file": "smoothlab/shifted.py",
-        "snippet": "held = span[8 * start : 8 * (start + _READ_BLOCK)]",
-        "replacement": "held = span[start : start + 8 * _READ_BLOCK]",
+        "snippet": "np.searchsorted(idx, lo + unit.size)] - lo] = True",
+        "replacement": "np.searchsorted(idx, lo + unit.size)]] = True",
         "tests": [
             "tests/test_shifted.py::test_the_whole_split_is_the_same_on_both_routes",
             "tests/test_shifted.py::test_mobius_split_holds_one_byte_per_modulus",
         ],
+    },
+    {
+        # A pack's padding bits overlap the k of the next window, merged before it.
+        "name": "mobius-split-assigns-a-pack-instead-of-oring-it",
+        "file": "smoothlab/shifted.py",
+        "snippet": "span |= np.unpackbits(packed, count=span.size).view(bool)",
+        "replacement": "span[:] = np.unpackbits(packed, count=span.size).view(bool)",
+        "tests": [
+            "tests/test_shifted.py::test_the_whole_split_is_the_same_on_both_routes",
+            "tests/test_split.py::test_a_split_pass_gives_the_rows_of_one_process",
+        ],
+    },
+    {
+        "name": "tsum-delta-counts-its-head-after-the-split",
+        "file": "smoothlab/cli.py",
+        "snippet": (
+            "        head = _head_psi(args.x, args.y, args.a)\n"
+            "        mobius = t_via_mobius(args.x, args.y, args.a, args.delta)\n"
+        ),
+        "replacement": (
+            "        mobius = t_via_mobius(args.x, args.y, args.a, args.delta)\n"
+            "        head = _head_psi(args.x, args.y, args.a)\n"
+        ),
+        "tests": ["tests/test_cli.py::test_tsum_delta_counts_its_head_psi_before_the_split"],
+    },
+    {
+        "name": "abel-counts-psi-after-its-pass",
+        "file": "smoothlab/shifted.py",
+        "snippet": (
+            "    psi_value = psi(x, y)  # before the pass: a refused count sieves nothing\n"
+            "    t, steps = map(sum, zip(*_reduce_pass(max(a, 0), top, y, [a], reduce)))\n"
+        ),
+        "replacement": (
+            "    t, steps = map(sum, zip(*_reduce_pass(max(a, 0), top, y, [a], reduce)))\n"
+            "    psi_value = psi(x, y)\n"
+        ),
+        "tests": ["tests/test_shifted.py::test_abel_counts_psi_before_its_pass"],
     },
 ]

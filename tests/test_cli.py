@@ -446,6 +446,19 @@ def test_tsum_delta_refuses_a_shift_with_too_many_moduli(smooth_mask_entries):
     assert smooth_mask_entries == []
 
 
+def test_tsum_delta_counts_its_head_psi_before_the_split(strip_windows):
+    # Psi(1e12, 1e6) of the n <= a is refused; the split's T pass once
+    # sieved its first part before that count, which plain tsum makes first.
+    argv = ["tsum", "--x", "1000002000000", "--y", "1e6", "--a", "1000000000000", "--delta", "10"]
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: psi(x=1000000000000, y=1e+06) needs about 1e+09 quotient-table updates, "
+        "budget is 536870912\n"
+    )
+    assert strip_windows == []
+
+
 def test_one_parser_keeps_no_state_between_commands(monkeypatch):
     tsum = ["tsum", "--x", "1000", "--y", "30", "--a", "1"]
     assert "sigma1=" in invoke(tsum + ["--delta", "5"])[1]

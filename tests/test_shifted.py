@@ -109,7 +109,7 @@ def test_t_is_the_correctly_rounded_sum_on_both_routes(route, x, y, a):
     st.sampled_from([1, 10, math.inf]),
 )
 # One generated window holds every smooth n: its k = n - a span three
-# merge chunks of 8 * 2^14 k, where the sieve's windows span a few hundred.
+# packs of 2^17 k, where the sieve's windows span a few hundred.
 @example(300_000, 7, 1, 10)
 @example(300_000, 7, -3, math.inf)
 def test_the_whole_split_is_the_same_on_both_routes(x, y, a, delta):
@@ -232,6 +232,32 @@ def test_the_split_sums_its_moduli_in_windows():
             tracemalloc.stop()
     indicator = x - a + 1  # g.nbytes, the moduli 0..floor(x) - a
     assert peaks[1] <= peaks[0] + indicator + 2**18
+
+
+def test_the_split_marks_its_k_in_units_of_2_17(monkeypatch):
+    # The reducer packs each 2^17 k of a window on its own, and the merge
+    # drops each pack, so no mark array outgrows a unit.  Packing the one
+    # generated window of this pass whole made a bool array of all 2^22 k:
+    # the T pass then peaked at 5.12 MiB, against 2.83 MiB in units.
+    assert sieve._generated_smooth(1, 2**22, 30, [1]) is not None  # the generated route
+    reduce_pass, peaks, packs = shifted._reduce_pass, [], []
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        parts = reduce_pass(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        packs.extend(packed.size for _t, marks in parts for _first, packed in marks)
+        return parts
+
+    monkeypatch.setattr(shifted, "_reduce_pass", measured)
+    tracemalloc.start()
+    try:
+        split = t_via_mobius(2**22, 30, 1, 10)
+    finally:
+        tracemalloc.stop()
+    assert split.count == psi(2**22, 30) - 1
+    assert len(peaks) == 1 and peaks[0] < 3.5 * 2**20
+    assert 0 < max(packs) <= sieve._READ_BLOCK
 
 
 def unwindowed_split(x: int, y: float, a: int, delta: float) -> tuple[float, float]:
@@ -465,6 +491,14 @@ def test_abel_streaming_matches():
     whole = v_via_abel(20000, 19, 3)
     with stream_segment(777):
         assert v_via_abel(20000, 19, 3) == whole
+
+
+def test_abel_counts_psi_before_its_pass(strip_windows):
+    # Psi(x, 1e6) past 1e12 is refused; the pass once stripped its first
+    # part, about 2^21 entries, before the count raised.
+    with pytest.raises(CapacityError, match=r"psi\(x=1000002000000, y=1e\+06\) needs about"):
+        v_via_abel(1000002000000, 1e6, 1000000000000)
+    assert strip_windows == []
 
 
 def test_abel_reaches_the_generated_route():

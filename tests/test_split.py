@@ -89,7 +89,7 @@ def split_cases(draw):
         hi = draw(st.integers(3 * segment, 12 * segment))
     lo = min(max(a, 0) for a in shifts)
     with stream_segment(segment), split_into(cpus):
-        ends = sieve._part_ends(lo, hi, shifts)
+        ends = sieve._part_ends(lo, hi)
     cuts = draw(st.lists(st.sampled_from(ends[1:-1]), max_size=2))
     cuts += draw(st.lists(st.integers(1, hi - 1), max_size=2))
     xs = sorted({*cuts, hi})
@@ -131,7 +131,7 @@ def test_a_split_pass_gives_the_rows_of_one_process(case, delta):
             split = _consumers(xs, y, shifts, delta)
             # The pass of every shift at once, then four of each shift alone.
             passes = [shifts] + [[a] for a in shifts for _consumer in range(4)]
-            ends = [sieve._part_ends(min(max(a, 0) for a in s), math.floor(xs[-1]), s) for s in passes]
+            ends = [sieve._part_ends(min(max(a, 0) for a in s), math.floor(xs[-1])) for s in passes]
     assert split == serial
     # Each pass forked one child per part past the first.
     assert len(forks) == sum(len(part_ends) - 2 for part_ends in ends)
@@ -159,7 +159,7 @@ def test_the_parts_are_cut_at_segment_boundaries(lo, hi, cpus, want):
     # many segments in each as the count allows, the longer parts last.
     assert sieve._SPLIT_ENTRIES == 3 * SEGMENT
     with patch.object(os, "sched_getaffinity", lambda _pid: set(range(cpus))):
-        ends = sieve._part_ends(lo, hi, [max(lo, 1)])
+        ends = sieve._part_ends(lo, hi)
     assert ends == want
     segments = sieve._PassContext(lo + 1, hi).segments()
     assert set(ends[1:-1]) <= {s - 1 for s, _e in segments}
@@ -168,7 +168,7 @@ def test_the_parts_are_cut_at_segment_boundaries(lo, hi, cpus, want):
 def test_no_part_is_shorter_than_a_segment():
     # With a threshold of one n, a pass of 2 segments has 2 parts on 3 CPUs.
     with stream_segment(100), split_into(3):
-        assert sieve._part_ends(0, 150, [1]) == [0, 100, 150]
+        assert sieve._part_ends(0, 150) == [0, 100, 150]
 
 
 def _slow_children(parent: int, raise_in_parent):
@@ -277,7 +277,7 @@ def test_a_part_whose_process_cannot_be_made_is_reduced_in_the_parent(name, erro
         serial_v = _v_parts(3000, 1e5, -1)[0].hex()
         line = _cli_line(argv)
         with split_into(3), patch.object(os, name, fail):
-            assert sieve._part_ends(0, 3000, [6, -1]) == [0, 1000, 2000, 3000]
+            assert sieve._part_ends(0, 3000) == [0, 1000, 2000, 3000]
             assert _hex_rows(_shifted_totals([1200, 3000], 1e5, [6, -1])) == serial
             assert _v_parts(3000, 1e5, -1)[0].hex() == serial_v
             assert _cli_line(argv) == line
@@ -376,7 +376,7 @@ def test_a_process_with_a_second_thread_runs_the_pass_alone():
     thread.start()
     try:
         with stream_segment(100), split_into(2) as forks:
-            assert sieve._part_ends(0, 10_000, [1]) == [0, 10_000]
+            assert sieve._part_ends(0, 10_000) == [0, 10_000]
             rows = _hex_rows(_shifted_totals([10_000], 1e5, [1, -1]))
     finally:
         stop.set()
